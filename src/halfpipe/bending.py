@@ -71,7 +71,9 @@ class BendingContext:
 
     The basepoint must be off every leaf; the effective bending angle about a
     crossed leaf of weight ``a`` is ``sign * scale * a``.  Contexts are
-    immutable; reuse them across queries so crossing data is shared.
+    immutable.  Crossing data lives in the group's leaf atlas for the
+    multicurve, so every context over one group and multicurve shares it,
+    whatever its tag, sign or scale.
 
     Parameters
     ----------
@@ -117,8 +119,11 @@ class BendingContext:
         return BendingContext(self.group, self.multicurve, self.base_point, tag, self.sign, self.scale)
 
 
-def _bracketed_product(ctx: BendingContext, x: np.ndarray, y: np.ndarray, closing_word: str) -> Isometry:
-    """The cocycle along [x, y] times the unbent holonomy of closing_word.
+def _bracketed_product(ctx: BendingContext, crossings: list[LeafCrossing], closing_word: str) -> Isometry:
+    """The cocycle along a segment times the unbent holonomy of closing_word.
+
+    ``crossings`` are the segment's leaf crossings, which do not depend on
+    the context's tag, sign or scale.
 
     Rotations about far leaves have matrix entries of size exp(2 distance),
     so multiplying them directly squanders precision on cancellations.  Each
@@ -130,7 +135,7 @@ def _bracketed_product(ctx: BendingContext, x: np.ndarray, y: np.ndarray, closin
     """
     out = Isometry.identity(ctx.tag)
     previous = ""
-    for crossing in leaves_crossing(ctx.group, ctx.multicurve, x, y):
+    for crossing in crossings:
         ang = ctx.angle(crossing)
         if ang == 0.0:
             continue
@@ -157,7 +162,7 @@ def bending_cocycle(ctx: BendingContext, x: np.ndarray, y: np.ndarray) -> Isomet
     leaf oriented away from x, by the context's signed, scaled weight.
     Raises EndpointOnLeafError when an endpoint lies on a leaf.
     """
-    return _bracketed_product(ctx, x, y, "")
+    return _bracketed_product(ctx, leaves_crossing(ctx.group, ctx.multicurve, x, y), "")
 
 
 def sigma_embed(ctx: BendingContext, word: str) -> Isometry:
@@ -172,9 +177,13 @@ class BentHolonomy:
     context: BendingContext
 
     def __call__(self, word: str) -> Isometry:
-        ctx = self.context
-        target = _act_disk(ctx.group.lorentz(word), ctx.base_point)
-        return _bracketed_product(ctx, ctx.base_point, target, word)
+        return _bracketed_product(self.context, holonomy_crossings(self.context, word), word)
+
+
+def holonomy_crossings(ctx: BendingContext, word: str) -> list[LeafCrossing]:
+    """The leaves crossed by the segment from x0 to word . x0."""
+    target = _act_disk(ctx.group.lorentz(word), ctx.base_point)
+    return leaves_crossing(ctx.group, ctx.multicurve, ctx.base_point, target)
 
 
 def bent_holonomy(ctx: BendingContext) -> BentHolonomy:

@@ -9,15 +9,20 @@ on H2 through the adjoint representation SL(2, R) -> SO0(1, 2) on trace-free
 
 A weighted multicurve is a finite set of non-peripheral simple closed curves
 with positive weights.  Its preimage in H2 is a disjoint union of complete
-geodesics (leaves); the walk below enumerates all leaves near a queried
-segment by expanding reduced words of the free group in depth shells with a
+geodesics (leaves).  A walk enumerates the leaves near a region of the disk
+by expanding reduced words of the free group in depth shells with a
 distance prune, so that crossing queries against compact segments are
-complete.
+complete.  Each group keeps a leaf atlas per multicurve: the leaves meeting
+a hyperbolic ball about the disk centre, found by one walk and grown on
+demand.  Segments inside the ball are answered from the atlas; segments
+reaching past its largest radius, or past the radius where growing it ran
+out of walk budget, are walked on their own.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +40,17 @@ from halfpipe.geometry import (
 EPS_FRICKE = 1e-9
 # Pairings below this flag a segment endpoint as lying on a leaf.
 EPS_ENDPOINT = 1e-9
+
+# Leaf walks: the comeback slack beyond the components' reach, and the node
+# and word-length budgets.
+WALK_SLACK = 4.0
+MAX_NODES = 400_000
+MAX_DEPTH = 64
+
+# Leaf atlases grow in steps of this hyperbolic radius about the disk centre,
+# up to the limit (Klein radius tanh 2.5 = 0.987).
+ATLAS_STEP = 0.5
+ATLAS_RADIUS_LIMIT = 2.5
 
 GENERATOR_LETTERS = "ABab"
 
@@ -56,7 +72,21 @@ class EndpointOnLeafError(GeometryError):
 
 
 class EnumerationBudgetError(GeometryError):
-    """Leaf enumeration hit its node or depth budget before completing."""
+    """Leaf enumeration hit its node or depth budget before completing.
+
+    The message and the attributes give the nodes visited, the word length
+    reached, the cutoff distance of the prune and the region walked.
+    """
+
+    def __init__(self, budget: str, nodes: int, depth: int, cutoff: float, region: str):
+        super().__init__(
+            f"leaf enumeration exceeded the {budget} after {nodes} nodes at depth {depth} "
+            f"(cutoff distance {cutoff:.3f}, {region})"
+        )
+        self.nodes = nodes
+        self.depth = depth
+        self.cutoff = cutoff
+        self.region = region
 
 
 class NoConvergenceError(GeometryError):
@@ -141,13 +171,6 @@ def sl2_to_so12(g: np.ndarray) -> np.ndarray:
     return np.column_stack([_traceless_coords(g @ e @ g_inv) for e in _SL2_BASIS])
 
 
-def sl2_classify(g: np.ndarray, tol: float = 1e-9) -> str:
-    tr = abs(float(np.trace(g)))
-    if abs(tr - 2.0) <= tol:
-        return "parabolic"
-    return "hyperbolic" if tr > 2.0 else "elliptic"
-
-
 def translation_length_sl2(g: np.ndarray) -> float:
     """2 arccosh(|tr|/2) for hyperbolic elements, 0 otherwise."""
     half = abs(float(np.trace(g))) / 2.0
@@ -186,6 +209,8 @@ class TeichPoint:
     z: float
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(v) for v in (self.x, self.y, self.z)):
+            raise BadTracesError("trace coordinates must be finite")
         if min(self.x, self.y, self.z) <= 2.0:
             raise BadTracesError("trace coordinates must all exceed 2")
         defect = fricke_defect(self.x, self.y, self.z)
@@ -241,6 +266,7 @@ class PuncturedTorusGroup:
         tp = self.trace_point
         gen_a, gen_b = _normal_form_generators(tp.x, tp.y, tp.z)
         object.__setattr__(self, "_sl2_gens", {"A": gen_a, "B": gen_b})
+        object.__setattr__(self, "_atlases", {})
 
     def sl2(self, word: str) -> np.ndarray:
         if word:
@@ -264,6 +290,13 @@ class PuncturedTorusGroup:
 
     def cusp_trace(self) -> float:
         return float(np.trace(self.sl2(self.CUSP_WORD)))
+
+    def atlas(self, mc: "WeightedMulticurve") -> "LeafAtlas":
+        """The leaf atlas of a multicurve, shared by every caller of this group."""
+        atlas = self._atlases.get(mc)
+        if atlas is None:
+            atlas = self._atlases[mc] = LeafAtlas(mc)
+        return atlas
 
     def cache_key(self) -> tuple:
         tp = self.trace_point
@@ -292,8 +325,8 @@ class MulticurveComponent:
         _check_word(self.word)
         if free_reduce(self.word) != self.word:
             raise BadWordError(f"component word {self.word!r} is not freely reduced")
-        if not self.weight > 0.0:
-            raise BadWordError("component weights must be positive")
+        if not (self.weight > 0.0 and math.isfinite(self.weight)):
+            raise BadWordError("component weights must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -321,9 +354,6 @@ class WeightedMulticurve:
 
     def scaled(self, factor: float) -> "WeightedMulticurve":
         return WeightedMulticurve(tuple(MulticurveComponent(c.word, factor * c.weight) for c in self.components))
-
-    def cache_key(self) -> tuple:
-        return tuple((c.word, round(c.weight, 14)) for c in self.components)
 
 
 def multicurve_length(point_or_group: TeichPoint | PuncturedTorusGroup, mc: WeightedMulticurve) -> float:
@@ -392,23 +422,33 @@ def _leaf_key(normal: np.ndarray) -> tuple:
     return tuple(np.round(scaled, 7))
 
 
+Leaves = tuple[np.ndarray, np.ndarray, list[str], list[int]]
+
+
 def _leaves_near_segment(
     group: PuncturedTorusGroup,
     mc: WeightedMulticurve,
     x: np.ndarray,
     y: np.ndarray,
-    slack: float,
-    max_nodes: int,
-    max_depth: int,
-) -> tuple[np.ndarray, np.ndarray, list[str], list[int]]:
-    """Every leaf whose distance to the segment [x, y] is within reach.
+    radius: float,
+    keep: Callable[[np.ndarray], np.ndarray],
+    max_nodes: int = MAX_NODES,
+    max_depth: int = MAX_DEPTH,
+) -> Leaves:
+    """Every leaf within reach of the radius-neighbourhood of [x, y] that ``keep`` accepts.
 
     Walks reduced words of the free group in depth shells, pruning a branch
-    once the orbit of x strays beyond the components' reach (axis offset plus
-    half a translation length) plus a comeback slack from the segment.  The
-    walk length is governed by the segment's length, not by its distance to
-    any fixed center.  Completeness of the slack is validated empirically by
-    the exhaustive-enumeration tests.
+    once the orbit of x strays from the segment by more than the components'
+    reach (axis offset plus half a translation length), the radius and a
+    comeback slack.  The walk length is governed by the segment's length and
+    the radius, not by the segment's distance to any fixed center.
+    Completeness of the slack is validated empirically by the
+    exhaustive-enumeration tests.
+
+    ``keep`` maps a stack of leaf normals to a boolean mask; rows it rejects
+    skip the dedupe.  Each kept leaf is recorded once, with the first word
+    that reaches it, as its normal (canonical sign), weight, conjugator word
+    and component index.
     """
     lift_x, lift_y = disk_lift(x), disk_lift(y)
     cosh_len = max(1.0, -float(minkowski_dot(lift_x, lift_y)))
@@ -426,7 +466,12 @@ def _leaves_near_segment(
         math.asinh(abs(float(minkowski_dot(n, lift_x)))) + 0.5 * group.translation_length(comp.word)
         for n, comp in zip(axis_normals, mc.components)
     )
-    cosh_cutoff = math.cosh(reach + slack)
+    cutoff = reach + radius + WALK_SLACK
+    cosh_cutoff = math.cosh(cutoff)
+
+    def budget_error(budget: str, nodes: int, depth: int) -> EnumerationBudgetError:
+        region = f"atlas radius {radius}" if radius else f"segment length {math.acosh(cosh_len):.3f}"
+        return EnumerationBudgetError(budget, nodes, depth, cutoff, region)
 
     normal_list: list[np.ndarray] = []
     weights: list[float] = []
@@ -453,24 +498,24 @@ def _leaves_near_segment(
         if kept.size == 0:
             break
         if depth == max_depth:
-            raise EnumerationBudgetError("leaf enumeration exceeded the word-length cap")
+            raise budget_error("word-length cap", node_count, depth)
         node_count += kept.size
         if node_count > max_nodes:
-            raise EnumerationBudgetError("leaf enumeration exceeded the node budget")
+            raise budget_error("node budget", node_count, depth)
         mats = mats[kept]
         shell_words = [shell_words[i] for i in kept]
         last = last[kept]
         for idx, base_normal in enumerate(axis_normals):
             normals = mats @ base_normal
-            for row, word in enumerate(shell_words):
-                key = (idx, _leaf_key(normals[row]))
+            for row in np.nonzero(keep(normals))[0]:
+                vec = normals[row]
+                key = (idx, _leaf_key(vec))
                 if key in seen:
                     continue
                 seen.add(key)
-                vec = normals[row]
                 normal_list.append(vec if _canonical_sign(vec) > 0 else -vec)
                 weights.append(mc.components[idx].weight)
-                words.append(word)
+                words.append(shell_words[row])
                 comps.append(idx)
         next_mats, next_words, next_last = [], [], []
         for j in range(len(GENERATOR_LETTERS)):
@@ -485,7 +530,68 @@ def _leaves_near_segment(
     return stacked, np.array(weights), words, comps
 
 
-_CROSSING_CACHE: dict[tuple, tuple[LeafCrossing, ...]] = {}
+def _pairings(normals: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Affine pairings of leaf normals with x and y, and which leaves pass
+    within EPS_ENDPOINT of either endpoint."""
+    # Affine pairings are sign- and root-compatible with the lifted ones;
+    # the lift rescaling only matters for the endpoint-distance tolerance.
+    f0 = normals @ (J3 @ np.concatenate(([1.0], x)))
+    f1 = normals @ (J3 @ np.concatenate(([1.0], y)))
+    scale0 = 1.0 / math.sqrt(1.0 - float(x @ x))
+    scale1 = 1.0 / math.sqrt(1.0 - float(y @ y))
+    return f0, f1, (np.abs(f0) * scale0 < EPS_ENDPOINT) | (np.abs(f1) * scale1 < EPS_ENDPOINT)
+
+
+def _walk_segment(group: PuncturedTorusGroup, mc: WeightedMulticurve, x: np.ndarray, y: np.ndarray) -> Leaves:
+    """The leaves crossing [x, y] or passing through an endpoint, found by a walk of their own."""
+
+    def crossing_or_touching(normals: np.ndarray) -> np.ndarray:
+        f0, f1, on_leaf = _pairings(normals, x, y)
+        return (f0 * f1 < 0.0) | on_leaf
+
+    return _leaves_near_segment(group, mc, x, y, 0.0, crossing_or_touching)
+
+
+class LeafAtlas:
+    """The leaves of one multicurve's preimage that meet the ball B(o, radius).
+
+    o is the disk centre and the radius is hyperbolic.  The atlas starts
+    empty and is rebuilt by one walk from o whenever a query reaches past
+    its radius, at that query's distance rounded up to ATLAS_STEP, up to
+    ATLAS_RADIUS_LIMIT.  A rebuild that exceeds the walk budget freezes the
+    atlas at its last radius and keeps the budget error's message in
+    ``frozen``.  Leaves are deduplicated once per build; ``leaves`` holds
+    their normals, weights, conjugator words and component indices.
+    """
+
+    def __init__(self, multicurve: WeightedMulticurve):
+        self.multicurve = multicurve
+        self.radius = -math.inf
+        self.frozen: str | None = None
+        self.leaves: Leaves = (np.zeros((0, 3)), np.zeros(0), [], [])
+
+    def covering(self, group: PuncturedTorusGroup, x: np.ndarray, y: np.ndarray) -> Leaves | None:
+        """The atlas leaves when its ball holds both endpoints, else None.
+
+        The ball is convex, so every leaf crossing [x, y] meets it.
+        """
+        needed = math.acosh(max(float(disk_lift(x)[0]), float(disk_lift(y)[0])))
+        if self.radius < needed <= ATLAS_RADIUS_LIMIT and self.frozen is None:
+            self._rebuild(group, math.ceil(needed / ATLAS_STEP) * ATLAS_STEP)
+        return self.leaves if needed <= self.radius else None
+
+    def _rebuild(self, group: PuncturedTorusGroup, radius: float) -> None:
+        origin = np.zeros(2)
+        # A leaf within EPS_ENDPOINT of an endpoint on the rim still counts.
+        bound = math.sinh(radius + EPS_ENDPOINT)
+        try:
+            self.leaves = _leaves_near_segment(
+                group, self.multicurve, origin, origin, radius, lambda normals: np.abs(normals[:, 0]) <= bound
+            )
+        except EnumerationBudgetError as exc:
+            self.frozen = str(exc)
+            return
+        self.radius = radius
 
 
 def leaves_crossing(
@@ -493,48 +599,42 @@ def leaves_crossing(
     mc: WeightedMulticurve,
     x: np.ndarray,
     y: np.ndarray,
-    *,
-    slack: float = 4.0,
-    max_nodes: int = 400_000,
-    max_depth: int = 64,
 ) -> list[LeafCrossing]:
     """All leaves of the lifted multicurve crossing the open segment (x, y).
 
     Returned in increasing order of crossing parameter, each leaf oriented
-    with its left normal pointing away from x.  Raises EndpointOnLeafError
-    when an endpoint is within tolerance of a leaf, and EnumerationBudgetError
-    if completeness cannot be certified within the budget.
+    with its left normal pointing away from x.  Segments inside the group's
+    leaf atlas for ``mc`` are answered from it, growing it when needed;
+    segments beyond its reach are walked on their own.  Raises
+    EndpointOnLeafError when an endpoint is within tolerance of a leaf, and
+    EnumerationBudgetError if completeness cannot be certified within the
+    walk budget.
     """
     x = np.asarray(x, dtype=float).reshape(2)
     y = np.asarray(y, dtype=float).reshape(2)
-    key = (group.cache_key(), mc.cache_key(), tuple(np.round(x, 13)), tuple(np.round(y, 13)), slack)
-    cached = _CROSSING_CACHE.get(key)
-    if cached is not None:
-        return list(cached)
-    normals, weights, words, comps = _leaves_near_segment(group, mc, x, y, slack, max_nodes, max_depth)
-    crossings: list[LeafCrossing] = []
-    if normals.shape[0]:
-        # Affine pairings are sign- and root-compatible with the lifted ones;
-        # the lift rescaling only matters for the endpoint-distance tolerance.
-        f0 = normals @ (J3 @ np.concatenate(([1.0], x)))
-        f1 = normals @ (J3 @ np.concatenate(([1.0], y)))
-        scale0 = 1.0 / math.sqrt(1.0 - float(x @ x))
-        scale1 = 1.0 / math.sqrt(1.0 - float(y @ y))
-        if np.any(np.abs(f0) * scale0 < EPS_ENDPOINT) or np.any(np.abs(f1) * scale1 < EPS_ENDPOINT):
-            raise EndpointOnLeafError("segment endpoint lies on a leaf; nudge the basepoint")
-        for i in np.nonzero(f0 * f1 < 0.0)[0]:
-            normal = normals[i] if f0[i] < 0.0 else -normals[i]
-            crossings.append(
-                LeafCrossing(
-                    leaf=SpacelikeGeodesicH2(normal),
-                    weight=float(weights[i]),
-                    parameter=float(f0[i] / (f0[i] - f1[i])),
-                    conjugator_word=words[i],
-                    component_index=comps[i],
-                )
+    leaves = group.atlas(mc).covering(group, x, y)
+    return _crossings(leaves if leaves is not None else _walk_segment(group, mc, x, y), x, y)
+
+
+def _crossings(leaves: Leaves, x: np.ndarray, y: np.ndarray) -> list[LeafCrossing]:
+    """The crossings of (x, y) among the given leaves, by the sign test."""
+    normals, weights, words, comps = leaves
+    f0, f1, on_leaf = _pairings(normals, x, y)
+    if np.any(on_leaf):
+        raise EndpointOnLeafError("segment endpoint lies on a leaf; nudge the basepoint")
+    crossings = []
+    for i in np.nonzero(f0 * f1 < 0.0)[0]:
+        normal = normals[i] if f0[i] < 0.0 else -normals[i]
+        crossings.append(
+            LeafCrossing(
+                leaf=SpacelikeGeodesicH2(normal),
+                weight=float(weights[i]),
+                parameter=float(f0[i] / (f0[i] - f1[i])),
+                conjugator_word=words[i],
+                component_index=comps[i],
             )
-        crossings.sort(key=lambda c: c.parameter)
-    _CROSSING_CACHE[key] = tuple(crossings)
+        )
+    crossings.sort(key=lambda c: c.parameter)
     return crossings
 
 

@@ -163,12 +163,6 @@ class ProjectivePoint:
         v.flags.writeable = False
         object.__setattr__(self, "vec", v)
 
-    @classmethod
-    def from_affine(cls, tag: Geometry, chart_coords: np.ndarray) -> "ProjectivePoint":
-        """Point with x0 = 1 and (x1, x2, x3) = chart_coords."""
-        c = np.asarray(chart_coords, dtype=float).reshape(3)
-        return cls(np.concatenate(([1.0], c)), tag)
-
     def classify(self, tol: float = EPS_MEMBERSHIP) -> str:
         return classify_point(self.geometry, self.vec, tol)
 
@@ -235,12 +229,6 @@ class Plane:
         u = _canonical_covector(self.covector)
         u.flags.writeable = False
         object.__setattr__(self, "covector", u)
-
-    @classmethod
-    def from_unit_normal(cls, tag: Geometry, normal: np.ndarray) -> "Plane":
-        if tag is HP:
-            raise TagMismatchError("half-pipe planes are built from dual points")
-        return cls(tag.form_matrix @ np.asarray(normal, dtype=float).reshape(4), tag)
 
     @classmethod
     def hp_plane_dual_to(cls, y: np.ndarray) -> "Plane":

@@ -143,15 +143,6 @@ class Isometry:
         return group_residual(self.matrix, self.geometry)
 
 
-def compose(*isoms: Isometry) -> Isometry:
-    if not isoms:
-        raise ValueError("compose needs at least one isometry")
-    out = isoms[0]
-    for g in isoms[1:]:
-        out = out @ g
-    return out
-
-
 # ---------------------------------------------------------------------------
 # H2 building blocks.
 # ---------------------------------------------------------------------------

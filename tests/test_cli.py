@@ -97,6 +97,17 @@ def test_config_errors_exit_2(tmp_path):
     assert _run(tmp_path, "transition", tmp_path / "absent.json")[0] == EXIT_CONFIG
 
 
+def test_non_finite_config_numbers_exit_2(tmp_path):
+    nan_traces = _write_config(tmp_path / "nan.json", traces=[math.nan, math.nan, math.nan])
+    assert _run(tmp_path, "transition", nan_traces)[0] == EXIT_CONFIG
+    inf_weight = _write_config(
+        tmp_path / "inf.json",
+        multicurves={"lambda": [{"word": "A", "weight": math.inf}], "mu": [{"word": "B"}]},
+        words=["B"],
+    )
+    assert _run(tmp_path, "transition", inf_weight)[0] == EXIT_CONFIG
+
+
 def test_generators_config_equals_traces_config(tmp_path):
     group = build_punctured_torus(TeichPoint(3.0, 3.0, 3.0))
     by_traces = _write_config(tmp_path / "t.json", words=["A"])

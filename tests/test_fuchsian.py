@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from halfpipe.fuchsian import (
+    ATLAS_RADIUS_LIMIT,
     BadTracesError,
     BadWordError,
     EndpointOnLeafError,
+    EnumerationBudgetError,
     MulticurveComponent,
     NotHyperbolicError,
     PuncturedTorusGroup,
@@ -27,6 +29,9 @@ from halfpipe.fuchsian import (
     translation_length_sl2,
     word_homology,
     words_conjugate,
+    _crossings,
+    _leaves_near_segment,
+    _walk_segment,
 )
 from halfpipe.geometry import J3, disk_lift, minkowski_dot
 
@@ -112,6 +117,11 @@ def test_trace_point_validation():
         TeichPoint(4.0, 4.0, 4.0)
     with pytest.raises(BadTracesError):
         TeichPoint(2.0, 3.0, 3.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(BadTracesError):
+            TeichPoint(bad, bad, bad)
+        with pytest.raises(BadTracesError):
+            TeichPoint.from_xy(bad, 3.0)
     point = TeichPoint.from_xy(3.0, 3.0)
     assert point.z == pytest.approx(3.0)
     assert TeichPoint.from_xy(3.0, 3.0, branch="plus").z == pytest.approx(6.0)
@@ -178,8 +188,9 @@ def test_word_utilities():
 def test_multicurve_validation():
     with pytest.raises(BadWordError):
         WeightedMulticurve.single("ABab")
-    with pytest.raises(BadWordError):
-        WeightedMulticurve.single("A", weight=-1.0)
+    for bad in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(BadWordError):
+            WeightedMulticurve.single("A", weight=bad)
     with pytest.raises(BadWordError):
         WeightedMulticurve.single("Aa")
     with pytest.raises(BadWordError):
@@ -295,6 +306,87 @@ def test_crossing_counts_match_intersection_numbers():
             y = image[1:] / image[0]
             counts.append(len(leaves_crossing(group, lam, x, y)))
         assert min(counts) == expected
+
+
+ATLAS_POINTS = {
+    "(3,3,3)": SYMMETRIC,
+    "xy(6,3.5)": TeichPoint.from_xy(6.0, 3.5),
+    "xy(4,5)": TeichPoint.from_xy(4.0, 5.0),
+    "xy(2.9,2.9,plus)": TeichPoint.from_xy(2.9, 2.9, "plus"),
+    "xy(20,3)": TeichPoint.from_xy(20.0, 3.0),
+    "xy(3,40)": TeichPoint.from_xy(3.0, 40.0),
+}
+ATLAS_MULTICURVES = (
+    WeightedMulticurve.single("A"),
+    WeightedMulticurve.single("AB", 0.8),
+    WeightedMulticurve.single("AAB", 0.5),
+    WeightedMulticurve.single("ABB"),
+    WeightedMulticurve((MulticurveComponent("A", 1.0), MulticurveComponent("B", 0.5))),
+)
+
+
+def _disk_point(rng, radius):
+    angle = rng.uniform(0.0, 2.0 * math.pi)
+    return radius * np.array([math.cos(angle), math.sin(angle)])
+
+
+def _assert_walk_agrees(group, mc, x, y):
+    """The atlas answer for [x, y] matches a walk of the segment alone."""
+    got = leaves_crossing(group, mc, x, y)
+    walked = _crossings(_walk_segment(group, mc, x, y), x, y)
+    assert [c.component_index for c in got] == [c.component_index for c in walked]
+    assert np.allclose([c.parameter for c in got], [c.parameter for c in walked], rtol=0.0, atol=1e-9)
+    # Ties between shortest words may resolve differently, so compare what
+    # the word does rather than the word itself.
+    for c in got:
+        pushed = group.lorentz(c.conjugator_word) @ group.axis(mc.components[c.component_index].word).normal
+        gap = min(np.max(np.abs(pushed - c.leaf.normal)), np.max(np.abs(pushed + c.leaf.normal)))
+        assert gap < 1e-9 * np.max(np.abs(c.leaf.normal))
+
+
+@pytest.mark.parametrize("name", sorted(ATLAS_POINTS))
+def test_atlas_matches_segment_walk(name):
+    rng = np.random.default_rng(sorted(ATLAS_POINTS).index(name))
+    for mc in ATLAS_MULTICURVES:
+        group = build_punctured_torus(ATLAS_POINTS[name])
+        # The first segment reaches the rim, so the atlas grows to its limit
+        # unless it freezes on the way.
+        radii = [0.97, 0.97] + list(0.97 * np.sqrt(rng.uniform(size=10)))
+        points = [_disk_point(rng, r) for r in radii]
+        for x, y in zip(points[::2], points[1::2]):
+            _assert_walk_agrees(group, mc, x, y)
+        atlas = group.atlas(mc)
+        assert atlas.radius == ATLAS_RADIUS_LIMIT or atlas.frozen is not None
+
+
+def test_atlas_freezes_at_the_walk_budget_and_falls_back_to_segment_walks():
+    group = build_punctured_torus(ATLAS_POINTS["xy(3,40)"])
+    mc = WeightedMulticurve.single("ABB")
+    atlas = group.atlas(mc)
+    rng = np.random.default_rng(3)
+    near = (_disk_point(rng, 0.8), _disk_point(rng, 0.9))
+    far = (_disk_point(rng, 0.95), _disk_point(rng, 0.6))
+    _assert_walk_agrees(group, mc, *near)
+    assert atlas.radius == 1.5 and atlas.frozen is None
+    _assert_walk_agrees(group, mc, *far)
+    assert atlas.radius == 1.5
+    assert "word-length cap" in atlas.frozen and "atlas radius 2.0" in atlas.frozen
+    assert atlas.covering(group, *far) is None
+    assert atlas.covering(group, *near) is atlas.leaves
+    _assert_walk_agrees(group, mc, *near)
+
+
+def test_enumeration_budget_error_reports_its_numbers():
+    group = build_punctured_torus(SYMMETRIC)
+    mc = WeightedMulticurve.single("A")
+    x, y = np.array([-0.5, 0.2]), np.array([0.6, -0.3])
+    with pytest.raises(EnumerationBudgetError) as info:
+        _leaves_near_segment(group, mc, x, y, 0.0, lambda n: np.ones(len(n), dtype=bool), max_nodes=10)
+    err = info.value
+    assert err.nodes > 10 and err.depth >= 1 and err.cutoff > 4.0
+    length = math.acosh(-float(minkowski_dot(disk_lift(x), disk_lift(y))))
+    assert err.region == f"segment length {length:.3f}"
+    assert f"after {err.nodes} nodes at depth {err.depth}" in str(err)
 
 
 def test_kerckhoff_point_symmetric_pair():

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from halfpipe import bending, transition
+from halfpipe.bending import bent_holonomy
 from halfpipe.fuchsian import TeichPoint, WeightedMulticurve, build_punctured_torus
 from halfpipe.geometry import (
     ADS,
@@ -179,6 +181,27 @@ def test_generator_words_have_agreeing_two_sided_limits():
         assert rep.trace_gap < TOL_TWO_SIDED
         direct = direct_hp_matrix(group, lam, 1.0, word)
         assert projective_distance(rep.limit, direct) < TOL_TWO_SIDED
+
+
+def test_family_contexts_share_one_atlas_and_one_crossing_query(monkeypatch):
+    group, lam = _group(), _lamination()
+    contexts, queries = [], []
+    make_context, query = transition._context, bending.leaves_crossing
+
+    def recording_context(*args):
+        contexts.append(make_context(*args))
+        return contexts[-1]
+
+    monkeypatch.setattr(transition, "_context", recording_context)
+    monkeypatch.setattr(bending, "leaves_crossing", lambda *args: queries.append(args) or query(*args))
+    fam = holonomy_family(group, lam, 1.0, "AB")
+    assert len(contexts) == len(DEFAULT_GRID) and len(queries) == 1
+    for t, ctx, matrix in zip(fam.grid, contexts, fam.matrices):
+        assert np.array_equal(matrix, rescale_conjugate(t, bent_holonomy(ctx)("AB")))
+    atlas = group.atlas(lam)
+    ctx = contexts[0]
+    derived = (ctx.rescaled(0.5), ctx.with_geometry(HP), ctx.rescaled(2.0).with_geometry(ADS))
+    assert all(c.group.atlas(c.multicurve) is atlas for c in (*contexts, *derived))
 
 
 def test_negative_bending_sign_also_transits():
