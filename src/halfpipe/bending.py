@@ -45,6 +45,7 @@ from halfpipe.geometry import (
     klein_hp,
     klein_hp_inverse,
     minkowski_dot,
+    radial_project,
 )
 from halfpipe.isometry import Isometry, embed_h2_isometry, rotation
 
@@ -58,11 +59,6 @@ EPS_ALIGNER = 1e-8
 
 class BadAlignerError(GeometryError):
     """The aligning isometry is not a pure half-pipe translation."""
-
-
-def _act_disk(m: np.ndarray, z: np.ndarray) -> np.ndarray:
-    w = m @ disk_lift(z)
-    return w[1:] / w[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,7 +96,8 @@ class BendingContext:
 
     def __post_init__(self) -> None:
         z = np.array(self.base_point, dtype=float).reshape(2)
-        if float(z @ z) >= 1.0:
+        # Written so that a NaN basepoint fails too.
+        if not float(z @ z) < 1.0:
             raise OutsideModelError("the basepoint must lie in the open disk")
         z.flags.writeable = False
         object.__setattr__(self, "base_point", z)
@@ -182,7 +179,7 @@ class BentHolonomy:
 
 def holonomy_crossings(ctx: BendingContext, word: str) -> list[LeafCrossing]:
     """The leaves crossed by the segment from x0 to word . x0."""
-    target = _act_disk(ctx.group.lorentz(word), ctx.base_point)
+    target = radial_project(ctx.group.lorentz(word) @ disk_lift(ctx.base_point))
     return leaves_crossing(ctx.group, ctx.multicurve, ctx.base_point, target)
 
 
@@ -245,7 +242,7 @@ def _check_surface_pair(upper: BendingContext, lower: BendingContext) -> None:
         raise TagMismatchError("surface pairs interpolate in the half-pipe model")
     if not (upper.sign > 0.0 > lower.sign):
         raise GeometryError("expected a positively bent upper and a negatively bent lower context")
-    if upper.group.cache_key() != lower.group.cache_key():
+    if upper.group != lower.group:
         raise GeometryError("the two contexts must share the holonomy group")
     if not np.array_equal(upper.base_point, lower.base_point):
         raise GeometryError("the two contexts must share the basepoint")

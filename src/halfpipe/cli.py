@@ -13,7 +13,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +36,7 @@ from .transition import (
     EPS_LIMIT,
     extrapolate_limit,
     holonomy_family,
+    signed_context,
 )
 
 EXIT_OK = 0
@@ -122,8 +122,6 @@ def _group_from_config(cfg: dict) -> PuncturedTorusGroup:
             return build_punctured_torus(TeichPoint(*map(float, traces)))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"field 'traces': {exc}") from exc
-        except BadTracesError as exc:
-            raise ConfigError(f"field 'traces': {exc}") from exc
     gens = cfg["generators"]
     try:
         a, b = (np.asarray(g, dtype=float).reshape(2, 2) for g in gens)
@@ -172,7 +170,19 @@ def _grid_from(args, cfg: dict, default) -> tuple[float, ...]:
         raise ConfigError(f"bad grid value: {exc}") from exc
     if not grid:
         raise ConfigError("grid must not be empty")
+    if not all(math.isfinite(t) for t in grid):
+        raise ConfigError("grid values must be finite")
     return grid
+
+
+def _base_point_from(cfg: dict) -> np.ndarray:
+    try:
+        base = np.asarray(cfg.get("base_point", DEFAULT_BASE_POINT), dtype=float).reshape(2)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"field 'base_point' must hold two numbers: {exc}") from exc
+    if not float(base @ base) < 1.0:
+        raise ConfigError("field 'base_point' must be a finite point of the open unit disk")
+    return base
 
 
 def _words_from(cfg: dict) -> tuple[str, ...]:
@@ -207,14 +217,6 @@ def _write_json(outdir: Path, name: str, doc: dict, schema_name: str) -> Path:
     path = outdir / name
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return path
-
-
-def _tag_for(t: float) -> Geometry:
-    if t > 0.0:
-        return HYP
-    if t < 0.0:
-        return ADS
-    return HP
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +286,7 @@ def cmd_double(args) -> int:
         raise ConfigError("cone-angle grid values must be positive")
     slope_tol = args.tol if args.tol is not None else 1e-8
     hp_tol = args.tol if args.tol is not None else 1e-6
-    base = np.asarray(cfg.get("base_point", list(DEFAULT_BASE_POINT)), dtype=float)
+    base = _base_point_from(cfg)
 
     rows = []
     slope_gap = 0.0
@@ -325,27 +327,6 @@ def cmd_double(args) -> int:
     return EXIT_OK if slope_gap < slope_tol and hp_gap < hp_tol else EXIT_THRESHOLD
 
 
-@dataclass(frozen=True)
-class SceneExport:
-    """Static mesh of a bent surface in an affine chart.
-
-    Vertices are affine 3-coordinates of bending-map images; polylines trace
-    the bending lines.  Every vertex must satisfy the chart's model-region
-    inequality within a small tolerance.
-    """
-
-    vertices: tuple
-    polylines: tuple
-    metadata: dict
-
-    def to_json_dict(self) -> dict:
-        return {
-            "vertices": [list(v) for v in self.vertices],
-            "polylines": [[list(p) for p in line] for line in self.polylines],
-            "metadata": dict(self.metadata),
-        }
-
-
 def _check_region(tag: Geometry, vertex: np.ndarray, tol: float) -> None:
     x, y, h = (float(c) for c in vertex)
     disk = x * x + y * y
@@ -382,20 +363,11 @@ def cmd_export_surface(args) -> int:
     lam = _multicurve_from_config(cfg, "lambda")
     grid = _grid_from(args, cfg, (0.1,))
     samples = cfg.get("samples", DEFAULT_SAMPLES)
-    if not isinstance(samples, int) or samples <= 0:
+    if isinstance(samples, bool) or not isinstance(samples, int) or samples <= 0:
         raise ConfigError("field 'samples' must be a positive integer")
     tol = args.tol if args.tol is not None else EPS_GEOM
     t = float(grid[0])
-    tag = _tag_for(t)
-    base = np.asarray(cfg.get("base_point", list(DEFAULT_BASE_POINT)), dtype=float)
-    ctx = BendingContext(
-        group=group,
-        multicurve=lam,
-        base_point=base,
-        tag=tag,
-        sign=1.0 if t >= 0.0 else -1.0,
-        scale=abs(t),
-    )
+    ctx = signed_context(group, lam, _base_point_from(cfg), 1.0, t)
 
     rng = np.random.default_rng(args.seed)
     disk_points = _sample_disk(rng, samples)
@@ -403,29 +375,23 @@ def cmd_export_surface(args) -> int:
     seen_leaves = {}
     for z in disk_points:
         vertex = bending_map(ctx, z).affine_chart()
-        _check_region(tag, vertex, tol)
-        vertices.append(tuple(float(c) for c in vertex))
-        for crossing in leaves_crossing(group, lam, base, z):
+        _check_region(ctx.tag, vertex, tol)
+        vertices.append([float(c) for c in vertex])
+        for crossing in leaves_crossing(group, lam, ctx.base_point, z):
             key = tuple(np.round(crossing.leaf.normal, 9))
             seen_leaves.setdefault(key, crossing.leaf)
-    polylines = tuple(
-        _leaf_polyline(ctx, leaf, tol) for _, leaf in sorted(seen_leaves.items())
-    )
-
-    scene = SceneExport(
-        vertices=tuple(vertices),
-        polylines=polylines,
-        metadata={
-            "geometry": tag.name.lower(),
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "seed": args.seed,
+        "vertices": vertices,
+        "polylines": [_leaf_polyline(ctx, leaf, tol) for _, leaf in sorted(seen_leaves.items())],
+        "metadata": {
+            "geometry": ctx.tag.name.lower(),
             "t": t,
-            "multicurve": [
-                {"word": c.word, "weight": c.weight} for c in lam.components
-            ],
+            "multicurve": [{"word": c.word, "weight": c.weight} for c in lam.components],
             "chart": "x0=1",
         },
-    )
-    doc = {"schema_version": SCHEMA_VERSION, "seed": args.seed}
-    doc.update(scene.to_json_dict())
+    }
     _write_json(Path(args.out), "scene.json", doc, "scene_export")
     return EXIT_OK
 

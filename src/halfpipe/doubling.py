@@ -22,12 +22,13 @@ import numpy as np
 from halfpipe.bending import (
     BendingContext,
     BentHolonomy,
+    _check_surface_pair,
     bending_cocycle,
     bent_holonomy,
     support_plane_at,
 )
 from halfpipe.fuchsian import EndpointOnLeafError, leaves_crossing
-from halfpipe.geometry import HP, HYP, J3, Geometry, GeometryError, TagMismatchError
+from halfpipe.geometry import HP, HYP, J3, Geometry, GeometryError
 from halfpipe.isometry import Isometry, classify_isometry, reflection, rotation_angle
 
 # Residual allowed when a claimed face stabilizer must commute with the face
@@ -70,15 +71,13 @@ class DoubledHolonomy:
 
     Words mix surface letters (A, a, B, b) with face tokens: e1, ..., eq map
     to the exact products r_i r_0 of face reflections, and E1, ..., Eq to
-    their inverses r_0 r_i.  ``paths`` records, per face point, the
-    conjugator words of the leaves crossed from the basepoint, which pins
-    down the implicit choice of path to each face.
+    their inverses r_0 r_i.  Each face reflection is taken along the
+    straight segment from the basepoint to its face point.
     """
 
     rho: BentHolonomy
     face_points: tuple[np.ndarray, ...]
     reflections: tuple[Isometry, ...]
-    paths: tuple[tuple[str, ...], ...]
 
     @property
     def tag(self) -> Geometry:
@@ -88,11 +87,14 @@ class DoubledHolonomy:
     def face_count(self) -> int:
         return len(self.reflections)
 
-    def mirror_generator(self, index: int) -> Isometry:
-        """The exact product r_index r_0 represented by the token e<index>."""
+    def _reflection(self, index: int) -> Isometry:
         if not 1 <= index < self.face_count:
             raise GeometryError(f"face index {index} out of range")
-        return self.reflections[index] @ self.reflections[0]
+        return self.reflections[index]
+
+    def mirror_generator(self, index: int) -> Isometry:
+        """The exact product r_index r_0 represented by the token e<index>."""
+        return self._reflection(index) @ self.reflections[0]
 
     def __call__(self, word: str) -> Isometry:
         out = Isometry(np.eye(4), self.tag)
@@ -105,23 +107,13 @@ class DoubledHolonomy:
                 out = out @ self.rho(chunk)
                 chunk = ""
             index = int(token[1:])
-            if not 1 <= index < self.face_count:
-                raise GeometryError(f"face index {index} out of range")
             if token[0] == "e":
-                out = out @ (self.reflections[index] @ self.reflections[0])
+                out = out @ self.mirror_generator(index)
             else:
-                out = out @ (self.reflections[0] @ self.reflections[index])
+                out = out @ (self.reflections[0] @ self._reflection(index))
         if chunk:
             out = out @ self.rho(chunk)
         return out
-
-
-def _crossing_words(ctx: BendingContext, point: np.ndarray) -> tuple[str, ...]:
-    try:
-        crossings = leaves_crossing(ctx.group, ctx.multicurve, ctx.base_point, point)
-    except EndpointOnLeafError as exc:
-        raise FacePointOnLeafError(f"face point {point} lies on a leaf") from exc
-    return tuple(c.conjugator_word for c in crossings)
 
 
 def _face_plane(ctx: BendingContext, point: np.ndarray):
@@ -171,12 +163,7 @@ def double_holonomy(
     reflections = tuple(reflection(_face_plane(ctx, p)) for p in points)
     rho = bent_holonomy(ctx)
     _check_stabilizers(rho, reflections[0], stabilizer_words)
-    return DoubledHolonomy(
-        rho=rho,
-        face_points=tuple(points),
-        reflections=reflections,
-        paths=tuple(_crossing_words(ctx, p) for p in points),
-    )
+    return DoubledHolonomy(rho=rho, face_points=tuple(points), reflections=reflections)
 
 
 def _translation_part(m: np.ndarray) -> np.ndarray:
@@ -192,10 +179,11 @@ def pair_aligner(
     generators, where A_w is the shared linear part and v the translation
     parts.  A solution exists precisely when the two bent holonomies are
     conjugate by a vertical-graph translation; otherwise the least-squares
-    residual exceeds ``tol`` and the configuration is refused.
+    residual exceeds ``tol`` and the configuration is refused, as is any pair
+    but a positively bent upper and a negatively bent lower half-pipe context
+    over one group and one basepoint.
     """
-    if upper.tag is not HP or lower.tag is not HP:
-        raise TagMismatchError("pair alignment is a half-pipe construction")
+    _check_surface_pair(upper, lower)
     rho_u, rho_l = bent_holonomy(upper), bent_holonomy(lower)
     rows, rhs = [], []
     for word in ("A", "B"):
@@ -232,30 +220,23 @@ def double_convex_core_pair(
     face point contributes its upper face followed by its aligned lower
     face.  With no extra points the token e1 is the product of the two
     boundary reflections at the basepoint — the meridian of the doubled cusp
-    region.  The aligner defaults to :func:`pair_aligner`.
+    region.  The aligner defaults to :func:`pair_aligner`, whose surface-pair
+    preconditions hold also when an aligner is given.
     """
-    if np.max(np.abs(upper.base_point - lower.base_point)) > 0.0:
-        raise GeometryError("the two contexts must share a basepoint")
+    _check_surface_pair(upper, lower)
     if aligner is None:
         aligner = pair_aligner(upper, lower)
     points = [upper.base_point] + [np.asarray(p, dtype=float).reshape(2) for p in face_points]
     reflections = []
-    paths = []
-    doubled_points = []
     for p in points:
         reflections.append(reflection(_face_plane(upper, p)))
-        paths.append(_crossing_words(upper, p))
-        doubled_points.append(p)
         reflections.append(aligner @ reflection(_face_plane(lower, p)) @ aligner.inverse())
-        paths.append(_crossing_words(lower, p))
-        doubled_points.append(p)
     rho = bent_holonomy(upper)
     _check_stabilizers(rho, reflections[0], stabilizer_words)
     return DoubledHolonomy(
         rho=rho,
-        face_points=tuple(doubled_points),
+        face_points=tuple(p for p in points for _ in range(2)),
         reflections=tuple(reflections),
-        paths=tuple(paths),
     )
 
 

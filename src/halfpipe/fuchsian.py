@@ -159,6 +159,20 @@ def _traceless_coords(m: np.ndarray) -> np.ndarray:
     return np.array([(m[1, 0] - m[0, 1]) / 2.0, m[0, 0], (m[1, 0] + m[0, 1]) / 2.0])
 
 
+def _sl2_inverse(g: np.ndarray) -> np.ndarray:
+    """The inverse of a determinant-one 2x2 matrix (its adjugate)."""
+    return np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]])
+
+
+def _word_sl2(gens: dict[str, np.ndarray], word: str) -> np.ndarray:
+    """Left-to-right product of a word over A, B, a, b given the images of A and B."""
+    out = np.eye(2)
+    for ch in word:
+        g = gens[ch.upper()]
+        out = out @ (_sl2_inverse(g) if ch.islower() else g)
+    return out
+
+
 def sl2_to_so12(g: np.ndarray) -> np.ndarray:
     """Adjoint image of g in SO0(1,2), acting on trace-free matrices.
 
@@ -167,7 +181,7 @@ def sl2_to_so12(g: np.ndarray) -> np.ndarray:
     sl2_to_so12(g).
     """
     g = np.asarray(g, dtype=float)
-    g_inv = np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]])
+    g_inv = _sl2_inverse(g)
     return np.column_stack([_traceless_coords(g @ e @ g_inv) for e in _SL2_BASIS])
 
 
@@ -271,13 +285,7 @@ class PuncturedTorusGroup:
     def sl2(self, word: str) -> np.ndarray:
         if word:
             _check_word(word)
-        out = np.eye(2)
-        for ch in word:
-            g = self._sl2_gens[ch.upper()]
-            if ch.islower():
-                g = np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]])
-            out = out @ g
-        return out
+        return _word_sl2(self._sl2_gens, word)
 
     def lorentz(self, word: str) -> np.ndarray:
         return sl2_to_so12(self.sl2(word))
@@ -297,10 +305,6 @@ class PuncturedTorusGroup:
         if atlas is None:
             atlas = self._atlases[mc] = LeafAtlas(mc)
         return atlas
-
-    def cache_key(self) -> tuple:
-        tp = self.trace_point
-        return (round(tp.x, 12), round(tp.y, 12), round(tp.z, 12))
 
 
 def build_punctured_torus(tp: TeichPoint) -> PuncturedTorusGroup:
@@ -558,10 +562,12 @@ class LeafAtlas:
     o is the disk centre and the radius is hyperbolic.  The atlas starts
     empty and is rebuilt by one walk from o whenever a query reaches past
     its radius, at that query's distance rounded up to ATLAS_STEP, up to
-    ATLAS_RADIUS_LIMIT.  A rebuild that exceeds the walk budget freezes the
-    atlas at its last radius and keeps the budget error's message in
-    ``frozen``.  Leaves are deduplicated once per build; ``leaves`` holds
-    their normals, weights, conjugator words and component indices.
+    ATLAS_RADIUS_LIMIT.  A rebuild that exceeds the walk budget is retried
+    at radii ATLAS_STEP smaller, down to one step above the current radius;
+    the atlas then freezes at the largest radius that built and keeps the
+    first budget error's message in ``frozen``.  Leaves are deduplicated
+    once per build; ``leaves`` holds their normals, weights, conjugator
+    words and component indices.
     """
 
     def __init__(self, multicurve: WeightedMulticurve):
@@ -582,16 +588,19 @@ class LeafAtlas:
 
     def _rebuild(self, group: PuncturedTorusGroup, radius: float) -> None:
         origin = np.zeros(2)
-        # A leaf within EPS_ENDPOINT of an endpoint on the rim still counts.
-        bound = math.sinh(radius + EPS_ENDPOINT)
-        try:
-            self.leaves = _leaves_near_segment(
-                group, self.multicurve, origin, origin, radius, lambda normals: np.abs(normals[:, 0]) <= bound
-            )
-        except EnumerationBudgetError as exc:
-            self.frozen = str(exc)
+        while radius >= 0.0 and radius > self.radius:
+            # A leaf within EPS_ENDPOINT of an endpoint on the rim still counts.
+            bound = math.sinh(radius + EPS_ENDPOINT)
+            try:
+                self.leaves = _leaves_near_segment(
+                    group, self.multicurve, origin, origin, radius, lambda normals: np.abs(normals[:, 0]) <= bound
+                )
+            except EnumerationBudgetError as exc:
+                self.frozen = self.frozen or str(exc)
+                radius -= ATLAS_STEP
+                continue
+            self.radius = radius
             return
-        self.radius = radius
 
 
 def leaves_crossing(
@@ -669,6 +678,8 @@ def _fricke_gradient(p: np.ndarray) -> np.ndarray:
 
 
 def _word_traces_objective(lam: WeightedMulticurve, mu: WeightedMulticurve):
+    # SLSQP iterates leave the trace variety, where TeichPoint refuses them,
+    # so the words are evaluated on the normal-form generators directly.
     comps = [*lam.components, *mu.components]
 
     def objective(p: np.ndarray) -> float:
@@ -679,21 +690,13 @@ def _word_traces_objective(lam: WeightedMulticurve, mu: WeightedMulticurve):
             gen_a, gen_b = _normal_form_generators(x, y, z)
         except (BadTracesError, ValueError):
             return 1e6
-        letters = {
-            "A": gen_a,
-            "B": gen_b,
-            "a": np.array([[gen_a[1, 1], -gen_a[0, 1]], [-gen_a[1, 0], gen_a[0, 0]]]),
-            "b": np.array([[gen_b[1, 1], -gen_b[0, 1]], [-gen_b[1, 0], gen_b[0, 0]]]),
-        }
+        gens = {"A": gen_a, "B": gen_b}
         total = 0.0
         for comp in comps:
-            m = np.eye(2)
-            for ch in comp.word:
-                m = m @ letters[ch]
-            half = abs(float(np.trace(m))) / 2.0
-            if half <= 1.0 + 1e-12:
+            m = _word_sl2(gens, comp.word)
+            if abs(float(np.trace(m))) / 2.0 <= 1.0 + 1e-12:
                 return 1e6
-            total += comp.weight * 2.0 * math.acosh(half)
+            total += comp.weight * translation_length_sl2(m)
         return total
 
     return objective

@@ -27,7 +27,7 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -483,9 +483,6 @@ class SpacelikeGeodesicH2:
         a = np.concatenate(([1.0], np.asarray(start, dtype=float).reshape(2)))
         b = np.concatenate(([1.0], np.asarray(end, dtype=float).reshape(2)))
         return cls(J3 @ np.cross(a, b))
-
-    def reversed(self) -> "SpacelikeGeodesicH2":
-        return SpacelikeGeodesicH2(-self.normal)
 
     def side_of(self, p: np.ndarray) -> float:
         """Signed pairing <normal, p> with a hyperboloid point (broadcasts)."""

@@ -83,22 +83,30 @@ def projective_distance(m1: np.ndarray, m2: np.ndarray) -> float:
     return float(min(np.max(np.abs(a - b)), np.max(np.abs(a + b))))
 
 
-def _context(
+def geometry_of(t: float) -> Geometry:
+    """The model at parameter t: hyperbolic, anti-de Sitter or half-pipe as t is >, < or = 0."""
+    return HYP if t > 0 else ADS if t < 0 else HP
+
+
+def signed_context(
     group: PuncturedTorusGroup,
     multicurve: WeightedMulticurve,
     base_point: np.ndarray,
     sign: float,
     t: float,
 ) -> BendingContext:
-    # Signed angles t * a: the anti-de Sitter side (t < 0) bends the other
-    # way, which is what makes its rescaled limit agree with the hyperbolic
-    # side's.
+    """The context bending by |t| times the weights in the model of t.
+
+    Angles are signed t * a: the anti-de Sitter side (t < 0) bends the other
+    way, which is what makes its rescaled limit agree with the hyperbolic
+    side's.
+    """
     return BendingContext(
         group=group,
         multicurve=multicurve,
         base_point=base_point,
-        tag=HYP if t > 0 else ADS,
-        sign=sign if t > 0 else -sign,
+        tag=geometry_of(t),
+        sign=-sign if t < 0 else sign,
         scale=abs(t),
     )
 
@@ -127,7 +135,7 @@ class TransitionFamily:
 
     @property
     def sides(self) -> tuple[Geometry, ...]:
-        return tuple(HYP if t > 0 else ADS for t in self.grid)
+        return tuple(geometry_of(t) for t in self.grid)
 
     def side(self, positive: bool) -> list[tuple[float, np.ndarray]]:
         """(t, matrix) pairs of one side, ordered by increasing |t|."""
@@ -151,7 +159,7 @@ def holonomy_family(
     """
     ts = _checked_grid(grid)
     base = np.asarray(base_point, dtype=float).reshape(2)
-    contexts = [_context(group, multicurve, base, sign, t) for t in ts]
+    contexts = [signed_context(group, multicurve, base, sign, t) for t in ts]
     crossings = holonomy_crossings(contexts[0], word) if contexts else []
     matrices = tuple(
         rescale_conjugate(t, _bracketed_product(ctx, crossings, word)) for t, ctx in zip(ts, contexts)
@@ -224,8 +232,6 @@ class ConvergenceReport:
     grid: tuple[float, ...]
     residuals: tuple[float, ...]
     limit: np.ndarray
-    limit_positive: np.ndarray
-    limit_negative: np.ndarray
     order_positive: float
     order_negative: float
     two_sided_gap: float
@@ -250,7 +256,6 @@ def extrapolate_limit(family: TransitionFamily) -> ConvergenceReport:
         if len(samples) < 3:
             raise InsufficientGridError("need at least three grid points per side")
         sides[positive] = richardson_limit(samples, order=_difference_order(samples))
-    limit_pos, limit_neg = sides[True], sides[False]
     residuals = []
     orders = {}
     for positive in (True, False):
@@ -260,10 +265,10 @@ def extrapolate_limit(family: TransitionFamily) -> ConvergenceReport:
         orders[positive] = _fit_order(ts, res)
         residuals.extend(zip((t for t, _ in samples), res))
     residuals.sort(key=lambda pair: (abs(pair[0]), pair[0]))
-    a, b = normalized_projective(limit_pos), normalized_projective(limit_neg)
+    a, b = normalized_projective(sides[True]), normalized_projective(sides[False])
     if float(np.sum(a * b)) < 0.0:
         b = -b
-    gap = projective_distance(limit_pos, limit_neg)
+    gap = projective_distance(sides[True], sides[False])
     trace_gap = max(
         abs(float(np.trace(a) - np.trace(b))),
         abs(float(np.trace(a[:3, :3]) - np.trace(b[:3, :3]))),
@@ -273,8 +278,6 @@ def extrapolate_limit(family: TransitionFamily) -> ConvergenceReport:
         grid=tuple(t for t, _ in residuals),
         residuals=tuple(float(r) for _, r in residuals),
         limit=0.5 * (a + b),
-        limit_positive=limit_pos,
-        limit_negative=limit_neg,
         order_positive=orders[True],
         order_negative=orders[False],
         two_sided_gap=gap,
@@ -339,7 +342,7 @@ def pleated_surface_convergence(
     targets = [bending_map(hp_ctx, z).affine_chart() for z in points]
     maxima = []
     for t in ts:
-        ctx = _context(group, multicurve, base, sign, t)
+        ctx = signed_context(group, multicurve, base, sign, t)
         tau = rescaling_matrix(t)
         worst = 0.0
         for z, target in zip(points, targets):

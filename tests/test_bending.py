@@ -88,8 +88,9 @@ def _act(group, word, z):
 def test_context_validation():
     group = build_punctured_torus(SYMMETRIC)
     mc = WeightedMulticurve.single("A")
-    with pytest.raises(OutsideModelError):
-        BendingContext(group=group, multicurve=mc, base_point=np.array([0.8, 0.7]), tag=HP)
+    for outside in ([0.8, 0.7], [math.nan, 0.0], [math.inf, 0.0]):
+        with pytest.raises(OutsideModelError):
+            BendingContext(group=group, multicurve=mc, base_point=np.array(outside), tag=HP)
     with pytest.raises(GeometryError):
         BendingContext(group=group, multicurve=mc, base_point=BASE, tag=HP, sign=0.5)
     ctx = _context(HP, scale=0.3)

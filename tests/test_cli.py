@@ -98,14 +98,26 @@ def test_config_errors_exit_2(tmp_path):
 
 
 def test_non_finite_config_numbers_exit_2(tmp_path):
-    nan_traces = _write_config(tmp_path / "nan.json", traces=[math.nan, math.nan, math.nan])
-    assert _run(tmp_path, "transition", nan_traces)[0] == EXIT_CONFIG
-    inf_weight = _write_config(
-        tmp_path / "inf.json",
-        multicurves={"lambda": [{"word": "A", "weight": math.inf}], "mu": [{"word": "B"}]},
-        words=["B"],
-    )
-    assert _run(tmp_path, "transition", inf_weight)[0] == EXIT_CONFIG
+    cases = [
+        ("transition", {"traces": [math.nan, math.nan, math.nan]}),
+        (
+            "transition",
+            {
+                "multicurves": {"lambda": [{"word": "A", "weight": math.inf}], "mu": [{"word": "B"}]},
+                "words": ["B"],
+            },
+        ),
+        ("double", {"base_point": "abc"}),
+        ("export-surface", {"base_point": [0.1, 0.2, 0.3]}),
+        ("double", {"base_point": [math.nan, 0.0]}),
+        ("export-surface", {"base_point": [0.9, 0.9]}),
+        ("export-surface", {"samples": True}),
+        ("transition", {"grid": [math.nan, 0.1, -0.1, 0.01, -0.01, 0.001, -0.001]}),
+        ("double", {"grid": [math.inf]}),
+    ]
+    for index, (command, overrides) in enumerate(cases):
+        config = _write_config(tmp_path / f"bad{index}.json", **overrides)
+        assert _run(tmp_path, command, config)[0] == EXIT_CONFIG, (command, overrides)
 
 
 def test_generators_config_equals_traces_config(tmp_path):

@@ -231,6 +231,13 @@ def test_pair_aligner_refuses_non_critical_points():
         pair_aligner(upper, lower)
     with pytest.raises(GeometryError):
         pair_aligner(upper.with_geometry(HYP), lower)
+    # At the critical point only the pair preconditions can refuse these.
+    upper, lower = _kerckhoff_pair()
+    moved = BendingContext(lower.group, lower.multicurve, np.array([0.1, 0.05]), HP, -1.0, 0.05)
+    for bad_pair in ((lower, upper), (upper, moved)):
+        for construction in (pair_aligner, double_convex_core_pair):
+            with pytest.raises(GeometryError):
+                construction(*bad_pair)
 
 
 def test_doubled_cusp_stabilizer_is_rank_two():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from halfpipe.fuchsian import (
     ATLAS_RADIUS_LIMIT,
@@ -32,6 +34,7 @@ from halfpipe.fuchsian import (
     _crossings,
     _leaves_near_segment,
     _walk_segment,
+    _word_traces_objective,
 )
 from halfpipe.geometry import J3, disk_lift, minkowski_dot
 
@@ -222,6 +225,22 @@ def test_multicurve_lengths():
     )
 
 
+PROPERTY_WORDS = ("A", "B", "AB", "Ab", "AAB", "ABB")
+
+
+@given(
+    x=st.floats(3.0, 12.0),
+    y=st.floats(3.0, 12.0),
+    lam=st.tuples(st.sampled_from(PROPERTY_WORDS), st.floats(0.5, 2.0)),
+    mu=st.tuples(st.sampled_from(PROPERTY_WORDS), st.floats(0.5, 2.0)),
+)
+def test_minimized_objective_is_the_combined_length(x, y, lam, mu):
+    point = TeichPoint.from_xy(x, y)
+    lam, mu = WeightedMulticurve.single(*lam), WeightedMulticurve.single(*mu)
+    value = _word_traces_objective(lam, mu)(point.as_array())
+    assert value == pytest.approx(multicurve_length(point, lam) + multicurve_length(point, mu), rel=0.0, abs=1e-12)
+
+
 def test_length_function_is_smooth_along_variety_paths():
     lam = WeightedMulticurve.single("AB", 1.3)
 
@@ -372,6 +391,24 @@ def test_atlas_freezes_at_the_walk_budget_and_falls_back_to_segment_walks():
     assert atlas.radius == 1.5
     assert "word-length cap" in atlas.frozen and "atlas radius 2.0" in atlas.frozen
     assert atlas.covering(group, *far) is None
+    assert atlas.covering(group, *near) is atlas.leaves
+    _assert_walk_agrees(group, mc, *near)
+
+
+@pytest.mark.parametrize(
+    "name, mc, radius",
+    [("xy(20,3)", WeightedMulticurve.single("AAB", 0.5), 2.0), ("xy(3,40)", WeightedMulticurve.single("ABB"), 1.5)],
+    ids=("0.5AAB@xy(20,3)", "ABB@xy(3,40)"),
+)
+def test_atlas_first_grown_past_the_walk_budget_keeps_the_largest_radius_that_builds(name, mc, radius):
+    group = build_punctured_torus(ATLAS_POINTS[name])
+    atlas = group.atlas(mc)
+    rng = np.random.default_rng(4)
+    far = (_disk_point(rng, 0.97), _disk_point(rng, 0.3))
+    near = (_disk_point(rng, 0.5), _disk_point(rng, 0.8))
+    _assert_walk_agrees(group, mc, *far)
+    assert atlas.radius == radius
+    assert "atlas radius 2.5" in atlas.frozen
     assert atlas.covering(group, *near) is atlas.leaves
     _assert_walk_agrees(group, mc, *near)
 

@@ -186,13 +186,13 @@ def test_generator_words_have_agreeing_two_sided_limits():
 def test_family_contexts_share_one_atlas_and_one_crossing_query(monkeypatch):
     group, lam = _group(), _lamination()
     contexts, queries = [], []
-    make_context, query = transition._context, bending.leaves_crossing
+    make_context, query = transition.signed_context, bending.leaves_crossing
 
     def recording_context(*args):
         contexts.append(make_context(*args))
         return contexts[-1]
 
-    monkeypatch.setattr(transition, "_context", recording_context)
+    monkeypatch.setattr(transition, "signed_context", recording_context)
     monkeypatch.setattr(bending, "leaves_crossing", lambda *args: queries.append(args) or query(*args))
     fam = holonomy_family(group, lam, 1.0, "AB")
     assert len(contexts) == len(DEFAULT_GRID) and len(queries) == 1
