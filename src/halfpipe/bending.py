@@ -18,6 +18,7 @@ common linear holonomy interpolates the two heights affinely.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +48,7 @@ from halfpipe.geometry import (
     minkowski_dot,
     radial_project,
 )
-from halfpipe.isometry import Isometry, embed_h2_isometry, rotation
+from halfpipe.isometry import Isometry, embed_h2, embed_h2_isometry, rotation_in_frame
 
 # Inward pullback (as a fraction of the chord) used to evaluate a bending
 # cocycle at a point lying on a leaf from the basepoint side.
@@ -116,11 +117,12 @@ class BendingContext:
         return BendingContext(self.group, self.multicurve, self.base_point, tag, self.sign, self.scale)
 
 
-def _bracketed_product(ctx: BendingContext, crossings: list[LeafCrossing], closing_word: str) -> Isometry:
+def _bracketed_product(ctx: BendingContext, crossings: Sequence[LeafCrossing], closing_word: str) -> Isometry:
     """The cocycle along a segment times the unbent holonomy of closing_word.
 
     ``crossings`` are the segment's leaf crossings, which do not depend on
-    the context's tag, sign or scale.
+    the context's tag, sign or scale.  The factors are raw matrices, the
+    word images and axis transports the group's memoised ones.
 
     Rotations about far leaves have matrix entries of size exp(2 distance),
     so multiplying them directly squanders precision on cancellations.  Each
@@ -130,26 +132,27 @@ def _bracketed_product(ctx: BendingContext, crossings: list[LeafCrossing], closi
     closing word matches the far end of the segment, and the rounding error
     stays on the scale of the answer.
     """
-    out = Isometry.identity(ctx.tag)
+    group, tag = ctx.group, ctx.tag
+    out = np.eye(4)
     previous = ""
     for crossing in crossings:
         ang = ctx.angle(crossing)
         if ang == 0.0:
             continue
         word = crossing.conjugator_word
-        axis = ctx.group.axis(ctx.multicurve.components[crossing.component_index].word)
-        pushed = ctx.group.lorentz(word) @ axis.normal
+        axis_word = ctx.multicurve.components[crossing.component_index].word
+        pushed = group.lorentz(word) @ group.axis(axis_word).normal
         if float(pushed @ crossing.leaf.normal) < 0.0:
             ang = -ang
         step = free_reduce(invert_word(previous) + word)
         if step:
-            out = out @ sigma_embed(ctx, step)
-        out = out @ rotation(ctx.tag, axis, ang)
+            out = out @ embed_h2(group.lorentz(step))
+        out = out @ rotation_in_frame(tag, group.axis_transport(axis_word), ang)
         previous = word
     closing = free_reduce(invert_word(previous) + closing_word)
     if closing:
-        out = out @ sigma_embed(ctx, closing)
-    return out
+        out = out @ embed_h2(group.lorentz(closing))
+    return Isometry(out, tag)
 
 
 def bending_cocycle(ctx: BendingContext, x: np.ndarray, y: np.ndarray) -> Isometry:
@@ -177,10 +180,19 @@ class BentHolonomy:
         return _bracketed_product(self.context, holonomy_crossings(self.context, word), word)
 
 
-def holonomy_crossings(ctx: BendingContext, word: str) -> list[LeafCrossing]:
-    """The leaves crossed by the segment from x0 to word . x0."""
-    target = radial_project(ctx.group.lorentz(word) @ disk_lift(ctx.base_point))
-    return leaves_crossing(ctx.group, ctx.multicurve, ctx.base_point, target)
+def holonomy_crossings(ctx: BendingContext, word: str) -> tuple[LeafCrossing, ...]:
+    """The leaves crossed by the segment from x0 to word . x0.
+
+    They depend on the group, the multicurve, the basepoint and the word
+    only, so the group keeps them for every context over it.
+    """
+    key = (ctx.multicurve, ctx.base_point.tobytes(), word)
+    crossings = ctx.group.holonomy_segments.get(key)
+    if crossings is None:
+        target = radial_project(ctx.group.lorentz(word) @ disk_lift(ctx.base_point))
+        crossings = tuple(leaves_crossing(ctx.group, ctx.multicurve, ctx.base_point, target))
+        ctx.group.holonomy_segments[key] = crossings
+    return crossings
 
 
 def bent_holonomy(ctx: BendingContext) -> BentHolonomy:

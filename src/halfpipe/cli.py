@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -401,7 +402,9 @@ def cmd_export_surface(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="halfpipe",
         description="Deterministic reports and exports for bent geometric structures.",
@@ -424,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
             "(sign selects the geometry: +t collapsing, -t expanding, 0 flat)",
         )
         cmd.add_argument("--seed", type=int, default=0, help="seed recorded in outputs")
-        cmd.add_argument("--tol", type=float, default=None, help="threshold override")
+        cmd.add_argument("--tol", type=float, default=None, help="threshold override (finite, positive)")
         cmd.set_defaults(handler=handler)
     return parser
 
@@ -432,6 +435,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # Written so that a NaN threshold fails too.
+        if args.tol is not None and not 0.0 < args.tol < math.inf:
+            raise ConfigError(f"--tol must be a finite positive number; got {args.tol!r}")
         return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

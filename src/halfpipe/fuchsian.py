@@ -35,6 +35,7 @@ from halfpipe.geometry import (
     disk_lift,
     minkowski_dot,
 )
+from halfpipe.isometry import transport_to_standard_axis
 
 # |x^2 + y^2 + z^2 - xyz| accepted as "on the relation variety".
 EPS_FRICKE = 1e-9
@@ -90,7 +91,20 @@ class EnumerationBudgetError(GeometryError):
 
 
 class NoConvergenceError(GeometryError):
-    """The length minimization did not reach the requested tolerance."""
+    """The length minimization did not reach the requested tolerance.
+
+    The message and the attributes give the smallest projected gradient norm
+    reached, the tolerance and the number of restarts run.
+    """
+
+    def __init__(self, gradient_norm: float, tolerance: float, restarts: int):
+        super().__init__(
+            f"length minimization did not reach the gradient tolerance {tolerance:.3e}: "
+            f"best projected gradient norm {gradient_norm:.3e} after {restarts} restarts"
+        )
+        self.gradient_norm = gradient_norm
+        self.tolerance = tolerance
+        self.restarts = restarts
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +284,14 @@ class PuncturedTorusGroup:
     Words over the letters A, B (and inverses a, b) evaluate left-to-right to
     SL2 matrices, and through the adjoint to Lorentz matrices acting on the
     shared hyperbolic plane.  The commutator word is the cusp.
+
+    A group computes a word's Lorentz image, axis and axis transport
+    (``transport_to_standard_axis``) the first time it is asked for them and
+    returns the same object after that; the arrays are read-only.  It also
+    keeps one leaf atlas per multicurve, and in ``holonomy_segments`` the
+    leaf crossings of [x0, word . x0] per multicurve, basepoint and word,
+    which ``bending.holonomy_crossings`` fills.  Each memo holds only what
+    was asked of this group and lives as long as the group.
     """
 
     trace_point: TeichPoint
@@ -281,6 +303,10 @@ class PuncturedTorusGroup:
         gen_a, gen_b = _normal_form_generators(tp.x, tp.y, tp.z)
         object.__setattr__(self, "_sl2_gens", {"A": gen_a, "B": gen_b})
         object.__setattr__(self, "_atlases", {})
+        object.__setattr__(self, "_lorentz", {})
+        object.__setattr__(self, "_axes", {})
+        object.__setattr__(self, "_transports", {})
+        object.__setattr__(self, "holonomy_segments", {})
 
     def sl2(self, word: str) -> np.ndarray:
         if word:
@@ -288,10 +314,27 @@ class PuncturedTorusGroup:
         return _word_sl2(self._sl2_gens, word)
 
     def lorentz(self, word: str) -> np.ndarray:
-        return sl2_to_so12(self.sl2(word))
+        image = self._lorentz.get(word)
+        if image is None:
+            image = sl2_to_so12(self.sl2(word))
+            image.flags.writeable = False
+            self._lorentz[word] = image
+        return image
 
     def axis(self, word: str) -> SpacelikeGeodesicH2:
-        return axis_of_sl2(self.sl2(word))
+        axis = self._axes.get(word)
+        if axis is None:
+            axis = self._axes[word] = axis_of_sl2(self.sl2(word))
+        return axis
+
+    def axis_transport(self, word: str) -> np.ndarray:
+        """The Lorentz matrix carrying the word's oriented axis to the standard axis."""
+        transport = self._transports.get(word)
+        if transport is None:
+            transport = transport_to_standard_axis(self.axis(word))
+            transport.flags.writeable = False
+            self._transports[word] = transport
+        return transport
 
     def translation_length(self, word: str) -> float:
         return translation_length_sl2(self.sl2(word))
@@ -452,9 +495,13 @@ def _leaves_near_segment(
     ``keep`` maps a stack of leaf normals to a boolean mask; rows it rejects
     skip the dedupe.  Each kept leaf is recorded once, with the first word
     that reaches it, as its normal (canonical sign), weight, conjugator word
-    and component index.
+    and component index.  Which word is first depends on the order of each
+    shell, which is generator-major: the words ending in A, then B, a and b,
+    each group in the order of the previous shell.  Words are spelled only
+    for recorded leaves, from each shell's parent and letter arrays.
     """
     lift_x, lift_y = disk_lift(x), disk_lift(y)
+    dual_x, dual_y = J3 @ lift_x, J3 @ lift_y
     cosh_len = max(1.0, -float(minkowski_dot(lift_x, lift_y)))
     degenerate = cosh_len < 1.0 + 1e-14
     if not degenerate:
@@ -464,7 +511,9 @@ def _leaves_near_segment(
         forward = J3 @ ((lift_y - cosh_len * lift_x) / sinh_len)
         backward = J3 @ ((lift_x - cosh_len * lift_y) / sinh_len)
         chord = J3 @ chord
-    gens = np.stack([group.lorentz(ch) for ch in GENERATOR_LETTERS])
+    gens = np.stack([group.lorentz(ch) for ch in GENERATOR_LETTERS])[:, np.newaxis]
+    # backtrack[j]: the letter that generator j cancels (A and a, B and b).
+    backtrack = ((np.arange(4) + 2) % 4)[:, np.newaxis]
     axis_normals = [group.axis(comp.word).normal for comp in mc.components]
     reach = max(
         math.asinh(abs(float(minkowski_dot(n, lift_x)))) + 0.5 * group.translation_length(comp.word)
@@ -477,6 +526,18 @@ def _leaves_near_segment(
         region = f"atlas radius {radius}" if radius else f"segment length {math.acosh(cosh_len):.3f}"
         return EnumerationBudgetError(budget, nodes, depth, cutoff, region)
 
+    # parents[d][i] and letters[d][i]: the parent in shell d - 1 and the last
+    # letter of node i of shell d.
+    parents: list[np.ndarray] = []
+    letters: list[np.ndarray] = []
+
+    def spell(depth: int, row: int) -> str:
+        out = []
+        for d in range(depth, 0, -1):
+            out.append(GENERATOR_LETTERS[letters[d][row]])
+            row = parents[d][row]
+        return "".join(reversed(out))
+
     normal_list: list[np.ndarray] = []
     weights: list[float] = []
     words: list[str] = []
@@ -484,19 +545,18 @@ def _leaves_near_segment(
     seen: set[tuple] = set()
 
     mats = np.eye(3)[np.newaxis]
-    shell_words = [""]
-    last = np.array([-1])
+    parent = last = np.array([-1])
     node_count = 0
     for depth in range(max_depth + 1):
         orbit = mats @ lift_x
         if degenerate:
-            cosh_dist = -(orbit @ (J3 @ lift_x))
+            cosh_dist = -(orbit @ dual_x)
         else:
             along = orbit @ chord
             cosh_dist = np.where(
                 (orbit @ forward >= 0.0) & (orbit @ backward >= 0.0),
                 np.sqrt(1.0 + along * along),
-                -np.maximum(orbit @ (J3 @ lift_x), orbit @ (J3 @ lift_y)),
+                -np.maximum(orbit @ dual_x, orbit @ dual_y),
             )
         kept = np.nonzero(cosh_dist <= cosh_cutoff)[0]
         if kept.size == 0:
@@ -506,9 +566,9 @@ def _leaves_near_segment(
         node_count += kept.size
         if node_count > max_nodes:
             raise budget_error("node budget", node_count, depth)
-        mats = mats[kept]
-        shell_words = [shell_words[i] for i in kept]
-        last = last[kept]
+        mats, last = mats[kept], last[kept]
+        parents.append(parent[kept])
+        letters.append(last)
         for idx, base_normal in enumerate(axis_normals):
             normals = mats @ base_normal
             for row in np.nonzero(keep(normals))[0]:
@@ -519,38 +579,41 @@ def _leaves_near_segment(
                 seen.add(key)
                 normal_list.append(vec if _canonical_sign(vec) > 0 else -vec)
                 weights.append(mc.components[idx].weight)
-                words.append(shell_words[row])
+                words.append(spell(depth, row))
                 comps.append(idx)
-        next_mats, next_words, next_last = [], [], []
-        for j in range(len(GENERATOR_LETTERS)):
-            mask = last != (j + 2) % 4
-            next_mats.append(mats[mask] @ gens[j])
-            next_words.extend(w + GENERATOR_LETTERS[j] for w, ok in zip(shell_words, mask) if ok)
-            next_last.append(np.full(int(mask.sum()), j))
-        mats = np.concatenate(next_mats)
-        shell_words = next_words
-        last = np.concatenate(next_last)
+        allowed = last != backtrack
+        last, parent = np.nonzero(allowed)
+        mats = (mats[np.newaxis] @ gens)[allowed]
     stacked = np.array(normal_list) if normal_list else np.zeros((0, 3))
     return stacked, np.array(weights), words, comps
 
 
-def _pairings(normals: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Affine pairings of leaf normals with x and y, and which leaves pass
-    within EPS_ENDPOINT of either endpoint."""
+Pairings = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _pairings(x: np.ndarray, y: np.ndarray) -> Callable[[np.ndarray], Pairings]:
+    """The map from leaf normals to their affine pairings with x and y, and
+    to which leaves pass within EPS_ENDPOINT of either endpoint."""
     # Affine pairings are sign- and root-compatible with the lifted ones;
     # the lift rescaling only matters for the endpoint-distance tolerance.
-    f0 = normals @ (J3 @ np.concatenate(([1.0], x)))
-    f1 = normals @ (J3 @ np.concatenate(([1.0], y)))
+    dual_x = J3 @ np.concatenate(([1.0], x))
+    dual_y = J3 @ np.concatenate(([1.0], y))
     scale0 = 1.0 / math.sqrt(1.0 - float(x @ x))
     scale1 = 1.0 / math.sqrt(1.0 - float(y @ y))
-    return f0, f1, (np.abs(f0) * scale0 < EPS_ENDPOINT) | (np.abs(f1) * scale1 < EPS_ENDPOINT)
+
+    def pairings(normals: np.ndarray) -> Pairings:
+        f0, f1 = normals @ dual_x, normals @ dual_y
+        return f0, f1, (np.abs(f0) * scale0 < EPS_ENDPOINT) | (np.abs(f1) * scale1 < EPS_ENDPOINT)
+
+    return pairings
 
 
 def _walk_segment(group: PuncturedTorusGroup, mc: WeightedMulticurve, x: np.ndarray, y: np.ndarray) -> Leaves:
     """The leaves crossing [x, y] or passing through an endpoint, found by a walk of their own."""
+    pairings = _pairings(x, y)
 
     def crossing_or_touching(normals: np.ndarray) -> np.ndarray:
-        f0, f1, on_leaf = _pairings(normals, x, y)
+        f0, f1, on_leaf = pairings(normals)
         return (f0 * f1 < 0.0) | on_leaf
 
     return _leaves_near_segment(group, mc, x, y, 0.0, crossing_or_touching)
@@ -628,7 +691,7 @@ def leaves_crossing(
 def _crossings(leaves: Leaves, x: np.ndarray, y: np.ndarray) -> list[LeafCrossing]:
     """The crossings of (x, y) among the given leaves, by the sign test."""
     normals, weights, words, comps = leaves
-    f0, f1, on_leaf = _pairings(normals, x, y)
+    f0, f1, on_leaf = _pairings(x, y)(normals)
     if np.any(on_leaf):
         raise EndpointOnLeafError("segment endpoint lies on a leaf; nudge the basepoint")
     crossings = []
@@ -770,6 +833,7 @@ def kerckhoff_point(
     rng = np.random.default_rng(12345)
     p0 = init.as_array()
     best: tuple[float, np.ndarray] | None = None
+    best_grad = math.inf
     for _ in range(max_restarts):
         result = minimize(
             f,
@@ -781,6 +845,7 @@ def kerckhoff_point(
         )
         p = _project_to_variety(result.x)
         grad_norm = float(np.linalg.norm(_projected_gradient(f, p)))
+        best_grad = min(best_grad, grad_norm)
         if best is None or f(p) < best[0]:
             best = (f(p), p)
         if grad_norm < gradient_tol:
@@ -793,4 +858,4 @@ def kerckhoff_point(
                 advisory=filling_advisory(lam, mu),
             )
         p0 = _project_to_variety(best[1] + rng.normal(scale=1e-3, size=3))
-    raise NoConvergenceError("length minimization did not reach the gradient tolerance")
+    raise NoConvergenceError(best_grad, gradient_tol, max_restarts)

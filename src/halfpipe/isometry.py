@@ -79,6 +79,20 @@ def group_residual(matrix: np.ndarray, tag: Geometry) -> float:
     return float(np.max(np.abs(m.T @ j @ m - j)))
 
 
+def _group_inverse(m: np.ndarray, tag: Geometry) -> np.ndarray:
+    """The inverse of a group element of the tag, from the form relations."""
+    if tag is HP:
+        a, w, eps = m[:3, :3], m[3, :3], m[3, 3]
+        a_inv = J3 @ a.T @ J3
+        out = np.zeros((4, 4))
+        out[:3, :3] = a_inv
+        out[3, :3] = -eps * (w @ a_inv)
+        out[3, 3] = eps
+        return out
+    j = tag.form_matrix
+    return j @ m.T @ j
+
+
 @dataclass(frozen=True)
 class Isometry:
     """A 4x4 projective isometry together with its geometry tag.
@@ -114,17 +128,7 @@ class Isometry:
 
     def inverse(self) -> "Isometry":
         """Group inverse, computed from the form relations (no linear solve)."""
-        m = self.matrix
-        if self.geometry is HP:
-            a, w, eps = m[:3, :3], m[3, :3], m[3, 3]
-            a_inv = J3 @ a.T @ J3
-            out = np.zeros((4, 4))
-            out[:3, :3] = a_inv
-            out[3, :3] = -eps * (w @ a_inv)
-            out[3, 3] = eps
-            return Isometry(out, HP)
-        j = self.geometry.form_matrix
-        return Isometry(j @ m.T @ j, self.geometry)
+        return Isometry(_group_inverse(self.matrix, self.geometry), self.geometry)
 
     def apply_vec(self, vec: np.ndarray) -> np.ndarray:
         return self.matrix @ np.asarray(vec, dtype=float)
@@ -177,11 +181,16 @@ def h2_rotation(angle: float) -> np.ndarray:
     return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
 
 
-def embed_h2_isometry(tag: Geometry, a: np.ndarray) -> Isometry:
-    """block-diag(A, 1): the copy of Isom(H2) fixing the fiber direction."""
+def embed_h2(a: np.ndarray) -> np.ndarray:
+    """The matrix block-diag(A, 1)."""
     out = np.eye(4)
     out[:3, :3] = np.asarray(a, dtype=float)
-    return Isometry(out, tag)
+    return out
+
+
+def embed_h2_isometry(tag: Geometry, a: np.ndarray) -> Isometry:
+    """block-diag(A, 1): the copy of Isom(H2) fixing the fiber direction."""
+    return Isometry(embed_h2(a), tag)
 
 
 def transport_to_standard_axis(axis: SpacelikeGeodesicH2) -> np.ndarray:
@@ -198,8 +207,7 @@ def transport_to_standard_axis(axis: SpacelikeGeodesicH2) -> np.ndarray:
     return J3 @ frame.T @ J3
 
 
-def standard_rotation(tag: Geometry, angle: float) -> Isometry:
-    """Rotation of the given angle about the standard axis {x2 = x3 = 0}."""
+def _standard_rotation_matrix(tag: Geometry, angle: float) -> np.ndarray:
     out = np.eye(4)
     if tag is HYP:
         c, s = math.cos(angle), math.sin(angle)
@@ -209,7 +217,26 @@ def standard_rotation(tag: Geometry, angle: float) -> Isometry:
         out[2:, 2:] = [[c, s], [s, c]]
     else:
         out[3, 2] = -angle
-    return Isometry(out, tag)
+    return out
+
+
+def standard_rotation(tag: Geometry, angle: float) -> Isometry:
+    """Rotation of the given angle about the standard axis {x2 = x3 = 0}."""
+    return Isometry(_standard_rotation_matrix(tag, angle), tag)
+
+
+def rotation_in_frame(tag: Geometry, transport: np.ndarray, angle: float) -> np.ndarray:
+    """The matrix of :func:`rotation` about the axis that ``transport`` carries to standard position.
+
+    ``transport`` is the axis's :func:`transport_to_standard_axis`, so a
+    caller rotating about one axis many times computes it once.
+    """
+    if tag is HYP:
+        angle = math.remainder(angle, 2.0 * math.pi)
+        if angle == math.pi:
+            angle = -math.pi
+    phi = embed_h2(transport)
+    return _group_inverse(phi, tag) @ _standard_rotation_matrix(tag, angle) @ phi
 
 
 def rotation(tag: Geometry, axis: SpacelikeGeodesicH2, angle: float) -> Isometry:
@@ -218,12 +245,7 @@ def rotation(tag: Geometry, axis: SpacelikeGeodesicH2, angle: float) -> Isometry
     Transport the axis to standard position, apply the standard rotation,
     transport back.  Hyperbolic angles are taken mod 2*pi into [-pi, pi).
     """
-    if tag is HYP:
-        angle = math.remainder(angle, 2.0 * math.pi)
-        if angle == math.pi:
-            angle = -math.pi
-    phi = embed_h2_isometry(tag, transport_to_standard_axis(axis))
-    return phi.inverse() @ standard_rotation(tag, angle) @ phi
+    return Isometry(rotation_in_frame(tag, transport_to_standard_axis(axis), angle), tag)
 
 
 def rotation_angle(g: Isometry, axis: SpacelikeGeodesicH2, tol: float = 1e-8) -> float:

@@ -18,13 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from halfpipe.bending import (
-    BendingContext,
-    _bracketed_product,
-    bending_map,
-    bent_holonomy,
-    holonomy_crossings,
-)
+from halfpipe.bending import BendingContext, bending_map, bent_holonomy
 from halfpipe.fuchsian import PuncturedTorusGroup, WeightedMulticurve
 from halfpipe.geometry import (
     ADS,
@@ -155,15 +149,13 @@ def holonomy_family(
     For each grid value t the word's bent holonomy is computed with weights
     scaled by |t| (hyperbolic for t > 0, anti-de Sitter for t < 0) and
     conjugated by the rescaling diag(1,1,1,1/|t|).  The leaf crossings of
-    [x0, word . x0] do not depend on t, so they are found once.
+    [x0, word . x0] do not depend on t; the group keeps them, so they are
+    found once.
     """
     ts = _checked_grid(grid)
     base = np.asarray(base_point, dtype=float).reshape(2)
     contexts = [signed_context(group, multicurve, base, sign, t) for t in ts]
-    crossings = holonomy_crossings(contexts[0], word) if contexts else []
-    matrices = tuple(
-        rescale_conjugate(t, _bracketed_product(ctx, crossings, word)) for t, ctx in zip(ts, contexts)
-    )
+    matrices = tuple(rescale_conjugate(t, bent_holonomy(ctx)(word)) for t, ctx in zip(ts, contexts))
     return TransitionFamily(word=word, grid=ts, matrices=matrices)
 
 

@@ -118,6 +118,10 @@ def test_non_finite_config_numbers_exit_2(tmp_path):
     for index, (command, overrides) in enumerate(cases):
         config = _write_config(tmp_path / f"bad{index}.json", **overrides)
         assert _run(tmp_path, command, config)[0] == EXIT_CONFIG, (command, overrides)
+    config = _write_config(tmp_path / "good.json")
+    for command in ("transition", "kerckhoff", "double", "export-surface"):
+        for tol in ("nan", "inf", "0", "-1"):
+            assert _run(tmp_path, command, config, f"--tol={tol}")[0] == EXIT_CONFIG, (command, tol)
 
 
 def test_generators_config_equals_traces_config(tmp_path):
@@ -225,6 +229,26 @@ def test_outputs_are_byte_identical_across_runs(tmp_path):
     _, db_a = _run(tmp_path / "e", "double", config)
     _, db_b = _run(tmp_path / "f", "double", config)
     assert (db_a / "cone_angles.csv").read_bytes() == (db_b / "cone_angles.csv").read_bytes()
+
+
+def test_consecutive_runs_do_not_share_options(tmp_path):
+    config = _write_config(tmp_path / "cfg.json", words=["A"])
+    grid = "0.1,-0.1,0.01,-0.01,0.001,-0.001"
+    code, out = _run(tmp_path / "a", "transition", config, "--seed", "5", "--grid", grid, "--tol", "1e-3")
+    assert code == EXIT_OK
+    summary = json.loads((out / "transition_summary.json").read_text())
+    assert (summary["seed"], summary["tolerance"], len(summary["grid"])) == (5, 1e-3, 6)
+    code, out = _run(tmp_path / "b", "transition", config)
+    assert code == EXIT_OK
+    summary = json.loads((out / "transition_summary.json").read_text())
+    assert (summary["seed"], summary["tolerance"], len(summary["grid"])) == (0, 1e-6, 8)
+    code, out = _run(tmp_path / "c", "export-surface", config, "--seed", "3", "--grid", "-0.1")
+    assert code == EXIT_OK
+    scene = json.loads((out / "scene.json").read_text())
+    assert (scene["seed"], scene["metadata"]["geometry"]) == (3, "anti_de_sitter")
+    _, out = _run(tmp_path / "d", "export-surface", config)
+    scene = json.loads((out / "scene.json").read_text())
+    assert (scene["seed"], scene["metadata"]["geometry"]) == (0, "hyperbolic")
 
 
 def test_seed_is_recorded_in_outputs(tmp_path):

@@ -14,6 +14,7 @@ from halfpipe.fuchsian import (
     EndpointOnLeafError,
     EnumerationBudgetError,
     MulticurveComponent,
+    NoConvergenceError,
     NotHyperbolicError,
     PuncturedTorusGroup,
     TeichPoint,
@@ -37,6 +38,7 @@ from halfpipe.fuchsian import (
     _word_traces_objective,
 )
 from halfpipe.geometry import J3, disk_lift, minkowski_dot
+from halfpipe.isometry import transport_to_standard_axis
 
 SYMMETRIC = TeichPoint(3.0, 3.0, 3.0)
 GOLDEN = (3.0 + math.sqrt(5.0)) / 2.0
@@ -85,6 +87,35 @@ def _crossing_keys(crossings):
         canonical = n if n[np.nonzero(np.abs(n) > 1e-12)[0][-1]] > 0 else -n
         keys.add((c.component_index, tuple(np.round(canonical, 9))))
     return keys
+
+
+def test_word_images_are_memoised_read_only():
+    group = build_punctured_torus(TeichPoint.from_xy(4.0, 5.0))
+    for word in ("A", "b", "AB", "aBBA", "ABab"):
+        image = group.lorentz(word)
+        assert np.array_equal(image, sl2_to_so12(group.sl2(word)))
+        assert group.lorentz(word) is image
+        with pytest.raises(ValueError):
+            image[0, 0] = 0.0
+    for word in ("A", "AB", "AAB"):
+        axis = group.axis(word)
+        assert np.array_equal(axis.normal, axis_of_sl2(group.sl2(word)).normal)
+        assert group.axis(word) is axis
+        transport = group.axis_transport(word)
+        assert np.array_equal(transport, transport_to_standard_axis(axis))
+        assert group.axis_transport(word) is transport and not transport.flags.writeable
+    other = build_punctured_torus(TeichPoint.from_xy(4.0, 5.0))
+    assert other.lorentz("AB") is not group.lorentz("AB")
+
+
+def test_no_convergence_error_reports_its_numbers():
+    lam, mu = WeightedMulticurve.single("A"), WeightedMulticurve.single("B")
+    with pytest.raises(NoConvergenceError) as info:
+        kerckhoff_point(lam, mu, SYMMETRIC, gradient_tol=1e-30, max_restarts=2)
+    err = info.value
+    assert err.tolerance == 1e-30 and err.restarts == 2
+    assert 1e-30 < err.gradient_norm < 1e-6
+    assert f"{err.gradient_norm:.3e}" in str(err) and "after 2 restarts" in str(err)
 
 
 def test_adjoint_representation_is_a_lorentz_homomorphism():

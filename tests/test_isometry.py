@@ -44,6 +44,7 @@ from halfpipe.isometry import (
     rescale_conjugate,
     rotation,
     rotation_angle,
+    rotation_in_frame,
     standard_rotation,
     transport_to_standard_axis,
 )
@@ -131,6 +132,24 @@ def test_rotation_fixes_axis_pointwise():
         for point in (p, p + 0.5 * axis.tangent_at(p)):
             vec = np.concatenate((point, [0.0]))
             assert np.allclose(g.apply_vec(vec), vec, atol=1e-12)
+
+
+def test_rotation_is_the_frame_rotation_bit_for_bit():
+    # (angle, the angle in [-pi, pi) that a hyperbolic rotation turns by)
+    angles = (
+        (math.pi, -math.pi), (-math.pi, -math.pi), (0.0, 0.0), (0.4, 0.4), (-2.5, -2.5), (7.0, 7.0 - 2.0 * math.pi)
+    )
+    rng = np.random.default_rng(17)
+    for _ in range(5):
+        axis = _random_axis(rng)
+        transport = transport_to_standard_axis(axis)
+        for tag in TAGS:
+            phi = embed_h2_isometry(tag, transport)
+            for angle, hyperbolic in angles:
+                turn = hyperbolic if tag is HYP else angle
+                expected = (phi.inverse() @ standard_rotation(tag, turn) @ phi).matrix
+                assert np.array_equal(rotation_in_frame(tag, transport, angle), expected), (tag, angle)
+                assert np.array_equal(rotation(tag, axis, angle).matrix, expected), (tag, angle)
 
 
 def test_rotation_angle_roundtrip():

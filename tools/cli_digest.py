@@ -1,0 +1,120 @@
+"""Digest the output files and exit codes of the halfpipe CLI over a fixed set of runs.
+
+The runs, all in one process:
+
+- ``transition`` on every reduced word of length 1 to 4, in both
+  configurations of the benchmark's ``transition`` workload (320 runs);
+- ``kerckhoff`` on the 102 combinations of the benchmark's ``double``
+  workload, each followed by ``double`` at the point it reports when it
+  exits 0;
+- all four subcommands on two small configurations, with ``export-surface``
+  also at ``--grid`` 0.1, 0 and -0.1.
+
+It prints one ``<sha256>  <run>/<file>`` line per output file, one
+``exit <code>  <run>`` line per run, and last the sha256 of all the lines
+before it.  Run it on two checkouts and compare (the word lists and
+combinations come from this checkout's perfbench, the program from
+``--repo``):
+
+    python3 tools/cli_digest.py --repo . > new.txt
+    python3 tools/cli_digest.py --repo /path/to/other/checkout > old.txt
+    diff old.txt new.txt
+"""
+
+from __future__ import annotations
+
+import os
+
+# One thread for BLAS, set before numpy is first imported: the Kerckhoff
+# minimiser ends at slightly different traces with more threads.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent.parent
+
+
+def _config(traces, **multicurves) -> dict:
+    return {
+        "traces": list(traces),
+        "multicurves": {
+            key: [{"word": word, "weight": weight} for word, weight in comps]
+            for key, comps in multicurves.items()
+        },
+    }
+
+
+def runs(workloads, teich_point):
+    """(label, subcommand, config, extra arguments) of every run, in order.
+
+    A config without ``traces`` takes the traces that the preceding
+    ``kerckhoff`` run reported, and the run is skipped when that run failed.
+    """
+    for name, tp, word, weight in workloads.TRANSITION_CONFIGS:
+        for w in workloads.reduced_words():
+            cfg = _config((tp.x, tp.y, tp.z), **{"lambda": [(word, weight)]})
+            yield f"transition/{name}/{w}", "transition", dict(cfg, words=[w]), ()
+    for lam, mu, (a, b), init in workloads.double_combos():
+        tp = workloads.DOUBLE_INITS[init]
+        label = f"double/{a}*{lam},{b}*{mu}/{init}"
+        cfg = _config((tp.x, tp.y, tp.z), **{"lambda": [(lam, a)], "mu": [(mu, b)]})
+        yield label + "/kerckhoff", "kerckhoff", cfg, ()
+        yield label + "/double", "double", {"multicurves": {"lambda": cfg["multicurves"]["lambda"]}}, ()
+    small = {
+        "test-cli": ((3.0, 3.0, 3.0), ("A", 1.0), ["A", "B"]),
+        "xy(4,5)": (teich_point.from_xy(4.0, 5.0).as_array().tolist(), ("AB", 0.8), ["AB", "ab", "AAB", "Ab"]),
+    }
+    for name, (traces, lam, words) in small.items():
+        cfg = dict(_config(traces, **{"lambda": [lam], "mu": [("B", 1.0)]}), words=words, samples=40)
+        for command in ("transition", "kerckhoff", "double", "export-surface"):
+            yield f"small/{name}/{command}", command, cfg, ()
+        for grid in ("0.1", "0", "-0.1"):
+            yield f"small/{name}/export-surface@{grid}", "export-surface", cfg, (f"--grid={grid}",)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--repo", default=str(HERE), help="checkout whose src/halfpipe is run")
+    args = parser.parse_args()
+    sys.path[:0] = [str(Path(args.repo).resolve() / "src"), str(HERE / "perfbench")]
+    from halfpipe import cli
+    from halfpipe.fuchsian import TeichPoint
+
+    import workloads
+
+    lines: list[str] = []
+    last_traces = None
+    with tempfile.TemporaryDirectory() as tmp:
+        for index, (label, command, cfg, extra) in enumerate(runs(workloads, TeichPoint)):
+            if "traces" not in cfg:
+                if last_traces is None:
+                    continue
+                cfg = dict(cfg, traces=last_traces)
+            run_dir = Path(tmp) / f"{index:04d}"
+            config = run_dir / "config.json"
+            out = run_dir / "out"
+            run_dir.mkdir()
+            config.write_text(json.dumps(cfg))
+            with contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main([command, "--config", str(config), "--out", str(out), *extra])
+            last_traces = None
+            if command == "kerckhoff" and code == 0:
+                last_traces = json.loads((out / "kerckhoff.json").read_text())["traces"]
+            for path in sorted(out.iterdir()) if out.exists() else ():
+                lines.append(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {label}/{path.name}")
+            lines.append(f"exit {code}  {label}")
+    lines.append(f"{hashlib.sha256(''.join(line + chr(10) for line in lines).encode()).hexdigest()}  all")
+    print("\n".join(lines))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
