@@ -26,7 +26,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from halfpipe.geometry import (
     J3,
@@ -52,6 +51,9 @@ MAX_DEPTH = 64
 # up to the limit (Klein radius tanh 2.5 = 0.987).
 ATLAS_STEP = 0.5
 ATLAS_RADIUS_LIMIT = 2.5
+
+# The Kerckhoff search keeps every trace in (2, KERCKHOFF_TRACE_MAX].
+KERCKHOFF_TRACE_MAX = 80.0
 
 GENERATOR_LETTERS = "ABab"
 
@@ -93,18 +95,18 @@ class EnumerationBudgetError(GeometryError):
 class NoConvergenceError(GeometryError):
     """The length minimization did not reach the requested tolerance.
 
-    The message and the attributes give the smallest projected gradient norm
-    reached, the tolerance and the number of restarts run.
+    The message and the attributes give the projected gradient norm where
+    the minimization stopped, the tolerance and the number of steps taken.
     """
 
-    def __init__(self, gradient_norm: float, tolerance: float, restarts: int):
+    def __init__(self, gradient_norm: float, tolerance: float, steps: int):
         super().__init__(
             f"length minimization did not reach the gradient tolerance {tolerance:.3e}: "
-            f"best projected gradient norm {gradient_norm:.3e} after {restarts} restarts"
+            f"projected gradient norm {gradient_norm:.3e} after {steps} steps"
         )
         self.gradient_norm = gradient_norm
         self.tolerance = tolerance
-        self.restarts = restarts
+        self.steps = steps
 
 
 # ---------------------------------------------------------------------------
@@ -740,9 +742,15 @@ def _fricke_gradient(p: np.ndarray) -> np.ndarray:
     return np.array([2.0 * x - y * z, 2.0 * y - x * z, 2.0 * z - x * y])
 
 
+def _fricke_hessian(p: np.ndarray) -> np.ndarray:
+    x, y, z = p
+    return np.array([[2.0, -z, -y], [-z, 2.0, -x], [-y, -x, 2.0]])
+
+
 def _word_traces_objective(lam: WeightedMulticurve, mu: WeightedMulticurve):
-    # SLSQP iterates leave the trace variety, where TeichPoint refuses them,
-    # so the words are evaluated on the normal-form generators directly.
+    # Evaluated on the normal-form generators of the raw traces rather than
+    # through TeichPoint and a group, so that it answers (1e6) at points
+    # TeichPoint refuses instead of raising.
     comps = [*lam.components, *mu.components]
 
     def objective(p: np.ndarray) -> float:
@@ -765,17 +773,6 @@ def _word_traces_objective(lam: WeightedMulticurve, mu: WeightedMulticurve):
     return objective
 
 
-def _projected_gradient(f, p: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    grad = np.zeros(3)
-    for k in range(3):
-        step = np.zeros(3)
-        step[k] = h
-        grad[k] = (f(p + step) - f(p - step)) / (2.0 * h)
-    n = _fricke_gradient(p)
-    n = n / np.linalg.norm(n)
-    return grad - float(grad @ n) * n
-
-
 def _tangent_basis(p: np.ndarray) -> np.ndarray:
     n = _fricke_gradient(p)
     n = n / np.linalg.norm(n)
@@ -786,25 +783,77 @@ def _tangent_basis(p: np.ndarray) -> np.ndarray:
     return np.column_stack([t1, t2])
 
 
-def _reduced_hessian_condition(f, p: np.ndarray, h: float = 1e-4) -> float:
-    basis = _tangent_basis(p)
+# Monomials x^i y^j z^k as exponent triples.
+_ONE, _X, _Y, _Z, _XY = (0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)
 
-    def on_surface(uv: np.ndarray) -> float:
-        return f(_project_to_variety(p + basis @ uv))
+# Right multiplication of c0 I + c1 A + c2 B + c3 AB by A and by B, from
+# A^2 = xA - I, B^2 = yB - I and BA = yA + xB + (z - xy)I - AB.  A term
+# (target, source, coefficient, monomial) adds coefficient * monomial *
+# c[source] to the target coefficient.
+_LETTER_PRODUCTS = {
+    "A": (
+        (0, 1, -1, _ONE), (0, 2, 1, _Z), (0, 2, -1, _XY), (0, 3, -1, _Y),
+        (1, 0, 1, _ONE), (1, 1, 1, _X), (1, 2, 1, _Y), (1, 3, 1, _Z),
+        (2, 2, 1, _X), (2, 3, 1, _ONE),
+        (3, 2, -1, _ONE),
+    ),
+    "B": (
+        (0, 2, -1, _ONE),
+        (1, 3, -1, _ONE),
+        (2, 0, 1, _ONE), (2, 2, 1, _Y),
+        (3, 1, 1, _ONE), (3, 3, 1, _Y),
+    ),
+}
+# a = xI - A and b = yI - B.
+_LETTER_PRODUCTS.update(
+    {
+        inverse: tuple((t, t, 1, monomial) for t in range(4))
+        + tuple((t, s, -c, m) for t, s, c, m in _LETTER_PRODUCTS[letter])
+        for letter, inverse, monomial in (("A", "a", _X), ("B", "b", _Y))
+    }
+)
+# tr I = 2, tr A = x, tr B = y, tr AB = z, as (source, coefficient, monomial).
+_TRACE_TERMS = ((0, 2, _ONE), (1, 1, _X), (2, 1, _Y), (3, 1, _Z))
 
-    hess = np.zeros((2, 2))
-    for i in range(2):
-        for j in range(2):
-            e_i, e_j = np.zeros(2), np.zeros(2)
-            e_i[i], e_j[j] = h, h
-            hess[i, j] = (
-                on_surface(e_i + e_j) - on_surface(e_i - e_j) - on_surface(-e_i + e_j) + on_surface(-e_i - e_j)
-            ) / (4.0 * h * h)
-    hess = (hess + hess.T) / 2.0
-    eigs = np.abs(np.linalg.eigvalsh(hess))
-    if eigs.min() < 1e-12:
-        return math.inf
-    return float(eigs.max() / eigs.min())
+Polynomial = tuple[np.ndarray, np.ndarray]
+
+
+def _add_term(out: dict, poly: dict, coefficient: int, monomial: tuple[int, int, int]) -> None:
+    i, j, k = monomial
+    for (a, b, c), value in poly.items():
+        key = (a + i, b + j, c + k)
+        out[key] = out.get(key, 0) + coefficient * value
+
+
+def _trace_polynomial(word: str) -> Polynomial:
+    """The trace of a word's SL(2) image as a polynomial in (x, y, z).
+
+    The image is carried as c0 I + c1 A + c2 B + c3 AB with integer
+    polynomial coefficients, one letter at a time.  Returns the exponents
+    (one row per monomial) and the coefficients.
+    """
+    coeffs: list[dict] = [{_ONE: 1}, {}, {}, {}]
+    for letter in _check_word(word):
+        product: list[dict] = [{}, {}, {}, {}]
+        for target, source, coefficient, monomial in _LETTER_PRODUCTS[letter]:
+            _add_term(product[target], coeffs[source], coefficient, monomial)
+        coeffs = product
+    trace: dict = {}
+    for source, coefficient, monomial in _TRACE_TERMS:
+        _add_term(trace, coeffs[source], coefficient, monomial)
+    terms = [(key, value) for key, value in trace.items() if value != 0]
+    exponents = np.array([key for key, _ in terms], dtype=float).reshape(-1, 3)
+    return exponents, np.array([value for _, value in terms], dtype=float)
+
+
+def _polynomial_jet(poly: Polynomial, p: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Value, gradient and Hessian of a polynomial at p (all coordinates nonzero)."""
+    exponents, coefficients = poly
+    terms = coefficients * np.prod(p**exponents, axis=1)
+    first = exponents * terms[:, None]
+    grad = first.sum(axis=0) / p
+    hess = (exponents.T @ first) / np.outer(p, p) - np.diag(grad / p)
+    return float(terms.sum()), grad, hess
 
 
 def kerckhoff_point(
@@ -813,49 +862,88 @@ def kerckhoff_point(
     init: TeichPoint,
     *,
     gradient_tol: float = 1e-7,
-    max_restarts: int = 8,
+    max_steps: int = 50,
 ) -> KerckhoffResult:
     """Minimize the combined multicurve length over the trace variety.
 
-    Runs SLSQP with the trace relation as an equality constraint (the variety
-    is smooth wherever the relation gradient is nonzero, so boundary-free),
-    restarting with deterministic jitter until the gradient projected to the
-    variety tangent plane is below ``gradient_tol``.
+    Each component's trace is a polynomial in (x, y, z), so the objective
+    sum of w * 2 arccosh(|tr|/2) has exact gradient and Hessian.  From
+    ``init``, a damped Newton iteration works in the tangent plane of the
+    trace variety: the step solves the reduced Lagrangian Hessian with its
+    eigenvalues replaced by their absolute values (floored), an Armijo
+    backtracking search shortens it, and each trial point is projected back
+    onto the variety.  Trial points with a trace outside (2, 80] are
+    shortened too, so the iteration never leaves that domain.  It stops once
+    the projected gradient is below 1e-4 * ``gradient_tol``, when no
+    shortened step decreases the objective, or after ``max_steps`` steps.
 
-    Returns the minimizer with the projected gradient norm, the condition
-    number of the reduced Hessian (a flatness diagnostic; the minimizer is
-    unique in theory but may sit in a numerically flat valley), and the
-    filling-heuristic advisory.
+    Returns the minimizer with its projected gradient norm, the condition
+    number of the reduced Hessian there (a flatness diagnostic; the minimizer
+    is unique in theory but may sit in a numerically flat valley), and the
+    filling-heuristic advisory.  Raises NoConvergenceError when the start is
+    outside the domain or the final projected gradient is not below
+    ``gradient_tol``, as for a pair with no minimum.
     """
-    f = _word_traces_objective(lam, mu)
-    constraint = {"type": "eq", "fun": lambda p: fricke_defect(*p), "jac": lambda p: _fricke_gradient(p)}
-    bounds = [(2.0 + 1e-9, 80.0)] * 3
-    rng = np.random.default_rng(12345)
-    p0 = init.as_array()
-    best: tuple[float, np.ndarray] | None = None
-    best_grad = math.inf
-    for _ in range(max_restarts):
-        result = minimize(
-            f,
-            p0,
-            method="SLSQP",
-            bounds=bounds,
-            constraints=[constraint],
-            options={"maxiter": 500, "ftol": 1e-14},
-        )
-        p = _project_to_variety(result.x)
-        grad_norm = float(np.linalg.norm(_projected_gradient(f, p)))
-        best_grad = min(best_grad, grad_norm)
-        if best is None or f(p) < best[0]:
-            best = (f(p), p)
-        if grad_norm < gradient_tol:
-            point = TeichPoint(*p)
-            return KerckhoffResult(
-                point=point,
-                objective=f(p),
-                gradient_norm=grad_norm,
-                hessian_condition=_reduced_hessian_condition(f, p),
-                advisory=filling_advisory(lam, mu),
-            )
-        p0 = _project_to_variety(best[1] + rng.normal(scale=1e-3, size=3))
-    raise NoConvergenceError(best_grad, gradient_tol, max_restarts)
+    terms = [(comp.weight, _trace_polynomial(comp.word)) for comp in (*lam.components, *mu.components)]
+
+    def value(p: np.ndarray) -> float:
+        if not (min(p) > 2.0 and max(p) <= KERCKHOFF_TRACE_MAX):
+            return math.inf
+        total = 0.0
+        for weight, poly in terms:
+            trace = abs(_polynomial_jet(poly, p)[0])
+            if not trace > 2.0:
+                return math.inf
+            total += weight * 2.0 * math.acosh(trace / 2.0)
+        return total
+
+    def reduced(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Tangent basis, reduced gradient and reduced Lagrangian Hessian at p."""
+        grad, hess = np.zeros(3), np.zeros((3, 3))
+        for weight, poly in terms:
+            trace, d_trace, dd_trace = _polynomial_jet(poly, p)
+            room = trace * trace - 4.0
+            first = 2.0 * math.copysign(1.0, trace) / math.sqrt(room)
+            second = -2.0 * abs(trace) / room**1.5
+            grad += weight * first * d_trace
+            hess += weight * (first * dd_trace + second * np.outer(d_trace, d_trace))
+        normal = _fricke_gradient(p)
+        hess -= float(grad @ normal) / float(normal @ normal) * _fricke_hessian(p)
+        basis = _tangent_basis(p)
+        return basis, basis.T @ grad, basis.T @ hess @ basis
+
+    p = init.as_array()
+    objective = value(p)
+    basis, grad, hess = reduced(p)
+    steps = 0
+    while math.isfinite(objective) and steps < max_steps and np.linalg.norm(grad) > 1e-4 * gradient_tol:
+        eigvals, eigvecs = np.linalg.eigh(hess)
+        curvature = np.maximum(np.abs(eigvals), 1e-8 * max(1.0, float(np.abs(eigvals).max())))
+        direction = -eigvecs @ ((eigvecs.T @ grad) / curvature)
+        slope = float(grad @ direction)
+        # Slack of some rounding units, so that steps at the rounding floor
+        # of the objective are still taken.
+        slack = 1e-14 * abs(objective)
+        alpha = 1.0
+        while alpha > 1e-10:
+            trial = _project_to_variety(p + alpha * (basis @ direction))
+            trial_value = value(trial)
+            if trial_value <= objective + 1e-4 * alpha * slope + slack:
+                break
+            alpha /= 2.0
+        else:
+            break
+        p, objective = trial, trial_value
+        basis, grad, hess = reduced(p)
+        steps += 1
+    grad_norm = float(np.linalg.norm(grad))
+    if not (math.isfinite(objective) and grad_norm < gradient_tol):
+        raise NoConvergenceError(grad_norm, gradient_tol, steps)
+    eigs = np.abs(np.linalg.eigvalsh(hess))
+    return KerckhoffResult(
+        point=TeichPoint(*p),
+        objective=_word_traces_objective(lam, mu)(p),
+        gradient_norm=grad_norm,
+        hessian_condition=math.inf if eigs.min() < 1e-12 else float(eigs.max() / eigs.min()),
+        advisory=filling_advisory(lam, mu),
+    )

@@ -3,6 +3,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -153,6 +157,28 @@ def test_kerckhoff_report(tmp_path):
     assert report["objective"] == pytest.approx(4.0 * math.acosh(math.sqrt(2.0)), abs=1e-8)
     assert report["gradient_norm"] < 1e-7
     assert report["seed"] == 0
+
+
+def test_kerckhoff_report_ignores_blas_threads_and_cli_loads_no_scipy(tmp_path):
+    traces = TeichPoint.from_xy(6.0, 3.5).as_array().tolist()
+    config = _write_config(
+        tmp_path / "cfg.json",
+        traces=traces,
+        multicurves={"lambda": [{"word": "AAB", "weight": 1.1}], "mu": [{"word": "AB", "weight": 0.9}]},
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    reports = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        out = tmp_path / f"out-{threads}"
+        command = [sys.executable, "-m", "halfpipe.cli", "kerckhoff", "--config", str(config), "--out", str(out)]
+        assert subprocess.run(command, env=env, timeout=120).returncode == EXIT_OK
+        reports.append((out / "kerckhoff.json").read_bytes())
+    assert reports[0] == reports[1]
+    probe = "import sys, halfpipe.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": src}
+    loaded = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+    assert loaded.returncode == 0 and loaded.stdout.strip() == "[]"
 
 
 def test_double_cone_angle_table(tmp_path):

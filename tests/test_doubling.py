@@ -16,7 +16,7 @@ from halfpipe.doubling import (
     meridian_cone_angle,
     pair_aligner,
 )
-from halfpipe.fuchsian import TeichPoint, WeightedMulticurve, build_punctured_torus
+from halfpipe.fuchsian import TeichPoint, WeightedMulticurve, build_punctured_torus, kerckhoff_point
 from halfpipe.geometry import ADS, HP, HYP, GeometryError
 from halfpipe.isometry import reflection
 from halfpipe.transition import richardson_limit
@@ -292,3 +292,34 @@ def test_convex_core_pair_requires_shared_basepoint():
     )
     with pytest.raises(GeometryError):
         double_convex_core_pair(upper, shifted)
+
+
+# (lambda, mu, weights, start) combinations of the benchmark's double
+# workload on which the Kerckhoff point missed the gradient tolerance or
+# doubled with an aligner residual above its tolerance.
+FORMERLY_FAILING_DOUBLES = (
+    ("A", "Ab", (0.7, 1.3), "(3,3,3)"), ("A", "Ab", (0.7, 1.3), "xy(4,5)"),
+    ("A", "Ab", (0.9, 1.1), "xy(6,3.5)"),
+    ("AAB", "AB", (1.3, 0.7), "(3,3,3)"), ("AAB", "AB", (1.3, 0.7), "xy(4,5)"),
+    ("AAB", "AB", (1.3, 0.7), "xy(6,3.5)"),
+    ("AAB", "AB", (1.1, 0.9), "(3,3,3)"), ("AAB", "AB", (1.1, 0.9), "xy(6,3.5)"),
+)
+KERCKHOFF_STARTS = {
+    "(3,3,3)": SYMMETRIC,
+    "xy(4,5)": TeichPoint.from_xy(4.0, 5.0),
+    "xy(6,3.5)": TeichPoint.from_xy(6.0, 3.5),
+}
+
+
+def test_formerly_failing_doubles_converge_from_every_start():
+    for lam_word, mu_word, (a, b) in sorted({combo[:3] for combo in FORMERLY_FAILING_DOUBLES}):
+        lam, mu = WeightedMulticurve.single(lam_word, a), WeightedMulticurve.single(mu_word, b)
+        results = [kerckhoff_point(lam, mu, start) for start in KERCKHOFF_STARTS.values()]
+        assert max(r.gradient_norm for r in results) <= 1e-11
+        points = np.array([r.point.as_array() for r in results])
+        assert np.max(np.abs(points - points[0])) < 1e-8
+        for result in results:
+            group = build_punctured_torus(result.point)
+            upper = BendingContext(group, lam, BASE, HP, 1.0, 0.05)
+            lower = BendingContext(group, mu, BASE, HP, -1.0, 0.05)
+            assert double_convex_core_pair(upper, lower).face_count == 2

@@ -33,8 +33,13 @@ from halfpipe.fuchsian import (
     word_homology,
     words_conjugate,
     _crossings,
+    _fricke_gradient,
     _leaves_near_segment,
+    _polynomial_jet,
+    _tangent_basis,
+    _trace_polynomial,
     _walk_segment,
+    _word_sl2,
     _word_traces_objective,
 )
 from halfpipe.geometry import J3, disk_lift, minkowski_dot
@@ -111,11 +116,24 @@ def test_word_images_are_memoised_read_only():
 def test_no_convergence_error_reports_its_numbers():
     lam, mu = WeightedMulticurve.single("A"), WeightedMulticurve.single("B")
     with pytest.raises(NoConvergenceError) as info:
-        kerckhoff_point(lam, mu, SYMMETRIC, gradient_tol=1e-30, max_restarts=2)
+        kerckhoff_point(lam, mu, SYMMETRIC, gradient_tol=1e-30, max_steps=2)
     err = info.value
-    assert err.tolerance == 1e-30 and err.restarts == 2
-    assert 1e-30 < err.gradient_norm < 1e-6
-    assert f"{err.gradient_norm:.3e}" in str(err) and "after 2 restarts" in str(err)
+    assert err.tolerance == 1e-30 and err.steps == 2
+    assert 1e-30 < err.gradient_norm < 0.1
+    assert f"{err.gradient_norm:.3e}" in str(err) and "after 2 steps" in str(err)
+    # Pairs that do not fill have no minimum: the length falls toward the
+    # boundary of the trace domain, which the search refuses to cross.
+    for lam_word, mu_word in (("A", "A"), ("A", "a"), ("AB", "AB")):
+        lam, mu = WeightedMulticurve.single(lam_word), WeightedMulticurve.single(mu_word)
+        with pytest.raises(NoConvergenceError) as info:
+            kerckhoff_point(lam, mu, SYMMETRIC)
+        err = info.value
+        assert err.tolerance == 1e-7 and err.gradient_norm > 1e-7 and 0 < err.steps <= 50
+        assert f"{err.gradient_norm:.3e}" in str(err) and f"after {err.steps} steps" in str(err)
+    # A start outside the domain (here y = 100) is refused before any step.
+    with pytest.raises(NoConvergenceError) as info:
+        kerckhoff_point(WeightedMulticurve.single("A"), WeightedMulticurve.single("B"), TeichPoint.from_xy(3.0, 100.0))
+    assert info.value.steps == 0 and "after 0 steps" in str(info.value)
 
 
 def test_adjoint_representation_is_a_lorentz_homomorphism():
@@ -270,6 +288,54 @@ def test_minimized_objective_is_the_combined_length(x, y, lam, mu):
     lam, mu = WeightedMulticurve.single(*lam), WeightedMulticurve.single(*mu)
     value = _word_traces_objective(lam, mu)(point.as_array())
     assert value == pytest.approx(multicurve_length(point, lam) + multicurve_length(point, mu), rel=0.0, abs=1e-12)
+
+
+def _sl2_pair_with_traces(x, y, z):
+    """A and B in SL(2, R) with tr A = x, tr B = y, tr AB = z, for any |z| >= 2."""
+    s = (-z - math.copysign(math.sqrt(z * z - 4.0), z)) / 2.0
+    return {"A": np.array([[x, 1.0], [-1.0, 0.0]]), "B": np.array([[0.0, s], [-1.0 / s, y]])}
+
+
+@given(
+    x=st.floats(3.0, 12.0),
+    y=st.floats(3.0, 12.0),
+    letters=st.lists(st.sampled_from("ABab"), min_size=1, max_size=4).map(free_reduce).filter(bool),
+)
+def test_trace_polynomials_match_the_matrix_traces(x, y, letters):
+    point = TeichPoint.from_xy(x, y)
+    p = point.as_array()
+    value, grad, hess = _polynomial_jet(_trace_polynomial(letters), p)
+    expected = float(np.trace(build_punctured_torus(point).sl2(letters)))
+    assert value == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    def trace_at(q):
+        return float(np.trace(_word_sl2(_sl2_pair_with_traces(*q), letters)))
+
+    normal = _fricke_gradient(p) / np.linalg.norm(_fricke_gradient(p))
+    frame = np.column_stack([_tangent_basis(p), normal])
+    # Differences of traces of size |value| carry rounding of about
+    # 1e-16 * |value| / h^2 < 1e-9 * |value|.
+    atol = 1e-6 * max(1.0, abs(value))
+    h = 1e-4
+    diffs = np.array([(trace_at(p + h * v) - trace_at(p - h * v)) / (2.0 * h) for v in frame.T])
+    np.testing.assert_allclose(frame.T @ grad, diffs, rtol=1e-6, atol=atol)
+    h = 1e-3
+    second = np.array(
+        [
+            [
+                (
+                    trace_at(p + h * u + h * v)
+                    - trace_at(p + h * u - h * v)
+                    - trace_at(p - h * u + h * v)
+                    + trace_at(p - h * u - h * v)
+                )
+                / (4.0 * h * h)
+                for v in frame.T
+            ]
+            for u in frame.T
+        ]
+    )
+    np.testing.assert_allclose(frame.T @ hess @ frame, second, rtol=1e-6, atol=atol)
 
 
 def test_length_function_is_smooth_along_variety_paths():

@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import os
 
-# One thread for BLAS, set before numpy is first imported: the Kerckhoff
-# minimiser ends at slightly different traces with more threads.
+# One thread for BLAS, set before numpy is first imported: checkouts whose
+# Kerckhoff minimiser was SLSQP end at slightly different traces with more
+# threads, so their digests are comparable only on one thread.
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS"):
     os.environ[_var] = "1"
 
