@@ -881,42 +881,41 @@ def kerckhoff_point(
     number of the reduced Hessian there (a flatness diagnostic; the minimizer
     is unique in theory but may sit in a numerically flat valley), and the
     filling-heuristic advisory.  Raises NoConvergenceError when the start is
-    outside the domain or the final projected gradient is not below
-    ``gradient_tol``, as for a pair with no minimum.
+    outside the domain or a component is not hyperbolic there (reported with
+    an infinite gradient norm after 0 steps), or when the final projected
+    gradient is not below ``gradient_tol``, as for a pair with no minimum.
     """
     terms = [(comp.weight, _trace_polynomial(comp.word)) for comp in (*lam.components, *mu.components)]
+    outside = (math.inf, None, None, None)
 
-    def value(p: np.ndarray) -> float:
+    def local(p: np.ndarray):
+        """Objective, tangent basis, reduced gradient and reduced Lagrangian
+        Hessian at p; ``outside`` where p leaves the domain or a component
+        is not hyperbolic (the guard of _word_traces_objective)."""
         if not (min(p) > 2.0 and max(p) <= KERCKHOFF_TRACE_MAX):
-            return math.inf
-        total = 0.0
-        for weight, poly in terms:
-            trace = abs(_polynomial_jet(poly, p)[0])
-            if not trace > 2.0:
-                return math.inf
-            total += weight * 2.0 * math.acosh(trace / 2.0)
-        return total
-
-    def reduced(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Tangent basis, reduced gradient and reduced Lagrangian Hessian at p."""
-        grad, hess = np.zeros(3), np.zeros((3, 3))
+            return outside
+        total, grad, hess = 0.0, np.zeros(3), np.zeros((3, 3))
         for weight, poly in terms:
             trace, d_trace, dd_trace = _polynomial_jet(poly, p)
+            if not abs(trace) / 2.0 > 1.0 + 1e-12:
+                return outside
             room = trace * trace - 4.0
             first = 2.0 * math.copysign(1.0, trace) / math.sqrt(room)
             second = -2.0 * abs(trace) / room**1.5
+            total += weight * 2.0 * math.acosh(abs(trace) / 2.0)
             grad += weight * first * d_trace
             hess += weight * (first * dd_trace + second * np.outer(d_trace, d_trace))
         normal = _fricke_gradient(p)
         hess -= float(grad @ normal) / float(normal @ normal) * _fricke_hessian(p)
         basis = _tangent_basis(p)
-        return basis, basis.T @ grad, basis.T @ hess @ basis
+        return total, basis, basis.T @ grad, basis.T @ hess @ basis
 
     p = init.as_array()
-    objective = value(p)
-    basis, grad, hess = reduced(p)
+    objective, basis, grad, hess = local(p)
+    if not math.isfinite(objective):
+        raise NoConvergenceError(math.inf, gradient_tol, 0)
     steps = 0
-    while math.isfinite(objective) and steps < max_steps and np.linalg.norm(grad) > 1e-4 * gradient_tol:
+    while steps < max_steps and np.linalg.norm(grad) > 1e-4 * gradient_tol:
         eigvals, eigvecs = np.linalg.eigh(hess)
         curvature = np.maximum(np.abs(eigvals), 1e-8 * max(1.0, float(np.abs(eigvals).max())))
         direction = -eigvecs @ ((eigvecs.T @ grad) / curvature)
@@ -927,17 +926,17 @@ def kerckhoff_point(
         alpha = 1.0
         while alpha > 1e-10:
             trial = _project_to_variety(p + alpha * (basis @ direction))
-            trial_value = value(trial)
-            if trial_value <= objective + 1e-4 * alpha * slope + slack:
+            found = local(trial)
+            if found[0] <= objective + 1e-4 * alpha * slope + slack:
                 break
             alpha /= 2.0
         else:
             break
-        p, objective = trial, trial_value
-        basis, grad, hess = reduced(p)
+        p = trial
+        objective, basis, grad, hess = found
         steps += 1
     grad_norm = float(np.linalg.norm(grad))
-    if not (math.isfinite(objective) and grad_norm < gradient_tol):
+    if not grad_norm < gradient_tol:
         raise NoConvergenceError(grad_norm, gradient_tol, steps)
     eigs = np.abs(np.linalg.eigvalsh(hess))
     return KerckhoffResult(
