@@ -34,7 +34,6 @@ from halfpipe.fuchsian import (
 )
 from halfpipe.geometry import (
     HP,
-    J3,
     Geometry,
     GeometryError,
     OutsideModelError,
@@ -48,7 +47,14 @@ from halfpipe.geometry import (
     minkowski_dot,
     radial_project,
 )
-from halfpipe.isometry import Isometry, embed_h2, embed_h2_isometry, rotation_in_frame
+from halfpipe.isometry import (
+    Isometry,
+    MinkowskiIsometry,
+    embed_h2,
+    embed_h2_isometry,
+    minkowski_to_hp,
+    rotation_in_frame,
+)
 
 # Inward pullback (as a fraction of the chord) used to evaluate a bending
 # cocycle at a point lying on a leaf from the basepoint side.
@@ -285,9 +291,7 @@ def fit_aligner(
     design = np.column_stack((-np.ones(len(points)), points))
     shift, *_ = np.linalg.lstsq(design, gaps, rcond=None)
     shift[0] -= np.min(gaps - design @ shift)
-    out = np.eye(4)
-    out[3, :3] = J3 @ shift
-    return Isometry(out, HP)
+    return minkowski_to_hp(MinkowskiIsometry(np.eye(3), shift))
 
 
 def hp_developing_map(

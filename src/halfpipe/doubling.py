@@ -28,13 +28,24 @@ from halfpipe.bending import (
     support_plane_at,
 )
 from halfpipe.fuchsian import EndpointOnLeafError, leaves_crossing
-from halfpipe.geometry import HP, HYP, J3, Geometry, GeometryError
-from halfpipe.isometry import Isometry, classify_isometry, reflection, rotation_angle
+from halfpipe.geometry import HP, HYP, Geometry, GeometryError, Plane
+from halfpipe.isometry import (
+    Isometry,
+    MinkowskiIsometry,
+    classify_isometry,
+    hp_to_minkowski,
+    minkowski_to_hp,
+    reflection,
+    rotation_angle,
+)
 
 # Residual allowed when a claimed face stabilizer must commute with the face
 # reflection, and in the doubled-cusp commutation checks.
 EPS_COMMUTATION = 1e-9
 EPS_CUSP = 1e-8
+
+# Largest linear-part gap and translation residual of two aligned surfaces.
+EPS_ALIGNMENT = 1e-8
 
 # A power relation among doubled cusp generators must stand out by at least
 # this much for the pair to count as rank-2.
@@ -138,16 +149,6 @@ def _check_distinct_faces(ctx: BendingContext, points: list[np.ndarray]) -> None
                 )
 
 
-def _check_stabilizers(rho: BentHolonomy, r0: Isometry, words) -> None:
-    for word in words:
-        g = rho(word)
-        defect = float(np.max(np.abs((g @ r0).matrix - (r0 @ g).matrix)))
-        if defect > EPS_COMMUTATION:
-            raise CommutationFailureError(
-                f"word {word!r} does not stabilize face 0 (defect {defect:.3e})"
-            )
-
-
 def double_holonomy(
     ctx: BendingContext, face_points, stabilizer_words=()
 ) -> DoubledHolonomy:
@@ -161,83 +162,65 @@ def double_holonomy(
     points = [ctx.base_point] + [np.asarray(p, dtype=float).reshape(2) for p in face_points]
     _check_distinct_faces(ctx, points)
     reflections = tuple(reflection(_face_plane(ctx, p)) for p in points)
-    rho = bent_holonomy(ctx)
-    _check_stabilizers(rho, reflections[0], stabilizer_words)
+    rho, r0 = bent_holonomy(ctx), reflections[0]
+    for word in stabilizer_words:
+        g = rho(word)
+        defect = float(np.max(np.abs((g @ r0).matrix - (r0 @ g).matrix)))
+        if defect > EPS_COMMUTATION:
+            raise CommutationFailureError(
+                f"word {word!r} does not stabilize face 0 (defect {defect:.3e})"
+            )
     return DoubledHolonomy(rho=rho, face_points=tuple(points), reflections=reflections)
 
 
-def _translation_part(m: np.ndarray) -> np.ndarray:
-    return J3 @ np.linalg.solve(m[:3, :3].T, m[3, :3])
-
-
-def pair_aligner(
-    upper: BendingContext, lower: BendingContext, tol: float = 1e-8
-) -> Isometry:
+def pair_aligner(upper: BendingContext, lower: BendingContext) -> Isometry:
     """The half-pipe translation conjugating the lower holonomy to the upper.
 
     Solves the linear system (Id - A_w) u = v_upper(w) - v_lower(w) over the
     generators, where A_w is the shared linear part and v the translation
     parts.  A solution exists precisely when the two bent holonomies are
-    conjugate by a vertical-graph translation; otherwise the least-squares
-    residual exceeds ``tol`` and the configuration is refused, as is any pair
-    but a positively bent upper and a negatively bent lower half-pipe context
-    over one group and one basepoint.
+    conjugate by a vertical-graph translation.  The pair is refused when the
+    linear parts differ by more than EPS_ALIGNMENT or the least-squares
+    residual exceeds it, and so is any pair but a positively bent upper and a
+    negatively bent lower half-pipe context over one group and one basepoint.
     """
     _check_surface_pair(upper, lower)
     rho_u, rho_l = bent_holonomy(upper), bent_holonomy(lower)
     rows, rhs = [], []
     for word in ("A", "B"):
-        mu, ml = rho_u(word).matrix, rho_l(word).matrix
-        if np.max(np.abs(mu[:3, :3] - ml[:3, :3])) > tol:
+        mu, ml = hp_to_minkowski(rho_u(word)), hp_to_minkowski(rho_l(word))
+        if np.max(np.abs(mu.linear - ml.linear)) > EPS_ALIGNMENT:
             raise NoConjugatingTranslationError(
                 f"linear parts of the two holonomies differ on {word!r}"
             )
-        rows.append(np.eye(3) - mu[:3, :3])
-        rhs.append(_translation_part(mu) - _translation_part(ml))
+        rows.append(np.eye(3) - mu.linear)
+        rhs.append(mu.translation - ml.translation)
     system, target = np.vstack(rows), np.concatenate(rhs)
     u, *_ = np.linalg.lstsq(system, target, rcond=None)
     residual = float(np.max(np.abs(system @ u - target)))
-    if residual > tol:
+    if residual > EPS_ALIGNMENT:
         raise NoConjugatingTranslationError(
             f"no conjugating translation: generator residual {residual:.3e}"
         )
-    out = np.eye(4)
-    out[3, :3] = J3 @ u
-    return Isometry(out, HP)
+    return minkowski_to_hp(MinkowskiIsometry(np.eye(3), u))
 
 
-def double_convex_core_pair(
-    upper: BendingContext,
-    lower: BendingContext,
-    aligner: Isometry | None = None,
-    face_points=(),
-    stabilizer_words=(),
-) -> DoubledHolonomy:
+def double_convex_core_pair(upper: BendingContext, lower: BendingContext) -> DoubledHolonomy:
     """Double a half-pipe convex core across both boundary surfaces.
 
-    Faces alternate sides: face 0 is the upper surface's face at the
-    basepoint, face 1 the aligned lower surface's face there, and each extra
-    face point contributes its upper face followed by its aligned lower
-    face.  With no extra points the token e1 is the product of the two
-    boundary reflections at the basepoint — the meridian of the doubled cusp
-    region.  The aligner defaults to :func:`pair_aligner`, whose surface-pair
-    preconditions hold also when an aligner is given.
+    Face 0 is the upper surface's face at the basepoint and face 1 the lower
+    surface's face there, carried over by :func:`pair_aligner`, whose
+    surface-pair preconditions apply.  The token e1 is the product of the two
+    boundary reflections at the basepoint: the meridian of the doubled cusp
+    region.
     """
-    _check_surface_pair(upper, lower)
-    if aligner is None:
-        aligner = pair_aligner(upper, lower)
-    points = [upper.base_point] + [np.asarray(p, dtype=float).reshape(2) for p in face_points]
-    reflections = []
-    for p in points:
-        reflections.append(reflection(_face_plane(upper, p)))
-        reflections.append(aligner @ reflection(_face_plane(lower, p)) @ aligner.inverse())
-    rho = bent_holonomy(upper)
-    _check_stabilizers(rho, reflections[0], stabilizer_words)
-    return DoubledHolonomy(
-        rho=rho,
-        face_points=tuple(p for p in points for _ in range(2)),
-        reflections=tuple(reflections),
+    aligner = pair_aligner(upper, lower)
+    point = upper.base_point
+    reflections = (
+        reflection(_face_plane(upper, point)),
+        aligner @ reflection(_face_plane(lower, point)) @ aligner.inverse(),
     )
+    return DoubledHolonomy(rho=bent_holonomy(upper), face_points=(point, point), reflections=reflections)
 
 
 def _adjacent_face_points(ctx: BendingContext, component_index: int):
@@ -292,7 +275,7 @@ def meridian_cone_angle(ctx: BendingContext, word: str, t: float | None = None) 
         raise GeometryError("hyperbolic bending angle must stay below pi")
     leaf, near, far = _adjacent_face_points(ctx, index)
     cocycle = bending_cocycle(ctx, ctx.base_point, near)
-    product = reflection(_face_plane(ctx, near)) @ reflection(_face_plane(ctx, far))
+    product = reflection(cocycle.apply_plane(Plane.base_plane(ctx.tag))) @ reflection(_face_plane(ctx, far))
     pulled_back = cocycle.inverse() @ product @ cocycle
     raw = rotation_angle(pulled_back, leaf)
     if ctx.tag is HYP:
@@ -357,20 +340,18 @@ class CuspStabilizerReport:
         }
 
 
-def cusp_stabilizer_check(
-    doubled: DoubledHolonomy, cusp_word: str, e_index: int = 1
-) -> CuspStabilizerReport:
+def cusp_stabilizer_check(doubled: DoubledHolonomy, cusp_word: str) -> CuspStabilizerReport:
     """Verify that a doubled cusp has a rank-2 abelian stabilizer.
 
     The two candidate generators are the holonomy of ``cusp_word`` and the
-    face product e<e_index>.  The report records whether the cusp holonomy
+    face product e1.  The report records whether the cusp holonomy
     is parabolic, how far the two generators are from commuting, how far the
     face product moves the cusp's fixed ideal point, and the smallest
     deviation of any mixed power c^m e^n (0 < |m|, |n| <= 4) from the
     identity — a genuine rank-2 pair keeps that defect large.
     """
     c = doubled(cusp_word)
-    pair = doubled.mirror_generator(e_index)
+    pair = doubled.mirror_generator(1)
     commutator = (c @ pair @ c.inverse() @ pair.inverse()).matrix
     commutator_norm = float(np.max(np.abs(commutator - np.eye(4))))
     cusp_class = classify_isometry(c)

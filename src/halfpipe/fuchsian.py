@@ -207,7 +207,7 @@ def translation_length_sl2(g: np.ndarray) -> float:
     return 2.0 * math.acosh(half) if half > 1.0 else 0.0
 
 
-def axis_of_sl2(g: np.ndarray, tol: float = 1e-9) -> SpacelikeGeodesicH2:
+def axis_of_sl2(g: np.ndarray) -> SpacelikeGeodesicH2:
     """The oriented axis of a hyperbolic element, repelling to attracting.
 
     The normal is the suitably scaled trace-free part of g; the left-normal
@@ -215,7 +215,7 @@ def axis_of_sl2(g: np.ndarray, tol: float = 1e-9) -> SpacelikeGeodesicH2:
     """
     g = np.asarray(g, dtype=float)
     tr = float(np.trace(g))
-    if abs(tr) <= 2.0 + tol:
+    if abs(tr) <= 2.0 + 1e-9:
         raise NotHyperbolicError(f"axis needs |trace| > 2; got {tr:.6f}")
     eta = _traceless_coords(g - (tr / 2.0) * np.eye(2))
     return SpacelikeGeodesicH2(eta * math.copysign(1.0, tr))
@@ -482,7 +482,6 @@ def _leaves_near_segment(
     radius: float,
     keep: Callable[[np.ndarray], np.ndarray],
     max_nodes: int = MAX_NODES,
-    max_depth: int = MAX_DEPTH,
 ) -> Leaves:
     """Every leaf within reach of the radius-neighbourhood of [x, y] that ``keep`` accepts.
 
@@ -549,7 +548,7 @@ def _leaves_near_segment(
     mats = np.eye(3)[np.newaxis]
     parent = last = np.array([-1])
     node_count = 0
-    for depth in range(max_depth + 1):
+    for depth in range(MAX_DEPTH + 1):
         orbit = mats @ lift_x
         if degenerate:
             cosh_dist = -(orbit @ dual_x)
@@ -563,7 +562,7 @@ def _leaves_near_segment(
         kept = np.nonzero(cosh_dist <= cosh_cutoff)[0]
         if kept.size == 0:
             break
-        if depth == max_depth:
+        if depth == MAX_DEPTH:
             raise budget_error("word-length cap", node_count, depth)
         node_count += kept.size
         if node_count > max_nodes:
@@ -747,32 +746,6 @@ def _fricke_hessian(p: np.ndarray) -> np.ndarray:
     return np.array([[2.0, -z, -y], [-z, 2.0, -x], [-y, -x, 2.0]])
 
 
-def _word_traces_objective(lam: WeightedMulticurve, mu: WeightedMulticurve):
-    # Evaluated on the normal-form generators of the raw traces rather than
-    # through TeichPoint and a group, so that it answers (1e6) at points
-    # TeichPoint refuses instead of raising.
-    comps = [*lam.components, *mu.components]
-
-    def objective(p: np.ndarray) -> float:
-        x, y, z = p
-        if min(x, y, z) <= 2.0:
-            return 1e6
-        try:
-            gen_a, gen_b = _normal_form_generators(x, y, z)
-        except (BadTracesError, ValueError):
-            return 1e6
-        gens = {"A": gen_a, "B": gen_b}
-        total = 0.0
-        for comp in comps:
-            m = _word_sl2(gens, comp.word)
-            if abs(float(np.trace(m))) / 2.0 <= 1.0 + 1e-12:
-                return 1e6
-            total += comp.weight * translation_length_sl2(m)
-        return total
-
-    return objective
-
-
 def _tangent_basis(p: np.ndarray) -> np.ndarray:
     n = _fricke_gradient(p)
     n = n / np.linalg.norm(n)
@@ -891,7 +864,7 @@ def kerckhoff_point(
     def local(p: np.ndarray):
         """Objective, tangent basis, reduced gradient and reduced Lagrangian
         Hessian at p; ``outside`` where p leaves the domain or a component
-        is not hyperbolic (the guard of _word_traces_objective)."""
+        is not hyperbolic."""
         if not (min(p) > 2.0 and max(p) <= KERCKHOFF_TRACE_MAX):
             return outside
         total, grad, hess = 0.0, np.zeros(3), np.zeros((3, 3))
@@ -939,9 +912,11 @@ def kerckhoff_point(
     if not grad_norm < gradient_tol:
         raise NoConvergenceError(grad_norm, gradient_tol, steps)
     eigs = np.abs(np.linalg.eigvalsh(hess))
+    point = TeichPoint(*p)
+    group = build_punctured_torus(point)
     return KerckhoffResult(
-        point=TeichPoint(*p),
-        objective=_word_traces_objective(lam, mu)(p),
+        point=point,
+        objective=multicurve_length(group, lam) + multicurve_length(group, mu),
         gradient_norm=grad_norm,
         hessian_condition=math.inf if eigs.min() < 1e-12 else float(eigs.max() / eigs.min()),
         advisory=filling_advisory(lam, mu),

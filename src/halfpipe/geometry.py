@@ -122,16 +122,16 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / n
 
 
-def classify_point(tag: Geometry, vec: np.ndarray, tol: float = EPS_MEMBERSHIP) -> str:
+def classify_point(tag: Geometry, vec: np.ndarray) -> str:
     """Classify a projective 4-vector as 'interior'/'boundary'/'exterior'.
 
     The sign of q_s is evaluated on the Euclidean-normalized representative so
-    that the tolerance is scale free.
+    that the tolerance EPS_MEMBERSHIP is scale free.
     """
     q = float(form_eval(tag, _unit(np.asarray(vec, dtype=float))))
-    if q < -tol:
+    if q < -EPS_MEMBERSHIP:
         return "interior"
-    if q > tol:
+    if q > EPS_MEMBERSHIP:
         return "exterior"
     return "boundary"
 
@@ -163,11 +163,11 @@ class ProjectivePoint:
         v.flags.writeable = False
         object.__setattr__(self, "vec", v)
 
-    def classify(self, tol: float = EPS_MEMBERSHIP) -> str:
-        return classify_point(self.geometry, self.vec, tol)
+    def classify(self) -> str:
+        return classify_point(self.geometry, self.vec)
 
-    def is_interior(self, tol: float = EPS_MEMBERSHIP) -> bool:
-        return self.classify(tol) == "interior"
+    def is_interior(self) -> bool:
+        return self.classify() == "interior"
 
     def unit_lift(self) -> np.ndarray:
         """Representative with q_s = -1, normalized into the x0 > 0 chart.
@@ -255,7 +255,7 @@ class Plane:
             raise DegeneratePlaneError("plane normal is null")
         return n / math.sqrt(abs(q))
 
-    def is_spacelike(self, tol: float = EPS_MEMBERSHIP) -> bool:
+    def is_spacelike(self) -> bool:
         """Whether the plane meets the model in a copy of H2.
 
         Hyperbolic planes need a spacelike normal (q > 0), anti-de Sitter
@@ -264,9 +264,9 @@ class Plane:
         coordinate is nonzero.
         """
         if self.geometry is HP:
-            return abs(self.covector[3]) > tol
+            return abs(self.covector[3]) > EPS_MEMBERSHIP
         q = float(form_eval(self.geometry, self.normal()))
-        return q > tol if self.geometry is HYP else q < -tol
+        return q > EPS_MEMBERSHIP if self.geometry is HYP else q < -EPS_MEMBERSHIP
 
     def hp_dual_point(self) -> np.ndarray:
         """The Minkowski point y with this plane equal to {h = <y, (1, z)>}."""
@@ -431,8 +431,9 @@ class MinkowskiPlane:
         object.__setattr__(self, "timelike_normal", n)
         object.__setattr__(self, "offset", off)
 
-    def contains(self, y: np.ndarray, tol: float = EPS_MEMBERSHIP) -> bool:
-        return bool(abs(float(minkowski_dot(self.timelike_normal, np.asarray(y, dtype=float))) - self.offset) < tol)
+    def contains(self, y: np.ndarray) -> bool:
+        value = float(minkowski_dot(self.timelike_normal, np.asarray(y, dtype=float)))
+        return abs(value - self.offset) < EPS_MEMBERSHIP
 
 
 def minkowski_plane_dual_to_hp_point(point: ProjectivePoint) -> MinkowskiPlane:
@@ -543,11 +544,11 @@ class Horoball:
         p.flags.writeable = False
         object.__setattr__(self, "ideal_point", p)
 
-    def classify_point(self, point: ProjectivePoint, tol: float = EPS_MEMBERSHIP) -> str:
+    def classify_point(self, point: ProjectivePoint) -> str:
         """'inside' / 'on_horosphere' / 'outside' for an interior point."""
         if point.geometry is not self.geometry:
             raise TagMismatchError("horoball and point live in different geometries")
         value = float(form_dot(self.geometry, point.unit_lift(), self.ideal_point))
-        if abs(value - self.level) < tol:
+        if abs(value - self.level) < EPS_MEMBERSHIP:
             return "on_horosphere"
         return "inside" if value > self.level else "outside"

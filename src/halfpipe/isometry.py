@@ -50,6 +50,8 @@ from halfpipe.geometry import (
 EPS_GROUP_MEMBER = 1e-8
 # Residual target for invariance checks on composed words.
 EPS_GROUP = 1e-11
+# Largest block-structure defect of a rotation about a given axis.
+EPS_ROTATION = 1e-8
 
 
 class InvalidIsometryError(GeometryError):
@@ -111,9 +113,9 @@ class Isometry:
         object.__setattr__(self, "matrix", m)
 
     @classmethod
-    def from_matrix(cls, matrix: np.ndarray, tag: Geometry, tol: float = EPS_GROUP_MEMBER) -> "Isometry":
+    def from_matrix(cls, matrix: np.ndarray, tag: Geometry) -> "Isometry":
         res = group_residual(matrix, tag)
-        if res > tol:
+        if res > EPS_GROUP_MEMBER:
             raise InvalidIsometryError(f"matrix violates the group relations (residual {res:.3e})")
         return cls(matrix, tag)
 
@@ -248,14 +250,14 @@ def rotation(tag: Geometry, axis: SpacelikeGeodesicH2, angle: float) -> Isometry
     return Isometry(rotation_in_frame(tag, transport_to_standard_axis(axis), angle), tag)
 
 
-def rotation_angle(g: Isometry, axis: SpacelikeGeodesicH2, tol: float = 1e-8) -> float:
+def rotation_angle(g: Isometry, axis: SpacelikeGeodesicH2) -> float:
     """The rotation angle of an isometry about a given oriented axis.
 
     Raises
     ------
     NotRotationAboutAxisError
         If the isometry does not fix the axis pointwise (block structure in
-        standard position off by more than ``tol``).
+        standard position off by more than EPS_ROTATION).
     """
     phi = embed_h2_isometry(g.geometry, transport_to_standard_axis(axis))
     m = (phi @ g @ phi.inverse()).matrix
@@ -264,7 +266,7 @@ def rotation_angle(g: Isometry, axis: SpacelikeGeodesicH2, tol: float = 1e-8) ->
         float(np.max(np.abs(m[:2, 2:]))),
         float(np.max(np.abs(m[2:, :2]))),
     )
-    if block_defect > tol:
+    if block_defect > EPS_ROTATION:
         raise NotRotationAboutAxisError(f"isometry moves the axis (defect {block_defect:.3e})")
     b = m[2:, 2:]
     tag = g.geometry
@@ -273,10 +275,10 @@ def rotation_angle(g: Isometry, axis: SpacelikeGeodesicH2, tol: float = 1e-8) ->
         return -math.pi if angle == math.pi else angle
     if tag is ADS:
         angle = math.asinh(b[0, 1])
-        if abs(b[0, 0] - math.cosh(angle)) > tol or abs(b[1, 0] - b[0, 1]) > tol:
+        if abs(b[0, 0] - math.cosh(angle)) > EPS_ROTATION or abs(b[1, 0] - b[0, 1]) > EPS_ROTATION:
             raise NotRotationAboutAxisError("transversal block is not an anti-de Sitter rotation")
         return angle
-    if abs(b[0, 0] - 1.0) > tol or abs(b[1, 1] - 1.0) > tol or abs(b[0, 1]) > tol:
+    if abs(b[0, 0] - 1.0) > EPS_ROTATION or abs(b[1, 1] - 1.0) > EPS_ROTATION or abs(b[0, 1]) > EPS_ROTATION:
         raise NotRotationAboutAxisError("transversal block is not a half-pipe rotation")
     return -b[1, 0]
 

@@ -5,8 +5,9 @@ collapse onto the bending surface as t -> 0; conjugating by the rescaling
 diag(1, 1, 1, 1/|t|) blows the collapse back up, and the rescaled families
 converge to half-pipe data.  This module builds those families over a fixed
 Fuchsian base (hyperbolic for t > 0, anti-de Sitter for t < 0), extrapolates
-their limits with first-order Richardson steps, fits empirical convergence
-orders, and packages the diagnostics for reporting.  It also provides the
+their limits by Neville's scheme in |t|^p with the leading order p read off
+the samples nearest 0, fits empirical convergence orders, and packages the
+diagnostics for reporting.  It also provides the
 closed-form width bound for convex cores, arc-length points on geodesics
 toward the ideal boundary, and the analogous limit check for reflections.
 """
@@ -186,28 +187,18 @@ def _fit_order(ts: np.ndarray, residuals: np.ndarray) -> float:
     return float(slope)
 
 
-def _difference_order(samples) -> float:
-    # Leading error order measured from consecutive differences (each is
-    # dominated by its larger-|t| member), clamped to a safe Richardson range.
-    diffs, scales = [], []
-    for (_, ma), (tb, mb) in zip(samples, samples[1:]):
-        diffs.append(projective_distance(ma, mb))
-        scales.append(abs(tb))
-    estimates = []
-    for i in range(len(diffs) - 1):
-        if min(diffs[i], diffs[i + 1]) <= EPS_RESIDUAL_FLOOR:
-            continue
-        estimates.append(
-            math.log(diffs[i + 1] / diffs[i]) / math.log(scales[i + 1] / scales[i])
-        )
-    if not estimates:
-        return 1.0
-    order = float(min(max(np.median(estimates), 0.5), 4.0))
-    # leading orders are integers for these families; snap when close so the
-    # Richardson weights cancel the leading term exactly
-    if abs(order - round(order)) < 0.2 and round(order) >= 1:
-        order = float(round(order))
-    return order
+def _side_limit(samples) -> np.ndarray:
+    # The three samples of smallest |t|: the leading order p from the ratio of
+    # consecutive differences (each dominated by its larger-|t| member), then
+    # Neville's scheme in |t|^p, exact for the terms of orders 0, p and 2p.
+    (t1, m1), (t2, m2), (t3, m3) = samples[:3]
+    d1, d2 = projective_distance(m1, m2), projective_distance(m2, m3)
+    if min(d1, d2) <= EPS_RESIDUAL_FLOOR:
+        return m1
+    order = max(1, round(math.log(d2 / d1) / math.log(abs(t3) / abs(t2))))
+    near = richardson_limit(samples[:2], order)
+    far = richardson_limit(samples[1:3], order)
+    return richardson_limit([(t1, near), (t3, far)], order)
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,13 +232,13 @@ class ConvergenceReport:
 
 
 def extrapolate_limit(family: TransitionFamily) -> ConvergenceReport:
-    """Measured-order Richardson limits per side with order and gap diagnostics."""
+    """Measured-order Neville limits per side with order and gap diagnostics."""
     sides = {}
     for positive in (True, False):
         samples = family.side(positive)
         if len(samples) < 3:
             raise InsufficientGridError("need at least three grid points per side")
-        sides[positive] = richardson_limit(samples, order=_difference_order(samples))
+        sides[positive] = _side_limit(samples)
     residuals = []
     orders = {}
     for positive in (True, False):

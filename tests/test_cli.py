@@ -98,6 +98,16 @@ def test_config_errors_exit_2(tmp_path):
     )
     assert _run(tmp_path, "transition", both)[0] == EXIT_CONFIG
 
+    # Determinant-0 generators whose traces lie on the Fricke surface.
+    tp = TeichPoint.from_xy(4.0, 5.0)
+    singular = tmp_path / "bad5.json"
+    cfg = json.loads(_write_config(singular).read_text())
+    del cfg["traces"]
+    cfg["generators"] = [[[tp.x, 1.0], [0.0, 0.0]], [[0.0, 0.0], [tp.z, tp.y]]]
+    singular.write_text(json.dumps(cfg))
+    for command in ("transition", "kerckhoff"):
+        assert _run(tmp_path, command, singular)[0] == EXIT_CONFIG, command
+
     assert _run(tmp_path, "transition", tmp_path / "absent.json")[0] == EXIT_CONFIG
 
 

@@ -11,8 +11,9 @@ The runs, all in one process:
   also at ``--grid`` 0.1, 0 and -0.1.
 
 It prints one ``<sha256>  <run>/<file>`` line per output file, one
-``exit <code>  <run>`` line per run, and last the sha256 of all the lines
-before it.  Run it on two checkouts and compare (the word lists and
+``exit <code>  <run>`` line per run, then one ``<sha256>  subcommand <name>``
+line per subcommand over the lines of its runs, and last the sha256 of all
+the per-run lines.  Run it on two checkouts and compare (the word lists and
 combinations come from this checkout's perfbench, the program from
 ``--repo``):
 
@@ -41,6 +42,11 @@ import tempfile
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
+SUBCOMMANDS = ("transition", "kerckhoff", "double", "export-surface")
+
+
+def _digest(lines: list[str]) -> str:
+    return hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
 
 
 def _config(traces, **multicurves) -> dict:
@@ -92,6 +98,7 @@ def main() -> int:
     import workloads
 
     lines: list[str] = []
+    by_command: dict[str, list[str]] = {name: [] for name in SUBCOMMANDS}
     last_traces = None
     with tempfile.TemporaryDirectory() as tmp:
         for index, (label, command, cfg, extra) in enumerate(runs(workloads, TeichPoint)):
@@ -109,11 +116,15 @@ def main() -> int:
             last_traces = None
             if command == "kerckhoff" and code == 0:
                 last_traces = json.loads((out / "kerckhoff.json").read_text())["traces"]
-            for path in sorted(out.iterdir()) if out.exists() else ():
-                lines.append(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {label}/{path.name}")
-            lines.append(f"exit {code}  {label}")
-    lines.append(f"{hashlib.sha256(''.join(line + chr(10) for line in lines).encode()).hexdigest()}  all")
-    print("\n".join(lines))
+            run_lines = [
+                f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {label}/{path.name}"
+                for path in (sorted(out.iterdir()) if out.exists() else ())
+            ]
+            run_lines.append(f"exit {code}  {label}")
+            lines.extend(run_lines)
+            by_command[command].extend(run_lines)
+    summary = [f"{_digest(command_lines)}  subcommand {name}" for name, command_lines in by_command.items()]
+    print("\n".join([*lines, *summary, f"{_digest(lines)}  all"]))
     return 0
 
 
