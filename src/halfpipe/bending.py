@@ -18,7 +18,7 @@ common linear holonomy interpolates the two heights affinely.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,19 +186,24 @@ class BentHolonomy:
         return _bracketed_product(self.context, holonomy_crossings(self.context, word), word)
 
 
-def holonomy_crossings(ctx: BendingContext, word: str) -> tuple[LeafCrossing, ...]:
-    """The leaves crossed by the segment from x0 to word . x0.
+def crossings_from_base(ctx: BendingContext, label, endpoint: Callable[[], np.ndarray]) -> tuple[LeafCrossing, ...]:
+    """The leaves crossed by the segment from x0 to the point ``endpoint()``.
 
-    They depend on the group, the multicurve, the basepoint and the word
-    only, so the group keeps them for every context over it.
+    They depend on the group, the multicurve, the basepoint and the far end
+    only, so the group keeps them for every context over it, under the
+    hashable ``label`` naming the far end; ``endpoint`` runs only on a miss.
     """
-    key = (ctx.multicurve, ctx.base_point.tobytes(), word)
-    crossings = ctx.group.holonomy_segments.get(key)
+    key = (ctx.multicurve, ctx.base_point.tobytes(), label)
+    crossings = ctx.group.segment_crossings.get(key)
     if crossings is None:
-        target = radial_project(ctx.group.lorentz(word) @ disk_lift(ctx.base_point))
-        crossings = tuple(leaves_crossing(ctx.group, ctx.multicurve, ctx.base_point, target))
-        ctx.group.holonomy_segments[key] = crossings
+        crossings = tuple(leaves_crossing(ctx.group, ctx.multicurve, ctx.base_point, endpoint()))
+        ctx.group.segment_crossings[key] = crossings
     return crossings
+
+
+def holonomy_crossings(ctx: BendingContext, word: str) -> tuple[LeafCrossing, ...]:
+    """The leaves crossed by the segment from x0 to word . x0."""
+    return crossings_from_base(ctx, word, lambda: radial_project(ctx.group.lorentz(word) @ disk_lift(ctx.base_point)))
 
 
 def bent_holonomy(ctx: BendingContext) -> BentHolonomy:

@@ -13,6 +13,7 @@ checks that doubled cusp stabilizers are rank-2 abelian.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -22,9 +23,10 @@ import numpy as np
 from halfpipe.bending import (
     BendingContext,
     BentHolonomy,
+    _bracketed_product,
     _check_surface_pair,
-    bending_cocycle,
     bent_holonomy,
+    crossings_from_base,
     support_plane_at,
 )
 from halfpipe.fuchsian import EndpointOnLeafError, leaves_crossing
@@ -36,7 +38,7 @@ from halfpipe.isometry import (
     hp_to_minkowski,
     minkowski_to_hp,
     reflection,
-    rotation_angle,
+    rotation_angle_in_frame,
 )
 
 # Residual allowed when a claimed face stabilizer must commute with the face
@@ -248,7 +250,7 @@ def _adjacent_face_points(ctx: BendingContext, component_index: int):
                 and crossings[0].component_index == component_index
                 and crossings[0].conjugator_word == ""
             ):
-                return leaf, near, far
+                return near, far
             eps *= 0.1
     raise GeometryError("could not isolate the leaf between its two adjacent faces")
 
@@ -260,27 +262,30 @@ def meridian_cone_angle(ctx: BendingContext, word: str, t: float | None = None) 
     product of the reflections in the two support planes adjacent along the
     leaf.  For bending angle theta = sign * scale * weight the result is
     2*(pi - theta) in the hyperbolic model and -2*theta in the anti-de
-    Sitter and half-pipe models.
+    Sitter and half-pipe models.  The leaf, its two face points and the
+    leaves crossed from x0 to them depend on neither the geometry nor t, so
+    calls over one group share them through it and form only the products.
     """
     if t is not None:
         ctx = ctx.rescaled(t)
-    index = None
-    for i, component in enumerate(ctx.multicurve.components):
-        if component.word == word:
-            index = i
-            break
+    index = next((i for i, c in enumerate(ctx.multicurve.components) if c.word == word), None)
     if index is None:
         raise GeometryError(f"{word!r} is not a component of the multicurve")
     if ctx.tag is HYP and abs(ctx.scale * ctx.multicurve.components[index].weight) >= np.pi:
         raise GeometryError("hyperbolic bending angle must stay below pi")
-    leaf, near, far = _adjacent_face_points(ctx, index)
-    cocycle = bending_cocycle(ctx, ctx.base_point, near)
-    product = reflection(cocycle.apply_plane(Plane.base_plane(ctx.tag))) @ reflection(_face_plane(ctx, far))
+    faces = functools.cache(lambda: _adjacent_face_points(ctx, index))
+    near = crossings_from_base(ctx, (index, 0), lambda: faces()[0])
+    try:
+        far = crossings_from_base(ctx, (index, 1), lambda: faces()[1])
+    except EndpointOnLeafError as exc:
+        raise FacePointOnLeafError(f"face point {faces()[1]} lies on a leaf") from exc
+    base_plane = Plane.base_plane(ctx.tag)
+    cocycle = _bracketed_product(ctx, near, "")
+    far_plane = _bracketed_product(ctx, far, "").apply_plane(base_plane)
+    product = reflection(cocycle.apply_plane(base_plane)) @ reflection(far_plane)
     pulled_back = cocycle.inverse() @ product @ cocycle
-    raw = rotation_angle(pulled_back, leaf)
-    if ctx.tag is HYP:
-        return 2.0 * np.pi + raw
-    return raw
+    raw = rotation_angle_in_frame(pulled_back, ctx.group.axis_transport(word))
+    return 2.0 * np.pi + raw if ctx.tag is HYP else raw
 
 
 def _parabolic_fixed_direction(g: Isometry) -> np.ndarray:

@@ -290,10 +290,12 @@ class PuncturedTorusGroup:
     A group computes a word's Lorentz image, axis and axis transport
     (``transport_to_standard_axis``) the first time it is asked for them and
     returns the same object after that; the arrays are read-only.  It also
-    keeps one leaf atlas per multicurve, and in ``holonomy_segments`` the
-    leaf crossings of [x0, word . x0] per multicurve, basepoint and word,
-    which ``bending.holonomy_crossings`` fills.  Each memo holds only what
-    was asked of this group and lives as long as the group.
+    keeps one leaf atlas per multicurve, and in ``segment_crossings`` the
+    leaf crossings of segments from a basepoint x0 per multicurve, basepoint
+    and far end, which ``bending.crossings_from_base`` fills: a word w names
+    [x0, w . x0], and (i, 0) and (i, 1) the segments to the two faces beside
+    the leaf of component i.  Each memo holds only what was asked of this
+    group, never a failed query, and lives as long as the group.
     """
 
     trace_point: TeichPoint
@@ -308,7 +310,7 @@ class PuncturedTorusGroup:
         object.__setattr__(self, "_lorentz", {})
         object.__setattr__(self, "_axes", {})
         object.__setattr__(self, "_transports", {})
-        object.__setattr__(self, "holonomy_segments", {})
+        object.__setattr__(self, "segment_crossings", {})
 
     def sl2(self, word: str) -> np.ndarray:
         if word:

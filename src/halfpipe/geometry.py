@@ -81,13 +81,17 @@ class Geometry(Enum):
 
     @property
     def form_matrix(self) -> np.ndarray:
-        """diag(-1, 1, 1, s) as a fresh array."""
-        return np.diag([-1.0, 1.0, 1.0, float(self.value)])
+        """diag(-1, 1, 1, s), one read-only array per geometry shared by every caller."""
+        return _FORM_MATRICES[self]
 
 
 HYP = Geometry.HYPERBOLIC
 ADS = Geometry.ANTI_DE_SITTER
 HP = Geometry.HALF_PIPE
+
+_FORM_MATRICES = {tag: np.diag([-1.0, 1.0, 1.0, float(tag.value)]) for tag in Geometry}
+for _form in _FORM_MATRICES.values():
+    _form.flags.writeable = False
 
 # The Minkowski form on R^{1,2} as a matrix.
 J3 = np.diag([-1.0, 1.0, 1.0])

@@ -62,6 +62,10 @@ class NotRotationAboutAxisError(GeometryError):
     """An isometry does not fix the requested axis pointwise."""
 
 
+class RotationOverflowError(GeometryError):
+    """An anti-de Sitter rotation angle is too large for its matrix entries to be finite."""
+
+
 class PlaneTooFarError(GeometryError):
     """A plane is tilted too far from {x3 = 0} to be normalized onto it."""
 
@@ -215,7 +219,10 @@ def _standard_rotation_matrix(tag: Geometry, angle: float) -> np.ndarray:
         c, s = math.cos(angle), math.sin(angle)
         out[2:, 2:] = [[c, s], [-s, c]]
     elif tag is ADS:
-        c, s = math.cosh(angle), math.sinh(angle)
+        try:
+            c, s = math.cosh(angle), math.sinh(angle)
+        except OverflowError as exc:
+            raise RotationOverflowError(f"anti-de Sitter rotation by {angle!r} overflows") from exc
         out[2:, 2:] = [[c, s], [s, c]]
     else:
         out[3, 2] = -angle
@@ -250,8 +257,8 @@ def rotation(tag: Geometry, axis: SpacelikeGeodesicH2, angle: float) -> Isometry
     return Isometry(rotation_in_frame(tag, transport_to_standard_axis(axis), angle), tag)
 
 
-def rotation_angle(g: Isometry, axis: SpacelikeGeodesicH2) -> float:
-    """The rotation angle of an isometry about a given oriented axis.
+def rotation_angle_in_frame(g: Isometry, transport: np.ndarray) -> float:
+    """The rotation angle of an isometry about the axis that ``transport`` carries to standard position.
 
     Raises
     ------
@@ -259,8 +266,8 @@ def rotation_angle(g: Isometry, axis: SpacelikeGeodesicH2) -> float:
         If the isometry does not fix the axis pointwise (block structure in
         standard position off by more than EPS_ROTATION).
     """
-    phi = embed_h2_isometry(g.geometry, transport_to_standard_axis(axis))
-    m = (phi @ g @ phi.inverse()).matrix
+    phi = embed_h2(transport)
+    m = phi @ g.matrix @ _group_inverse(phi, g.geometry)
     block_defect = max(
         float(np.max(np.abs(m[:2, :2] - np.eye(2)))),
         float(np.max(np.abs(m[:2, 2:]))),
@@ -281,6 +288,11 @@ def rotation_angle(g: Isometry, axis: SpacelikeGeodesicH2) -> float:
     if abs(b[0, 0] - 1.0) > EPS_ROTATION or abs(b[1, 1] - 1.0) > EPS_ROTATION or abs(b[0, 1]) > EPS_ROTATION:
         raise NotRotationAboutAxisError("transversal block is not a half-pipe rotation")
     return -b[1, 0]
+
+
+def rotation_angle(g: Isometry, axis: SpacelikeGeodesicH2) -> float:
+    """The rotation angle of an isometry about a given oriented axis."""
+    return rotation_angle_in_frame(g, transport_to_standard_axis(axis))
 
 
 # ---------------------------------------------------------------------------

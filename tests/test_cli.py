@@ -191,6 +191,14 @@ def test_kerckhoff_report_ignores_blas_threads_and_cli_loads_no_scipy(tmp_path):
     assert loaded.returncode == 0 and loaded.stdout.strip() == "[]"
 
 
+def test_overflowing_anti_de_sitter_rotation_exits_3(tmp_path):
+    # t = -0.1 bends by 1e4 * 0.1 = 1,000, past the range of cosh.
+    lam = {"lambda": [{"word": "A", "weight": 1e4}], "mu": [{"word": "B", "weight": 1.0}]}
+    config = _write_config(tmp_path / "cfg.json", multicurves=lam)
+    assert _run(tmp_path, "transition", config)[0] == EXIT_NUMERICAL
+    assert _run(tmp_path, "export-surface", config, "--grid=-0.1")[0] == EXIT_NUMERICAL
+
+
 def test_double_cone_angle_table(tmp_path):
     config = _write_config(tmp_path / "cfg.json")
     code, out = _run(tmp_path, "double", config)

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from halfpipe import bending, doubling
 from halfpipe.bending import BendingContext, bent_holonomy, support_plane_at
+from halfpipe.cli import DEFAULT_CONE_GRID as CONE_GRID
 from halfpipe.doubling import (
     CommutationFailureError,
     FacePointOnLeafError,
@@ -19,7 +21,7 @@ from halfpipe.doubling import (
 from halfpipe.fuchsian import TeichPoint, WeightedMulticurve, build_punctured_torus, kerckhoff_point
 from halfpipe.geometry import ADS, HP, HYP, GeometryError
 from halfpipe.isometry import reflection
-from halfpipe.transition import richardson_limit
+from halfpipe.transition import DEFAULT_BASE_POINT, richardson_limit
 
 SYMMETRIC = TeichPoint(3.0, 3.0, 3.0)
 KERCKHOFF = TeichPoint(2.0 * math.sqrt(2.0), 2.0 * math.sqrt(2.0), 4.0)
@@ -197,6 +199,43 @@ def test_meridian_validation():
         meridian_cone_angle(ctx, "B", 0.1)
     with pytest.raises(GeometryError):
         meridian_cone_angle(ctx, "A", 4.0)
+
+
+def _count_leaf_queries(monkeypatch, work) -> int:
+    queries = []
+    for module in (bending, doubling):
+        query = module.leaves_crossing
+        monkeypatch.setattr(module, "leaves_crossing", lambda *args, query=query: queries.append(args) or query(*args))
+    work()
+    monkeypatch.undo()
+    return len(queries)
+
+
+def test_cone_angle_table_queries_the_leaves_of_one_meridian_once(monkeypatch):
+    single = _count_leaf_queries(monkeypatch, lambda: meridian_cone_angle(_context(tag=ADS), "A", 0.1))
+    ctx = _context()
+    table = _count_leaf_queries(
+        monkeypatch,
+        lambda: [meridian_cone_angle(ctx.with_geometry(tag), "A", t) for tag in (HYP, ADS, HP) for t in CONE_GRID],
+    )
+    # One query isolates the leaf between its faces, two cross from x0 to them.
+    assert single >= 3
+    assert table == single
+
+
+def test_cone_angle_cells_equal_fresh_group_cells_bit_for_bit():
+    cases = ((SYMMETRIC, "A", 1.0), (TeichPoint.from_xy(6.0, 3.5), "AAB", 0.5))
+    for traces, word, weight in cases:
+        group = build_punctured_torus(traces)
+        multicurve = WeightedMulticurve.single(word, weight)
+        # Both basepoints on one group: the memo must keep them apart.
+        for base in (DEFAULT_BASE_POINT, (-0.2, 0.15)):
+            for tag in (HYP, ADS, HP):
+                for t in CONE_GRID:
+                    shared = BendingContext(group, multicurve, base, tag)
+                    fresh = BendingContext(build_punctured_torus(traces), multicurve, base, tag)
+                    cell = meridian_cone_angle(shared, word, t)
+                    assert cell == meridian_cone_angle(fresh, word, t), (traces, base, tag, t)
 
 
 def test_pair_aligner_exists_at_the_critical_point():

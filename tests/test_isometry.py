@@ -30,6 +30,7 @@ from halfpipe.isometry import (
     MinkowskiIsometry,
     NotRotationAboutAxisError,
     PlaneTooFarError,
+    RotationOverflowError,
     boost_from_origin,
     boost_to_origin,
     classify_isometry,
@@ -44,6 +45,7 @@ from halfpipe.isometry import (
     rescale_conjugate,
     rotation,
     rotation_angle,
+    rotation_angle_in_frame,
     rotation_in_frame,
     standard_rotation,
     transport_to_standard_axis,
@@ -109,6 +111,8 @@ def test_standard_rotation_anti_de_sitter_block():
     c, s = math.cosh(0.4), math.sinh(0.4)
     assert np.allclose(g.matrix[2:, 2:], [[c, s], [s, c]], atol=1e-15)
     assert np.allclose(g.matrix[:2, :2], np.eye(2), atol=1e-15)
+    with pytest.raises(RotationOverflowError, match="1000.0"):
+        standard_rotation(ADS, 1000.0)
 
 
 def test_transport_to_standard_axis_frames():
@@ -158,7 +162,9 @@ def test_rotation_angle_roundtrip():
         for _ in range(10):
             axis = _random_axis(rng)
             angle = rng.uniform(-1.4, 1.4)
-            assert rotation_angle(rotation(tag, axis, angle), axis) == pytest.approx(angle, abs=1e-10)
+            g = rotation(tag, axis, angle)
+            assert rotation_angle(g, axis) == pytest.approx(angle, abs=1e-10)
+            assert rotation_angle_in_frame(g, transport_to_standard_axis(axis)) == rotation_angle(g, axis)
 
 
 def test_rotation_angle_hyperbolic_branch():

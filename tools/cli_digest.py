@@ -7,8 +7,9 @@ The runs, all in one process:
 - ``kerckhoff`` on the 102 combinations of the benchmark's ``double``
   workload, each followed by ``double`` at the point it reports when it
   exits 0;
-- all four subcommands on two small configurations, with ``export-surface``
-  also at ``--grid`` 0.1, 0 and -0.1.
+- all four subcommands on two small configurations, with ``double`` also
+  at the base point (-0.2, 0.15) and ``export-surface`` also at ``--grid``
+  0.1, 0 and -0.1.
 
 It prints one ``<sha256>  <run>/<file>`` line per output file, one
 ``exit <code>  <run>`` line per run, then one ``<sha256>  subcommand <name>``
@@ -83,6 +84,7 @@ def runs(workloads, teich_point):
         cfg = dict(_config(traces, **{"lambda": [lam], "mu": [("B", 1.0)]}), words=words, samples=40)
         for command in ("transition", "kerckhoff", "double", "export-surface"):
             yield f"small/{name}/{command}", command, cfg, ()
+        yield f"small/{name}/double@base", "double", dict(cfg, base_point=[-0.2, 0.15]), ()
         for grid in ("0.1", "0", "-0.1"):
             yield f"small/{name}/export-surface@{grid}", "export-surface", cfg, (f"--grid={grid}",)
 
