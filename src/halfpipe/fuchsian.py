@@ -9,14 +9,15 @@ on H2 through the adjoint representation SL(2, R) -> SO0(1, 2) on trace-free
 
 A weighted multicurve is a finite set of non-peripheral simple closed curves
 with positive weights.  Its preimage in H2 is a disjoint union of complete
-geodesics (leaves).  A walk enumerates the leaves near a region of the disk
-by expanding reduced words of the free group in depth shells with a
-distance prune, so that crossing queries against compact segments are
-complete.  Each group keeps a leaf atlas per multicurve: the leaves meeting
-a hyperbolic ball about the disk centre, found by one walk and grown on
-demand.  Segments inside the ball are answered from the atlas; segments
-reaching past its largest radius, or past the radius where growing it ran
-out of walk budget, are walked on their own.
+geodesics (leaves).  The translates w.Q of an ideal quadrilateral Q with
+sides paired by A and B (Jorgensen, "On pairs of once-punctured tori"), one
+per reduced word w, tile the disk; tiles whose words differ by one letter on
+the right share a side.  The tiles meeting a convex region are connected, so
+a breadth-first search finds them all, and with them every leaf meeting the
+region: crossing queries are complete by construction.  Each group keeps a
+leaf atlas per multicurve, the leaves meeting a hyperbolic ball about the
+disk centre, found by one search and grown on demand.  Segments inside the
+ball are answered from the atlas, others are searched on their own.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from halfpipe.geometry import (
     GeometryError,
     SpacelikeGeodesicH2,
     disk_lift,
-    minkowski_dot,
 )
 from halfpipe.isometry import transport_to_standard_axis
 
@@ -41,11 +41,12 @@ EPS_FRICKE = 1e-9
 # Pairings below this flag a segment endpoint as lying on a leaf.
 EPS_ENDPOINT = 1e-9
 
-# Leaf walks: the comeback slack beyond the components' reach, and the node
-# and word-length budgets.
-WALK_SLACK = 4.0
+# Leaf searches: the budget of tiles tested, and the rounding slack of the
+# test whether a tile meets a segment, relative to the terms of its side
+# pairings; those grow as 1 / sqrt(1 - |z|^2) at an endpoint z, and a slack
+# of 1e-12 let a search run past its budget for an endpoint 2e-12 from the rim.
 MAX_NODES = 400_000
-MAX_DEPTH = 64
+EPS_CLIP = 1e-14
 
 # Leaf atlases grow in steps of this hyperbolic radius about the disk centre,
 # up to the limit (Klein radius tanh 2.5 = 0.987).
@@ -75,20 +76,16 @@ class EndpointOnLeafError(GeometryError):
 
 
 class EnumerationBudgetError(GeometryError):
-    """Leaf enumeration hit its node or depth budget before completing.
+    """Leaf enumeration hit its node budget before completing.
 
-    The message and the attributes give the nodes visited, the word length
-    reached, the cutoff distance of the prune and the region walked.
+    The message and the attributes give the tiles tested, the shell of the
+    search reached and the region searched.
     """
 
-    def __init__(self, budget: str, nodes: int, depth: int, cutoff: float, region: str):
-        super().__init__(
-            f"leaf enumeration exceeded the {budget} after {nodes} nodes at depth {depth} "
-            f"(cutoff distance {cutoff:.3f}, {region})"
-        )
+    def __init__(self, nodes: int, depth: int, region: str):
+        super().__init__(f"leaf enumeration exceeded the node budget after {nodes} nodes at depth {depth} ({region})")
         self.nodes = nodes
         self.depth = depth
-        self.cutoff = cutoff
         self.region = region
 
 
@@ -289,7 +286,10 @@ class PuncturedTorusGroup:
 
     A group computes a word's Lorentz image, axis and axis transport
     (``transport_to_standard_axis``) the first time it is asked for them and
-    returns the same object after that; the arrays are read-only.  It also
+    returns the same object after that; the arrays are read-only.  So are
+    the side normals of its fundamental quadrilateral (``tile_sides``) and
+    the lifts of a component through a tile (``tile_leaves``), kept for every
+    tile a leaf search has kept.  It also
     keeps one leaf atlas per multicurve, and in ``segment_crossings`` the
     leaf crossings of segments from a basepoint x0 per multicurve, basepoint
     and far end, which ``bending.crossings_from_base`` fills: a word w names
@@ -310,6 +310,8 @@ class PuncturedTorusGroup:
         object.__setattr__(self, "_lorentz", {})
         object.__setattr__(self, "_axes", {})
         object.__setattr__(self, "_transports", {})
+        object.__setattr__(self, "_sides", None)
+        object.__setattr__(self, "_tile_leaves", {})
         object.__setattr__(self, "segment_crossings", {})
 
     def sl2(self, word: str) -> np.ndarray:
@@ -339,6 +341,61 @@ class PuncturedTorusGroup:
             transport.flags.writeable = False
             self._transports[word] = transport
         return transport
+
+    def tile_sides(self) -> np.ndarray:
+        """Inward unit normals, as columns, of the sides of the ideal quadrilateral Q.
+
+        Q has the vertices p, a.p, ba.p and Aba.p, p the cusp's fixed point.
+        Column g (in the order A, B, a, b) is the side Q shares with g.Q.
+        """
+        if self._sides is None:
+            # The cusp fixes the column space of its matrix plus the identity (rank
+            # one); a vector v there maps to the null vector of v (v2, -v1).
+            shifted = self.sl2(self.CUSP_WORD) + np.eye(2)
+            v = shifted[:, int(np.argmax(np.abs(shifted).sum(axis=0)))]
+            vertices = []
+            for word in ("", "a", "ba", "Aba"):
+                v1, v2 = (self.sl2(word) @ v).tolist()
+                vertices.append(((v1 * v1 + v2 * v2) / 2.0, v1 * v2, (v2 * v2 - v1 * v1) / 2.0))
+            columns = []
+            for j in range(4):
+                # J3 (u x w) for the ends u, w, made unit and facing the other vertices.
+                (u0, u1, u2), (w0, w1, w2) = vertices[j - 1], vertices[j]
+                n0, n1, n2 = u2 * w1 - u1 * w2, u2 * w0 - u0 * w2, u0 * w1 - u1 * w0
+                p0, p1, p2 = np.add(vertices[(j + 1) % 4], vertices[(j + 2) % 4]).tolist()
+                scale = math.copysign(1.0 / math.sqrt(n1 * n1 + n2 * n2 - n0 * n0), n1 * p1 + n2 * p2 - n0 * p0)
+                columns.append((n0 * scale, n1 * scale, n2 * scale))
+            sides = np.array(columns).T
+            sides.flags.writeable = False
+            object.__setattr__(self, "_sides", sides)
+        return self._sides
+
+    def tile_leaves(self, word: str, tile: str) -> tuple[tuple[str, np.ndarray], ...]:
+        """The lifts of the axis of a reduced word that meet the tile w.Q, w = ``tile``.
+
+        For the word h . r^m . h^-1 (r cyclically reduced, not a power) they
+        are w . (r_1 ... r_k)^-1 . axis(r), 0 <= k < |r|, as the axis of r
+        crosses the tiles r^n . r_1 ... r_k . Q.  Each comes as its first word
+        v in walk order (v . axis(word) is the lift) and its normal, the
+        identity times v's generator images, left to right, applied to the
+        axis normal.
+        """
+        leaves = self._tile_leaves.get((word, tile))
+        if leaves is None:
+            head, root = _conjugate_root(word)
+            tail, axis = invert_word(head), self.axis(word).normal
+            leaves, offset = [], ""
+            for k in range(len(root)):
+                first = _first_word(free_reduce(tile + offset), root, tail)
+                offset = root[k].swapcase() + offset
+                product = np.eye(3)
+                for letter in first:
+                    product = product @ self.lorentz(letter)
+                normal = product @ axis
+                normal.flags.writeable = False
+                leaves.append((first, normal))
+            leaves = self._tile_leaves[word, tile] = tuple(leaves)
+        return leaves
 
     def translation_length(self, word: str) -> float:
         return translation_length_sl2(self.sl2(word))
@@ -464,16 +521,46 @@ def _canonical_sign(v: np.ndarray) -> float:
     return 1.0
 
 
-def _leaf_key(normal: np.ndarray) -> tuple:
-    # Scale-free key: unit normals of far leaves have entries of size
-    # cosh(distance), so round significant digits, not absolute ones.
-    scaled = normal / np.max(np.abs(normal))
-    if _canonical_sign(scaled) < 0:
-        scaled = -scaled
-    return tuple(np.round(scaled, 7))
-
-
 Leaves = tuple[np.ndarray, np.ndarray, list[str], list[int]]
+
+def _walk_order(word: str) -> tuple[int, str]:
+    """Shortest first, then by the reversed word in the letter order A, B, a, b (that of ASCII)."""
+    return len(word), word[::-1]
+
+
+def _conjugate_root(word: str) -> tuple[str, str]:
+    """(h, r) with the reduced word equal to h . r^m . h^-1, r cyclically reduced and not a proper power."""
+    core = _cyclic_reduce(word)
+    period = next(n for n in range(1, len(core) + 1) if len(core) % n == 0 and core[:n] * (len(core) // n) == core)
+    return word[: (len(word) - len(core)) // 2], core[:period]
+
+
+def _first_word(prefix: str, root: str, tail: str) -> str:
+    """The first in walk order of the reduced words prefix . root^j . tail, j an integer.
+
+    tail^-1 . root . tail is reduced and root cyclically reduced, so
+    root^j . tail is reduced for every j, and only the powers of root or of
+    its inverse, whichever cancels the last letter of the prefix, can beat
+    j = 0.
+    """
+    best = free_reduce(prefix + tail)
+    if prefix[-1:] == root[0].swapcase():
+        step = root
+    elif prefix[-1:] == root[-1]:
+        step = invert_word(root)
+    else:
+        return best
+    head = prefix
+    while True:
+        # |prefix . step^j| falls and then rises by |step| per step, and
+        # bounds |prefix . step^j . tail| from below up to |tail|.
+        longer = free_reduce(head + step)
+        if len(longer) > len(head) and len(longer) - len(tail) > len(best):
+            return best
+        head = longer
+        candidate = free_reduce(head + tail)
+        if len(candidate) <= len(best) and _walk_order(candidate) < _walk_order(best):
+            best = candidate
 
 
 def _leaves_near_segment(
@@ -485,110 +572,80 @@ def _leaves_near_segment(
     keep: Callable[[np.ndarray], np.ndarray],
     max_nodes: int = MAX_NODES,
 ) -> Leaves:
-    """Every leaf within reach of the radius-neighbourhood of [x, y] that ``keep`` accepts.
+    """Every leaf meeting [x, y] or B(x, radius), or passing near y, that ``keep`` accepts.
 
-    Walks reduced words of the free group in depth shells, pruning a branch
-    once the orbit of x strays from the segment by more than the components'
-    reach (axis offset plus half a translation length), the radius and a
-    comeback slack.  The walk length is governed by the segment's length and
-    the radius, not by the segment's distance to any fixed center.
-    Completeness of the slack is validated empirically by the
-    exhaustive-enumeration tests.
-
-    ``keep`` maps a stack of leaf normals to a boolean mask; rows it rejects
-    skip the dedupe.  Each kept leaf is recorded once, with the first word
-    that reaches it, as its normal (canonical sign), weight, conjugator word
-    and component index.  Which word is first depends on the order of each
-    shell, which is generator-major: the words ending in A, then B, a and b,
-    each group in the order of the previous shell.  Words are spelled only
-    for recorded leaves, from each shell's parent and letter arrays.
+    Searches the tiles w.Q breadth first, shell by shell and never stepping
+    back, from a tile near x.  A tile is kept when it meets [x, y] (up to a
+    rounding slack), lies within distance radius + EPS_ENDPOINT of x or
+    within sinh-distance EPS_ENDPOINT of y: exact tests, as a point outside
+    an ideal polygon violates one side only.  The kept tiles form a subtree
+    of the side-adjacency tree, so the search is complete; ``max_nodes``
+    bounds the tiles it tests.  The component lifts through them
+    (``PuncturedTorusGroup.tile_leaves``) whose normals ``keep`` accepts (a
+    boolean mask of a stack) come once each, in walk order of their words,
+    component by component within one length, as normals (sign made
+    canonical), weights, words and component indices.
     """
-    lift_x, lift_y = disk_lift(x), disk_lift(y)
-    dual_x, dual_y = J3 @ lift_x, J3 @ lift_y
-    cosh_len = max(1.0, -float(minkowski_dot(lift_x, lift_y)))
-    degenerate = cosh_len < 1.0 + 1e-14
-    if not degenerate:
-        sinh_len = math.sqrt(cosh_len * cosh_len - 1.0)
-        chord = J3 @ np.cross(lift_x, lift_y)
-        chord /= math.sqrt(float(minkowski_dot(chord, chord)))
-        forward = J3 @ ((lift_y - cosh_len * lift_x) / sinh_len)
-        backward = J3 @ ((lift_x - cosh_len * lift_y) / sinh_len)
-        chord = J3 @ chord
-    gens = np.stack([group.lorentz(ch) for ch in GENERATOR_LETTERS])[:, np.newaxis]
+    sides = group.tile_sides()
+    gens = np.stack([group.lorentz(ch) for ch in GENERATOR_LETTERS])
+    duals = disk_lift(np.stack([x, y])) @ J3
+    size = EPS_CLIP * np.abs(duals)
+    reach = np.array([[-math.sinh(radius + EPS_ENDPOINT)], [-math.sinh(EPS_ENDPOINT)]])
+
+    def meets(mats: np.ndarray) -> np.ndarray:
+        # The half-planes beyond the sides are disjoint, so a segment misses
+        # a tile exactly when both ends lie beyond one side.
+        normals = mats @ sides
+        at = duals @ normals
+        missed = (at + size @ np.abs(normals) < 0.0).all(axis=1).any(axis=1)
+        return ~missed | (at >= reach).all(axis=2).any(axis=1)
+
+    def budget_error(nodes: int, depth: int) -> EnumerationBudgetError:
+        cosh_len = max(1.0, float(-(duals[0] @ J3 @ duals[1])))
+        region = f"atlas radius {radius}" if radius else f"segment length {math.acosh(cosh_len):.3f}"
+        return EnumerationBudgetError(nodes, depth, region)
+
+    # The root: from Q, cross the side x violates most until x is within
+    # reach of the tile, which then passes ``meets``.
+    word, mat, nodes = "", np.eye(3), 0
+    while True:
+        nodes += 1
+        if nodes > max_nodes:
+            raise budget_error(nodes, 0)
+        at_x = (duals @ (mat @ sides))[0]
+        j = int(np.argmin(at_x))
+        if at_x[j] >= reach[0, 0]:
+            break
+        word = free_reduce(word + GENERATOR_LETTERS[j])
+        mat = mat @ gens[j]
     # backtrack[j]: the letter that generator j cancels (A and a, B and b).
     backtrack = ((np.arange(4) + 2) % 4)[:, np.newaxis]
-    axis_normals = [group.axis(comp.word).normal for comp in mc.components]
-    reach = max(
-        math.asinh(abs(float(minkowski_dot(n, lift_x)))) + 0.5 * group.translation_length(comp.word)
-        for n, comp in zip(axis_normals, mc.components)
-    )
-    cutoff = reach + radius + WALK_SLACK
-    cosh_cutoff = math.cosh(cutoff)
-
-    def budget_error(budget: str, nodes: int, depth: int) -> EnumerationBudgetError:
-        region = f"atlas radius {radius}" if radius else f"segment length {math.acosh(cosh_len):.3f}"
-        return EnumerationBudgetError(budget, nodes, depth, cutoff, region)
-
-    # parents[d][i] and letters[d][i]: the parent in shell d - 1 and the last
-    # letter of node i of shell d.
-    parents: list[np.ndarray] = []
-    letters: list[np.ndarray] = []
-
-    def spell(depth: int, row: int) -> str:
-        out = []
-        for d in range(depth, 0, -1):
-            out.append(GENERATOR_LETTERS[letters[d][row]])
-            row = parents[d][row]
-        return "".join(reversed(out))
-
-    normal_list: list[np.ndarray] = []
-    weights: list[float] = []
-    words: list[str] = []
-    comps: list[int] = []
-    seen: set[tuple] = set()
-
-    mats = np.eye(3)[np.newaxis]
-    parent = last = np.array([-1])
-    node_count = 0
-    for depth in range(MAX_DEPTH + 1):
-        orbit = mats @ lift_x
-        if degenerate:
-            cosh_dist = -(orbit @ dual_x)
-        else:
-            along = orbit @ chord
-            cosh_dist = np.where(
-                (orbit @ forward >= 0.0) & (orbit @ backward >= 0.0),
-                np.sqrt(1.0 + along * along),
-                -np.maximum(orbit @ dual_x, orbit @ dual_y),
-            )
-        kept = np.nonzero(cosh_dist <= cosh_cutoff)[0]
-        if kept.size == 0:
-            break
-        if depth == MAX_DEPTH:
-            raise budget_error("word-length cap", node_count, depth)
-        node_count += kept.size
-        if node_count > max_nodes:
-            raise budget_error("node budget", node_count, depth)
-        mats, last = mats[kept], last[kept]
-        parents.append(parent[kept])
-        letters.append(last)
-        for idx, base_normal in enumerate(axis_normals):
-            normals = mats @ base_normal
-            for row in np.nonzero(keep(normals))[0]:
-                vec = normals[row]
-                key = (idx, _leaf_key(vec))
-                if key in seen:
-                    continue
-                seen.add(key)
-                normal_list.append(vec if _canonical_sign(vec) > 0 else -vec)
-                weights.append(mc.components[idx].weight)
-                words.append(spell(depth, row))
-                comps.append(idx)
+    tiles = words = [word]
+    mats, last, depth = mat[np.newaxis], np.array([-1]), 0
+    while words:
         allowed = last != backtrack
         last, parent = np.nonzero(allowed)
-        mats = (mats[np.newaxis] @ gens)[allowed]
-    stacked = np.array(normal_list) if normal_list else np.zeros((0, 3))
-    return stacked, np.array(weights), words, comps
+        mats = (mats[np.newaxis] @ gens[:, np.newaxis])[allowed]
+        depth += 1
+        nodes += len(last)
+        if nodes > max_nodes:
+            raise budget_error(nodes, depth)
+        kept = np.nonzero(meets(mats))[0]
+        words = [free_reduce(words[i] + GENERATOR_LETTERS[j]) for i, j in zip(parent[kept], last[kept])]
+        tiles = tiles + words
+        mats, last = mats[kept], last[kept]
+
+    found = {
+        (idx, first): normal
+        for idx, comp in enumerate(mc.components)
+        for tile in tiles
+        for first, normal in group.tile_leaves(comp.word, tile)
+    }
+    order = sorted(found, key=lambda entry: (len(entry[1]), entry[0], _walk_order(entry[1])[1]))
+    chosen = [order[i] for i in np.nonzero(keep(np.array([found[entry] for entry in order]).reshape(-1, 3)))[0]]
+    normals = [found[entry] if _canonical_sign(found[entry]) > 0 else -found[entry] for entry in chosen]
+    weights = np.array([mc.components[idx].weight for idx, _ in chosen])
+    return np.array(normals).reshape(-1, 3), weights, [first for _, first in chosen], [idx for idx, _ in chosen]
 
 
 Pairings = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -612,7 +669,7 @@ def _pairings(x: np.ndarray, y: np.ndarray) -> Callable[[np.ndarray], Pairings]:
 
 
 def _walk_segment(group: PuncturedTorusGroup, mc: WeightedMulticurve, x: np.ndarray, y: np.ndarray) -> Leaves:
-    """The leaves crossing [x, y] or passing through an endpoint, found by a walk of their own."""
+    """The leaves crossing [x, y] or passing through an endpoint, found by a search of their own."""
     pairings = _pairings(x, y)
 
     def crossing_or_touching(normals: np.ndarray) -> np.ndarray:
@@ -626,20 +683,15 @@ class LeafAtlas:
     """The leaves of one multicurve's preimage that meet the ball B(o, radius).
 
     o is the disk centre and the radius is hyperbolic.  The atlas starts
-    empty and is rebuilt by one walk from o whenever a query reaches past
-    its radius, at that query's distance rounded up to ATLAS_STEP, up to
-    ATLAS_RADIUS_LIMIT.  A rebuild that exceeds the walk budget is retried
-    at radii ATLAS_STEP smaller, down to one step above the current radius;
-    the atlas then freezes at the largest radius that built and keeps the
-    first budget error's message in ``frozen``.  Leaves are deduplicated
-    once per build; ``leaves`` holds their normals, weights, conjugator
-    words and component indices.
+    empty and is rebuilt by one leaf search about o whenever a query reaches
+    past its radius, at that query's distance rounded up to ATLAS_STEP, up
+    to ATLAS_RADIUS_LIMIT.  ``leaves`` holds their normals, weights,
+    conjugator words and component indices.
     """
 
     def __init__(self, multicurve: WeightedMulticurve):
         self.multicurve = multicurve
         self.radius = -math.inf
-        self.frozen: str | None = None
         self.leaves: Leaves = (np.zeros((0, 3)), np.zeros(0), [], [])
 
     def covering(self, group: PuncturedTorusGroup, x: np.ndarray, y: np.ndarray) -> Leaves | None:
@@ -647,26 +699,17 @@ class LeafAtlas:
 
         The ball is convex, so every leaf crossing [x, y] meets it.
         """
-        needed = math.acosh(max(float(disk_lift(x)[0]), float(disk_lift(y)[0])))
-        if self.radius < needed <= ATLAS_RADIUS_LIMIT and self.frozen is None:
-            self._rebuild(group, math.ceil(needed / ATLAS_STEP) * ATLAS_STEP)
-        return self.leaves if needed <= self.radius else None
-
-    def _rebuild(self, group: PuncturedTorusGroup, radius: float) -> None:
-        origin = np.zeros(2)
-        while radius >= 0.0 and radius > self.radius:
+        needed = math.acosh(float(disk_lift(np.stack([x, y]))[:, 0].max()))
+        if self.radius < needed <= ATLAS_RADIUS_LIMIT:
+            radius = math.ceil(needed / ATLAS_STEP) * ATLAS_STEP
             # A leaf within EPS_ENDPOINT of an endpoint on the rim still counts.
             bound = math.sinh(radius + EPS_ENDPOINT)
-            try:
-                self.leaves = _leaves_near_segment(
-                    group, self.multicurve, origin, origin, radius, lambda normals: np.abs(normals[:, 0]) <= bound
-                )
-            except EnumerationBudgetError as exc:
-                self.frozen = self.frozen or str(exc)
-                radius -= ATLAS_STEP
-                continue
+            origin = np.zeros(2)
+            self.leaves = _leaves_near_segment(
+                group, self.multicurve, origin, origin, radius, lambda normals: np.abs(normals[:, 0]) <= bound
+            )
             self.radius = radius
-            return
+        return self.leaves if needed <= self.radius else None
 
 
 def leaves_crossing(
@@ -680,10 +723,9 @@ def leaves_crossing(
     Returned in increasing order of crossing parameter, each leaf oriented
     with its left normal pointing away from x.  Segments inside the group's
     leaf atlas for ``mc`` are answered from it, growing it when needed;
-    segments beyond its reach are walked on their own.  Raises
+    segments beyond its reach are searched on their own.  Raises
     EndpointOnLeafError when an endpoint is within tolerance of a leaf, and
-    EnumerationBudgetError if completeness cannot be certified within the
-    walk budget.
+    EnumerationBudgetError when a search tests more than MAX_NODES tiles.
     """
     x = np.asarray(x, dtype=float).reshape(2)
     y = np.asarray(y, dtype=float).reshape(2)

@@ -162,6 +162,18 @@ def test_bent_holonomy_is_a_homomorphism():
                 assert np.max(np.abs(lhs - rhs)) < TOL_COCYCLE
 
 
+def test_bent_holonomy_is_a_homomorphism_at_extreme_traces():
+    # The segment from the default basepoint to AAb . x0 ends 2e-12 from the
+    # rim, and three leaves pass within rounding of that end.
+    group = build_punctured_torus(TeichPoint.from_xy(9.64, 11.61))
+    lam = WeightedMulticurve.single("AAB", 1.47)
+    for base in (np.array([0.03, 0.44]), BASE):
+        rho = bent_holonomy(BendingContext(group, lam, base, HYP, 1.0, 0.3))
+        lhs = rho("AAb").matrix
+        rhs = (rho("A") @ rho("Ab")).matrix
+        assert np.max(np.abs(lhs - rhs)) < 1e-9 * np.max(np.abs(lhs))
+
+
 def test_bent_holonomy_degenerate_inputs():
     for tag in ALL_TAGS:
         rho = bent_holonomy(_context(tag, scale=0.3))

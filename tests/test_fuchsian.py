@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from halfpipe.fuchsian import (
@@ -432,17 +432,16 @@ def _disk_point(rng, radius):
 
 
 def _assert_walk_agrees(group, mc, x, y):
-    """The atlas answer for [x, y] matches a walk of the segment alone."""
+    """The atlas answer for [x, y] is the answer of a search of the segment alone."""
     got = leaves_crossing(group, mc, x, y)
-    walked = _crossings(_walk_segment(group, mc, x, y), x, y)
-    assert [c.component_index for c in got] == [c.component_index for c in walked]
-    assert np.allclose([c.parameter for c in got], [c.parameter for c in walked], rtol=0.0, atol=1e-9)
-    # Ties between shortest words may resolve differently, so compare what
-    # the word does rather than the word itself.
-    for c in got:
-        pushed = group.lorentz(c.conjugator_word) @ group.axis(mc.components[c.component_index].word).normal
-        gap = min(np.max(np.abs(pushed - c.leaf.normal)), np.max(np.abs(pushed + c.leaf.normal)))
-        assert gap < 1e-9 * np.max(np.abs(c.leaf.normal))
+    searched = _crossings(_walk_segment(group, mc, x, y), x, y)
+    assert [(c.component_index, c.conjugator_word) for c in got] == [
+        (c.component_index, c.conjugator_word) for c in searched
+    ]
+    for mine, theirs in zip(got, searched):
+        assert np.array_equal(mine.leaf.normal, theirs.leaf.normal)
+    # Pairing stacks of different heights may round differently.
+    assert np.allclose([c.parameter for c in got], [c.parameter for c in searched], rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("name", sorted(ATLAS_POINTS))
@@ -450,62 +449,159 @@ def test_atlas_matches_segment_walk(name):
     rng = np.random.default_rng(sorted(ATLAS_POINTS).index(name))
     for mc in ATLAS_MULTICURVES:
         group = build_punctured_torus(ATLAS_POINTS[name])
-        # The first segment reaches the rim, so the atlas grows to its limit
-        # unless it freezes on the way.
+        # The first segment reaches the rim, so the atlas grows to its limit.
         radii = [0.97, 0.97] + list(0.97 * np.sqrt(rng.uniform(size=10)))
         points = [_disk_point(rng, r) for r in radii]
         for x, y in zip(points[::2], points[1::2]):
             _assert_walk_agrees(group, mc, x, y)
+        assert group.atlas(mc).radius == ATLAS_RADIUS_LIMIT
+
+
+def test_atlas_grows_to_its_limit_at_extreme_traces():
+    # Of the test grid, these points need the most tiles for the atlas ball
+    # at the radius limit (about a hundred tested).
+    cases = (("xy(3,40)", WeightedMulticurve.single("ABB")), ("xy(20,3)", WeightedMulticurve.single("AAB", 0.5)))
+    for name, mc in cases:
+        group = build_punctured_torus(ATLAS_POINTS[name])
         atlas = group.atlas(mc)
-        assert atlas.radius == ATLAS_RADIUS_LIMIT or atlas.frozen is not None
-
-
-def test_atlas_freezes_at_the_walk_budget_and_falls_back_to_segment_walks():
-    group = build_punctured_torus(ATLAS_POINTS["xy(3,40)"])
-    mc = WeightedMulticurve.single("ABB")
-    atlas = group.atlas(mc)
-    rng = np.random.default_rng(3)
-    near = (_disk_point(rng, 0.8), _disk_point(rng, 0.9))
-    far = (_disk_point(rng, 0.95), _disk_point(rng, 0.6))
-    _assert_walk_agrees(group, mc, *near)
-    assert atlas.radius == 1.5 and atlas.frozen is None
-    _assert_walk_agrees(group, mc, *far)
-    assert atlas.radius == 1.5
-    assert "word-length cap" in atlas.frozen and "atlas radius 2.0" in atlas.frozen
-    assert atlas.covering(group, *far) is None
-    assert atlas.covering(group, *near) is atlas.leaves
-    _assert_walk_agrees(group, mc, *near)
-
-
-@pytest.mark.parametrize(
-    "name, mc, radius",
-    [("xy(20,3)", WeightedMulticurve.single("AAB", 0.5), 2.0), ("xy(3,40)", WeightedMulticurve.single("ABB"), 1.5)],
-    ids=("0.5AAB@xy(20,3)", "ABB@xy(3,40)"),
-)
-def test_atlas_first_grown_past_the_walk_budget_keeps_the_largest_radius_that_builds(name, mc, radius):
-    group = build_punctured_torus(ATLAS_POINTS[name])
-    atlas = group.atlas(mc)
-    rng = np.random.default_rng(4)
-    far = (_disk_point(rng, 0.97), _disk_point(rng, 0.3))
-    near = (_disk_point(rng, 0.5), _disk_point(rng, 0.8))
-    _assert_walk_agrees(group, mc, *far)
-    assert atlas.radius == radius
-    assert "atlas radius 2.5" in atlas.frozen
-    assert atlas.covering(group, *near) is atlas.leaves
-    _assert_walk_agrees(group, mc, *near)
+        rng = np.random.default_rng(4)
+        _assert_walk_agrees(group, mc, _disk_point(rng, 0.97), _disk_point(rng, 0.3))
+        assert atlas.radius == ATLAS_RADIUS_LIMIT
+        for _ in range(4):
+            x, y = (_disk_point(rng, 0.97 * math.sqrt(rng.uniform())) for _ in range(2))
+            assert atlas.covering(group, x, y) is atlas.leaves
+            _assert_walk_agrees(group, mc, x, y)
 
 
 def test_enumeration_budget_error_reports_its_numbers():
     group = build_punctured_torus(SYMMETRIC)
     mc = WeightedMulticurve.single("A")
     x, y = np.array([-0.5, 0.2]), np.array([0.6, -0.3])
-    with pytest.raises(EnumerationBudgetError) as info:
-        _leaves_near_segment(group, mc, x, y, 0.0, lambda n: np.ones(len(n), dtype=bool), max_nodes=10)
-    err = info.value
-    assert err.nodes > 10 and err.depth >= 1 and err.cutoff > 4.0
+    origin = np.zeros(2)
     length = math.acosh(-float(minkowski_dot(disk_lift(x), disk_lift(y))))
-    assert err.region == f"segment length {length:.3f}"
-    assert f"after {err.nodes} nodes at depth {err.depth}" in str(err)
+    cases = (((x, y), 0.0, f"segment length {length:.3f}"), ((origin, origin), 2.0, "atlas radius 2.0"))
+    for ends, radius, region in cases:
+        with pytest.raises(EnumerationBudgetError) as info:
+            _leaves_near_segment(group, mc, *ends, radius, lambda n: np.ones(len(n), dtype=bool), max_nodes=3)
+        err = info.value
+        assert err.nodes > 3 and err.depth >= 1 and err.region == region
+        assert f"after {err.nodes} nodes at depth {err.depth} ({region})" in str(err)
+
+
+def test_tile_sides_are_paired_by_the_generators():
+    for point in (SYMMETRIC, TeichPoint.from_xy(3.0, 40.0), TeichPoint.from_xy(20.0, 3.0)):
+        group = build_punctured_torus(point)
+        sides = group.tile_sides()
+        assert not sides.flags.writeable
+        assert np.allclose(np.einsum("ik,ij,jk->k", sides, J3, sides), 1.0, atol=1e-12)
+        # g carries the side Q shares with g^-1.Q onto the side Q shares with
+        # g.Q, turning the inward normal outward.
+        for g in range(4):
+            image = group.lorentz("ABab"[g]) @ sides[:, (g + 2) % 4]
+            assert np.max(np.abs(image + sides[:, g])) < 1e-9 * np.max(np.abs(sides[:, g]))
+        # The disk centre's tile holds it.
+        origin = np.array([1.0, 0.0, 0.0])
+        word = ""
+        for _ in range(50):
+            at = (group.lorentz(word) @ sides).T @ J3 @ origin
+            if at.min() >= 0.0:
+                break
+            word = free_reduce(word + "ABab"[int(np.argmin(at))])
+        assert at.min() >= 0.0
+
+
+def _coset_key(word, root):
+    """The shortest words of word . <root> (root cyclically reduced), the least of them."""
+    found = [word]
+    for step in (root, invert_word(root)):
+        head = word
+        # Lengths along word . root^j fall, then rise.
+        while len(free_reduce(head + step)) <= len(head):
+            head = free_reduce(head + step)
+            found.append(head)
+    return min(found, key=lambda w: (len(w), w))
+
+
+def _brute_force_crossings(group, mc, x, y, length):
+    """(component, parameter) of the leaves w . axis crossing (x, y) with |w| <= length, sorted.
+
+    The components are cyclically reduced.  A leaf is kept once, from the
+    shortest of its words, which has the most accurate normal.
+    """
+    gens = np.stack([group.lorentz(ch) for ch in "ABab"])
+    words, mats, shell = [""], [np.eye(3)[np.newaxis]], [""]
+    for _ in range(length):
+        pairs = [(w, g) for g in range(4) for w in range(len(shell)) if not shell[w].endswith("ABab"[(g + 2) % 4])]
+        mats.append(mats[-1][[w for w, _ in pairs]] @ gens[[g for _, g in pairs]])
+        shell = [shell[w] + "ABab"[g] for w, g in pairs]
+        words += shell
+    mats = np.concatenate(mats)
+    u0, u1 = J3 @ np.concatenate(([1.0], x)), J3 @ np.concatenate(([1.0], y))
+    found = {}
+    for idx, comp in enumerate(mc.components):
+        normals = mats @ group.axis(comp.word).normal
+        f0, f1 = normals @ u0, normals @ u1
+        for i in np.nonzero(f0 * f1 < 0.0)[0]:
+            found.setdefault((idx, _coset_key(words[i], comp.word)), float(f0[i] / (f0[i] - f1[i])))
+    return sorted((idx, t) for (idx, _), t in found.items())
+
+
+def _assert_same_crossings(crossings, expected):
+    got = sorted((c.component_index, c.parameter) for c in crossings)
+    assert [idx for idx, _ in got] == [idx for idx, _ in expected]
+    assert np.allclose([t for _, t in got], [t for _, t in expected], rtol=0.0, atol=1e-6)
+
+
+# The angle is offset so that the simplest examples miss the axis of A.
+disk_points = st.tuples(st.floats(0.01, 0.9), st.floats(0.0, 2.0 * math.pi)).map(
+    lambda polar: polar[0] * np.array([math.cos(polar[1] + 1.0), math.sin(polar[1] + 1.0)])
+)
+trace_points = (
+    st.tuples(st.floats(2.5, 8.0), st.floats(2.5, 8.0))
+    .filter(lambda xy: xy[0] ** 2 * xy[1] ** 2 >= 4.0 * (xy[0] ** 2 + xy[1] ** 2))
+    .map(lambda xy: TeichPoint.from_xy(*xy))
+)
+
+
+@given(point=trace_points, mc=st.sampled_from(ATLAS_MULTICURVES), x=disk_points, y=disk_points)
+def test_leaf_search_finds_every_crossing_of_a_brute_force_enumeration(point, mc, x, y):
+    group = build_punctured_torus(point)
+    try:
+        crossings = leaves_crossing(group, mc, x, y)
+    except EndpointOnLeafError:
+        assume(False)
+    expected = _brute_force_crossings(group, mc, x, y, 7)
+    _assert_same_crossings(crossings, expected)
+    _assert_same_crossings(_crossings(_walk_segment(group, mc, x, y), x, y), expected)
+
+
+@given(
+    point=trace_points,
+    mc=st.sampled_from(ATLAS_MULTICURVES),
+    x=disk_points,
+    y=disk_points,
+    mover=st.lists(st.sampled_from("ABab"), min_size=1, max_size=3).map("".join).map(free_reduce).filter(bool),
+)
+def test_leaf_search_is_equivariant(point, mc, x, y, mover):
+    group = build_punctured_torus(point)
+    image = group.lorentz(mover)
+
+    def moved(z):
+        lift = image @ disk_lift(z)
+        return lift[1:] / lift[0]
+
+    try:
+        before = leaves_crossing(group, mc, x, y)
+        after = leaves_crossing(group, mc, moved(x), moved(y))
+    except EndpointOnLeafError:
+        assume(False)
+    assert [c.component_index for c in after] == [c.component_index for c in before]
+    for old, new in zip(before, after):
+        # Far leaves have nearly null normals of size cosh(distance), whose
+        # unit scale is known only to about 1e-16 cosh(distance)^2.
+        pushed = image @ old.leaf.normal
+        gap = new.leaf.normal / np.max(np.abs(new.leaf.normal)) - pushed / np.max(np.abs(pushed))
+        assert np.max(np.abs(gap)) < 1e-9
 
 
 def test_kerckhoff_point_symmetric_pair():

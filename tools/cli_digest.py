@@ -9,7 +9,10 @@ The runs, all in one process:
   exits 0;
 - all four subcommands on two small configurations, with ``double`` also
   at the base point (-0.2, 0.15) and ``export-surface`` also at ``--grid``
-  0.1, 0 and -0.1.
+  0.1, 0 and -0.1;
+- ``double`` and ``export-surface`` at two extreme trace points, ABB at
+  from_xy(3, 40) and 0.5 AAB at from_xy(20, 3), where leaf atlases reach
+  far into thin parts of the surface.
 
 It prints one ``<sha256>  <run>/<file>`` line per output file, one
 ``exit <code>  <run>`` line per run, then one ``<sha256>  subcommand <name>``
@@ -87,6 +90,11 @@ def runs(workloads, teich_point):
         yield f"small/{name}/double@base", "double", dict(cfg, base_point=[-0.2, 0.15]), ()
         for grid in ("0.1", "0", "-0.1"):
             yield f"small/{name}/export-surface@{grid}", "export-surface", cfg, (f"--grid={grid}",)
+    edge = {"xy(3,40)": (3.0, 40.0, ("ABB", 1.0)), "xy(20,3)": (20.0, 3.0, ("AAB", 0.5))}
+    for name, (x, y, lam) in edge.items():
+        cfg = _config(teich_point.from_xy(x, y).as_array().tolist(), **{"lambda": [lam]})
+        for command in ("double", "export-surface"):
+            yield f"edge/{name}/{command}", command, cfg, ()
 
 
 def main() -> int:
