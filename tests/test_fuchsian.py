@@ -457,20 +457,50 @@ def test_atlas_matches_segment_walk(name):
         assert group.atlas(mc).radius == ATLAS_RADIUS_LIMIT
 
 
-def test_atlas_grows_to_its_limit_at_extreme_traces():
+def test_atlas_freezes_at_the_walk_budget_and_falls_back_to_segment_walks():
+    # The atlas grows in steps up to ATLAS_RADIUS_LIMIT and stops there;
+    # segments reaching past it are searched on their own.  At this point
+    # the atlas used to run out of its word-walk budget at radius 2.0.
+    group = build_punctured_torus(ATLAS_POINTS["xy(3,40)"])
+    mc = WeightedMulticurve.single("ABB")
+    atlas = group.atlas(mc)
+    rng = np.random.default_rng(3)
+    near = (_disk_point(rng, 0.8), _disk_point(rng, 0.9))
+    far = (_disk_point(rng, 0.95), _disk_point(rng, 0.6))
+    edge = (_disk_point(rng, 0.985), _disk_point(rng, 0.4))
+    rim = (_disk_point(rng, 0.995), _disk_point(rng, 0.5))
+    _assert_walk_agrees(group, mc, *near)
+    assert atlas.radius == 1.5
+    _assert_walk_agrees(group, mc, *far)
+    assert atlas.radius == 2.0
+    _assert_walk_agrees(group, mc, *edge)
+    assert atlas.radius == ATLAS_RADIUS_LIMIT
+    _assert_walk_agrees(group, mc, *rim)
+    assert atlas.radius == ATLAS_RADIUS_LIMIT
+    assert atlas.covering(group, *far) is atlas.leaves
+    assert atlas.covering(group, *rim) is None
+    _assert_walk_agrees(group, mc, *near)
+
+
+@pytest.mark.parametrize(
+    "name, mc",
+    [("xy(20,3)", WeightedMulticurve.single("AAB", 0.5)), ("xy(3,40)", WeightedMulticurve.single("ABB"))],
+    ids=("0.5AAB@xy(20,3)", "ABB@xy(3,40)"),
+)
+def test_atlas_first_grown_past_the_walk_budget_keeps_the_largest_radius_that_builds(name, mc):
     # Of the test grid, these points need the most tiles for the atlas ball
-    # at the radius limit (about a hundred tested).
-    cases = (("xy(3,40)", WeightedMulticurve.single("ABB")), ("xy(20,3)", WeightedMulticurve.single("AAB", 0.5)))
-    for name, mc in cases:
-        group = build_punctured_torus(ATLAS_POINTS[name])
-        atlas = group.atlas(mc)
-        rng = np.random.default_rng(4)
-        _assert_walk_agrees(group, mc, _disk_point(rng, 0.97), _disk_point(rng, 0.3))
-        assert atlas.radius == ATLAS_RADIUS_LIMIT
-        for _ in range(4):
-            x, y = (_disk_point(rng, 0.97 * math.sqrt(rng.uniform())) for _ in range(2))
-            assert atlas.covering(group, x, y) is atlas.leaves
-            _assert_walk_agrees(group, mc, x, y)
+    # at the radius limit (about a hundred tested), and the old word walk ran
+    # out of budget there: a first query at |z| = 0.97 now grows the atlas
+    # straight to the limit.
+    group = build_punctured_torus(ATLAS_POINTS[name])
+    atlas = group.atlas(mc)
+    rng = np.random.default_rng(4)
+    _assert_walk_agrees(group, mc, _disk_point(rng, 0.97), _disk_point(rng, 0.3))
+    assert atlas.radius == ATLAS_RADIUS_LIMIT
+    for _ in range(4):
+        x, y = (_disk_point(rng, 0.97 * math.sqrt(rng.uniform())) for _ in range(2))
+        assert atlas.covering(group, x, y) is atlas.leaves
+        _assert_walk_agrees(group, mc, x, y)
 
 
 def test_enumeration_budget_error_reports_its_numbers():
