@@ -52,8 +52,9 @@ from halfpipe.isometry import (
     MinkowskiIsometry,
     embed_h2,
     embed_h2_isometry,
+    identity_stack,
     minkowski_to_hp,
-    rotation_in_frame,
+    standard_rotations,
 )
 
 # Inward pullback (as a fraction of the chord) used to evaluate a bending
@@ -113,9 +114,6 @@ class BendingContext:
         if not math.isfinite(self.scale):
             raise GeometryError("scale must be finite")
 
-    def angle(self, crossing: LeafCrossing) -> float:
-        return self.sign * self.scale * crossing.weight
-
     def rescaled(self, scale: float) -> "BendingContext":
         return BendingContext(self.group, self.multicurve, self.base_point, self.tag, self.sign, scale)
 
@@ -123,12 +121,16 @@ class BendingContext:
         return BendingContext(self.group, self.multicurve, self.base_point, tag, self.sign, self.scale)
 
 
-def _bracketed_product(ctx: BendingContext, crossings: Sequence[LeafCrossing], closing_word: str) -> Isometry:
-    """The cocycle along a segment times the unbent holonomy of closing_word.
+def _bracketed_product(
+    group: PuncturedTorusGroup, multicurve: WeightedMulticurve, crossings: Sequence[LeafCrossing], closing_word: str,
+    slices: Sequence[tuple[Geometry, float]],
+) -> np.ndarray:
+    """The (k, 4, 4) stack of cocycles along a segment times the unbent holonomy of closing_word.
 
-    ``crossings`` are the segment's leaf crossings, which do not depend on
-    the context's tag, sign or scale.  The factors are raw matrices, the
-    word images and axis transports the group's memoised ones.
+    ``crossings`` are the segment's leaf crossings, the same in every model
+    and scale; slice j is (tag, sign * scale) of one context.  Steps, leaf
+    orientations and axis frames (memoised by the group) are formed once per
+    crossing, and a crossing whose angle is zero in every slice is skipped.
 
     Rotations about far leaves have matrix entries of size exp(2 distance),
     so multiplying them directly squanders precision on cancellations.  Each
@@ -138,27 +140,34 @@ def _bracketed_product(ctx: BendingContext, crossings: Sequence[LeafCrossing], c
     closing word matches the far end of the segment, and the rounding error
     stays on the scale of the answer.
     """
-    group, tag = ctx.group, ctx.tag
-    out = np.eye(4)
+    tags, scales = zip(*slices)
+    out = identity_stack(len(tags))
     previous = ""
     for crossing in crossings:
-        ang = ctx.angle(crossing)
-        if ang == 0.0:
+        angles = [scale * crossing.weight for scale in scales]
+        if not any(angles):
             continue
         word = crossing.conjugator_word
-        axis_word = ctx.multicurve.components[crossing.component_index].word
+        axis_word = multicurve.components[crossing.component_index].word
         pushed = group.lorentz(word) @ group.axis(axis_word).normal
         if float(pushed @ crossing.leaf.normal) < 0.0:
-            ang = -ang
+            angles = [-ang for ang in angles]
         step = free_reduce(invert_word(previous) + word)
         if step:
             out = out @ embed_h2(group.lorentz(step))
-        out = out @ rotation_in_frame(tag, group.axis_transport(axis_word), ang)
+        phi, inverses = group.axis_frame(axis_word, tags)
+        out = out @ ((inverses @ standard_rotations(tags, angles)) @ phi)
         previous = word
     closing = free_reduce(invert_word(previous) + closing_word)
     if closing:
         out = out @ embed_h2(group.lorentz(closing))
-    return Isometry(out, tag)
+    return out
+
+
+def _context_product(ctx: BendingContext, crossings: Sequence[LeafCrossing], closing_word: str) -> Isometry:
+    """The bracketed product of the context's own slice, as an isometry."""
+    slices = ((ctx.tag, ctx.sign * ctx.scale),)
+    return Isometry(_bracketed_product(ctx.group, ctx.multicurve, crossings, closing_word, slices)[0], ctx.tag)
 
 
 def bending_cocycle(ctx: BendingContext, x: np.ndarray, y: np.ndarray) -> Isometry:
@@ -168,7 +177,7 @@ def bending_cocycle(ctx: BendingContext, x: np.ndarray, y: np.ndarray) -> Isomet
     leaf oriented away from x, by the context's signed, scaled weight.
     Raises EndpointOnLeafError when an endpoint lies on a leaf.
     """
-    return _bracketed_product(ctx, leaves_crossing(ctx.group, ctx.multicurve, x, y), "")
+    return _context_product(ctx, leaves_crossing(ctx.group, ctx.multicurve, x, y), "")
 
 
 def sigma_embed(ctx: BendingContext, word: str) -> Isometry:
@@ -183,7 +192,7 @@ class BentHolonomy:
     context: BendingContext
 
     def __call__(self, word: str) -> Isometry:
-        return _bracketed_product(self.context, holonomy_crossings(self.context, word), word)
+        return _context_product(self.context, holonomy_crossings(self.context, word), word)
 
 
 def crossings_from_base(ctx: BendingContext, label, endpoint: Callable[[], np.ndarray]) -> tuple[LeafCrossing, ...]:
@@ -211,13 +220,13 @@ def bent_holonomy(ctx: BendingContext) -> BentHolonomy:
     return BentHolonomy(ctx)
 
 
-def _cocycle_from_base(ctx: BendingContext, x: np.ndarray) -> Isometry:
-    """B(x0, x), evaluating on-leaf points as the limit from the x0 side."""
+def _crossings_to(ctx: BendingContext, x: np.ndarray) -> list[LeafCrossing]:
+    """The leaves crossed by [x0, x], evaluating on-leaf points as the limit from the x0 side."""
     try:
-        return bending_cocycle(ctx, ctx.base_point, x)
+        return leaves_crossing(ctx.group, ctx.multicurve, ctx.base_point, x)
     except EndpointOnLeafError:
         inner = ctx.base_point + (1.0 - PULLBACK) * (x - ctx.base_point)
-        return bending_cocycle(ctx, ctx.base_point, inner)
+        return leaves_crossing(ctx.group, ctx.multicurve, ctx.base_point, inner)
 
 
 def bending_map(ctx: BendingContext, x: np.ndarray) -> ProjectivePoint:
@@ -228,7 +237,7 @@ def bending_map(ctx: BendingContext, x: np.ndarray) -> ProjectivePoint:
     basepoint side, which is one of the two one-sided limits.
     """
     x = np.asarray(x, dtype=float).reshape(2)
-    return _cocycle_from_base(ctx, x).apply(embed_h2_point(ctx.tag, x))
+    return _context_product(ctx, _crossings_to(ctx, x), "").apply(embed_h2_point(ctx.tag, x))
 
 
 def psi_lambda(ctx: BendingContext, z: np.ndarray) -> float:
@@ -245,7 +254,7 @@ def psi_lambda(ctx: BendingContext, z: np.ndarray) -> float:
     lift = np.array([1.0, z[0], z[1]])
     total = 0.0
     for crossing in leaves_crossing(ctx.group, ctx.multicurve, ctx.base_point, z):
-        total -= ctx.angle(crossing) * float(minkowski_dot(crossing.leaf.normal, lift))
+        total -= ctx.sign * ctx.scale * crossing.weight * float(minkowski_dot(crossing.leaf.normal, lift))
     return total
 
 

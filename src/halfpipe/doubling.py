@@ -23,8 +23,8 @@ import numpy as np
 from halfpipe.bending import (
     BendingContext,
     BentHolonomy,
-    _bracketed_product,
     _check_surface_pair,
+    _context_product,
     bent_holonomy,
     crossings_from_base,
     support_plane_at,
@@ -280,8 +280,8 @@ def meridian_cone_angle(ctx: BendingContext, word: str, t: float | None = None) 
     except EndpointOnLeafError as exc:
         raise FacePointOnLeafError(f"face point {faces()[1]} lies on a leaf") from exc
     base_plane = Plane.base_plane(ctx.tag)
-    cocycle = _bracketed_product(ctx, near, "")
-    far_plane = _bracketed_product(ctx, far, "").apply_plane(base_plane)
+    cocycle = _context_product(ctx, near, "")
+    far_plane = _context_product(ctx, far, "").apply_plane(base_plane)
     product = reflection(cocycle.apply_plane(base_plane)) @ reflection(far_plane)
     pulled_back = cocycle.inverse() @ product @ cocycle
     raw = rotation_angle_in_frame(pulled_back, ctx.group.axis_transport(word))

@@ -30,11 +30,12 @@ import numpy as np
 
 from halfpipe.geometry import (
     J3,
+    Geometry,
     GeometryError,
     SpacelikeGeodesicH2,
     disk_lift,
 )
-from halfpipe.isometry import transport_to_standard_axis
+from halfpipe.isometry import Isometry, embed_h2, transport_to_standard_axis
 
 # |x^2 + y^2 + z^2 - xyz| accepted as "on the relation variety".
 EPS_FRICKE = 1e-9
@@ -284,9 +285,9 @@ class PuncturedTorusGroup:
     SL2 matrices, and through the adjoint to Lorentz matrices acting on the
     shared hyperbolic plane.  The commutator word is the cusp.
 
-    A group computes a word's Lorentz image, axis and axis transport
-    (``transport_to_standard_axis``) the first time it is asked for them and
-    returns the same object after that; the arrays are read-only.  So are
+    A group computes a word's Lorentz image, axis, axis transport
+    (``transport_to_standard_axis``) and axis frames when first asked for
+    them and returns the same object after that; the arrays are read-only.  So are
     the side normals of its fundamental quadrilateral (``tile_sides``) and
     the lifts of a component through a tile (``tile_leaves``), kept for every
     tile a leaf search has kept.  It also
@@ -310,6 +311,7 @@ class PuncturedTorusGroup:
         object.__setattr__(self, "_lorentz", {})
         object.__setattr__(self, "_axes", {})
         object.__setattr__(self, "_transports", {})
+        object.__setattr__(self, "_frames", {})
         object.__setattr__(self, "_sides", None)
         object.__setattr__(self, "_tile_leaves", {})
         object.__setattr__(self, "segment_crossings", {})
@@ -341,6 +343,17 @@ class PuncturedTorusGroup:
             transport.flags.writeable = False
             self._transports[word] = transport
         return transport
+
+    def axis_frame(self, word: str, tags: tuple[Geometry, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """phi = block-diag(axis_transport(word), 1) and the stack of its group inverses in the models ``tags``."""
+        frame = self._frames.get((word, tags))
+        if frame is None:
+            phi = embed_h2(self.axis_transport(word))
+            by_tag = {tag: Isometry(phi, tag).inverse().matrix for tag in set(tags)}
+            inverses = np.array([by_tag[tag] for tag in tags])
+            phi.flags.writeable = inverses.flags.writeable = False
+            frame = self._frames[word, tags] = (phi, inverses)
+        return frame
 
     def tile_sides(self) -> np.ndarray:
         """Inward unit normals, as columns, of the sides of the ideal quadrilateral Q.
@@ -656,13 +669,14 @@ def _pairings(x: np.ndarray, y: np.ndarray) -> Callable[[np.ndarray], Pairings]:
     to which leaves pass within EPS_ENDPOINT of either endpoint."""
     # Affine pairings are sign- and root-compatible with the lifted ones;
     # the lift rescaling only matters for the endpoint-distance tolerance.
-    dual_x = J3 @ np.concatenate(([1.0], x))
-    dual_y = J3 @ np.concatenate(([1.0], y))
+    duals = np.array([[-1.0, *x], [-1.0, *y]])[:, np.newaxis, :]  # J3 (1, x) and J3 (1, y)
     scale0 = 1.0 / math.sqrt(1.0 - float(x @ x))
     scale1 = 1.0 / math.sqrt(1.0 - float(y @ y))
 
     def pairings(normals: np.ndarray) -> Pairings:
-        f0, f1 = normals @ dual_x, normals @ dual_y
+        # Summed column by column: a matrix-vector product rounds by stack height.
+        products = duals * normals
+        f0, f1 = products[..., 0] + products[..., 1] + products[..., 2]
         return f0, f1, (np.abs(f0) * scale0 < EPS_ENDPOINT) | (np.abs(f1) * scale1 < EPS_ENDPOINT)
 
     return pairings
@@ -699,7 +713,7 @@ class LeafAtlas:
 
         The ball is convex, so every leaf crossing [x, y] meets it.
         """
-        needed = math.acosh(float(disk_lift(np.stack([x, y]))[:, 0].max()))
+        needed = math.acosh(float(disk_lift(np.array([x, y]))[:, 0].max()))
         if self.radius < needed <= ATLAS_RADIUS_LIMIT:
             radius = math.ceil(needed / ATLAS_STEP) * ATLAS_STEP
             # A leaf within EPS_ENDPOINT of an endpoint on the rim still counts.

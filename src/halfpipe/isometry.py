@@ -25,6 +25,7 @@ the basic building blocks of bending; their standard forms about the axis
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,9 @@ EPS_GROUP_MEMBER = 1e-8
 EPS_GROUP = 1e-11
 # Largest block-structure defect of a rotation about a given axis.
 EPS_ROTATION = 1e-8
+
+_IDENTITY = np.eye(4)[np.newaxis]
+_IDENTITY.flags.writeable = False
 
 
 class InvalidIsometryError(GeometryError):
@@ -189,7 +193,7 @@ def h2_rotation(angle: float) -> np.ndarray:
 
 def embed_h2(a: np.ndarray) -> np.ndarray:
     """The matrix block-diag(A, 1)."""
-    out = np.eye(4)
+    out = _IDENTITY[0].copy()
     out[:3, :3] = np.asarray(a, dtype=float)
     return out
 
@@ -213,39 +217,43 @@ def transport_to_standard_axis(axis: SpacelikeGeodesicH2) -> np.ndarray:
     return J3 @ frame.T @ J3
 
 
-def _standard_rotation_matrix(tag: Geometry, angle: float) -> np.ndarray:
-    out = np.eye(4)
-    if tag is HYP:
-        c, s = math.cos(angle), math.sin(angle)
-        out[2:, 2:] = [[c, s], [-s, c]]
-    elif tag is ADS:
-        try:
-            c, s = math.cosh(angle), math.sinh(angle)
-        except OverflowError as exc:
-            raise RotationOverflowError(f"anti-de Sitter rotation by {angle!r} overflows") from exc
-        out[2:, 2:] = [[c, s], [s, c]]
-    else:
-        out[3, 2] = -angle
+def identity_stack(k: int) -> np.ndarray:
+    """k copies of the 4x4 identity matrix, as one array of shape (k, 4, 4)."""
+    return _IDENTITY.repeat(k, axis=0)
+
+
+def standard_rotations(tags: Sequence[Geometry], angles: Sequence[float]) -> np.ndarray:
+    """The stack of rotations about {x2 = x3 = 0}, slice j by ``angles[j]`` in the model ``tags[j]``.
+
+    Hyperbolic angles are taken mod 2*pi into [-pi, pi).
+    """
+    out = identity_stack(len(tags))
+    for j, (tag, angle) in enumerate(zip(tags, angles)):
+        if tag is HYP:
+            angle = math.remainder(angle, 2.0 * math.pi)
+            angle = -math.pi if angle == math.pi else angle
+            c, s = math.cos(angle), math.sin(angle)
+            out[j, 2, 2], out[j, 2, 3], out[j, 3, 2], out[j, 3, 3] = c, s, -s, c
+        elif tag is ADS:
+            try:
+                c, s = math.cosh(angle), math.sinh(angle)
+            except OverflowError as exc:
+                raise RotationOverflowError(f"anti-de Sitter rotation by {angle!r} overflows") from exc
+            out[j, 2, 2], out[j, 2, 3], out[j, 3, 2], out[j, 3, 3] = c, s, s, c
+        else:
+            out[j, 3, 2] = -angle
     return out
 
 
 def standard_rotation(tag: Geometry, angle: float) -> Isometry:
     """Rotation of the given angle about the standard axis {x2 = x3 = 0}."""
-    return Isometry(_standard_rotation_matrix(tag, angle), tag)
+    return Isometry(standard_rotations((tag,), (angle,))[0], tag)
 
 
 def rotation_in_frame(tag: Geometry, transport: np.ndarray, angle: float) -> np.ndarray:
-    """The matrix of :func:`rotation` about the axis that ``transport`` carries to standard position.
-
-    ``transport`` is the axis's :func:`transport_to_standard_axis`, so a
-    caller rotating about one axis many times computes it once.
-    """
-    if tag is HYP:
-        angle = math.remainder(angle, 2.0 * math.pi)
-        if angle == math.pi:
-            angle = -math.pi
-    phi = embed_h2(transport)
-    return _group_inverse(phi, tag) @ _standard_rotation_matrix(tag, angle) @ phi
+    """The matrix of :func:`rotation` about the axis that ``transport`` carries to standard position."""
+    phi = embed_h2_isometry(tag, transport)
+    return (phi.inverse().matrix @ standard_rotations((tag,), (angle,))[0]) @ phi.matrix
 
 
 def rotation(tag: Geometry, axis: SpacelikeGeodesicH2, angle: float) -> Isometry:
@@ -332,24 +340,18 @@ def reflection(plane: Plane) -> Isometry:
 # ---------------------------------------------------------------------------
 
 
-def rescaling_matrix(t: float) -> np.ndarray:
-    """diag(1, 1, 1, 1/|t|): blows up the fiber direction as t -> 0."""
-    if t == 0:
-        raise GeometryError("rescaling is only defined for t != 0")
-    return np.diag([1.0, 1.0, 1.0, 1.0 / abs(t)])
-
-
-def rescale_conjugate(t: float, g: Isometry | np.ndarray) -> np.ndarray:
+def rescale_conjugate(t: float | np.ndarray, g: Isometry | np.ndarray) -> np.ndarray:
     """The raw matrix tau_t m tau_t^{-1} (row 3 divided, column 3 multiplied by |t|).
 
-    The result is generally not a group element of any fixed tag, which is
-    why it is returned as a plain matrix; families of such conjugates
-    converge entrywise to half-pipe isometries.
+    A (k, 4, 4) stack takes k values of t.  The result is generally not a
+    group element of any fixed tag, hence a plain matrix; families of such
+    conjugates converge entrywise to half-pipe isometries.
     """
-    m = g.matrix if isinstance(g, Isometry) else np.asarray(g, dtype=float)
+    m = g.matrix if isinstance(g, Isometry) else g
+    scale = np.abs(np.asarray(t, dtype=float))[..., None]
     out = np.array(m, dtype=float)
-    out[3, :] /= abs(t)
-    out[:, 3] *= abs(t)
+    out[..., 3, :] /= scale
+    out[..., :, 3] *= scale
     return out
 
 

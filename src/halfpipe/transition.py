@@ -4,10 +4,10 @@ Bending a surface by angles proportional to t produces structures that
 collapse onto the bending surface as t -> 0; conjugating by the rescaling
 diag(1, 1, 1, 1/|t|) blows the collapse back up, and the rescaled families
 converge to half-pipe data.  This module builds those families over a fixed
-Fuchsian base (hyperbolic for t > 0, anti-de Sitter for t < 0), extrapolates
-their limits by Neville's scheme in |t|^p with the leading order p read off
-the samples nearest 0, fits empirical convergence orders, and packages the
-diagnostics for reporting.  It also provides the
+Fuchsian base (hyperbolic for t > 0, anti-de Sitter for t < 0), one stacked
+product per grid, extrapolates their limits by Neville's scheme in |t|^p with
+the leading order p read off the samples nearest 0, fits empirical convergence
+orders, and packages the diagnostics for reporting.  It also provides the
 closed-form width bound for convex cores, arc-length points on geodesics
 toward the ideal boundary, and the analogous limit check for reflections.
 """
@@ -19,7 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from halfpipe.bending import BendingContext, bending_map, bent_holonomy
+from halfpipe.bending import (
+    BendingContext, _bracketed_product, _crossings_to, bending_map, bent_holonomy, holonomy_crossings
+)
 from halfpipe.fuchsian import PuncturedTorusGroup, WeightedMulticurve
 from halfpipe.geometry import (
     ADS,
@@ -29,10 +31,11 @@ from halfpipe.geometry import (
     GeometryError,
     Plane,
     ProjectivePoint,
+    embed_h2_vector,
     form_dot,
     form_eval,
 )
-from halfpipe.isometry import reflection, rescale_conjugate, rescaling_matrix
+from halfpipe.isometry import reflection, rescale_conjugate
 
 # Default geometric basepoint for fixed-base families; off the axis leaves of
 # the short punctured-torus curves.
@@ -61,21 +64,27 @@ def normalized_projective(m: np.ndarray) -> np.ndarray:
 
     Divides by the bottom-right entry when it carries weight; otherwise
     Frobenius-normalizes (the sign ambiguity left by that branch is handled
-    by :func:`projective_distance`).
+    by :func:`projective_distance`), a (k, 4, 4) stack matrix by matrix.
     """
     m = np.asarray(m, dtype=float)
-    scale = float(np.max(np.abs(m)))
-    if scale == 0.0:
+    scale = np.max(np.abs(m), axis=(-2, -1))
+    if np.any(scale == 0.0):
         raise GeometryError("the zero matrix has no projective class")
-    if abs(m[3, 3]) > 1e-8 * scale:
-        return m / m[3, 3]
-    return m / float(np.linalg.norm(m))
+    divisor = np.array(m[..., 3, 3])
+    for i in np.ndindex(divisor.shape):
+        if not abs(divisor[i]) > 1e-8 * scale[i]:
+            divisor[i] = np.linalg.norm(m[i])
+    return m / divisor[..., None, None]
+
+
+def _projective_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Entrywise gap between normalized matrices up to sign, slice by slice for stacks."""
+    return np.minimum(np.max(np.abs(a - b), axis=(-2, -1)), np.max(np.abs(a + b), axis=(-2, -1)))
 
 
 def projective_distance(m1: np.ndarray, m2: np.ndarray) -> float:
     """Entrywise gap between projective classes of two matrices."""
-    a, b = normalized_projective(m1), normalized_projective(m2)
-    return float(min(np.max(np.abs(a - b)), np.max(np.abs(a + b))))
+    return float(_projective_gap(normalized_projective(m1), normalized_projective(m2)))
 
 
 def geometry_of(t: float) -> Geometry:
@@ -121,20 +130,22 @@ class TransitionFamily:
 
     Entry i is rescale_conjugate(t_i, rho_{t_i}(word)) where rho_t bends by
     |t| times the weights, in the hyperbolic model for t_i > 0 and the
-    anti-de Sitter model for t_i < 0.  The grid is sorted by |t|.
+    anti-de Sitter model for t_i < 0, stacked in grid order, sorted by |t|.
     """
 
     word: str
     grid: tuple[float, ...]
-    matrices: tuple[np.ndarray, ...]
+    matrices: np.ndarray
 
     @property
     def sides(self) -> tuple[Geometry, ...]:
         return tuple(geometry_of(t) for t in self.grid)
 
-    def side(self, positive: bool) -> list[tuple[float, np.ndarray]]:
-        """(t, matrix) pairs of one side, ordered by increasing |t|."""
-        return [(t, m) for t, m in zip(self.grid, self.matrices) if (t > 0) == positive]
+    def side(self, positive: bool) -> tuple[np.ndarray, np.ndarray]:
+        """The grid values of one side and the stack of their matrices, by increasing |t|."""
+        ts = np.array(self.grid)
+        mask = (ts > 0) == positive
+        return ts[mask], np.asarray(self.matrices, dtype=float)[mask]
 
 
 def holonomy_family(
@@ -150,14 +161,14 @@ def holonomy_family(
     For each grid value t the word's bent holonomy is computed with weights
     scaled by |t| (hyperbolic for t > 0, anti-de Sitter for t < 0) and
     conjugated by the rescaling diag(1,1,1,1/|t|).  The leaf crossings of
-    [x0, word . x0] do not depend on t; the group keeps them, so they are
-    found once.
+    [x0, word . x0] do not depend on t: they are queried once, and the grid
+    is one stacked product, slice by slice that of ``signed_context`` at t.
     """
     ts = _checked_grid(grid)
-    base = np.asarray(base_point, dtype=float).reshape(2)
-    contexts = [signed_context(group, multicurve, base, sign, t) for t in ts]
-    matrices = tuple(rescale_conjugate(t, bent_holonomy(ctx)(word)) for t, ctx in zip(ts, contexts))
-    return TransitionFamily(word=word, grid=ts, matrices=matrices)
+    ctx = signed_context(group, multicurve, base_point, sign, ts[0])
+    slices = [(geometry_of(t), sign * t) for t in ts]
+    stack = _bracketed_product(group, multicurve, holonomy_crossings(ctx, word), word, slices)
+    return TransitionFamily(word=word, grid=ts, matrices=rescale_conjugate(np.array(ts), stack))
 
 
 def richardson_limit(samples, order: float = 1.0) -> np.ndarray:
@@ -187,17 +198,17 @@ def _fit_order(ts: np.ndarray, residuals: np.ndarray) -> float:
     return float(slope)
 
 
-def _side_limit(samples) -> np.ndarray:
+def _side_limit(ts: np.ndarray, matrices: np.ndarray, normalized: np.ndarray) -> np.ndarray:
     # The three samples of smallest |t|: the leading order p from the ratio of
     # consecutive differences (each dominated by its larger-|t| member), then
     # Neville's scheme in |t|^p, exact for the terms of orders 0, p and 2p.
-    (t1, m1), (t2, m2), (t3, m3) = samples[:3]
-    d1, d2 = projective_distance(m1, m2), projective_distance(m2, m3)
+    t1, t2, t3 = ts[:3]
+    d1, d2 = _projective_gap(normalized[:2], normalized[1:3])
     if min(d1, d2) <= EPS_RESIDUAL_FLOOR:
-        return m1
+        return matrices[0]
     order = max(1, round(math.log(d2 / d1) / math.log(abs(t3) / abs(t2))))
-    near = richardson_limit(samples[:2], order)
-    far = richardson_limit(samples[1:3], order)
+    near = richardson_limit(zip(ts[:2], matrices[:2]), order)
+    far = richardson_limit(zip(ts[1:3], matrices[1:3]), order)
     return richardson_limit([(t1, near), (t3, far)], order)
 
 
@@ -233,25 +244,20 @@ class ConvergenceReport:
 
 def extrapolate_limit(family: TransitionFamily) -> ConvergenceReport:
     """Measured-order Neville limits per side with order and gap diagnostics."""
-    sides = {}
-    for positive in (True, False):
-        samples = family.side(positive)
-        if len(samples) < 3:
-            raise InsufficientGridError("need at least three grid points per side")
-        sides[positive] = _side_limit(samples)
-    residuals = []
-    orders = {}
-    for positive in (True, False):
-        samples = family.side(positive)
-        ts = np.array([abs(t) for t, _ in samples])
-        res = np.array([projective_distance(m, sides[positive]) for _, m in samples])
-        orders[positive] = _fit_order(ts, res)
-        residuals.extend(zip((t for t, _ in samples), res))
+    sides = {positive: family.side(positive) for positive in (True, False)}
+    if any(len(ts) < 3 for ts, _ in sides.values()):
+        raise InsufficientGridError("need at least three grid points per side")
+    limits, orders, residuals = {}, {}, []
+    for positive, (ts, matrices) in sides.items():
+        normalized = normalized_projective(matrices)
+        limits[positive] = normalized_projective(_side_limit(ts, matrices, normalized))
+        res = _projective_gap(normalized, limits[positive])
+        orders[positive] = _fit_order(np.abs(ts), res)
+        residuals.extend(zip(ts.tolist(), res.tolist()))
     residuals.sort(key=lambda pair: (abs(pair[0]), pair[0]))
-    a, b = normalized_projective(sides[True]), normalized_projective(sides[False])
+    a, b = limits[True], limits[False]
     if float(np.sum(a * b)) < 0.0:
         b = -b
-    gap = projective_distance(sides[True], sides[False])
     trace_gap = max(
         abs(float(np.trace(a) - np.trace(b))),
         abs(float(np.trace(a[:3, :3]) - np.trace(b[:3, :3]))),
@@ -259,11 +265,11 @@ def extrapolate_limit(family: TransitionFamily) -> ConvergenceReport:
     return ConvergenceReport(
         word=family.word,
         grid=tuple(t for t, _ in residuals),
-        residuals=tuple(float(r) for _, r in residuals),
+        residuals=tuple(r for _, r in residuals),
         limit=0.5 * (a + b),
         order_positive=orders[True],
         order_negative=orders[False],
-        two_sided_gap=gap,
+        two_sided_gap=float(_projective_gap(a, b)),
         trace_gap=trace_gap,
     )
 
@@ -313,35 +319,27 @@ def pleated_surface_convergence(
 
     For each grid value t, develops every sample point onto the surface bent
     by |t| times the weights, rescales by diag(1,1,1,1/|t|), and measures the
-    affine-chart distance to the half-pipe surface bent at full weights.
-    Reports the per-t maxima and the log-log order on each side.
+    affine-chart distance to the half-pipe surface bent at full weights; each
+    point's leaf crossings are found once, and its grid is one stacked
+    product.  Reports the per-t maxima and the log-log order on each side.
     """
     ts = _checked_grid(grid)
-    base = np.asarray(base_point, dtype=float).reshape(2)
-    points = [np.asarray(z, dtype=float).reshape(2) for z in samples]
-    hp_ctx = BendingContext(
-        group=group, multicurve=multicurve, base_point=base, tag=HP, sign=sign, scale=1.0
-    )
-    targets = [bending_map(hp_ctx, z).affine_chart() for z in points]
-    maxima = []
-    for t in ts:
-        ctx = signed_context(group, multicurve, base, sign, t)
-        tau = rescaling_matrix(t)
-        worst = 0.0
-        for z, target in zip(points, targets):
-            vec = tau @ bending_map(ctx, z).vec
-            chart = vec[1:] / vec[0]
-            worst = max(worst, float(np.max(np.abs(chart - target))))
-        maxima.append(worst)
+    hp_ctx = BendingContext(group=group, multicurve=multicurve, base_point=base_point, tag=HP, sign=sign, scale=1.0)
+    slices = [(geometry_of(t), sign * t) for t in ts]
+    inverse_scales = np.array([1.0 / abs(t) for t in ts])
+    maxima = np.zeros(len(ts))
+    for z in samples:
+        z = np.asarray(z, dtype=float).reshape(2)
+        vecs = _bracketed_product(group, multicurve, _crossings_to(hp_ctx, z), "", slices) @ embed_h2_vector(z)
+        vecs[:, 3] *= inverse_scales
+        gaps = np.max(np.abs(vecs[:, 1:] / vecs[:, :1] - bending_map(hp_ctx, z).affine_chart()), axis=1)
+        maxima = np.maximum(maxima, gaps)
     def side_order(positive: bool) -> float:
-        pairs = [(abs(t), r) for t, r in zip(ts, maxima) if (t > 0) == positive]
-        if len(pairs) < 2:
-            return math.nan
-        arr = np.array(pairs)
-        return _fit_order(arr[:, 0], arr[:, 1])
+        side = (np.array(ts) > 0) == positive
+        return _fit_order(np.abs(np.array(ts)[side]), maxima[side]) if np.count_nonzero(side) >= 2 else math.nan
     return PleatedConvergenceReport(
         grid=ts,
-        max_residuals=tuple(maxima),
+        max_residuals=tuple(maxima.tolist()),
         order_positive=side_order(True),
         order_negative=side_order(False),
     )
@@ -401,10 +399,7 @@ def reflection_limit_check(plane_family, limit_plane: Plane, grid=None) -> Limit
         raise GeometryError("the limit plane must be a half-pipe plane")
     ts = _checked_grid(grid if grid is not None else [t for t in DEFAULT_GRID if t > 0])
     target = reflection(limit_plane).matrix
-    residuals = []
-    for t in ts:
-        plane = plane_family(t)
-        m = rescale_conjugate(t, reflection(plane))
-        residuals.append(float(np.max(np.abs(m - target))))
-    order = _fit_order(np.abs(np.array(ts)), np.array(residuals))
-    return LimitCheckReport(grid=ts, residuals=tuple(residuals), order=order)
+    stack = rescale_conjugate(np.array(ts), np.array([reflection(plane_family(t)).matrix for t in ts]))
+    residuals = np.max(np.abs(stack - target), axis=(1, 2))
+    order = _fit_order(np.abs(np.array(ts)), residuals)
+    return LimitCheckReport(grid=ts, residuals=tuple(residuals.tolist()), order=order)

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from test_fuchsian import ATLAS_MULTICURVES, disk_points, reduced_words, trace_points
 
 from halfpipe.bending import (
     BadAlignerError,
@@ -172,6 +175,52 @@ def test_bent_holonomy_is_a_homomorphism_at_extreme_traces():
         lhs = rho("AAb").matrix
         rhs = (rho("A") @ rho("Ab")).matrix
         assert np.max(np.abs(lhs - rhs)) < 1e-9 * np.max(np.abs(lhs))
+
+
+# The one-component multicurves: the two components of the other, A and B,
+# cross, and rotations about crossing leaves commute only in the half-pipe
+# model, so bending along it is no cocycle in the other two.
+laminations = st.sampled_from([mc for mc in ATLAS_MULTICURVES if len(mc.components) == 1])
+
+
+@given(
+    point=trace_points,
+    mc=laminations,
+    tag=st.sampled_from(ALL_TAGS),
+    scale=st.floats(0.05, 1.0),
+    x=disk_points,
+    y=disk_points,
+    z=disk_points,
+)
+def test_cocycle_identity_at_random_points(point, mc, tag, scale, x, y, z):
+    ctx = BendingContext(build_punctured_torus(point), mc, BASE, tag, 1.0, scale)
+    try:
+        lhs = (bending_cocycle(ctx, x, y) @ bending_cocycle(ctx, y, z)).matrix
+        rhs = bending_cocycle(ctx, x, z).matrix
+    except EndpointOnLeafError:
+        assume(False)
+    assert np.max(np.abs(lhs - rhs)) < TOL_COCYCLE * np.max(np.abs(rhs))
+
+
+@given(
+    point=trace_points,
+    mc=laminations,
+    tag=st.sampled_from(ALL_TAGS),
+    scale=st.floats(0.05, 1.0),
+    base=disk_points,
+    word=reduced_words.filter(lambda w: len(w) > 1),
+    cut=st.integers(1, 3),
+)
+def test_bent_holonomy_is_a_homomorphism_at_random_points(point, mc, tag, scale, base, word, cut):
+    cut = min(cut, len(word) - 1)
+    w1, w2 = word[:cut], word[cut:]
+    rho = bent_holonomy(BendingContext(build_punctured_torus(point), mc, base, tag, 1.0, scale))
+    try:
+        lhs = rho(word).matrix
+        rhs = (rho(w1) @ rho(w2)).matrix
+    except EndpointOnLeafError:
+        assume(False)
+    assert np.max(np.abs(lhs - rhs)) < TOL_COCYCLE * np.max(np.abs(lhs))
 
 
 def test_bent_holonomy_degenerate_inputs():

@@ -5,10 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from test_fuchsian import ATLAS_MULTICURVES, reduced_words, trace_points
 
 from halfpipe import bending, transition
 from halfpipe.bending import bent_holonomy
-from halfpipe.fuchsian import TeichPoint, WeightedMulticurve, build_punctured_torus
+from halfpipe.fuchsian import EndpointOnLeafError, TeichPoint, WeightedMulticurve, build_punctured_torus
 from halfpipe.geometry import (
     ADS,
     HP,
@@ -196,23 +199,48 @@ def test_generator_words_have_agreeing_two_sided_limits():
 
 def test_family_contexts_share_one_atlas_and_one_crossing_query(monkeypatch):
     group, lam = _group(), _lamination()
-    contexts, queries = [], []
-    make_context, query = transition.signed_context, bending.leaves_crossing
-
-    def recording_context(*args):
-        contexts.append(make_context(*args))
-        return contexts[-1]
-
-    monkeypatch.setattr(transition, "signed_context", recording_context)
+    base = np.array(transition.DEFAULT_BASE_POINT)
+    queries = []
+    query = bending.leaves_crossing
     monkeypatch.setattr(bending, "leaves_crossing", lambda *args: queries.append(args) or query(*args))
     fam = holonomy_family(group, lam, 1.0, "AB")
-    assert len(contexts) == len(DEFAULT_GRID) and len(queries) == 1
+    assert len(queries) == 1
+    contexts = [transition.signed_context(group, lam, base, 1.0, t) for t in fam.grid]
     for t, ctx, matrix in zip(fam.grid, contexts, fam.matrices):
         assert np.array_equal(matrix, rescale_conjugate(t, bent_holonomy(ctx)("AB")))
+    assert len(queries) == 1
     atlas = group.atlas(lam)
     ctx = contexts[0]
     derived = (ctx.rescaled(0.5), ctx.with_geometry(HP), ctx.rescaled(2.0).with_geometry(ADS))
     assert all(c.group.atlas(c.multicurve) is atlas for c in (*contexts, *derived))
+
+
+# 3 to 5 values of |t| per side, in shuffled order.  One hyperbolic value is
+# past 2*pi, where every weight of ATLAS_MULTICURVES turns by more than pi.
+magnitudes = st.lists(st.floats(1e-4, 2.0), min_size=2, max_size=4, unique=True)
+shuffled_grids = st.tuples(magnitudes, st.floats(6.5, 12.0), magnitudes, st.floats(2.5, 4.0)).flatmap(
+    lambda sides: st.permutations([*sides[0], sides[1], *(-t for t in sides[2]), -sides[3]])
+)
+
+
+@given(
+    point=trace_points,
+    mc=st.sampled_from(ATLAS_MULTICURVES),
+    word=reduced_words,
+    sign=st.sampled_from((1.0, -1.0)),
+    grid=shuffled_grids,
+)
+def test_stacked_family_equals_the_per_context_products(point, mc, word, sign, grid):
+    group = build_punctured_torus(point)
+    base = np.array(transition.DEFAULT_BASE_POINT)
+    try:
+        fam = holonomy_family(group, mc, sign, word, grid=grid)
+    except EndpointOnLeafError:
+        assume(False)
+    assert sorted(fam.grid) == sorted(grid)
+    for t, matrix in zip(fam.grid, fam.matrices):
+        ctx = transition.signed_context(group, mc, base, sign, t)
+        assert np.array_equal(matrix, rescale_conjugate(t, bent_holonomy(ctx)(word))), t
 
 
 def test_negative_bending_sign_also_transits():

@@ -10,6 +10,11 @@ The runs, all in one process:
 - all four subcommands on two small configurations, with ``double`` also
   at the base point (-0.2, 0.15) and ``export-surface`` also at ``--grid``
   0.1, 0 and -0.1;
+- ``transition`` on the first small configuration at the four ``--grid``
+  values of TRANSITION_GRIDS, which reach the per-value branches of the
+  stacked holonomy product: an uneven, unsorted grid, hyperbolic angles
+  past pi, an anti-de Sitter rotation that overflows (exit 3), and too few
+  values per side (exit 3);
 - ``double`` and ``export-surface`` at two extreme trace points, ABB at
   from_xy(3, 40) and 0.5 AAB at from_xy(20, 3), where leaf atlases reach
   far into thin parts of the surface.
@@ -47,6 +52,12 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
 SUBCOMMANDS = ("transition", "kerckhoff", "double", "export-surface")
+TRANSITION_GRIDS = (
+    "0.05,-0.02,0.02,-0.05,0.005,-0.005,0.001",
+    "4,2,1,-4,-2,-1",
+    "-1000,-100,-10,0.1,0.01,0.001",
+    "0.1,0.01,-0.1,-0.01",
+)
 
 
 def _digest(lines: list[str]) -> str:
@@ -90,6 +101,9 @@ def runs(workloads, teich_point):
         yield f"small/{name}/double@base", "double", dict(cfg, base_point=[-0.2, 0.15]), ()
         for grid in ("0.1", "0", "-0.1"):
             yield f"small/{name}/export-surface@{grid}", "export-surface", cfg, (f"--grid={grid}",)
+        if name == "test-cli":
+            for grid in TRANSITION_GRIDS:
+                yield f"small/{name}/transition@{grid}", "transition", cfg, (f"--grid={grid}",)
     edge = {"xy(3,40)": (3.0, 40.0, ("ABB", 1.0)), "xy(20,3)": (20.0, 3.0, ("AAB", 0.5))}
     for name, (x, y, lam) in edge.items():
         cfg = _config(teich_point.from_xy(x, y).as_array().tolist(), **{"lambda": [lam]})
