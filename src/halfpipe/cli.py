@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .bending import BendingContext, bending_map
-from .doubling import meridian_cone_angle
+from .doubling import meridian_cone_angles
 from .fuchsian import (
     BadTracesError,
     MulticurveComponent,
@@ -297,29 +297,19 @@ def cmd_double(args) -> int:
     slope_gap = 0.0
     hp_gap = 0.0
     for component in lam.components:
-        per_tag_angles = {}
-        for tag in (HYP, ADS, HP):
-            ctx = BendingContext(
-                group=group, multicurve=lam, base_point=base, tag=tag, sign=1.0, scale=1.0
-            )
-            angles = [float(meridian_cone_angle(ctx, component.word, t)) for t in grid]
-            per_tag_angles[tag] = angles
-            rows.extend(
-                (tag.name.lower(), component.word, float(component.weight), float(t), angle)
-                for t, angle in zip(grid, angles)
-            )
+        slices = [(tag, t) for tag in (HYP, ADS, HP) for t in grid]
+        table = meridian_cone_angles(group, lam, base, component.word, slices)
+        rows.extend(
+            (tag.name.lower(), component.word, float(component.weight), float(t), angle)
+            for (tag, t), angle in zip(slices, table)
+        )
+        hyp, ads, hp = (table[i : i + len(grid)] for i in range(0, len(table), len(grid)))
         # the doubled metrics close up affinely: slope -2 * weight on each side
         if len(grid) >= 2:
-            for tag in (HYP, ADS):
-                slope = float(np.polyfit(np.array(grid), np.array(per_tag_angles[tag]), 1)[0])
+            for angles in (hyp, ads):
+                slope = float(np.polyfit(np.array(grid), np.array(angles), 1)[0])
                 slope_gap = max(slope_gap, abs(slope + 2.0 * component.weight))
-        hp_gap = max(
-            hp_gap,
-            max(
-                abs(angle + 2.0 * component.weight * t)
-                for t, angle in zip(grid, per_tag_angles[HP])
-            ),
-        )
+        hp_gap = max(hp_gap, max(abs(angle + 2.0 * component.weight * t) for t, angle in zip(grid, hp)))
 
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")

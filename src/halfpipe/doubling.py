@@ -6,9 +6,10 @@ reflections extend the holonomy to the doubled manifold, meridians around the
 bending lines become cone axes, and a cusp of the surface doubles to a torus
 cusp.  This module builds the extended representation over words in the
 surface generators together with face tokens e1, e2, ..., computes meridian
-cone angles from adjacent support-plane reflections, aligns the two boundary
-surfaces of a half-pipe convex core by a common conjugating translation, and
-checks that doubled cusp stabilizers are rank-2 abelian.
+cone angles from adjacent support-plane reflections (a whole table of models
+and scales as one stacked computation), aligns the two boundary surfaces of a
+half-pipe convex core by a common conjugating translation, and checks that
+doubled cusp stabilizers are rank-2 abelian.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import functools
 import math
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,22 +25,24 @@ import numpy as np
 from halfpipe.bending import (
     BendingContext,
     BentHolonomy,
+    _bracketed_product,
     _check_surface_pair,
-    _context_product,
     bent_holonomy,
     crossings_from_base,
     support_plane_at,
 )
-from halfpipe.fuchsian import EndpointOnLeafError, leaves_crossing
-from halfpipe.geometry import HP, HYP, Geometry, GeometryError, Plane
+from halfpipe.fuchsian import EndpointOnLeafError, PuncturedTorusGroup, WeightedMulticurve, leaves_crossing
+from halfpipe.geometry import HP, HYP, Geometry, GeometryError, _unit
 from halfpipe.isometry import (
     Isometry,
     MinkowskiIsometry,
+    _group_inverse,
     classify_isometry,
     hp_to_minkowski,
     minkowski_to_hp,
     reflection,
-    rotation_angle_in_frame,
+    reflection_stack,
+    standard_rotation_angle,
 )
 
 # Residual allowed when a claimed face stabilizer must commute with the face
@@ -255,37 +259,67 @@ def _adjacent_face_points(ctx: BendingContext, component_index: int):
     raise GeometryError("could not isolate the leaf between its two adjacent faces")
 
 
-def meridian_cone_angle(ctx: BendingContext, word: str, t: float | None = None) -> float:
-    """Cone angle of the meridian around a bending line in the double.
+def meridian_cone_angles(
+    group: PuncturedTorusGroup, multicurve: WeightedMulticurve, base_point, word: str,
+    slices: Sequence[tuple[Geometry, float]],
+) -> list[float]:
+    """Cone angles of the meridian around the bending line of the component ``word``, one per slice.
 
     Doubling turns each bending leaf into a cone axis whose meridian is the
-    product of the reflections in the two support planes adjacent along the
-    leaf.  For bending angle theta = sign * scale * weight the result is
-    2*(pi - theta) in the hyperbolic model and -2*theta in the anti-de
-    Sitter and half-pipe models.  The leaf, its two face points and the
-    leaves crossed from x0 to them depend on neither the geometry nor t, so
-    calls over one group share them through it and form only the products.
+    product of the reflections in the two support planes beside the leaf.
+    Slice j is (tag, sign * scale) of a context over the group, multicurve
+    and basepoint; entry j of the returned list of k floats is its cone
+    angle, 2*(pi - theta) in the hyperbolic model and -2*theta in the others,
+    for theta = sign * scale * weight.  A hyperbolic angle is read mod 2*pi
+    and returned as the representative nearest 2*(pi - theta), which is
+    2*pi plus the read-out in [-pi, pi) whenever |theta| <= pi/2.  The leaves
+    crossed from x0 to the two faces are read once through the group's
+    segment memo, and the table is two stacked products, slice by slice
+    those of one context.  A non-finite scale, an unknown word and a
+    hyperbolic |theta| >= pi raise GeometryError before any product.
     """
-    if t is not None:
-        ctx = ctx.rescaled(t)
-    index = next((i for i, c in enumerate(ctx.multicurve.components) if c.word == word), None)
+    tags, scales = zip(*slices)
+    index = next((i for i, c in enumerate(multicurve.components) if c.word == word), None)
     if index is None:
         raise GeometryError(f"{word!r} is not a component of the multicurve")
-    if ctx.tag is HYP and abs(ctx.scale * ctx.multicurve.components[index].weight) >= np.pi:
-        raise GeometryError("hyperbolic bending angle must stay below pi")
+    weight = multicurve.components[index].weight
+    for tag, s in slices:
+        if not math.isfinite(s):
+            raise GeometryError(f"scale {s!r} is not finite")
+        if tag is HYP and abs(s * weight) >= math.pi:
+            raise GeometryError(f"hyperbolic bending angle {s * weight!r} must stay below pi")
+    ctx = BendingContext(group, multicurve, base_point, tags[0])
     faces = functools.cache(lambda: _adjacent_face_points(ctx, index))
     near = crossings_from_base(ctx, (index, 0), lambda: faces()[0])
     try:
         far = crossings_from_base(ctx, (index, 1), lambda: faces()[1])
     except EndpointOnLeafError as exc:
         raise FacePointOnLeafError(f"face point {faces()[1]} lies on a leaf") from exc
-    base_plane = Plane.base_plane(ctx.tag)
-    cocycle = _context_product(ctx, near, "")
-    far_plane = _context_product(ctx, far, "").apply_plane(base_plane)
-    product = reflection(cocycle.apply_plane(base_plane)) @ reflection(far_plane)
-    pulled_back = cocycle.inverse() @ product @ cocycle
-    raw = rotation_angle_in_frame(pulled_back, ctx.group.axis_transport(word))
-    return 2.0 * np.pi + raw if ctx.tag is HYP else raw
+    cocycles = _bracketed_product(group, multicurve, near, "", slices)
+    far_cocycles = _bracketed_product(group, multicurve, far, "", slices)
+    phi, phi_inverses = group.axis_frame(word, tags)
+    angles = [0.0] * len(tags)
+    for tag in dict.fromkeys(tags):
+        rows = [j for j, other in enumerate(tags) if other is tag]
+        inverses, far_inverses = _group_inverse(cocycles[rows], tag), _group_inverse(far_cocycles[rows], tag)
+        # Row 3 of a cocycle's inverse is the covector of its image of {x3 = 0}.
+        mirrors = [reflection_stack(tag, [_unit(m[3]) for m in stack]) for stack in (inverses, far_inverses)]
+        blocks = (phi @ ((inverses @ (mirrors[0] @ mirrors[1])) @ cocycles[rows])) @ phi_inverses[rows]
+        for j, block in zip(rows, blocks):
+            angles[j] = standard_rotation_angle(block, tag)
+            if tag is HYP:
+                angles[j] += math.tau * round((2.0 * (math.pi - scales[j] * weight) - angles[j]) / math.tau)
+    return angles
+
+
+def meridian_cone_angle(ctx: BendingContext, word: str, t: float | None = None) -> float:
+    """Cone angle of the meridian around a bending line in the double.
+
+    The one-slice table of :func:`meridian_cone_angles` at the context's
+    model and sign * scale, with ``t`` in place of the scale when given.
+    """
+    scale = ctx.scale if t is None else t
+    return meridian_cone_angles(ctx.group, ctx.multicurve, ctx.base_point, word, ((ctx.tag, ctx.sign * scale),))[0]
 
 
 def _parabolic_fixed_direction(g: Isometry) -> np.ndarray:

@@ -36,6 +36,7 @@ from halfpipe.geometry import (
     HYP,
     J3,
     EPS_MEMBERSHIP,
+    DegeneratePlaneError,
     Geometry,
     GeometryError,
     NotSpacelikeError,
@@ -56,6 +57,9 @@ EPS_ROTATION = 1e-8
 
 _IDENTITY = np.eye(4)[np.newaxis]
 _IDENTITY.flags.writeable = False
+# The entries of a 4x4 matrix outside its transversal (x2, x3) block.
+_OFF_TRANSVERSAL = np.ones((4, 4), dtype=bool)
+_OFF_TRANSVERSAL[2:, 2:] = False
 
 
 class InvalidIsometryError(GeometryError):
@@ -90,17 +94,17 @@ def group_residual(matrix: np.ndarray, tag: Geometry) -> float:
 
 
 def _group_inverse(m: np.ndarray, tag: Geometry) -> np.ndarray:
-    """The inverse of a group element of the tag, from the form relations."""
+    """The inverse of a group element of the tag, or of each slice of a (k, 4, 4) stack, from the form relations."""
     if tag is HP:
-        a, w, eps = m[:3, :3], m[3, :3], m[3, 3]
-        a_inv = J3 @ a.T @ J3
-        out = np.zeros((4, 4))
-        out[:3, :3] = a_inv
-        out[3, :3] = -eps * (w @ a_inv)
-        out[3, 3] = eps
+        a, w, eps = m[..., :3, :3], m[..., 3:, :3], m[..., 3:, 3:]
+        a_inv = J3 @ np.swapaxes(a, -1, -2) @ J3
+        out = np.zeros(m.shape)
+        out[..., :3, :3] = a_inv
+        out[..., 3:, :3] = -eps * (w @ a_inv)
+        out[..., 3:, 3:] = eps
         return out
     j = tag.form_matrix
-    return j @ m.T @ j
+    return j @ np.swapaxes(m, -1, -2) @ j
 
 
 @dataclass(frozen=True)
@@ -265,26 +269,16 @@ def rotation(tag: Geometry, axis: SpacelikeGeodesicH2, angle: float) -> Isometry
     return Isometry(rotation_in_frame(tag, transport_to_standard_axis(axis), angle), tag)
 
 
-def rotation_angle_in_frame(g: Isometry, transport: np.ndarray) -> float:
-    """The rotation angle of an isometry about the axis that ``transport`` carries to standard position.
+def standard_rotation_angle(m: np.ndarray, tag: Geometry) -> float:
+    """The angle of a rotation about the standard axis {x2 = x3 = 0}, from its matrix in the model ``tag``.
 
-    Raises
-    ------
-    NotRotationAboutAxisError
-        If the isometry does not fix the axis pointwise (block structure in
-        standard position off by more than EPS_ROTATION).
+    Hyperbolic angles are read into [-pi, pi).  Raises NotRotationAboutAxisError if the matrix
+    moves the axis (by more than EPS_ROTATION in its block structure) or its transversal block is no rotation.
     """
-    phi = embed_h2(transport)
-    m = phi @ g.matrix @ _group_inverse(phi, g.geometry)
-    block_defect = max(
-        float(np.max(np.abs(m[:2, :2] - np.eye(2)))),
-        float(np.max(np.abs(m[:2, 2:]))),
-        float(np.max(np.abs(m[2:, :2]))),
-    )
+    block_defect = float(np.abs(m - _IDENTITY[0])[_OFF_TRANSVERSAL].max())
     if block_defect > EPS_ROTATION:
         raise NotRotationAboutAxisError(f"isometry moves the axis (defect {block_defect:.3e})")
     b = m[2:, 2:]
-    tag = g.geometry
     if tag is HYP:
         angle = math.atan2(b[0, 1], b[0, 0])
         return -math.pi if angle == math.pi else angle
@@ -295,12 +289,13 @@ def rotation_angle_in_frame(g: Isometry, transport: np.ndarray) -> float:
         return angle
     if abs(b[0, 0] - 1.0) > EPS_ROTATION or abs(b[1, 1] - 1.0) > EPS_ROTATION or abs(b[0, 1]) > EPS_ROTATION:
         raise NotRotationAboutAxisError("transversal block is not a half-pipe rotation")
-    return -b[1, 0]
+    return float(-b[1, 0])
 
 
 def rotation_angle(g: Isometry, axis: SpacelikeGeodesicH2) -> float:
-    """The rotation angle of an isometry about a given oriented axis."""
-    return rotation_angle_in_frame(g, transport_to_standard_axis(axis))
+    """The rotation angle of an isometry about a given oriented axis, read as :func:`standard_rotation_angle`."""
+    phi = embed_h2(transport_to_standard_axis(axis))
+    return standard_rotation_angle(phi @ g.matrix @ _group_inverse(phi, g.geometry), g.geometry)
 
 
 # ---------------------------------------------------------------------------
@@ -318,21 +313,37 @@ def reflection(plane: Plane) -> Isometry:
     half-pipe planes (containing a fiber) admit a one-parameter family of
     reflections and are refused.
     """
-    tag = plane.geometry
+    return Isometry(reflection_stack(plane.geometry, plane.covector[np.newaxis])[0], plane.geometry)
+
+
+def reflection_stack(tag: Geometry, covectors: np.ndarray) -> np.ndarray:
+    """The (k, 4, 4) stack of reflections along the planes of k unit covectors in the model ``tag``.
+
+    Slice j is :func:`reflection` of the plane of ``covectors[j]``, bit for
+    bit, whatever the covector's sign.  Raises NotSpacelikeError or
+    DegeneratePlaneError as :func:`reflection` does.
+    """
+    u = np.asarray(covectors, dtype=float)
+    out = identity_stack(len(u))
     if tag is HP:
-        y = plane.hp_dual_point()  # raises DegeneratePlaneError when vertical
-        out = np.eye(4)
-        out[3, 3] = -1.0
-        out[3, :3] = 2.0 * (J3 @ y)
-        return Isometry(out, HP)
-    if not plane.is_spacelike():
+        if not np.all(np.abs(u[:, 3]) >= EPS_MEMBERSHIP):
+            raise DegeneratePlaneError("plane contains a fiber; no dual point")
+        # Row 3 is 2 (J3 y)^T for the dual point y = (-u0, u1, u2) / (-u3);
+        # adding 0.0 writes its zeros as +0.0, as the product J3 @ y does.
+        out[:, 3, 3] = -1.0
+        out[:, 3, :3] = 2.0 * (u[:, :3] / -u[:, 3:]) + 0.0
+        return out
+    # The normals n = J u and their form values q (+1 Hyp, -1 AdS spacelike)
+    # as Plane.unit_normal forms them; J is diagonal, so J @ x is d * x.
+    d = np.diagonal(tag.form_matrix)
+    n = u * d
+    q = form_eval(tag, n)
+    if not np.all(q > EPS_MEMBERSHIP if tag is HYP else q < -EPS_MEMBERSHIP):
         raise NotSpacelikeError("reflections are implemented along spacelike planes only")
-    n = plane.unit_normal()
-    q = float(form_eval(tag, n))  # +1 (Hyp) or -1 (AdS spacelike)
-    j = tag.form_matrix
-    u = j @ n  # unit covector of the plane, same form value as n
-    out = np.eye(4) - (2.0 / q) * j @ np.outer(u, u)
-    return Isometry(out, tag)
+    n = n / np.sqrt(np.abs(q))[:, np.newaxis]
+    q = form_eval(tag, n)
+    u = n * d  # unit covectors of the planes, same form values as n
+    return out - ((2.0 / q)[:, np.newaxis, np.newaxis] * d[:, np.newaxis]) * (u[:, :, np.newaxis] * u[:, np.newaxis, :])
 
 
 # ---------------------------------------------------------------------------

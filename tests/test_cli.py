@@ -217,6 +217,26 @@ def test_double_cone_angle_table(tmp_path):
     assert geometries == {"hyperbolic", "anti_de_sitter", "half_pipe"}
 
 
+@pytest.mark.parametrize("grid", ("1.6,2.0", "1.0,1.6"))
+def test_double_hyperbolic_rows_past_a_quarter_turn(tmp_path, grid):
+    # Bending by t * 1.0 > pi/2 leaves the hyperbolic cone angle 2 * (pi - t) below pi.
+    config = _write_config(tmp_path / "cfg.json")
+    code, out = _run(tmp_path, "double", config, "--grid", grid)
+    assert code == EXIT_OK
+    with (out / "cone_angles.csv").open() as handle:
+        rows = [row for row in csv.DictReader(handle) if row["geometry"] == "hyperbolic"]
+    assert len(rows) == 2
+    for row in rows:
+        assert float(row["cone_angle"]) == pytest.approx(2.0 * (math.pi - float(row["t"])), abs=TOL_READBACK)
+
+
+def test_double_with_a_hyperbolic_bending_angle_of_pi_or_more_exits_3(tmp_path):
+    config = _write_config(tmp_path / "cfg.json")
+    code, out = _run(tmp_path, "double", config, "--grid", "0.1,4.0")
+    assert code == EXIT_NUMERICAL
+    assert not (out / "cone_angles.csv").exists()
+
+
 def test_double_rejects_nonpositive_grid(tmp_path):
     config = _write_config(tmp_path / "cfg.json")
     code, _ = _run(tmp_path, "double", config, "--grid", "0.1,-0.1")

@@ -42,12 +42,13 @@ from halfpipe.isometry import (
     minkowski_to_hp,
     normalize_plane_point,
     reflection,
+    reflection_stack,
     rescale_conjugate,
     rotation,
     rotation_angle,
-    rotation_angle_in_frame,
     rotation_in_frame,
     standard_rotation,
+    standard_rotation_angle,
     transport_to_standard_axis,
 )
 
@@ -164,7 +165,7 @@ def test_rotation_angle_roundtrip():
             angle = rng.uniform(-1.4, 1.4)
             g = rotation(tag, axis, angle)
             assert rotation_angle(g, axis) == pytest.approx(angle, abs=1e-10)
-            assert rotation_angle_in_frame(g, transport_to_standard_axis(axis)) == rotation_angle(g, axis)
+            assert standard_rotation_angle(standard_rotation(tag, angle).matrix, tag) == pytest.approx(angle, abs=1e-15)
 
 
 def test_rotation_angle_hyperbolic_branch():
@@ -259,6 +260,20 @@ def test_reflection_refuses_bad_planes():
         reflection(Plane(np.array([0.3, 1.0, -0.2, 0.0]), HP))
     with pytest.raises(NotSpacelikeError):
         reflection(Plane(np.array([0.0, 1.0, 0.0, 0.0]), ADS))
+    with pytest.raises(NotSpacelikeError):
+        reflection_stack(ADS, [Plane.base_plane(ADS).covector, [0.0, 1.0, 0.0, 0.0]])
+
+
+def test_reflection_stack_equals_the_plane_reflections_bit_for_bit():
+    rng = np.random.default_rng(41)
+    for tag in TAGS:
+        planes = [Plane.base_plane(tag)]
+        for _ in range(6):
+            planes.append(Plane.hp_plane_dual_to(rng.normal(size=3)) if tag is HP else _random_spacelike_plane(tag, rng))
+        signs = rng.choice((-1.0, 1.0), size=len(planes))
+        stack = reflection_stack(tag, [sign * plane.covector for sign, plane in zip(signs, planes)])
+        for matrix, plane in zip(stack, planes):
+            assert matrix.tobytes() == reflection(plane).matrix.tobytes()
 
 
 def test_rescale_conjugate_fixes_h2_block():

@@ -8,8 +8,9 @@ The runs, all in one process:
   workload, each followed by ``double`` at the point it reports when it
   exits 0;
 - all four subcommands on two small configurations, with ``double`` also
-  at the base point (-0.2, 0.15) and ``export-surface`` also at ``--grid``
-  0.1, 0 and -0.1;
+  at the base point (-0.2, 0.15) and at the ``--grid`` values of
+  DOUBLE_GRIDS (three uneven values, and one value, where the slope gate is
+  skipped), and ``export-surface`` also at ``--grid`` 0.1, 0 and -0.1;
 - ``transition`` on the first small configuration at the four ``--grid``
   values of TRANSITION_GRIDS, which reach the per-value branches of the
   stacked holonomy product: an uneven, unsorted grid, hyperbolic angles
@@ -52,6 +53,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
 SUBCOMMANDS = ("transition", "kerckhoff", "double", "export-surface")
+DOUBLE_GRIDS = ("0.3,0.15,0.02", "0.05")
 TRANSITION_GRIDS = (
     "0.05,-0.02,0.02,-0.05,0.005,-0.005,0.001",
     "4,2,1,-4,-2,-1",
@@ -99,6 +101,8 @@ def runs(workloads, teich_point):
         for command in ("transition", "kerckhoff", "double", "export-surface"):
             yield f"small/{name}/{command}", command, cfg, ()
         yield f"small/{name}/double@base", "double", dict(cfg, base_point=[-0.2, 0.15]), ()
+        for grid in DOUBLE_GRIDS:
+            yield f"small/{name}/double@{grid}", "double", cfg, (f"--grid={grid}",)
         for grid in ("0.1", "0", "-0.1"):
             yield f"small/{name}/export-surface@{grid}", "export-surface", cfg, (f"--grid={grid}",)
         if name == "test-cli":
