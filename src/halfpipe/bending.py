@@ -11,8 +11,6 @@ In the half-pipe model every bending rotation is a Minkowski translation, so
 the bent surface is the graph of a piecewise-affine height function over the
 disk; for positive bending that function is concave, vanishes on the face of
 the basepoint, and the affine pieces are the support planes of the surface.
-The developing map of a pair of oppositely bent half-pipe surfaces with a
-common linear holonomy interpolates the two heights affinely.
 """
 
 from __future__ import annotations
@@ -42,31 +40,20 @@ from halfpipe.geometry import (
     TagMismatchError,
     disk_lift,
     embed_h2_point,
-    klein_hp,
-    klein_hp_inverse,
     minkowski_dot,
     radial_project,
 )
 from halfpipe.isometry import (
     Isometry,
-    MinkowskiIsometry,
     embed_h2,
     embed_h2_isometry,
     identity_stack,
-    minkowski_to_hp,
     standard_rotations,
 )
 
 # Inward pullback (as a fraction of the chord) used to evaluate a bending
 # cocycle at a point lying on a leaf from the basepoint side.
 PULLBACK = 1e-6
-
-# Largest deviation of an aligner's linear part from the identity.
-EPS_ALIGNER = 1e-8
-
-
-class BadAlignerError(GeometryError):
-    """The aligning isometry is not a pure half-pipe translation."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,9 +103,6 @@ class BendingContext:
 
     def rescaled(self, scale: float) -> "BendingContext":
         return BendingContext(self.group, self.multicurve, self.base_point, self.tag, self.sign, scale)
-
-    def with_geometry(self, tag: Geometry) -> "BendingContext":
-        return BendingContext(self.group, self.multicurve, self.base_point, tag, self.sign, self.scale)
 
 
 def _bracketed_product(
@@ -267,68 +251,3 @@ def support_plane_at(ctx: BendingContext, x: np.ndarray) -> Plane:
     """
     x = np.asarray(x, dtype=float).reshape(2)
     return bending_cocycle(ctx, ctx.base_point, x).apply_plane(Plane.base_plane(ctx.tag))
-
-
-def _check_surface_pair(upper: BendingContext, lower: BendingContext) -> None:
-    if upper.tag is not HP or lower.tag is not HP:
-        raise TagMismatchError("surface pairs interpolate in the half-pipe model")
-    if not (upper.sign > 0.0 > lower.sign):
-        raise GeometryError("expected a positively bent upper and a negatively bent lower context")
-    if upper.group != lower.group:
-        raise GeometryError("the two contexts must share the holonomy group")
-    if not np.array_equal(upper.base_point, lower.base_point):
-        raise GeometryError("the two contexts must share the basepoint")
-
-
-def fit_aligner(
-    upper: BendingContext,
-    lower: BendingContext,
-    points: np.ndarray | None = None,
-) -> Isometry:
-    """Fit the vertical translation carrying the lower surface under the upper.
-
-    Solves the three-parameter least-squares problem matching the two height
-    functions on sample points, then shifts the time coordinate so the lower
-    surface lies weakly below the upper with the sampled gap infimum zero.
-    When the shared group sits at the critical point of the combined length
-    function of the two multicurves, the fit residual vanishes and the two
-    bent holonomies agree after conjugation by the result.
-    """
-    _check_surface_pair(upper, lower)
-    if points is None:
-        rng = np.random.default_rng(7)
-        radii = 0.72 * np.sqrt(rng.uniform(0.05, 1.0, size=64))
-        angles = rng.uniform(0.0, 2.0 * math.pi, size=64)
-        points = np.column_stack((radii * np.cos(angles), radii * np.sin(angles)))
-    points = np.asarray(points, dtype=float).reshape(-1, 2)
-    gaps = np.array([psi_lambda(upper, z) - psi_lambda(lower, z) for z in points])
-    design = np.column_stack((-np.ones(len(points)), points))
-    shift, *_ = np.linalg.lstsq(design, gaps, rcond=None)
-    shift[0] -= np.min(gaps - design @ shift)
-    return minkowski_to_hp(MinkowskiIsometry(np.eye(3), shift))
-
-
-def hp_developing_map(
-    upper: BendingContext,
-    lower: BendingContext,
-    aligner: Isometry,
-    x: np.ndarray,
-    s: float,
-) -> ProjectivePoint:
-    """Affine interpolation between the two bent half-pipe surfaces.
-
-    Returns the point over x whose height is ``s`` times the upper surface
-    height plus ``1 - s`` times the aligned lower surface height; s = 1 gives
-    the upper bending map and s = 0 the aligned lower one.
-    """
-    _check_surface_pair(upper, lower)
-    if aligner.geometry is not HP or aligner.matrix[3, 3] <= 0.0:
-        raise BadAlignerError("the aligner must be an orientation-preserving half-pipe isometry")
-    if np.max(np.abs(aligner.matrix[:3, :3] - np.eye(3))) > EPS_ALIGNER:
-        raise BadAlignerError("the aligner must have identity linear part")
-    if not 0.0 <= s <= 1.0:
-        raise GeometryError("the interpolation parameter must lie in [0, 1]")
-    x = np.asarray(x, dtype=float).reshape(2)
-    _, h_upper = klein_hp(bending_map(upper, x))
-    _, h_lower = klein_hp(aligner.apply(bending_map(lower, x)))
-    return klein_hp_inverse(x, s * h_upper + (1.0 - s) * h_lower)

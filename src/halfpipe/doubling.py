@@ -4,12 +4,12 @@ Reflecting a bent surface in the support planes of its flat faces doubles the
 structure: each face contributes an involution, the products of two face
 reflections extend the holonomy to the doubled manifold, meridians around the
 bending lines become cone axes, and a cusp of the surface doubles to a torus
-cusp.  This module builds the extended representation over words in the
-surface generators together with face tokens e1, e2, ..., computes meridian
-cone angles from adjacent support-plane reflections (a whole table of models
-and scales as one stacked computation), aligns the two boundary surfaces of a
-half-pipe convex core by a common conjugating translation, and checks that
-doubled cusp stabilizers are rank-2 abelian.
+cusp.  This module aligns the two boundary surfaces of a half-pipe convex
+core by a common conjugating translation and doubles the core across them,
+which extends the representation to words in the surface generators and the
+face token e1; it computes meridian cone angles from adjacent support-plane
+reflections (a whole table of models and scales as one stacked computation),
+and checks that doubled cusp stabilizers are rank-2 abelian.
 """
 
 from __future__ import annotations
@@ -26,13 +26,12 @@ from halfpipe.bending import (
     BendingContext,
     BentHolonomy,
     _bracketed_product,
-    _check_surface_pair,
     bent_holonomy,
     crossings_from_base,
     support_plane_at,
 )
 from halfpipe.fuchsian import EndpointOnLeafError, PuncturedTorusGroup, WeightedMulticurve, leaves_crossing
-from halfpipe.geometry import HP, HYP, Geometry, GeometryError, _unit
+from halfpipe.geometry import HP, HYP, Geometry, GeometryError, TagMismatchError, _unit
 from halfpipe.isometry import (
     Isometry,
     MinkowskiIsometry,
@@ -45,9 +44,7 @@ from halfpipe.isometry import (
     standard_rotation_angle,
 )
 
-# Residual allowed when a claimed face stabilizer must commute with the face
-# reflection, and in the doubled-cusp commutation checks.
-EPS_COMMUTATION = 1e-9
+# Residual allowed in the doubled-cusp commutation checks.
 EPS_CUSP = 1e-8
 
 # Largest linear-part gap and translation residual of two aligned surfaces.
@@ -67,10 +64,6 @@ class FacePointOnLeafError(GeometryError):
     """A face base point lies on a leaf of the bending locus."""
 
 
-class CommutationFailureError(GeometryError):
-    """A claimed face stabilizer fails to commute with the face reflection."""
-
-
 class NoConjugatingTranslationError(GeometryError):
     """No translation conjugates the lower holonomy onto the upper one."""
 
@@ -86,14 +79,12 @@ def _tokenize_extended(word: str) -> list[str]:
 class DoubledHolonomy:
     """Holonomy of a doubled structure over extended words.
 
-    Words mix surface letters (A, a, B, b) with face tokens: e1, ..., eq map
-    to the exact products r_i r_0 of face reflections, and E1, ..., Eq to
-    their inverses r_0 r_i.  Each face reflection is taken along the
-    straight segment from the basepoint to its face point.
+    Words mix surface letters (A, a, B, b) with face tokens: e1 maps to the
+    exact product r_1 r_0 of the two face reflections, and E1 to its inverse
+    r_0 r_1.
     """
 
     rho: BentHolonomy
-    face_points: tuple[np.ndarray, ...]
     reflections: tuple[Isometry, ...]
 
     @property
@@ -133,50 +124,15 @@ class DoubledHolonomy:
         return out
 
 
-def _face_plane(ctx: BendingContext, point: np.ndarray):
-    try:
-        return support_plane_at(ctx, point)
-    except EndpointOnLeafError as exc:
-        raise FacePointOnLeafError(f"face point {point} lies on a leaf") from exc
-
-
-def _check_distinct_faces(ctx: BendingContext, points: list[np.ndarray]) -> None:
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            try:
-                crossed = leaves_crossing(ctx.group, ctx.multicurve, points[i], points[j])
-            except EndpointOnLeafError as exc:
-                raise FacePointOnLeafError(
-                    f"face point {i} or {j} lies on a leaf"
-                ) from exc
-            if not crossed:
-                raise GeometryError(
-                    f"face points {i} and {j} lie in the same complementary face"
-                )
-
-
-def double_holonomy(
-    ctx: BendingContext, face_points, stabilizer_words=()
-) -> DoubledHolonomy:
-    """Double a bent structure across the faces holding the given points.
-
-    The basepoint's face is face 0; ``face_points`` supply faces 1, ..., q
-    and must lie in pairwise distinct complementary faces, off all leaves.
-    Each face contributes the reflection in its support plane.  Any supplied
-    ``stabilizer_words`` are verified to commute with the face-0 reflection.
-    """
-    points = [ctx.base_point] + [np.asarray(p, dtype=float).reshape(2) for p in face_points]
-    _check_distinct_faces(ctx, points)
-    reflections = tuple(reflection(_face_plane(ctx, p)) for p in points)
-    rho, r0 = bent_holonomy(ctx), reflections[0]
-    for word in stabilizer_words:
-        g = rho(word)
-        defect = float(np.max(np.abs((g @ r0).matrix - (r0 @ g).matrix)))
-        if defect > EPS_COMMUTATION:
-            raise CommutationFailureError(
-                f"word {word!r} does not stabilize face 0 (defect {defect:.3e})"
-            )
-    return DoubledHolonomy(rho=rho, face_points=tuple(points), reflections=reflections)
+def _check_surface_pair(upper: BendingContext, lower: BendingContext) -> None:
+    if upper.tag is not HP or lower.tag is not HP:
+        raise TagMismatchError("surface pairs are aligned in the half-pipe model")
+    if not (upper.sign > 0.0 > lower.sign):
+        raise GeometryError("expected a positively bent upper and a negatively bent lower context")
+    if upper.group != lower.group:
+        raise GeometryError("the two contexts must share the holonomy group")
+    if not np.array_equal(upper.base_point, lower.base_point):
+        raise GeometryError("the two contexts must share the basepoint")
 
 
 def pair_aligner(upper: BendingContext, lower: BendingContext) -> Isometry:
@@ -223,10 +179,10 @@ def double_convex_core_pair(upper: BendingContext, lower: BendingContext) -> Dou
     aligner = pair_aligner(upper, lower)
     point = upper.base_point
     reflections = (
-        reflection(_face_plane(upper, point)),
-        aligner @ reflection(_face_plane(lower, point)) @ aligner.inverse(),
+        reflection(support_plane_at(upper, point)),
+        aligner @ reflection(support_plane_at(lower, point)) @ aligner.inverse(),
     )
-    return DoubledHolonomy(rho=bent_holonomy(upper), face_points=(point, point), reflections=reflections)
+    return DoubledHolonomy(rho=bent_holonomy(upper), reflections=reflections)
 
 
 def _adjacent_face_points(ctx: BendingContext, component_index: int):

@@ -242,8 +242,11 @@ class TeichPoint:
         if min(self.x, self.y, self.z) <= 2.0:
             raise BadTracesError("trace coordinates must all exceed 2")
         defect = fricke_defect(self.x, self.y, self.z)
-        if abs(defect) > EPS_FRICKE:
-            raise BadTracesError(f"trace relation violated (defect {defect:.3e})")
+        # Written so that a defect that overflows to NaN fails too.
+        if not abs(defect) <= EPS_FRICKE:
+            raise BadTracesError(
+                f"trace relation violated at traces ({self.x!r}, {self.y!r}, {self.z!r}) (defect {defect:.3e})"
+            )
 
     @classmethod
     def from_xy(cls, x: float, y: float, branch: str = "minus") -> "TeichPoint":

@@ -74,10 +74,6 @@ class RotationOverflowError(GeometryError):
     """An anti-de Sitter rotation angle is too large for its matrix entries to be finite."""
 
 
-class PlaneTooFarError(GeometryError):
-    """A plane is tilted too far from {x3 = 0} to be normalized onto it."""
-
-
 def group_residual(matrix: np.ndarray, tag: Geometry) -> float:
     """Max-norm violation of the defining relations of Isom for this tag."""
     m = np.asarray(matrix, dtype=float)
@@ -292,12 +288,6 @@ def standard_rotation_angle(m: np.ndarray, tag: Geometry) -> float:
     return float(-b[1, 0])
 
 
-def rotation_angle(g: Isometry, axis: SpacelikeGeodesicH2) -> float:
-    """The rotation angle of an isometry about a given oriented axis, read as :func:`standard_rotation_angle`."""
-    phi = embed_h2(transport_to_standard_axis(axis))
-    return standard_rotation_angle(phi @ g.matrix @ _group_inverse(phi, g.geometry), g.geometry)
-
-
 # ---------------------------------------------------------------------------
 # Reflections.
 # ---------------------------------------------------------------------------
@@ -333,8 +323,8 @@ def reflection_stack(tag: Geometry, covectors: np.ndarray) -> np.ndarray:
         out[:, 3, 3] = -1.0
         out[:, 3, :3] = 2.0 * (u[:, :3] / -u[:, 3:]) + 0.0
         return out
-    # The normals n = J u and their form values q (+1 Hyp, -1 AdS spacelike)
-    # as Plane.unit_normal forms them; J is diagonal, so J @ x is d * x.
+    # The normals n = J u and their form values q (+1 Hyp, -1 AdS spacelike);
+    # J is diagonal, so J @ x is d * x.
     d = np.diagonal(tag.form_matrix)
     n = u * d
     q = form_eval(tag, n)
@@ -424,122 +414,6 @@ def hp_to_minkowski(g: Isometry) -> MinkowskiIsometry:
         raise InvalidIsometryError("fiber-reversing half-pipe isometries have no affine Minkowski form")
     a, w = m[:3, :3], m[3, :3]
     return MinkowskiIsometry(a, a @ (J3 @ w))
-
-
-def hp_klein_action(g: Isometry, z: np.ndarray, h: float) -> tuple[np.ndarray, float]:
-    """Action of a half-pipe isometry in the Klein chart (z, h)."""
-    if g.geometry is not HP:
-        raise TagMismatchError("expected a half-pipe isometry")
-    w = g.matrix @ np.concatenate(([1.0], np.asarray(z, dtype=float).reshape(2), [float(h)]))
-    if w[0] <= 0:
-        raise GeometryError("image left the affine chart")
-    return w[1:3] / w[0], float(w[3] / w[0])
-
-
-# ---------------------------------------------------------------------------
-# Normalizing a (point, plane) pair onto the hyperbolic plane {x3 = 0}.
-# ---------------------------------------------------------------------------
-
-
-def _vertical_translation(tag: Geometry, x3: float) -> Isometry:
-    """Group element moving (c, 0, 0, x3) on the unit quadric to (1,0,0,0).
-
-    The (x0, x3) block is a boost (Hyp), a circular rotation (AdS, where the
-    form restricts negative definite), or a shear (HP).
-    """
-    out = np.eye(4)
-    if tag is HYP:
-        c, s = math.sqrt(1.0 + x3 * x3), x3
-        out[0, 0] = out[3, 3] = c
-        out[0, 3] = out[3, 0] = -s
-    elif tag is ADS:
-        if abs(x3) >= 1.0:
-            raise PlaneTooFarError("point is too far from {x3 = 0} for this chart")
-        c, s = math.sqrt(1.0 - x3 * x3), x3
-        out[0, 0] = out[3, 3] = c
-        out[0, 3] = s
-        out[3, 0] = -s
-    else:
-        out[3, 0] = -x3
-    return Isometry(out, tag)
-
-
-def normalize_plane_point(
-    point: ProjectivePoint,
-    plane: Plane,
-    target: np.ndarray | None = None,
-    max_angle: float = math.pi / 4,
-) -> Isometry:
-    """Carry a point on a nearly horizontal plane to H2 and the plane onto H2.
-
-    Returns the composition of (1) an H2 move bringing the point over the
-    origin, (2) a vertical translation dropping it onto H2, (3) an H2
-    rotation aligning the plane's trace on H2 with the standard axis, (4) a
-    rotation about the standard axis through the dihedral angle, and (5) an
-    H2 move carrying the origin to ``target`` (identity for the default
-    origin target).  The result maps ``point`` to the embedded target and
-    ``plane`` to {x3 = 0}.
-
-    Raises
-    ------
-    PlaneTooFarError
-        If the dihedral angle against {x3 = 0} exceeds ``max_angle`` (or the
-        configuration leaves the admissible chart).
-    GeometryError
-        If the point is not on the plane.
-    """
-    tag = point.geometry
-    if plane.geometry is not tag:
-        raise TagMismatchError("point and plane live in different geometries")
-    if not plane.contains_point(point, tol=1e-8):
-        raise GeometryError("normalize_plane_point requires the point to lie on the plane")
-
-    lift = point.unit_lift()
-    head = lift[:3]
-    q_head = float(minkowski_dot(head, head))
-    if q_head >= -EPS_MEMBERSHIP:
-        raise PlaneTooFarError("point projects outside the hyperbolic plane")
-    b1 = embed_h2_isometry(tag, boost_to_origin(head / math.sqrt(-q_head)))
-
-    moved = b1.apply_vec(lift)
-    b2 = _vertical_translation(tag, float(moved[3]))
-    step12 = b2 @ b1
-
-    u = step12.apply_plane(plane).covector
-    trace_dir = np.array([u[1], u[2]])
-    norm_trace = float(np.hypot(*trace_dir))
-    if norm_trace > 1e-12:
-        # Rotate the trace line's normal (u1, u2) onto (0, 1).
-        delta = math.pi / 2.0 - math.atan2(trace_dir[1], trace_dir[0])
-        b3 = embed_h2_isometry(tag, h2_rotation(delta))
-        u = b3.apply_plane(Plane(u, tag)).covector
-    else:
-        b3 = Isometry.identity(tag)
-
-    u2, u3 = float(u[2]), float(u[3])
-    if abs(u3) < 1e-12:
-        raise PlaneTooFarError("plane is vertical; no rotation brings it to {x3 = 0}")
-    if tag is HYP:
-        dihedral = -math.atan2(u2, u3)
-    elif tag is ADS:
-        if abs(u2) >= abs(u3):
-            raise PlaneTooFarError("plane is not spacelike-tiltable onto {x3 = 0}")
-        dihedral = math.atanh(u2 / u3)
-    else:
-        dihedral = -u2 / u3
-    if abs(dihedral) > max_angle:
-        raise PlaneTooFarError(f"dihedral angle {abs(dihedral):.3f} exceeds {max_angle:.3f}")
-    b4 = standard_rotation(tag, dihedral)
-
-    out = b4 @ b3 @ step12
-    if target is not None:
-        z = np.asarray(target, dtype=float).reshape(2)
-        r2 = float(z @ z)
-        if r2 >= 1.0:
-            raise GeometryError("target must be a Klein disk point")
-        target_lift = np.concatenate(([1.0], z)) / math.sqrt(1.0 - r2)
-        out = embed_h2_isometry(tag, boost_from_origin(target_lift)) @ out
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,8 @@ converge to half-pipe data.  This module builds those families over a fixed
 Fuchsian base (hyperbolic for t > 0, anti-de Sitter for t < 0), one stacked
 product per grid, extrapolates their limits by Neville's scheme in |t|^p with
 the leading order p read off the samples nearest 0, fits empirical convergence
-orders, and packages the diagnostics for reporting.  It also provides the
-closed-form width bound for convex cores, arc-length points on geodesics
-toward the ideal boundary, and the analogous limit check for reflections.
+orders, and packages the diagnostics for reporting, together with the
+uniform convergence of the rescaled bent surfaces to the half-pipe surface.
 """
 
 from __future__ import annotations
@@ -23,19 +22,8 @@ from halfpipe.bending import (
     BendingContext, _bracketed_product, _crossings_to, bending_map, bent_holonomy, holonomy_crossings
 )
 from halfpipe.fuchsian import PuncturedTorusGroup, WeightedMulticurve
-from halfpipe.geometry import (
-    ADS,
-    HP,
-    HYP,
-    Geometry,
-    GeometryError,
-    Plane,
-    ProjectivePoint,
-    embed_h2_vector,
-    form_dot,
-    form_eval,
-)
-from halfpipe.isometry import reflection, rescale_conjugate
+from halfpipe.geometry import ADS, HP, HYP, Geometry, GeometryError, embed_h2_vector
+from halfpipe.isometry import rescale_conjugate
 
 # Default geometric basepoint for fixed-base families; off the axis leaves of
 # the short punctured-torus curves.
@@ -53,10 +41,6 @@ EPS_RESIDUAL_FLOOR = 1e-14
 
 class InsufficientGridError(GeometryError):
     """Extrapolation needs at least three grid points on each side."""
-
-
-class BadTangentError(GeometryError):
-    """The direction is not a unit tangent at the given point."""
 
 
 def normalized_projective(m: np.ndarray) -> np.ndarray:
@@ -343,63 +327,3 @@ def pleated_surface_convergence(
         order_positive=side_order(True),
         order_negative=side_order(False),
     )
-
-
-def width_bound(norm: float) -> float:
-    """Closed-form width bound arctan(sinh(norm / 2)) of a convex core."""
-    if norm < 0.0:
-        raise GeometryError("the norm argument must be nonnegative")
-    return math.atan(math.sinh(0.5 * norm))
-
-
-def width_linear_bound(t: float, coefficient: float) -> float:
-    """First-order width bound coefficient * |t| for small parameters."""
-    if coefficient < 0.0:
-        raise GeometryError("the coefficient must be nonnegative")
-    return coefficient * abs(t)
-
-
-def ideal_geodesic_point(x: ProjectivePoint, v: np.ndarray, d: float) -> ProjectivePoint:
-    """Arc-length point cosh(d) x + sinh(d) v on the geodesic toward v.
-
-    The representative of x must satisfy q(x) = -1 and v must be a unit
-    tangent at x (q(v) = +1, orthogonal to x), so the curve is the unit-speed
-    geodesic leaving x in the direction v.
-    """
-    tag = x.geometry
-    lift = x.unit_lift()
-    v = np.asarray(v, dtype=float).reshape(4)
-    if abs(float(form_eval(tag, v)) - 1.0) > 1e-8:
-        raise BadTangentError("direction must be a unit spacelike vector")
-    if abs(float(form_dot(tag, lift, v))) > 1e-8:
-        raise BadTangentError("direction must be tangent at the basepoint")
-    return ProjectivePoint(math.cosh(d) * lift + math.sinh(d) * v, tag)
-
-
-@dataclass(frozen=True, eq=False)
-class LimitCheckReport:
-    """Residuals of a rescaled matrix family against a declared limit."""
-
-    grid: tuple[float, ...]
-    residuals: tuple[float, ...]
-    order: float
-
-    def to_json_dict(self) -> dict:
-        return {"grid": list(self.grid), "residuals": list(self.residuals), "order": self.order}
-
-
-def reflection_limit_check(plane_family, limit_plane: Plane, grid=None) -> LimitCheckReport:
-    """Convergence of rescaled reflections toward a half-pipe reflection.
-
-    ``plane_family`` maps a nonzero grid value t to the Plane reflected in at
-    parameter t; the report measures rescale_conjugate(t, reflection(P_t))
-    against reflection in the half-pipe limit plane, entrywise.
-    """
-    if limit_plane.geometry is not HP:
-        raise GeometryError("the limit plane must be a half-pipe plane")
-    ts = _checked_grid(grid if grid is not None else [t for t in DEFAULT_GRID if t > 0])
-    target = reflection(limit_plane).matrix
-    stack = rescale_conjugate(np.array(ts), np.array([reflection(plane_family(t)).matrix for t in ts]))
-    residuals = np.max(np.abs(stack - target), axis=(1, 2))
-    order = _fit_order(np.abs(np.array(ts)), residuals)
-    return LimitCheckReport(grid=ts, residuals=tuple(residuals.tolist()), order=order)

@@ -8,7 +8,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from halfpipe.cli import (
@@ -132,6 +131,10 @@ def test_non_finite_config_numbers_exit_2(tmp_path):
     for index, (command, overrides) in enumerate(cases):
         config = _write_config(tmp_path / f"bad{index}.json", **overrides)
         assert _run(tmp_path, command, config)[0] == EXIT_CONFIG, (command, overrides)
+    # Finite traces whose trace relation overflows to NaN.
+    huge = _write_config(tmp_path / "huge.json", traces=[1e200, 1e200, 1e200])
+    for command in ("transition", "kerckhoff", "double", "export-surface"):
+        assert _run(tmp_path, command, huge)[0] == EXIT_CONFIG, command
     config = _write_config(tmp_path / "good.json")
     for command in ("transition", "kerckhoff", "double", "export-surface"):
         for tol in ("nan", "inf", "0", "-1"):

@@ -12,12 +12,10 @@ from halfpipe import bending, doubling
 from halfpipe.bending import BendingContext, bent_holonomy, support_plane_at
 from halfpipe.cli import DEFAULT_CONE_GRID as CONE_GRID
 from halfpipe.doubling import (
-    CommutationFailureError,
-    FacePointOnLeafError,
+    DoubledHolonomy,
     NoConjugatingTranslationError,
     cusp_stabilizer_check,
     double_convex_core_pair,
-    double_holonomy,
     meridian_cone_angle,
     meridian_cone_angles,
     pair_aligner,
@@ -50,8 +48,15 @@ def _context(tag=HYP, scale=0.2, traces=SYMMETRIC, word="A", weight=1.0, sign=1.
     )
 
 
+def _face_reflections(ctx):
+    # The reflections in the support planes of the basepoint's face (face 0)
+    # and of the face across the A-axis (face 1).
+    return tuple(reflection(support_plane_at(ctx, point)) for point in (BASE, MIRROR))
+
+
 def _double(tag=HYP, scale=0.2):
-    return double_holonomy(_context(tag=tag, scale=scale), [MIRROR], stabilizer_words=("A",))
+    ctx = _context(tag=tag, scale=scale)
+    return DoubledHolonomy(rho=bent_holonomy(ctx), reflections=_face_reflections(ctx))
 
 
 def _kerckhoff_pair(scale=0.05):
@@ -94,11 +99,16 @@ def test_face_tokens_are_exact_reflection_products():
 
 def test_reflections_fix_their_support_planes():
     ctx = _context()
-    dbl = double_holonomy(ctx, [MIRROR])
-    for point, refl in zip(dbl.face_points, dbl.reflections):
+    for point, refl in zip((BASE, MIRROR), _face_reflections(ctx)):
         plane = support_plane_at(ctx, point)
         moved = refl.apply_plane(plane)
         assert plane.same_plane_as(moved, tol=1e-11)
+    upper, lower = _kerckhoff_pair()
+    doubled = double_convex_core_pair(upper, lower)
+    aligner = pair_aligner(upper, lower)
+    planes = (support_plane_at(upper, BASE), aligner.apply_plane(support_plane_at(lower, BASE)))
+    for plane, refl in zip(planes, doubled.reflections):
+        assert plane.same_plane_as(refl.apply_plane(plane), tol=1e-11)
 
 
 def test_extended_word_evaluation_is_multiplicative():
@@ -132,22 +142,12 @@ def test_hnn_relation_for_face_stabilizer():
     assert np.max(np.abs(lhs - rhs)) < TOL_EXACT
 
 
-def test_face_validation_errors():
-    ctx = _context()
-    with pytest.raises(FacePointOnLeafError):
-        double_holonomy(ctx, [np.array([0.0, 0.3])])
-    with pytest.raises(GeometryError):
-        double_holonomy(ctx, [np.array([0.12, 0.08])])
-    with pytest.raises(CommutationFailureError):
-        double_holonomy(ctx, [MIRROR], stabilizer_words=("B",))
-
-
 def test_reflections_conjugate_with_the_holonomy():
     ctx = _context()
-    dbl = double_holonomy(ctx, [MIRROR])
+    rho = bent_holonomy(ctx)
     for word in ("A", "B", "ab"):
-        g = dbl.rho(word)
-        for point, refl in zip(dbl.face_points, dbl.reflections):
+        g = rho(word)
+        for point, refl in zip((BASE, MIRROR), _face_reflections(ctx)):
             plane = support_plane_at(ctx, point)
             lhs = (g @ refl @ g.inverse()).matrix
             rhs = reflection(g.apply_plane(plane)).matrix
@@ -320,7 +320,7 @@ def test_pair_aligner_refuses_non_critical_points():
     with pytest.raises(NoConjugatingTranslationError):
         pair_aligner(upper, lower)
     with pytest.raises(GeometryError):
-        pair_aligner(upper.with_geometry(HYP), lower)
+        pair_aligner(BendingContext(group, upper.multicurve, BASE, HYP, 1.0, 0.05), lower)
     # At the critical point only the pair preconditions can refuse these.
     upper, lower = _kerckhoff_pair()
     moved = BendingContext(lower.group, lower.multicurve, np.array([0.1, 0.05]), HP, -1.0, 0.05)

@@ -180,6 +180,9 @@ def test_trace_point_validation():
             TeichPoint(bad, bad, bad)
         with pytest.raises(BadTracesError):
             TeichPoint.from_xy(bad, 3.0)
+    # Finite traces whose trace relation overflows to NaN.
+    with pytest.raises(BadTracesError, match="1e"):
+        TeichPoint(1e200, 1e200, 1e200)
     point = TeichPoint.from_xy(3.0, 3.0)
     assert point.z == pytest.approx(3.0)
     assert TeichPoint.from_xy(3.0, 3.0, branch="plus").z == pytest.approx(6.0)

@@ -9,32 +9,24 @@ from halfpipe.geometry import (
     ADS,
     HP,
     HYP,
-    ChartError,
     DegeneratePlaneError,
-    Horoball,
-    MinkowskiPlane,
-    NonIntersectingPlanesError,
-    NotSpacelikeError,
     OutsideModelError,
     Plane,
     ProjectivePoint,
     SpacelikeGeodesicH2,
     TagMismatchError,
     ZeroVectorError,
-    angle_between_planes,
     classify_point,
     disk_lift,
     embed_h2_vector,
     form_eval,
-    hp_height,
-    hp_point_dual_to_minkowski_plane,
     klein_hp,
     klein_hp_inverse,
     minkowski_dot,
-    minkowski_plane_dual_to_hp_point,
     projectively_equal,
     radial_project,
 )
+from halfpipe.isometry import Isometry, reflection, standard_rotation_angle
 
 ALL_TAGS = [HYP, ADS, HP]
 
@@ -72,21 +64,6 @@ def test_projective_equality_is_scale_free():
             assert not projectively_equal(v, w)
 
 
-def test_unit_lift_normalizes_into_positive_chart():
-    p = ProjectivePoint([-2.0, 0.4, 0.2, 0.3], HYP)
-    lift = p.unit_lift()
-    assert lift[0] > 0
-    assert form_eval(HYP, lift) == pytest.approx(-1.0, abs=1e-12)
-
-
-def test_unit_lift_rejects_zero_time_ads_points():
-    # Interior AdS point on the x0 = 0 slice: no representative in the chart.
-    p = ProjectivePoint([0.0, 0.0, 0.0, 1.0], ADS)
-    assert p.is_interior()
-    with pytest.raises(ChartError):
-        p.unit_lift()
-
-
 def test_klein_chart_example_and_roundtrip():
     z, h = klein_hp(ProjectivePoint([2.0, 0.0, 0.0, 1.0], HP))
     assert np.allclose(z, [0.0, 0.0])
@@ -102,62 +79,47 @@ def test_klein_chart_example_and_roundtrip():
         assert h2 == pytest.approx(h, abs=1e-14)
 
 
-def test_hp_height_examples():
-    assert hp_height(ProjectivePoint([2.0, 0.0, 0.0, 3.0], HP)) == pytest.approx(1.5)
-    # Invariant under rescaling of the representative, including sign flips.
-    v = np.array([1.0, 0.3, -0.2, 0.7])
-    base = hp_height(ProjectivePoint(v, HP))
-    assert hp_height(ProjectivePoint(2.5 * v, HP)) == pytest.approx(base)
-    assert hp_height(ProjectivePoint(-v, HP)) == pytest.approx(base)
-    # On the surface {x3 = 0} the height vanishes.
-    assert hp_height(ProjectivePoint([1.0, 0.5, 0.0, 0.0], HP)) == 0.0
-
-
 def test_duality_roundtrips():
-    point = ProjectivePoint([1.0, 0.2, -0.3, 0.8], HP)
-    plane = minkowski_plane_dual_to_hp_point(point)
-    again = hp_point_dual_to_minkowski_plane(plane)
-    assert again.same_point_as(point)
-
+    # The covector of the plane dual to y is proportional to (-y0, y1, y2, -1).
     y = np.array([0.4, -0.1, 0.25])
-    hp_plane = Plane.hp_plane_dual_to(y)
-    assert np.allclose(hp_plane.hp_dual_point(), y, atol=1e-14)
+    u = Plane.hp_plane_dual_to(y).covector
+    assert np.allclose(np.array([-u[0], u[1], u[2]]) / -u[3], y, atol=1e-14)
 
 
 def test_hp_plane_is_graph_of_affine_height():
     y = np.array([0.0, 1.0, 0.0])
     plane = Plane.hp_plane_dual_to(y)
+    u = plane.covector
     rng = np.random.default_rng(11)
     for _ in range(20):
         z = rng.uniform(-0.6, 0.6, size=2)
-        h = plane.hp_graph_height(z)
+        # the height h with u . (1, z, h) = 0
+        h = -(u[0] + u[1] * z[0] + u[2] * z[1]) / u[3]
         assert h == pytest.approx(z[0])
         assert plane.contains_point(klein_hp_inverse(z, h))
         assert not plane.contains_point(klein_hp_inverse(z, h + 0.1))
 
 
+def _reflection_product_angle(p, q):
+    # Two planes through the standard axis {x2 = x3 = 0} at dihedral angle
+    # theta: the product of their reflections rotates about the axis by 2 theta
+    # (hyperbolic) or -2 theta (anti-de Sitter and half-pipe), as the
+    # meridian cone angles of a double read it.
+    return standard_rotation_angle((reflection(q) @ reflection(p)).matrix, p.geometry)
+
+
 def test_hp_angle_example():
     p = Plane.hp_plane_dual_to([0.0, 0.0, 0.0])
-    q = Plane.hp_plane_dual_to([0.0, 1.0, 0.0])
-    assert angle_between_planes(p, q) == pytest.approx(1.0, abs=1e-12)
-    assert angle_between_planes(p, p) == 0.0
-
-
-def test_hp_angle_rejects_non_spacelike_difference():
-    p = Plane.hp_plane_dual_to([0.0, 0.0, 0.0])
-    q = Plane.hp_plane_dual_to([1.0, 0.0, 0.0])  # timelike difference
-    with pytest.raises(NotSpacelikeError):
-        angle_between_planes(p, q)
-    r = Plane.hp_plane_dual_to([1.0, 1.0, 0.0])  # null difference
-    with pytest.raises(NotSpacelikeError):
-        angle_between_planes(p, r)
+    q = Plane.hp_plane_dual_to([0.0, 0.0, 1.0])
+    assert _reflection_product_angle(p, q) == pytest.approx(-2.0, abs=1e-12)
+    assert _reflection_product_angle(p, p) == 0.0
 
 
 @pytest.mark.parametrize("theta", [0.1, math.pi / 6, 1.2])
 def test_hyperbolic_dihedral_angle(theta):
     base = Plane.base_plane(HYP)
     tilted = Plane(np.array([0.0, 0.0, math.sin(theta), math.cos(theta)]), HYP)
-    assert angle_between_planes(base, tilted) == pytest.approx(theta, abs=1e-12)
+    assert _reflection_product_angle(base, tilted) == pytest.approx(2.0 * theta, abs=1e-12)
 
 
 @pytest.mark.parametrize("theta", [0.1, 0.75, 2.0])
@@ -166,22 +128,7 @@ def test_ads_dihedral_angle(theta):
     # cosh(theta), so the angle comes out theta.
     base = Plane.base_plane(ADS)
     tilted = Plane(np.array([0.0, 0.0, math.sinh(theta), math.cosh(theta)]), ADS)
-    assert angle_between_planes(base, tilted) == pytest.approx(theta, abs=1e-12)
-
-
-def test_disjoint_hyperbolic_planes_raise():
-    p = Plane(np.array([-0.5, 1.0, 0.0, 0.0]), HYP)  # {x1 = 0.5 x0}
-    q = Plane(np.array([0.5, 1.0, 0.0, 0.0]), HYP)  # {x1 = -0.5 x0}
-    with pytest.raises(NonIntersectingPlanesError):
-        angle_between_planes(p, q)
-
-
-def test_ads_angle_needs_spacelike_planes():
-    base = Plane.base_plane(ADS)
-    timelike_wall = Plane(np.array([0.0, 1.0, 0.0, 0.0]), ADS)
-    assert not timelike_wall.is_spacelike()
-    with pytest.raises(NotSpacelikeError):
-        angle_between_planes(base, timelike_wall)
+    assert _reflection_product_angle(base, tilted) == pytest.approx(-2.0 * theta, abs=1e-12)
 
 
 def test_plane_covector_sign_canonicalization():
@@ -191,17 +138,11 @@ def test_plane_covector_sign_canonicalization():
 
 
 def test_degenerate_hp_plane_has_no_dual():
+    # A plane containing a fiber is no graph over the disk: no dual point, so
+    # no reflection.
     vertical = Plane(np.array([0.0, 1.0, 0.0, 0.0]), HP)
-    assert not vertical.is_spacelike()
     with pytest.raises(DegeneratePlaneError):
-        vertical.hp_dual_point()
-
-
-def test_minkowski_plane_normalization():
-    plane = MinkowskiPlane([-2.0, 0.0, 0.0], 3.0)
-    assert np.allclose(plane.timelike_normal, [1.0, 0.0, 0.0])
-    assert plane.offset == pytest.approx(-1.5)
-    assert plane.contains([0.0, 5.0, -2.0] + plane.offset * np.array([-1.0, 0.0, 0.0]))
+        reflection(vertical)
 
 
 def test_disk_lift_and_projection_roundtrip():
@@ -230,16 +171,8 @@ def test_geodesic_orientation_conventions():
     assert np.allclose(SpacelikeGeodesicH2.from_ideal_endpoints_klein(start, end).normal, axis.normal)
     assert np.allclose(SpacelikeGeodesicH2.from_ideal_endpoints_klein(end, start).normal, -axis.normal)
     # The left normal of eastward travel points north.
-    assert axis.side_of_disk_point([0.0, 0.5]) > 0
-    assert axis.side_of_disk_point([0.0, -0.5]) < 0
-
-
-def test_geodesic_distance_to_point():
-    axis = SpacelikeGeodesicH2([0.0, 0.0, 1.0])
-    d = 0.8
-    p = np.array([math.cosh(d), 0.0, math.sinh(d)])
-    assert axis.distance_to_point(p) == pytest.approx(d, abs=1e-12)
-    assert axis.distance_to_point(axis.closest_point_to_origin()) == pytest.approx(0.0, abs=1e-12)
+    assert minkowski_dot(axis.normal, disk_lift([0.0, 0.5])) > 0
+    assert minkowski_dot(axis.normal, disk_lift([0.0, -0.5])) < 0
 
 
 def test_geodesic_tangent_is_unit_and_orthogonal():
@@ -258,33 +191,16 @@ def test_geodesic_tangent_is_unit_and_orthogonal():
         assert minkowski_dot(v, geo.normal) == pytest.approx(0.0, abs=1e-10)
 
 
-@pytest.mark.parametrize("tag", ALL_TAGS)
-def test_horoball_classification(tag):
-    ball = Horoball([1.0, 1.0, 0.0, 0.0], -1.0, tag)
-    base = ProjectivePoint([1.0, 0.0, 0.0, 0.0], tag)
-    assert ball.classify_point(base) == "on_horosphere"
-    for s in (0.5, 1.0, 2.0):
-        toward = ProjectivePoint([math.cosh(s), math.sinh(s), 0.0, 0.0], tag)
-        away = ProjectivePoint([math.cosh(s), -math.sinh(s), 0.0, 0.0], tag)
-        # Pairings along the axis are -exp(-s) (inside) and -exp(s) (outside).
-        assert ball.classify_point(toward) == "inside"
-        assert ball.classify_point(away) == "outside"
-
-
-def test_horoball_rescales_ideal_point():
-    ball = Horoball([2.0, 2.0, 0.0, 0.0], -1.0, HYP)
-    assert ball.ideal_point[0] == pytest.approx(1.0)
-
-
-def test_horoball_rejects_fiber_direction():
-    with pytest.raises((ChartError, OutsideModelError)):
-        Horoball([0.0, 0.0, 0.0, 1.0], -1.0, HP)
-
-
 def test_tag_mismatch_is_loud():
     p = ProjectivePoint([1.0, 0, 0, 0], HYP)
     q = ProjectivePoint([1.0, 0, 0, 0], ADS)
+    g = Isometry.identity(HYP)
     with pytest.raises(TagMismatchError):
-        p.same_point_as(q)
+        g.apply(q)
     with pytest.raises(TagMismatchError):
-        angle_between_planes(Plane.base_plane(HYP), Plane.base_plane(ADS))
+        g.apply_plane(Plane.base_plane(ADS))
+    with pytest.raises(TagMismatchError):
+        g @ Isometry.identity(ADS)
+    with pytest.raises(TagMismatchError):
+        Plane.base_plane(HYP).same_plane_as(Plane.base_plane(ADS))
+    assert g.apply(p).geometry is HYP
