@@ -118,13 +118,14 @@ def _bracketed_product(
 
     Rotations about far leaves have matrix entries of size exp(2 distance),
     so multiplying them directly squanders precision on cancellations.  Each
-    factor is a group conjugate of a rotation about a component axis, so the
+    factor is a group conjugate of a rotation about the curve's axis, so the
     product telescopes into base-axis rotations joined by the holonomies of
     the relative conjugator words; every factor stays moderate when the
     closing word matches the far end of the segment, and the rounding error
     stays on the scale of the answer.
     """
     tags, scales = zip(*slices)
+    axis_word = multicurve.components[0].word
     out = identity_stack(len(tags))
     previous = ""
     for crossing in crossings:
@@ -132,7 +133,6 @@ def _bracketed_product(
         if not any(angles):
             continue
         word = crossing.conjugator_word
-        axis_word = multicurve.components[crossing.component_index].word
         pushed = group.lorentz(word) @ group.axis(axis_word).normal
         if float(pushed @ crossing.leaf.normal) < 0.0:
             angles = [-ang for ang in angles]

@@ -22,7 +22,6 @@ from .bending import BendingContext, bending_map
 from .doubling import meridian_cone_angles
 from .fuchsian import (
     BadTracesError,
-    MulticurveComponent,
     PuncturedTorusGroup,
     TeichPoint,
     WeightedMulticurve,
@@ -144,29 +143,22 @@ def _multicurve_from_config(cfg: dict, key: str) -> WeightedMulticurve:
     if not isinstance(table, dict) or key not in table:
         raise ConfigError(f"config needs field 'multicurves.{key}'")
     entries = table[key]
-    if not isinstance(entries, list) or not entries:
-        raise ConfigError(f"field 'multicurves.{key}' must be a non-empty list")
-    components = []
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict) or "word" not in entry:
-            raise ConfigError(f"field 'multicurves.{key}[{i}]' needs a 'word'")
-        try:
-            components.append(
-                MulticurveComponent(str(entry["word"]), float(entry.get("weight", 1.0)))
-            )
-        except (TypeError, ValueError, GeometryError) as exc:
-            raise ConfigError(f"field 'multicurves.{key}[{i}]': {exc}") from exc
+    if not (isinstance(entries, list) and len(entries) == 1 and isinstance(entries[0], dict) and "word" in entries[0]):
+        raise ConfigError(f"field 'multicurves.{key}' must be a list of one entry with a 'word'")
+    entry = entries[0]
     try:
-        return WeightedMulticurve(tuple(components))
-    except GeometryError as exc:
+        return WeightedMulticurve.single(str(entry["word"]), float(entry.get("weight", 1.0)))
+    except (TypeError, ValueError, GeometryError) as exc:
         raise ConfigError(f"field 'multicurves.{key}': {exc}") from exc
 
 
 def _grid_from(args, cfg: dict, default) -> tuple[float, ...]:
     if args.grid is not None:
         raw = args.grid.split(",")
-    elif isinstance(cfg.get("grid"), list):
+    elif "grid" in cfg:
         raw = cfg["grid"]
+        if not isinstance(raw, list):
+            raise ConfigError("field 'grid' must be a list of numbers")
     else:
         return tuple(default)
     try:
@@ -177,6 +169,8 @@ def _grid_from(args, cfg: dict, default) -> tuple[float, ...]:
         raise ConfigError("grid must not be empty")
     if not all(math.isfinite(t) for t in grid):
         raise ConfigError("grid values must be finite")
+    if len(set(grid)) != len(grid):
+        raise ConfigError(f"grid values must be distinct; got {list(grid)}")
     return grid
 
 
@@ -195,8 +189,8 @@ def _words_from(cfg: dict) -> tuple[str, ...]:
     if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
         raise ConfigError("field 'words' must be a list of strings")
     for word in words:
-        if not set(word) <= set("ABab"):
-            raise ConfigError(f"field 'words': {word!r} uses letters outside A, B, a, b")
+        if not word or not set(word) <= set("ABab"):
+            raise ConfigError(f"field 'words': {word!r} is not a nonempty word over A, B, a, b")
     return tuple(words)
 
 
@@ -293,29 +287,24 @@ def cmd_double(args) -> int:
     hp_tol = args.tol if args.tol is not None else 1e-6
     base = _base_point_from(cfg)
 
-    rows = []
+    curve = lam.components[0]
+    slices = [(tag, t) for tag in (HYP, ADS, HP) for t in grid]
+    table = meridian_cone_angles(group, lam, base, curve.word, slices)
+    hyp, ads, hp = (table[i : i + len(grid)] for i in range(0, len(table), len(grid)))
+    # the doubled metrics close up affinely: slope -2 * weight on each side
     slope_gap = 0.0
-    hp_gap = 0.0
-    for component in lam.components:
-        slices = [(tag, t) for tag in (HYP, ADS, HP) for t in grid]
-        table = meridian_cone_angles(group, lam, base, component.word, slices)
-        rows.extend(
-            (tag.name.lower(), component.word, float(component.weight), float(t), angle)
-            for (tag, t), angle in zip(slices, table)
-        )
-        hyp, ads, hp = (table[i : i + len(grid)] for i in range(0, len(table), len(grid)))
-        # the doubled metrics close up affinely: slope -2 * weight on each side
-        if len(grid) >= 2:
-            for angles in (hyp, ads):
-                slope = float(np.polyfit(np.array(grid), np.array(angles), 1)[0])
-                slope_gap = max(slope_gap, abs(slope + 2.0 * component.weight))
-        hp_gap = max(hp_gap, max(abs(angle + 2.0 * component.weight * t) for t, angle in zip(grid, hp)))
+    if len(grid) >= 2:
+        for angles in (hyp, ads):
+            slope = float(np.polyfit(np.array(grid), np.array(angles), 1)[0])
+            slope_gap = max(slope_gap, abs(slope + 2.0 * curve.weight))
+    hp_gap = max(abs(angle + 2.0 * curve.weight * t) for t, angle in zip(grid, hp))
 
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["geometry", "word", "weight", "t", "cone_angle"])
-    for geometry, word, weight, t, angle in rows:
-        writer.writerow([geometry, word, repr(weight), repr(t), repr(angle)])
+    for (tag, t), angle in zip(slices, table):
+        writer.writerow([tag.name.lower(), curve.word, repr(float(curve.weight)), repr(float(t)), repr(angle)])
+
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "cone_angles.csv").write_text(buffer.getvalue())

@@ -185,33 +185,25 @@ def double_convex_core_pair(upper: BendingContext, lower: BendingContext) -> Dou
     return DoubledHolonomy(rho=bent_holonomy(upper), reflections=reflections)
 
 
-def _adjacent_face_points(ctx: BendingContext, component_index: int):
-    # Walk along the leaf away from other components' crossings (the axes of
-    # distinct components may intersect, e.g. at symmetric trace points)
-    # until a transverse nudge isolates exactly this leaf.
-    word = ctx.multicurve.components[component_index].word
-    leaf = ctx.group.axis(word)
+def _adjacent_face_points(ctx: BendingContext):
+    # Nudge across the multicurve's axis at its point nearest the disk centre
+    # until the segment between the two points crosses exactly that leaf.
+    leaf = ctx.group.axis(ctx.multicurve.components[0].word)
     anchor = leaf.closest_point_to_origin()
-    for offset in (0.0, 0.2, -0.2, 0.45, -0.45, 0.8, -0.8):
-        point = math.cosh(offset) * anchor + math.sinh(offset) * leaf.tangent_at(anchor)
-        z = point[1:] / point[0]
-        direction = leaf.normal[1:] - z * leaf.normal[0]
-        direction /= np.linalg.norm(direction)
-        eps = LEAF_NUDGE
-        for _ in range(4):
-            near, far = z - eps * direction, z + eps * direction
-            try:
-                crossings = leaves_crossing(ctx.group, ctx.multicurve, near, far)
-            except EndpointOnLeafError:
-                eps *= 0.1
-                continue
-            if (
-                len(crossings) == 1
-                and crossings[0].component_index == component_index
-                and crossings[0].conjugator_word == ""
-            ):
-                return near, far
+    z = anchor[1:] / anchor[0]
+    direction = leaf.normal[1:] - z * leaf.normal[0]
+    direction /= np.linalg.norm(direction)
+    eps = LEAF_NUDGE
+    for _ in range(4):
+        near, far = z - eps * direction, z + eps * direction
+        try:
+            crossings = leaves_crossing(ctx.group, ctx.multicurve, near, far)
+        except EndpointOnLeafError:
             eps *= 0.1
+            continue
+        if len(crossings) == 1 and crossings[0].conjugator_word == "":
+            return near, far
+        eps *= 0.1
     raise GeometryError("could not isolate the leaf between its two adjacent faces")
 
 
@@ -219,7 +211,7 @@ def meridian_cone_angles(
     group: PuncturedTorusGroup, multicurve: WeightedMulticurve, base_point, word: str,
     slices: Sequence[tuple[Geometry, float]],
 ) -> list[float]:
-    """Cone angles of the meridian around the bending line of the component ``word``, one per slice.
+    """Cone angles of the meridian around the bending line of the multicurve's curve ``word``, one per slice.
 
     Doubling turns each bending leaf into a cone axis whose meridian is the
     product of the reflections in the two support planes beside the leaf.
@@ -231,24 +223,25 @@ def meridian_cone_angles(
     2*pi plus the read-out in [-pi, pi) whenever |theta| <= pi/2.  The leaves
     crossed from x0 to the two faces are read once through the group's
     segment memo, and the table is two stacked products, slice by slice
-    those of one context.  A non-finite scale, an unknown word and a
-    hyperbolic |theta| >= pi raise GeometryError before any product.
+    those of one context.  A non-finite scale, a word other than the
+    curve's and a hyperbolic |theta| >= pi raise GeometryError before any
+    product.
     """
     tags, scales = zip(*slices)
-    index = next((i for i, c in enumerate(multicurve.components) if c.word == word), None)
-    if index is None:
-        raise GeometryError(f"{word!r} is not a component of the multicurve")
-    weight = multicurve.components[index].weight
+    curve = multicurve.components[0]
+    if word != curve.word:
+        raise GeometryError(f"{word!r} is not the curve {curve.word!r} of the multicurve")
+    weight = curve.weight
     for tag, s in slices:
         if not math.isfinite(s):
             raise GeometryError(f"scale {s!r} is not finite")
         if tag is HYP and abs(s * weight) >= math.pi:
             raise GeometryError(f"hyperbolic bending angle {s * weight!r} must stay below pi")
     ctx = BendingContext(group, multicurve, base_point, tags[0])
-    faces = functools.cache(lambda: _adjacent_face_points(ctx, index))
-    near = crossings_from_base(ctx, (index, 0), lambda: faces()[0])
+    faces = functools.cache(lambda: _adjacent_face_points(ctx))
+    near = crossings_from_base(ctx, 0, lambda: faces()[0])
     try:
-        far = crossings_from_base(ctx, (index, 1), lambda: faces()[1])
+        far = crossings_from_base(ctx, 1, lambda: faces()[1])
     except EndpointOnLeafError as exc:
         raise FacePointOnLeafError(f"face point {faces()[1]} lies on a leaf") from exc
     cocycles = _bracketed_product(group, multicurve, near, "", slices)

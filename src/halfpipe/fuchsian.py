@@ -7,17 +7,19 @@ commutator [A, B] being parabolic of trace -2, i.e. a cusp).  Holonomies act
 on H2 through the adjoint representation SL(2, R) -> SO0(1, 2) on trace-free
 2x2 matrices with the Minkowski norm -det.
 
-A weighted multicurve is a finite set of non-peripheral simple closed curves
-with positive weights.  Its preimage in H2 is a disjoint union of complete
-geodesics (leaves).  The translates w.Q of an ideal quadrilateral Q with
-sides paired by A and B (Jorgensen, "On pairs of once-punctured tori"), one
-per reduced word w, tile the disk; tiles whose words differ by one letter on
-the right share a side.  The tiles meeting a convex region are connected, so
-a breadth-first search finds them all, and with them every leaf meeting the
-region: crossing queries are complete by construction.  Each group keeps a
-leaf atlas per multicurve, the leaves meeting a hyperbolic ball about the
-disk centre, found by one search and grown on demand.  Segments inside the
-ball are answered from the atlas, others are searched on their own.
+A weighted multicurve is one non-peripheral simple closed curve with a
+positive weight: two distinct simple closed curves on this surface meet, so
+a measured multicurve has a single component.  Its preimage in H2 is a
+disjoint union of complete geodesics (leaves).  The translates w.Q of an
+ideal quadrilateral Q with sides paired by A and B (Jorgensen, "On pairs of
+once-punctured tori"), one per reduced word w, tile the disk; tiles whose
+words differ by one letter on the right share a side.  The tiles meeting a
+convex region are connected, so a breadth-first search finds them all, and
+with them every leaf meeting the region: crossing queries are complete by
+construction.  Each group keeps a leaf atlas per multicurve, the leaves
+meeting a hyperbolic ball about the disk centre, found by one search and
+grown on demand.  Segments inside the ball are answered from the atlas,
+others are searched on their own.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ class NotHyperbolicError(GeometryError):
 
 
 class BadWordError(GeometryError):
-    """A curve word uses letters outside A, B, a, b or is empty."""
+    """A curve word is empty, uses letters outside A, B, a, b, or is not one simple closed curve."""
 
 
 class EndpointOnLeafError(GeometryError):
@@ -156,6 +158,16 @@ def word_homology(word: str) -> tuple[int, int]:
         word.count("A") - word.count("a"),
         word.count("B") - word.count("b"),
     )
+
+
+def christoffel(p: int, q: int) -> str:
+    """The lower Christoffel word with |p| letters A and |q| letters B, signed by p and q.
+
+    Letter i (from 1) is B exactly when floor(i |q| / (|p| + |q|)) steps up.
+    """
+    n = abs(p) + abs(q)
+    a, b = ("A" if p > 0 else "a"), ("B" if q > 0 else "b")
+    return "".join(b if (i * abs(q)) // n > ((i - 1) * abs(q)) // n else a for i in range(1, n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -292,13 +304,13 @@ class PuncturedTorusGroup:
     (``transport_to_standard_axis``) and axis frames when first asked for
     them and returns the same object after that; the arrays are read-only.  So are
     the side normals of its fundamental quadrilateral (``tile_sides``) and
-    the lifts of a component through a tile (``tile_leaves``), kept for every
+    the lifts of a curve through a tile (``tile_leaves``), kept for every
     tile a leaf search has kept.  It also
     keeps one leaf atlas per multicurve, and in ``segment_crossings`` the
     leaf crossings of segments from a basepoint x0 per multicurve, basepoint
     and far end, which ``bending.crossings_from_base`` fills: a word w names
-    [x0, w . x0], and (i, 0) and (i, 1) the segments to the two faces beside
-    the leaf of component i.  Each memo holds only what was asked of this
+    [x0, w . x0], and 0 and 1 the segments to the two faces beside the
+    multicurve's axis.  Each memo holds only what was asked of this
     group, never a failed query, and lives as long as the group.
     """
 
@@ -387,10 +399,10 @@ class PuncturedTorusGroup:
         return self._sides
 
     def tile_leaves(self, word: str, tile: str) -> tuple[tuple[str, np.ndarray], ...]:
-        """The lifts of the axis of a reduced word that meet the tile w.Q, w = ``tile``.
+        """The lifts of the axis of a simple curve's word that meet the tile w.Q, w = ``tile``.
 
-        For the word h . r^m . h^-1 (r cyclically reduced, not a power) they
-        are w . (r_1 ... r_k)^-1 . axis(r), 0 <= k < |r|, as the axis of r
+        For the word h . r . h^-1 (r cyclically reduced) they are
+        w . (r_1 ... r_k)^-1 . axis(r), 0 <= k < |r|, as the axis of r
         crosses the tiles r^n . r_1 ... r_k . Q.  Each comes as its first word
         v in walk order (v . axis(word) is the lift) and its normal, the
         identity times v's generator images, left to right, applied to the
@@ -398,8 +410,8 @@ class PuncturedTorusGroup:
         """
         leaves = self._tile_leaves.get((word, tile))
         if leaves is None:
-            head, root = _conjugate_root(word)
-            tail, axis = invert_word(head), self.axis(word).normal
+            root = _cyclic_reduce(word)
+            tail, axis = invert_word(word[: (len(word) - len(root)) // 2]), self.axis(word).normal
             leaves, offset = [], ""
             for k in range(len(root)):
                 first = _first_word(free_reduce(tile + offset), root, tail)
@@ -442,6 +454,14 @@ def build_punctured_torus(tp: TeichPoint) -> PuncturedTorusGroup:
 
 @dataclass(frozen=True)
 class MulticurveComponent:
+    """A weighted simple closed curve, as a freely reduced word.
+
+    Simple closed curves are the primitive conjugacy classes, one for each
+    primitive homology class (p, q) (Osborne-Zieschang): that of
+    ``christoffel(p, q)``.  This refuses the cusp, proper powers and curves
+    that cross themselves.
+    """
+
     word: str
     weight: float
 
@@ -449,27 +469,26 @@ class MulticurveComponent:
         _check_word(self.word)
         if free_reduce(self.word) != self.word:
             raise BadWordError(f"component word {self.word!r} is not freely reduced")
+        p, q = word_homology(self.word)
+        if math.gcd(p, q) != 1 or not words_conjugate(self.word, christoffel(p, q)):
+            raise BadWordError(
+                f"component word {self.word!r} (homology ({p}, {q})) is not a non-peripheral simple closed curve"
+            )
         if not (self.weight > 0.0 and math.isfinite(self.weight)):
             raise BadWordError("component weights must be positive and finite")
 
 
 @dataclass(frozen=True)
 class WeightedMulticurve:
+    """Exactly one weighted simple closed curve: distinct simple closed curves of
+    slopes (p, q) and (r, s) meet |ps - qr| >= 1 times, so disjoint ones are isotopic."""
+
     components: tuple[MulticurveComponent, ...]
 
     def __post_init__(self) -> None:
         comps = tuple(self.components)
-        if not comps:
-            raise BadWordError("a multicurve needs at least one component")
-        for comp in comps:
-            if words_conjugate(comp.word, PuncturedTorusGroup.CUSP_WORD) or words_conjugate(
-                comp.word, invert_word(PuncturedTorusGroup.CUSP_WORD)
-            ):
-                raise BadWordError(f"component {comp.word!r} is peripheral")
-        for i, ci in enumerate(comps):
-            for cj in comps[i + 1 :]:
-                if words_conjugate(ci.word, cj.word) or words_conjugate(ci.word, invert_word(cj.word)):
-                    raise BadWordError(f"components {ci.word!r} and {cj.word!r} are the same curve")
+        if len(comps) != 1:
+            raise BadWordError(f"a multicurve is one weighted simple closed curve; got {len(comps)} components")
         object.__setattr__(self, "components", comps)
 
     @classmethod
@@ -481,32 +500,24 @@ class WeightedMulticurve:
 
 
 def multicurve_length(point_or_group: TeichPoint | PuncturedTorusGroup, mc: WeightedMulticurve) -> float:
-    """Weighted total geodesic length of the multicurve."""
+    """Weighted geodesic length of the multicurve."""
     group = point_or_group if isinstance(point_or_group, PuncturedTorusGroup) else build_punctured_torus(point_or_group)
-    total = 0.0
-    for comp in mc.components:
-        length = group.translation_length(comp.word)
-        if length == 0.0:
-            raise NotHyperbolicError(f"component {comp.word!r} is not hyperbolic at this point")
-        total += comp.weight * length
-    return total
+    comp = mc.components[0]
+    length = group.translation_length(comp.word)
+    if length == 0.0:
+        raise NotHyperbolicError(f"component {comp.word!r} is not hyperbolic at this point")
+    return comp.weight * length
 
 
 def filling_advisory(lam: WeightedMulticurve, mu: WeightedMulticurve) -> str | None:
-    """Heuristic filling check via homological intersection numbers.
+    """None when the two multicurves fill the surface, else a diagnostic message.
 
-    Tests a fixed family of primitive homology classes against the combined
-    support; positive homological pairing implies positive geometric
-    intersection, so passing is evidence (not proof) that the pair fills.
-    Returns None when the heuristic passes, else a diagnostic message.
+    Simple closed curves of slopes (p, q) and (r, s) meet |ps - qr| times,
+    so the pair fills exactly when that intersection number is positive.
     """
-    classes = [c for comp in (*lam.components, *mu.components) for c in [word_homology(comp.word)]]
-    if any(c == (0, 0) for c in classes):
-        return "filling heuristic inconclusive: a component is null-homologous"
-    candidates = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2), (2, -1), (1, -2)]
-    for cand in candidates:
-        if all(cand[0] * c[1] - cand[1] * c[0] == 0 for c in classes):
-            return f"filling heuristic failed: no component crosses the class {cand}"
+    (p, q), (r, s) = (word_homology(mc.components[0].word) for mc in (lam, mu))
+    if p * s - q * r == 0:
+        return f"the curves of slopes ({p}, {q}) and ({r}, {s}) do not fill: their intersection number is 0"
     return None
 
 
@@ -521,13 +532,14 @@ class LeafCrossing:
 
     The leaf is oriented so that its left normal points away from the segment
     start; the parameter locates the crossing along the segment in (0, 1).
+    ``component_index`` is always 0, the index of the multicurve's one curve.
     """
 
     leaf: SpacelikeGeodesicH2
     weight: float
     parameter: float
     conjugator_word: str
-    component_index: int
+    component_index: int = 0
 
 
 def _canonical_sign(v: np.ndarray) -> float:
@@ -537,18 +549,11 @@ def _canonical_sign(v: np.ndarray) -> float:
     return 1.0
 
 
-Leaves = tuple[np.ndarray, np.ndarray, list[str], list[int]]
+Leaves = tuple[np.ndarray, list[str]]
 
 def _walk_order(word: str) -> tuple[int, str]:
     """Shortest first, then by the reversed word in the letter order A, B, a, b (that of ASCII)."""
     return len(word), word[::-1]
-
-
-def _conjugate_root(word: str) -> tuple[str, str]:
-    """(h, r) with the reduced word equal to h . r^m . h^-1, r cyclically reduced and not a proper power."""
-    core = _cyclic_reduce(word)
-    period = next(n for n in range(1, len(core) + 1) if len(core) % n == 0 and core[:n] * (len(core) // n) == core)
-    return word[: (len(word) - len(core)) // 2], core[:period]
 
 
 def _first_word(prefix: str, root: str, tail: str) -> str:
@@ -596,11 +601,10 @@ def _leaves_near_segment(
     within sinh-distance EPS_ENDPOINT of y: exact tests, as a point outside
     an ideal polygon violates one side only.  The kept tiles form a subtree
     of the side-adjacency tree, so the search is complete; ``max_nodes``
-    bounds the tiles it tests.  The component lifts through them
-    (``PuncturedTorusGroup.tile_leaves``) whose normals ``keep`` accepts (a
-    boolean mask of a stack) come once each, in walk order of their words,
-    component by component within one length, as normals (sign made
-    canonical), weights, words and component indices.
+    bounds the tiles it tests.  The lifts of the multicurve's curve through
+    them (``PuncturedTorusGroup.tile_leaves``) whose normals ``keep`` accepts
+    (a boolean mask of a stack) come once each, in walk order of their
+    words, as normals (sign made canonical) and words.
     """
     sides = group.tile_sides()
     gens = np.stack([group.lorentz(ch) for ch in GENERATOR_LETTERS])
@@ -651,17 +655,11 @@ def _leaves_near_segment(
         tiles = tiles + words
         mats, last = mats[kept], last[kept]
 
-    found = {
-        (idx, first): normal
-        for idx, comp in enumerate(mc.components)
-        for tile in tiles
-        for first, normal in group.tile_leaves(comp.word, tile)
-    }
-    order = sorted(found, key=lambda entry: (len(entry[1]), entry[0], _walk_order(entry[1])[1]))
-    chosen = [order[i] for i in np.nonzero(keep(np.array([found[entry] for entry in order]).reshape(-1, 3)))[0]]
-    normals = [found[entry] if _canonical_sign(found[entry]) > 0 else -found[entry] for entry in chosen]
-    weights = np.array([mc.components[idx].weight for idx, _ in chosen])
-    return np.array(normals).reshape(-1, 3), weights, [first for _, first in chosen], [idx for idx, _ in chosen]
+    found = {first: normal for tile in tiles for first, normal in group.tile_leaves(mc.components[0].word, tile)}
+    order = sorted(found, key=_walk_order)
+    chosen = [order[i] for i in np.nonzero(keep(np.array([found[first] for first in order]).reshape(-1, 3)))[0]]
+    normals = [found[first] if _canonical_sign(found[first]) > 0 else -found[first] for first in chosen]
+    return np.array(normals).reshape(-1, 3), chosen
 
 
 Pairings = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -702,14 +700,14 @@ class LeafAtlas:
     o is the disk centre and the radius is hyperbolic.  The atlas starts
     empty and is rebuilt by one leaf search about o whenever a query reaches
     past its radius, at that query's distance rounded up to ATLAS_STEP, up
-    to ATLAS_RADIUS_LIMIT.  ``leaves`` holds their normals, weights,
-    conjugator words and component indices.
+    to ATLAS_RADIUS_LIMIT.  ``leaves`` holds their normals and conjugator
+    words.
     """
 
     def __init__(self, multicurve: WeightedMulticurve):
         self.multicurve = multicurve
         self.radius = -math.inf
-        self.leaves: Leaves = (np.zeros((0, 3)), np.zeros(0), [], [])
+        self.leaves: Leaves = (np.zeros((0, 3)), [])
 
     def covering(self, group: PuncturedTorusGroup, x: np.ndarray, y: np.ndarray) -> Leaves | None:
         """The atlas leaves when its ball holds both endpoints, else None.
@@ -747,12 +745,12 @@ def leaves_crossing(
     x = np.asarray(x, dtype=float).reshape(2)
     y = np.asarray(y, dtype=float).reshape(2)
     leaves = group.atlas(mc).covering(group, x, y)
-    return _crossings(leaves if leaves is not None else _walk_segment(group, mc, x, y), x, y)
+    return _crossings(leaves if leaves is not None else _walk_segment(group, mc, x, y), mc.components[0].weight, x, y)
 
 
-def _crossings(leaves: Leaves, x: np.ndarray, y: np.ndarray) -> list[LeafCrossing]:
-    """The crossings of (x, y) among the given leaves, by the sign test."""
-    normals, weights, words, comps = leaves
+def _crossings(leaves: Leaves, weight: float, x: np.ndarray, y: np.ndarray) -> list[LeafCrossing]:
+    """The crossings of (x, y) among the given leaves of a curve of this weight, by the sign test."""
+    normals, words = leaves
     f0, f1, on_leaf = _pairings(x, y)(normals)
     if np.any(on_leaf):
         raise EndpointOnLeafError("segment endpoint lies on a leaf; nudge the basepoint")
@@ -762,10 +760,9 @@ def _crossings(leaves: Leaves, x: np.ndarray, y: np.ndarray) -> list[LeafCrossin
         crossings.append(
             LeafCrossing(
                 leaf=SpacelikeGeodesicH2(normal),
-                weight=float(weights[i]),
+                weight=float(weight),
                 parameter=float(f0[i] / (f0[i] - f1[i])),
                 conjugator_word=words[i],
-                component_index=comps[i],
             )
         )
     crossings.sort(key=lambda c: c.parameter)
@@ -914,7 +911,7 @@ def kerckhoff_point(
     Returns the minimizer with its projected gradient norm, the condition
     number of the reduced Hessian there (a flatness diagnostic; the minimizer
     is unique in theory but may sit in a numerically flat valley), and the
-    filling-heuristic advisory.  Raises NoConvergenceError when the start is
+    filling advisory.  Raises NoConvergenceError when the start is
     outside the domain or a component is not hyperbolic there (reported with
     an infinite gradient norm after 0 steps), or when the final projected
     gradient is not below ``gradient_tol``, as for a pair with no minimum.

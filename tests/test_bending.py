@@ -172,10 +172,7 @@ def test_bent_holonomy_is_a_homomorphism_at_extreme_traces():
         assert np.max(np.abs(lhs - rhs)) < 1e-9 * np.max(np.abs(lhs))
 
 
-# The one-component multicurves: the two components of the other, A and B,
-# cross, and rotations about crossing leaves commute only in the half-pipe
-# model, so bending along it is no cocycle in the other two.
-laminations = st.sampled_from([mc for mc in ATLAS_MULTICURVES if len(mc.components) == 1])
+laminations = st.sampled_from(ATLAS_MULTICURVES)
 
 
 @given(

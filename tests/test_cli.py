@@ -89,8 +89,9 @@ def test_config_errors_exit_2(tmp_path):
     missing.write_text(json.dumps({"traces": [3.0, 3.0, 3.0]}))
     assert _run(tmp_path, "transition", missing)[0] == EXIT_CONFIG
 
-    bad_word = _write_config(tmp_path / "bad3.json", words=["AXb"])
-    assert _run(tmp_path, "transition", bad_word)[0] == EXIT_CONFIG
+    for words in (["AXb"], [""]):
+        bad_word = _write_config(tmp_path / "bad3.json", words=words)
+        assert _run(tmp_path, "transition", bad_word)[0] == EXIT_CONFIG, words
 
     both = _write_config(
         tmp_path / "bad4.json", generators=[[[1, 0], [0, 1]], [[1, 0], [0, 1]]]
@@ -108,6 +109,16 @@ def test_config_errors_exit_2(tmp_path):
         assert _run(tmp_path, command, singular)[0] == EXIT_CONFIG, command
 
     assert _run(tmp_path, "transition", tmp_path / "absent.json")[0] == EXIT_CONFIG
+
+    # A grid field that is not a list, and repeated grid values, in the
+    # config or on the command line.
+    good = _write_config(tmp_path / "good.json")
+    for command in ("transition", "double", "export-surface"):
+        for grid in ("abc", 0.1, {}, [0.2, 0.1, 0.1]):
+            config = _write_config(tmp_path / "bad6.json", grid=grid)
+            assert _run(tmp_path, command, config)[0] == EXIT_CONFIG, (command, grid)
+        for grid in ("0.1,0.1", "0.2,0.1,0.1", "0.1,-0.1,0.01,-0.01,0.001,-0.001,0.01"):
+            assert _run(tmp_path, command, good, f"--grid={grid}")[0] == EXIT_CONFIG, (command, grid)
 
 
 def test_non_finite_config_numbers_exit_2(tmp_path):
@@ -325,22 +336,19 @@ def test_seed_is_recorded_in_outputs(tmp_path):
     assert scene["seed"] == 11
 
 
-def test_multicomponent_multicurve_round_trip(tmp_path):
-    config = _write_config(
-        tmp_path / "cfg.json",
-        multicurves={
-            "lambda": [{"word": "A", "weight": 0.6}, {"word": "B", "weight": 0.4}],
-            "mu": [{"word": "AB", "weight": 1.0}],
-        },
-        words=["A"],
+def test_multicurves_other_than_one_simple_curve_exit_2(tmp_path):
+    lambdas = (
+        [{"word": "AABB", "weight": 0.7}],
+        [{"word": "AAbb", "weight": 0.7}],
+        [{"word": "AA"}],
+        [{"word": "ABabABab"}],
+        [{"word": "A", "weight": 1.0}, {"word": "B", "weight": 0.5}],
+        [],
     )
-    code, out = _run(tmp_path, "double", config, "--grid", "0.1,0.05")
-    assert code == EXIT_OK
-    with (out / "cone_angles.csv").open() as handle:
-        rows = list(csv.DictReader(handle))
-    words = {row["word"] for row in rows}
-    assert words == {"A", "B"}
-    for row in rows:
-        if row["geometry"] == "hyperbolic" and row["word"] == "A":
-            t, angle = float(row["t"]), float(row["cone_angle"])
-            assert angle == pytest.approx(2.0 * (math.pi - 0.6 * t), abs=TOL_READBACK)
+    for index, lam in enumerate(lambdas):
+        multicurves = {"lambda": lam, "mu": [{"word": "B", "weight": 1.0}]}
+        config = _write_config(tmp_path / f"cfg{index}.json", multicurves=multicurves)
+        for command in ("transition", "kerckhoff", "double", "export-surface"):
+            code, out = _run(tmp_path / f"{index}-{command}", command, config)
+            assert code == EXIT_CONFIG, (lam, command)
+            assert not out.exists()

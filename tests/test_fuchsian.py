@@ -21,6 +21,7 @@ from halfpipe.fuchsian import (
     WeightedMulticurve,
     axis_of_sl2,
     build_punctured_torus,
+    christoffel,
     filling_advisory,
     fricke_defect,
     free_reduce,
@@ -33,6 +34,7 @@ from halfpipe.fuchsian import (
     word_homology,
     words_conjugate,
     _crossings,
+    _cyclic_reduce,
     _fricke_gradient,
     _leaves_near_segment,
     _normal_form_generators,
@@ -134,12 +136,11 @@ def test_no_convergence_error_reports_its_numbers():
     with pytest.raises(NoConvergenceError) as info:
         kerckhoff_point(WeightedMulticurve.single("A"), WeightedMulticurve.single("B"), TeichPoint.from_xy(3.0, 100.0))
     assert info.value.steps == 0 and "after 0 steps" in str(info.value)
-    # So is a component that is parabolic everywhere, such as the square of
-    # the commutator (trace 2 up to rounding).
-    for start in (SYMMETRIC, TeichPoint.from_xy(4.0, 5.0), TeichPoint.from_xy(6.0, 3.5)):
+    # A pair with no minimum fails from every start.
+    for start in (TeichPoint.from_xy(4.0, 5.0), TeichPoint.from_xy(6.0, 3.5)):
         with pytest.raises(NoConvergenceError) as info:
-            kerckhoff_point(WeightedMulticurve.single("ABabABab"), WeightedMulticurve.single("B"), start)
-        assert info.value.steps == 0 and "after 0 steps" in str(info.value)
+            kerckhoff_point(WeightedMulticurve.single("A"), WeightedMulticurve.single("A"), start)
+        assert info.value.gradient_norm > 1e-7 and 0 < info.value.steps <= 50
 
 
 def test_adjoint_representation_is_a_lorentz_homomorphism():
@@ -247,29 +248,75 @@ def test_word_utilities():
 
 
 def test_multicurve_validation():
-    with pytest.raises(BadWordError):
-        WeightedMulticurve.single("ABab")
+    # The cusp and its square, proper powers, and curves that cross themselves.
+    for word in ("ABab", "ABabABab", "AA", "AABB", "AAbb", "ABAb", "aBaBaB"):
+        with pytest.raises(BadWordError):
+            WeightedMulticurve.single(word)
     for bad in (-1.0, 0.0, math.nan, math.inf):
         with pytest.raises(BadWordError):
             WeightedMulticurve.single("A", weight=bad)
     with pytest.raises(BadWordError):
         WeightedMulticurve.single("Aa")
+    # A multicurve is one curve: two components are refused, whether they
+    # cross (A and B) or are the same curve (AB and BA, AB and ba).
+    for first, second in (("A", "B"), ("AB", "BA"), ("AB", "ba")):
+        with pytest.raises(BadWordError):
+            WeightedMulticurve((MulticurveComponent(first, 1.0), MulticurveComponent(second, 0.5)))
     with pytest.raises(BadWordError):
-        WeightedMulticurve((MulticurveComponent("AB", 1.0), MulticurveComponent("BA", 2.0)))
-    with pytest.raises(BadWordError):
-        WeightedMulticurve((MulticurveComponent("AB", 1.0), MulticurveComponent("ba", 2.0)))
-    mc = WeightedMulticurve((MulticurveComponent("A", 1.0), MulticurveComponent("B", 0.5)))
-    assert mc.scaled(2.0).components[1].weight == pytest.approx(1.0)
+        WeightedMulticurve(())
+    mc = WeightedMulticurve((MulticurveComponent("aBA", 0.5),))
+    assert mc.scaled(2.0).components[0].weight == pytest.approx(1.0)
+
+
+def _all_reduced_words(length):
+    words, shell = [], [""]
+    for _ in range(length):
+        shell = [w + ch for w in shell for ch in "ABab" if not w.endswith(ch.swapcase())]
+        words += shell
+    return words
+
+
+def test_simple_curves_are_the_signed_christoffel_classes():
+    for p in range(-5, 6):
+        for q in range(-5, 6):
+            if math.gcd(p, q) != 1:
+                continue
+            word = christoffel(p, q)
+            assert word_homology(word) == (p, q)
+            for w in (word, invert_word(word)):
+                for k in range(len(w)):
+                    WeightedMulticurve.single(w[k:] + w[:k])
+    # The geometric meaning at (3,3,3): a reduced word of length <= 5 is
+    # accepted exactly when it is hyperbolic, not a proper power, and no
+    # translate g . axis with |g| <= 5 crosses its axis.
+    group = build_punctured_torus(SYMMETRIC)
+    words = _all_reduced_words(5)
+    translates = np.stack([group.lorentz(g) for g in ["", *words]])
+    for word in words:
+        try:
+            WeightedMulticurve.single(word)
+        except BadWordError:
+            accepted = False
+        else:
+            accepted = True
+        if abs(float(np.trace(group.sl2(word)))) < 2.0 + 1e-9:
+            assert not accepted, word
+            continue
+        core = _cyclic_reduce(word)
+        power = any(len(core) % n == 0 and core[:n] * (len(core) // n) == core for n in range(1, len(core)))
+        normal = group.axis(word).normal
+        crossed = bool(np.any(np.abs((translates @ normal) @ J3 @ normal) < 1.0 - 1e-9))
+        assert accepted == (not power and not crossed), word
 
 
 def test_filling_advisory():
     assert filling_advisory(WeightedMulticurve.single("A"), WeightedMulticurve.single("B")) is None
     msg = filling_advisory(WeightedMulticurve.single("A"), WeightedMulticurve.single("AAB"))
     assert msg is None
-    failing = filling_advisory(WeightedMulticurve.single("A"), WeightedMulticurve.single("ABAb"))
-    assert failing is not None and "filling" in failing
-    inconclusive = filling_advisory(WeightedMulticurve.single("A"), WeightedMulticurve.single("AABBabab"))
-    assert inconclusive is not None and "null-homologous" in inconclusive
+    assert filling_advisory(WeightedMulticurve.single("AB"), WeightedMulticurve.single("Ab")) is None
+    for lam, mu in (("A", "A"), ("A", "a"), ("AAB", "BAA")):
+        failing = filling_advisory(WeightedMulticurve.single(lam), WeightedMulticurve.single(mu))
+        assert failing is not None and "do not fill" in failing
 
 
 def test_multicurve_lengths():
@@ -375,7 +422,7 @@ def test_endpoint_on_leaf_is_rejected():
 
 def test_enumeration_matches_exhaustive_search():
     group = build_punctured_torus(SYMMETRIC)
-    mc = WeightedMulticurve((MulticurveComponent("A", 1.0), MulticurveComponent("B", 0.5)))
+    mc = WeightedMulticurve.single("AAB", 0.5)
     x, y = np.array([-0.31, 0.12]), np.array([0.33, -0.14])
     crossings = leaves_crossing(group, mc, x, y)
     assert _crossing_keys(crossings) == _exhaustive_crossing_keys(group, mc, x, y, depth=8)
@@ -425,7 +472,6 @@ ATLAS_MULTICURVES = (
     WeightedMulticurve.single("AB", 0.8),
     WeightedMulticurve.single("AAB", 0.5),
     WeightedMulticurve.single("ABB"),
-    WeightedMulticurve((MulticurveComponent("A", 1.0), MulticurveComponent("B", 0.5))),
 )
 
 
@@ -437,7 +483,7 @@ def _disk_point(rng, radius):
 def _assert_walk_agrees(group, mc, x, y):
     """The atlas answer for [x, y] is the answer of a search of the segment alone."""
     got = leaves_crossing(group, mc, x, y)
-    searched = _crossings(_walk_segment(group, mc, x, y), x, y)
+    searched = _crossings(_walk_segment(group, mc, x, y), mc.components[0].weight, x, y)
     assert [(c.component_index, c.conjugator_word) for c in got] == [
         (c.component_index, c.conjugator_word) for c in searched
     ]
@@ -605,7 +651,7 @@ def test_leaf_search_finds_every_crossing_of_a_brute_force_enumeration(point, mc
         assume(False)
     expected = _brute_force_crossings(group, mc, x, y, 7)
     _assert_same_crossings(crossings, expected)
-    _assert_same_crossings(_crossings(_walk_segment(group, mc, x, y), x, y), expected)
+    _assert_same_crossings(_crossings(_walk_segment(group, mc, x, y), mc.components[0].weight, x, y), expected)
 
 
 @given(

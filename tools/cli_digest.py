@@ -18,7 +18,9 @@ The runs, all in one process:
   values per side (exit 3);
 - ``double`` and ``export-surface`` at two extreme trace points, ABB at
   from_xy(3, 40) and 0.5 AAB at from_xy(20, 3), where leaf atlases reach
-  far into thin parts of the surface.
+  far into thin parts of the surface;
+- all four subcommands on two multicurves that are not one simple closed
+  curve, 0.7 AABB and A + 0.5 B (two entries), which exit 2.
 
 It prints one ``<sha256>  <run>/<file>`` line per output file, one
 ``exit <code>  <run>`` line per run, then one ``<sha256>  subcommand <name>``
@@ -113,6 +115,11 @@ def runs(workloads, teich_point):
         cfg = _config(teich_point.from_xy(x, y).as_array().tolist(), **{"lambda": [lam]})
         for command in ("double", "export-surface"):
             yield f"edge/{name}/{command}", command, cfg, ()
+    refused = {"0.7AABB": [("AABB", 0.7)], "A+0.5B": [("A", 1.0), ("B", 0.5)]}
+    for name, lam in refused.items():
+        cfg = dict(_config((3.0, 3.0, 3.0), **{"lambda": lam, "mu": [("B", 1.0)]}), words=["A"])
+        for command in SUBCOMMANDS:
+            yield f"refused/{name}/{command}", command, cfg, ()
 
 
 def main() -> int:
