@@ -16,7 +16,7 @@ the basepoint, and the affine pieces are the support planes of the surface.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +56,16 @@ from halfpipe.isometry import (
 PULLBACK = 1e-6
 
 
+def _base_point(base_point) -> np.ndarray:
+    """A basepoint as a read-only array of shape (2,); OutsideModelError unless it lies in the open disk."""
+    z = np.array(base_point, dtype=float).reshape(2)
+    # Written so that a NaN basepoint fails too.
+    if not float(z @ z) < 1.0:
+        raise OutsideModelError("the basepoint must lie in the open disk")
+    z.flags.writeable = False
+    return z
+
+
 @dataclass(frozen=True, eq=False)
 class BendingContext:
     """Everything needed to bend the flat surface along one multicurve.
@@ -90,12 +100,7 @@ class BendingContext:
     scale: float = 1.0
 
     def __post_init__(self) -> None:
-        z = np.array(self.base_point, dtype=float).reshape(2)
-        # Written so that a NaN basepoint fails too.
-        if not float(z @ z) < 1.0:
-            raise OutsideModelError("the basepoint must lie in the open disk")
-        z.flags.writeable = False
-        object.__setattr__(self, "base_point", z)
+        object.__setattr__(self, "base_point", _base_point(self.base_point))
         if self.sign not in (1.0, -1.0):
             raise GeometryError("sign must be +1.0 or -1.0")
         if not math.isfinite(self.scale):
@@ -179,24 +184,10 @@ class BentHolonomy:
         return _context_product(self.context, holonomy_crossings(self.context, word), word)
 
 
-def crossings_from_base(ctx: BendingContext, label, endpoint: Callable[[], np.ndarray]) -> tuple[LeafCrossing, ...]:
-    """The leaves crossed by the segment from x0 to the point ``endpoint()``.
-
-    They depend on the group, the multicurve, the basepoint and the far end
-    only, so the group keeps them for every context over it, under the
-    hashable ``label`` naming the far end; ``endpoint`` runs only on a miss.
-    """
-    key = (ctx.multicurve, ctx.base_point.tobytes(), label)
-    crossings = ctx.group.segment_crossings.get(key)
-    if crossings is None:
-        crossings = tuple(leaves_crossing(ctx.group, ctx.multicurve, ctx.base_point, endpoint()))
-        ctx.group.segment_crossings[key] = crossings
-    return crossings
-
-
-def holonomy_crossings(ctx: BendingContext, word: str) -> tuple[LeafCrossing, ...]:
+def holonomy_crossings(ctx: BendingContext, word: str) -> list[LeafCrossing]:
     """The leaves crossed by the segment from x0 to word . x0."""
-    return crossings_from_base(ctx, word, lambda: radial_project(ctx.group.lorentz(word) @ disk_lift(ctx.base_point)))
+    far = radial_project(ctx.group.lorentz(word) @ disk_lift(ctx.base_point))
+    return leaves_crossing(ctx.group, ctx.multicurve, ctx.base_point, far)
 
 
 def bent_holonomy(ctx: BendingContext) -> BentHolonomy:

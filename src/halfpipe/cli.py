@@ -289,7 +289,7 @@ def cmd_double(args) -> int:
 
     curve = lam.components[0]
     slices = [(tag, t) for tag in (HYP, ADS, HP) for t in grid]
-    table = meridian_cone_angles(group, lam, base, curve.word, slices)
+    table = meridian_cone_angles(group, lam, base, slices)
     hyp, ads, hp = (table[i : i + len(grid)] for i in range(0, len(table), len(grid)))
     # the doubled metrics close up affinely: slope -2 * weight on each side
     slope_gap = 0.0
@@ -346,11 +346,13 @@ def cmd_export_surface(args) -> int:
     group = _group_from_config(cfg)
     lam = _multicurve_from_config(cfg, "lambda")
     grid = _grid_from(args, cfg, (0.1,))
+    if len(grid) != 1:
+        raise ConfigError(f"export-surface takes one grid value; got {list(grid)}")
+    (t,) = grid
     samples = cfg.get("samples", DEFAULT_SAMPLES)
     if isinstance(samples, bool) or not isinstance(samples, int) or samples <= 0:
         raise ConfigError("field 'samples' must be a positive integer")
     tol = args.tol if args.tol is not None else EPS_GEOM
-    t = float(grid[0])
     ctx = signed_context(group, lam, _base_point_from(cfg), 1.0, t)
 
     rng = np.random.default_rng(args.seed)
@@ -403,12 +405,12 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="JSON config path")
         cmd.add_argument("--out", default=".", help="output directory")
-        cmd.add_argument(
-            "--grid",
-            default=None,
-            help="comma-separated t values overriding the config grid "
-            "(sign selects the geometry: +t collapsing, -t expanding, 0 flat)",
-        )
+        if name != "kerckhoff":
+            cmd.add_argument(
+                "--grid",
+                help="comma-separated t values overriding the config grid "
+                "(sign selects the geometry: +t collapsing, -t expanding, 0 flat)",
+            )
         cmd.add_argument("--seed", type=int, default=0, help="seed recorded in outputs")
         cmd.add_argument("--tol", type=float, default=None, help="threshold override (finite, positive)")
         cmd.set_defaults(handler=handler)

@@ -14,7 +14,6 @@ and checks that doubled cusp stabilizers are rank-2 abelian.
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 from collections.abc import Sequence
@@ -25,9 +24,9 @@ import numpy as np
 from halfpipe.bending import (
     BendingContext,
     BentHolonomy,
+    _base_point,
     _bracketed_product,
     bent_holonomy,
-    crossings_from_base,
     support_plane_at,
 )
 from halfpipe.fuchsian import EndpointOnLeafError, PuncturedTorusGroup, WeightedMulticurve, leaves_crossing
@@ -185,10 +184,10 @@ def double_convex_core_pair(upper: BendingContext, lower: BendingContext) -> Dou
     return DoubledHolonomy(rho=bent_holonomy(upper), reflections=reflections)
 
 
-def _adjacent_face_points(ctx: BendingContext):
+def _adjacent_face_points(group: PuncturedTorusGroup, multicurve: WeightedMulticurve):
     # Nudge across the multicurve's axis at its point nearest the disk centre
     # until the segment between the two points crosses exactly that leaf.
-    leaf = ctx.group.axis(ctx.multicurve.components[0].word)
+    leaf = group.axis(multicurve.components[0].word)
     anchor = leaf.closest_point_to_origin()
     z = anchor[1:] / anchor[0]
     direction = leaf.normal[1:] - z * leaf.normal[0]
@@ -197,7 +196,7 @@ def _adjacent_face_points(ctx: BendingContext):
     for _ in range(4):
         near, far = z - eps * direction, z + eps * direction
         try:
-            crossings = leaves_crossing(ctx.group, ctx.multicurve, near, far)
+            crossings = leaves_crossing(group, multicurve, near, far)
         except EndpointOnLeafError:
             eps *= 0.1
             continue
@@ -208,10 +207,9 @@ def _adjacent_face_points(ctx: BendingContext):
 
 
 def meridian_cone_angles(
-    group: PuncturedTorusGroup, multicurve: WeightedMulticurve, base_point, word: str,
-    slices: Sequence[tuple[Geometry, float]],
+    group: PuncturedTorusGroup, multicurve: WeightedMulticurve, base_point, slices: Sequence[tuple[Geometry, float]]
 ) -> list[float]:
-    """Cone angles of the meridian around the bending line of the multicurve's curve ``word``, one per slice.
+    """Cone angles of the meridian around the bending line of the multicurve's curve, one per slice.
 
     Doubling turns each bending leaf into a cone axis whose meridian is the
     product of the reflections in the two support planes beside the leaf.
@@ -221,32 +219,30 @@ def meridian_cone_angles(
     for theta = sign * scale * weight.  A hyperbolic angle is read mod 2*pi
     and returned as the representative nearest 2*(pi - theta), which is
     2*pi plus the read-out in [-pi, pi) whenever |theta| <= pi/2.  The leaves
-    crossed from x0 to the two faces are read once through the group's
-    segment memo, and the table is two stacked products, slice by slice
-    those of one context.  A non-finite scale, a word other than the
-    curve's and a hyperbolic |theta| >= pi raise GeometryError before any
-    product.
+    crossed from x0 to the two faces are queried once each, and the table
+    is two stacked products, slice by slice those of one context.  A
+    non-finite scale, a hyperbolic |theta| >= pi and a basepoint outside the
+    open disk raise GeometryError before any leaf query, and a far face
+    point on a leaf FacePointOnLeafError.
     """
     tags, scales = zip(*slices)
     curve = multicurve.components[0]
-    if word != curve.word:
-        raise GeometryError(f"{word!r} is not the curve {curve.word!r} of the multicurve")
     weight = curve.weight
     for tag, s in slices:
         if not math.isfinite(s):
             raise GeometryError(f"scale {s!r} is not finite")
         if tag is HYP and abs(s * weight) >= math.pi:
             raise GeometryError(f"hyperbolic bending angle {s * weight!r} must stay below pi")
-    ctx = BendingContext(group, multicurve, base_point, tags[0])
-    faces = functools.cache(lambda: _adjacent_face_points(ctx))
-    near = crossings_from_base(ctx, 0, lambda: faces()[0])
+    base = _base_point(base_point)
+    near, far = _adjacent_face_points(group, multicurve)
+    near_crossings = leaves_crossing(group, multicurve, base, near)
     try:
-        far = crossings_from_base(ctx, 1, lambda: faces()[1])
+        far_crossings = leaves_crossing(group, multicurve, base, far)
     except EndpointOnLeafError as exc:
-        raise FacePointOnLeafError(f"face point {faces()[1]} lies on a leaf") from exc
-    cocycles = _bracketed_product(group, multicurve, near, "", slices)
-    far_cocycles = _bracketed_product(group, multicurve, far, "", slices)
-    phi, phi_inverses = group.axis_frame(word, tags)
+        raise FacePointOnLeafError(f"face point {far} lies on a leaf") from exc
+    cocycles = _bracketed_product(group, multicurve, near_crossings, "", slices)
+    far_cocycles = _bracketed_product(group, multicurve, far_crossings, "", slices)
+    phi, phi_inverses = group.axis_frame(curve.word, tags)
     angles = [0.0] * len(tags)
     for tag in dict.fromkeys(tags):
         rows = [j for j, other in enumerate(tags) if other is tag]
@@ -265,10 +261,14 @@ def meridian_cone_angle(ctx: BendingContext, word: str, t: float | None = None) 
     """Cone angle of the meridian around a bending line in the double.
 
     The one-slice table of :func:`meridian_cone_angles` at the context's
-    model and sign * scale, with ``t`` in place of the scale when given.
+    model and sign * scale, with ``t`` in place of the scale when given.  A
+    word other than the multicurve's curve raises GeometryError.
     """
+    curve = ctx.multicurve.components[0]
+    if word != curve.word:
+        raise GeometryError(f"{word!r} is not the curve {curve.word!r} of the multicurve")
     scale = ctx.scale if t is None else t
-    return meridian_cone_angles(ctx.group, ctx.multicurve, ctx.base_point, word, ((ctx.tag, ctx.sign * scale),))[0]
+    return meridian_cone_angles(ctx.group, ctx.multicurve, ctx.base_point, ((ctx.tag, ctx.sign * scale),))[0]
 
 
 def _parabolic_fixed_direction(g: Isometry) -> np.ndarray:

@@ -56,8 +56,10 @@ EPS_CLIP = 1e-14
 ATLAS_STEP = 0.5
 ATLAS_RADIUS_LIMIT = 2.5
 
-# The Kerckhoff search keeps every trace in (2, KERCKHOFF_TRACE_MAX].
+# The Kerckhoff search keeps every trace in (2, KERCKHOFF_TRACE_MAX] and
+# takes at most KERCKHOFF_MAX_STEPS Newton steps.
 KERCKHOFF_TRACE_MAX = 80.0
+KERCKHOFF_MAX_STEPS = 50
 
 GENERATOR_LETTERS = "ABab"
 
@@ -300,18 +302,13 @@ class PuncturedTorusGroup:
     SL2 matrices, and through the adjoint to Lorentz matrices acting on the
     shared hyperbolic plane.  The commutator word is the cusp.
 
-    A group computes a word's Lorentz image, axis, axis transport
-    (``transport_to_standard_axis``) and axis frames when first asked for
-    them and returns the same object after that; the arrays are read-only.  So are
-    the side normals of its fundamental quadrilateral (``tile_sides``) and
-    the lifts of a curve through a tile (``tile_leaves``), kept for every
-    tile a leaf search has kept.  It also
-    keeps one leaf atlas per multicurve, and in ``segment_crossings`` the
-    leaf crossings of segments from a basepoint x0 per multicurve, basepoint
-    and far end, which ``bending.crossings_from_base`` fills: a word w names
-    [x0, w . x0], and 0 and 1 the segments to the two faces beside the
-    multicurve's axis.  Each memo holds only what was asked of this
-    group, never a failed query, and lives as long as the group.
+    A group computes a word's Lorentz image, axis and axis frames when first
+    asked for them and returns the same object after that; the arrays are
+    read-only.  So are the side normals of its fundamental quadrilateral
+    (``tile_sides``) and the lifts of a curve through a tile (``tile_leaves``),
+    kept for every tile a leaf search has kept.  It also keeps one leaf atlas
+    per multicurve.  Each memo holds only what was asked of this group, never
+    a failed query, and lives as long as the group.
     """
 
     trace_point: TeichPoint
@@ -325,11 +322,9 @@ class PuncturedTorusGroup:
         object.__setattr__(self, "_atlases", {})
         object.__setattr__(self, "_lorentz", {})
         object.__setattr__(self, "_axes", {})
-        object.__setattr__(self, "_transports", {})
         object.__setattr__(self, "_frames", {})
         object.__setattr__(self, "_sides", None)
         object.__setattr__(self, "_tile_leaves", {})
-        object.__setattr__(self, "segment_crossings", {})
 
     def sl2(self, word: str) -> np.ndarray:
         if word:
@@ -350,20 +345,11 @@ class PuncturedTorusGroup:
             axis = self._axes[word] = axis_of_sl2(self.sl2(word))
         return axis
 
-    def axis_transport(self, word: str) -> np.ndarray:
-        """The Lorentz matrix carrying the word's oriented axis to the standard axis."""
-        transport = self._transports.get(word)
-        if transport is None:
-            transport = transport_to_standard_axis(self.axis(word))
-            transport.flags.writeable = False
-            self._transports[word] = transport
-        return transport
-
     def axis_frame(self, word: str, tags: tuple[Geometry, ...]) -> tuple[np.ndarray, np.ndarray]:
-        """phi = block-diag(axis_transport(word), 1) and the stack of its group inverses in the models ``tags``."""
+        """phi = block-diag(transport_to_standard_axis(axis(word)), 1) and its group inverses in the models ``tags``."""
         frame = self._frames.get((word, tags))
         if frame is None:
-            phi = embed_h2(self.axis_transport(word))
+            phi = embed_h2(transport_to_standard_axis(self.axis(word)))
             by_tag = {tag: Isometry(phi, tag).inverse().matrix for tag in set(tags)}
             inverses = np.array([by_tag[tag] for tag in tags])
             phi.flags.writeable = inverses.flags.writeable = False
@@ -542,13 +528,6 @@ class LeafCrossing:
     component_index: int = 0
 
 
-def _canonical_sign(v: np.ndarray) -> float:
-    for value in reversed(v):
-        if abs(value) > 1e-12:
-            return math.copysign(1.0, value)
-    return 1.0
-
-
 Leaves = tuple[np.ndarray, list[str]]
 
 def _walk_order(word: str) -> tuple[int, str]:
@@ -591,7 +570,6 @@ def _leaves_near_segment(
     y: np.ndarray,
     radius: float,
     keep: Callable[[np.ndarray], np.ndarray],
-    max_nodes: int = MAX_NODES,
 ) -> Leaves:
     """Every leaf meeting [x, y] or B(x, radius), or passing near y, that ``keep`` accepts.
 
@@ -600,11 +578,11 @@ def _leaves_near_segment(
     rounding slack), lies within distance radius + EPS_ENDPOINT of x or
     within sinh-distance EPS_ENDPOINT of y: exact tests, as a point outside
     an ideal polygon violates one side only.  The kept tiles form a subtree
-    of the side-adjacency tree, so the search is complete; ``max_nodes``
-    bounds the tiles it tests.  The lifts of the multicurve's curve through
+    of the side-adjacency tree, so the search is complete; MAX_NODES bounds
+    the tiles it tests.  The lifts of the multicurve's curve through
     them (``PuncturedTorusGroup.tile_leaves``) whose normals ``keep`` accepts
     (a boolean mask of a stack) come once each, in walk order of their
-    words, as normals (sign made canonical) and words.
+    words, as normals and words.
     """
     sides = group.tile_sides()
     gens = np.stack([group.lorentz(ch) for ch in GENERATOR_LETTERS])
@@ -630,7 +608,7 @@ def _leaves_near_segment(
     word, mat, nodes = "", np.eye(3), 0
     while True:
         nodes += 1
-        if nodes > max_nodes:
+        if nodes > MAX_NODES:
             raise budget_error(nodes, 0)
         at_x = (duals @ (mat @ sides))[0]
         j = int(np.argmin(at_x))
@@ -648,7 +626,7 @@ def _leaves_near_segment(
         mats = (mats[np.newaxis] @ gens[:, np.newaxis])[allowed]
         depth += 1
         nodes += len(last)
-        if nodes > max_nodes:
+        if nodes > MAX_NODES:
             raise budget_error(nodes, depth)
         kept = np.nonzero(meets(mats))[0]
         words = [free_reduce(words[i] + GENERATOR_LETTERS[j]) for i, j in zip(parent[kept], last[kept])]
@@ -658,8 +636,7 @@ def _leaves_near_segment(
     found = {first: normal for tile in tiles for first, normal in group.tile_leaves(mc.components[0].word, tile)}
     order = sorted(found, key=_walk_order)
     chosen = [order[i] for i in np.nonzero(keep(np.array([found[first] for first in order]).reshape(-1, 3)))[0]]
-    normals = [found[first] if _canonical_sign(found[first]) > 0 else -found[first] for first in chosen]
-    return np.array(normals).reshape(-1, 3), chosen
+    return np.array([found[first] for first in chosen]).reshape(-1, 3), chosen
 
 
 Pairings = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -893,7 +870,6 @@ def kerckhoff_point(
     init: TeichPoint,
     *,
     gradient_tol: float = 1e-7,
-    max_steps: int = 50,
 ) -> KerckhoffResult:
     """Minimize the combined multicurve length over the trace variety.
 
@@ -906,7 +882,7 @@ def kerckhoff_point(
     onto the variety.  Trial points with a trace outside (2, 80] are
     shortened too, so the iteration never leaves that domain.  It stops once
     the projected gradient is below 1e-4 * ``gradient_tol``, when no
-    shortened step decreases the objective, or after ``max_steps`` steps.
+    shortened step lowers the objective, or after KERCKHOFF_MAX_STEPS steps.
 
     Returns the minimizer with its projected gradient norm, the condition
     number of the reduced Hessian there (a flatness diagnostic; the minimizer
@@ -946,7 +922,7 @@ def kerckhoff_point(
     if not math.isfinite(objective):
         raise NoConvergenceError(math.inf, gradient_tol, 0)
     steps = 0
-    while steps < max_steps and np.linalg.norm(grad) > 1e-4 * gradient_tol:
+    while steps < KERCKHOFF_MAX_STEPS and np.linalg.norm(grad) > 1e-4 * gradient_tol:
         eigvals, eigvecs = np.linalg.eigh(hess)
         curvature = np.maximum(np.abs(eigvals), 1e-8 * max(1.0, float(np.abs(eigvals).max())))
         direction = -eigvecs @ ((eigvecs.T @ grad) / curvature)

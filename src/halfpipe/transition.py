@@ -121,10 +121,6 @@ class TransitionFamily:
     grid: tuple[float, ...]
     matrices: np.ndarray
 
-    @property
-    def sides(self) -> tuple[Geometry, ...]:
-        return tuple(geometry_of(t) for t in self.grid)
-
     def side(self, positive: bool) -> tuple[np.ndarray, np.ndarray]:
         """The grid values of one side and the stack of their matrices, by increasing |t|."""
         ts = np.array(self.grid)
@@ -213,7 +209,6 @@ class ConvergenceReport:
     order_positive: float
     order_negative: float
     two_sided_gap: float
-    trace_gap: float
 
     def to_json_dict(self) -> dict:
         return {
@@ -242,10 +237,6 @@ def extrapolate_limit(family: TransitionFamily) -> ConvergenceReport:
     a, b = limits[True], limits[False]
     if float(np.sum(a * b)) < 0.0:
         b = -b
-    trace_gap = max(
-        abs(float(np.trace(a) - np.trace(b))),
-        abs(float(np.trace(a[:3, :3]) - np.trace(b[:3, :3]))),
-    )
     return ConvergenceReport(
         word=family.word,
         grid=tuple(t for t, _ in residuals),
@@ -254,7 +245,6 @@ def extrapolate_limit(family: TransitionFamily) -> ConvergenceReport:
         order_positive=orders[True],
         order_negative=orders[False],
         two_sided_gap=float(_projective_gap(a, b)),
-        trace_gap=trace_gap,
     )
 
 

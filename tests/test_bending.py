@@ -18,6 +18,7 @@ from halfpipe.bending import (
     support_plane_at,
 )
 from halfpipe.fuchsian import (
+    ATLAS_RADIUS_LIMIT,
     EndpointOnLeafError,
     TeichPoint,
     WeightedMulticurve,
@@ -213,6 +214,36 @@ def test_bent_holonomy_is_a_homomorphism_at_random_points(point, mc, tag, scale,
     except EndpointOnLeafError:
         assume(False)
     assert np.max(np.abs(lhs - rhs)) < TOL_COCYCLE * np.max(np.abs(lhs))
+
+
+@given(
+    point=trace_points,
+    mc=laminations,
+    tag=st.sampled_from(ALL_TAGS),
+    scale=st.floats(0.05, 1.0),
+    word=reduced_words,
+    angle=st.floats(0.0, 2.0 * math.pi),
+)
+def test_bent_holonomy_does_not_depend_on_the_groups_query_history(point, mc, tag, scale, word, angle):
+    # A segment from x0 to Klein radius 0.98 (distance 2.3 from the centre)
+    # regrows the group's atlas unless it already reaches ATLAS_RADIUS_LIMIT.
+    # The prefixes of the word, the shortest segments, are the likeliest to
+    # be answered from the smaller atlas before and from the larger after.
+    group = build_punctured_torus(point)
+    rho = bent_holonomy(BendingContext(group, mc, BASE, tag, 1.0, scale))
+    prefixes = [word[:k] for k in range(1, len(word) + 1)]
+    try:
+        before = [rho(prefix).matrix for prefix in prefixes]
+        radius = group.atlas(mc).radius
+        assume(radius < ATLAS_RADIUS_LIMIT)
+        leaves_crossing(group, mc, BASE, 0.98 * np.array([math.cos(angle), math.sin(angle)]))
+    except EndpointOnLeafError:
+        assume(False)
+    assert group.atlas(mc).radius > radius
+    fresh = bent_holonomy(BendingContext(build_punctured_torus(point), mc, BASE, tag, 1.0, scale))
+    for prefix, matrix in zip(prefixes, before):
+        assert np.array_equal(rho(prefix).matrix, matrix), prefix
+        assert np.array_equal(fresh(prefix).matrix, matrix), prefix
 
 
 def test_bent_holonomy_degenerate_inputs():

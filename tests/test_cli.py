@@ -273,6 +273,30 @@ def test_export_surface_vertices_and_lines(tmp_path):
     assert max(heights) > 1e-4  # the bent surface leaves the equatorial plane
 
 
+def test_export_surface_refuses_a_grid_of_more_than_one_value(tmp_path, capsys):
+    config = _write_config(tmp_path / "cfg.json")
+    code, out = _run(tmp_path / "flag", "export-surface", config, "--grid", "0.1,7")
+    assert code == EXIT_CONFIG and not out.exists()
+    assert "[0.1, 7.0]" in capsys.readouterr().err
+    code, out = _run(tmp_path / "field", "export-surface", _write_config(tmp_path / "two.json", grid=[0.1, 0.2]))
+    assert code == EXIT_CONFIG and not out.exists()
+    assert "[0.1, 0.2]" in capsys.readouterr().err
+    # One value in the config field is the same scene as on the command line.
+    _, flag = _run(tmp_path / "a", "export-surface", config, "--grid", "0.1")
+    _, field = _run(tmp_path / "b", "export-surface", _write_config(tmp_path / "one.json", grid=[0.1]))
+    assert (flag / "scene.json").read_bytes() == (field / "scene.json").read_bytes()
+
+
+def test_kerckhoff_takes_no_grid_option(tmp_path, capsys):
+    config = _write_config(tmp_path / "cfg.json")
+    for grid in ("0.1", "abc"):
+        with pytest.raises(SystemExit) as info:
+            _run(tmp_path, "kerckhoff", config, "--grid", grid)
+        assert info.value.code == EXIT_CONFIG, grid
+        assert "--grid" in capsys.readouterr().err
+    assert _run(tmp_path, "kerckhoff", config)[0] == EXIT_OK
+
+
 def test_export_surface_flat_at_zero(tmp_path):
     config = _write_config(tmp_path / "cfg.json")
     code, out = _run(tmp_path, "export-surface", config, "--grid", "0")

@@ -13,6 +13,7 @@ from halfpipe.bending import BendingContext, bent_holonomy, support_plane_at
 from halfpipe.cli import DEFAULT_CONE_GRID as CONE_GRID
 from halfpipe.doubling import (
     DoubledHolonomy,
+    FacePointOnLeafError,
     NoConjugatingTranslationError,
     cusp_stabilizer_check,
     double_convex_core_pair,
@@ -20,8 +21,8 @@ from halfpipe.doubling import (
     meridian_cone_angles,
     pair_aligner,
 )
-from halfpipe.fuchsian import TeichPoint, WeightedMulticurve, build_punctured_torus, kerckhoff_point
-from halfpipe.geometry import ADS, HP, HYP, GeometryError
+from halfpipe.fuchsian import EndpointOnLeafError, TeichPoint, WeightedMulticurve, build_punctured_torus, kerckhoff_point
+from halfpipe.geometry import ADS, HP, HYP, GeometryError, OutsideModelError
 from halfpipe.isometry import reflection
 from halfpipe.transition import DEFAULT_BASE_POINT, richardson_limit
 
@@ -205,6 +206,27 @@ def test_meridian_validation():
         meridian_cone_angle(ctx, "A", 4.0)
 
 
+def test_cone_angle_table_refuses_outside_basepoints_and_far_face_points_on_leaves(monkeypatch):
+    ctx = _context(tag=HYP)
+    slices = [(HYP, 0.1), (HP, 0.1)]
+    for base in ((1.0, 0.0), (0.8, 0.8), (math.nan, 0.0)):
+        with pytest.raises(OutsideModelError):
+            meridian_cone_angles(ctx.group, ctx.multicurve, base, slices)
+    # The third query, from x0 to the far face, finds its end on a leaf.
+    queries = []
+    query = doubling.leaves_crossing
+
+    def far_on_leaf(*args):
+        queries.append(args)
+        if len(queries) == 3:
+            raise EndpointOnLeafError("segment endpoint lies on a leaf")
+        return query(*args)
+
+    monkeypatch.setattr(doubling, "leaves_crossing", far_on_leaf)
+    with pytest.raises(FacePointOnLeafError):
+        meridian_cone_angles(ctx.group, ctx.multicurve, ctx.base_point, slices)
+
+
 @pytest.mark.parametrize("theta", (1.7, -1.7, 3.0, -3.0))
 def test_hyperbolic_cone_angle_past_a_quarter_turn(theta):
     # The meridian turns by 2 * theta, past pi: its rotation angle read in
@@ -241,7 +263,7 @@ def test_stacked_cone_angle_table_equals_one_slice_cells_bit_for_bit(point, word
         except GeometryError as exc:
             one_slice.append(type(exc))
     try:
-        table = meridian_cone_angles(group, multicurve, base, word, [(tag, sign * t) for tag, t in cells])
+        table = meridian_cone_angles(group, multicurve, base, [(tag, sign * t) for tag, t in cells])
     except GeometryError as exc:
         # Large anti-de Sitter turns can fail the block check of their read-out.
         assert type(exc) in one_slice
@@ -267,7 +289,7 @@ def test_cone_angle_table_queries_the_leaves_of_one_meridian_once(monkeypatch):
     ctx = _context()
     slices = [(tag, t) for tag in (HYP, ADS, HP) for t in CONE_GRID]
     table = _count_leaf_queries(
-        monkeypatch, lambda: meridian_cone_angles(ctx.group, ctx.multicurve, ctx.base_point, "A", slices)
+        monkeypatch, lambda: meridian_cone_angles(ctx.group, ctx.multicurve, ctx.base_point, slices)
     )
     # One query isolates the leaf between its faces, two cross from x0 to them.
     assert single == 3
@@ -279,7 +301,7 @@ def test_cone_angle_cells_equal_fresh_group_cells_bit_for_bit():
     for traces, word, weight in cases:
         group = build_punctured_torus(traces)
         multicurve = WeightedMulticurve.single(word, weight)
-        # Both basepoints on one group: the memo must keep them apart.
+        # Both basepoints on one group, whose atlas and memos they share.
         for base in (DEFAULT_BASE_POINT, (-0.2, 0.15)):
             for tag in (HYP, ADS, HP):
                 for t in CONE_GRID:

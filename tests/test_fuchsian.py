@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from halfpipe import fuchsian
 from halfpipe.fuchsian import (
     ATLAS_RADIUS_LIMIT,
     BadTracesError,
@@ -44,8 +45,8 @@ from halfpipe.fuchsian import (
     _walk_segment,
     _word_sl2,
 )
-from halfpipe.geometry import J3, disk_lift, minkowski_dot
-from halfpipe.isometry import transport_to_standard_axis
+from halfpipe.geometry import ADS, HP, HYP, J3, disk_lift, minkowski_dot
+from halfpipe.isometry import embed_h2, transport_to_standard_axis
 
 SYMMETRIC = TeichPoint(3.0, 3.0, 3.0)
 GOLDEN = (3.0 + math.sqrt(5.0)) / 2.0
@@ -108,17 +109,21 @@ def test_word_images_are_memoised_read_only():
         axis = group.axis(word)
         assert np.array_equal(axis.normal, axis_of_sl2(group.sl2(word)).normal)
         assert group.axis(word) is axis
-        transport = group.axis_transport(word)
-        assert np.array_equal(transport, transport_to_standard_axis(axis))
-        assert group.axis_transport(word) is transport and not transport.flags.writeable
+        frame = group.axis_frame(word, (HYP, ADS, HP))
+        phi, inverses = frame
+        assert np.array_equal(phi, embed_h2(transport_to_standard_axis(axis)))
+        assert group.axis_frame(word, (HYP, ADS, HP)) is frame
+        assert not phi.flags.writeable and not inverses.flags.writeable
     other = build_punctured_torus(TeichPoint.from_xy(4.0, 5.0))
     assert other.lorentz("AB") is not group.lorentz("AB")
 
 
-def test_no_convergence_error_reports_its_numbers():
+def test_no_convergence_error_reports_its_numbers(monkeypatch):
     lam, mu = WeightedMulticurve.single("A"), WeightedMulticurve.single("B")
-    with pytest.raises(NoConvergenceError) as info:
-        kerckhoff_point(lam, mu, SYMMETRIC, gradient_tol=1e-30, max_steps=5)
+    with monkeypatch.context() as patch:
+        patch.setattr(fuchsian, "KERCKHOFF_MAX_STEPS", 5)
+        with pytest.raises(NoConvergenceError) as info:
+            kerckhoff_point(lam, mu, SYMMETRIC, gradient_tol=1e-30)
     err = info.value
     assert err.tolerance == 1e-30 and err.steps == 5
     assert 1e-30 < err.gradient_norm < 1e-6
@@ -551,16 +556,17 @@ def test_atlas_first_grown_past_the_walk_budget_keeps_the_largest_radius_that_bu
         _assert_walk_agrees(group, mc, x, y)
 
 
-def test_enumeration_budget_error_reports_its_numbers():
+def test_enumeration_budget_error_reports_its_numbers(monkeypatch):
     group = build_punctured_torus(SYMMETRIC)
     mc = WeightedMulticurve.single("A")
     x, y = np.array([-0.5, 0.2]), np.array([0.6, -0.3])
     origin = np.zeros(2)
     length = math.acosh(-float(minkowski_dot(disk_lift(x), disk_lift(y))))
     cases = (((x, y), 0.0, f"segment length {length:.3f}"), ((origin, origin), 2.0, "atlas radius 2.0"))
+    monkeypatch.setattr(fuchsian, "MAX_NODES", 3)
     for ends, radius, region in cases:
         with pytest.raises(EnumerationBudgetError) as info:
-            _leaves_near_segment(group, mc, *ends, radius, lambda n: np.ones(len(n), dtype=bool), max_nodes=3)
+            _leaves_near_segment(group, mc, *ends, radius, lambda n: np.ones(len(n), dtype=bool))
         err = info.value
         assert err.nodes > 3 and err.depth >= 1 and err.region == region
         assert f"after {err.nodes} nodes at depth {err.depth} ({region})" in str(err)

@@ -16,6 +16,9 @@ The runs, all in one process:
   stacked holonomy product: an uneven, unsorted grid, hyperbolic angles
   past pi, an anti-de Sitter rotation that overflows (exit 3), and too few
   values per side (exit 3);
+- on the first small configuration, ``kerckhoff --grid=0.1``, which takes
+  no grid (argparse exits 2, recorded as the run's exit code), and
+  ``export-surface --grid=0.1,7``, which exports one value only (exit 2);
 - ``double`` and ``export-surface`` at two extreme trace points, ABB at
   from_xy(3, 40) and 0.5 AAB at from_xy(20, 3), where leaf atlases reach
   far into thin parts of the surface;
@@ -110,6 +113,8 @@ def runs(workloads, teich_point):
         if name == "test-cli":
             for grid in TRANSITION_GRIDS:
                 yield f"small/{name}/transition@{grid}", "transition", cfg, (f"--grid={grid}",)
+            yield f"small/{name}/kerckhoff@0.1", "kerckhoff", cfg, ("--grid=0.1",)
+            yield f"small/{name}/export-surface@0.1,7", "export-surface", cfg, ("--grid=0.1,7",)
     edge = {"xy(3,40)": (3.0, 40.0, ("ABB", 1.0)), "xy(20,3)": (20.0, 3.0, ("AAB", 0.5))}
     for name, (x, y, lam) in edge.items():
         cfg = _config(teich_point.from_xy(x, y).as_array().tolist(), **{"lambda": [lam]})
@@ -147,7 +152,10 @@ def main() -> int:
             run_dir.mkdir()
             config.write_text(json.dumps(cfg))
             with contextlib.redirect_stderr(io.StringIO()):
-                code = cli.main([command, "--config", str(config), "--out", str(out), *extra])
+                try:
+                    code = cli.main([command, "--config", str(config), "--out", str(out), *extra])
+                except SystemExit as exc:
+                    code = exc.code
             last_traces = None
             if command == "kerckhoff" and code == 0:
                 last_traces = json.loads((out / "kerckhoff.json").read_text())["traces"]
