@@ -2,7 +2,16 @@
 
 Subcommands drive the library modules and write JSON/CSV files whose bytes
 depend only on the config, the grid, and the seed.  Exit codes: 0 success,
-2 config error, 3 numerical-budget error, 4 acceptance-threshold failure.
+2 config error (an output path that cannot be written included),
+3 numerical-budget error, 4 acceptance-threshold failure.
+
+Every report is written by ``_write_report``, which rewrites an existing file
+in place and then cuts it to length instead of truncating it to zero first.
+On ext4 with its default ``auto_da_alloc``, closing a file that was truncated
+to zero starts its writeback at once.  On a 2-core host with an ext4 root,
+overwriting a 317-byte report that way took about 100 us back to back, and
+about five times as long as writing it in place; a ``transition`` run that
+rewrites the reports of an earlier one pays that per report.
 """
 
 from __future__ import annotations
@@ -13,6 +22,7 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -210,12 +220,32 @@ def _validate_document(doc: dict, schema_name: str) -> None:
             )
 
 
+def _write_report(outdir: Path, name: str, text: str) -> Path:
+    """Write ``text`` to outdir/name, creating the directory and file as needed.
+
+    The bytes, encoding and new-file mode are those of a text-mode
+    ``open(path, "w")``, but an existing file is overwritten in place and
+    then truncated at the end of the new text, never truncated to zero first
+    (see the module docstring).  Nothing is synced, so this is no more
+    durable than truncating first: a crash can leave the file holding older
+    bytes, or new bytes followed by the tail of a longer old report, where
+    truncating first could leave a short or empty file.  Any OSError becomes
+    a ConfigError that names the path.
+    """
+    path = outdir / name
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        with os.fdopen(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as handle:
+            handle.write(text)
+            handle.truncate()
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path}: {exc}") from exc
+    return path
+
+
 def _write_json(outdir: Path, name: str, doc: dict, schema_name: str) -> Path:
     _validate_document(doc, schema_name)
-    outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / name
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return path
+    return _write_report(outdir, name, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +335,7 @@ def cmd_double(args) -> int:
     for (tag, t), angle in zip(slices, table):
         writer.writerow([tag.name.lower(), curve.word, repr(float(curve.weight)), repr(float(t)), repr(angle)])
 
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "cone_angles.csv").write_text(buffer.getvalue())
+    _write_report(Path(args.out), "cone_angles.csv", buffer.getvalue())
     return EXIT_OK if slope_gap < slope_tol and hp_gap < hp_tol else EXIT_THRESHOLD
 
 

@@ -623,11 +623,13 @@ def _leaves_near_segment(
     while words:
         allowed = last != backtrack
         last, parent = np.nonzero(allowed)
-        mats = (mats[np.newaxis] @ gens[:, np.newaxis])[allowed]
         depth += 1
         nodes += len(last)
+        # Checked before the shell's product, so a search over budget never
+        # forms or tests the shell that crosses it.
         if nodes > MAX_NODES:
             raise budget_error(nodes, depth)
+        mats = (mats[np.newaxis] @ gens[:, np.newaxis])[allowed]
         kept = np.nonzero(meets(mats))[0]
         words = [free_reduce(words[i] + GENERATOR_LETTERS[j]) for i, j in zip(parent[kept], last[kept])]
         tiles = tiles + words

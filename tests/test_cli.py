@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +21,13 @@ from halfpipe.cli import (
 from halfpipe.fuchsian import TeichPoint, build_punctured_torus
 
 TOL_READBACK = 1e-9
+# the first report each subcommand writes, on the config of _write_config
+FIRST_REPORTS = {
+    "transition": "transition_00_A.json",
+    "kerckhoff": "kerckhoff.json",
+    "double": "cone_angles.csv",
+    "export-surface": "scene.json",
+}
 
 
 def _write_config(path, **overrides):
@@ -359,6 +367,49 @@ def test_seed_is_recorded_in_outputs(tmp_path):
     scene = json.loads((out / "scene.json").read_text())
     assert scene["seed"] == 11
 
+
+def test_unwritable_output_paths_exit_2(tmp_path, capsys):
+    config = _write_config(tmp_path / "cfg.json")
+    taken = tmp_path / "a-file"
+    taken.write_text("")
+    for command, report in FIRST_REPORTS.items():
+        # --out names an existing file
+        assert main([command, "--config", str(config), "--out", str(taken)]) == EXIT_CONFIG, command
+        assert f"cannot write output {taken / report}" in capsys.readouterr().err
+        # a directory stands where the report goes
+        out = tmp_path / command
+        (out / report).mkdir(parents=True)
+        assert main([command, "--config", str(config), "--out", str(out)]) == EXIT_CONFIG, command
+        assert f"cannot write output {out / report}" in capsys.readouterr().err
+
+
+def test_reports_overwrite_longer_files_in_place(tmp_path):
+    config = _write_config(tmp_path / "cfg.json")
+    umask = os.umask(0o002)
+    try:
+        probe = tmp_path / "probe.txt"
+        probe.write_text("")
+        new_file_mode = stat.S_IMODE(probe.stat().st_mode)
+        assert new_file_mode == 0o664
+        for command in FIRST_REPORTS:
+            code, fresh = _run(tmp_path / command / "fresh", command, config)
+            assert code == EXIT_OK, command
+            names = sorted(path.name for path in fresh.iterdir())
+            assert all(stat.S_IMODE((fresh / name).stat().st_mode) == new_file_mode for name in names), command
+            stale = tmp_path / command / "stale" / "out"
+            stale.mkdir(parents=True)
+            inodes = {}
+            for name in names:
+                (stale / name).write_bytes(b"x" * ((fresh / name).stat().st_size + 4096))
+                inodes[name] = (stale / name).stat().st_ino
+            code, out = _run(tmp_path / command / "stale", command, config)
+            assert code == EXIT_OK, command
+            assert sorted(path.name for path in out.iterdir()) == names
+            for name in names:
+                assert (out / name).read_bytes() == (fresh / name).read_bytes(), (command, name)
+                assert (out / name).stat().st_ino == inodes[name], (command, name)
+    finally:
+        os.umask(umask)
 
 def test_multicurves_other_than_one_simple_curve_exit_2(tmp_path):
     lambdas = (

@@ -1,6 +1,7 @@
 """Tests for punctured-torus groups, multicurves, leaves, and minimization."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,7 +46,7 @@ from halfpipe.fuchsian import (
     _walk_segment,
     _word_sl2,
 )
-from halfpipe.geometry import ADS, HP, HYP, J3, disk_lift, minkowski_dot
+from halfpipe.geometry import ADS, HP, HYP, J3, disk_lift, minkowski_dot, radial_project
 from halfpipe.isometry import embed_h2, transport_to_standard_axis
 
 SYMMETRIC = TeichPoint(3.0, 3.0, 3.0)
@@ -571,6 +572,24 @@ def test_enumeration_budget_error_reports_its_numbers(monkeypatch):
         assert err.nodes > 3 and err.depth >= 1 and err.region == region
         assert f"after {err.nodes} nodes at depth {err.depth} ({region})" in str(err)
 
+
+def test_leaf_search_over_budget_stops_before_the_shell_that_crosses_it():
+    # A point of the trace_points box where the segment from (0.11, 0.07) to
+    # its image under BBaa needs more than MAX_NODES tiles.  Forming and
+    # testing the shell that crosses the budget peaked at 92 MB of traced
+    # allocations; checking the budget first peaks at 59 MB.
+    group = build_punctured_torus(TeichPoint.from_xy(7.9017, 7.9017))
+    x = np.array([0.11, 0.07])
+    y = radial_project(group.lorentz("BBaa") @ disk_lift(x))
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationBudgetError) as info:
+            leaves_crossing(group, WeightedMulticurve.single("A"), x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info.value.nodes > fuchsian.MAX_NODES
+    assert peak < 75e6, f"traced peak {peak / 1e6:.1f} MB"
 
 def test_tile_sides_are_paired_by_the_generators():
     for point in (SYMMETRIC, TeichPoint.from_xy(3.0, 40.0), TeichPoint.from_xy(20.0, 3.0)):

@@ -23,7 +23,11 @@ The runs, all in one process:
   from_xy(3, 40) and 0.5 AAB at from_xy(20, 3), where leaf atlases reach
   far into thin parts of the surface;
 - all four subcommands on two multicurves that are not one simple closed
-  curve, 0.7 AABB and A + 0.5 B (two entries), which exit 2.
+  curve, 0.7 AABB and A + 0.5 B (two entries), which exit 2;
+- the four ``small/test-cli`` runs again, as ``rewrite/test-cli``, each into
+  an out directory that already holds 4 KB of filler under every file name
+  the first run wrote, so that the reports overwrite existing files; their
+  hash lines equal those of the first runs.
 
 It prints one ``<sha256>  <run>/<file>`` line per output file, one
 ``exit <code>  <run>`` line per run, then one ``<sha256>  subcommand <name>``
@@ -59,6 +63,10 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent.parent
 SUBCOMMANDS = ("transition", "kerckhoff", "double", "export-surface")
 DOUBLE_GRIDS = ("0.3,0.15,0.02", "0.05")
+# A run labelled REWRITE + rest writes into an out directory that holds FILLER
+# under every file name that the run "small/" + rest wrote.
+REWRITE = "rewrite/"
+FILLER = b"#" * 4096
 TRANSITION_GRIDS = (
     "0.05,-0.02,0.02,-0.05,0.005,-0.005,0.001",
     "4,2,1,-4,-2,-1",
@@ -101,8 +109,10 @@ def runs(workloads, teich_point):
         "test-cli": ((3.0, 3.0, 3.0), ("A", 1.0), ["A", "B"]),
         "xy(4,5)": (teich_point.from_xy(4.0, 5.0).as_array().tolist(), ("AB", 0.8), ["AB", "ab", "AAB", "Ab"]),
     }
+    small_cfgs = {}
     for name, (traces, lam, words) in small.items():
         cfg = dict(_config(traces, **{"lambda": [lam], "mu": [("B", 1.0)]}), words=words, samples=40)
+        small_cfgs[name] = cfg
         for command in ("transition", "kerckhoff", "double", "export-surface"):
             yield f"small/{name}/{command}", command, cfg, ()
         yield f"small/{name}/double@base", "double", dict(cfg, base_point=[-0.2, 0.15]), ()
@@ -125,6 +135,8 @@ def runs(workloads, teich_point):
         cfg = dict(_config((3.0, 3.0, 3.0), **{"lambda": lam, "mu": [("B", 1.0)]}), words=["A"])
         for command in SUBCOMMANDS:
             yield f"refused/{name}/{command}", command, cfg, ()
+    for command in SUBCOMMANDS:
+        yield f"{REWRITE}test-cli/{command}", command, small_cfgs["test-cli"], ()
 
 
 def main() -> int:
@@ -140,6 +152,7 @@ def main() -> int:
     lines: list[str] = []
     by_command: dict[str, list[str]] = {name: [] for name in SUBCOMMANDS}
     last_traces = None
+    written: dict[str, list[str]] = {}
     with tempfile.TemporaryDirectory() as tmp:
         for index, (label, command, cfg, extra) in enumerate(runs(workloads, TeichPoint)):
             if "traces" not in cfg:
@@ -151,6 +164,10 @@ def main() -> int:
             out = run_dir / "out"
             run_dir.mkdir()
             config.write_text(json.dumps(cfg))
+            if label.startswith(REWRITE):
+                out.mkdir()
+                for name in written["small/" + label.removeprefix(REWRITE)]:
+                    (out / name).write_bytes(FILLER)
             with contextlib.redirect_stderr(io.StringIO()):
                 try:
                     code = cli.main([command, "--config", str(config), "--out", str(out), *extra])
@@ -158,11 +175,12 @@ def main() -> int:
                     code = exc.code
             last_traces = None
             if command == "kerckhoff" and code == 0:
-                last_traces = json.loads((out / "kerckhoff.json").read_text())["traces"]
-            run_lines = [
-                f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {label}/{path.name}"
-                for path in (sorted(out.iterdir()) if out.exists() else ())
-            ]
+                # A report that does not parse shows in its hash line instead.
+                with contextlib.suppress(ValueError):
+                    last_traces = json.loads((out / "kerckhoff.json").read_text())["traces"]
+            paths = sorted(out.iterdir()) if out.exists() else []
+            written[label] = [path.name for path in paths]
+            run_lines = [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {label}/{path.name}" for path in paths]
             run_lines.append(f"exit {code}  {label}")
             lines.extend(run_lines)
             by_command[command].extend(run_lines)
