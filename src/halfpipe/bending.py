@@ -22,13 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from halfpipe.fuchsian import (
+    Crossings,
     EndpointOnLeafError,
-    LeafCrossing,
     PuncturedTorusGroup,
     WeightedMulticurve,
     free_reduce,
     invert_word,
     leaves_crossing,
+    segment_crossings,
 )
 from halfpipe.geometry import (
     HP,
@@ -106,20 +107,18 @@ class BendingContext:
         if not math.isfinite(self.scale):
             raise GeometryError("scale must be finite")
 
-    def rescaled(self, scale: float) -> "BendingContext":
-        return BendingContext(self.group, self.multicurve, self.base_point, self.tag, self.sign, scale)
-
 
 def _bracketed_product(
-    group: PuncturedTorusGroup, multicurve: WeightedMulticurve, crossings: Sequence[LeafCrossing], closing_word: str,
+    group: PuncturedTorusGroup, multicurve: WeightedMulticurve, crossings: Crossings, closing_word: str,
     slices: Sequence[tuple[Geometry, float]],
 ) -> np.ndarray:
     """The (k, 4, 4) stack of cocycles along a segment times the unbent holonomy of closing_word.
 
-    ``crossings`` are the segment's leaf crossings, the same in every model
-    and scale; slice j is (tag, sign * scale) of one context.  Steps, leaf
-    orientations and axis frames (memoised by the group) are formed once per
-    crossing, and a crossing whose angle is zero in every slice is skipped.
+    ``crossings`` are the segment's leaf crossings from :func:`segment_crossings`,
+    the same in every model and scale; slice j is (tag, sign * scale) of one
+    context.  Each leaf turns by its side times the slice's angle.  Steps are
+    formed once per crossing, the axis frames (memoised by the group) once,
+    and a crossing whose angle is zero in every slice is skipped.
 
     Rotations about far leaves have matrix entries of size exp(2 distance),
     so multiplying them directly squanders precision on cancellations.  Each
@@ -130,21 +129,19 @@ def _bracketed_product(
     stays on the scale of the answer.
     """
     tags, scales = zip(*slices)
-    axis_word = multicurve.components[0].word
+    curve = multicurve.components[0]
+    weight = float(curve.weight)
+    phi, inverses = group.axis_frame(curve.word, tags)
+    _, sides, _, words = crossings
     out = identity_stack(len(tags))
     previous = ""
-    for crossing in crossings:
-        angles = [scale * crossing.weight for scale in scales]
+    for side, word in zip(sides.tolist(), words):
+        angles = [side * (scale * weight) for scale in scales]
         if not any(angles):
             continue
-        word = crossing.conjugator_word
-        pushed = group.lorentz(word) @ group.axis(axis_word).normal
-        if float(pushed @ crossing.leaf.normal) < 0.0:
-            angles = [-ang for ang in angles]
         step = free_reduce(invert_word(previous) + word)
         if step:
             out = out @ embed_h2(group.lorentz(step))
-        phi, inverses = group.axis_frame(axis_word, tags)
         out = out @ ((inverses @ standard_rotations(tags, angles)) @ phi)
         previous = word
     closing = free_reduce(invert_word(previous) + closing_word)
@@ -153,7 +150,7 @@ def _bracketed_product(
     return out
 
 
-def _context_product(ctx: BendingContext, crossings: Sequence[LeafCrossing], closing_word: str) -> Isometry:
+def _context_product(ctx: BendingContext, crossings: Crossings, closing_word: str) -> Isometry:
     """The bracketed product of the context's own slice, as an isometry."""
     slices = ((ctx.tag, ctx.sign * ctx.scale),)
     return Isometry(_bracketed_product(ctx.group, ctx.multicurve, crossings, closing_word, slices)[0], ctx.tag)
@@ -166,7 +163,7 @@ def bending_cocycle(ctx: BendingContext, x: np.ndarray, y: np.ndarray) -> Isomet
     leaf oriented away from x, by the context's signed, scaled weight.
     Raises EndpointOnLeafError when an endpoint lies on a leaf.
     """
-    return _context_product(ctx, leaves_crossing(ctx.group, ctx.multicurve, x, y), "")
+    return _context_product(ctx, segment_crossings(ctx.group, ctx.multicurve, x, y), "")
 
 
 def sigma_embed(ctx: BendingContext, word: str) -> Isometry:
@@ -184,10 +181,10 @@ class BentHolonomy:
         return _context_product(self.context, holonomy_crossings(self.context, word), word)
 
 
-def holonomy_crossings(ctx: BendingContext, word: str) -> list[LeafCrossing]:
-    """The leaves crossed by the segment from x0 to word . x0."""
+def holonomy_crossings(ctx: BendingContext, word: str) -> Crossings:
+    """The leaves crossed by the segment from x0 to word . x0, as :func:`segment_crossings` gives them."""
     far = radial_project(ctx.group.lorentz(word) @ disk_lift(ctx.base_point))
-    return leaves_crossing(ctx.group, ctx.multicurve, ctx.base_point, far)
+    return segment_crossings(ctx.group, ctx.multicurve, ctx.base_point, far)
 
 
 def bent_holonomy(ctx: BendingContext) -> BentHolonomy:
@@ -195,13 +192,13 @@ def bent_holonomy(ctx: BendingContext) -> BentHolonomy:
     return BentHolonomy(ctx)
 
 
-def _crossings_to(ctx: BendingContext, x: np.ndarray) -> list[LeafCrossing]:
+def _crossings_to(ctx: BendingContext, x: np.ndarray) -> Crossings:
     """The leaves crossed by [x0, x], evaluating on-leaf points as the limit from the x0 side."""
     try:
-        return leaves_crossing(ctx.group, ctx.multicurve, ctx.base_point, x)
+        return segment_crossings(ctx.group, ctx.multicurve, ctx.base_point, x)
     except EndpointOnLeafError:
         inner = ctx.base_point + (1.0 - PULLBACK) * (x - ctx.base_point)
-        return leaves_crossing(ctx.group, ctx.multicurve, ctx.base_point, inner)
+        return segment_crossings(ctx.group, ctx.multicurve, ctx.base_point, inner)
 
 
 def bending_map(ctx: BendingContext, x: np.ndarray) -> ProjectivePoint:

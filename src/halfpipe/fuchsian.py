@@ -481,9 +481,6 @@ class WeightedMulticurve:
     def single(cls, word: str, weight: float = 1.0) -> "WeightedMulticurve":
         return cls((MulticurveComponent(word, weight),))
 
-    def scaled(self, factor: float) -> "WeightedMulticurve":
-        return WeightedMulticurve(tuple(MulticurveComponent(c.word, factor * c.weight) for c in self.components))
-
 
 def multicurve_length(point_or_group: TeichPoint | PuncturedTorusGroup, mc: WeightedMulticurve) -> float:
     """Weighted geodesic length of the multicurve."""
@@ -529,6 +526,8 @@ class LeafCrossing:
 
 
 Leaves = tuple[np.ndarray, list[str]]
+# The crossings of a segment: leaf normals, sides, parameters and conjugator words.
+Crossings = tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]
 
 def _walk_order(word: str) -> tuple[int, str]:
     """Shortest first, then by the reversed word in the letter order A, B, a, b (that of ASCII)."""
@@ -706,46 +705,51 @@ class LeafAtlas:
         return self.leaves if needed <= self.radius else None
 
 
-def leaves_crossing(
-    group: PuncturedTorusGroup,
-    mc: WeightedMulticurve,
-    x: np.ndarray,
-    y: np.ndarray,
-) -> list[LeafCrossing]:
-    """All leaves of the lifted multicurve crossing the open segment (x, y).
+def segment_crossings(group: PuncturedTorusGroup, mc: WeightedMulticurve, x: np.ndarray, y: np.ndarray) -> Crossings:
+    """The leaves of the lifted multicurve crossing the open segment (x, y), as arrays.
 
-    Returned in increasing order of crossing parameter, each leaf oriented
-    with its left normal pointing away from x.  Segments inside the group's
-    leaf atlas for ``mc`` are answered from it, growing it when needed;
-    segments beyond its reach are searched on their own.  Raises
-    EndpointOnLeafError when an endpoint is within tolerance of a leaf, and
+    In increasing order of crossing parameter, each leaf comes as its normal
+    as found, its side (+1.0 when that normal points away from x, else -1.0),
+    its parameter and its conjugator word.  Segments inside the group's leaf
+    atlas for ``mc`` are answered from it, growing it when needed; segments
+    beyond its reach are searched on their own.  Raises EndpointOnLeafError
+    when an endpoint is within tolerance of a leaf, and
     EnumerationBudgetError when a search tests more than MAX_NODES tiles.
     """
     x = np.asarray(x, dtype=float).reshape(2)
     y = np.asarray(y, dtype=float).reshape(2)
     leaves = group.atlas(mc).covering(group, x, y)
-    return _crossings(leaves if leaves is not None else _walk_segment(group, mc, x, y), mc.components[0].weight, x, y)
+    return _crossings(leaves if leaves is not None else _walk_segment(group, mc, x, y), x, y)
 
 
-def _crossings(leaves: Leaves, weight: float, x: np.ndarray, y: np.ndarray) -> list[LeafCrossing]:
-    """The crossings of (x, y) among the given leaves of a curve of this weight, by the sign test."""
+def _crossings(leaves: Leaves, x: np.ndarray, y: np.ndarray) -> Crossings:
+    """The crossings of (x, y) among the given leaves, by the sign test, in stable order of parameter."""
     normals, words = leaves
     f0, f1, on_leaf = _pairings(x, y)(normals)
-    if np.any(on_leaf):
+    # Array methods: numpy's module-level wrappers cost more than a segment's few crossings.
+    if on_leaf.any():
         raise EndpointOnLeafError("segment endpoint lies on a leaf; nudge the basepoint")
-    crossings = []
-    for i in np.nonzero(f0 * f1 < 0.0)[0]:
-        normal = normals[i] if f0[i] < 0.0 else -normals[i]
-        crossings.append(
-            LeafCrossing(
-                leaf=SpacelikeGeodesicH2(normal),
-                weight=float(weight),
-                parameter=float(f0[i] / (f0[i] - f1[i])),
-                conjugator_word=words[i],
-            )
-        )
-    crossings.sort(key=lambda c: c.parameter)
-    return crossings
+    hit = (f0 * f1 < 0.0).nonzero()[0]
+    parameters = f0[hit] / (f0[hit] - f1[hit])
+    order = parameters.argsort(kind="stable")
+    hit = hit[order]
+    return normals[hit], np.copysign(1.0, -f0[hit]), parameters[order], [words[i] for i in hit.tolist()]
+
+
+def leaves_crossing(
+    group: PuncturedTorusGroup, mc: WeightedMulticurve, x: np.ndarray, y: np.ndarray
+) -> list[LeafCrossing]:
+    """All leaves of the lifted multicurve crossing the open segment (x, y), as :func:`segment_crossings` finds them.
+
+    In increasing order of crossing parameter, each leaf oriented with its
+    left normal pointing away from x.
+    """
+    normals, sides, parameters, words = segment_crossings(group, mc, x, y)
+    weight = float(mc.components[0].weight)
+    return [
+        LeafCrossing(SpacelikeGeodesicH2(side * normal), weight, parameter, word)
+        for normal, side, parameter, word in zip(normals, sides.tolist(), parameters.tolist(), words)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from enum import Enum
 
 import numpy as np
 
-# Membership / projective-equality tolerance on normalized representatives.
+# Membership tolerance on normalized representatives.
 EPS_MEMBERSHIP = 1e-10
 
 
@@ -135,19 +135,6 @@ def classify_point(tag: Geometry, vec: np.ndarray) -> str:
     return "boundary"
 
 
-def projectively_equal(a: np.ndarray, b: np.ndarray, tol: float = EPS_MEMBERSHIP) -> bool:
-    """Whether two 4-vectors span the same line.
-
-    Tested on the antisymmetrized outer product (all 2x2 minors) of the
-    Euclidean-normalized representatives, which vanishes exactly on
-    proportional pairs.
-    """
-    a = _unit(np.asarray(a, dtype=float))
-    b = _unit(np.asarray(b, dtype=float))
-    wedge = np.outer(a, b)
-    return bool(np.max(np.abs(wedge - wedge.T)) < tol)
-
-
 @dataclass(frozen=True)
 class ProjectivePoint:
     """A point of RP^3 together with the geometry it is tested against."""
@@ -216,16 +203,6 @@ class Plane:
         """The copy of H2 given by {x3 = 0}."""
         return cls(np.array([0.0, 0.0, 0.0, 1.0]), tag)
 
-    def contains_point(self, point: ProjectivePoint | np.ndarray, tol: float = EPS_MEMBERSHIP) -> bool:
-        vec = point.vec if isinstance(point, ProjectivePoint) else np.asarray(point, dtype=float)
-        return bool(abs(float(self.covector @ _unit(vec))) < tol)
-
-    def same_plane_as(self, other: "Plane", tol: float = EPS_MEMBERSHIP) -> bool:
-        if self.geometry is not other.geometry:
-            raise TagMismatchError("cannot compare planes from different geometries")
-        # Covectors are stored sign-canonically normalized, so compare directly.
-        return bool(np.max(np.abs(self.covector - other.covector)) < tol)
-
 
 # ---------------------------------------------------------------------------
 # Hyperboloid / Klein charts for H2 and the half-pipe fiber coordinate.
@@ -267,13 +244,6 @@ def klein_hp(point: ProjectivePoint) -> tuple[np.ndarray, float]:
         raise OutsideModelError("klein_hp expects an interior point")
     v = point.vec / point.vec[0]
     return v[1:3].copy(), float(v[3])
-
-
-def klein_hp_inverse(z: np.ndarray, h: float) -> ProjectivePoint:
-    z = np.asarray(z, dtype=float).reshape(2)
-    if float(z @ z) >= 1.0:
-        raise OutsideModelError("disk coordinates must satisfy |z| < 1")
-    return ProjectivePoint(np.array([1.0, z[0], z[1], float(h)]), HP)
 
 
 # ---------------------------------------------------------------------------

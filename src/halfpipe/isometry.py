@@ -107,9 +107,9 @@ def _group_inverse(m: np.ndarray, tag: Geometry) -> np.ndarray:
 class Isometry:
     """A 4x4 projective isometry together with its geometry tag.
 
-    The raw constructor trusts its input; use :meth:`from_matrix` to validate
-    a matrix of unknown provenance.  All public builders in this module
-    produce valid group elements by construction.
+    The constructor trusts its input; :func:`group_residual` measures how far
+    a matrix is from the group.  All public builders in this module produce
+    valid group elements by construction.
     """
 
     matrix: np.ndarray
@@ -120,17 +120,6 @@ class Isometry:
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
-    @classmethod
-    def from_matrix(cls, matrix: np.ndarray, tag: Geometry) -> "Isometry":
-        res = group_residual(matrix, tag)
-        if res > EPS_GROUP_MEMBER:
-            raise InvalidIsometryError(f"matrix violates the group relations (residual {res:.3e})")
-        return cls(matrix, tag)
-
-    @classmethod
-    def identity(cls, tag: Geometry) -> "Isometry":
-        return cls(np.eye(4), tag)
-
     def __matmul__(self, other: "Isometry") -> "Isometry":
         if self.geometry is not other.geometry:
             raise TagMismatchError("cannot compose isometries of different geometries")
@@ -139,9 +128,6 @@ class Isometry:
     def inverse(self) -> "Isometry":
         """Group inverse, computed from the form relations (no linear solve)."""
         return Isometry(_group_inverse(self.matrix, self.geometry), self.geometry)
-
-    def apply_vec(self, vec: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(vec, dtype=float)
 
     def apply(self, point: ProjectivePoint) -> ProjectivePoint:
         if point.geometry is not self.geometry:
@@ -152,9 +138,6 @@ class Isometry:
         if plane.geometry is not self.geometry:
             raise TagMismatchError("isometry and plane live in different geometries")
         return Plane(self.inverse().matrix.T @ plane.covector, self.geometry)
-
-    def group_residual(self) -> float:
-        return group_residual(self.matrix, self.geometry)
 
 
 # ---------------------------------------------------------------------------
@@ -243,11 +226,6 @@ def standard_rotations(tags: Sequence[Geometry], angles: Sequence[float]) -> np.
         else:
             out[j, 3, 2] = -angle
     return out
-
-
-def standard_rotation(tag: Geometry, angle: float) -> Isometry:
-    """Rotation of the given angle about the standard axis {x2 = x3 = 0}."""
-    return Isometry(standard_rotations((tag,), (angle,))[0], tag)
 
 
 def rotation_in_frame(tag: Geometry, transport: np.ndarray, angle: float) -> np.ndarray:
@@ -363,7 +341,8 @@ def rescale_conjugate(t: float | np.ndarray, g: Isometry | np.ndarray) -> np.nda
 
 @dataclass(frozen=True)
 class MinkowskiIsometry:
-    """An affine isometry y -> A y + v of Minkowski R^{1,2}, A in O0(1,2)."""
+    """An affine isometry y -> A y + v of Minkowski R^{1,2}, A in O0(1,2): the validated
+    form of a half-pipe isometry, which composes and inverts as a 4x4 :class:`Isometry`."""
 
     linear: np.ndarray
     translation: np.ndarray
@@ -377,20 +356,6 @@ class MinkowskiIsometry:
         v.flags.writeable = False
         object.__setattr__(self, "linear", a)
         object.__setattr__(self, "translation", v)
-
-    @classmethod
-    def identity(cls) -> "MinkowskiIsometry":
-        return cls(np.eye(3), np.zeros(3))
-
-    def __matmul__(self, other: "MinkowskiIsometry") -> "MinkowskiIsometry":
-        return MinkowskiIsometry(self.linear @ other.linear, self.translation + self.linear @ other.translation)
-
-    def inverse(self) -> "MinkowskiIsometry":
-        a_inv = J3 @ self.linear.T @ J3
-        return MinkowskiIsometry(a_inv, -(a_inv @ self.translation))
-
-    def apply(self, y: np.ndarray) -> np.ndarray:
-        return self.linear @ np.asarray(y, dtype=float) + self.translation
 
 
 def minkowski_to_hp(iso: MinkowskiIsometry) -> Isometry:

@@ -272,14 +272,6 @@ class PleatedConvergenceReport:
     order_positive: float
     order_negative: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "grid": list(self.grid),
-            "max_residuals": list(self.max_residuals),
-            "order_pos": self.order_positive,
-            "order_neg": self.order_negative,
-        }
-
 
 def pleated_surface_convergence(
     group: PuncturedTorusGroup,

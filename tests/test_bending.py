@@ -33,12 +33,11 @@ from halfpipe.geometry import (
     GeometryError,
     OutsideModelError,
     Plane,
+    ProjectivePoint,
     TagMismatchError,
     disk_lift,
     embed_h2_point,
     klein_hp,
-    klein_hp_inverse,
-    projectively_equal,
 )
 from halfpipe.isometry import Isometry, classify_isometry
 
@@ -85,6 +84,12 @@ def _act(group, word, z):
     return w[1:] / w[0]
 
 
+def _same_line(a, b, tol):
+    # All 2x2 minors of the unit representatives vanish exactly on proportional pairs.
+    wedge = np.outer(a / np.linalg.norm(a), b / np.linalg.norm(b))
+    return np.max(np.abs(wedge - wedge.T)) < tol
+
+
 def test_context_validation():
     group = build_punctured_torus(SYMMETRIC)
     mc = WeightedMulticurve.single("A")
@@ -93,9 +98,7 @@ def test_context_validation():
             BendingContext(group=group, multicurve=mc, base_point=np.array(outside), tag=HP)
     with pytest.raises(GeometryError):
         BendingContext(group=group, multicurve=mc, base_point=BASE, tag=HP, sign=0.5)
-    ctx = _context(HP, scale=0.3)
-    assert ctx.rescaled(0.1).scale == 0.1
-    assert not ctx.base_point.flags.writeable
+    assert not _context(HP, scale=0.3).base_point.flags.writeable
 
 
 def test_cocycle_trivial_cases():
@@ -104,7 +107,7 @@ def test_cocycle_trivial_cases():
         same = bending_cocycle(ctx, BASE, BASE)
         assert np.array_equal(same.matrix, np.eye(4))
         # zero scale: every crossing contributes the zero angle and is skipped
-        frozen = ctx.rescaled(0.0)
+        frozen = _context(tag, scale=0.0)
         across = bending_cocycle(frozen, BASE, np.array([-0.4, 0.2]))
         assert np.array_equal(across.matrix, np.eye(4))
 
@@ -269,11 +272,11 @@ def test_bending_map_fixes_base_face():
     for tag in ALL_TAGS:
         ctx = _context(tag, scale=0.3)
         image = bending_map(ctx, near)
-        assert projectively_equal(image.vec, embed_h2_point(tag, near).vec, tol=1e-12)
+        assert _same_line(image.vec, embed_h2_point(tag, near).vec, tol=1e-12)
         # a point on the central leaf develops with the basepoint-side cocycle
         on_leaf = np.array([0.0, 0.3])
         image = bending_map(ctx, on_leaf)
-        assert projectively_equal(image.vec, embed_h2_point(tag, on_leaf).vec, tol=1e-9)
+        assert _same_line(image.vec, embed_h2_point(tag, on_leaf).vec, tol=1e-9)
 
 
 def test_bending_map_equivariance():
@@ -286,7 +289,7 @@ def test_bending_map_equivariance():
             word = free_reduce(_random_word(rng, int(rng.integers(1, 3)))) or "A"
             lhs = bending_map(ctx, _act(ctx.group, word, z))
             rhs = rho(word).apply(bending_map(ctx, z))
-            assert projectively_equal(lhs.vec, rhs.vec, tol=TOL_COCYCLE)
+            assert _same_line(lhs.vec, rhs.vec, tol=TOL_COCYCLE)
 
 
 def test_hp_bent_surface_is_graph_of_height_function():
@@ -355,14 +358,14 @@ def test_height_graph_invariant_under_bent_holonomy():
     for word in ("A", "B", "ab", "BAb"):
         g = rho(word)
         for z in _disk_points(rng, 10, radius=0.85):
-            chart, height = klein_hp(g.apply(klein_hp_inverse(z, psi_lambda(ctx, z))))
+            chart, height = klein_hp(g.apply(ProjectivePoint([1.0, z[0], z[1], psi_lambda(ctx, z)], HP)))
             assert abs(height - psi_lambda(ctx, chart)) < TOL_COCYCLE
 
 
 def test_support_planes():
     for tag in ALL_TAGS:
         ctx = _context(tag, weight=0.8, scale=0.25)
-        assert support_plane_at(ctx, BASE).same_plane_as(Plane.base_plane(tag))
+        assert np.max(np.abs(support_plane_at(ctx, BASE).covector - Plane.base_plane(tag).covector)) < 1e-10
         with pytest.raises(EndpointOnLeafError):
             support_plane_at(ctx, np.array([0.0, 0.3]))
 

@@ -16,6 +16,7 @@ from halfpipe.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_THRESHOLD,
+    MAX_SAMPLES,
     main,
 )
 from halfpipe.fuchsian import TeichPoint, build_punctured_torus
@@ -366,6 +367,22 @@ def test_seed_is_recorded_in_outputs(tmp_path):
     _, out = _run(tmp_path, "export-surface", config, "--grid", "0.1", "--seed", "11")
     scene = json.loads((out / "scene.json").read_text())
     assert scene["seed"] == 11
+
+
+@pytest.mark.parametrize("command", sorted(FIRST_REPORTS))
+def test_negative_seed_exits_2(tmp_path, capsys, command):
+    config = _write_config(tmp_path / "cfg.json")
+    code, out = _run(tmp_path, command, config, "--seed", "-3")
+    assert code == EXIT_CONFIG and not out.exists()
+    assert "--seed must be a non-negative integer; got -3" in capsys.readouterr().err
+
+
+def test_export_surface_refuses_more_than_max_samples(tmp_path, capsys):
+    for samples in (10**12, MAX_SAMPLES + 1):
+        config = _write_config(tmp_path / f"cfg{samples}.json", samples=samples)
+        code, out = _run(tmp_path / str(samples), "export-surface", config)
+        assert code == EXIT_CONFIG and not out.exists()
+        assert f"got {samples}" in capsys.readouterr().err
 
 
 def test_unwritable_output_paths_exit_2(tmp_path, capsys):

@@ -103,13 +103,13 @@ def test_reflections_fix_their_support_planes():
     for point, refl in zip((BASE, MIRROR), _face_reflections(ctx)):
         plane = support_plane_at(ctx, point)
         moved = refl.apply_plane(plane)
-        assert plane.same_plane_as(moved, tol=1e-11)
+        assert np.max(np.abs(plane.covector - moved.covector)) < 1e-11
     upper, lower = _kerckhoff_pair()
     doubled = double_convex_core_pair(upper, lower)
     aligner = pair_aligner(upper, lower)
     planes = (support_plane_at(upper, BASE), aligner.apply_plane(support_plane_at(lower, BASE)))
     for plane, refl in zip(planes, doubled.reflections):
-        assert plane.same_plane_as(refl.apply_plane(plane), tol=1e-11)
+        assert np.max(np.abs(plane.covector - refl.apply_plane(plane).covector)) < 1e-11
 
 
 def test_extended_word_evaluation_is_multiplicative():
@@ -121,9 +121,13 @@ def test_extended_word_evaluation_is_multiplicative():
 
 def test_extended_word_parsing_rejects_garbage():
     dbl = _double()
-    for bad in ("xA", "e", "A e1", "e0", "e7", "E0"):
+    for bad in ("xA", "e", "A e1", "e0", "e7", "E0", "e10", "e2"):
         with pytest.raises(GeometryError):
             dbl(bad)
+    # A double has two faces, so one face token.
+    for reflections in (dbl.reflections[:1], dbl.reflections + dbl.reflections[:1]):
+        with pytest.raises(GeometryError):
+            DoubledHolonomy(rho=dbl.rho, reflections=reflections)
 
 
 def test_unbent_double_collapses_to_base_reflection():
@@ -214,7 +218,7 @@ def test_cone_angle_table_refuses_outside_basepoints_and_far_face_points_on_leav
             meridian_cone_angles(ctx.group, ctx.multicurve, base, slices)
     # The third query, from x0 to the far face, finds its end on a leaf.
     queries = []
-    query = doubling.leaves_crossing
+    query = doubling.segment_crossings
 
     def far_on_leaf(*args):
         queries.append(args)
@@ -222,7 +226,7 @@ def test_cone_angle_table_refuses_outside_basepoints_and_far_face_points_on_leav
             raise EndpointOnLeafError("segment endpoint lies on a leaf")
         return query(*args)
 
-    monkeypatch.setattr(doubling, "leaves_crossing", far_on_leaf)
+    monkeypatch.setattr(doubling, "segment_crossings", far_on_leaf)
     with pytest.raises(FacePointOnLeafError):
         meridian_cone_angles(ctx.group, ctx.multicurve, ctx.base_point, slices)
 
@@ -277,8 +281,8 @@ def test_stacked_cone_angle_table_equals_one_slice_cells_bit_for_bit(point, word
 def _count_leaf_queries(monkeypatch, work) -> int:
     queries = []
     for module in (bending, doubling):
-        query = module.leaves_crossing
-        monkeypatch.setattr(module, "leaves_crossing", lambda *args, query=query: queries.append(args) or query(*args))
+        query = module.segment_crossings
+        monkeypatch.setattr(module, "segment_crossings", lambda *args, query=query: queries.append(args) or query(*args))
     work()
     monkeypatch.undo()
     return len(queries)
@@ -360,15 +364,6 @@ def test_doubled_cusp_stabilizer_is_rank_two():
     assert report.commutator_norm < TOL_CUSP
     assert report.shared_point_residual < TOL_CUSP
     assert report.rank2_defect > 1e-3
-    assert report.passed
-    payload = report.to_json_dict()
-    assert set(payload) == {
-        "cusp_class",
-        "commutator_norm",
-        "shared_point_residual",
-        "rank2_defect",
-        "passed",
-    }
 
 
 def test_wrong_cusp_word_fails_commutation():
@@ -378,7 +373,6 @@ def test_wrong_cusp_word_fails_commutation():
     report = cusp_stabilizer_check(doubled, "ABab")
     assert report.cusp_class == "parabolic"
     assert report.commutator_norm > 1e-3
-    assert not report.passed
 
 
 def test_unbent_cusp_pair_degenerates():
@@ -389,7 +383,6 @@ def test_unbent_cusp_pair_degenerates():
     assert report.shared_point_residual < 1e-12
     # the face product collapses to the identity, so no rank-2 pair remains
     assert report.rank2_defect == 0.0
-    assert not report.passed
 
 
 def test_convex_core_pair_requires_shared_basepoint():

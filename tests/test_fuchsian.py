@@ -31,6 +31,7 @@ from halfpipe.fuchsian import (
     kerckhoff_point,
     leaves_crossing,
     multicurve_length,
+    segment_crossings,
     sl2_to_so12,
     translation_length_sl2,
     word_homology,
@@ -271,7 +272,7 @@ def test_multicurve_validation():
     with pytest.raises(BadWordError):
         WeightedMulticurve(())
     mc = WeightedMulticurve((MulticurveComponent("aBA", 0.5),))
-    assert mc.scaled(2.0).components[0].weight == pytest.approx(1.0)
+    assert mc == WeightedMulticurve.single("aBA", 0.5)
 
 
 def _all_reduced_words(length):
@@ -328,7 +329,9 @@ def test_filling_advisory():
 def test_multicurve_lengths():
     lam = WeightedMulticurve.single("A")
     assert multicurve_length(SYMMETRIC, lam) == pytest.approx(2.0 * math.acosh(1.5), abs=1e-12)
-    assert multicurve_length(SYMMETRIC, lam.scaled(2.0)) == pytest.approx(4.0 * math.acosh(1.5), abs=1e-12)
+    assert multicurve_length(SYMMETRIC, WeightedMulticurve.single("A", 2.0)) == pytest.approx(
+        4.0 * math.acosh(1.5), abs=1e-12
+    )
     asym = TeichPoint.from_xy(3.4, 3.1)
     swapped = TeichPoint.from_xy(3.1, 3.4)
     assert multicurve_length(asym, WeightedMulticurve.single("A")) == pytest.approx(
@@ -488,14 +491,12 @@ def _disk_point(rng, radius):
 
 def _assert_walk_agrees(group, mc, x, y):
     """The atlas answer for [x, y] is the answer of a search of the segment alone."""
-    got = leaves_crossing(group, mc, x, y)
-    searched = _crossings(_walk_segment(group, mc, x, y), mc.components[0].weight, x, y)
-    assert [(c.component_index, c.conjugator_word) for c in got] == [
-        (c.component_index, c.conjugator_word) for c in searched
-    ]
-    for mine, theirs in zip(got, searched):
-        assert np.array_equal(mine.leaf.normal, theirs.leaf.normal)
-    assert [c.parameter for c in got] == [c.parameter for c in searched]
+    normals, sides, parameters, words = segment_crossings(group, mc, x, y)
+    searched = _crossings(_walk_segment(group, mc, x, y), x, y)
+    assert words == searched[3]
+    assert np.array_equal(normals, searched[0])
+    assert np.array_equal(sides, searched[1])
+    assert parameters.tolist() == searched[2].tolist()
 
 
 @pytest.mark.parametrize("name", sorted(ATLAS_POINTS))
@@ -649,10 +650,9 @@ def _brute_force_crossings(group, mc, x, y, length):
     return sorted((idx, t) for (idx, _), t in found.items())
 
 
-def _assert_same_crossings(crossings, expected):
-    got = sorted((c.component_index, c.parameter) for c in crossings)
-    assert [idx for idx, _ in got] == [idx for idx, _ in expected]
-    assert np.allclose([t for _, t in got], [t for _, t in expected], rtol=0.0, atol=1e-6)
+def _assert_same_crossings(parameters, expected):
+    assert len(parameters) == len(expected)
+    assert np.allclose(sorted(parameters), [t for _, t in expected], rtol=0.0, atol=1e-6)
 
 
 # The angle is offset so that the simplest examples miss the axis of A.
@@ -675,8 +675,8 @@ def test_leaf_search_finds_every_crossing_of_a_brute_force_enumeration(point, mc
     except EndpointOnLeafError:
         assume(False)
     expected = _brute_force_crossings(group, mc, x, y, 7)
-    _assert_same_crossings(crossings, expected)
-    _assert_same_crossings(_crossings(_walk_segment(group, mc, x, y), mc.components[0].weight, x, y), expected)
+    _assert_same_crossings([c.parameter for c in crossings], expected)
+    _assert_same_crossings(_crossings(_walk_segment(group, mc, x, y), x, y)[2], expected)
 
 
 @given(
@@ -708,6 +708,25 @@ def test_leaf_search_is_equivariant(point, mc, x, y, mover):
         assert np.max(np.abs(gap)) < 1e-9
 
 
+@given(point=trace_points, mc=st.sampled_from(ATLAS_MULTICURVES), x=disk_points, y=disk_points)
+def test_side_times_the_conjugated_axis_normal_is_the_leaf_normal(point, mc, x, y):
+    # The bent products turn each leaf by its side times the angle, taking
+    # lorentz(word) . axis as the leaf's normal, while leaves_crossing orients
+    # the leaf away from x: the two must agree.
+    group = build_punctured_torus(point)
+    try:
+        crossings = leaves_crossing(group, mc, x, y)
+    except EndpointOnLeafError:
+        assume(False)
+    _, sides, _, words = segment_crossings(group, mc, x, y)
+    assert [c.conjugator_word for c in crossings] == words
+    axis = group.axis(mc.components[0].word).normal
+    for crossing, side in zip(crossings, sides):
+        pushed = side * (group.lorentz(crossing.conjugator_word) @ axis)
+        assert np.max(np.abs(crossing.leaf.normal - pushed)) <= 1e-9 * np.max(np.abs(pushed))
+        assert float(minkowski_dot(crossing.leaf.normal, disk_lift(x))) < 0.0
+
+
 def test_kerckhoff_point_symmetric_pair():
     result = kerckhoff_point(WeightedMulticurve.single("A"), WeightedMulticurve.single("B"), SYMMETRIC)
     assert result.point.x == pytest.approx(result.point.y, abs=1e-6)
@@ -723,7 +742,7 @@ def test_kerckhoff_point_from_asymmetric_seed_and_scaling():
     lam, mu = WeightedMulticurve.single("A"), WeightedMulticurve.single("B")
     seeded = kerckhoff_point(lam, mu, TeichPoint.from_xy(3.6, 2.9))
     assert seeded.point.x == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-6)
-    scaled = kerckhoff_point(lam.scaled(2.5), mu.scaled(2.5), SYMMETRIC)
+    scaled = kerckhoff_point(WeightedMulticurve.single("A", 2.5), WeightedMulticurve.single("B", 2.5), SYMMETRIC)
     assert scaled.point.x == pytest.approx(seeded.point.x, abs=1e-6)
     assert scaled.point.y == pytest.approx(seeded.point.y, abs=1e-6)
 

@@ -194,8 +194,8 @@ def test_family_contexts_share_one_atlas_and_one_crossing_query(monkeypatch):
     group, lam = _group(), _lamination()
     base = np.array(transition.DEFAULT_BASE_POINT)
     queries = []
-    query = bending.leaves_crossing
-    monkeypatch.setattr(bending, "leaves_crossing", lambda *args: queries.append(args) or query(*args))
+    query = bending.segment_crossings
+    monkeypatch.setattr(bending, "segment_crossings", lambda *args: queries.append(args) or query(*args))
     fam = holonomy_family(group, lam, 1.0, "AB")
     assert len(queries) == 1
     contexts = [transition.signed_context(group, lam, base, 1.0, t) for t in fam.grid]
@@ -204,7 +204,7 @@ def test_family_contexts_share_one_atlas_and_one_crossing_query(monkeypatch):
     atlas = group.atlas(lam)
     ctx = contexts[0]
     derived = (
-        ctx.rescaled(0.5),
+        bending.BendingContext(group, lam, base, ctx.tag, ctx.sign, 0.5),
         bending.BendingContext(group, lam, base, HP, ctx.sign, ctx.scale),
         bending.BendingContext(group, lam, base, ADS, ctx.sign, 2.0),
     )
@@ -266,8 +266,6 @@ def test_pleated_surface_chart_residuals_shrink_linearly():
     assert res[-1e-4] < 10.0 * res[-1e-3] * 0.2
     assert rep.order_positive > 0.9
     assert rep.order_negative > 0.9
-    payload = rep.to_json_dict()
-    assert set(payload) == {"grid", "max_residuals", "order_pos", "order_neg"}
 
 
 def test_rescaled_geodesic_points_converge_for_shrinking_arcs():

@@ -24,6 +24,8 @@ The runs, all in one process:
   far into thin parts of the surface;
 - all four subcommands on two multicurves that are not one simple closed
   curve, 0.7 AABB and A + 0.5 B (two entries), which exit 2;
+- on the first small configuration, all four subcommands with ``--seed=-3``
+  and ``export-surface`` with 10**12 samples, which exit 2;
 - the four ``small/test-cli`` runs again, as ``rewrite/test-cli``, each into
   an out directory that already holds 4 KB of filler under every file name
   the first run wrote, so that the reports overwrite existing files; their
@@ -136,6 +138,9 @@ def runs(workloads, teich_point):
         for command in SUBCOMMANDS:
             yield f"refused/{name}/{command}", command, cfg, ()
     for command in SUBCOMMANDS:
+        yield f"refused/seed=-3/{command}", command, small_cfgs["test-cli"], ("--seed=-3",)
+    yield "refused/samples=10**12/export-surface", "export-surface", dict(small_cfgs["test-cli"], samples=10**12), ()
+    for command in SUBCOMMANDS:
         yield f"{REWRITE}test-cli/{command}", command, small_cfgs["test-cli"], ()
 
 
@@ -173,6 +178,8 @@ def main() -> int:
                     code = cli.main([command, "--config", str(config), "--out", str(out), *extra])
                 except SystemExit as exc:
                     code = exc.code
+                except Exception as exc:  # a traceback of an older checkout, recorded by its type
+                    code = type(exc).__name__
             last_traces = None
             if command == "kerckhoff" and code == 0:
                 # A report that does not parse shows in its hash line instead.
