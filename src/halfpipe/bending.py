@@ -28,7 +28,6 @@ from halfpipe.fuchsian import (
     WeightedMulticurve,
     free_reduce,
     invert_word,
-    leaves_crossing,
     segment_crossings,
 )
 from halfpipe.geometry import (
@@ -41,7 +40,6 @@ from halfpipe.geometry import (
     TagMismatchError,
     disk_lift,
     embed_h2_point,
-    minkowski_dot,
     radial_project,
 )
 from halfpipe.isometry import (
@@ -223,10 +221,15 @@ def psi_lambda(ctx: BendingContext, z: np.ndarray) -> float:
     if ctx.tag is not HP:
         raise TagMismatchError("the bent-surface height function lives in the half-pipe model")
     z = np.asarray(z, dtype=float).reshape(2)
-    lift = np.array([1.0, z[0], z[1]])
+    normals, sides, _, _ = segment_crossings(ctx.group, ctx.multicurve, ctx.base_point, z)
+    z1, z2 = z.tolist()
+    coefficient = ctx.sign * ctx.scale * float(ctx.multicurve.components[0].weight)
     total = 0.0
-    for crossing in leaves_crossing(ctx.group, ctx.multicurve, ctx.base_point, z):
-        total -= ctx.sign * ctx.scale * crossing.weight * float(minkowski_dot(crossing.leaf.normal, lift))
+    for side, (n0, n1, n2) in zip(sides.tolist(), normals.tolist()):
+        # The unit normal, oriented and divided by its Minkowski norm as SpacelikeGeodesicH2 does.
+        n0, n1, n2 = side * n0, side * n1, side * n2
+        norm = math.sqrt(-n0 * n0 + n1 * n1 + n2 * n2)
+        total -= coefficient * (-(n0 / norm) + (n1 / norm) * z1 + (n2 / norm) * z2)
     return total
 
 

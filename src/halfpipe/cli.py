@@ -122,20 +122,31 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
+def _numbers(field: str, value):
+    """``value``, refused when it is or holds a JSON boolean, which Python would read as the number 0 or 1."""
+
+    def holds_boolean(item) -> bool:
+        return isinstance(item, bool) or (isinstance(item, list) and any(map(holds_boolean, item)))
+
+    if holds_boolean(value):
+        raise ConfigError(f"field '{field}' must hold numbers, not booleans; got {json.dumps(value)}")
+    return value
+
+
 def _group_from_config(cfg: dict) -> PuncturedTorusGroup:
     has_traces = "traces" in cfg
     has_gens = "generators" in cfg
     if has_traces == has_gens:
         raise ConfigError("config needs exactly one of the fields 'traces' or 'generators'")
     if has_traces:
-        traces = cfg["traces"]
+        traces = _numbers("traces", cfg["traces"])
         if not (isinstance(traces, list) and len(traces) == 3):
             raise ConfigError("field 'traces' must be a list of three numbers")
         try:
             return build_punctured_torus(TeichPoint(*map(float, traces)))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"field 'traces': {exc}") from exc
-    gens = cfg["generators"]
+    gens = _numbers("generators", cfg["generators"])
     try:
         a, b = (np.asarray(g, dtype=float).reshape(2, 2) for g in gens)
     except (TypeError, ValueError) as exc:
@@ -158,9 +169,9 @@ def _multicurve_from_config(cfg: dict, key: str) -> WeightedMulticurve:
     entries = table[key]
     if not (isinstance(entries, list) and len(entries) == 1 and isinstance(entries[0], dict) and "word" in entries[0]):
         raise ConfigError(f"field 'multicurves.{key}' must be a list of one entry with a 'word'")
-    entry = entries[0]
+    weight = _numbers(f"multicurves.{key}.weight", entries[0].get("weight", 1.0))
     try:
-        return WeightedMulticurve.single(str(entry["word"]), float(entry.get("weight", 1.0)))
+        return WeightedMulticurve.single(str(entries[0]["word"]), float(weight))
     except (TypeError, ValueError, GeometryError) as exc:
         raise ConfigError(f"field 'multicurves.{key}': {exc}") from exc
 
@@ -169,7 +180,7 @@ def _grid_from(args, cfg: dict, default) -> tuple[float, ...]:
     if args.grid is not None:
         raw = args.grid.split(",")
     elif "grid" in cfg:
-        raw = cfg["grid"]
+        raw = _numbers("grid", cfg["grid"])
         if not isinstance(raw, list):
             raise ConfigError("field 'grid' must be a list of numbers")
     else:
@@ -189,7 +200,7 @@ def _grid_from(args, cfg: dict, default) -> tuple[float, ...]:
 
 def _base_point_from(cfg: dict) -> np.ndarray:
     try:
-        base = np.asarray(cfg.get("base_point", DEFAULT_BASE_POINT), dtype=float).reshape(2)
+        base = np.asarray(_numbers("base_point", cfg.get("base_point", DEFAULT_BASE_POINT)), dtype=float).reshape(2)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"field 'base_point' must hold two numbers: {exc}") from exc
     if not float(base @ base) < 1.0:

@@ -34,6 +34,7 @@ from halfpipe.geometry import (
     J3,
     Geometry,
     GeometryError,
+    OutsideModelError,
     SpacelikeGeodesicH2,
     disk_lift,
 )
@@ -176,20 +177,20 @@ def christoffel(p: int, q: int) -> str:
 # SL(2, R) and its adjoint action on Minkowski R^{1,2}.
 # ---------------------------------------------------------------------------
 
-_SL2_BASIS = (
-    np.array([[0.0, -1.0], [1.0, 0.0]]),
-    np.array([[1.0, 0.0], [0.0, -1.0]]),
-    np.array([[0.0, 1.0], [1.0, 0.0]]),
-)
+_SL2_BASIS = np.array([[[0.0, -1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [1.0, 0.0]]])
+_ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+_IDENTITY3 = np.eye(3)
+_IDENTITY3.flags.writeable = False
 
 
 def _traceless_coords(m: np.ndarray) -> np.ndarray:
-    return np.array([(m[1, 0] - m[0, 1]) / 2.0, m[0, 0], (m[1, 0] + m[0, 1]) / 2.0])
+    """Coordinates of trace-free 2x2 matrices (the last two axes of m), along a new first axis."""
+    return np.array([(m[..., 1, 0] - m[..., 0, 1]) / 2.0, m[..., 0, 0], (m[..., 1, 0] + m[..., 0, 1]) / 2.0])
 
 
 def _sl2_inverse(g: np.ndarray) -> np.ndarray:
-    """The inverse of a determinant-one 2x2 matrix (its adjugate)."""
-    return np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]])
+    """The inverse of a determinant-one 2x2 matrix (its adjugate, [[d, -b], [-c, a]]); broadcasts."""
+    return np.multiply(np.swapaxes(g[..., ::-1, ::-1], -1, -2), _ADJUGATE_SIGNS, order="C")
 
 
 def _word_sl2(gens: dict[str, np.ndarray], word: str) -> np.ndarray:
@@ -202,15 +203,16 @@ def _word_sl2(gens: dict[str, np.ndarray], word: str) -> np.ndarray:
 
 
 def sl2_to_so12(g: np.ndarray) -> np.ndarray:
-    """Adjoint image of g in SO0(1,2), acting on trace-free matrices.
+    """Adjoint image of g in SO0(1,2), acting on trace-free matrices; broadcasts.
 
     Coordinates are chosen so that -det of a trace-free matrix is the
     Minkowski norm; the map is a 2-to-1 homomorphism with sl2_to_so12(-g) =
-    sl2_to_so12(g).
+    sl2_to_so12(g).  A stack of matrices takes the same 2x2 products as each
+    matrix alone.
     """
     g = np.asarray(g, dtype=float)
-    g_inv = _sl2_inverse(g)
-    return np.column_stack([_traceless_coords(g @ e @ g_inv) for e in _SL2_BASIS])
+    conjugates = (g[..., np.newaxis, :, :] @ _SL2_BASIS) @ _sl2_inverse(g)[..., np.newaxis, :, :]
+    return np.ascontiguousarray(np.moveaxis(_traceless_coords(conjugates), 0, -2))
 
 
 def translation_length_sl2(g: np.ndarray) -> float:
@@ -304,11 +306,13 @@ class PuncturedTorusGroup:
 
     A group computes a word's Lorentz image, axis and axis frames when first
     asked for them and returns the same object after that; the arrays are
-    read-only.  So are the side normals of its fundamental quadrilateral
-    (``tile_sides``) and the lifts of a curve through a tile (``tile_leaves``),
-    kept for every tile a leaf search has kept.  It also keeps one leaf atlas
-    per multicurve.  Each memo holds only what was asked of this group, never
-    a failed query, and lives as long as the group.
+    read-only.  So are the stacked images of the four letters
+    (``letter_images``), the side normals of its fundamental quadrilateral
+    (``tile_sides``) and the letter-by-letter products of the words that
+    leaf searches name leaves by, with all their prefixes (``prefix_product``).
+    It also keeps one leaf atlas per multicurve.  Each memo holds only what
+    was asked of this group, never a failed query, and lives as long as the
+    group.
     """
 
     trace_point: TeichPoint
@@ -323,8 +327,9 @@ class PuncturedTorusGroup:
         object.__setattr__(self, "_lorentz", {})
         object.__setattr__(self, "_axes", {})
         object.__setattr__(self, "_frames", {})
+        object.__setattr__(self, "_letters", None)
         object.__setattr__(self, "_sides", None)
-        object.__setattr__(self, "_tile_leaves", {})
+        object.__setattr__(self, "_prefixes", {"": _IDENTITY3})
 
     def sl2(self, word: str) -> np.ndarray:
         if word:
@@ -338,6 +343,31 @@ class PuncturedTorusGroup:
             image.flags.writeable = False
             self._lorentz[word] = image
         return image
+
+    def letter_images(self) -> np.ndarray:
+        """The Lorentz images of A, B, a and b, stacked in that order, from one stacked adjoint."""
+        if self._letters is None:
+            images = sl2_to_so12(np.stack([self.sl2(ch) for ch in GENERATOR_LETTERS]))
+            images.flags.writeable = False
+            object.__setattr__(self, "_letters", images)
+            for ch, image in zip(GENERATOR_LETTERS, images):
+                self._lorentz.setdefault(ch, image)
+        return self._letters
+
+    def prefix_product(self, word: str) -> np.ndarray:
+        """The identity times the Lorentz images of a word's letters, multiplied left to right.
+
+        Kept with every prefix, so a word costs one 3x3 product per letter past the longest known prefix.
+        """
+        product = self._prefixes.get(word)
+        if product is None:
+            known = next(k for k in range(len(word) - 1, -1, -1) if word[:k] in self._prefixes)
+            product = self._prefixes[word[:known]]
+            for end in range(known + 1, len(word) + 1):
+                product = product @ self.lorentz(word[end - 1])
+                product.flags.writeable = False
+                self._prefixes[word[:end]] = product
+        return product
 
     def axis(self, word: str) -> SpacelikeGeodesicH2:
         axis = self._axes.get(word)
@@ -383,33 +413,6 @@ class PuncturedTorusGroup:
             sides.flags.writeable = False
             object.__setattr__(self, "_sides", sides)
         return self._sides
-
-    def tile_leaves(self, word: str, tile: str) -> tuple[tuple[str, np.ndarray], ...]:
-        """The lifts of the axis of a simple curve's word that meet the tile w.Q, w = ``tile``.
-
-        For the word h . r . h^-1 (r cyclically reduced) they are
-        w . (r_1 ... r_k)^-1 . axis(r), 0 <= k < |r|, as the axis of r
-        crosses the tiles r^n . r_1 ... r_k . Q.  Each comes as its first word
-        v in walk order (v . axis(word) is the lift) and its normal, the
-        identity times v's generator images, left to right, applied to the
-        axis normal.
-        """
-        leaves = self._tile_leaves.get((word, tile))
-        if leaves is None:
-            root = _cyclic_reduce(word)
-            tail, axis = invert_word(word[: (len(word) - len(root)) // 2]), self.axis(word).normal
-            leaves, offset = [], ""
-            for k in range(len(root)):
-                first = _first_word(free_reduce(tile + offset), root, tail)
-                offset = root[k].swapcase() + offset
-                product = np.eye(3)
-                for letter in first:
-                    product = product @ self.lorentz(letter)
-                normal = product @ axis
-                normal.flags.writeable = False
-                leaves.append((first, normal))
-            leaves = self._tile_leaves[word, tile] = tuple(leaves)
-        return leaves
 
     def translation_length(self, word: str) -> float:
         return translation_length_sl2(self.sl2(word))
@@ -534,15 +537,23 @@ def _walk_order(word: str) -> tuple[int, str]:
     return len(word), word[::-1]
 
 
+def _join(u: str, v: str) -> str:
+    """free_reduce(u + v) for freely reduced words u and v: only their junction cancels."""
+    k, n = 0, min(len(u), len(v))
+    while k < n and u[-1 - k] == v[k].swapcase():
+        k += 1
+    return u[: len(u) - k] + v[k:]
+
+
 def _first_word(prefix: str, root: str, tail: str) -> str:
     """The first in walk order of the reduced words prefix . root^j . tail, j an integer.
 
     tail^-1 . root . tail is reduced and root cyclically reduced, so
     root^j . tail is reduced for every j, and only the powers of root or of
     its inverse, whichever cancels the last letter of the prefix, can beat
-    j = 0.
+    j = 0.  The prefix is reduced.
     """
-    best = free_reduce(prefix + tail)
+    best = _join(prefix, tail)
     if prefix[-1:] == root[0].swapcase():
         step = root
     elif prefix[-1:] == root[-1]:
@@ -553,11 +564,11 @@ def _first_word(prefix: str, root: str, tail: str) -> str:
     while True:
         # |prefix . step^j| falls and then rises by |step| per step, and
         # bounds |prefix . step^j . tail| from below up to |tail|.
-        longer = free_reduce(head + step)
+        longer = _join(head, step)
         if len(longer) > len(head) and len(longer) - len(tail) > len(best):
             return best
         head = longer
-        candidate = free_reduce(head + tail)
+        candidate = _join(head, tail)
         if len(candidate) <= len(best) and _walk_order(candidate) < _walk_order(best):
             best = candidate
 
@@ -578,13 +589,18 @@ def _leaves_near_segment(
     within sinh-distance EPS_ENDPOINT of y: exact tests, as a point outside
     an ideal polygon violates one side only.  The kept tiles form a subtree
     of the side-adjacency tree, so the search is complete; MAX_NODES bounds
-    the tiles it tests.  The lifts of the multicurve's curve through
-    them (``PuncturedTorusGroup.tile_leaves``) whose normals ``keep`` accepts
-    (a boolean mask of a stack) come once each, in walk order of their
-    words, as normals and words.
+    the tiles it tests.
+
+    For the curve's word h . r . h^-1 (r cyclically reduced), the lifts
+    through a tile w.Q are w . (r_1 ... r_k)^-1 . axis(r), 0 <= k < |r|, as
+    the axis of r crosses the tiles r^n . r_1 ... r_k . Q.  Each is named by
+    its first word v in walk order (v . axis(word) is the lift), found once
+    per distinct word before any product; its normal is v's prefix product
+    applied to the axis normal.  Those whose normals ``keep`` accepts (a
+    boolean mask of a stack) come in walk order, as normals and words.
     """
     sides = group.tile_sides()
-    gens = np.stack([group.lorentz(ch) for ch in GENERATOR_LETTERS])
+    gens = group.letter_images()
     duals = disk_lift(np.stack([x, y])) @ J3
     size = EPS_CLIP * np.abs(duals)
     reach = np.array([[-math.sinh(radius + EPS_ENDPOINT)], [-math.sinh(EPS_ENDPOINT)]])
@@ -613,7 +629,7 @@ def _leaves_near_segment(
         j = int(np.argmin(at_x))
         if at_x[j] >= reach[0, 0]:
             break
-        word = free_reduce(word + GENERATOR_LETTERS[j])
+        word = _join(word, GENERATOR_LETTERS[j])
         mat = mat @ gens[j]
     # backtrack[j]: the letter that generator j cancels (A and a, B and b).
     backtrack = ((np.arange(4) + 2) % 4)[:, np.newaxis]
@@ -630,14 +646,20 @@ def _leaves_near_segment(
             raise budget_error(nodes, depth)
         mats = (mats[np.newaxis] @ gens[:, np.newaxis])[allowed]
         kept = np.nonzero(meets(mats))[0]
-        words = [free_reduce(words[i] + GENERATOR_LETTERS[j]) for i, j in zip(parent[kept], last[kept])]
+        words = [_join(words[i], GENERATOR_LETTERS[j]) for i, j in zip(parent[kept].tolist(), last[kept].tolist())]
         tiles = tiles + words
         mats, last = mats[kept], last[kept]
 
-    found = {first: normal for tile in tiles for first, normal in group.tile_leaves(mc.components[0].word, tile)}
-    order = sorted(found, key=_walk_order)
-    chosen = [order[i] for i in np.nonzero(keep(np.array([found[first] for first in order]).reshape(-1, 3)))[0]]
-    return np.array([found[first] for first in chosen]).reshape(-1, 3), chosen
+    curve = mc.components[0].word
+    root = _cyclic_reduce(curve)
+    tail = invert_word(curve[: (len(curve) - len(root)) // 2])
+    offsets = [invert_word(root[:k]) for k in range(len(root))]
+    heads = {_join(tile, offset) for tile in tiles for offset in offsets}
+    order = sorted({_first_word(head, root, tail) for head in heads}, key=_walk_order)
+    axis = group.axis(curve).normal
+    normals = np.array([group.prefix_product(first) @ axis for first in order]).reshape(-1, 3)
+    chosen = keep(normals)
+    return normals[chosen], [first for first, kept in zip(order, chosen.tolist()) if kept]
 
 
 Pairings = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -648,7 +670,7 @@ def _pairings(x: np.ndarray, y: np.ndarray) -> Callable[[np.ndarray], Pairings]:
     to which leaves pass within EPS_ENDPOINT of either endpoint."""
     # Affine pairings are sign- and root-compatible with the lifted ones;
     # the lift rescaling only matters for the endpoint-distance tolerance.
-    duals = np.array([[-1.0, *x], [-1.0, *y]])[:, np.newaxis, :]  # J3 (1, x) and J3 (1, y)
+    duals = np.array([[[-1.0, *x.tolist()]], [[-1.0, *y.tolist()]]])  # J3 (1, x) and J3 (1, y)
     scale0 = 1.0 / math.sqrt(1.0 - float(x @ x))
     scale1 = 1.0 / math.sqrt(1.0 - float(y @ y))
 
@@ -692,7 +714,10 @@ class LeafAtlas:
 
         The ball is convex, so every leaf crossing [x, y] meets it.
         """
-        needed = math.acosh(float(disk_lift(np.array([x, y]))[:, 0].max()))
+        squares = [u * u + v * v for u, v in (x.tolist(), y.tolist())]
+        if not (squares[0] < 1.0 and squares[1] < 1.0):  # written so that a NaN endpoint fails too
+            raise OutsideModelError("disk point must satisfy |z| < 1")
+        needed = math.acosh(1.0 / math.sqrt(1.0 - max(squares)))
         if self.radius < needed <= ATLAS_RADIUS_LIMIT:
             radius = math.ceil(needed / ATLAS_STEP) * ATLAS_STEP
             # A leaf within EPS_ENDPOINT of an endpoint on the rim still counts.
@@ -793,8 +818,9 @@ def _tangent_basis(p: np.ndarray) -> np.ndarray:
     seed = np.eye(3)[np.argmin(np.abs(n))]
     t1 = seed - float(seed @ n) * n
     t1 /= np.linalg.norm(t1)
-    t2 = np.cross(n, t1)
-    return np.column_stack([t1, t2])
+    # n x t1, written out: the products and differences np.cross takes, at a fraction of its set-up.
+    (n0, n1, n2), (u0, u1, u2) = n.tolist(), t1.tolist()
+    return np.column_stack([t1, (n1 * u2 - n2 * u1, n2 * u0 - n0 * u2, n0 * u1 - n1 * u0)])
 
 
 # Monomials x^i y^j z^k as exponent triples.

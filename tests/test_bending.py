@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
-from test_fuchsian import ATLAS_MULTICURVES, disk_points, reduced_words, trace_points
+from test_fuchsian import ATLAS_MULTICURVES, disk_points, extreme_trace_points, reduced_words, trace_points
 
 from halfpipe.bending import (
     BendingContext,
@@ -38,6 +38,7 @@ from halfpipe.geometry import (
     disk_lift,
     embed_h2_point,
     klein_hp,
+    minkowski_dot,
 )
 from halfpipe.isometry import Isometry, classify_isometry
 
@@ -326,6 +327,31 @@ def test_height_function_values():
     rng = np.random.default_rng(43)
     for z in _disk_points(rng, 20, radius=0.9):
         assert psi_lambda(flipped, z) == -psi_lambda(ctx, z)
+
+
+@given(
+    point=extreme_trace_points,
+    curve=st.sampled_from(ATLAS_MULTICURVES),
+    weight=st.floats(0.01, 3.0),
+    sign=st.sampled_from((1.0, -1.0)),
+    scale=st.floats(-2.0, 2.0),
+    base=disk_points,
+    z=disk_points,
+)
+def test_height_function_is_the_sum_over_the_crossings_bit_for_bit(point, curve, weight, sign, scale, base, z):
+    # The sum as it was written over the oriented unit leaves of leaves_crossing.
+    mc = WeightedMulticurve.single(curve.components[0].word, weight)
+    ctx = BendingContext(build_punctured_torus(point), mc, base, HP, sign, scale)
+    try:
+        height = psi_lambda(ctx, z)
+        crossings = leaves_crossing(ctx.group, mc, base, z)
+    except EndpointOnLeafError:
+        assume(False)
+    lift = np.array([1.0, z[0], z[1]])
+    total = 0.0
+    for crossing in crossings:
+        total -= ctx.sign * ctx.scale * crossing.weight * float(minkowski_dot(crossing.leaf.normal, lift))
+    assert height.hex() == total.hex()
 
 
 def test_height_function_concavity_and_support():

@@ -444,3 +444,48 @@ def test_multicurves_other_than_one_simple_curve_exit_2(tmp_path):
             code, out = _run(tmp_path / f"{index}-{command}", command, config)
             assert code == EXIT_CONFIG, (lam, command)
             assert not out.exists()
+
+
+# Every numeric config field, with one JSON boolean in it, and the subcommands
+# that read it.  Python reads true and false as 1 and 0.
+_GENERATORS = build_punctured_torus(TeichPoint(3.0, 3.0, 3.0))
+BOOLEAN_FIELDS = (
+    ("traces", {"traces": [3.0, True, 3.0]}, sorted(FIRST_REPORTS)),
+    (
+        "generators",
+        {"traces": None, "generators": [_GENERATORS.sl2("A").tolist(), [[True, 0.0], [0.0, 1.0]]]},
+        sorted(FIRST_REPORTS),
+    ),
+    (
+        "multicurves.lambda.weight",
+        {"multicurves": {"lambda": [{"word": "A", "weight": True}], "mu": [{"word": "B"}]}},
+        sorted(FIRST_REPORTS),
+    ),
+    (
+        "multicurves.mu.weight",
+        {"multicurves": {"lambda": [{"word": "A"}], "mu": [{"word": "B", "weight": True}]}},
+        ["kerckhoff"],
+    ),
+    ("grid", {"grid": [0.1, -0.1, 0.01, True, 0.001, -0.001]}, ["transition"]),
+    ("grid", {"grid": [0.2, True]}, ["double"]),
+    ("grid", {"grid": [True]}, ["export-surface"]),
+    ("base_point", {"base_point": [False, 0.15]}, ["double", "export-surface"]),
+)
+
+
+@pytest.mark.parametrize(
+    "command, field, overrides",
+    [
+        pytest.param(command, field, overrides, id=f"{command}-{field}")
+        for field, overrides, commands in BOOLEAN_FIELDS
+        for command in commands
+    ],
+)
+def test_json_booleans_in_number_fields_exit_2(tmp_path, capsys, command, field, overrides):
+    config = _write_config(tmp_path / "cfg.json", **overrides)
+    cfg = {key: value for key, value in json.loads(config.read_text()).items() if value is not None}
+    config.write_text(json.dumps(cfg))
+    code, out = _run(tmp_path, command, config)
+    assert code == EXIT_CONFIG and not out.exists()
+    value = cfg[field] if "." not in field else cfg["multicurves"][field.split(".")[1]][0]["weight"]
+    assert f"field '{field}' must hold numbers, not booleans; got {json.dumps(value)}" in capsys.readouterr().err

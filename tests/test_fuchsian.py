@@ -47,7 +47,7 @@ from halfpipe.fuchsian import (
     _walk_segment,
     _word_sl2,
 )
-from halfpipe.geometry import ADS, HP, HYP, J3, disk_lift, minkowski_dot, radial_project
+from halfpipe.geometry import ADS, HP, HYP, J3, OutsideModelError, disk_lift, minkowski_dot, radial_project
 from halfpipe.isometry import embed_h2, transport_to_standard_axis
 
 SYMMETRIC = TeichPoint(3.0, 3.0, 3.0)
@@ -558,6 +558,17 @@ def test_atlas_first_grown_past_the_walk_budget_keeps_the_largest_radius_that_bu
         _assert_walk_agrees(group, mc, x, y)
 
 
+def test_segment_endpoints_off_the_open_disk_are_refused():
+    # A NaN endpoint used to start a walk that kept every tile until the budget ran out.
+    group = build_punctured_torus(SYMMETRIC)
+    mc = WeightedMulticurve.single("A")
+    inside = np.array([0.11, 0.07])
+    for outside in ([1.0, 0.0], [0.8, 0.7], [math.nan, 0.1], [0.1, math.nan], [math.inf, 0.0]):
+        for ends in ((inside, np.array(outside)), (np.array(outside), inside)):
+            with pytest.raises(OutsideModelError):
+                segment_crossings(group, mc, *ends)
+
+
 def test_enumeration_budget_error_reports_its_numbers(monkeypatch):
     group = build_punctured_torus(SYMMETRIC)
     mc = WeightedMulticurve.single("A")
@@ -665,6 +676,60 @@ trace_points = (
     .map(lambda xy: TeichPoint.from_xy(*xy))
 )
 reduced_words = st.lists(st.sampled_from("ABab"), min_size=1, max_size=4).map("".join).map(free_reduce).filter(bool)
+
+
+# Trace points out to the extremes the CLI meets, such as from_xy(20, 3) and from_xy(3, 40).
+extreme_trace_points = (
+    st.tuples(st.floats(2.1, 60.0), st.floats(2.1, 60.0))
+    .filter(lambda xy: xy[0] ** 2 * xy[1] ** 2 >= 4.0 * (xy[0] ** 2 + xy[1] ** 2))
+    .map(lambda xy: TeichPoint.from_xy(*xy))
+)
+any_reduced_words = st.lists(st.sampled_from("ABab"), max_size=12).map("".join).map(free_reduce)
+
+
+def _adjoint_by_basis(g):
+    """The adjoint image of g, one basis element and one column at a time, as sl2_to_so12 used to form it."""
+    inverse = np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]])
+    columns = []
+    for e in ([[0.0, -1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [1.0, 0.0]]):
+        m = g @ np.array(e) @ inverse
+        columns.append(np.array([(m[1, 0] - m[0, 1]) / 2.0, m[0, 0], (m[1, 0] + m[0, 1]) / 2.0]))
+    return np.column_stack(columns)
+
+
+@given(point=extreme_trace_points, word=reduced_words)
+def test_stacked_letter_images_equal_each_letters_adjoint_bit_for_bit(point, word):
+    group = build_punctured_torus(point)
+    images = group.letter_images()
+    assert images.shape == (4, 3, 3) and not images.flags.writeable
+    for image, letter in zip(images, "ABab"):
+        g = group.sl2(letter)
+        assert image.tobytes() == sl2_to_so12(g).tobytes() == _adjoint_by_basis(g).tobytes(), letter
+        assert group.lorentz(letter).tobytes() == image.tobytes(), letter
+    g = group.sl2(word)
+    assert sl2_to_so12(g).tobytes() == _adjoint_by_basis(g).tobytes()
+
+
+@given(u=any_reduced_words, cancelled=st.integers(0, 12), w=any_reduced_words)
+def test_join_of_reduced_words_is_their_free_reduction(u, cancelled, w):
+    # v starts by cancelling up to ``cancelled`` letters of u.
+    v = free_reduce(invert_word(u[max(0, len(u) - cancelled) :]) + w)
+    assert fuchsian._join(u, v) == free_reduce(u + v)
+    assert fuchsian._join(v, u) == free_reduce(v + u)
+
+
+@given(point=extreme_trace_points, curve=st.sampled_from(ATLAS_MULTICURVES), words=st.lists(any_reduced_words, max_size=6))
+def test_prefix_products_equal_the_letter_by_letter_product_bit_for_bit(point, curve, words):
+    group = build_punctured_torus(point)
+    axis = group.axis(curve.components[0].word).normal
+    # Asked in an order where some words extend, and some are prefixes of, words asked before.
+    for word in [*words, *(w[: len(w) // 2] for w in words), *(fuchsian._join(w, "AB") for w in words)]:
+        product = np.eye(3)
+        for letter in word:
+            product = product @ group.lorentz(letter)
+        assert group.prefix_product(word).tobytes() == product.tobytes(), word
+        assert (group.prefix_product(word) @ axis).tobytes() == (product @ axis).tobytes(), word
+        assert not group.prefix_product(word).flags.writeable
 
 
 @given(point=trace_points, mc=st.sampled_from(ATLAS_MULTICURVES), x=disk_points, y=disk_points)
