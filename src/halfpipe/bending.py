@@ -27,6 +27,7 @@ from halfpipe.fuchsian import (
     PuncturedTorusGroup,
     WeightedMulticurve,
     free_reduce,
+    holonomy_segment_crossings,
     invert_word,
     segment_crossings,
 )
@@ -38,9 +39,7 @@ from halfpipe.geometry import (
     Plane,
     ProjectivePoint,
     TagMismatchError,
-    disk_lift,
     embed_h2_point,
-    radial_project,
 )
 from halfpipe.isometry import (
     Isometry,
@@ -180,9 +179,8 @@ class BentHolonomy:
 
 
 def holonomy_crossings(ctx: BendingContext, word: str) -> Crossings:
-    """The leaves crossed by the segment from x0 to word . x0, as :func:`segment_crossings` gives them."""
-    far = radial_project(ctx.group.lorentz(word) @ disk_lift(ctx.base_point))
-    return segment_crossings(ctx.group, ctx.multicurve, ctx.base_point, far)
+    """The leaves crossed by the segment from x0 to word . x0, read off the tiling's adjacency tree."""
+    return holonomy_segment_crossings(ctx.group, ctx.multicurve, ctx.base_point, word)
 
 
 def bent_holonomy(ctx: BendingContext) -> BentHolonomy:

@@ -36,6 +36,7 @@ from .fuchsian import (
     TeichPoint,
     WeightedMulticurve,
     build_punctured_torus,
+    filling_advisory,
     kerckhoff_point,
     leaves_crossing,
 )
@@ -306,6 +307,10 @@ def cmd_kerckhoff(args) -> int:
     group = _group_from_config(cfg)
     lam = _multicurve_from_config(cfg, "lambda")
     mu = _multicurve_from_config(cfg, "mu")
+    advisory = filling_advisory(lam, mu)
+    if advisory is not None:
+        # Such a pair has no length minimum, so the search would only run out of steps.
+        raise ConfigError(f"fields 'multicurves.lambda' and 'multicurves.mu': {advisory}")
     tol = args.tol if args.tol is not None else 1e-7
     result = kerckhoff_point(lam, mu, group.trace_point, gradient_tol=tol)
     doc = {

@@ -29,10 +29,9 @@ from halfpipe.bending import (
     _base_point,
     _bracketed_product,
     bent_holonomy,
-    support_plane_at,
 )
 from halfpipe.fuchsian import EndpointOnLeafError, PuncturedTorusGroup, WeightedMulticurve, segment_crossings
-from halfpipe.geometry import HP, HYP, Geometry, GeometryError, TagMismatchError, _unit
+from halfpipe.geometry import HP, HYP, Geometry, GeometryError, Plane, TagMismatchError, _unit
 from halfpipe.isometry import (
     Isometry,
     MinkowskiIsometry,
@@ -159,16 +158,17 @@ def double_convex_core_pair(upper: BendingContext, lower: BendingContext) -> Dou
 
     Face 0 is the upper surface's face at the basepoint and face 1 the lower
     surface's face there, carried over by :func:`pair_aligner`, whose
-    surface-pair preconditions apply.  The token e1 is the product of the two
-    boundary reflections at the basepoint: the meridian of the doubled cusp
-    region.
+    surface-pair preconditions apply.  Both faces at the basepoint lie in
+    the base plane {x3 = 0}, the support plane of each surface there.  The
+    token e1 is the product of the two boundary reflections at the
+    basepoint: the meridian of the doubled cusp region.
     """
     aligner = pair_aligner(upper, lower)
-    point = upper.base_point
-    reflections = (
-        reflection(support_plane_at(upper, point)),
-        aligner @ reflection(support_plane_at(lower, point)) @ aligner.inverse(),
-    )
+    # The cocycle from the basepoint to itself is the identity, so both faces
+    # at the basepoint lie in {x3 = 0}; the aligner has already refused a
+    # basepoint on a leaf of either curve.
+    mirror = reflection(Plane.base_plane(HP))
+    reflections = (mirror, aligner @ mirror @ aligner.inverse())
     return DoubledHolonomy(rho=bent_holonomy(upper), reflections=reflections)
 
 

@@ -19,7 +19,10 @@ with them every leaf meeting the region: crossing queries are complete by
 construction.  Each group keeps a leaf atlas per multicurve, the leaves
 meeting a hyperbolic ball about the disk centre, found by one search and
 grown on demand.  Segments inside the ball are answered from the atlas,
-others are searched on their own.
+others are searched on their own, except a segment from a point x0 to its
+image g.x0: the tiles it meets are the path of the tiling's adjacency tree
+(the Cayley tree of F(A, B)) from the tile of x0 to its g-image, so no search
+is needed beyond the tiles near x0.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from halfpipe.geometry import (
     OutsideModelError,
     SpacelikeGeodesicH2,
     disk_lift,
+    radial_project,
 )
 from halfpipe.isometry import Isometry, embed_h2, transport_to_standard_axis
 
@@ -194,11 +198,10 @@ def _sl2_inverse(g: np.ndarray) -> np.ndarray:
 
 
 def _word_sl2(gens: dict[str, np.ndarray], word: str) -> np.ndarray:
-    """Left-to-right product of a word over A, B, a, b given the images of A and B."""
+    """Left-to-right product of a word over A, B, a, b given the images of all four letters."""
     out = np.eye(2)
     for ch in word:
-        g = gens[ch.upper()]
-        out = out @ (_sl2_inverse(g) if ch.islower() else g)
+        out = out @ gens[ch]
     return out
 
 
@@ -310,7 +313,8 @@ class PuncturedTorusGroup:
     (``letter_images``), the side normals of its fundamental quadrilateral
     (``tile_sides``) and the letter-by-letter products of the words that
     leaf searches name leaves by, with all their prefixes (``prefix_product``).
-    It also keeps one leaf atlas per multicurve.  Each memo holds only what
+    It also keeps one leaf atlas per multicurve and the tiles near each point
+    asked about (``tiles_near``).  Each memo holds only what
     was asked of this group, never a failed query, and lives as long as the
     group.
     """
@@ -322,7 +326,8 @@ class PuncturedTorusGroup:
     def __post_init__(self) -> None:
         tp = self.trace_point
         gen_a, gen_b = _normal_form_generators(tp.x, tp.y, tp.z)
-        object.__setattr__(self, "_sl2_gens", {"A": gen_a, "B": gen_b})
+        gens = {"A": gen_a, "B": gen_b, "a": _sl2_inverse(gen_a), "b": _sl2_inverse(gen_b)}
+        object.__setattr__(self, "_sl2_gens", gens)
         object.__setattr__(self, "_atlases", {})
         object.__setattr__(self, "_lorentz", {})
         object.__setattr__(self, "_axes", {})
@@ -330,6 +335,7 @@ class PuncturedTorusGroup:
         object.__setattr__(self, "_letters", None)
         object.__setattr__(self, "_sides", None)
         object.__setattr__(self, "_prefixes", {"": _IDENTITY3})
+        object.__setattr__(self, "_near_tiles", {})
 
     def sl2(self, word: str) -> np.ndarray:
         if word:
@@ -413,6 +419,17 @@ class PuncturedTorusGroup:
             sides.flags.writeable = False
             object.__setattr__(self, "_sides", sides)
         return self._sides
+
+    def tiles_near(self, x: np.ndarray) -> tuple[str, ...]:
+        """The words of the tiles w.Q within EPS_ENDPOINT of the disk point x, the tile that holds it first.
+
+        One tile search of the segment [x, x]; it does not depend on a multicurve.
+        """
+        key = x.tobytes()
+        tiles = self._near_tiles.get(key)
+        if tiles is None:
+            tiles = self._near_tiles[key] = tuple(_tiles_near_segment(self, x, x, 0.0))
+        return tiles
 
     def translation_length(self, word: str) -> float:
         return translation_length_sl2(self.sl2(word))
@@ -503,7 +520,7 @@ def filling_advisory(lam: WeightedMulticurve, mu: WeightedMulticurve) -> str | N
     """
     (p, q), (r, s) = (word_homology(mc.components[0].word) for mc in (lam, mu))
     if p * s - q * r == 0:
-        return f"the curves of slopes ({p}, {q}) and ({r}, {s}) do not fill: their intersection number is 0"
+        return f"the curves of slopes ({p}, {q}) and ({r}, {s}) do not fill: their intersection number |ps - qr| is 0"
     return None
 
 
@@ -573,31 +590,16 @@ def _first_word(prefix: str, root: str, tail: str) -> str:
             best = candidate
 
 
-def _leaves_near_segment(
-    group: PuncturedTorusGroup,
-    mc: WeightedMulticurve,
-    x: np.ndarray,
-    y: np.ndarray,
-    radius: float,
-    keep: Callable[[np.ndarray], np.ndarray],
-) -> Leaves:
-    """Every leaf meeting [x, y] or B(x, radius), or passing near y, that ``keep`` accepts.
+def _tiles_near_segment(group: PuncturedTorusGroup, x: np.ndarray, y: np.ndarray, radius: float) -> list[str]:
+    """The words of the tiles w.Q that meet [x, y] or B(x, radius), or pass near y, the root tile first.
 
-    Searches the tiles w.Q breadth first, shell by shell and never stepping
+    Searches the tiles breadth first, shell by shell and never stepping
     back, from a tile near x.  A tile is kept when it meets [x, y] (up to a
     rounding slack), lies within distance radius + EPS_ENDPOINT of x or
     within sinh-distance EPS_ENDPOINT of y: exact tests, as a point outside
     an ideal polygon violates one side only.  The kept tiles form a subtree
     of the side-adjacency tree, so the search is complete; MAX_NODES bounds
     the tiles it tests.
-
-    For the curve's word h . r . h^-1 (r cyclically reduced), the lifts
-    through a tile w.Q are w . (r_1 ... r_k)^-1 . axis(r), 0 <= k < |r|, as
-    the axis of r crosses the tiles r^n . r_1 ... r_k . Q.  Each is named by
-    its first word v in walk order (v . axis(word) is the lift), found once
-    per distinct word before any product; its normal is v's prefix product
-    applied to the axis normal.  Those whose normals ``keep`` accepts (a
-    boolean mask of a stack) come in walk order, as normals and words.
     """
     sides = group.tile_sides()
     gens = group.letter_images()
@@ -649,7 +651,20 @@ def _leaves_near_segment(
         words = [_join(words[i], GENERATOR_LETTERS[j]) for i, j in zip(parent[kept].tolist(), last[kept].tolist())]
         tiles = tiles + words
         mats, last = mats[kept], last[kept]
+    return tiles
 
+
+def _tile_leaves(group: PuncturedTorusGroup, mc: WeightedMulticurve, tiles) -> Leaves:
+    """Every lift of the curve through the given tiles, as normals and conjugator words in walk order.
+
+    For the curve's word h . r . h^-1 (r cyclically reduced), the lifts
+    through a tile w.Q are w . (r_1 ... r_k)^-1 . axis(r), 0 <= k < |r|, as
+    the axis of r crosses the tiles r^n . r_1 ... r_k . Q.  Each is named by
+    its first word v in walk order (v . axis(word) is the lift), found once
+    per distinct word before any product; its normal is v's prefix product
+    applied to the axis normal.  The name depends on the leaf alone, not on
+    the tile it was reached from.
+    """
     curve = mc.components[0].word
     root = _cyclic_reduce(curve)
     tail = invert_word(curve[: (len(curve) - len(root)) // 2])
@@ -657,7 +672,24 @@ def _leaves_near_segment(
     heads = {_join(tile, offset) for tile in tiles for offset in offsets}
     order = sorted({_first_word(head, root, tail) for head in heads}, key=_walk_order)
     axis = group.axis(curve).normal
-    normals = np.array([group.prefix_product(first) @ axis for first in order]).reshape(-1, 3)
+    return np.array([group.prefix_product(first) @ axis for first in order]).reshape(-1, 3), order
+
+
+def _leaves_near_segment(
+    group: PuncturedTorusGroup,
+    mc: WeightedMulticurve,
+    x: np.ndarray,
+    y: np.ndarray,
+    radius: float,
+    keep: Callable[[np.ndarray], np.ndarray],
+) -> Leaves:
+    """Every leaf meeting [x, y] or B(x, radius), or passing near y, that ``keep`` accepts.
+
+    The lifts of the curve through the tiles of :func:`_tiles_near_segment`,
+    named by :func:`_tile_leaves`; those whose normals ``keep`` accepts (a
+    boolean mask of a stack) come in walk order, as normals and words.
+    """
+    normals, order = _tile_leaves(group, mc, _tiles_near_segment(group, x, y, radius))
     chosen = keep(normals)
     return normals[chosen], [first for first, kept in zip(order, chosen.tolist()) if kept]
 
@@ -670,9 +702,11 @@ def _pairings(x: np.ndarray, y: np.ndarray) -> Callable[[np.ndarray], Pairings]:
     to which leaves pass within EPS_ENDPOINT of either endpoint."""
     # Affine pairings are sign- and root-compatible with the lifted ones;
     # the lift rescaling only matters for the endpoint-distance tolerance.
-    duals = np.array([[[-1.0, *x.tolist()]], [[-1.0, *y.tolist()]]])  # J3 (1, x) and J3 (1, y)
-    scale0 = 1.0 / math.sqrt(1.0 - float(x @ x))
-    scale1 = 1.0 / math.sqrt(1.0 - float(y @ y))
+    # |z|^2 as float products of the coordinates, as LeafAtlas.covering reads it.
+    (x1, x2), (y1, y2) = x.tolist(), y.tolist()
+    duals = np.array([[[-1.0, x1, x2]], [[-1.0, y1, y2]]])  # J3 (1, x) and J3 (1, y)
+    scale0 = 1.0 / math.sqrt(1.0 - (x1 * x1 + x2 * x2))
+    scale1 = 1.0 / math.sqrt(1.0 - (y1 * y1 + y2 * y2))
 
     def pairings(normals: np.ndarray) -> Pairings:
         # Summed column by column: a matrix-vector product rounds by stack height.
@@ -745,6 +779,39 @@ def segment_crossings(group: PuncturedTorusGroup, mc: WeightedMulticurve, x: np.
     y = np.asarray(y, dtype=float).reshape(2)
     leaves = group.atlas(mc).covering(group, x, y)
     return _crossings(leaves if leaves is not None else _walk_segment(group, mc, x, y), x, y)
+
+
+def holonomy_segment_crossings(
+    group: PuncturedTorusGroup, mc: WeightedMulticurve, x0: np.ndarray, word: str
+) -> Crossings:
+    """The leaves of the lifted multicurve crossing the open segment (x0, word . x0), as arrays.
+
+    The arrays are those of :func:`segment_crossings`, read off the tiling's
+    adjacency tree, with no tile search beyond the group's tiles near x0
+    (``tiles_near``).  For g the reduced word and w.Q the tile holding x0,
+    g.x0 lies in u.Q, u the reduced word of g w, and a side of the tiling
+    separates the two ends exactly when it lies on the tree path from w to
+    u.  So the segment meets the tiles of that path, the prefixes of w and
+    of u down to their common prefix.  To those come the tiles within
+    EPS_ENDPOINT of x0, so that a leaf through x0 is refused, and with it
+    one through g.x0, the image of a leaf through x0.  Raises
+    OutsideModelError when word . x0 rounds onto the rim or past it, and
+    EndpointOnLeafError when an endpoint is within tolerance of a leaf.
+    """
+    if word:
+        _check_word(word)
+    reduced = free_reduce(word)
+    far = radial_project(group.lorentz(reduced) @ disk_lift(x0))
+    u, v = far.tolist()
+    if not u * u + v * v < 1.0:
+        raise OutsideModelError("disk point must satisfy |z| < 1")
+    near = group.tiles_near(x0)
+    start, end = near[0], _join(reduced, near[0])
+    common = 0
+    while common < min(len(start), len(end)) and start[common] == end[common]:
+        common += 1
+    path = [start[:k] for k in range(common, len(start))] + [end[:k] for k in range(common, len(end) + 1)]
+    return _crossings(_tile_leaves(group, mc, {*near, *path}), x0, far)
 
 
 def _crossings(leaves: Leaves, x: np.ndarray, y: np.ndarray) -> Crossings:

@@ -51,19 +51,22 @@ def normalized_projective(m: np.ndarray) -> np.ndarray:
     by :func:`projective_distance`), a (k, 4, 4) stack matrix by matrix.
     """
     m = np.asarray(m, dtype=float)
-    scale = np.max(np.abs(m), axis=(-2, -1))
-    if np.any(scale == 0.0):
+    scale = np.abs(m).max(axis=(-2, -1))
+    if (scale == 0.0).any():
         raise GeometryError("the zero matrix has no projective class")
     divisor = np.array(m[..., 3, 3])
-    for i in np.ndindex(divisor.shape):
-        if not abs(divisor[i]) > 1e-8 * scale[i]:
-            divisor[i] = np.linalg.norm(m[i])
+    # Written so that a NaN divisor counts as weak too.
+    weak = ~(np.abs(divisor) > 1e-8 * scale)
+    if weak.any():
+        for i in np.ndindex(divisor.shape):
+            if weak[i]:
+                divisor[i] = np.linalg.norm(m[i])
     return m / divisor[..., None, None]
 
 
 def _projective_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Entrywise gap between normalized matrices up to sign, slice by slice for stacks."""
-    return np.minimum(np.max(np.abs(a - b), axis=(-2, -1)), np.max(np.abs(a + b), axis=(-2, -1)))
+    return np.minimum(np.abs(a - b).max(axis=(-2, -1)), np.abs(a + b).max(axis=(-2, -1)))
 
 
 def projective_distance(m1: np.ndarray, m2: np.ndarray) -> float:
@@ -121,12 +124,6 @@ class TransitionFamily:
     grid: tuple[float, ...]
     matrices: np.ndarray
 
-    def side(self, positive: bool) -> tuple[np.ndarray, np.ndarray]:
-        """The grid values of one side and the stack of their matrices, by increasing |t|."""
-        ts = np.array(self.grid)
-        mask = (ts > 0) == positive
-        return ts[mask], np.asarray(self.matrices, dtype=float)[mask]
-
 
 def holonomy_family(
     group: PuncturedTorusGroup,
@@ -166,6 +163,11 @@ def richardson_limit(samples, order: float = 1.0) -> np.ndarray:
     if order <= 0.0:
         raise GeometryError("the error order must be positive")
     (t1, m1), (t2, m2) = pairs[0], pairs[1]
+    return _richardson_step(t1, m1, t2, m2, order)
+
+
+def _richardson_step(t1: float, m1: np.ndarray, t2: float, m2: np.ndarray, order: float) -> np.ndarray:
+    """(|t2|^p m1 - |t1|^p m2) / (|t2|^p - |t1|^p) for the order p: exact for m(t) = m0 + |t|^p m1."""
     w1, w2 = abs(t1) ** order, abs(t2) ** order
     return (w2 * m1 - w1 * m2) / (w2 - w1)
 
@@ -176,20 +178,6 @@ def _fit_order(ts: np.ndarray, residuals: np.ndarray) -> float:
         return math.inf
     slope = np.polyfit(np.log(ts[live]), np.log(residuals[live]), 1)[0]
     return float(slope)
-
-
-def _side_limit(ts: np.ndarray, matrices: np.ndarray, normalized: np.ndarray) -> np.ndarray:
-    # The three samples of smallest |t|: the leading order p from the ratio of
-    # consecutive differences (each dominated by its larger-|t| member), then
-    # Neville's scheme in |t|^p, exact for the terms of orders 0, p and 2p.
-    t1, t2, t3 = ts[:3]
-    d1, d2 = _projective_gap(normalized[:2], normalized[1:3])
-    if min(d1, d2) <= EPS_RESIDUAL_FLOOR:
-        return matrices[0]
-    order = max(1, round(math.log(d2 / d1) / math.log(abs(t3) / abs(t2))))
-    near = richardson_limit(zip(ts[:2], matrices[:2]), order)
-    far = richardson_limit(zip(ts[1:3], matrices[1:3]), order)
-    return richardson_limit([(t1, near), (t3, far)], order)
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,14 +211,31 @@ class ConvergenceReport:
 
 def extrapolate_limit(family: TransitionFamily) -> ConvergenceReport:
     """Measured-order Neville limits per side with order and gap diagnostics."""
-    sides = {positive: family.side(positive) for positive in (True, False)}
-    if any(len(ts) < 3 for ts, _ in sides.values()):
+    grid = [float(t) for t in family.grid]
+    # One stack with the t <= 0 side first, each side in grid order, so that each side is a view of it.
+    order = sorted(range(len(grid)), key=lambda i: grid[i] > 0)
+    split = sum(not t > 0 for t in grid)
+    if min(split, len(grid) - split) < 3:
         raise InsufficientGridError("need at least three grid points per side")
+    grid = np.array(grid)[order]
+    matrices = np.asarray(family.matrices, dtype=float)[order]
+    normalized = normalized_projective(matrices)
     limits, orders, residuals = {}, {}, []
-    for positive, (ts, matrices) in sides.items():
-        normalized = normalized_projective(matrices)
-        limits[positive] = normalized_projective(_side_limit(ts, matrices, normalized))
-        res = _projective_gap(normalized, limits[positive])
+    for positive, rows in ((True, slice(split, None)), (False, slice(split))):
+        ts, side = grid[rows], normalized[rows]
+        # The three samples of smallest |t|: the leading order p from the ratio
+        # of consecutive differences (each dominated by its larger-|t| member),
+        # then Neville's scheme in |t|^p, exact for the terms of orders 0, p and 2p.
+        (t1, t2, t3), (m1, m2, m3) = ts[:3].tolist(), matrices[rows][:3]
+        d1, d2 = _projective_gap(side[:2], side[1:3]).tolist()
+        if min(d1, d2) <= EPS_RESIDUAL_FLOOR:
+            limit = m1
+        else:
+            p = max(1, round(math.log(d2 / d1) / math.log(abs(t3) / abs(t2))))
+            near, far = _richardson_step(t1, m1, t2, m2, p), _richardson_step(t2, m2, t3, m3, p)
+            limit = _richardson_step(t1, near, t3, far, p)
+        limits[positive] = normalized_projective(limit)
+        res = _projective_gap(side, limits[positive])
         orders[positive] = _fit_order(np.abs(ts), res)
         residuals.extend(zip(ts.tolist(), res.tolist()))
     residuals.sort(key=lambda pair: (abs(pair[0]), pair[0]))

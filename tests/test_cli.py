@@ -306,6 +306,20 @@ def test_kerckhoff_takes_no_grid_option(tmp_path, capsys):
     assert _run(tmp_path, "kerckhoff", config)[0] == EXIT_OK
 
 
+@pytest.mark.parametrize(
+    "lam, mu, slopes",
+    [("A", "A", "(1, 0) and (1, 0)"), ("A", "a", "(1, 0) and (-1, 0)"), ("AB", "AB", "(1, 1) and (1, 1)")],
+)
+def test_kerckhoff_refuses_a_pair_that_does_not_fill(tmp_path, capsys, lam, mu, slopes):
+    # Such a pair has no length minimum; the search used to take 28 Newton
+    # steps and exit 3.
+    multicurves = {"lambda": [{"word": lam, "weight": 1.0}], "mu": [{"word": mu, "weight": 1.0}]}
+    code, out = _run(tmp_path, "kerckhoff", _write_config(tmp_path / "cfg.json", multicurves=multicurves))
+    assert code == EXIT_CONFIG and not out.exists()
+    err = capsys.readouterr().err
+    assert f"slopes {slopes}" in err and "|ps - qr| is 0" in err
+
+
 def test_export_surface_flat_at_zero(tmp_path):
     config = _write_config(tmp_path / "cfg.json")
     code, out = _run(tmp_path, "export-surface", config, "--grid", "0")

@@ -356,6 +356,34 @@ def test_pair_aligner_refuses_non_critical_points():
                 construction(*bad_pair)
 
 
+@pytest.mark.parametrize("lam_word, mu_word", [("A", "B"), ("A", "AB"), ("AB", "Ab"), ("AAB", "B"), ("A", "ABB")])
+def test_face_reflections_are_those_in_the_support_planes_at_the_basepoint_bit_for_bit(lam_word, mu_word):
+    # The cocycle from the basepoint to itself is the identity, so the double
+    # reflects in the base plane instead of querying the support planes.
+    lam, mu = WeightedMulticurve.single(lam_word), WeightedMulticurve.single(mu_word)
+    group = build_punctured_torus(kerckhoff_point(lam, mu, SYMMETRIC).point)
+    for base in (BASE, np.array([-0.2, 0.15])):
+        upper = BendingContext(group, lam, base, HP, 1.0, 0.05)
+        lower = BendingContext(group, mu, base, HP, -1.0, 0.05)
+        aligner = pair_aligner(upper, lower)
+        expected = (
+            reflection(support_plane_at(upper, base)),
+            aligner @ reflection(support_plane_at(lower, base)) @ aligner.inverse(),
+        )
+        for found, want in zip(double_convex_core_pair(upper, lower).reflections, expected):
+            assert np.array_equal(found.matrix, want.matrix)
+
+
+def test_a_basepoint_on_a_leaf_is_refused_by_the_double():
+    # At (3,3,3) the axis of A passes through the disk centre.
+    group = build_punctured_torus(SYMMETRIC)
+    origin = np.zeros(2)
+    upper = BendingContext(group, WeightedMulticurve.single("A"), origin, HP, 1.0, 0.05)
+    lower = BendingContext(group, WeightedMulticurve.single("B"), origin, HP, -1.0, 0.05)
+    with pytest.raises(EndpointOnLeafError):
+        double_convex_core_pair(upper, lower)
+
+
 def test_doubled_cusp_stabilizer_is_rank_two():
     upper, lower = _kerckhoff_pair()
     doubled = double_convex_core_pair(upper, lower)

@@ -42,6 +42,7 @@ from halfpipe.fuchsian import (
     _leaves_near_segment,
     _normal_form_generators,
     _polynomial_jet,
+    _sl2_inverse,
     _tangent_basis,
     _trace_polynomial,
     _walk_segment,
@@ -353,7 +354,8 @@ def test_trace_polynomials_match_the_matrix_traces(x, y, letters):
 
     def trace_at(q):
         gen_a, gen_b = _normal_form_generators(*q)
-        return float(np.trace(_word_sl2({"A": gen_a, "B": gen_b}, letters)))
+        gens = {"A": gen_a, "B": gen_b, "a": _sl2_inverse(gen_a), "b": _sl2_inverse(gen_b)}
+        return float(np.trace(_word_sl2(gens, letters)))
 
     normal = _fricke_gradient(p) / np.linalg.norm(_fricke_gradient(p))
     frame = np.column_stack([_tangent_basis(p), normal])
@@ -790,6 +792,96 @@ def test_side_times_the_conjugated_axis_normal_is_the_leaf_normal(point, mc, x, 
         pushed = side * (group.lorentz(crossing.conjugator_word) @ axis)
         assert np.max(np.abs(crossing.leaf.normal - pushed)) <= 1e-9 * np.max(np.abs(pushed))
         assert float(minkowski_dot(crossing.leaf.normal, disk_lift(x))) < 0.0
+
+
+def _is_simple_curve(word):
+    try:
+        MulticurveComponent(word, 1.0)
+    except BadWordError:
+        return False
+    return True
+
+
+# The simple closed curves with words of up to five letters, A to AABAB.
+SIMPLE_CURVES = [word for word in _all_reduced_words(5) if _is_simple_curve(word)]
+holonomy_trace_points = (
+    st.tuples(st.floats(2.1, 12.0), st.floats(2.1, 12.0))
+    .filter(lambda xy: xy[0] ** 2 * xy[1] ** 2 >= 4.0 * (xy[0] ** 2 + xy[1] ** 2))
+    .map(lambda xy: TeichPoint.from_xy(*xy))
+)
+# Off the disk centre and turned by one radian, as disk_points are, so that the simplest draws miss the axis of A.
+base_points = st.tuples(st.floats(0.01, 0.5), st.floats(0.0, 2.0 * math.pi)).map(
+    lambda polar: polar[0] * np.array([math.cos(polar[1] + 1.0), math.sin(polar[1] + 1.0)])
+)
+# Words over A, B, a, b up to five letters, those that are not freely reduced included.
+any_words = st.lists(st.sampled_from("ABab"), min_size=1, max_size=5).map("".join)
+
+
+def _crossings_or_error(query):
+    try:
+        return query()
+    except (EndpointOnLeafError, OutsideModelError) as exc:
+        return type(exc)
+
+
+def _assert_same_arrays(found, expected):
+    if isinstance(expected, type):
+        assert found is expected
+        return
+    assert found[3] == expected[3]
+    for got, want in zip(found[:3], expected[:3]):
+        assert np.array_equal(got, want)
+
+
+@given(point=holonomy_trace_points, curve=st.sampled_from(SIMPLE_CURVES), x0=base_points, word=any_words)
+def test_holonomy_crossings_from_the_tree_equal_a_search_of_the_segment(point, curve, x0, word):
+    group = build_punctured_torus(point)
+    mc = WeightedMulticurve.single(curve)
+    far = radial_project(group.lorentz(free_reduce(word)) @ disk_lift(x0))
+
+    def searched():
+        u, v = far.tolist()
+        if not u * u + v * v < 1.0:
+            raise OutsideModelError("g.x0 rounds onto the rim")
+        return _crossings(_walk_segment(group, mc, x0, far), x0, far)
+
+    try:
+        expected = _crossings_or_error(searched)
+    except EnumerationBudgetError:
+        assume(False)
+    _assert_same_arrays(_crossings_or_error(lambda: fuchsian.holonomy_segment_crossings(group, mc, x0, word)), expected)
+
+
+@pytest.mark.parametrize(
+    "name, curve", [("xy(7,12)", "Ab"), ("xy(10,4)", "A"), ("xy(3,40)", "ABB"), ("xy(20,3)", "AAB")]
+)
+def test_holonomy_crossings_from_a_far_basepoint_equal_a_search_of_the_segment(name, curve):
+    # At these points a basepoint at radius 0.9 lies a few letters deep in
+    # its tile w.Q.  The inverse of a prefix of w sends the segment up the
+    # tree from w before it runs down to u, past leaves that only the tiles
+    # on the way up carry.
+    point = {"xy(7,12)": TeichPoint.from_xy(7.0, 12.0), "xy(10,4)": TeichPoint.from_xy(10.0, 4.0), **ATLAS_POINTS}[name]
+    group = build_punctured_torus(point)
+    mc = WeightedMulticurve.single(curve)
+    for angle in np.linspace(0.3, 2.0 * math.pi + 0.3, 7, endpoint=False):
+        x0 = 0.9 * np.array([math.cos(angle), math.sin(angle)])
+        tile = group.tiles_near(x0)[0]
+        for word in sorted({invert_word(tile[:k]) for k in (1, 2, 3)}):
+            far = radial_project(group.lorentz(word) @ disk_lift(x0))
+            expected = _crossings_or_error(lambda: _crossings(_walk_segment(group, mc, x0, far), x0, far))
+            _assert_same_arrays(
+                _crossings_or_error(lambda: fuchsian.holonomy_segment_crossings(group, mc, x0, word)), expected
+            )
+
+
+def test_a_word_crosses_the_leaves_of_its_free_reduction():
+    x0 = np.array([0.11, 0.07])
+    for point, curve in ((SYMMETRIC, "A"), (TeichPoint.from_xy(4.0, 5.0), "AB"), (TeichPoint.from_xy(6.0, 3.5), "AAB")):
+        group = build_punctured_torus(point)
+        mc = WeightedMulticurve.single(curve)
+        for word in ("AaBBB", "BbAAb", "AaB", "bAaB", "abBA"):
+            found = fuchsian.holonomy_segment_crossings(group, mc, x0, word)
+            _assert_same_arrays(found, fuchsian.holonomy_segment_crossings(group, mc, x0, free_reduce(word)))
 
 
 def test_kerckhoff_point_symmetric_pair():

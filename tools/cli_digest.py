@@ -16,6 +16,8 @@ The runs, all in one process:
   stacked holonomy product: an uneven, unsorted grid, hyperbolic angles
   past pi, an anti-de Sitter rotation that overflows (exit 3), and too few
   values per side (exit 3);
+- ``transition`` on the first small configuration for each of the words of
+  NON_REDUCED_WORDS, which are not freely reduced;
 - on the first small configuration, ``kerckhoff --grid=0.1``, which takes
   no grid (argparse exits 2, recorded as the run's exit code), and
   ``export-surface --grid=0.1,7``, which exports one value only (exit 2);
@@ -69,6 +71,8 @@ DOUBLE_GRIDS = ("0.3,0.15,0.02", "0.05")
 # under every file name that the run "small/" + rest wrote.
 REWRITE = "rewrite/"
 FILLER = b"#" * 4096
+# Words that are not freely reduced; their holonomies are those of their reductions.
+NON_REDUCED_WORDS = ("AaB", "BbAAb")
 TRANSITION_GRIDS = (
     "0.05,-0.02,0.02,-0.05,0.005,-0.005,0.001",
     "4,2,1,-4,-2,-1",
@@ -125,6 +129,8 @@ def runs(workloads, teich_point):
         if name == "test-cli":
             for grid in TRANSITION_GRIDS:
                 yield f"small/{name}/transition@{grid}", "transition", cfg, (f"--grid={grid}",)
+            for word in NON_REDUCED_WORDS:
+                yield f"small/{name}/transition:{word}", "transition", dict(cfg, words=[word]), ()
             yield f"small/{name}/kerckhoff@0.1", "kerckhoff", cfg, ("--grid=0.1",)
             yield f"small/{name}/export-surface@0.1,7", "export-surface", cfg, ("--grid=0.1,7",)
     edge = {"xy(3,40)": (3.0, 40.0, ("ABB", 1.0)), "xy(20,3)": (20.0, 3.0, ("AAB", 0.5))}
