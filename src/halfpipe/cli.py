@@ -2,8 +2,9 @@
 
 Subcommands drive the library modules and write JSON/CSV files whose bytes
 depend only on the config, the grid, and the seed.  Exit codes: 0 success,
-2 config error (an output path that cannot be written included),
-3 numerical-budget error, 4 acceptance-threshold failure.
+2 config error (an output path that cannot be written included, and a
+grid or curve pair that the config alone rules out), 3 numerical-budget
+error, 4 acceptance-threshold failure.
 
 Every report is written by ``_write_report``, which rewrites an existing file
 in place and then cuts it to length instead of truncating it to zero first.
@@ -238,10 +239,12 @@ def _validate_document(doc: dict, schema_name: str) -> None:
 def _write_report(outdir: Path, name: str, text: str) -> Path:
     """Write ``text`` to outdir/name, creating the directory and file as needed.
 
-    The bytes, encoding and new-file mode are those of a text-mode
-    ``open(path, "w")``, but an existing file is overwritten in place and
-    then truncated at the end of the new text, never truncated to zero first
-    (see the module docstring).  Nothing is synced, so this is no more
+    The text is encoded once and written through a buffered binary file,
+    which writes every byte.  Reports are ASCII, so the bytes and the
+    new-file mode are those of a text-mode ``open(path, "w")``, but an
+    existing file is overwritten in place and then truncated at the end of
+    the new bytes, never truncated to zero first (see the module
+    docstring).  Nothing is synced, so this is no more
     durable than truncating first: a crash can leave the file holding older
     bytes, or new bytes followed by the tail of a longer old report, where
     truncating first could leave a short or empty file.  Any OSError becomes
@@ -251,12 +254,38 @@ def _write_report(outdir: Path, name: str, text: str) -> Path:
     try:
         if not outdir.is_dir():
             outdir.mkdir(parents=True, exist_ok=True)
-        with os.fdopen(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as handle:
-            handle.write(text)
+        with os.fdopen(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as handle:
+            handle.write(text.encode())
             handle.truncate()
     except OSError as exc:
         raise ConfigError(f"cannot write output {path}: {exc}") from exc
     return path
+
+
+def _check_transition_grid(grid: tuple[float, ...]) -> None:
+    """Refuse a grid that the transition extrapolation cannot use: a value of 0, or fewer than three values on a side."""
+    if 0.0 in grid:
+        raise ConfigError(f"field 'grid': transition grid values must be nonzero; got {list(grid)}")
+    positive, negative = sum(t > 0.0 for t in grid), sum(t < 0.0 for t in grid)
+    if min(positive, negative) < 3:
+        raise ConfigError(
+            f"field 'grid': transition needs at least three values on each side of 0; "
+            f"got {positive} positive and {negative} negative in {list(grid)}"
+        )
+
+
+def _check_cone_grid(grid: tuple[float, ...], lam: WeightedMulticurve) -> None:
+    """Refuse a cone-angle grid that holds a nonpositive value or a hyperbolic bending angle t * weight of pi or more."""
+    if any(t <= 0.0 for t in grid):
+        raise ConfigError(f"field 'grid': cone-angle grid values must be positive; got {list(grid)}")
+    weight = lam.components[0].weight
+    for t in grid:
+        # The product the cone-angle table refuses, so the two checks agree to the bit.
+        if t * weight >= math.pi:
+            raise ConfigError(
+                f"field 'grid': value {t!r} times the weight {weight!r} of 'multicurves.lambda' is "
+                f"{t * weight!r}, a hyperbolic bending angle of pi or more"
+            )
 
 
 def _write_json(outdir: Path, name: str, doc: dict, schema_name: str) -> Path:
@@ -274,6 +303,7 @@ def cmd_transition(args) -> int:
     group = _group_from_config(cfg)
     lam = _multicurve_from_config(cfg, "lambda")
     grid = _grid_from(args, cfg, DEFAULT_GRID)
+    _check_transition_grid(grid)
     words = _words_from(cfg)
     tol = args.tol if args.tol is not None else EPS_LIMIT
     outdir = Path(args.out)
@@ -331,8 +361,7 @@ def cmd_double(args) -> int:
     group = _group_from_config(cfg)
     lam = _multicurve_from_config(cfg, "lambda")
     grid = _grid_from(args, cfg, DEFAULT_CONE_GRID)
-    if any(t <= 0.0 for t in grid):
-        raise ConfigError("cone-angle grid values must be positive")
+    _check_cone_grid(grid, lam)
     slope_tol = args.tol if args.tol is not None else 1e-8
     hp_tol = args.tol if args.tol is not None else 1e-6
     base = _base_point_from(cfg)

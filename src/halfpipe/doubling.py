@@ -31,7 +31,7 @@ from halfpipe.bending import (
     bent_holonomy,
 )
 from halfpipe.fuchsian import EndpointOnLeafError, PuncturedTorusGroup, WeightedMulticurve, segment_crossings
-from halfpipe.geometry import HP, HYP, Geometry, GeometryError, Plane, TagMismatchError, _unit
+from halfpipe.geometry import HP, HYP, Geometry, GeometryError, Plane, TagMismatchError, _unit_rows
 from halfpipe.isometry import (
     Isometry,
     MinkowskiIsometry,
@@ -41,7 +41,7 @@ from halfpipe.isometry import (
     minkowski_to_hp,
     reflection,
     reflection_stack,
-    standard_rotation_angle,
+    standard_rotation_angles,
 )
 
 # Largest linear-part gap and translation residual of two aligned surfaces.
@@ -117,7 +117,7 @@ def _check_surface_pair(upper: BendingContext, lower: BendingContext) -> None:
         raise GeometryError("expected a positively bent upper and a negatively bent lower context")
     if upper.group != lower.group:
         raise GeometryError("the two contexts must share the holonomy group")
-    if not np.array_equal(upper.base_point, lower.base_point):
+    if upper.base_point.tolist() != lower.base_point.tolist():
         raise GeometryError("the two contexts must share the basepoint")
 
 
@@ -137,15 +137,15 @@ def pair_aligner(upper: BendingContext, lower: BendingContext) -> Isometry:
     rows, rhs = [], []
     for word in ("A", "B"):
         mu, ml = hp_to_minkowski(rho_u(word)), hp_to_minkowski(rho_l(word))
-        if np.max(np.abs(mu.linear - ml.linear)) > EPS_ALIGNMENT:
+        if float(np.abs(mu.linear - ml.linear).max()) > EPS_ALIGNMENT:
             raise NoConjugatingTranslationError(
                 f"linear parts of the two holonomies differ on {word!r}"
             )
         rows.append(np.eye(3) - mu.linear)
         rhs.append(mu.translation - ml.translation)
-    system, target = np.vstack(rows), np.concatenate(rhs)
+    system, target = np.concatenate(rows), np.concatenate(rhs)
     u, *_ = np.linalg.lstsq(system, target, rcond=None)
-    residual = float(np.max(np.abs(system @ u - target)))
+    residual = float(np.abs(system @ u - target).max())
     if residual > EPS_ALIGNMENT:
         raise NoConjugatingTranslationError(
             f"no conjugating translation: generator residual {residual:.3e}"
@@ -236,10 +236,10 @@ def meridian_cone_angles(
         rows = [j for j, other in enumerate(tags) if other is tag]
         inverses, far_inverses = _group_inverse(cocycles[rows], tag), _group_inverse(far_cocycles[rows], tag)
         # Row 3 of a cocycle's inverse is the covector of its image of {x3 = 0}.
-        mirrors = [reflection_stack(tag, [_unit(m[3]) for m in stack]) for stack in (inverses, far_inverses)]
+        mirrors = [reflection_stack(tag, _unit_rows(stack[:, 3])) for stack in (inverses, far_inverses)]
         blocks = (phi @ ((inverses @ (mirrors[0] @ mirrors[1])) @ cocycles[rows])) @ phi_inverses[rows]
-        for j, block in zip(rows, blocks):
-            angles[j] = standard_rotation_angle(block, tag)
+        for j, angle in zip(rows, standard_rotation_angles(blocks, tag)):
+            angles[j] = angle
             if tag is HYP:
                 angles[j] += math.tau * round((2.0 * (math.pi - scales[j] * weight) - angles[j]) / math.tau)
     return angles

@@ -42,7 +42,7 @@ from halfpipe.geometry import (
     disk_lift,
     radial_project,
 )
-from halfpipe.isometry import Isometry, embed_h2, transport_to_standard_axis
+from halfpipe.isometry import _group_inverse, embed_h2, transport_to_standard_axis
 
 # |x^2 + y^2 + z^2 - xyz| accepted as "on the relation variety".
 EPS_FRICKE = 1e-9
@@ -183,8 +183,9 @@ def christoffel(p: int, q: int) -> str:
 
 _SL2_BASIS = np.array([[[0.0, -1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [1.0, 0.0]]])
 _ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
-_IDENTITY3 = np.eye(3)
-_IDENTITY3.flags.writeable = False
+_IDENTITY2, _IDENTITY3 = np.eye(2), np.eye(3)
+_IDENTITY2.flags.writeable = _IDENTITY3.flags.writeable = False
+_IDENTITY_ROWS = _IDENTITY3.tolist()
 
 
 def _traceless_coords(m: np.ndarray) -> np.ndarray:
@@ -199,10 +200,11 @@ def _sl2_inverse(g: np.ndarray) -> np.ndarray:
 
 def _word_sl2(gens: dict[str, np.ndarray], word: str) -> np.ndarray:
     """Left-to-right product of a word over A, B, a, b given the images of all four letters."""
-    out = np.eye(2)
+    out = _IDENTITY2
     for ch in word:
         out = out @ gens[ch]
-    return out
+    # The shared identity is read-only; the empty word gets a copy of its own.
+    return out if word else _IDENTITY2.copy()
 
 
 def sl2_to_so12(g: np.ndarray) -> np.ndarray:
@@ -307,9 +309,10 @@ class PuncturedTorusGroup:
     SL2 matrices, and through the adjoint to Lorentz matrices acting on the
     shared hyperbolic plane.  The commutator word is the cusp.
 
-    A group computes a word's Lorentz image, axis and axis frames when first
-    asked for them and returns the same object after that; the arrays are
-    read-only.  So are the stacked images of the four letters
+    A group forms the cusp's SL(2) image once, for the cusp check and the
+    tile sides.  It computes a word's Lorentz image, axis and axis frames
+    when first asked for them and returns the same object after that; the
+    arrays are read-only.  So are the stacked images of the four letters
     (``letter_images``), the side normals of its fundamental quadrilateral
     (``tile_sides``) and the letter-by-letter products of the words that
     leaf searches name leaves by, with all their prefixes (``prefix_product``).
@@ -328,6 +331,7 @@ class PuncturedTorusGroup:
         gen_a, gen_b = _normal_form_generators(tp.x, tp.y, tp.z)
         gens = {"A": gen_a, "B": gen_b, "a": _sl2_inverse(gen_a), "b": _sl2_inverse(gen_b)}
         object.__setattr__(self, "_sl2_gens", gens)
+        object.__setattr__(self, "_cusp", _word_sl2(gens, self.CUSP_WORD))
         object.__setattr__(self, "_atlases", {})
         object.__setattr__(self, "_lorentz", {})
         object.__setattr__(self, "_axes", {})
@@ -386,7 +390,7 @@ class PuncturedTorusGroup:
         frame = self._frames.get((word, tags))
         if frame is None:
             phi = embed_h2(transport_to_standard_axis(self.axis(word)))
-            by_tag = {tag: Isometry(phi, tag).inverse().matrix for tag in set(tags)}
+            by_tag = {tag: _group_inverse(phi, tag) for tag in set(tags)}
             inverses = np.array([by_tag[tag] for tag in tags])
             phi.flags.writeable = inverses.flags.writeable = False
             frame = self._frames[word, tags] = (phi, inverses)
@@ -400,9 +404,12 @@ class PuncturedTorusGroup:
         """
         if self._sides is None:
             # The cusp fixes the column space of its matrix plus the identity (rank
-            # one); a vector v there maps to the null vector of v (v2, -v1).
-            shifted = self.sl2(self.CUSP_WORD) + np.eye(2)
-            v = shifted[:, int(np.argmax(np.abs(shifted).sum(axis=0)))]
+            # one); a vector v there maps to the null vector of v (v2, -v1).  The
+            # column with the largest absolute sum is v; adding 0.0 writes -0.0 as +0.0.
+            (c00, c01), (c10, c11) = self._cusp.tolist()
+            shifted = ((c00 + 1.0, c10 + 0.0), (c01 + 0.0, c11 + 1.0))
+            sizes = [abs(top) + abs(bottom) for top, bottom in shifted]
+            v = np.array(shifted[sizes.index(max(sizes))])
             vertices = []
             for word in ("", "a", "ba", "Aba"):
                 v1, v2 = (self.sl2(word) @ v).tolist()
@@ -412,7 +419,7 @@ class PuncturedTorusGroup:
                 # J3 (u x w) for the ends u, w, made unit and facing the other vertices.
                 (u0, u1, u2), (w0, w1, w2) = vertices[j - 1], vertices[j]
                 n0, n1, n2 = u2 * w1 - u1 * w2, u2 * w0 - u0 * w2, u0 * w1 - u1 * w0
-                p0, p1, p2 = np.add(vertices[(j + 1) % 4], vertices[(j + 2) % 4]).tolist()
+                p0, p1, p2 = (a + b for a, b in zip(vertices[(j + 1) % 4], vertices[(j + 2) % 4]))
                 scale = math.copysign(1.0 / math.sqrt(n1 * n1 + n2 * n2 - n0 * n0), n1 * p1 + n2 * p2 - n0 * p0)
                 columns.append((n0 * scale, n1 * scale, n2 * scale))
             sides = np.array(columns).T
@@ -435,7 +442,8 @@ class PuncturedTorusGroup:
         return translation_length_sl2(self.sl2(word))
 
     def cusp_trace(self) -> float:
-        return float(np.trace(self.sl2(self.CUSP_WORD)))
+        (c00, _), (_, c11) = self._cusp.tolist()
+        return c00 + c11
 
     def atlas(self, mc: "WeightedMulticurve") -> "LeafAtlas":
         """The leaf atlas of a multicurve, shared by every caller of this group."""
@@ -622,7 +630,7 @@ def _tiles_near_segment(group: PuncturedTorusGroup, x: np.ndarray, y: np.ndarray
 
     # The root: from Q, cross the side x violates most until x is within
     # reach of the tile, which then passes ``meets``.
-    word, mat, nodes = "", np.eye(3), 0
+    word, mat, nodes = "", _IDENTITY3, 0
     while True:
         nodes += 1
         if nodes > MAX_NODES:
@@ -858,36 +866,48 @@ class KerckhoffResult:
     advisory: str | None
 
 
-def _project_to_variety(p: np.ndarray) -> np.ndarray:
-    p = np.array(p, dtype=float)
+def _project_to_variety(p) -> np.ndarray:
+    """Newton steps along the Fricke gradient from p until |fricke_defect| < 1e-13 (at most 60)."""
+    x, y, z = (float(c) for c in p)
     for _ in range(60):
-        defect = fricke_defect(*p)
+        defect = fricke_defect(x, y, z)
         if abs(defect) < 1e-13:
             break
-        grad = _fricke_gradient(p)
-        p -= defect * grad / float(grad @ grad)
-    return p
+        grad = _fricke_gradient((x, y, z))
+        square = float(grad @ grad)
+        g0, g1, g2 = grad.tolist()
+        x, y, z = x - defect * g0 / square, y - defect * g1 / square, z - defect * g2 / square
+    return np.array((x, y, z))
 
 
-def _fricke_gradient(p: np.ndarray) -> np.ndarray:
+def _fricke_gradient(p) -> np.ndarray:
     x, y, z = p
-    return np.array([2.0 * x - y * z, 2.0 * y - x * z, 2.0 * z - x * y])
+    return np.array((2.0 * x - y * z, 2.0 * y - x * z, 2.0 * z - x * y))
 
 
-def _fricke_hessian(p: np.ndarray) -> np.ndarray:
+def _fricke_hessian(p) -> list[list[float]]:
     x, y, z = p
-    return np.array([[2.0, -z, -y], [-z, 2.0, -x], [-y, -x, 2.0]])
+    return [[2.0, -z, -y], [-z, 2.0, -x], [-y, -x, 2.0]]
 
 
-def _tangent_basis(p: np.ndarray) -> np.ndarray:
-    n = _fricke_gradient(p)
-    n = n / np.linalg.norm(n)
-    seed = np.eye(3)[np.argmin(np.abs(n))]
-    t1 = seed - float(seed @ n) * n
-    t1 /= np.linalg.norm(t1)
+def _tangent_basis(p, gradient: np.ndarray | None = None, square: float | None = None) -> np.ndarray:
+    """An orthonormal basis, as the columns of a (3, 2) array, of the plane normal to the Fricke gradient at p.
+
+    ``gradient`` and its squared norm ``square`` may be passed when known.
+    """
+    if gradient is None:
+        gradient = _fricke_gradient(p)
+    if square is None:
+        square = float(gradient @ gradient)
+    norm = math.sqrt(square)
+    normal = n0, n1, n2 = tuple(g / norm for g in gradient.tolist())
+    k = min(range(3), key=lambda i: abs(normal[i]))
+    along = float(_IDENTITY3[k] @ np.array(normal))
+    t1 = np.array([e - along * c for e, c in zip(_IDENTITY_ROWS[k], normal)])
+    length = math.sqrt(float(t1 @ t1))
+    u0, u1, u2 = (c / length for c in t1.tolist())
     # n x t1, written out: the products and differences np.cross takes, at a fraction of its set-up.
-    (n0, n1, n2), (u0, u1, u2) = n.tolist(), t1.tolist()
-    return np.column_stack([t1, (n1 * u2 - n2 * u1, n2 * u0 - n0 * u2, n0 * u1 - n1 * u0)])
+    return np.array([[u0, n1 * u2 - n2 * u1], [u1, n2 * u0 - n0 * u2], [u2, n0 * u1 - n1 * u0]])
 
 
 # Monomials x^i y^j z^k as exponent triples.
@@ -956,11 +976,52 @@ def _trace_polynomial(word: str) -> Polynomial:
 def _polynomial_jet(poly: Polynomial, p: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """Value, gradient and Hessian of a polynomial at p (all coordinates nonzero)."""
     exponents, coefficients = poly
-    terms = coefficients * np.prod(p**exponents, axis=1)
+    terms = coefficients * np.multiply.reduce(p**exponents, axis=1)
     first = exponents * terms[:, None]
     grad = first.sum(axis=0) / p
-    hess = (exponents.T @ first) / np.outer(p, p) - np.diag(grad / p)
+    hess = (exponents.T @ first) / (p[:, None] * p)
+    # The diagonal of a fresh C-ordered 3x3 array, as a view: np.diag's subtraction, without its zeros.
+    hess.reshape(9)[::4] -= grad / p
     return float(terms.sum()), grad, hess
+
+
+def _reduced_model(terms: list[tuple[float, Polynomial]], p: np.ndarray):
+    """The Kerckhoff objective's local model at p on the trace variety.
+
+    The objective is the sum of w * 2 arccosh(|tr|/2) over the (weight w,
+    trace polynomial) terms.  Returns it with a tangent basis, the reduced
+    gradient and the reduced Lagrangian Hessian at p; (inf, None, None,
+    None) where p leaves the domain (2, KERCKHOFF_TRACE_MAX]^3 or a trace is
+    not hyperbolic.
+    """
+    point = p.tolist()
+    if not (min(point) > 2.0 and max(point) <= KERCKHOFF_TRACE_MAX):
+        return math.inf, None, None, None
+    # The sums of the weighted jets, element by element in Python floats;
+    # the products that numpy hands to BLAS stay numpy calls.
+    total, grad, hess = 0.0, [0.0, 0.0, 0.0], [[0.0, 0.0, 0.0]] * 3
+    for weight, poly in terms:
+        trace, d_trace, dd_trace = _polynomial_jet(poly, p)
+        if not abs(trace) / 2.0 > 1.0 + 1e-12:
+            return math.inf, None, None, None
+        room = trace * trace - 4.0
+        first = 2.0 * math.copysign(1.0, trace) / math.sqrt(room)
+        second = -2.0 * abs(trace) / room**1.5
+        total += weight * 2.0 * math.acosh(abs(trace) / 2.0)
+        d = d_trace.tolist()
+        scale = weight * first
+        grad = [g + scale * di for g, di in zip(grad, d)]
+        hess = [
+            [h + weight * (first * dd + second * (di * dj)) for h, dd, dj in zip(row, dd_row, d)]
+            for row, dd_row, di in zip(hess, dd_trace.tolist(), d)
+        ]
+    normal = _fricke_gradient(point)
+    square = float(normal @ normal)
+    grad = np.array(grad)
+    lagrange = float(grad @ normal) / square
+    hess = np.array([[h - lagrange * f for h, f in zip(row, f_row)] for row, f_row in zip(hess, _fricke_hessian(point))])
+    basis = _tangent_basis(point, normal, square)
+    return total, basis, basis.T @ grad, basis.T @ hess @ basis
 
 
 def kerckhoff_point(
@@ -992,47 +1053,27 @@ def kerckhoff_point(
     gradient is not below ``gradient_tol``, as for a pair with no minimum.
     """
     terms = [(comp.weight, _trace_polynomial(comp.word)) for comp in (*lam.components, *mu.components)]
-    outside = (math.inf, None, None, None)
-
-    def local(p: np.ndarray):
-        """Objective, tangent basis, reduced gradient and reduced Lagrangian
-        Hessian at p; ``outside`` where p leaves the domain or a component
-        is not hyperbolic."""
-        if not (min(p) > 2.0 and max(p) <= KERCKHOFF_TRACE_MAX):
-            return outside
-        total, grad, hess = 0.0, np.zeros(3), np.zeros((3, 3))
-        for weight, poly in terms:
-            trace, d_trace, dd_trace = _polynomial_jet(poly, p)
-            if not abs(trace) / 2.0 > 1.0 + 1e-12:
-                return outside
-            room = trace * trace - 4.0
-            first = 2.0 * math.copysign(1.0, trace) / math.sqrt(room)
-            second = -2.0 * abs(trace) / room**1.5
-            total += weight * 2.0 * math.acosh(abs(trace) / 2.0)
-            grad += weight * first * d_trace
-            hess += weight * (first * dd_trace + second * np.outer(d_trace, d_trace))
-        normal = _fricke_gradient(p)
-        hess -= float(grad @ normal) / float(normal @ normal) * _fricke_hessian(p)
-        basis = _tangent_basis(p)
-        return total, basis, basis.T @ grad, basis.T @ hess @ basis
-
     p = init.as_array()
-    objective, basis, grad, hess = local(p)
+    objective, basis, grad, hess = _reduced_model(terms, p)
     if not math.isfinite(objective):
         raise NoConvergenceError(math.inf, gradient_tol, 0)
     steps = 0
-    while steps < KERCKHOFF_MAX_STEPS and np.linalg.norm(grad) > 1e-4 * gradient_tol:
+    # |v| as np.linalg.norm takes it: the square root of the dot product v @ v.
+    while steps < KERCKHOFF_MAX_STEPS and math.sqrt(float(grad @ grad)) > 1e-4 * gradient_tol:
         eigvals, eigvecs = np.linalg.eigh(hess)
-        curvature = np.maximum(np.abs(eigvals), 1e-8 * max(1.0, float(np.abs(eigvals).max())))
-        direction = -eigvecs @ ((eigvecs.T @ grad) / curvature)
+        sizes = [abs(e) for e in eigvals.tolist()]
+        floor = 1e-8 * max(1.0, max(sizes))
+        along = (eigvecs.T @ grad).tolist()
+        direction = -eigvecs @ np.array([a / max(s, floor) for a, s in zip(along, sizes)])
         slope = float(grad @ direction)
         # Slack of some rounding units, so that steps at the rounding floor
         # of the objective are still taken.
         slack = 1e-14 * abs(objective)
+        start, move = p.tolist(), (basis @ direction).tolist()
         alpha = 1.0
         while alpha > 1e-10:
-            trial = _project_to_variety(p + alpha * (basis @ direction))
-            found = local(trial)
+            trial = _project_to_variety([c + alpha * m for c, m in zip(start, move)])
+            found = _reduced_model(terms, trial)
             if found[0] <= objective + 1e-4 * alpha * slope + slack:
                 break
             alpha /= 2.0
@@ -1041,7 +1082,7 @@ def kerckhoff_point(
         p = trial
         objective, basis, grad, hess = found
         steps += 1
-    grad_norm = float(np.linalg.norm(grad))
+    grad_norm = math.sqrt(float(grad @ grad))
     if not grad_norm < gradient_tol:
         raise NoConvergenceError(grad_norm, gradient_tol, steps)
     eigs = np.abs(np.linalg.eigvalsh(hess))

@@ -115,10 +115,19 @@ def form_eval(tag: Geometry, x: np.ndarray) -> np.ndarray | float:
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
-    n = float(np.linalg.norm(v))
+    """A vector divided by its Euclidean norm, the square root of v @ v as np.linalg.norm takes it."""
+    n = math.sqrt(float(v @ v))
     if n < EPS_MEMBERSHIP:
         raise ZeroVectorError("cannot normalize a (numerically) zero vector")
     return v / n
+
+
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    """Each row of a (k, n) array as :func:`_unit` makes it, with one division for the stack."""
+    norms = [math.sqrt(float(row @ row)) for row in v]
+    if any(n < EPS_MEMBERSHIP for n in norms):
+        raise ZeroVectorError("cannot normalize a (numerically) zero vector")
+    return v / np.array(norms)[:, np.newaxis]
 
 
 def classify_point(tag: Geometry, vec: np.ndarray) -> str:
@@ -212,6 +221,14 @@ class Plane:
 def disk_lift(z: np.ndarray) -> np.ndarray:
     """Hyperboloid lift (1, z)/sqrt(1-|z|^2) of a Klein disk point; broadcasts."""
     z = np.asarray(z, dtype=float)
+    if z.shape == (2,):
+        # One point, in floats: the same sum and quotients as the stacked form.
+        z1, z2 = z.tolist()
+        r2 = z1 * z1 + z2 * z2
+        if r2 >= 1.0:
+            raise OutsideModelError("disk point must satisfy |z| < 1")
+        root = math.sqrt(1.0 - r2)
+        return np.array((1.0 / root, z1 / root, z2 / root))
     r2 = np.sum(z * z, axis=-1)
     if np.any(r2 >= 1.0):
         raise OutsideModelError("disk point must satisfy |z| < 1")
@@ -287,7 +304,10 @@ class SpacelikeGeodesicH2:
 
     def tangent_at(self, p: np.ndarray) -> np.ndarray:
         """Unit travel direction at a point p of the geodesic."""
-        return J3 @ np.cross(self.normal, np.asarray(p, dtype=float))
+        # J3 (normal x p), written out: np.cross's products and differences,
+        # and J3's row sums, which add 0.0 and so write -0.0 as +0.0.
+        (n0, n1, n2), (p0, p1, p2) = self.normal.tolist(), np.asarray(p, dtype=float).reshape(3).tolist()
+        return np.array((0.0 - (n1 * p2 - n2 * p1), 0.0 + (n2 * p0 - n0 * p2), 0.0 + (n0 * p1 - n1 * p0)))
 
     def ideal_endpoints_klein(self) -> tuple[np.ndarray, np.ndarray]:
         """Klein-disk endpoints (start, end) of the oriented geodesic."""

@@ -44,7 +44,6 @@ from halfpipe.geometry import (
     ProjectivePoint,
     SpacelikeGeodesicH2,
     TagMismatchError,
-    form_eval,
     minkowski_dot,
 )
 
@@ -249,21 +248,29 @@ def standard_rotation_angle(m: np.ndarray, tag: Geometry) -> float:
     Hyperbolic angles are read into [-pi, pi).  Raises NotRotationAboutAxisError if the matrix
     moves the axis (by more than EPS_ROTATION in its block structure) or its transversal block is no rotation.
     """
-    block_defect = float(np.abs(m - _IDENTITY[0])[_OFF_TRANSVERSAL].max())
-    if block_defect > EPS_ROTATION:
-        raise NotRotationAboutAxisError(f"isometry moves the axis (defect {block_defect:.3e})")
-    b = m[2:, 2:]
-    if tag is HYP:
-        angle = math.atan2(b[0, 1], b[0, 0])
-        return -math.pi if angle == math.pi else angle
-    if tag is ADS:
-        angle = math.asinh(b[0, 1])
-        if abs(b[0, 0] - math.cosh(angle)) > EPS_ROTATION or abs(b[1, 0] - b[0, 1]) > EPS_ROTATION:
-            raise NotRotationAboutAxisError("transversal block is not an anti-de Sitter rotation")
-        return angle
-    if abs(b[0, 0] - 1.0) > EPS_ROTATION or abs(b[1, 1] - 1.0) > EPS_ROTATION or abs(b[0, 1]) > EPS_ROTATION:
-        raise NotRotationAboutAxisError("transversal block is not a half-pipe rotation")
-    return float(-b[1, 0])
+    return standard_rotation_angles(np.asarray(m)[np.newaxis], tag)[0]
+
+
+def standard_rotation_angles(stack: np.ndarray, tag: Geometry) -> list[float]:
+    """:func:`standard_rotation_angle` of each matrix of a (k, 4, 4) stack, checked in stack order."""
+    defects = np.abs(stack - _IDENTITY)[:, _OFF_TRANSVERSAL].max(axis=1).tolist()
+    angles = []
+    for defect, ((b00, b01), (b10, b11)) in zip(defects, stack[:, 2:, 2:].tolist()):
+        if defect > EPS_ROTATION:
+            raise NotRotationAboutAxisError(f"isometry moves the axis (defect {defect:.3e})")
+        if tag is HYP:
+            angle = math.atan2(b01, b00)
+            angles.append(-math.pi if angle == math.pi else angle)
+        elif tag is ADS:
+            angle = math.asinh(b01)
+            if abs(b00 - math.cosh(angle)) > EPS_ROTATION or abs(b10 - b01) > EPS_ROTATION:
+                raise NotRotationAboutAxisError("transversal block is not an anti-de Sitter rotation")
+            angles.append(angle)
+        else:
+            if abs(b00 - 1.0) > EPS_ROTATION or abs(b11 - 1.0) > EPS_ROTATION or abs(b01) > EPS_ROTATION:
+                raise NotRotationAboutAxisError("transversal block is not a half-pipe rotation")
+            angles.append(-b10)
+    return angles
 
 
 # ---------------------------------------------------------------------------
@@ -291,27 +298,34 @@ def reflection_stack(tag: Geometry, covectors: np.ndarray) -> np.ndarray:
     bit, whatever the covector's sign.  Raises NotSpacelikeError or
     DegeneratePlaneError as :func:`reflection` does.
     """
-    u = np.asarray(covectors, dtype=float)
-    out = identity_stack(len(u))
+    rows = np.asarray(covectors, dtype=float).tolist()
+    out = identity_stack(len(rows))
     if tag is HP:
-        if not np.all(np.abs(u[:, 3]) >= EPS_MEMBERSHIP):
+        if not all(abs(u3) >= EPS_MEMBERSHIP for *_, u3 in rows):
             raise DegeneratePlaneError("plane contains a fiber; no dual point")
         # Row 3 is 2 (J3 y)^T for the dual point y = (-u0, u1, u2) / (-u3);
         # adding 0.0 writes its zeros as +0.0, as the product J3 @ y does.
-        out[:, 3, 3] = -1.0
-        out[:, 3, :3] = 2.0 * (u[:, :3] / -u[:, 3:]) + 0.0
+        out[:, 3] = [
+            [2.0 * (u0 / -u3) + 0.0, 2.0 * (u1 / -u3) + 0.0, 2.0 * (u2 / -u3) + 0.0, -1.0] for u0, u1, u2, u3 in rows
+        ]
         return out
-    # The normals n = J u and their form values q (+1 Hyp, -1 AdS spacelike);
-    # J is diagonal, so J @ x is d * x.
-    d = np.diagonal(tag.form_matrix)
-    n = u * d
-    q = form_eval(tag, n)
-    if not np.all(q > EPS_MEMBERSHIP if tag is HYP else q < -EPS_MEMBERSHIP):
+    # The normals n = J u and their form values q (+1 Hyp, -1 AdS spacelike),
+    # in floats; J is diagonal, so J @ x is d * x, and q sums as form_eval does.
+    s, diagonal = tag.s, np.diagonal(tag.form_matrix)
+    d = diagonal.tolist()
+
+    def form(n0: float, n1: float, n2: float, n3: float) -> float:
+        return -n0 * n0 + n1 * n1 + n2 * n2 + s * n3 * n3
+
+    normals = [[c * e for c, e in zip(row, d)] for row in rows]
+    q = [form(*n) for n in normals]
+    if not all(v > EPS_MEMBERSHIP if tag is HYP else v < -EPS_MEMBERSHIP for v in q):
         raise NotSpacelikeError("reflections are implemented along spacelike planes only")
-    n = n / np.sqrt(np.abs(q))[:, np.newaxis]
-    q = form_eval(tag, n)
-    u = n * d  # unit covectors of the planes, same form values as n
-    return out - ((2.0 / q)[:, np.newaxis, np.newaxis] * d[:, np.newaxis]) * (u[:, :, np.newaxis] * u[:, np.newaxis, :])
+    normals = [[c / root for c in n] for n, root in zip(normals, (math.sqrt(abs(v)) for v in q))]
+    # The unit covectors of the planes, and 2 / q for their unit normals.
+    u = np.array([[c * e for c, e in zip(n, d)] for n in normals])
+    halves = 2.0 / np.array([form(*n) for n in normals])
+    return out - (halves[:, np.newaxis, np.newaxis] * diagonal[:, np.newaxis]) * (u[:, :, np.newaxis] * u[:, np.newaxis, :])
 
 
 # ---------------------------------------------------------------------------

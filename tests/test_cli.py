@@ -19,7 +19,9 @@ from halfpipe.cli import (
     MAX_SAMPLES,
     main,
 )
-from halfpipe.fuchsian import TeichPoint, build_punctured_torus
+from halfpipe.doubling import meridian_cone_angles
+from halfpipe.fuchsian import TeichPoint, WeightedMulticurve, build_punctured_torus
+from halfpipe.geometry import HYP, GeometryError
 
 TOL_READBACK = 1e-9
 # the first report each subcommand writes, on the config of _write_config
@@ -80,10 +82,29 @@ def test_transition_threshold_exit(tmp_path):
     assert code == EXIT_THRESHOLD
 
 
-def test_transition_one_sided_grid_is_a_numerical_error(tmp_path):
+def test_transition_one_sided_grid_is_a_config_error(tmp_path, capsys):
     config = _write_config(tmp_path / "cfg.json")
-    code, _ = _run(tmp_path, "transition", config, "--grid", "0.1,0.01,0.001")
-    assert code == EXIT_NUMERICAL
+    code, out = _run(tmp_path, "transition", config, "--grid", "0.1,0.01,0.001")
+    assert code == EXIT_CONFIG
+    assert "field 'grid'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ("0.1,0.01,-0.1,-0.01", "got 2 positive and 2 negative in [0.1, 0.01, -0.1, -0.01]"),
+        ("0.1,0.01,0.001,0,-0.1,-0.01,-0.001", "must be nonzero; got [0.1, 0.01, 0.001, 0.0, -0.1, -0.01, -0.001]"),
+        ("0.1,0.01,0.001,-0.0,-0.1,-0.01,-0.001", "must be nonzero"),
+    ],
+)
+def test_transition_grids_the_extrapolation_cannot_use_exit_2_before_any_work(tmp_path, capsys, grid, message):
+    config = _write_config(tmp_path / "cfg.json", words=["A"])
+    code, out = _run(tmp_path, "transition", config, "--grid", grid)
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "field 'grid'" in err and message in err
+    assert not out.exists()
 
 
 def test_config_errors_exit_2(tmp_path):
@@ -253,11 +274,25 @@ def test_double_hyperbolic_rows_past_a_quarter_turn(tmp_path, grid):
         assert float(row["cone_angle"]) == pytest.approx(2.0 * (math.pi - float(row["t"])), abs=TOL_READBACK)
 
 
-def test_double_with_a_hyperbolic_bending_angle_of_pi_or_more_exits_3(tmp_path):
+def test_double_with_a_hyperbolic_bending_angle_of_pi_or_more_exits_2(tmp_path):
     config = _write_config(tmp_path / "cfg.json")
     code, out = _run(tmp_path, "double", config, "--grid", "0.1,4.0")
-    assert code == EXIT_NUMERICAL
+    assert code == EXIT_CONFIG
     assert not (out / "cone_angles.csv").exists()
+
+
+@pytest.mark.parametrize("weight, t", [(1.0, math.pi), (50.0, 0.2), (0.5, 2.0 * math.pi)])
+def test_double_refuses_the_bending_angles_the_cone_table_refuses_with_their_numbers(tmp_path, capsys, weight, t):
+    config = _write_config(tmp_path / "cfg.json", multicurves={"lambda": [{"word": "A", "weight": weight}]})
+    code, out = _run(tmp_path, "double", config, "--grid", f"0.01,{t!r}")
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"value {t!r} times the weight {weight!r}" in err and f"is {t * weight!r}" in err
+    assert not out.exists()
+    # The library refuses the same slice with its own GeometryError.
+    lam = WeightedMulticurve.single("A", weight)
+    with pytest.raises(GeometryError, match="must stay below pi"):
+        meridian_cone_angles(build_punctured_torus(TeichPoint(3.0, 3.0, 3.0)), lam, (0.11, 0.07), [(HYP, t)])
 
 
 def test_double_rejects_nonpositive_grid(tmp_path):

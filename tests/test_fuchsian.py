@@ -49,7 +49,7 @@ from halfpipe.fuchsian import (
     _word_sl2,
 )
 from halfpipe.geometry import ADS, HP, HYP, J3, OutsideModelError, disk_lift, minkowski_dot, radial_project
-from halfpipe.isometry import embed_h2, transport_to_standard_axis
+from halfpipe.isometry import Isometry, embed_h2, transport_to_standard_axis
 
 SYMMETRIC = TeichPoint(3.0, 3.0, 3.0)
 GOLDEN = (3.0 + math.sqrt(5.0)) / 2.0
@@ -916,3 +916,140 @@ def test_kerckhoff_minimizer_is_locally_minimal():
         direction = basis @ np.array([math.cos(angle), math.sin(angle)])
         probe = TeichPoint(*_project_to_variety(p + 1e-3 * direction))
         assert multicurve_length(probe, lam) + multicurve_length(probe, mu) >= result.objective - 1e-10
+
+
+# ---------------------------------------------------------------------------
+# The Kerckhoff step and the group's set-up against their numpy forms: they
+# do their element-wise arithmetic in Python floats and leave every product
+# that numpy hands to BLAS a numpy call, so the bits agree.
+# ---------------------------------------------------------------------------
+
+
+def _numpy_fricke_gradient(p):
+    x, y, z = p
+    return np.array([2.0 * x - y * z, 2.0 * y - x * z, 2.0 * z - x * y])
+
+
+def _numpy_project_to_variety(p):
+    p = np.array(p, dtype=float)
+    for _ in range(60):
+        defect = fricke_defect(*p)
+        if abs(defect) < 1e-13:
+            break
+        grad = _numpy_fricke_gradient(p)
+        p -= defect * grad / float(grad @ grad)
+    return p
+
+
+def _numpy_tangent_basis(p):
+    n = _numpy_fricke_gradient(p)
+    n = n / np.linalg.norm(n)
+    seed = np.eye(3)[np.argmin(np.abs(n))]
+    t1 = seed - float(seed @ n) * n
+    t1 /= np.linalg.norm(t1)
+    return np.column_stack([t1, np.cross(n, t1)])
+
+
+def _numpy_polynomial_jet(poly, p):
+    exponents, coefficients = poly
+    terms = coefficients * np.prod(p**exponents, axis=1)
+    first = exponents * terms[:, None]
+    grad = first.sum(axis=0) / p
+    hess = (exponents.T @ first) / np.outer(p, p) - np.diag(grad / p)
+    return float(terms.sum()), grad, hess
+
+
+def _numpy_reduced_model(terms, p):
+    if not (min(p) > 2.0 and max(p) <= fuchsian.KERCKHOFF_TRACE_MAX):
+        return math.inf, None, None, None
+    total, grad, hess = 0.0, np.zeros(3), np.zeros((3, 3))
+    for weight, poly in terms:
+        trace, d_trace, dd_trace = _numpy_polynomial_jet(poly, p)
+        if not abs(trace) / 2.0 > 1.0 + 1e-12:
+            return math.inf, None, None, None
+        room = trace * trace - 4.0
+        first = 2.0 * math.copysign(1.0, trace) / math.sqrt(room)
+        second = -2.0 * abs(trace) / room**1.5
+        total += weight * 2.0 * math.acosh(abs(trace) / 2.0)
+        grad += weight * first * d_trace
+        hess += weight * (first * dd_trace + second * np.outer(d_trace, d_trace))
+    x, y, z = p
+    normal = _numpy_fricke_gradient(p)
+    hess -= float(grad @ normal) / float(normal @ normal) * np.array([[2.0, -z, -y], [-z, 2.0, -x], [-y, -x, 2.0]])
+    basis = _numpy_tangent_basis(p)
+    return total, basis, basis.T @ grad, basis.T @ hess @ basis
+
+
+def _same_bits(a, b):
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+# Kerckhoff trial points: on the trace variety, or off it by up to a unit.
+traces = st.floats(2.0, 80.0, exclude_min=True)
+trial_points = st.one_of(
+    st.tuples(traces, traces, traces).map(np.array),
+    st.tuples(extreme_trace_points, st.tuples(*[st.floats(-1.0, 1.0)] * 3)).map(
+        lambda pair: pair[0].as_array() + np.array(pair[1])
+    ),
+)
+
+
+@given(p=trial_points)
+def test_variety_projection_and_tangent_basis_equal_their_numpy_forms_bit_for_bit(p):
+    assert _same_bits(fuchsian._project_to_variety(p), _numpy_project_to_variety(p))
+    expected = _numpy_tangent_basis(p)
+    assert _same_bits(_tangent_basis(p), expected)
+    gradient = _fricke_gradient(p)
+    assert _same_bits(gradient, _numpy_fricke_gradient(p))
+    assert _same_bits(_tangent_basis(p, gradient, float(gradient @ gradient)), expected)
+
+
+@given(p=trial_points, word=st.lists(st.sampled_from("ABab"), min_size=1, max_size=5).map("".join))
+def test_polynomial_jets_equal_their_numpy_form_bit_for_bit(p, word):
+    poly = _trace_polynomial(word)
+    value, grad, hess = _polynomial_jet(poly, p)
+    expected = _numpy_polynomial_jet(poly, p)
+    assert value.hex() == expected[0].hex()
+    assert _same_bits(grad, expected[1]) and _same_bits(hess, expected[2])
+
+
+@given(
+    p=trial_points,
+    curves=st.tuples(st.sampled_from(SIMPLE_CURVES), st.sampled_from(SIMPLE_CURVES)),
+    weights=st.tuples(st.floats(0.1, 3.0), st.floats(0.1, 3.0)),
+)
+def test_kerckhoff_local_model_equals_its_numpy_form_bit_for_bit(p, curves, weights):
+    terms = [(weight, _trace_polynomial(word)) for weight, word in zip(weights, curves)]
+    found, expected = fuchsian._reduced_model(terms, p), _numpy_reduced_model(terms, p)
+    assert found[0] == expected[0] or math.isinf(found[0]) and math.isinf(expected[0])
+    if math.isfinite(expected[0]):
+        assert found[0].hex() == expected[0].hex()
+        assert all(_same_bits(a, b) for a, b in zip(found[1:], expected[1:]))
+
+
+@given(point=extreme_trace_points, curve=st.sampled_from(SIMPLE_CURVES))
+def test_group_set_up_equals_its_numpy_form_bit_for_bit(point, curve):
+    group = build_punctured_torus(point)
+    cusp = group.sl2(PuncturedTorusGroup.CUSP_WORD)
+    assert group.cusp_trace() == float(np.trace(cusp))
+    # tile_sides, with the cusp's fixed vector taken as numpy took it.
+    shifted = cusp + np.eye(2)
+    v = shifted[:, int(np.argmax(np.abs(shifted).sum(axis=0)))]
+    vertices = []
+    for word in ("", "a", "ba", "Aba"):
+        v1, v2 = group.sl2(word) @ v
+        vertices.append(np.array([(v1 * v1 + v2 * v2) / 2.0, v1 * v2, (v2 * v2 - v1 * v1) / 2.0]))
+    columns = []
+    for j in range(4):
+        n = J3 @ np.cross(vertices[j - 1], vertices[j])
+        facing = vertices[(j + 1) % 4] + vertices[(j + 2) % 4]
+        n0, n1, n2 = n
+        p0, p1, p2 = facing
+        columns.append(n * math.copysign(1.0 / math.sqrt(n1 * n1 + n2 * n2 - n0 * n0), n1 * p1 + n2 * p2 - n0 * p0))
+    assert _same_bits(group.tile_sides(), np.array(columns).T)
+    # axis_frame's inverses, against those of two Isometry copies.
+    tags = (HYP, ADS, HP, HYP)
+    phi, inverses = group.axis_frame(curve, tags)
+    expected = embed_h2(transport_to_standard_axis(group.axis(curve)))
+    assert _same_bits(phi, expected)
+    assert _same_bits(inverses, [Isometry(expected, tag).inverse().matrix for tag in tags])

@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from halfpipe.geometry import (
     ADS,
     HP,
     HYP,
+    J3,
     DegeneratePlaneError,
     OutsideModelError,
     Plane,
@@ -23,6 +27,8 @@ from halfpipe.geometry import (
     klein_hp,
     minkowski_dot,
     radial_project,
+    _unit,
+    _unit_rows,
 )
 from halfpipe.isometry import Isometry, reflection, standard_rotation_angle
 
@@ -191,3 +197,49 @@ def test_tag_mismatch_is_loud():
     with pytest.raises(TagMismatchError):
         g @ Isometry(np.eye(4), ADS)
     assert g.apply(p).geometry is HYP
+
+
+# Finite floats with zeros of both signs among them, so that signed zeros count.
+coordinates = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-50.0, 50.0))
+
+
+def _numpy_disk_lift(z):
+    r2 = np.sum(z * z, axis=-1)
+    w = np.concatenate((np.ones(z.shape[:-1] + (1,)), z), axis=-1)
+    return w / np.sqrt(1.0 - r2)[..., None]
+
+
+def _numpy_unit(v):
+    return v / float(np.linalg.norm(v))
+
+
+@given(normal=st.tuples(coordinates, coordinates, coordinates), p=st.tuples(coordinates, coordinates, coordinates))
+def test_tangent_equals_j3_times_the_cross_product_bit_for_bit(normal, p):
+    n = np.array(normal)
+    assume(-n[0] * n[0] + n[1] * n[1] + n[2] * n[2] > 1e-9)
+    geodesic = SpacelikeGeodesicH2(n)
+    assert geodesic.tangent_at(np.array(p)).tobytes() == (J3 @ np.cross(geodesic.normal, np.array(p))).tobytes()
+
+
+@given(z=st.tuples(st.sampled_from([0.0, -0.0, 0.5, -0.5]), st.floats(-0.99, 0.99)).map(np.array))
+def test_one_point_lift_equals_the_stacked_form_bit_for_bit(z):
+    assume(float(z @ z) < 1.0)
+    assert disk_lift(z).tobytes() == _numpy_disk_lift(z).tobytes()
+    assert disk_lift(z).tobytes() == disk_lift(z[np.newaxis])[0].tobytes()
+    assert disk_lift(np.stack([z, z[::-1]])).tobytes() == _numpy_disk_lift(np.stack([z, z[::-1]])).tobytes()
+
+
+@given(rows=arrays(np.float64, st.tuples(st.integers(1, 5), st.just(4)), elements=coordinates))
+def test_unit_rows_equal_each_row_normalised_alone_bit_for_bit(rows):
+    assume(all(np.linalg.norm(row) >= 1e-10 for row in rows))
+    expected = np.array([_numpy_unit(row) for row in rows])
+    assert _unit_rows(rows).tobytes() == expected.tobytes()
+    assert np.array([_unit(row) for row in rows]).tobytes() == expected.tobytes()
+    stack = np.stack([np.eye(4)] * len(rows))
+    stack[:, 3] = rows
+    assert _unit_rows(stack[:, 3]).tobytes() == expected.tobytes()
+
+
+def test_unit_rows_refuse_a_zero_row():
+    with pytest.raises(ZeroVectorError):
+        _unit_rows(np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]))

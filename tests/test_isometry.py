@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from halfpipe.geometry import (
     ADS,
+    EPS_MEMBERSHIP,
     HP,
     HYP,
     J3,
@@ -15,10 +19,12 @@ from halfpipe.geometry import (
     Plane,
     ProjectivePoint,
     SpacelikeGeodesicH2,
+    form_eval,
     klein_hp,
 )
 from halfpipe.isometry import (
     EPS_GROUP,
+    EPS_ROTATION,
     Isometry,
     MinkowskiIsometry,
     NotRotationAboutAxisError,
@@ -37,6 +43,7 @@ from halfpipe.isometry import (
     rotation,
     rotation_in_frame,
     standard_rotation_angle,
+    standard_rotation_angles,
     standard_rotations,
     transport_to_standard_axis,
 )
@@ -376,3 +383,99 @@ def test_group_residual_flags_wrong_tag():
     assert group_residual(g, HYP) < 1e-15
     assert group_residual(g, ADS) > 1e-2
     assert group_residual(g, HP) > 1e-2
+
+
+# ---------------------------------------------------------------------------
+# The cone table's helpers in floats, against their numpy forms bit for bit.
+# ---------------------------------------------------------------------------
+
+# Finite floats with zeros of both signs among them, so that signed zeros count.
+coordinates = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-50.0, 50.0))
+
+
+def _numpy_reflection_stack(tag, u):
+    out = np.eye(4)[np.newaxis].repeat(len(u), axis=0)
+    if tag is HP:
+        if not np.all(np.abs(u[:, 3]) >= EPS_MEMBERSHIP):
+            raise DegeneratePlaneError("plane contains a fiber; no dual point")
+        out[:, 3, 3] = -1.0
+        out[:, 3, :3] = 2.0 * (u[:, :3] / -u[:, 3:]) + 0.0
+        return out
+    d = np.diagonal(tag.form_matrix)
+    n = u * d
+    q = form_eval(tag, n)
+    if not np.all(q > EPS_MEMBERSHIP if tag is HYP else q < -EPS_MEMBERSHIP):
+        raise NotSpacelikeError("reflections are implemented along spacelike planes only")
+    n = n / np.sqrt(np.abs(q))[:, np.newaxis]
+    q = form_eval(tag, n)
+    u = n * d
+    return out - ((2.0 / q)[:, np.newaxis, np.newaxis] * d[:, np.newaxis]) * (u[:, :, np.newaxis] * u[:, np.newaxis, :])
+
+
+def _numpy_standard_rotation_angle(m, tag):
+    off = np.ones((4, 4), dtype=bool)
+    off[2:, 2:] = False
+    block_defect = float(np.abs(m - np.eye(4))[off].max())
+    if block_defect > EPS_ROTATION:
+        raise NotRotationAboutAxisError(f"isometry moves the axis (defect {block_defect:.3e})")
+    b = m[2:, 2:]
+    if tag is HYP:
+        angle = math.atan2(b[0, 1], b[0, 0])
+        return -math.pi if angle == math.pi else angle
+    if tag is ADS:
+        angle = math.asinh(b[0, 1])
+        if abs(b[0, 0] - math.cosh(angle)) > EPS_ROTATION or abs(b[1, 0] - b[0, 1]) > EPS_ROTATION:
+            raise NotRotationAboutAxisError("transversal block is not an anti-de Sitter rotation")
+        return angle
+    if abs(b[0, 0] - 1.0) > EPS_ROTATION or abs(b[1, 1] - 1.0) > EPS_ROTATION or abs(b[0, 1]) > EPS_ROTATION:
+        raise NotRotationAboutAxisError("transversal block is not a half-pipe rotation")
+    return float(-b[1, 0])
+
+
+def _outcome(f, *args):
+    """What f returns (as bytes for arrays, as the hex of a float), or the type and message of what it raises."""
+    try:
+        value = f(*args)
+    except (NotSpacelikeError, DegeneratePlaneError, NotRotationAboutAxisError) as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(value, np.ndarray):
+        return value.tobytes()
+    return [float(v).hex() for v in value] if isinstance(value, list) else float(value).hex()
+
+
+@given(
+    tag=st.sampled_from(TAGS),
+    covectors=arrays(np.float64, st.tuples(st.integers(1, 5), st.just(4)), elements=coordinates),
+    lift=st.sampled_from([100.0, 0.0]),
+)
+def test_reflection_stack_equals_its_numpy_form_bit_for_bit(tag, covectors, lift):
+    if lift:
+        # A large last coordinate makes every plane one that the model reflects in.
+        covectors[:, 3] += lift
+    assert _outcome(reflection_stack, tag, covectors) == _outcome(_numpy_reflection_stack, tag, covectors)
+
+
+# A matrix near a rotation about the standard axis: the rotation by an angle,
+# its transversal block and the rest perturbed by scaled unit noise.
+near_rotations = st.tuples(
+    st.one_of(st.sampled_from([0.0, -0.0, math.pi, -math.pi]), st.floats(-3.5, 3.5)),
+    st.sampled_from([0.0, 1e-9, 1e-3]),
+    st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+    st.sampled_from([0.0, 1e-9, 1e-7]),
+    st.lists(st.floats(-1.0, 1.0), min_size=12, max_size=12),
+)
+
+
+@given(tag=st.sampled_from(TAGS), draws=st.lists(near_rotations, min_size=1, max_size=4))
+def test_rotation_read_out_of_a_stack_equals_its_numpy_form_matrix_by_matrix_bit_for_bit(tag, draws):
+    off = np.ones((4, 4), dtype=bool)
+    off[2:, 2:] = False
+    stack = standard_rotations([tag] * len(draws), [angle for angle, *_ in draws])
+    for m, (_, block_scale, block_noise, off_scale, off_noise) in zip(stack, draws):
+        m[2:, 2:] += block_scale * np.reshape(block_noise, (2, 2))
+        m[off] += off_scale * np.array(off_noise)
+    expected = [_outcome(_numpy_standard_rotation_angle, m, tag) for m in stack]
+    assert [_outcome(standard_rotation_angle, m, tag) for m in stack] == expected
+    # The stack raises what its first refused matrix raises, else reads every angle.
+    refused = [e for e in expected if isinstance(e, tuple)]
+    assert _outcome(standard_rotation_angles, stack, tag) == (refused[0] if refused else expected)

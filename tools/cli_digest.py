@@ -7,6 +7,10 @@ The runs, all in one process:
 - ``kerckhoff`` on the 102 combinations of the benchmark's ``double``
   workload, each followed by ``double`` at the point it reports when it
   exits 0;
+- ``kerckhoff`` on each of the benchmark's 8 curve pairs at the weights
+  NEWTON_WEIGHTS from each start of NEWTON_STARTS, far from the minima, so
+  that the Newton iteration takes longer paths; each is followed by
+  ``double`` as above;
 - all four subcommands on two small configurations, with ``double`` also
   at the base point (-0.2, 0.15) and at the ``--grid`` values of
   DOUBLE_GRIDS (three uneven values, and one value, where the slope gate is
@@ -73,6 +77,9 @@ REWRITE = "rewrite/"
 FILLER = b"#" * 4096
 # Words that are not freely reduced; their holonomies are those of their reductions.
 NON_REDUCED_WORDS = ("AaB", "BbAAb")
+# Starts from_xy(x, y) far from the Kerckhoff minima, and the weights used there.
+NEWTON_STARTS = {"xy(3,10)": (3.0, 10.0), "xy(12,3.2)": (12.0, 3.2)}
+NEWTON_WEIGHTS = (0.6, 1.4)
 TRANSITION_GRIDS = (
     "0.05,-0.02,0.02,-0.05,0.005,-0.005,0.001",
     "4,2,1,-4,-2,-1",
@@ -111,6 +118,13 @@ def runs(workloads, teich_point):
         cfg = _config((tp.x, tp.y, tp.z), **{"lambda": [(lam, a)], "mu": [(mu, b)]})
         yield label + "/kerckhoff", "kerckhoff", cfg, ()
         yield label + "/double", "double", {"multicurves": {"lambda": cfg["multicurves"]["lambda"]}}, ()
+    a, b = NEWTON_WEIGHTS
+    for lam, mu in workloads.DOUBLE_PAIRS:
+        for name, (x, y) in NEWTON_STARTS.items():
+            label = f"newton/{a}*{lam},{b}*{mu}/{name}"
+            cfg = _config(teich_point.from_xy(x, y).as_array().tolist(), **{"lambda": [(lam, a)], "mu": [(mu, b)]})
+            yield label + "/kerckhoff", "kerckhoff", cfg, ()
+            yield label + "/double", "double", {"multicurves": {"lambda": cfg["multicurves"]["lambda"]}}, ()
     small = {
         "test-cli": ((3.0, 3.0, 3.0), ("A", 1.0), ["A", "B"]),
         "xy(4,5)": (teich_point.from_xy(4.0, 5.0).as_array().tolist(), ("AB", 0.8), ["AB", "ab", "AAB", "Ab"]),
