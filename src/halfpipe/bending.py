@@ -175,12 +175,8 @@ class BentHolonomy:
     context: BendingContext
 
     def __call__(self, word: str) -> Isometry:
-        return _context_product(self.context, holonomy_crossings(self.context, word), word)
-
-
-def holonomy_crossings(ctx: BendingContext, word: str) -> Crossings:
-    """The leaves crossed by the segment from x0 to word . x0, read off the tiling's adjacency tree."""
-    return holonomy_segment_crossings(ctx.group, ctx.multicurve, ctx.base_point, word)
+        ctx = self.context
+        return _context_product(ctx, holonomy_segment_crossings(ctx.group, ctx.multicurve, ctx.base_point, word), word)
 
 
 def bent_holonomy(ctx: BendingContext) -> BentHolonomy:

@@ -373,6 +373,10 @@ def cmd_double(args) -> int:
     # the doubled metrics close up affinely: slope -2 * weight on each side
     slope_gap = 0.0
     if len(grid) >= 2:
+        # np.polyfit divides the grid by its norm, which is 0 when every square
+        # underflows; LAPACK then fails, printing to stdout.  Refused before that.
+        if not any(t * t for t in grid):
+            raise GeometryError(f"the cone-angle slope fit fails on the grid {list(grid)}: all squares underflow to 0")
         for angles in (hyp, ads):
             slope = float(np.polyfit(np.array(grid), np.array(angles), 1)[0])
             slope_gap = max(slope_gap, abs(slope + 2.0 * curve.weight))

@@ -16,19 +16,26 @@ once-punctured tori"), one per reduced word w, tile the disk; tiles whose
 words differ by one letter on the right share a side.  The tiles meeting a
 convex region are connected, so a breadth-first search finds them all, and
 with them every leaf meeting the region: crossing queries are complete by
-construction.  Each group keeps a leaf atlas per multicurve, the leaves
-meeting a hyperbolic ball about the disk centre, found by one search and
-grown on demand.  Segments inside the ball are answered from the atlas,
-others are searched on their own, except a segment from a point x0 to its
-image g.x0: the tiles it meets are the path of the tiling's adjacency tree
-(the Cayley tree of F(A, B)) from the tile of x0 to its g-image, so no search
-is needed beyond the tiles near x0.
+construction.
+
+Every leaf query is one pipeline: a tile source, then one leaf namer
+(``_tile_leaves``, the lifts through those tiles in walk order), then one
+sign test (``_crossings``, the leaves whose pairings with the two ends
+differ in sign).  There are three tile sources:
+
+- the atlas ball: each group keeps a leaf atlas per multicurve, the leaves
+  meeting a hyperbolic ball about the disk centre, found by one search and
+  grown on demand; segments inside the ball are answered from it;
+- the segment walk: a segment past the atlas's reach is searched on its own;
+- the tree path: the tiles that a segment from a point x0 to its image g.x0
+  meets are the path of the tiling's adjacency tree (the Cayley tree of
+  F(A, B)) from the tile of x0 to its g-image, so no search is needed beyond
+  the tiles near x0.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +53,7 @@ from halfpipe.isometry import _group_inverse, embed_h2, transport_to_standard_ax
 
 # |x^2 + y^2 + z^2 - xyz| accepted as "on the relation variety".
 EPS_FRICKE = 1e-9
-# Pairings below this flag a segment endpoint as lying on a leaf.
+# A leaf whose pairing with a segment endpoint is below this passes through it.
 EPS_ENDPOINT = 1e-9
 
 # Leaf searches: the budget of tiles tested, and the rounding slack of the
@@ -683,57 +690,9 @@ def _tile_leaves(group: PuncturedTorusGroup, mc: WeightedMulticurve, tiles) -> L
     return np.array([group.prefix_product(first) @ axis for first in order]).reshape(-1, 3), order
 
 
-def _leaves_near_segment(
-    group: PuncturedTorusGroup,
-    mc: WeightedMulticurve,
-    x: np.ndarray,
-    y: np.ndarray,
-    radius: float,
-    keep: Callable[[np.ndarray], np.ndarray],
-) -> Leaves:
-    """Every leaf meeting [x, y] or B(x, radius), or passing near y, that ``keep`` accepts.
-
-    The lifts of the curve through the tiles of :func:`_tiles_near_segment`,
-    named by :func:`_tile_leaves`; those whose normals ``keep`` accepts (a
-    boolean mask of a stack) come in walk order, as normals and words.
-    """
-    normals, order = _tile_leaves(group, mc, _tiles_near_segment(group, x, y, radius))
-    chosen = keep(normals)
-    return normals[chosen], [first for first, kept in zip(order, chosen.tolist()) if kept]
-
-
-Pairings = tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-def _pairings(x: np.ndarray, y: np.ndarray) -> Callable[[np.ndarray], Pairings]:
-    """The map from leaf normals to their affine pairings with x and y, and
-    to which leaves pass within EPS_ENDPOINT of either endpoint."""
-    # Affine pairings are sign- and root-compatible with the lifted ones;
-    # the lift rescaling only matters for the endpoint-distance tolerance.
-    # |z|^2 as float products of the coordinates, as LeafAtlas.covering reads it.
-    (x1, x2), (y1, y2) = x.tolist(), y.tolist()
-    duals = np.array([[[-1.0, x1, x2]], [[-1.0, y1, y2]]])  # J3 (1, x) and J3 (1, y)
-    scale0 = 1.0 / math.sqrt(1.0 - (x1 * x1 + x2 * x2))
-    scale1 = 1.0 / math.sqrt(1.0 - (y1 * y1 + y2 * y2))
-
-    def pairings(normals: np.ndarray) -> Pairings:
-        # Summed column by column: a matrix-vector product rounds by stack height.
-        products = duals * normals
-        f0, f1 = products[..., 0] + products[..., 1] + products[..., 2]
-        return f0, f1, (np.abs(f0) * scale0 < EPS_ENDPOINT) | (np.abs(f1) * scale1 < EPS_ENDPOINT)
-
-    return pairings
-
-
 def _walk_segment(group: PuncturedTorusGroup, mc: WeightedMulticurve, x: np.ndarray, y: np.ndarray) -> Leaves:
-    """The leaves crossing [x, y] or passing through an endpoint, found by a search of their own."""
-    pairings = _pairings(x, y)
-
-    def crossing_or_touching(normals: np.ndarray) -> np.ndarray:
-        f0, f1, on_leaf = pairings(normals)
-        return (f0 * f1 < 0.0) | on_leaf
-
-    return _leaves_near_segment(group, mc, x, y, 0.0, crossing_or_touching)
+    """The leaves through the tiles that meet [x, y] or pass near an endpoint, found by a search of their own."""
+    return _tile_leaves(group, mc, _tiles_near_segment(group, x, y, 0.0))
 
 
 class LeafAtlas:
@@ -765,9 +724,10 @@ class LeafAtlas:
             # A leaf within EPS_ENDPOINT of an endpoint on the rim still counts.
             bound = math.sinh(radius + EPS_ENDPOINT)
             origin = np.zeros(2)
-            self.leaves = _leaves_near_segment(
-                group, self.multicurve, origin, origin, radius, lambda normals: np.abs(normals[:, 0]) <= bound
-            )
+            normals, words = _tile_leaves(group, self.multicurve, _tiles_near_segment(group, origin, origin, radius))
+            # Only the leaves that meet the ball: fewer rows for every sign test the atlas answers.
+            near = np.abs(normals[:, 0]) <= bound
+            self.leaves = normals[near], [word for word, kept in zip(words, near.tolist()) if kept]
             self.radius = radius
         return self.leaves if needed <= self.radius else None
 
@@ -825,7 +785,17 @@ def holonomy_segment_crossings(
 def _crossings(leaves: Leaves, x: np.ndarray, y: np.ndarray) -> Crossings:
     """The crossings of (x, y) among the given leaves, by the sign test, in stable order of parameter."""
     normals, words = leaves
-    f0, f1, on_leaf = _pairings(x, y)(normals)
+    # Affine pairings are sign- and root-compatible with the lifted ones;
+    # the lift rescaling only matters for the endpoint-distance tolerance.
+    # |z|^2 as float products of the coordinates, as LeafAtlas.covering reads it.
+    (x1, x2), (y1, y2) = x.tolist(), y.tolist()
+    duals = np.array([[[-1.0, x1, x2]], [[-1.0, y1, y2]]])  # J3 (1, x) and J3 (1, y)
+    scale0 = 1.0 / math.sqrt(1.0 - (x1 * x1 + x2 * x2))
+    scale1 = 1.0 / math.sqrt(1.0 - (y1 * y1 + y2 * y2))
+    # Summed column by column: a matrix-vector product rounds by stack height.
+    products = duals * normals
+    f0, f1 = products[..., 0] + products[..., 1] + products[..., 2]
+    on_leaf = (np.abs(f0) * scale0 < EPS_ENDPOINT) | (np.abs(f1) * scale1 < EPS_ENDPOINT)
     # Array methods: numpy's module-level wrappers cost more than a segment's few crossings.
     if on_leaf.any():
         raise EndpointOnLeafError("segment endpoint lies on a leaf; nudge the basepoint")
@@ -890,15 +860,11 @@ def _fricke_hessian(p) -> list[list[float]]:
     return [[2.0, -z, -y], [-z, 2.0, -x], [-y, -x, 2.0]]
 
 
-def _tangent_basis(p, gradient: np.ndarray | None = None, square: float | None = None) -> np.ndarray:
-    """An orthonormal basis, as the columns of a (3, 2) array, of the plane normal to the Fricke gradient at p.
+def _tangent_basis(gradient: np.ndarray, square: float) -> np.ndarray:
+    """An orthonormal basis, as the columns of a (3, 2) array, of the plane normal to a Fricke gradient.
 
-    ``gradient`` and its squared norm ``square`` may be passed when known.
+    ``square`` is the gradient's squared norm, ``float(gradient @ gradient)``.
     """
-    if gradient is None:
-        gradient = _fricke_gradient(p)
-    if square is None:
-        square = float(gradient @ gradient)
     norm = math.sqrt(square)
     normal = n0, n1, n2 = tuple(g / norm for g in gradient.tolist())
     k = min(range(3), key=lambda i: abs(normal[i]))
@@ -1020,7 +986,7 @@ def _reduced_model(terms: list[tuple[float, Polynomial]], p: np.ndarray):
     grad = np.array(grad)
     lagrange = float(grad @ normal) / square
     hess = np.array([[h - lagrange * f for h, f in zip(row, f_row)] for row, f_row in zip(hess, _fricke_hessian(point))])
-    basis = _tangent_basis(point, normal, square)
+    basis = _tangent_basis(normal, square)
     return total, basis, basis.T @ grad, basis.T @ hess @ basis
 
 

@@ -227,32 +227,24 @@ def standard_rotations(tags: Sequence[Geometry], angles: Sequence[float]) -> np.
     return out
 
 
-def rotation_in_frame(tag: Geometry, transport: np.ndarray, angle: float) -> np.ndarray:
-    """The matrix of :func:`rotation` about the axis that ``transport`` carries to standard position."""
-    phi = embed_h2_isometry(tag, transport)
-    return (phi.inverse().matrix @ standard_rotations((tag,), (angle,))[0]) @ phi.matrix
-
-
 def rotation(tag: Geometry, axis: SpacelikeGeodesicH2, angle: float) -> Isometry:
     """Rotation of the given angle about an oriented geodesic of H2.
 
     Transport the axis to standard position, apply the standard rotation,
     transport back.  Hyperbolic angles are taken mod 2*pi into [-pi, pi).
     """
-    return Isometry(rotation_in_frame(tag, transport_to_standard_axis(axis), angle), tag)
-
-
-def standard_rotation_angle(m: np.ndarray, tag: Geometry) -> float:
-    """The angle of a rotation about the standard axis {x2 = x3 = 0}, from its matrix in the model ``tag``.
-
-    Hyperbolic angles are read into [-pi, pi).  Raises NotRotationAboutAxisError if the matrix
-    moves the axis (by more than EPS_ROTATION in its block structure) or its transversal block is no rotation.
-    """
-    return standard_rotation_angles(np.asarray(m)[np.newaxis], tag)[0]
+    phi = embed_h2_isometry(tag, transport_to_standard_axis(axis))
+    return Isometry((phi.inverse().matrix @ standard_rotations((tag,), (angle,))[0]) @ phi.matrix, tag)
 
 
 def standard_rotation_angles(stack: np.ndarray, tag: Geometry) -> list[float]:
-    """:func:`standard_rotation_angle` of each matrix of a (k, 4, 4) stack, checked in stack order."""
+    """The angles of rotations about the standard axis {x2 = x3 = 0}, from a (k, 4, 4) stack of their matrices.
+
+    Each matrix is in the model ``tag``, checked in stack order; hyperbolic
+    angles are read into [-pi, pi).  Raises NotRotationAboutAxisError if a
+    matrix moves the axis (by more than EPS_ROTATION in its block structure)
+    or its transversal block is no rotation.
+    """
     defects = np.abs(stack - _IDENTITY)[:, _OFF_TRANSVERSAL].max(axis=1).tolist()
     angles = []
     for defect, ((b00, b01), (b10, b11)) in zip(defects, stack[:, 2:, 2:].tolist()):

@@ -18,10 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from halfpipe.bending import (
-    BendingContext, _bracketed_product, _crossings_to, bending_map, bent_holonomy, holonomy_crossings
-)
-from halfpipe.fuchsian import PuncturedTorusGroup, WeightedMulticurve
+from halfpipe.bending import BendingContext, _bracketed_product, _crossings_to, bending_map, bent_holonomy
+from halfpipe.fuchsian import PuncturedTorusGroup, WeightedMulticurve, holonomy_segment_crossings
 from halfpipe.geometry import ADS, HP, HYP, Geometry, GeometryError, embed_h2_vector
 from halfpipe.isometry import rescale_conjugate
 
@@ -142,9 +140,11 @@ def holonomy_family(
     is one stacked product, slice by slice that of ``signed_context`` at t.
     """
     ts = _checked_grid(grid)
+    # The context checks the basepoint and the sign.
     ctx = signed_context(group, multicurve, base_point, sign, ts[0])
     slices = [(geometry_of(t), sign * t) for t in ts]
-    stack = _bracketed_product(group, multicurve, holonomy_crossings(ctx, word), word, slices)
+    crossings = holonomy_segment_crossings(group, multicurve, ctx.base_point, word)
+    stack = _bracketed_product(group, multicurve, crossings, word, slices)
     return TransitionFamily(word=word, grid=ts, matrices=rescale_conjugate(np.array(ts), stack))
 
 
@@ -217,8 +217,12 @@ def extrapolate_limit(family: TransitionFamily) -> ConvergenceReport:
     split = sum(not t > 0 for t in grid)
     if min(split, len(grid) - split) < 3:
         raise InsufficientGridError("need at least three grid points per side")
-    grid = np.array(grid)[order]
-    matrices = np.asarray(family.matrices, dtype=float)[order]
+    matrices = np.asarray(family.matrices, dtype=float)
+    finite = np.isfinite(matrices).all(axis=(1, 2)).tolist()
+    if not all(finite):
+        bad = [t for t, ok in zip(grid, finite) if not ok]
+        raise GeometryError(f"the rescaled holonomy of {family.word!r} is not finite at t = {bad}")
+    grid, matrices = np.array(grid)[order], matrices[order]
     normalized = normalized_projective(matrices)
     limits, orders, residuals = {}, {}, []
     for positive, rows in ((True, slice(split, None)), (False, slice(split))):

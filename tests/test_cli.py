@@ -7,9 +7,12 @@ import os
 import stat
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from halfpipe.cli import (
     EXIT_CONFIG,
@@ -20,7 +23,7 @@ from halfpipe.cli import (
     main,
 )
 from halfpipe.doubling import meridian_cone_angles
-from halfpipe.fuchsian import TeichPoint, WeightedMulticurve, build_punctured_torus
+from halfpipe.fuchsian import TeichPoint, WeightedMulticurve, build_punctured_torus, filling_advisory
 from halfpipe.geometry import HYP, GeometryError
 
 TOL_READBACK = 1e-9
@@ -538,3 +541,127 @@ def test_json_booleans_in_number_fields_exit_2(tmp_path, capsys, command, field,
     assert code == EXIT_CONFIG and not out.exists()
     value = cfg[field] if "." not in field else cfg["multicurves"][field.split(".")[1]][0]["weight"]
     assert f"field '{field}' must hold numbers, not booleans; got {json.dumps(value)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, grid, named",
+    [
+        ("transition", "5e-309,-5e-309,6e-309,-6e-309,7e-309,-7e-309", "not finite at t = [-5e-309, 5e-309]"),
+        ("transition", "5e-320,-5e-320,6e-320,-6e-320,7e-320,-7e-320", "not finite at t = [-5e-320, 5e-320, -6e-320"),
+        ("double", "1e-170,2e-170", "grid [1e-170, 2e-170]"),
+        ("double", "1e-300,2e-300", "grid [1e-300, 2e-300]"),
+        ("double", "1e-320,1e-310", "grid [1e-320, 1e-310]"),
+    ],
+)
+def test_grid_values_too_small_for_the_rescaling_or_the_slope_fit_exit_3(tmp_path, capfd, command, grid, named):
+    # The rescaled holonomy's last row, divided by |t|, overflows; the slope
+    # fit's column of t values has a norm that underflows to 0.
+    config = _write_config(tmp_path / "cfg.json")
+    code, _ = _run(tmp_path, command, config, f"--grid={grid}")
+    assert code == EXIT_NUMERICAL
+    out, err = capfd.readouterr()
+    assert out == "" and named in err and "Traceback" not in err
+
+
+# Config fields for the CLI fuzz test: for each, a strategy of values the CLI
+# accepts and one of values it must refuse.  None leaves the field out.
+FUZZ_FIELDS = {
+    "traces": (
+        st.sampled_from([[3.0, 3.0, 3.0], TeichPoint.from_xy(4.0, 5.0).as_array().tolist()]),
+        st.sampled_from([
+            None, "3,3,3", [3.0, 3.0], [3.0, True, 3.0], [math.nan, 3.0, 3.0], [math.inf] * 3,
+            [1.0, 1.0, 1.0], [3.0, 3.0, 4.0], [1e200] * 3,
+        ]),
+    ),
+    "base_point": (
+        st.sampled_from([None, [0.11, 0.07], [-0.2, 0.15], [0.0, 0.0]]),
+        st.sampled_from(["abc", [0.1], [0.1, 0.2, 0.3], [False, 0.1], [math.nan, 0.0], [math.inf, 0.0], [0.9, 0.9]]),
+    ),
+    "words": (
+        st.one_of(st.none(), st.lists(st.text("ABab", min_size=1, max_size=3), max_size=2)),
+        st.sampled_from(["A", [""], ["AX"], [5]]),
+    ),
+    # Never left out: the default is DEFAULT_SAMPLES, too many for a fuzz case.
+    "samples": (st.sampled_from([1, 3]), st.sampled_from([0, -1, 1.5, True, "3", 10**12])),
+    "lambda.word": (st.sampled_from(["A", "B", "AB", "Ab", "AAB"]), st.sampled_from(["AA", "ABab", "", "AX", 5])),
+    "lambda.weight": (
+        st.sampled_from([None, 0.5, 1.0, 50.0, 1e4]), st.sampled_from([0.0, -1.0, math.nan, math.inf, True, "a"])
+    ),
+    "mu.word": (st.sampled_from(["A", "B", "AB", "Ab"]), st.sampled_from(["AA", "", 5])),
+    "mu.weight": (st.sampled_from([None, 1.0, 2.0]), st.sampled_from([-1.0, math.inf, True])),
+}
+# The fields each subcommand reads, besides the grid and 'multicurves.lambda'.
+FUZZ_READS = {
+    "transition": {"traces", "words"},
+    "kerckhoff": {"traces", "mu.word", "mu.weight"},
+    "double": {"traces", "base_point"},
+    "export-surface": {"traces", "base_point", "samples"},
+}
+# Grid values reach the bottom of the float range, where the rescaling and
+# the slope fit overflow.
+FUZZ_MAGNITUDES = st.sampled_from([5e-324, 1e-310, 1e-170, 1e-3, 0.05, 0.3, 2.0, 4.0])
+FUZZ_SIGNED = st.tuples(FUZZ_MAGNITUDES, st.sampled_from([1.0, -1.0])).map(lambda pair: pair[0] * pair[1])
+FUZZ_GRIDS = st.one_of(
+    st.none(),
+    st.tuples(*[st.lists(FUZZ_MAGNITUDES, min_size=3, max_size=3, unique=True)] * 2).map(
+        lambda sides: [*sides[0], *(-t for t in sides[1])]
+    ),
+    st.lists(FUZZ_MAGNITUDES, min_size=1, max_size=3, unique=True),
+    st.lists(FUZZ_SIGNED, min_size=1, max_size=1),
+    st.lists(st.one_of(FUZZ_SIGNED, st.sampled_from([0.0, math.nan, math.inf, True, "x", None])), max_size=7),
+    st.sampled_from(["0.1", 0.1]),
+)
+
+
+@st.composite
+def fuzz_configs(draw):
+    """A config with at most two fields drawn from their refused values, and the names of those fields."""
+    broken = draw(st.sets(st.sampled_from(sorted(FUZZ_FIELDS)), max_size=2))
+    values = {name: draw(pools[name in broken]) for name, pools in FUZZ_FIELDS.items()}
+    cfg = {name: values[name] for name in ("traces", "base_point", "words", "samples") if values[name] is not None}
+    grid = draw(FUZZ_GRIDS)
+    if grid is not None:
+        cfg["grid"] = grid
+    cfg["multicurves"] = {
+        key: [{"word": values[f"{key}.word"]} | ({} if weight is None else {"weight": weight})]
+        for key, weight in (("lambda", values["lambda.weight"]), ("mu", values["mu.weight"]))
+    }
+    return cfg, broken
+
+
+def _grid_refused(command: str, cfg: dict) -> bool:
+    """Whether a subcommand refuses the config's grid, by the grid alone or with the weight of 'lambda'."""
+    grid = cfg.get("grid")
+    if grid is None:
+        return False
+    if not isinstance(grid, list) or not grid:
+        return True
+    if not all(isinstance(t, float) and math.isfinite(t) for t in grid) or len(set(grid)) != len(grid):
+        return True
+    if command == "transition":
+        return 0.0 in grid or min(sum(t > 0.0 for t in grid), sum(t < 0.0 for t in grid)) < 3
+    if command == "double":
+        weight = cfg["multicurves"]["lambda"][0].get("weight", 1.0)
+        return any(t <= 0.0 for t in grid) or any(t * weight >= math.pi for t in grid)
+    return len(grid) != 1
+
+
+@given(case=fuzz_configs())
+@settings(max_examples=120)
+def test_fuzzed_configs_exit_with_a_documented_code_and_refusals_exit_2(case):
+    cfg, broken = case
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "cfg.json"
+        config.write_text(json.dumps(cfg))
+        for command, reads in FUZZ_READS.items():
+            code = main([command, "--config", str(config), "--out", str(Path(tmp) / command)])
+            assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_THRESHOLD), (command, cfg)
+            refused = bool(broken & (reads | {"lambda.word", "lambda.weight"}))
+            if command == "kerckhoff":
+                if not refused:
+                    curves = (WeightedMulticurve.single(cfg["multicurves"][key][0]["word"]) for key in ("lambda", "mu"))
+                    refused = filling_advisory(*curves) is not None
+            else:
+                refused = refused or _grid_refused(command, cfg)
+            if refused:
+                assert code == EXIT_CONFIG, (command, cfg)

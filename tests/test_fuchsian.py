@@ -39,11 +39,11 @@ from halfpipe.fuchsian import (
     _crossings,
     _cyclic_reduce,
     _fricke_gradient,
-    _leaves_near_segment,
     _normal_form_generators,
     _polynomial_jet,
     _sl2_inverse,
     _tangent_basis,
+    _tiles_near_segment,
     _trace_polynomial,
     _walk_segment,
     _word_sl2,
@@ -357,8 +357,9 @@ def test_trace_polynomials_match_the_matrix_traces(x, y, letters):
         gens = {"A": gen_a, "B": gen_b, "a": _sl2_inverse(gen_a), "b": _sl2_inverse(gen_b)}
         return float(np.trace(_word_sl2(gens, letters)))
 
-    normal = _fricke_gradient(p) / np.linalg.norm(_fricke_gradient(p))
-    frame = np.column_stack([_tangent_basis(p), normal])
+    gradient = _fricke_gradient(p)
+    normal = gradient / np.linalg.norm(gradient)
+    frame = np.column_stack([_tangent_basis(gradient, float(gradient @ gradient)), normal])
     # Differences of traces of size |value| carry rounding of about
     # 1e-16 * |value| / h^2 < 1e-9 * |value|.
     atol = 1e-6 * max(1.0, abs(value))
@@ -581,7 +582,7 @@ def test_enumeration_budget_error_reports_its_numbers(monkeypatch):
     monkeypatch.setattr(fuchsian, "MAX_NODES", 3)
     for ends, radius, region in cases:
         with pytest.raises(EnumerationBudgetError) as info:
-            _leaves_near_segment(group, mc, *ends, radius, lambda n: np.ones(len(n), dtype=bool))
+            _tiles_near_segment(group, *ends, radius)
         err = info.value
         assert err.nodes > 3 and err.depth >= 1 and err.region == region
         assert f"after {err.nodes} nodes at depth {err.depth} ({region})" in str(err)
@@ -910,7 +911,8 @@ def test_kerckhoff_minimizer_is_locally_minimal():
     lam, mu = WeightedMulticurve.single("A"), WeightedMulticurve.single("B")
     result = kerckhoff_point(lam, mu, SYMMETRIC)
     p = result.point.as_array()
-    basis = _tangent_basis(p)
+    gradient = _fricke_gradient(p)
+    basis = _tangent_basis(gradient, float(gradient @ gradient))
     for k in range(8):
         angle = 2.0 * math.pi * k / 8.0
         direction = basis @ np.array([math.cos(angle), math.sin(angle)])
@@ -997,11 +999,9 @@ trial_points = st.one_of(
 @given(p=trial_points)
 def test_variety_projection_and_tangent_basis_equal_their_numpy_forms_bit_for_bit(p):
     assert _same_bits(fuchsian._project_to_variety(p), _numpy_project_to_variety(p))
-    expected = _numpy_tangent_basis(p)
-    assert _same_bits(_tangent_basis(p), expected)
     gradient = _fricke_gradient(p)
     assert _same_bits(gradient, _numpy_fricke_gradient(p))
-    assert _same_bits(_tangent_basis(p, gradient, float(gradient @ gradient)), expected)
+    assert _same_bits(_tangent_basis(gradient, float(gradient @ gradient)), _numpy_tangent_basis(p))
 
 
 @given(p=trial_points, word=st.lists(st.sampled_from("ABab"), min_size=1, max_size=5).map("".join))

@@ -30,7 +30,7 @@ from halfpipe.geometry import (
     _unit,
     _unit_rows,
 )
-from halfpipe.isometry import Isometry, reflection, standard_rotation_angle
+from halfpipe.isometry import Isometry, reflection, standard_rotation_angles
 
 ALL_TAGS = [HYP, ADS, HP]
 
@@ -100,7 +100,7 @@ def _reflection_product_angle(p, q):
     # theta: the product of their reflections rotates about the axis by 2 theta
     # (hyperbolic) or -2 theta (anti-de Sitter and half-pipe), as the
     # meridian cone angles of a double read it.
-    return standard_rotation_angle((reflection(q) @ reflection(p)).matrix, p.geometry)
+    return standard_rotation_angles((reflection(q) @ reflection(p)).matrix[np.newaxis], p.geometry)[0]
 
 
 def test_hp_angle_example():

@@ -41,8 +41,6 @@ from halfpipe.isometry import (
     reflection_stack,
     rescale_conjugate,
     rotation,
-    rotation_in_frame,
-    standard_rotation_angle,
     standard_rotation_angles,
     standard_rotations,
     transport_to_standard_axis,
@@ -157,7 +155,6 @@ def test_rotation_is_the_frame_rotation_bit_for_bit():
             for angle, hyperbolic in angles:
                 turn = hyperbolic if tag is HYP else angle
                 expected = (phi.inverse() @ Isometry(_standard_rotation(tag, turn), tag) @ phi).matrix
-                assert np.array_equal(rotation_in_frame(tag, transport, angle), expected), (tag, angle)
                 assert np.array_equal(rotation(tag, axis, angle).matrix, expected), (tag, angle)
 
 
@@ -169,22 +166,22 @@ def test_rotation_angle_roundtrip():
             angle = rng.uniform(-1.4, 1.4)
             g = rotation(tag, axis, angle)
             phi = embed_h2_isometry(tag, transport_to_standard_axis(axis))
-            assert standard_rotation_angle((phi @ g @ phi.inverse()).matrix, tag) == pytest.approx(angle, abs=1e-10)
-            assert standard_rotation_angle(_standard_rotation(tag, angle), tag) == pytest.approx(angle, abs=1e-15)
+            pulled_back = (phi @ g @ phi.inverse()).matrix[np.newaxis]
+            assert standard_rotation_angles(pulled_back, tag) == pytest.approx([angle], abs=1e-10)
+            standard = _standard_rotation(tag, angle)[np.newaxis]
+            assert standard_rotation_angles(standard, tag) == pytest.approx([angle], abs=1e-15)
 
 
 def test_rotation_angle_hyperbolic_branch():
-    assert standard_rotation_angle(rotation(HYP, STANDARD_AXIS, 3.0 * math.pi / 2).matrix, HYP) == pytest.approx(
-        -math.pi / 2
-    )
-    assert standard_rotation_angle(rotation(HYP, STANDARD_AXIS, math.pi).matrix, HYP) == pytest.approx(-math.pi)
+    stack = np.stack([rotation(HYP, STANDARD_AXIS, angle).matrix for angle in (3.0 * math.pi / 2, math.pi)])
+    assert standard_rotation_angles(stack, HYP) == pytest.approx([-math.pi / 2, -math.pi])
 
 
 def test_rotation_angle_rejects_moved_axis():
     rng = np.random.default_rng(17)
     other = _random_axis(rng)
     with pytest.raises(NotRotationAboutAxisError):
-        standard_rotation_angle(rotation(HYP, other, 0.5).matrix, HYP)
+        standard_rotation_angles(rotation(HYP, other, 0.5).matrix[np.newaxis], HYP)
 
 
 def test_composition_words_stay_in_group():
@@ -475,7 +472,9 @@ def test_rotation_read_out_of_a_stack_equals_its_numpy_form_matrix_by_matrix_bit
         m[2:, 2:] += block_scale * np.reshape(block_noise, (2, 2))
         m[off] += off_scale * np.array(off_noise)
     expected = [_outcome(_numpy_standard_rotation_angle, m, tag) for m in stack]
-    assert [_outcome(standard_rotation_angle, m, tag) for m in stack] == expected
+    # Each matrix alone, as a stack of one.
+    alone = [_outcome(standard_rotation_angles, m[np.newaxis], tag) for m in stack]
+    assert alone == [e if isinstance(e, tuple) else [e] for e in expected]
     # The stack raises what its first refused matrix raises, else reads every angle.
     refused = [e for e in expected if isinstance(e, tuple)]
     assert _outcome(standard_rotation_angles, stack, tag) == (refused[0] if refused else expected)

@@ -194,8 +194,8 @@ def test_family_contexts_share_one_atlas_and_one_crossing_query(monkeypatch):
     group, lam = _group(), _lamination()
     base = np.array(transition.DEFAULT_BASE_POINT)
     queries = []
-    query = bending.holonomy_segment_crossings
-    monkeypatch.setattr(bending, "holonomy_segment_crossings", lambda *args: queries.append(args) or query(*args))
+    query = transition.holonomy_segment_crossings
+    monkeypatch.setattr(transition, "holonomy_segment_crossings", lambda *args: queries.append(args) or query(*args))
     fam = holonomy_family(group, lam, 1.0, "AB")
     assert len(queries) == 1
     contexts = [transition.signed_context(group, lam, base, 1.0, t) for t in fam.grid]

@@ -22,6 +22,9 @@ The runs, all in one process:
   values per side (exit 3);
 - ``transition`` on the first small configuration for each of the words of
   NON_REDUCED_WORDS, which are not freely reduced;
+- on the first small configuration, the runs of TINY_GRIDS, whose grid
+  values are so small that the rescaled holonomies or the cone-angle slope
+  fit overflow (exit 3);
 - on the first small configuration, ``kerckhoff --grid=0.1``, which takes
   no grid (argparse exits 2, recorded as the run's exit code), and
   ``export-surface --grid=0.1,7``, which exports one value only (exit 2);
@@ -86,6 +89,13 @@ TRANSITION_GRIDS = (
     "-1000,-100,-10,0.1,0.01,0.001",
     "0.1,0.01,-0.1,-0.01",
 )
+# (subcommand, --grid) runs at grid values near the bottom of the float range.
+TINY_GRIDS = (
+    ("transition", "5e-309,-5e-309,6e-309,-6e-309,7e-309,-7e-309"),
+    ("transition", "5e-320,-5e-320,6e-320,-6e-320,7e-320,-7e-320"),
+    ("double", "1e-170,2e-170"),
+    ("double", "1e-320,1e-310"),
+)
 
 
 def _digest(lines: list[str]) -> str:
@@ -145,6 +155,8 @@ def runs(workloads, teich_point):
                 yield f"small/{name}/transition@{grid}", "transition", cfg, (f"--grid={grid}",)
             for word in NON_REDUCED_WORDS:
                 yield f"small/{name}/transition:{word}", "transition", dict(cfg, words=[word]), ()
+            for command, grid in TINY_GRIDS:
+                yield f"small/{name}/{command}@{grid}", command, cfg, (f"--grid={grid}",)
             yield f"small/{name}/kerckhoff@0.1", "kerckhoff", cfg, ("--grid=0.1",)
             yield f"small/{name}/export-surface@0.1,7", "export-surface", cfg, ("--grid=0.1,7",)
     edge = {"xy(3,40)": (3.0, 40.0, ("ABB", 1.0)), "xy(20,3)": (20.0, 3.0, ("AAB", 0.5))}
