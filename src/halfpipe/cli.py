@@ -364,11 +364,11 @@ def cmd_double(args) -> int:
     _check_cone_grid(grid, lam)
     slope_tol = args.tol if args.tol is not None else 1e-8
     hp_tol = args.tol if args.tol is not None else 1e-6
-    base = _base_point_from(cfg)
+    _base_point_from(cfg)  # validated, though the table does not depend on a basepoint
 
     curve = lam.components[0]
     slices = [(tag, t) for tag in (HYP, ADS, HP) for t in grid]
-    table = meridian_cone_angles(group, lam, base, slices)
+    table = meridian_cone_angles(group, lam, slices)
     hyp, ads, hp = (table[i : i + len(grid)] for i in range(0, len(table), len(grid)))
     # the doubled metrics close up affinely: slope -2 * weight on each side
     slope_gap = 0.0
@@ -479,11 +479,14 @@ def build_parser() -> argparse.ArgumentParser:
     handlers = {
         "transition": (cmd_transition, "Extrapolate rescaled holonomy families per word."),
         "kerckhoff": (cmd_kerckhoff, "Locate the combined-length critical point."),
-        "double": (cmd_double, "Tabulate meridian cone angles of the doubled metrics."),
+        "double": (
+            cmd_double,
+            "Tabulate meridian cone angles of the doubled metrics; base_point is validated but does not enter the table.",
+        ),
         "export-surface": (cmd_export_surface, "Export a bent surface mesh with bending lines."),
     }
     for name, (handler, help_text) in handlers.items():
-        cmd = sub.add_parser(name, help=help_text)
+        cmd = sub.add_parser(name, help=help_text, description=help_text)
         cmd.add_argument("--config", required=True, help="JSON config path")
         cmd.add_argument("--out", default=".", help="output directory")
         if name != "kerckhoff":

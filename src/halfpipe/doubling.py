@@ -9,9 +9,9 @@ core by a common conjugating translation and doubles the core across them.
 A double has two faces, one per boundary surface, so it extends the
 representation to words in the surface generators and one face token, e1
 (with its inverse E1).  The module computes meridian cone angles from
-adjacent support-plane reflections (a whole table of models and scales as
-one stacked computation), and checks that doubled cusp stabilizers are
-rank-2 abelian.
+adjacent support-plane reflections, read in the leaf's own frame (a whole
+table of models and scales as one stacked computation), and checks that
+doubled cusp stabilizers are rank-2 abelian.
 """
 
 from __future__ import annotations
@@ -23,19 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from halfpipe.bending import (
-    BendingContext,
-    BentHolonomy,
-    _base_point,
-    _bracketed_product,
-    bent_holonomy,
-)
-from halfpipe.fuchsian import EndpointOnLeafError, PuncturedTorusGroup, WeightedMulticurve, segment_crossings
+from halfpipe.bending import BendingContext, BentHolonomy, _bracketed_product, bent_holonomy
+from halfpipe.fuchsian import Crossings, EndpointOnLeafError, PuncturedTorusGroup, WeightedMulticurve
+from halfpipe.fuchsian import _crossings, _cyclic_reduce, _walk_segment
 from halfpipe.geometry import HP, HYP, Geometry, GeometryError, Plane, TagMismatchError, _unit_rows
 from halfpipe.isometry import (
     Isometry,
     MinkowskiIsometry,
-    _group_inverse,
     classify_isometry,
     hp_to_minkowski,
     minkowski_to_hp,
@@ -51,10 +45,6 @@ EPS_ALIGNMENT = 1e-8
 LEAF_NUDGE = 1e-3
 
 _EXTENDED_TOKEN = re.compile(r"[AaBb]|[eE]1")
-
-
-class FacePointOnLeafError(GeometryError):
-    """A face base point lies on a leaf of the bending locus."""
 
 
 class NoConjugatingTranslationError(GeometryError):
@@ -172,9 +162,13 @@ def double_convex_core_pair(upper: BendingContext, lower: BendingContext) -> Dou
     return DoubledHolonomy(rho=bent_holonomy(upper), reflections=reflections)
 
 
-def _adjacent_face_points(group: PuncturedTorusGroup, multicurve: WeightedMulticurve):
-    # Nudge across the multicurve's axis at its point nearest the disk centre
-    # until the segment between the two points crosses exactly that leaf.
+def _isolating_crossing(group: PuncturedTorusGroup, multicurve: WeightedMulticurve) -> Crossings:
+    """The crossing of the curve's axis by a segment from the far face beside it to the near face.
+
+    Nudges across the axis at its point nearest the disk centre until the
+    segment crosses exactly that leaf.  The segment, at most 2 * LEAF_NUDGE
+    long, is searched on its own: an atlas ball about the centre holds many more leaves.
+    """
     leaf = group.axis(multicurve.components[0].word)
     anchor = leaf.closest_point_to_origin()
     z = anchor[1:] / anchor[0]
@@ -184,34 +178,39 @@ def _adjacent_face_points(group: PuncturedTorusGroup, multicurve: WeightedMultic
     for _ in range(4):
         near, far = z - eps * direction, z + eps * direction
         try:
-            words = segment_crossings(group, multicurve, near, far)[3]
+            crossings = _crossings(_walk_segment(group, multicurve, far, near), far, near)
         except EndpointOnLeafError:
             eps *= 0.1
             continue
-        if words == [""]:
-            return near, far
+        if crossings[3] == [""]:
+            return crossings
         eps *= 0.1
     raise GeometryError("could not isolate the leaf between its two adjacent faces")
 
 
 def meridian_cone_angles(
-    group: PuncturedTorusGroup, multicurve: WeightedMulticurve, base_point, slices: Sequence[tuple[Geometry, float]]
+    group: PuncturedTorusGroup, multicurve: WeightedMulticurve, slices: Sequence[tuple[Geometry, float]]
 ) -> list[float]:
     """Cone angles of the meridian around the bending line of the multicurve's curve, one per slice.
 
     Doubling turns each bending leaf into a cone axis whose meridian is the
     product of the reflections in the two support planes beside the leaf.
-    Slice j is (tag, sign * scale) of a context over the group, multicurve
-    and basepoint; entry j of the returned list of k floats is its cone
-    angle, 2*(pi - theta) in the hyperbolic model and -2*theta in the others,
-    for theta = sign * scale * weight.  A hyperbolic angle is read mod 2*pi
-    and returned as the representative nearest 2*(pi - theta), which is
-    2*pi plus the read-out in [-pi, pi) whenever |theta| <= pi/2.  The leaves
-    crossed from x0 to the two faces are queried once each, and the table
-    is two stacked products, slice by slice those of one context.  A
-    non-finite scale, a hyperbolic |theta| >= pi and a basepoint outside the
-    open disk raise GeometryError before any leaf query, and a far face
-    point on a leaf FacePointOnLeafError.
+    Slice j is (tag, sign * scale) of a context over the group and
+    multicurve; entry j of the returned list of k floats is its cone angle,
+    2*(pi - theta) in the hyperbolic model and -2*theta in the others, for
+    theta = sign * scale * weight.  A hyperbolic angle is read mod 2*pi and
+    returned as the representative nearest 2*(pi - theta), which is 2*pi
+    plus the read-out in [-pi, pi) whenever |theta| <= pi/2.
+
+    The angle is read in the leaf's own frame, from the one leaf query that
+    isolates a lift of the curve's cyclically reduced word between a near
+    and a far face.  With P0 = {x3 = 0} the near face's plane, C the
+    cocycle across the leaf and phi its axis frame, the meridian is
+    phi . r(P0) . r(C(near, far) . P0) . phi^-1: no basepoint enters.
+    r(P0) is diag(1, 1, 1, -1) in every model, and the covector of
+    C(near, far) . P0 is row 3 of C(far, near), so the table is one stacked
+    product, slice by slice that of one context.  A non-finite scale and a
+    hyperbolic |theta| >= pi raise GeometryError before the leaf query.
     """
     tags, scales = zip(*slices)
     curve = multicurve.components[0]
@@ -221,23 +220,19 @@ def meridian_cone_angles(
             raise GeometryError(f"scale {s!r} is not finite")
         if tag is HYP and abs(s * weight) >= math.pi:
             raise GeometryError(f"hyperbolic bending angle {s * weight!r} must stay below pi")
-    base = _base_point(base_point)
-    near, far = _adjacent_face_points(group, multicurve)
-    near_crossings = segment_crossings(group, multicurve, base, near)
-    try:
-        far_crossings = segment_crossings(group, multicurve, base, far)
-    except EndpointOnLeafError as exc:
-        raise FacePointOnLeafError(f"face point {far} lies on a leaf") from exc
-    cocycles = _bracketed_product(group, multicurve, near_crossings, "", slices)
-    far_cocycles = _bracketed_product(group, multicurve, far_crossings, "", slices)
-    phi, phi_inverses = group.axis_frame(curve.word, tags)
+    root = _cyclic_reduce(curve.word)
+    if root != curve.word:
+        # h.r.h^-1 bends along the lines of r, whose axis mostly lies nearer the centre, with a better frame.
+        multicurve = WeightedMulticurve.single(root, weight)
+    far_to_near = _bracketed_product(group, multicurve, _isolating_crossing(group, multicurve), "", slices)
+    phi, phi_inverses = group.axis_frame(root, tags)
     angles = [0.0] * len(tags)
     for tag in dict.fromkeys(tags):
         rows = [j for j, other in enumerate(tags) if other is tag]
-        inverses, far_inverses = _group_inverse(cocycles[rows], tag), _group_inverse(far_cocycles[rows], tag)
-        # Row 3 of a cocycle's inverse is the covector of its image of {x3 = 0}.
-        mirrors = [reflection_stack(tag, _unit_rows(stack[:, 3])) for stack in (inverses, far_inverses)]
-        blocks = (phi @ ((inverses @ (mirrors[0] @ mirrors[1])) @ cocycles[rows])) @ phi_inverses[rows]
+        meridians = reflection_stack(tag, _unit_rows(far_to_near[rows, 3]))
+        # Times r(P0) on the left, which negates row 3 exactly.
+        meridians[:, 3] *= -1.0
+        blocks = (phi @ meridians) @ phi_inverses[rows]
         for j, angle in zip(rows, standard_rotation_angles(blocks, tag)):
             angles[j] = angle
             if tag is HYP:
@@ -256,7 +251,7 @@ def meridian_cone_angle(ctx: BendingContext, word: str, t: float | None = None) 
     if word != curve.word:
         raise GeometryError(f"{word!r} is not the curve {curve.word!r} of the multicurve")
     scale = ctx.scale if t is None else t
-    return meridian_cone_angles(ctx.group, ctx.multicurve, ctx.base_point, ((ctx.tag, ctx.sign * scale),))[0]
+    return meridian_cone_angles(ctx.group, ctx.multicurve, ((ctx.tag, ctx.sign * scale),))[0]
 
 
 def _parabolic_fixed_direction(g: Isometry) -> np.ndarray:

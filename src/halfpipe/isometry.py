@@ -91,12 +91,11 @@ def group_residual(matrix: np.ndarray, tag: Geometry) -> float:
 def _group_inverse(m: np.ndarray, tag: Geometry) -> np.ndarray:
     """The inverse of a group element of the tag, or of each slice of a (k, 4, 4) stack, from the form relations."""
     if tag is HP:
-        a, w, eps = m[..., :3, :3], m[..., 3:, :3], m[..., 3:, 3:]
-        a_inv = J3 @ np.swapaxes(a, -1, -2) @ J3
         out = np.zeros(m.shape)
-        out[..., :3, :3] = a_inv
-        out[..., 3:, :3] = -eps * (w @ a_inv)
+        a_inv = np.matmul(J3 @ m[..., :3, :3].mT, J3, out=out[..., :3, :3])
+        eps = m[..., 3:, 3:]
         out[..., 3:, 3:] = eps
+        np.negative(eps * (m[..., 3:, :3] @ a_inv), out=out[..., 3:, :3])
         return out
     j = tag.form_matrix
     return j @ np.swapaxes(m, -1, -2) @ j
@@ -335,7 +334,9 @@ def rescale_conjugate(t: float | np.ndarray, g: Isometry | np.ndarray) -> np.nda
     m = g.matrix if isinstance(g, Isometry) else g
     scale = np.abs(np.asarray(t, dtype=float))[..., None]
     out = np.array(m, dtype=float)
-    out[..., 3, :] /= scale
+    # Row 3 overflows at |t| near the float minimum; extrapolate_limit refuses that, naming the t.
+    with np.errstate(over="ignore"):
+        out[..., 3, :] /= scale
     out[..., :, 3] *= scale
     return out
 

@@ -277,6 +277,41 @@ def test_double_hyperbolic_rows_past_a_quarter_turn(tmp_path, grid):
         assert float(row["cone_angle"]) == pytest.approx(2.0 * (math.pi - float(row["t"])), abs=TOL_READBACK)
 
 
+@pytest.mark.parametrize(
+    "traces, word, weight, base_point, grid",
+    [
+        # Read through segments from x0, this table once exited 3 ("isometry moves the axis").
+        (
+            [12.747155144786607, 17.589083981520822, 2.1246979104915056],
+            "AAb",
+            1.7740123644509516,
+            [-0.07119622398753785, -0.009777024057463295],
+            None,
+        ),
+        ([3.0, 3.0, 3.0], "A", 1.0, [0.99999, 0.0], None),
+        (TeichPoint.from_xy(3.0, 4.0).as_array().tolist(), "Ab", 1.0, [-0.2, 0.15], "2.7489,3.0,3.1"),
+    ],
+)
+def test_double_exits_0_with_exact_angles_wherever_the_basepoint_lies(tmp_path, traces, word, weight, base_point, grid):
+    lam = {"lambda": [{"word": word, "weight": weight}]}
+    extra = () if grid is None else (f"--grid={grid}",)
+    config = _write_config(tmp_path / "cfg.json", traces=traces, multicurves=lam, base_point=base_point)
+    code, out = _run(tmp_path, "double", config, *extra)
+    assert code == EXIT_OK
+    with (out / "cone_angles.csv").open() as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == 3 * (4 if grid is None else 3)
+    for row in rows:
+        t = float(row["t"])
+        exact = 2.0 * (math.pi - t * weight) if row["geometry"] == "hyperbolic" else -2.0 * t * weight
+        assert abs(float(row["cone_angle"]) - exact) <= 1e-12, row
+    # The basepoint is validated but does not enter the table.
+    config = _write_config(tmp_path / "default.json", traces=traces, multicurves=lam)
+    code, default = _run(tmp_path / "default", "double", config, *extra)
+    assert code == EXIT_OK
+    assert (default / "cone_angles.csv").read_bytes() == (out / "cone_angles.csv").read_bytes()
+
+
 def test_double_with_a_hyperbolic_bending_angle_of_pi_or_more_exits_2(tmp_path):
     config = _write_config(tmp_path / "cfg.json")
     code, out = _run(tmp_path, "double", config, "--grid", "0.1,4.0")
@@ -295,7 +330,7 @@ def test_double_refuses_the_bending_angles_the_cone_table_refuses_with_their_num
     # The library refuses the same slice with its own GeometryError.
     lam = WeightedMulticurve.single("A", weight)
     with pytest.raises(GeometryError, match="must stay below pi"):
-        meridian_cone_angles(build_punctured_torus(TeichPoint(3.0, 3.0, 3.0)), lam, (0.11, 0.07), [(HYP, t)])
+        meridian_cone_angles(build_punctured_torus(TeichPoint(3.0, 3.0, 3.0)), lam, [(HYP, t)])
 
 
 def test_double_rejects_nonpositive_grid(tmp_path):
@@ -553,6 +588,7 @@ def test_json_booleans_in_number_fields_exit_2(tmp_path, capsys, command, field,
         ("double", "1e-320,1e-310", "grid [1e-320, 1e-310]"),
     ],
 )
+@pytest.mark.filterwarnings("error")
 def test_grid_values_too_small_for_the_rescaling_or_the_slope_fit_exit_3(tmp_path, capfd, command, grid, named):
     # The rescaled holonomy's last row, divided by |t|, overflows; the slope
     # fit's column of t values has a norm that underflows to 0.

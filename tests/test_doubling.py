@@ -1,19 +1,20 @@
 """Tests for doubled holonomies, meridian cone angles, and cusp stabilizers."""
 
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_fuchsian import trace_points
+from test_fuchsian import SIMPLE_CURVES, trace_points
 
-from halfpipe import bending, doubling
+from halfpipe import cli, doubling, fuchsian
 from halfpipe.bending import BendingContext, bent_holonomy, support_plane_at
 from halfpipe.cli import DEFAULT_CONE_GRID as CONE_GRID
 from halfpipe.doubling import (
+    LEAF_NUDGE,
     DoubledHolonomy,
-    FacePointOnLeafError,
     NoConjugatingTranslationError,
     cusp_stabilizer_check,
     double_convex_core_pair,
@@ -210,25 +211,51 @@ def test_meridian_validation():
         meridian_cone_angle(ctx, "A", 4.0)
 
 
-def test_cone_angle_table_refuses_outside_basepoints_and_far_face_points_on_leaves(monkeypatch):
-    ctx = _context(tag=HYP)
-    slices = [(HYP, 0.1), (HP, 0.1)]
-    for base in ((1.0, 0.0), (0.8, 0.8), (math.nan, 0.0)):
+def _double_config(path, traces=(3.0, 3.0, 3.0), word="A", weight=1.0, base_point=None):
+    cfg = {"traces": list(traces), "multicurves": {"lambda": [{"word": word, "weight": weight}]}}
+    if base_point is not None:
+        cfg["base_point"] = list(base_point)
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def test_outside_basepoints_are_refused_by_the_contexts_and_the_double_config(tmp_path):
+    # The cone-angle table takes no basepoint; a context and the CLI config refuse one outside the disk.
+    group = build_punctured_torus(SYMMETRIC)
+    for index, base in enumerate(((1.0, 0.0), (0.8, 0.8), (math.nan, 0.0))):
         with pytest.raises(OutsideModelError):
-            meridian_cone_angles(ctx.group, ctx.multicurve, base, slices)
-    # The third query, from x0 to the far face, finds its end on a leaf.
+            BendingContext(group, WeightedMulticurve.single("A"), base, HYP)
+        config = _double_config(tmp_path / f"cfg{index}.json", base_point=base)
+        assert cli.main(["double", "--config", config, "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG, base
+    assert not (tmp_path / "out").exists()
+
+
+def test_cone_angle_table_nudges_its_face_points_off_leaves(monkeypatch):
+    ctx = _context(tag=HYP)
+    slices = [(tag, t) for tag in (HYP, ADS, HP) for t in CONE_GRID]
+    table = meridian_cone_angles(ctx.group, ctx.multicurve, slices)
+    # The isolating query finds a face point on a leaf: the faces move ten
+    # times closer to the leaf, across which the cocycle is the same.
     queries = []
-    query = doubling.segment_crossings
+    pairing = doubling._crossings
 
-    def far_on_leaf(*args):
-        queries.append(args)
-        if len(queries) == 3:
+    def first_on_leaf(leaves, x, y):
+        queries.append((x, y))
+        if len(queries) == 1:
             raise EndpointOnLeafError("segment endpoint lies on a leaf")
-        return query(*args)
+        return pairing(leaves, x, y)
 
-    monkeypatch.setattr(doubling, "segment_crossings", far_on_leaf)
-    with pytest.raises(FacePointOnLeafError):
-        meridian_cone_angles(ctx.group, ctx.multicurve, ctx.base_point, slices)
+    monkeypatch.setattr(doubling, "_crossings", first_on_leaf)
+    assert meridian_cone_angles(ctx.group, ctx.multicurve, slices) == table
+    lengths = [float(np.linalg.norm(y - x)) for x, y in queries]
+    assert len(lengths) == 2 and lengths[1] == pytest.approx(0.1 * lengths[0])
+
+    def always_on_leaf(leaves, x, y):
+        raise EndpointOnLeafError("segment endpoint lies on a leaf")
+
+    monkeypatch.setattr(doubling, "_crossings", always_on_leaf)
+    with pytest.raises(GeometryError, match="could not isolate the leaf"):
+        meridian_cone_angles(ctx.group, ctx.multicurve, slices)
 
 
 @pytest.mark.parametrize("theta", (1.7, -1.7, 3.0, -3.0))
@@ -260,44 +287,95 @@ def test_stacked_cone_angle_table_equals_one_slice_cells_bit_for_bit(point, word
     multicurve = WeightedMulticurve.single(word, weight)
     cells = [(tag, f * math.pi / weight) for tag in (HYP, ADS, HP) for f in fractions]
     cells = data.draw(st.permutations(cells))
-    one_slice = []
-    for tag, t in cells:
-        try:
-            one_slice.append(meridian_cone_angle(BendingContext(group, multicurve, base, tag, sign), word, t))
-        except GeometryError as exc:
-            one_slice.append(type(exc))
-    try:
-        table = meridian_cone_angles(group, multicurve, base, [(tag, sign * t) for tag, t in cells])
-    except GeometryError as exc:
-        # Large anti-de Sitter turns can fail the block check of their read-out.
-        assert type(exc) in one_slice
-        return
+    one_slice = [meridian_cone_angle(BendingContext(group, multicurve, base, tag, sign), word, t) for tag, t in cells]
+    table = meridian_cone_angles(group, multicurve, [(tag, sign * t) for tag, t in cells])
     for (tag, t), angle, cell in zip(cells, table, one_slice):
         assert angle.hex() == cell.hex(), (tag, t)
         theta = sign * t * weight
         assert angle == pytest.approx(2.0 * (math.pi - theta) if tag is HYP else -2.0 * theta, abs=1e-8), (tag, t)
 
 
-def _count_leaf_queries(monkeypatch, work) -> int:
+# Trace points out to from_xy(20, 20), the extremes included.
+cone_trace_points = (
+    st.tuples(st.floats(2.1, 20.0), st.floats(2.1, 20.0))
+    .filter(lambda xy: xy[0] ** 2 * xy[1] ** 2 >= 4.0 * (xy[0] ** 2 + xy[1] ** 2))
+    .map(lambda xy: TeichPoint.from_xy(*xy))
+)
+cone_base_points = st.tuples(st.floats(0.0, 0.95, exclude_max=True), st.floats(0.0, 2.0 * math.pi)).map(
+    lambda polar: (polar[0] * math.cos(polar[1]), polar[0] * math.sin(polar[1]))
+)
+
+
+@settings(max_examples=150)
+@given(
+    point=cone_trace_points,
+    word=st.sampled_from([word for word in SIMPLE_CURVES if len(word) <= 4]),
+    weight=st.floats(0.3, 2.0),
+    base=cone_base_points,
+)
+@example(point=TeichPoint.from_xy(20.0, 20.0), word="ab", weight=2.0, base=(0.0, 0.0))
+@example(point=TeichPoint.from_xy(3.0, 20.0), word="AAAB", weight=2.0, base=(0.0, 0.0))
+@example(point=TeichPoint.from_xy(18.551686291445424, 16.900173399065306), word="Abaa", weight=1.8, base=(0.0, 0.0))
+def test_every_cone_angle_table_cell_is_its_exact_angle(point, word, weight, base):
+    # 2 * (pi - theta) in the hyperbolic model and -2 * theta in the others,
+    # through contexts at any basepoint as through the table, which has none.
+    group = build_punctured_torus(point)
+    multicurve = WeightedMulticurve.single(word, weight)
+    slices = [(tag, t) for tag in (HYP, ADS, HP) for t in CONE_GRID]
+    table = meridian_cone_angles(group, multicurve, slices)
+    for (tag, t), angle in zip(slices, table):
+        exact = 2.0 * (math.pi - t * weight) if tag is HYP else -2.0 * t * weight
+        assert abs(angle - exact) <= 1e-12, (tag, t, angle, exact)
+        assert meridian_cone_angle(BendingContext(group, multicurve, base, tag), word, t) == angle
+
+
+def test_cone_angles_at_a_basepoint_next_to_the_rim():
+    # Both face segments from x0 = (0.99999, 0) crossed the leaf BAbAB next to x0;
+    # in four slices the meridian read as moving the axis.
+    group = build_punctured_torus(SYMMETRIC)
+    for tag in (HYP, ADS, HP):
+        ctx = BendingContext(group, WeightedMulticurve.single("A"), (0.99999, 0.0), tag)
+        for t in CONE_GRID:
+            exact = 2.0 * (math.pi - t) if tag is HYP else -2.0 * t
+            assert abs(meridian_cone_angle(ctx, "A", t) - exact) <= 1e-12, (tag, t)
+
+
+@pytest.mark.parametrize("t", (2.5, 2.7489, 3.0, 3.1))
+def test_large_anti_de_sitter_cone_angles(t):
+    # From (-0.2, 0.15), both face segments crossed the leaf a; at 2.7489 and
+    # beyond the meridian read as moving the axis.
+    group = build_punctured_torus(TeichPoint.from_xy(3.0, 4.0))
+    ctx = BendingContext(group, WeightedMulticurve.single("Ab"), (-0.2, 0.15), ADS)
+    assert abs(meridian_cone_angle(ctx, "Ab", t) + 2.0 * t) <= 1e-12
+
+
+def _leaf_queries(monkeypatch, work) -> list:
+    """The segments (x, y) of the leaf queries that ``work`` makes: each ends in one ``_crossings`` call."""
     queries = []
-    for module in (bending, doubling):
-        query = module.segment_crossings
-        monkeypatch.setattr(module, "segment_crossings", lambda *args, query=query: queries.append(args) or query(*args))
+    for module in (fuchsian, doubling):
+        pairing = module._crossings
+        monkeypatch.setattr(
+            module, "_crossings", lambda leaves, x, y, pairing=pairing: queries.append((x, y)) or pairing(leaves, x, y)
+        )
     work()
     monkeypatch.undo()
-    return len(queries)
+    return queries
 
 
-def test_cone_angle_table_queries_the_leaves_of_one_meridian_once(monkeypatch):
-    single = _count_leaf_queries(monkeypatch, lambda: meridian_cone_angle(_context(tag=ADS), "A", 0.1))
+def test_cone_angle_table_queries_the_leaves_of_one_meridian_once(monkeypatch, tmp_path):
+    single = _leaf_queries(monkeypatch, lambda: meridian_cone_angle(_context(tag=ADS), "A", 0.1))
     ctx = _context()
     slices = [(tag, t) for tag in (HYP, ADS, HP) for t in CONE_GRID]
-    table = _count_leaf_queries(
-        monkeypatch, lambda: meridian_cone_angles(ctx.group, ctx.multicurve, ctx.base_point, slices)
-    )
-    # One query isolates the leaf between its faces, two cross from x0 to them.
-    assert single == 3
-    assert table == single
+    table = _leaf_queries(monkeypatch, lambda: meridian_cone_angles(ctx.group, ctx.multicurve, slices))
+    config = _double_config(tmp_path / "cfg.json")
+    command = _leaf_queries(monkeypatch, lambda: cli.main(["double", "--config", config, "--out", str(tmp_path)]))
+    # The query that isolates the leaf between its faces, and none from x0.
+    for queries in (single, table, command):
+        assert len(queries) == 1
+        (x, y), = queries
+        assert float(np.linalg.norm(y - x)) <= 2.0 * LEAF_NUDGE
+        for base in (BASE, DEFAULT_BASE_POINT):
+            assert not np.array_equal(x, base) and not np.array_equal(y, base)
 
 
 def test_cone_angle_cells_equal_fresh_group_cells_bit_for_bit():

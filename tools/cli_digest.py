@@ -31,6 +31,11 @@ The runs, all in one process:
 - ``double`` and ``export-surface`` at two extreme trace points, ABB at
   from_xy(3, 40) and 0.5 AAB at from_xy(20, 3), where leaf atlases reach
   far into thin parts of the surface;
+- ``double`` on the three CONE_CONFIGS, where a cone-angle table read
+  through segments from the basepoint once exited 3: λ = A at (3,3,3) from
+  the base point (0.99999, 0), next to the rim; Ab at from_xy(3, 4) from
+  (-0.2, 0.15) at large anti-de Sitter angles; and 1.774·AAb at traces
+  where the default grid failed from a base point near the centre;
 - all four subcommands on two multicurves that are not one simple closed
   curve, 0.7 AABB and A + 0.5 B (two entries), which exit 2;
 - on the first small configuration, all four subcommands with ``--seed=-3``
@@ -96,6 +101,17 @@ TINY_GRIDS = (
     ("double", "1e-170,2e-170"),
     ("double", "1e-320,1e-310"),
 )
+# name -> (traces, lambda, base point, --grid or None) of the cone-angle table runs.
+CONE_CONFIGS = {
+    "rim": ((3.0, 3.0, 3.0), ("A", 1.0), [0.99999, 0.0], None),
+    "ads": ((3.0, 4.0, 2.6833752096446), ("Ab", 1.0), [-0.2, 0.15], "2.7489,3.0,3.1"),  # from_xy(3, 4)
+    "AAb": (
+        (12.747155144786607, 17.589083981520822, 2.1246979104915056),
+        ("AAb", 1.7740123644509516),
+        [-0.07119622398753785, -0.009777024057463295],
+        None,
+    ),
+}
 
 
 def _digest(lines: list[str]) -> str:
@@ -164,6 +180,9 @@ def runs(workloads, teich_point):
         cfg = _config(teich_point.from_xy(x, y).as_array().tolist(), **{"lambda": [lam]})
         for command in ("double", "export-surface"):
             yield f"edge/{name}/{command}", command, cfg, ()
+    for name, (traces, lam, base, grid) in CONE_CONFIGS.items():
+        cfg = dict(_config(traces, **{"lambda": [lam]}), base_point=base)
+        yield f"cone/{name}/double", "double", cfg, () if grid is None else (f"--grid={grid}",)
     refused = {"0.7AABB": [("AABB", 0.7)], "A+0.5B": [("A", 1.0), ("B", 0.5)]}
     for name, lam in refused.items():
         cfg = dict(_config((3.0, 3.0, 3.0), **{"lambda": lam, "mu": [("B", 1.0)]}), words=["A"])
