@@ -91,11 +91,12 @@ def group_residual(matrix: np.ndarray, tag: Geometry) -> float:
 def _group_inverse(m: np.ndarray, tag: Geometry) -> np.ndarray:
     """The inverse of a group element of the tag, or of each slice of a (k, 4, 4) stack, from the form relations."""
     if tag is HP:
+        a, w, eps = m[..., :3, :3], m[..., 3:, :3], m[..., 3:, 3:]
+        a_inv = J3 @ np.swapaxes(a, -1, -2) @ J3
         out = np.zeros(m.shape)
-        a_inv = np.matmul(J3 @ m[..., :3, :3].mT, J3, out=out[..., :3, :3])
-        eps = m[..., 3:, 3:]
+        out[..., :3, :3] = a_inv
+        out[..., 3:, :3] = -eps * (w @ a_inv)
         out[..., 3:, 3:] = eps
-        np.negative(eps * (m[..., 3:, :3] @ a_inv), out=out[..., 3:, :3])
         return out
     j = tag.form_matrix
     return j @ np.swapaxes(m, -1, -2) @ j

@@ -29,7 +29,6 @@ from halfpipe.isometry import (
     MinkowskiIsometry,
     NotRotationAboutAxisError,
     RotationOverflowError,
-    _group_inverse,
     boost_from_origin,
     boost_to_origin,
     classify_isometry,
@@ -451,24 +450,6 @@ def test_reflection_stack_equals_its_numpy_form_bit_for_bit(tag, covectors, lift
         # A large last coordinate makes every plane one that the model reflects in.
         covectors[:, 3] += lift
     assert _outcome(reflection_stack, tag, covectors) == _outcome(_numpy_reflection_stack, tag, covectors)
-
-
-def _numpy_half_pipe_inverse(m):
-    a, w, eps = m[..., :3, :3], m[..., 3:, :3], m[..., 3:, 3:]
-    a_inv = J3 @ np.swapaxes(a, -1, -2) @ J3
-    out = np.zeros(m.shape)
-    out[..., :3, :3] = a_inv
-    out[..., 3:, :3] = -eps * (w @ a_inv)
-    out[..., 3:, 3:] = eps
-    return out
-
-
-@given(stack=arrays(np.float64, st.tuples(st.integers(1, 5), st.just(4), st.just(4)), elements=coordinates))
-def test_half_pipe_group_inverse_equals_its_numpy_form_bit_for_bit(stack):
-    for m in (stack, stack[0]):
-        expected = _numpy_half_pipe_inverse(m)
-        inverse = _group_inverse(m, HP)
-        assert inverse.shape == expected.shape and inverse.tobytes() == expected.tobytes()
 
 
 # A matrix near a rotation about the standard axis: the rotation by an angle,

@@ -40,6 +40,7 @@ import time
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROUNDS = 4  # rounds 0 .. 3 of the seed
 
 
 def _worker(conn, tree: str, workload: str, seed: int, index: int, workdir: str) -> None:
@@ -123,13 +124,12 @@ def main() -> int:
     parser.add_argument("change", help="checkout whose src/ is compared with it (the same directory for A/A)")
     parser.add_argument("--workload", required=True, choices=("surface", "transition", "double"))
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--rounds", type=int, default=4, help="rounds 0 .. ROUNDS-1 of the seed (default 4)")
     args = parser.parse_args()
     trees = (str(Path(args.parent).resolve()), str(Path(args.change).resolve()))
 
     context = multiprocessing.get_context("spawn")
     ratios, times, problems = [], ([], []), ([], [])
-    for index in range(args.rounds):
+    for index in range(ROUNDS):
         for label, *results in _run_round(context, trees, args.workload, args.seed, index):
             for side, (seconds, problem) in enumerate(results):
                 if problem is not None:
@@ -146,7 +146,7 @@ def main() -> int:
     print(json.dumps({
         "workload": args.workload,
         "seed": args.seed,
-        "rounds": args.rounds,
+        "rounds": ROUNDS,
         "aa": trees[0] == trees[1],
         "operations": len(ratios),
         "ratio_median": statistics.median(ratios),
