@@ -114,8 +114,9 @@ def _bracketed_product(
     ``crossings`` are the segment's leaf crossings from :func:`segment_crossings`,
     the same in every model and scale; slice j is (tag, sign * scale) of one
     context.  Each leaf turns by its side times the slice's angle.  Steps are
-    formed once per crossing, the axis frames (memoised by the group) once,
-    and a crossing whose angle is zero in every slice is skipped.
+    formed once per crossing, the frames of the axis of the curve's root
+    (memoised by the group) once, and a crossing whose angle is zero in
+    every slice is skipped.
 
     Rotations about far leaves have matrix entries of size exp(2 distance),
     so multiplying them directly squanders precision on cancellations.  Each
@@ -128,7 +129,7 @@ def _bracketed_product(
     tags, scales = zip(*slices)
     curve = multicurve.components[0]
     weight = float(curve.weight)
-    phi, inverses = group.axis_frame(curve.word, tags)
+    phi, inverses = group.axis_frame(curve.root, tags)
     _, sides, _, words = crossings
     out = identity_stack(len(tags))
     previous = ""
@@ -177,6 +178,35 @@ class BentHolonomy:
     def __call__(self, word: str) -> Isometry:
         ctx = self.context
         return _context_product(ctx, holonomy_segment_crossings(ctx.group, ctx.multicurve, ctx.base_point, word), word)
+
+
+def bent_translation(ctx: BendingContext, word: str) -> np.ndarray:
+    """The Minkowski translation v(word) of the half-pipe bent holonomy of a word.
+
+    A half-pipe rotation by theta about the leaf of unit normal m is the
+    translation by -theta * m, so the bent holonomy (L(w), v(w)) has
+    v(w) = -theta * sum_i side_i * L(word_i) . n, where n is the unit
+    normal of the axis of the curve's root and side_i and word_i come from
+    the crossings of [x0, word . x0].  In exact arithmetic this is the
+    translation of ``hp_to_minkowski(bent_holonomy(ctx)(word))``; here it
+    is formed from 3x3 images alone, with no axis frame and no 4x4 matrix.
+
+    Each L(word_i) is the group's image of the whole conjugator word, not
+    the running product of the telescoped steps that
+    :func:`_bracketed_product` multiplies.  A step from a leaf to one far
+    along the segment can have entries of 1e12 at extreme traces, and the
+    running product carries its rounding into every later leaf, while
+    L(word_i) . n is off by about eps * |L(word_i)| alone.
+    """
+    if ctx.tag is not HP:
+        raise TagMismatchError("bent holonomies are Minkowski affine maps in the half-pipe model")
+    group, curve = ctx.group, ctx.multicurve.components[0]
+    _, sides, _, words = holonomy_segment_crossings(group, ctx.multicurve, ctx.base_point, word)
+    normal = group.axis(curve.root).normal
+    total = np.zeros(3)
+    for side, conjugator in zip(sides.tolist(), words):
+        total += side * (group.lorentz(conjugator) @ normal)
+    return -(ctx.sign * ctx.scale * float(curve.weight)) * total
 
 
 def bent_holonomy(ctx: BendingContext) -> BentHolonomy:

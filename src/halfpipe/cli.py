@@ -370,16 +370,24 @@ def cmd_double(args) -> int:
     slices = [(tag, t) for tag in (HYP, ADS, HP) for t in grid]
     table = meridian_cone_angles(group, lam, slices)
     hyp, ads, hp = (table[i : i + len(grid)] for i in range(0, len(table), len(grid)))
-    # the doubled metrics close up affinely: slope -2 * weight on each side
-    slope_gap = 0.0
+    # The doubled metrics close up affinely: slope -2 * weight on each side,
+    # checked relative to 2 * weight, so that tiny weights are checked too.
+    two_weight = 2.0 * curve.weight
+    slope_gaps = []
     if len(grid) >= 2:
-        # np.polyfit divides the grid by its norm, which is 0 when every square
-        # underflows; LAPACK then fails, printing to stdout.  Refused before that.
+        # A grid this small is refused as too small for the slope fit (exit 3).
         if not any(t * t for t in grid):
             raise GeometryError(f"the cone-angle slope fit fails on the grid {list(grid)}: all squares underflow to 0")
+        # The least-squares slope, centred, on t / max|t| so that no square under- or overflows.
+        top = max(abs(t) for t in grid)
+        scaled = [t / top for t in grid]
+        middle = sum(scaled) / len(scaled)
+        offsets = [s - middle for s in scaled]
+        spread = sum(d * d for d in offsets)
         for angles in (hyp, ads):
-            slope = float(np.polyfit(np.array(grid), np.array(angles), 1)[0])
-            slope_gap = max(slope_gap, abs(slope + 2.0 * curve.weight))
+            mean = sum(angles) / len(angles)
+            slope = sum(d * (angle - mean) for d, angle in zip(offsets, angles)) / spread / top
+            slope_gaps.append(abs(slope + two_weight) / two_weight)
     hp_gap = max(abs(angle + 2.0 * curve.weight * t) for t, angle in zip(grid, hp))
 
     buffer = io.StringIO()
@@ -389,7 +397,9 @@ def cmd_double(args) -> int:
         writer.writerow([tag.name.lower(), curve.word, repr(float(curve.weight)), repr(float(t)), repr(angle)])
 
     _write_report(Path(args.out), "cone_angles.csv", buffer.getvalue())
-    return EXIT_OK if slope_gap < slope_tol and hp_gap < hp_tol else EXIT_THRESHOLD
+    # Written so that a NaN gap fails.
+    passed = all(gap < slope_tol for gap in slope_gaps) and hp_gap < hp_tol
+    return EXIT_OK if passed else EXIT_THRESHOLD
 
 
 def _check_region(tag: Geometry, vertex: np.ndarray, tol: float) -> None:

@@ -4,14 +4,26 @@ Reflecting a bent surface in the support planes of its flat faces doubles the
 structure: each face contributes an involution, the products of two face
 reflections extend the holonomy to the doubled manifold, meridians around the
 bending lines become cone axes, and a cusp of the surface doubles to a torus
-cusp.  This module aligns the two boundary surfaces of a half-pipe convex
-core by a common conjugating translation and doubles the core across them.
-A double has two faces, one per boundary surface, so it extends the
-representation to words in the surface generators and one face token, e1
-(with its inverse E1).  The module computes meridian cone angles from
-adjacent support-plane reflections, read in the leaf's own frame (a whole
-table of models and scales as one stacked computation), and checks that
-doubled cusp stabilizers are rank-2 abelian.
+cusp.
+
+The two boundary surfaces of a half-pipe convex core are bent along two
+curves, lambda and mu, over one Fuchsian group.  In half-pipe geometry a
+bent holonomy is an affine map (L(w), v(w)) of Minkowski space R^{1,2}: its
+linear part is the Fuchsian holonomy L(w), and its translation v is the
+infinitesimal-bending cocycle of the curve (Danciger, "A geometric transition
+from hyperbolic to anti de Sitter geometry", Geom. Topol. 17, 2013).  The
+surfaces are aligned by a translation u with v_lambda - v_mu = delta u, which
+exists at the critical point of l_lambda + l_mu (Kerckhoff, "Earthquakes are
+analytic", Comment. Math. Helv. 60, 1985).  This module reads v off the
+crossings of the generators' holonomy segments
+(:func:`halfpipe.bending.bent_translation`), solves for u on the generators,
+and doubles the core across the two surfaces.  A double has two faces, one
+per boundary surface, so it extends the representation to words in the
+surface generators and one face token, e1 (with its inverse E1).  The module
+also computes meridian cone angles from adjacent support-plane reflections,
+read in the leaf's own frame (a whole table of models and scales as one
+stacked computation), and checks that doubled cusp stabilizers are rank-2
+abelian.
 """
 
 from __future__ import annotations
@@ -23,22 +35,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from halfpipe.bending import BendingContext, BentHolonomy, _bracketed_product, bent_holonomy
+from halfpipe.bending import BendingContext, BentHolonomy, _bracketed_product, bent_holonomy, bent_translation
 from halfpipe.fuchsian import Crossings, EndpointOnLeafError, PuncturedTorusGroup, WeightedMulticurve
-from halfpipe.fuchsian import _crossings, _cyclic_reduce, _walk_segment
+from halfpipe.fuchsian import _crossings, _walk_segment
 from halfpipe.geometry import HP, HYP, Geometry, GeometryError, Plane, TagMismatchError, _unit_rows
 from halfpipe.isometry import (
     Isometry,
     MinkowskiIsometry,
     classify_isometry,
-    hp_to_minkowski,
     minkowski_to_hp,
     reflection,
     reflection_stack,
     standard_rotation_angles,
 )
 
-# Largest linear-part gap and translation residual of two aligned surfaces.
+# Largest translation residual of two aligned surfaces.
 EPS_ALIGNMENT = 1e-8
 
 # Nudge (disk units) used to sample the two faces adjacent to a bending leaf.
@@ -114,25 +125,24 @@ def _check_surface_pair(upper: BendingContext, lower: BendingContext) -> None:
 def pair_aligner(upper: BendingContext, lower: BendingContext) -> Isometry:
     """The half-pipe translation conjugating the lower holonomy to the upper.
 
-    Solves the linear system (Id - A_w) u = v_upper(w) - v_lower(w) over the
-    generators, where A_w is the shared linear part and v the translation
-    parts.  A solution exists precisely when the two bent holonomies are
-    conjugate by a vertical-graph translation.  The pair is refused when the
-    linear parts differ by more than EPS_ALIGNMENT or the least-squares
-    residual exceeds it, and so is any pair but a positively bent upper and a
-    negatively bent lower half-pipe context over one group and one basepoint.
+    Both bent holonomies are affine maps (L(w), v(w)) of Minkowski space
+    with the one linear part L(w), the group's Lorentz image of w, as the
+    two contexts share the group.  The translations v_upper and v_lower
+    are read off the crossings of [x0, w . x0] by
+    :func:`halfpipe.bending.bent_translation`, and the aligner is the
+    translation u with (Id - L(w)) u = v_upper(w) - v_lower(w) for w = A
+    and B, solved by least squares.  A solution exists precisely when the
+    difference of the two bending cocycles is a coboundary, which happens
+    at the critical point of the combined length.  The pair is refused when
+    the least-squares residual exceeds EPS_ALIGNMENT, and so is any pair
+    but a positively bent upper and a negatively bent lower half-pipe
+    context over one group and one basepoint.
     """
     _check_surface_pair(upper, lower)
-    rho_u, rho_l = bent_holonomy(upper), bent_holonomy(lower)
     rows, rhs = [], []
     for word in ("A", "B"):
-        mu, ml = hp_to_minkowski(rho_u(word)), hp_to_minkowski(rho_l(word))
-        if float(np.abs(mu.linear - ml.linear).max()) > EPS_ALIGNMENT:
-            raise NoConjugatingTranslationError(
-                f"linear parts of the two holonomies differ on {word!r}"
-            )
-        rows.append(np.eye(3) - mu.linear)
-        rhs.append(mu.translation - ml.translation)
+        rows.append(np.eye(3) - upper.group.lorentz(word))
+        rhs.append(bent_translation(upper, word) - bent_translation(lower, word))
     system, target = np.concatenate(rows), np.concatenate(rhs)
     u, *_ = np.linalg.lstsq(system, target, rcond=None)
     residual = float(np.abs(system @ u - target).max())
@@ -158,8 +168,12 @@ def double_convex_core_pair(upper: BendingContext, lower: BendingContext) -> Dou
     # at the basepoint lie in {x3 = 0}; the aligner has already refused a
     # basepoint on a leaf of either curve.
     mirror = reflection(Plane.base_plane(HP))
-    reflections = (mirror, aligner @ mirror @ aligner.inverse())
-    return DoubledHolonomy(rho=bent_holonomy(upper), reflections=reflections)
+    # aligner . mirror . aligner^-1 for the translation aligner [[Id, 0], [w, 1]]
+    # and mirror diag(1, 1, 1, -1): the identity with row 3 (2 w, -1), bit for bit.
+    carried = np.eye(4)
+    carried[3] = 2.0 * aligner.matrix[3]
+    carried[3, 3] = -1.0
+    return DoubledHolonomy(rho=bent_holonomy(upper), reflections=(mirror, Isometry(carried, HP)))
 
 
 def _isolating_crossing(group: PuncturedTorusGroup, multicurve: WeightedMulticurve) -> Crossings:
@@ -169,7 +183,7 @@ def _isolating_crossing(group: PuncturedTorusGroup, multicurve: WeightedMulticur
     segment crosses exactly that leaf.  The segment, at most 2 * LEAF_NUDGE
     long, is searched on its own: an atlas ball about the centre holds many more leaves.
     """
-    leaf = group.axis(multicurve.components[0].word)
+    leaf = group.axis(multicurve.components[0].root)
     anchor = leaf.closest_point_to_origin()
     z = anchor[1:] / anchor[0]
     direction = leaf.normal[1:] - z * leaf.normal[0]
@@ -220,20 +234,19 @@ def meridian_cone_angles(
             raise GeometryError(f"scale {s!r} is not finite")
         if tag is HYP and abs(s * weight) >= math.pi:
             raise GeometryError(f"hyperbolic bending angle {s * weight!r} must stay below pi")
-    root = _cyclic_reduce(curve.word)
-    if root != curve.word:
-        # h.r.h^-1 bends along the lines of r, whose axis mostly lies nearer the centre, with a better frame.
-        multicurve = WeightedMulticurve.single(root, weight)
     far_to_near = _bracketed_product(group, multicurve, _isolating_crossing(group, multicurve), "", slices)
-    phi, phi_inverses = group.axis_frame(root, tags)
+    phi, phi_inverses = group.axis_frame(curve.root, tags)
+    covectors = _unit_rows(far_to_near[:, 3])
+    by_tag = {tag: [j for j, other in enumerate(tags) if other is tag] for tag in dict.fromkeys(tags)}
+    meridians = np.empty((len(tags), 4, 4))
+    for tag, rows in by_tag.items():
+        meridians[rows] = reflection_stack(tag, covectors[rows])
+    # Times r(P0) on the left, which negates row 3 exactly.
+    meridians[:, 3] *= -1.0
+    blocks = (phi @ meridians) @ phi_inverses
     angles = [0.0] * len(tags)
-    for tag in dict.fromkeys(tags):
-        rows = [j for j, other in enumerate(tags) if other is tag]
-        meridians = reflection_stack(tag, _unit_rows(far_to_near[rows, 3]))
-        # Times r(P0) on the left, which negates row 3 exactly.
-        meridians[:, 3] *= -1.0
-        blocks = (phi @ meridians) @ phi_inverses[rows]
-        for j, angle in zip(rows, standard_rotation_angles(blocks, tag)):
+    for tag, rows in by_tag.items():
+        for j, angle in zip(rows, standard_rotation_angles(blocks[rows], tag)):
             angles[j] = angle
             if tag is HYP:
                 angles[j] += math.tau * round((2.0 * (math.pi - scales[j] * weight) - angles[j]) / math.tau)

@@ -36,7 +36,7 @@ differ in sign).  There are three tile sources:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -480,11 +480,15 @@ class MulticurveComponent:
     Simple closed curves are the primitive conjugacy classes, one for each
     primitive homology class (p, q) (Osborne-Zieschang): that of
     ``christoffel(p, q)``.  This refuses the cusp, proper powers and curves
-    that cross themselves.
+    that cross themselves.  ``word`` stays as given, for reports; ``root``
+    is its cyclic reduction r, for a word h . r . h^-1.  Both bend along
+    the same lines, and every leaf is named and framed by the axis of r,
+    which lies nearer the disk centre than the axis of h . r . h^-1.
     """
 
     word: str
     weight: float
+    root: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_word(self.word)
@@ -497,6 +501,7 @@ class MulticurveComponent:
             )
         if not (self.weight > 0.0 and math.isfinite(self.weight)):
             raise BadWordError("component weights must be positive and finite")
+        object.__setattr__(self, "root", _cyclic_reduce(self.word))
 
 
 @dataclass(frozen=True)
@@ -577,15 +582,14 @@ def _join(u: str, v: str) -> str:
     return u[: len(u) - k] + v[k:]
 
 
-def _first_word(prefix: str, root: str, tail: str) -> str:
-    """The first in walk order of the reduced words prefix . root^j . tail, j an integer.
+def _first_word(prefix: str, root: str) -> str:
+    """The first in walk order of the reduced words prefix . root^j, j an integer.
 
-    tail^-1 . root . tail is reduced and root cyclically reduced, so
-    root^j . tail is reduced for every j, and only the powers of root or of
-    its inverse, whichever cancels the last letter of the prefix, can beat
+    root is cyclically reduced, so only the powers of root or of its
+    inverse, whichever cancels the last letter of the prefix, can beat
     j = 0.  The prefix is reduced.
     """
-    best = _join(prefix, tail)
+    best = prefix
     if prefix[-1:] == root[0].swapcase():
         step = root
     elif prefix[-1:] == root[-1]:
@@ -594,15 +598,13 @@ def _first_word(prefix: str, root: str, tail: str) -> str:
         return best
     head = prefix
     while True:
-        # |prefix . step^j| falls and then rises by |step| per step, and
-        # bounds |prefix . step^j . tail| from below up to |tail|.
+        # |prefix . step^j| falls and then rises by |step| per step.
         longer = _join(head, step)
-        if len(longer) > len(head) and len(longer) - len(tail) > len(best):
+        if len(longer) > len(head):
             return best
         head = longer
-        candidate = _join(head, tail)
-        if len(candidate) <= len(best) and _walk_order(candidate) < _walk_order(best):
-            best = candidate
+        if _walk_order(head) < _walk_order(best):
+            best = head
 
 
 def _tiles_near_segment(group: PuncturedTorusGroup, x: np.ndarray, y: np.ndarray, radius: float) -> list[str]:
@@ -672,21 +674,19 @@ def _tiles_near_segment(group: PuncturedTorusGroup, x: np.ndarray, y: np.ndarray
 def _tile_leaves(group: PuncturedTorusGroup, mc: WeightedMulticurve, tiles) -> Leaves:
     """Every lift of the curve through the given tiles, as normals and conjugator words in walk order.
 
-    For the curve's word h . r . h^-1 (r cyclically reduced), the lifts
-    through a tile w.Q are w . (r_1 ... r_k)^-1 . axis(r), 0 <= k < |r|, as
-    the axis of r crosses the tiles r^n . r_1 ... r_k . Q.  Each is named by
-    its first word v in walk order (v . axis(word) is the lift), found once
-    per distinct word before any product; its normal is v's prefix product
-    applied to the axis normal.  The name depends on the leaf alone, not on
-    the tile it was reached from.
+    For the curve's cyclically reduced root r, the lifts through a tile w.Q
+    are w . (r_1 ... r_k)^-1 . axis(r), 0 <= k < |r|, as the axis of r
+    crosses the tiles r^n . r_1 ... r_k . Q.  Each is named by its first
+    word v in walk order (v . axis(r) is the lift), found once per distinct
+    word before any product; its normal is v's prefix product applied to
+    the axis normal.  The name depends on the leaf alone, not on the tile
+    it was reached from.
     """
-    curve = mc.components[0].word
-    root = _cyclic_reduce(curve)
-    tail = invert_word(curve[: (len(curve) - len(root)) // 2])
+    root = mc.components[0].root
     offsets = [invert_word(root[:k]) for k in range(len(root))]
     heads = {_join(tile, offset) for tile in tiles for offset in offsets}
-    order = sorted({_first_word(head, root, tail) for head in heads}, key=_walk_order)
-    axis = group.axis(curve).normal
+    order = sorted({_first_word(head, root) for head in heads}, key=_walk_order)
+    axis = group.axis(root).normal
     return np.array([group.prefix_product(first) @ axis for first in order]).reshape(-1, 3), order
 
 

@@ -2,17 +2,27 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from test_fuchsian import ATLAS_MULTICURVES, disk_points, extreme_trace_points, reduced_words, trace_points
+from test_fuchsian import (
+    ATLAS_MULTICURVES,
+    SIMPLE_CURVES,
+    base_points,
+    disk_points,
+    extreme_trace_points,
+    reduced_words,
+    trace_points,
+)
 
 from halfpipe.bending import (
     BendingContext,
     bending_cocycle,
     bending_map,
     bent_holonomy,
+    bent_translation,
     psi_lambda,
     sigma_embed,
     support_plane_at,
@@ -24,7 +34,9 @@ from halfpipe.fuchsian import (
     WeightedMulticurve,
     build_punctured_torus,
     free_reduce,
+    holonomy_segment_crossings,
     leaves_crossing,
+    segment_crossings,
 )
 from halfpipe.geometry import (
     ADS,
@@ -40,7 +52,7 @@ from halfpipe.geometry import (
     klein_hp,
     minkowski_dot,
 )
-from halfpipe.isometry import Isometry, classify_isometry
+from halfpipe.isometry import Isometry, classify_isometry, group_residual, hp_to_minkowski
 
 SYMMETRIC = TeichPoint(3.0, 3.0, 3.0)
 KERCKHOFF = TeichPoint(2.0 * math.sqrt(2.0), 2.0 * math.sqrt(2.0), 4.0)
@@ -261,6 +273,39 @@ def test_bent_holonomy_degenerate_inputs():
             assert np.array_equal(flat(word).matrix, expected.matrix)
 
 
+# Curve words h . r . h^-1 and their cyclic reductions r, with trace points
+# where the axis of h . r . h^-1 lies far from the disk centre.
+CONJUGATE_CURVES = (
+    ("Abaa", "ba", TeichPoint.from_xy(18.551686291445424, 16.900173399065306)),
+    ("bABB", "AB", TeichPoint.from_xy(6.50, 15.86)),
+)
+
+
+@pytest.mark.parametrize("word, root, traces", CONJUGATE_CURVES)
+def test_a_curve_word_bends_as_its_cyclic_reduction_bit_for_bit(word, root, traces):
+    # Both bend along the same lines, and leaves are named and framed by the axis of the root.
+    assert WeightedMulticurve.single(word).components[0].root == root
+    group = build_punctured_torus(traces)
+    contexts = [
+        BendingContext(group, WeightedMulticurve.single(curve, 0.7), BASE, tag, 1.0, 0.1)
+        for curve in (word, root) for tag in ALL_TAGS
+    ]
+    for conjugate, reduced in zip(contexts[:3], contexts[3:]):
+        for g in ("A", "B", "AB", "aB"):
+            assert np.array_equal(bent_holonomy(conjugate)(g).matrix, bent_holonomy(reduced)(g).matrix), g
+            if conjugate.tag is HP:
+                assert np.array_equal(bent_translation(conjugate, g), bent_translation(reduced, g)), g
+    # A segment past the root's axis, halfway from its nearest point to the rim.
+    anchor = group.axis(root).closest_point_to_origin()
+    near = anchor[1:] / anchor[0]
+    far = near * (0.5 + 0.5 / np.linalg.norm(near))
+    found = segment_crossings(group, contexts[0].multicurve, BASE, far)
+    expected = segment_crossings(group, contexts[3].multicurve, BASE, far)
+    assert found[3] == expected[3] and len(found[3]) > 0
+    for array, want in zip(found[:3], expected[:3]):
+        assert np.array_equal(array, want)
+
+
 def test_bent_holonomy_keeps_cusp_parabolic():
     for tag in ALL_TAGS:
         rho = bent_holonomy(_context(tag, scale=1.0 if tag is HP else 0.2))
@@ -298,6 +343,8 @@ def test_hp_bent_surface_is_graph_of_height_function():
     ctx = _context(HP, weight=0.8, scale=0.4)
     with pytest.raises(TagMismatchError):
         psi_lambda(_context(HYP), np.array([0.1, 0.1]))
+    with pytest.raises(TagMismatchError):
+        bent_translation(_context(ADS), "A")
     for z in _disk_points(rng, 60, radius=0.93):
         chart, height = klein_hp(bending_map(ctx, z))
         assert np.max(np.abs(chart - z)) < TOL_GRAPH
@@ -462,3 +509,118 @@ def test_bent_holonomies_conjugate_exactly_at_the_critical_point():
     rho_u, rho_l = holonomies(SYMMETRIC)
     _, residual = _coboundary_fit(rho_u, rho_l)
     assert residual > 1e-2
+
+
+# A 50-digit reference of the half-pipe translation cocycle.  The group's
+# double-precision SL(2) letter matrices and the crossings found in floats
+# are its exact inputs; the adjoint images and the axis normal are formed
+# in mpmath.
+REFERENCE_DIGITS = 50
+
+
+def _mp_sl2(letters, word):
+    out = mpmath.eye(2)
+    for letter in word:
+        out = out * letters[letter]
+    return out
+
+
+def _mp_adjoint(g):
+    """sl2_to_so12 of an mpmath 2x2 matrix: g . e . adj(g) on the basis e of trace-free matrices."""
+    adjugate = mpmath.matrix([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]])
+    columns = []
+    for e in ([[0, -1], [1, 0]], [[1, 0], [0, -1]], [[0, 1], [1, 0]]):
+        m = g * mpmath.matrix(e) * adjugate
+        columns.append([(m[1, 0] - m[0, 1]) / 2, m[0, 0], (m[1, 0] + m[0, 1]) / 2])
+    return mpmath.matrix([[column[i] for column in columns] for i in range(3)])
+
+
+def _mp_axis_normal(g):
+    """axis_of_sl2's unit normal, the trace-free part of g signed by the trace, in mpmath."""
+    trace = g[0, 0] + g[1, 1]
+    m = g - (trace / 2) * mpmath.eye(2)
+    eta = [(m[1, 0] - m[0, 1]) / 2, m[0, 0], (m[1, 0] + m[0, 1]) / 2]
+    norm = mpmath.sqrt(-eta[0] ** 2 + eta[1] ** 2 + eta[2] ** 2)
+    return mpmath.matrix([mpmath.sign(trace) * c / norm for c in eta])
+
+
+def _relative_gap(found, reference):
+    size = max(abs(c) for c in reference)
+    gap = max(abs(mpmath.mpf(float(f)) - c) for f, c in zip(found, reference))
+    return float(gap / size) if size else float(gap)
+
+
+def _reference_translation(ctx, word):
+    """The reference -theta * sum_i side_i * L(word_i) . n, and the input floor.
+
+    The floor is the relative distance to the same sum with the group's
+    float Lorentz images L(word_i) and float axis normal taken as exact: what
+    the inputs of :func:`bent_translation` lose before it rounds anything.
+    """
+    group, curve = ctx.group, ctx.multicurve.components[0]
+    _, sides, _, words = holonomy_segment_crossings(group, ctx.multicurve, ctx.base_point, word)
+    with mpmath.workdps(REFERENCE_DIGITS):
+        letters = {letter: mpmath.matrix(group.sl2(letter).tolist()) for letter in "ABab"}
+        normal = _mp_axis_normal(_mp_sl2(letters, curve.root))
+        float_normal = mpmath.matrix(group.axis(curve.root).normal.tolist())
+        total, from_floats = mpmath.matrix(3, 1), mpmath.matrix(3, 1)
+        for side, conjugator in zip(sides.tolist(), words):
+            total += side * (_mp_adjoint(_mp_sl2(letters, conjugator)) * normal)
+            from_floats += side * (mpmath.matrix(group.lorentz(conjugator).tolist()) * float_normal)
+        theta = -mpmath.mpf(ctx.sign) * mpmath.mpf(ctx.scale) * mpmath.mpf(float(curve.weight))
+        reference = [theta * c for c in total]
+        return reference, _relative_gap([theta * c for c in from_floats], reference)
+
+
+SHORT_SIMPLE_CURVES = [word for word in SIMPLE_CURVES if len(word) <= 4]
+HOLONOMY_WORDS = ("A", "B", "AB", "aB")
+
+
+@given(
+    point=extreme_trace_points,
+    curve=st.sampled_from(SHORT_SIMPLE_CURVES),
+    weight=st.floats(0.01, 3.0),
+    sign=st.sampled_from((1.0, -1.0)),
+    scale=st.floats(0.01, 2.0),
+    base=disk_points,
+    word=st.sampled_from(HOLONOMY_WORDS),
+)
+@settings(max_examples=300)
+@example(
+    point=TeichPoint.from_xy(18.551686291445424, 16.900173399065306), curve="Abaa", weight=1.0, sign=1.0,
+    scale=0.05, base=BASE, word="AB",
+)
+def test_bent_translation_matches_a_50_digit_reference(point, curve, weight, sign, scale, base, word):
+    ctx = BendingContext(build_punctured_torus(point), WeightedMulticurve.single(curve, weight), base, HP, sign, scale)
+    try:
+        found = bent_translation(ctx, word)
+    except (EndpointOnLeafError, OutsideModelError):
+        assume(False)
+    reference, floor = _reference_translation(ctx, word)
+    # Far out at extreme traces the float images alone lose more than the gate allows.
+    assume(floor <= 1e-13)
+    with mpmath.workdps(REFERENCE_DIGITS):
+        assert _relative_gap(found, reference) <= 1e-12
+
+
+@given(
+    point=trace_points,
+    curve=st.sampled_from(SHORT_SIMPLE_CURVES),
+    weight=st.floats(0.01, 3.0),
+    sign=st.sampled_from((1.0, -1.0)),
+    scale=st.floats(0.01, 2.0),
+    base=base_points,
+    word=st.sampled_from(HOLONOMY_WORDS),
+)
+def test_bent_translation_is_that_of_the_4x4_bent_holonomy(point, curve, weight, sign, scale, base, word):
+    ctx = BendingContext(build_punctured_torus(point), WeightedMulticurve.single(curve, weight), base, HP, sign, scale)
+    try:
+        found = bent_translation(ctx, word)
+        holonomy = bent_holonomy(ctx)(word)
+    except (EndpointOnLeafError, OutsideModelError):
+        assume(False)
+    # The 4x4 translation loses up to a few times the group residual of its
+    # linear block, and hp_to_minkowski refuses one that is off by 1e-8.
+    assume(group_residual(holonomy.matrix, HP) <= 1e-10)
+    through_4x4 = hp_to_minkowski(holonomy).translation
+    assert np.max(np.abs(through_4x4 - found)) <= 1e-9 * np.max(np.abs(found))

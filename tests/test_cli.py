@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from halfpipe import cli
 from halfpipe.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -24,7 +25,7 @@ from halfpipe.cli import (
 )
 from halfpipe.doubling import meridian_cone_angles
 from halfpipe.fuchsian import TeichPoint, WeightedMulticurve, build_punctured_torus, filling_advisory
-from halfpipe.geometry import HYP, GeometryError
+from halfpipe.geometry import HP, HYP, GeometryError
 
 TOL_READBACK = 1e-9
 # the first report each subcommand writes, on the config of _write_config
@@ -83,6 +84,26 @@ def test_transition_threshold_exit(tmp_path):
     config = _write_config(tmp_path / "cfg.json", words=["AB"])
     code, _ = _run(tmp_path, "transition", config, "--tol", "1e-18")
     assert code == EXIT_THRESHOLD
+
+
+def test_a_curve_word_is_reported_as_given_and_bent_as_its_cyclic_reduction(tmp_path):
+    traces = TeichPoint.from_xy(18.551686291445424, 16.900173399065306).as_array().tolist()
+    gaps, tables = {}, {}
+    for word in ("Abaa", "ba"):
+        lam = {"lambda": [{"word": word, "weight": 1.0}]}
+        config = _write_config(tmp_path / f"{word}.json", traces=traces, multicurves=lam, words=["A", "B", "AB"])
+        code, out = _run(tmp_path / word, "transition", config)
+        assert code == EXIT_OK
+        gaps[word] = json.loads((out / "transition_summary.json").read_text())["gaps"]
+        code, out = _run(tmp_path / word, "double", config)
+        assert code == EXIT_OK
+        with (out / "cone_angles.csv").open() as handle:
+            rows = list(csv.DictReader(handle))
+        assert {row["word"] for row in rows} == {word}
+        tables[word] = [row["cone_angle"] for row in rows]
+    # Framed by the axis of Abaa, which lies far from the centre, the gaps were 9.1e-9 and 2.2e-7.
+    assert gaps["Abaa"] == gaps["ba"] and max(gaps["Abaa"]) < 1e-11
+    assert tables["Abaa"] == tables["ba"]
 
 
 def test_transition_one_sided_grid_is_a_config_error(tmp_path, capsys):
@@ -310,6 +331,30 @@ def test_double_exits_0_with_exact_angles_wherever_the_basepoint_lies(tmp_path, 
     code, default = _run(tmp_path / "default", "double", config, *extra)
     assert code == EXIT_OK
     assert (default / "cone_angles.csv").read_bytes() == (out / "cone_angles.csv").read_bytes()
+
+
+@pytest.mark.filterwarnings("error")
+def test_double_slope_gate_is_relative_to_twice_the_weight(tmp_path, monkeypatch):
+    # At weight 1e-300 the slope is -2e-300: an absolute gate of 1e-8 passes any slope near 0.
+    lam = {"lambda": [{"word": "A", "weight": 1e-300}]}
+    config = _write_config(tmp_path / "cfg.json", multicurves=lam)
+    code, out = _run(tmp_path, "double", config, "--grid=1e300,2e300")
+    assert code == EXIT_OK
+    with (out / "cone_angles.csv").open() as handle:
+        rows = list(csv.DictReader(handle))
+    assert [float(row["cone_angle"]) for row in rows if row["geometry"] == "half_pipe"] == [-2.0, -4.0]
+    # The anti-de Sitter cells are within 2e-15 of -2 and -4, so the slope
+    # is off by about 1e-15 relative: below 1e-8, above 1e-20.
+    assert _run(tmp_path, "double", config, "--grid=1e300,2e300", "--tol=1e-20")[0] == EXIT_THRESHOLD
+
+    # A table whose curved slopes are off by 1e-6 relative fails, as the
+    # absolute gate would let it pass: |slope + 2 weight| is 2e-306 there.
+    def skewed(group, multicurve, slices):
+        angles = meridian_cone_angles(group, multicurve, slices)
+        return [a if tag is HP else a - 2e-6 * t * 1e-300 for (tag, t), a in zip(slices, angles)]
+
+    monkeypatch.setattr(cli, "meridian_cone_angles", skewed)
+    assert _run(tmp_path, "double", config, "--grid=1e300,2e300")[0] == EXIT_THRESHOLD
 
 
 def test_double_with_a_hyperbolic_bending_angle_of_pi_or_more_exits_2(tmp_path):

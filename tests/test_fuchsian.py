@@ -788,7 +788,7 @@ def test_side_times_the_conjugated_axis_normal_is_the_leaf_normal(point, mc, x, 
         assume(False)
     _, sides, _, words = segment_crossings(group, mc, x, y)
     assert [c.conjugator_word for c in crossings] == words
-    axis = group.axis(mc.components[0].word).normal
+    axis = group.axis(mc.components[0].root).normal
     for crossing, side in zip(crossings, sides):
         pushed = side * (group.lorentz(crossing.conjugator_word) @ axis)
         assert np.max(np.abs(crossing.leaf.normal - pushed)) <= 1e-9 * np.max(np.abs(pushed))

@@ -36,6 +36,12 @@ The runs, all in one process:
   the base point (0.99999, 0), next to the rim; Ab at from_xy(3, 4) from
   (-0.2, 0.15) at large anti-de Sitter angles; and 1.774·AAb at traces
   where the default grid failed from a base point near the centre;
+- ``transition`` and ``double`` on the CONJUGATE_CURVES, curve words
+  h . r . h^-1 that are not cyclically reduced, at trace points where their
+  own axes lie far from the disk centre: they bend as their roots r do;
+- ``double`` on λ = 1e-300·A at (3,3,3) with the grid 1e300,2e300, at the
+  default tolerance and at ``--tol=1e-20``, where the relative slope gate
+  tells a slope of -2e-300 from 0;
 - all four subcommands on two multicurves that are not one simple closed
   curve, 0.7 AABB and A + 0.5 B (two entries), which exit 2;
 - on the first small configuration, all four subcommands with ``--seed=-3``
@@ -113,6 +119,12 @@ CONE_CONFIGS = {
     ),
 }
 
+# name -> (from_xy(x, y), lambda) of the runs on curve words that are not cyclically reduced.
+CONJUGATE_CURVES = {
+    "Abaa": ((18.551686291445424, 16.900173399065306), ("Abaa", 1.0)),
+    "bABB": ((6.50, 15.86), ("bABB", 1.0)),
+}
+
 
 def _digest(lines: list[str]) -> str:
     return hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
@@ -183,6 +195,13 @@ def runs(workloads, teich_point):
     for name, (traces, lam, base, grid) in CONE_CONFIGS.items():
         cfg = dict(_config(traces, **{"lambda": [lam]}), base_point=base)
         yield f"cone/{name}/double", "double", cfg, () if grid is None else (f"--grid={grid}",)
+    for name, ((x, y), lam) in CONJUGATE_CURVES.items():
+        cfg = dict(_config(teich_point.from_xy(x, y).as_array().tolist(), **{"lambda": [lam]}), words=["A", "B", "AB"])
+        for command in ("transition", "double"):
+            yield f"curve/{name}/{command}", command, cfg, ()
+    cfg = _config((3.0, 3.0, 3.0), **{"lambda": [("A", 1e-300)]})
+    for extra in (("--grid=1e300,2e300",), ("--grid=1e300,2e300", "--tol=1e-20")):
+        yield f"slope/1e-300*A/double@{' '.join(extra)}", "double", cfg, extra
     refused = {"0.7AABB": [("AABB", 0.7)], "A+0.5B": [("A", 1.0), ("B", 0.5)]}
     for name, lam in refused.items():
         cfg = dict(_config((3.0, 3.0, 3.0), **{"lambda": lam, "mu": [("B", 1.0)]}), words=["A"])
