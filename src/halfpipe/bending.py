@@ -99,6 +99,8 @@ class BendingContext:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "base_point", _base_point(self.base_point))
+        if not isinstance(self.tag, Geometry):
+            raise GeometryError(f"tag must be a Geometry, not {self.tag!r}")
         if self.sign not in (1.0, -1.0):
             raise GeometryError("sign must be +1.0 or -1.0")
         if not math.isfinite(self.scale):
@@ -185,28 +187,21 @@ def bent_translation(ctx: BendingContext, word: str) -> np.ndarray:
 
     A half-pipe rotation by theta about the leaf of unit normal m is the
     translation by -theta * m, so the bent holonomy (L(w), v(w)) has
-    v(w) = -theta * sum_i side_i * L(word_i) . n, where n is the unit
-    normal of the axis of the curve's root and side_i and word_i come from
-    the crossings of [x0, word . x0].  In exact arithmetic this is the
-    translation of ``hp_to_minkowski(bent_holonomy(ctx)(word))``; here it
-    is formed from 3x3 images alone, with no axis frame and no 4x4 matrix.
-
-    Each L(word_i) is the group's image of the whole conjugator word, not
-    the running product of the telescoped steps that
-    :func:`_bracketed_product` multiplies.  A step from a leaf to one far
-    along the segment can have entries of 1e12 at extreme traces, and the
-    running product carries its rounding into every later leaf, while
-    L(word_i) . n is off by about eps * |L(word_i)| alone.
+    v(w) = -theta * sum_i side_i * n_i over the crossings of [x0, word . x0],
+    where n_i is the leaf normal that :func:`holonomy_segment_crossings`
+    returns, the group's image of the whole conjugator word applied to the
+    unit normal of the axis of the curve's root.  In exact arithmetic this
+    is the translation of ``hp_to_minkowski(bent_holonomy(ctx)(word))``;
+    here it is formed from those normals alone, with no axis frame and no
+    4x4 matrix.
     """
     if ctx.tag is not HP:
         raise TagMismatchError("bent holonomies are Minkowski affine maps in the half-pipe model")
-    group, curve = ctx.group, ctx.multicurve.components[0]
-    _, sides, _, words = holonomy_segment_crossings(group, ctx.multicurve, ctx.base_point, word)
-    normal = group.axis(curve.root).normal
+    normals, sides, _, _ = holonomy_segment_crossings(ctx.group, ctx.multicurve, ctx.base_point, word)
     total = np.zeros(3)
-    for side, conjugator in zip(sides.tolist(), words):
-        total += side * (group.lorentz(conjugator) @ normal)
-    return -(ctx.sign * ctx.scale * float(curve.weight)) * total
+    for side, normal in zip(sides.tolist(), normals):
+        total += side * normal
+    return -(ctx.sign * ctx.scale * float(ctx.multicurve.components[0].weight)) * total
 
 
 def bent_holonomy(ctx: BendingContext) -> BentHolonomy:

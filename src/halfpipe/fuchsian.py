@@ -19,9 +19,10 @@ with them every leaf meeting the region: crossing queries are complete by
 construction.
 
 Every leaf query is one pipeline: a tile source, then one leaf namer
-(``_tile_leaves``, the lifts through those tiles in walk order), then one
-sign test (``_crossings``, the leaves whose pairings with the two ends
-differ in sign).  There are three tile sources:
+(``_tile_leaves``, the lifts v . axis(r) through those tiles in walk order,
+each with the normal L(v) . n from the group's Lorentz image of the whole
+word v), then one sign test (``_crossings``, the leaves whose pairings with
+the two ends differ in sign).  There are three tile sources:
 
 - the atlas ball: each group keeps a leaf atlas per multicurve, the leaves
   meeting a hyperbolic ball about the disk centre, found by one search and
@@ -279,6 +280,8 @@ class TeichPoint:
     @classmethod
     def from_xy(cls, x: float, y: float, branch: str = "minus") -> "TeichPoint":
         """Solve the trace relation for z; 'minus'/'plus' pick the two roots."""
+        if branch not in ("minus", "plus"):
+            raise BadTracesError(f"branch must be 'minus' or 'plus', not {branch!r}")
         disc = x * x * y * y - 4.0 * (x * x + y * y)
         if disc < 0.0:
             raise BadTracesError("no real trace relation solution for these (x, y)")
@@ -320,13 +323,13 @@ class PuncturedTorusGroup:
     tile sides.  It computes a word's Lorentz image, axis and axis frames
     when first asked for them and returns the same object after that; the
     arrays are read-only.  So are the stacked images of the four letters
-    (``letter_images``), the side normals of its fundamental quadrilateral
-    (``tile_sides``) and the letter-by-letter products of the words that
-    leaf searches name leaves by, with all their prefixes (``prefix_product``).
-    It also keeps one leaf atlas per multicurve and the tiles near each point
-    asked about (``tiles_near``).  Each memo holds only what
-    was asked of this group, never a failed query, and lives as long as the
-    group.
+    (``letter_images``) and the side normals of its fundamental
+    quadrilateral (``tile_sides``).  A word's Lorentz image is the adjoint
+    of its SL(2) product, the one evaluation of a word that leaf normals,
+    bent holonomies and translations all read.  The group also keeps one
+    leaf atlas per multicurve and the tiles near each point asked about
+    (``tiles_near``).  Each memo holds only what was asked of this group,
+    never a failed query, and lives as long as the group.
     """
 
     trace_point: TeichPoint
@@ -345,7 +348,6 @@ class PuncturedTorusGroup:
         object.__setattr__(self, "_frames", {})
         object.__setattr__(self, "_letters", None)
         object.__setattr__(self, "_sides", None)
-        object.__setattr__(self, "_prefixes", {"": _IDENTITY3})
         object.__setattr__(self, "_near_tiles", {})
 
     def sl2(self, word: str) -> np.ndarray:
@@ -370,21 +372,6 @@ class PuncturedTorusGroup:
             for ch, image in zip(GENERATOR_LETTERS, images):
                 self._lorentz.setdefault(ch, image)
         return self._letters
-
-    def prefix_product(self, word: str) -> np.ndarray:
-        """The identity times the Lorentz images of a word's letters, multiplied left to right.
-
-        Kept with every prefix, so a word costs one 3x3 product per letter past the longest known prefix.
-        """
-        product = self._prefixes.get(word)
-        if product is None:
-            known = next(k for k in range(len(word) - 1, -1, -1) if word[:k] in self._prefixes)
-            product = self._prefixes[word[:known]]
-            for end in range(known + 1, len(word) + 1):
-                product = product @ self.lorentz(word[end - 1])
-                product.flags.writeable = False
-                self._prefixes[word[:end]] = product
-        return product
 
     def axis(self, word: str) -> SpacelikeGeodesicH2:
         axis = self._axes.get(word)
@@ -678,16 +665,17 @@ def _tile_leaves(group: PuncturedTorusGroup, mc: WeightedMulticurve, tiles) -> L
     are w . (r_1 ... r_k)^-1 . axis(r), 0 <= k < |r|, as the axis of r
     crosses the tiles r^n . r_1 ... r_k . Q.  Each is named by its first
     word v in walk order (v . axis(r) is the lift), found once per distinct
-    word before any product; its normal is v's prefix product applied to
-    the axis normal.  The name depends on the leaf alone, not on the tile
-    it was reached from.
+    word before any product; its normal is L(v) . n, the group's Lorentz
+    image of the whole word v applied to the unit normal n of the axis of
+    r.  The name depends on the leaf alone, not on the tile it was reached
+    from.
     """
     root = mc.components[0].root
     offsets = [invert_word(root[:k]) for k in range(len(root))]
     heads = {_join(tile, offset) for tile in tiles for offset in offsets}
     order = sorted({_first_word(head, root) for head in heads}, key=_walk_order)
     axis = group.axis(root).normal
-    return np.array([group.prefix_product(first) @ axis for first in order]).reshape(-1, 3), order
+    return np.array([group.lorentz(first) @ axis for first in order]).reshape(-1, 3), order
 
 
 def _walk_segment(group: PuncturedTorusGroup, mc: WeightedMulticurve, x: np.ndarray, y: np.ndarray) -> Leaves:

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from test_fuchsian import (
     ATLAS_MULTICURVES,
     SIMPLE_CURVES,
+    _all_reduced_words,
+    _coset_key,
     base_points,
     disk_points,
     extreme_trace_points,
@@ -112,6 +114,14 @@ def test_context_validation():
     with pytest.raises(GeometryError):
         BendingContext(group=group, multicurve=mc, base_point=BASE, tag=HP, sign=0.5)
     assert not _context(HP, scale=0.3).base_point.flags.writeable
+
+
+def test_context_refuses_a_tag_that_is_not_a_geometry():
+    group = build_punctured_torus(SYMMETRIC)
+    mc = WeightedMulticurve.single("A")
+    for tag in ("HP", None, 0, 1, HP.value):
+        with pytest.raises(GeometryError, match="Geometry"):
+            BendingContext(group=group, multicurve=mc, base_point=BASE, tag=tag)
 
 
 def test_cocycle_trivial_cases():
@@ -624,3 +634,64 @@ def test_bent_translation_is_that_of_the_4x4_bent_holonomy(point, curve, weight,
     assume(group_residual(holonomy.matrix, HP) <= 1e-10)
     through_4x4 = hp_to_minkowski(holonomy).translation
     assert np.max(np.abs(through_4x4 - found)) <= 1e-9 * np.max(np.abs(found))
+
+
+@given(
+    point=extreme_trace_points,
+    curve=st.sampled_from(SHORT_SIMPLE_CURVES),
+    weight=st.floats(0.01, 3.0),
+    sign=st.sampled_from((1.0, -1.0)),
+    scale=st.floats(0.01, 2.0),
+    base=disk_points,
+    word=st.sampled_from(HOLONOMY_WORDS),
+)
+def test_bent_translation_sums_the_whole_word_leaf_normals_bit_for_bit(point, curve, weight, sign, scale, base, word):
+    ctx = BendingContext(build_punctured_torus(point), WeightedMulticurve.single(curve, weight), base, HP, sign, scale)
+    try:
+        found = bent_translation(ctx, word)
+    except (EndpointOnLeafError, OutsideModelError):
+        assume(False)
+    group, root = ctx.group, ctx.multicurve.components[0].root
+    _, sides, _, words = holonomy_segment_crossings(group, ctx.multicurve, base, word)
+    axis = group.axis(root).normal
+    total = np.zeros(3)
+    for side, conjugator in zip(sides.tolist(), words):
+        total += side * (group.lorentz(conjugator) @ axis)
+    assert found.tobytes() == (-(sign * scale * weight) * total).tobytes()
+
+
+# Basepoints where [x0, aB . x0] ends within 1e-8 of the rim at traces near 37:
+# leaves far along the segment pair with its far end in the last digits.
+RIM_SEGMENTS = (
+    (TeichPoint.from_xy(36.54421736702381, 19.88390559576092), 0.7982560333168152),
+    (TeichPoint.from_xy(37.84985098133422, 35.45117573662722), 0.7798096860677832),
+)
+
+
+@pytest.mark.parametrize("point, radius", RIM_SEGMENTS)
+def test_rim_crossings_of_a_holonomy_segment_are_those_of_an_mpmath_sign_test(point, radius):
+    # The float generators and basepoint are the exact inputs; every leaf
+    # named by a word of up to six letters is tested at REFERENCE_DIGITS.
+    group = build_punctured_torus(point)
+    mc = WeightedMulticurve.single("Abaa")
+    root = mc.components[0].root
+    x0 = radius * np.array([0.6, 0.8])
+    _, sides, _, words = holonomy_segment_crossings(group, mc, x0, "aB")
+    with mpmath.workdps(REFERENCE_DIGITS):
+        letters = {letter: mpmath.matrix(group.sl2(letter).tolist()) for letter in "ABab"}
+        normal = _mp_axis_normal(_mp_sl2(letters, root))
+        near = mpmath.matrix([1, float(x0[0]), float(x0[1])])
+        far = _mp_adjoint(_mp_sl2(letters, "aB")) * near
+        form = mpmath.diag([-1, 1, 1])
+        crossed, total = [], mpmath.matrix(3, 1)
+        for key in sorted({_coset_key(v, root) for v in ["", *_all_reduced_words(6)]}):
+            leaf = _mp_adjoint(_mp_sl2(letters, key)) * normal
+            f0, f1 = ((leaf.T * form * end)[0] for end in (near, far))
+            if f0 * f1 < 0:
+                crossed.append((f0 / (f0 - f1 / far[0]), key, mpmath.sign(-f0)))
+                total += mpmath.sign(-f0) * leaf
+        crossed.sort()
+        assert [_coset_key(word, root) for word in words] == [key for _, key, _ in crossed]
+        assert sides.tolist() == [float(side) for _, _, side in crossed]
+        ctx = BendingContext(group, mc, x0, HP, 1.0, 1.0)
+        assert _relative_gap(bent_translation(ctx, "aB"), [-c for c in total]) <= 1e-12

@@ -198,6 +198,13 @@ def test_trace_point_validation():
     assert abs(fricke_defect(point.x, point.y, point.z)) < 1e-12
 
 
+def test_from_xy_refuses_an_unknown_branch():
+    for branch in ("minsu", "PLUS", "", None, 1):
+        with pytest.raises(BadTracesError, match="branch"):
+            TeichPoint.from_xy(3.0, 3.0, branch=branch)
+    assert TeichPoint.from_xy(3.0, 3.0, branch="minus") == TeichPoint.from_xy(3.0, 3.0)
+
+
 def test_swapped_traces_give_swapped_length_spectra():
     p1 = TeichPoint.from_xy(3.2, 3.9)
     p2 = TeichPoint.from_xy(3.9, 3.2)
@@ -721,18 +728,16 @@ def test_join_of_reduced_words_is_their_free_reduction(u, cancelled, w):
     assert fuchsian._join(v, u) == free_reduce(v + u)
 
 
-@given(point=extreme_trace_points, curve=st.sampled_from(ATLAS_MULTICURVES), words=st.lists(any_reduced_words, max_size=6))
-def test_prefix_products_equal_the_letter_by_letter_product_bit_for_bit(point, curve, words):
+@given(point=extreme_trace_points, u=reduced_words, v=reduced_words)
+def test_lorentz_images_are_a_homomorphism_into_the_lorentz_group_at_random_points(point, u, v):
+    # Each image is the adjoint of a rounded SL(2) product, whose condition is |L|:
+    # residuals are measured relative to the sizes of the factors.
     group = build_punctured_torus(point)
-    axis = group.axis(curve.components[0].word).normal
-    # Asked in an order where some words extend, and some are prefixes of, words asked before.
-    for word in [*words, *(w[: len(w) // 2] for w in words), *(fuchsian._join(w, "AB") for w in words)]:
-        product = np.eye(3)
-        for letter in word:
-            product = product @ group.lorentz(letter)
-        assert group.prefix_product(word).tobytes() == product.tobytes(), word
-        assert (group.prefix_product(word) @ axis).tobytes() == (product @ axis).tobytes(), word
-        assert not group.prefix_product(word).flags.writeable
+    lu, lv = group.lorentz(u), group.lorentz(v)
+    size = lambda m: float(np.max(np.abs(m)))
+    assert size(group.lorentz(u + v) - lu @ lv) <= 1e-14 * size(lu) * size(lv)
+    for image in (lu, lv, group.lorentz(free_reduce(u + v))):
+        assert size(image.T @ J3 @ image - J3) <= 1e-14 * size(image) ** 2
 
 
 @given(point=trace_points, mc=st.sampled_from(ATLAS_MULTICURVES), x=disk_points, y=disk_points)
@@ -776,23 +781,43 @@ def test_leaf_search_is_equivariant(point, mc, x, y, mover):
         assert np.max(np.abs(gap)) < 1e-9
 
 
-@given(point=trace_points, mc=st.sampled_from(ATLAS_MULTICURVES), x=disk_points, y=disk_points)
-def test_side_times_the_conjugated_axis_normal_is_the_leaf_normal(point, mc, x, y):
+def _assert_whole_word_normals(group, mc, crossings):
+    """Each crossing's normal is the group's image of its whole conjugator word applied to the root's axis normal."""
+    normals, _, _, words = crossings
+    axis = group.axis(mc.components[0].root).normal
+    for normal, word in zip(normals, words):
+        assert normal.tobytes() == (group.lorentz(word) @ axis).tobytes(), word
+
+
+@given(
+    point=trace_points, mc=st.sampled_from(ATLAS_MULTICURVES), x=disk_points, y=disk_points, word=reduced_words
+)
+def test_side_times_the_conjugated_axis_normal_is_the_leaf_normal(point, mc, x, y, word):
     # The bent products turn each leaf by its side times the angle, taking
     # lorentz(word) . axis as the leaf's normal, while leaves_crossing orients
-    # the leaf away from x: the two must agree.
+    # the leaf away from x: the two must agree.  Every tile source names its
+    # leaves' normals by that one evaluation, bit for bit.
     group = build_punctured_torus(point)
     try:
         crossings = leaves_crossing(group, mc, x, y)
     except EndpointOnLeafError:
         assume(False)
-    _, sides, _, words = segment_crossings(group, mc, x, y)
+    found = segment_crossings(group, mc, x, y)
+    _, sides, _, words = found
     assert [c.conjugator_word for c in crossings] == words
     axis = group.axis(mc.components[0].root).normal
     for crossing, side in zip(crossings, sides):
         pushed = side * (group.lorentz(crossing.conjugator_word) @ axis)
         assert np.max(np.abs(crossing.leaf.normal - pushed)) <= 1e-9 * np.max(np.abs(pushed))
         assert float(minkowski_dot(crossing.leaf.normal, disk_lift(x))) < 0.0
+    assert group.atlas(mc).covering(group, x, y) is not None
+    _assert_whole_word_normals(group, mc, found)
+    _assert_whole_word_normals(group, mc, _crossings(_walk_segment(group, mc, x, y), x, y))
+    try:
+        along_tree = fuchsian.holonomy_segment_crossings(group, mc, x, word)
+    except (EndpointOnLeafError, OutsideModelError):
+        return
+    _assert_whole_word_normals(group, mc, along_tree)
 
 
 def _is_simple_curve(word):
