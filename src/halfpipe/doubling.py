@@ -21,9 +21,11 @@ and doubles the core across the two surfaces.  A double has two faces, one
 per boundary surface, so it extends the representation to words in the
 surface generators and one face token, e1 (with its inverse E1).  The module
 also computes meridian cone angles from adjacent support-plane reflections,
-read in the leaf's own frame (a whole table of models and scales as one
-stacked computation), and checks that doubled cusp stabilizers are rank-2
-abelian.
+read as the rotation about the axis of the curve's root in that axis's own
+frame (a whole table of models and scales as one stacked computation).  The
+collar lemma keeps every other lift of the curve away from that axis, so the
+table queries no leaf.  It also checks that doubled cusp stabilizers are
+rank-2 abelian.
 """
 
 from __future__ import annotations
@@ -36,8 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from halfpipe.bending import BendingContext, BentHolonomy, _bracketed_product, bent_holonomy, bent_translation
-from halfpipe.fuchsian import Crossings, EndpointOnLeafError, PuncturedTorusGroup, WeightedMulticurve
-from halfpipe.fuchsian import _crossings, _walk_segment
+from halfpipe.fuchsian import PuncturedTorusGroup, WeightedMulticurve
 from halfpipe.geometry import HP, HYP, Geometry, GeometryError, Plane, TagMismatchError, _unit_rows
 from halfpipe.isometry import (
     Isometry,
@@ -51,9 +52,6 @@ from halfpipe.isometry import (
 
 # Largest translation residual of two aligned surfaces.
 EPS_ALIGNMENT = 1e-8
-
-# Nudge (disk units) used to sample the two faces adjacent to a bending leaf.
-LEAF_NUDGE = 1e-3
 
 _EXTENDED_TOKEN = re.compile(r"[AaBb]|[eE]1")
 
@@ -176,32 +174,6 @@ def double_convex_core_pair(upper: BendingContext, lower: BendingContext) -> Dou
     return DoubledHolonomy(rho=bent_holonomy(upper), reflections=(mirror, Isometry(carried, HP)))
 
 
-def _isolating_crossing(group: PuncturedTorusGroup, multicurve: WeightedMulticurve) -> Crossings:
-    """The crossing of the curve's axis by a segment from the far face beside it to the near face.
-
-    Nudges across the axis at its point nearest the disk centre until the
-    segment crosses exactly that leaf.  The segment, at most 2 * LEAF_NUDGE
-    long, is searched on its own: an atlas ball about the centre holds many more leaves.
-    """
-    leaf = group.axis(multicurve.components[0].root)
-    anchor = leaf.closest_point_to_origin()
-    z = anchor[1:] / anchor[0]
-    direction = leaf.normal[1:] - z * leaf.normal[0]
-    direction /= np.linalg.norm(direction)
-    eps = LEAF_NUDGE
-    for _ in range(4):
-        near, far = z - eps * direction, z + eps * direction
-        try:
-            crossings = _crossings(_walk_segment(group, multicurve, far, near), far, near)
-        except EndpointOnLeafError:
-            eps *= 0.1
-            continue
-        if crossings[3] == [""]:
-            return crossings
-        eps *= 0.1
-    raise GeometryError("could not isolate the leaf between its two adjacent faces")
-
-
 def meridian_cone_angles(
     group: PuncturedTorusGroup, multicurve: WeightedMulticurve, slices: Sequence[tuple[Geometry, float]]
 ) -> list[float]:
@@ -216,16 +188,23 @@ def meridian_cone_angles(
     returned as the representative nearest 2*(pi - theta), which is 2*pi
     plus the read-out in [-pi, pi) whenever |theta| <= pi/2.
 
-    The angle is read in the leaf's own frame, from the one leaf query that
-    isolates a lift of the curve's cyclically reduced word between a near
-    and a far face.  With P0 = {x3 = 0} the near face's plane, C the
-    cocycle across the leaf and phi its axis frame, the meridian is
-    phi . r(P0) . r(C(near, far) . P0) . phi^-1: no basepoint enters.
-    r(P0) is diag(1, 1, 1, -1) in every model, and the covector of
-    C(near, far) . P0 is row 3 of C(far, near), so the table is one stacked
-    product, slice by slice that of one context.  A non-finite scale and a
-    hyperbolic |theta| >= pi raise GeometryError before the leaf query.
+    The angle is read in the leaf's own frame, that of the axis of the
+    curve's cyclically reduced root r, with no leaf query.  The lifts of a
+    simple closed geodesic of length l are disjoint, and each has an
+    embedded collar of half-width arcsinh(1 / sinh(l / 2)) (Keen, "Collars
+    on Riemann surfaces", 1974).  So a segment across the axis of r, from a
+    far face on the side its normal points into to a near face on the
+    other, shorter than that half-width each way, crosses that one leaf,
+    named by the word "" with side -1, and C(far, near) is one rotation
+    about it.  With P0 = {x3 = 0} the near face's plane and phi the axis
+    frame, the meridian is phi . r(P0) . r(C(near, far) . P0) . phi^-1: no
+    basepoint enters.  r(P0) is diag(1, 1, 1, -1) in every model, and the
+    covector of C(near, far) . P0 is row 3 of C(far, near), so the table is
+    one stacked product, slice by slice that of one context.  No slices, a
+    non-finite scale and a hyperbolic |theta| >= pi raise GeometryError.
     """
+    if not slices:
+        raise GeometryError("slices is empty: a cone-angle table needs at least one (geometry, scale) slice")
     tags, scales = zip(*slices)
     curve = multicurve.components[0]
     weight = curve.weight
@@ -234,7 +213,9 @@ def meridian_cone_angles(
             raise GeometryError(f"scale {s!r} is not finite")
         if tag is HYP and abs(s * weight) >= math.pi:
             raise GeometryError(f"hyperbolic bending angle {s * weight!r} must stay below pi")
-    far_to_near = _bracketed_product(group, multicurve, _isolating_crossing(group, multicurve), "", slices)
+    # The one crossing of the segment from the far face to the near face, at its midpoint.
+    crossing = (group.axis(curve.root).normal[np.newaxis], np.array([-1.0]), np.array([0.5]), [""])
+    far_to_near = _bracketed_product(group, multicurve, crossing, "", slices)
     phi, phi_inverses = group.axis_frame(curve.root, tags)
     covectors = _unit_rows(far_to_near[:, 3])
     by_tag = {tag: [j for j, other in enumerate(tags) if other is tag] for tag in dict.fromkeys(tags)}

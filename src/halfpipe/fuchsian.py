@@ -221,11 +221,17 @@ def sl2_to_so12(g: np.ndarray) -> np.ndarray:
     Coordinates are chosen so that -det of a trace-free matrix is the
     Minkowski norm; the map is a 2-to-1 homomorphism with sl2_to_so12(-g) =
     sl2_to_so12(g).  A stack of matrices takes the same 2x2 products as each
-    matrix alone.
+    matrix alone.  Column j holds the coordinates of g E_j g^-1, E_j the
+    basis matrix j, in the order of :func:`_traceless_coords`.
     """
     g = np.asarray(g, dtype=float)
     conjugates = (g[..., np.newaxis, :, :] @ _SL2_BASIS) @ _sl2_inverse(g)[..., np.newaxis, :, :]
-    return np.ascontiguousarray(np.moveaxis(_traceless_coords(conjugates), 0, -2))
+    c00, c01, c10 = conjugates[..., 0, 0], conjugates[..., 0, 1], conjugates[..., 1, 0]
+    out = np.empty(g.shape[:-2] + (3, 3))
+    out[..., 0, :] = (c10 - c01) / 2.0
+    out[..., 1, :] = c00
+    out[..., 2, :] = (c10 + c01) / 2.0
+    return out
 
 
 def translation_length_sl2(g: np.ndarray) -> float:

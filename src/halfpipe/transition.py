@@ -38,7 +38,7 @@ EPS_RESIDUAL_FLOOR = 1e-14
 
 
 class InsufficientGridError(GeometryError):
-    """Extrapolation needs at least three grid points on each side."""
+    """Too few grid values: a family needs one, extrapolation three on each side."""
 
 
 def normalized_projective(m: np.ndarray) -> np.ndarray:
@@ -102,6 +102,8 @@ def signed_context(
 
 def _checked_grid(grid) -> tuple[float, ...]:
     ts = tuple(float(t) for t in grid)
+    if not ts:
+        raise InsufficientGridError("grid is empty: a family needs at least one nonzero t")
     if any(t == 0.0 for t in ts):
         raise GeometryError("grid values must be nonzero")
     if len(set(ts)) != len(ts):

@@ -5,15 +5,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from test_fuchsian import SIMPLE_CURVES, trace_points
+from test_fuchsian import SIMPLE_CURVES, extreme_trace_points, trace_points
 
-from halfpipe import cli, doubling, fuchsian
+from halfpipe import cli, fuchsian
 from halfpipe.bending import BendingContext, bent_holonomy, support_plane_at
 from halfpipe.cli import DEFAULT_CONE_GRID as CONE_GRID
 from halfpipe.doubling import (
-    LEAF_NUDGE,
     DoubledHolonomy,
     NoConjugatingTranslationError,
     cusp_stabilizer_check,
@@ -22,7 +21,14 @@ from halfpipe.doubling import (
     meridian_cone_angles,
     pair_aligner,
 )
-from halfpipe.fuchsian import EndpointOnLeafError, TeichPoint, WeightedMulticurve, build_punctured_torus, kerckhoff_point
+from halfpipe.fuchsian import (
+    EndpointOnLeafError,
+    TeichPoint,
+    WeightedMulticurve,
+    build_punctured_torus,
+    kerckhoff_point,
+    segment_crossings,
+)
 from halfpipe.geometry import ADS, HP, HYP, GeometryError, OutsideModelError
 from halfpipe.isometry import reflection
 from halfpipe.transition import DEFAULT_BASE_POINT, richardson_limit
@@ -209,6 +215,8 @@ def test_meridian_validation():
         meridian_cone_angle(ctx, "B", 0.1)
     with pytest.raises(GeometryError):
         meridian_cone_angle(ctx, "A", 4.0)
+    with pytest.raises(GeometryError, match="slices is empty"):
+        meridian_cone_angles(ctx.group, ctx.multicurve, [])
 
 
 def _double_config(path, traces=(3.0, 3.0, 3.0), word="A", weight=1.0, base_point=None):
@@ -228,34 +236,6 @@ def test_outside_basepoints_are_refused_by_the_contexts_and_the_double_config(tm
         config = _double_config(tmp_path / f"cfg{index}.json", base_point=base)
         assert cli.main(["double", "--config", config, "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG, base
     assert not (tmp_path / "out").exists()
-
-
-def test_cone_angle_table_nudges_its_face_points_off_leaves(monkeypatch):
-    ctx = _context(tag=HYP)
-    slices = [(tag, t) for tag in (HYP, ADS, HP) for t in CONE_GRID]
-    table = meridian_cone_angles(ctx.group, ctx.multicurve, slices)
-    # The isolating query finds a face point on a leaf: the faces move ten
-    # times closer to the leaf, across which the cocycle is the same.
-    queries = []
-    pairing = doubling._crossings
-
-    def first_on_leaf(leaves, x, y):
-        queries.append((x, y))
-        if len(queries) == 1:
-            raise EndpointOnLeafError("segment endpoint lies on a leaf")
-        return pairing(leaves, x, y)
-
-    monkeypatch.setattr(doubling, "_crossings", first_on_leaf)
-    assert meridian_cone_angles(ctx.group, ctx.multicurve, slices) == table
-    lengths = [float(np.linalg.norm(y - x)) for x, y in queries]
-    assert len(lengths) == 2 and lengths[1] == pytest.approx(0.1 * lengths[0])
-
-    def always_on_leaf(leaves, x, y):
-        raise EndpointOnLeafError("segment endpoint lies on a leaf")
-
-    monkeypatch.setattr(doubling, "_crossings", always_on_leaf)
-    with pytest.raises(GeometryError, match="could not isolate the leaf"):
-        meridian_cone_angles(ctx.group, ctx.multicurve, slices)
 
 
 @pytest.mark.parametrize("theta", (1.7, -1.7, 3.0, -3.0))
@@ -349,33 +329,44 @@ def test_large_anti_de_sitter_cone_angles(t):
     assert abs(meridian_cone_angle(ctx, "Ab", t) + 2.0 * t) <= 1e-12
 
 
-def _leaf_queries(monkeypatch, work) -> list:
-    """The segments (x, y) of the leaf queries that ``work`` makes: each ends in one ``_crossings`` call."""
-    queries = []
-    for module in (fuchsian, doubling):
-        pairing = module._crossings
-        monkeypatch.setattr(
-            module, "_crossings", lambda leaves, x, y, pairing=pairing: queries.append((x, y)) or pairing(leaves, x, y)
-        )
-    work()
-    monkeypatch.undo()
-    return queries
+@settings(max_examples=150)
+@given(point=extreme_trace_points, word=st.sampled_from([word for word in SIMPLE_CURVES if len(word) <= 4]))
+@example(point=TeichPoint.from_xy(60.0, 60.0), word="aaab")
+def test_a_segment_inside_the_collar_crosses_the_roots_axis_alone(point, word):
+    # The crossing that meridian_cone_angles takes without a query: the
+    # lifts of the curve are disjoint, each with an embedded collar of
+    # half-width arcsinh(1 / sinh(l / 2)), so a segment across the axis of
+    # the root, half as long each way, meets that leaf only.
+    group = build_punctured_torus(point)
+    multicurve = WeightedMulticurve.single(word)
+    root = multicurve.components[0].root
+    leaf = group.axis(root)
+    half = 0.5 * math.asinh(1.0 / math.sinh(group.translation_length(root) / 2.0))
+    anchor = leaf.closest_point_to_origin()
+    far, near = (math.cosh(half) * anchor + side * math.sinh(half) * leaf.normal for side in (1.0, -1.0))
+    try:
+        _, sides, _, words = segment_crossings(group, multicurve, far[1:] / far[0], near[1:] / near[0])
+    except EndpointOnLeafError:
+        # A collar too thin for the endpoints' Klein coordinates to resolve them off the leaf.
+        assume(False)
+    assert words == [""] and sides.tolist() == [-1.0]
 
 
-def test_cone_angle_table_queries_the_leaves_of_one_meridian_once(monkeypatch, tmp_path):
-    single = _leaf_queries(monkeypatch, lambda: meridian_cone_angle(_context(tag=ADS), "A", 0.1))
+def test_cone_angle_tables_make_no_leaf_query_and_no_tile_search(monkeypatch, tmp_path):
+    single = _context(tag=ADS)
     ctx = _context()
     slices = [(tag, t) for tag in (HYP, ADS, HP) for t in CONE_GRID]
-    table = _leaf_queries(monkeypatch, lambda: meridian_cone_angles(ctx.group, ctx.multicurve, slices))
     config = _double_config(tmp_path / "cfg.json")
-    command = _leaf_queries(monkeypatch, lambda: cli.main(["double", "--config", config, "--out", str(tmp_path)]))
-    # The query that isolates the leaf between its faces, and none from x0.
-    for queries in (single, table, command):
-        assert len(queries) == 1
-        (x, y), = queries
-        assert float(np.linalg.norm(y - x)) <= 2.0 * LEAF_NUDGE
-        for base in (BASE, DEFAULT_BASE_POINT):
-            assert not np.array_equal(x, base) and not np.array_equal(y, base)
+
+    def refused(*args):
+        raise AssertionError("a cone-angle table made a leaf query or a tile search")
+
+    monkeypatch.setattr(fuchsian, "_tiles_near_segment", refused)
+    monkeypatch.setattr(fuchsian, "_crossings", refused)
+    # Fresh groups, whose atlases and tile memos are empty.
+    meridian_cone_angle(single, "A", 0.1)
+    assert len(meridian_cone_angles(ctx.group, ctx.multicurve, slices)) == len(slices)
+    assert cli.main(["double", "--config", config, "--out", str(tmp_path)]) == cli.EXIT_OK
 
 
 def test_cone_angle_cells_equal_fresh_group_cells_bit_for_bit():

@@ -90,6 +90,13 @@ def test_grid_validation_rejects_zero_and_duplicates():
         holonomy_family(_group(), _lamination(), 1.0, "B", grid=(1e-2, 1e-2, -1e-2))
 
 
+def test_an_empty_grid_is_refused_as_insufficient():
+    with pytest.raises(InsufficientGridError, match="grid is empty"):
+        holonomy_family(_group(), _lamination(), 1.0, "B", grid=[])
+    with pytest.raises(InsufficientGridError, match="grid is empty"):
+        pleated_surface_convergence(_group(), _lamination(), 1.0, [(0.1, 0.2)], grid=())
+
+
 def test_extrapolate_needs_three_points_per_side():
     fam = holonomy_family(
         _group(), _lamination(), 1.0, "B", grid=(1e-1, 1e-2, 1e-3, -1e-1, -1e-2)
