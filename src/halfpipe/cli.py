@@ -305,6 +305,7 @@ def cmd_transition(args) -> int:
     grid = _grid_from(args, cfg, DEFAULT_GRID)
     _check_transition_grid(grid)
     words = _words_from(cfg)
+    _base_point_from(cfg)  # validated, though the families take the default basepoint
     tol = args.tol if args.tol is not None else EPS_LIMIT
     outdir = Path(args.out)
 
@@ -487,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     handlers = {
-        "transition": (cmd_transition, "Extrapolate rescaled holonomy families per word."),
+        "transition": (cmd_transition, "Extrapolate rescaled holonomy families per word; base_point is validated only."),
         "kerckhoff": (cmd_kerckhoff, "Locate the combined-length critical point."),
         "double": (
             cmd_double,

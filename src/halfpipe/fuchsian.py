@@ -13,25 +13,31 @@ a measured multicurve has a single component.  Its preimage in H2 is a
 disjoint union of complete geodesics (leaves).  The translates w.Q of an
 ideal quadrilateral Q with sides paired by A and B (Jorgensen, "On pairs of
 once-punctured tori"), one per reduced word w, tile the disk; tiles whose
-words differ by one letter on the right share a side.  The tiles meeting a
-convex region are connected, so a breadth-first search finds them all, and
-with them every leaf meeting the region: crossing queries are complete by
-construction.
+words differ by one letter on the right share a side.  The sides are
+disjoint geodesics, so a side separates two points exactly when it lies on
+the path of this adjacency tree (the Cayley tree of F(A, B)) between their
+tiles (C. Series, "The geometry of Markoff numbers", 1985), and the tiles
+meeting a ball are connected: crossing queries are complete by construction.
 
 Every leaf query is one pipeline: a tile source, then one leaf namer
 (``_tile_leaves``, the lifts v . axis(r) through those tiles in walk order,
 each with the normal L(v) . n from the group's Lorentz image of the whole
 word v), then one sign test (``_crossings``, the leaves whose pairings with
-the two ends differ in sign).  There are three tile sources:
+the two ends differ in sign; it raises EndpointOnLeafError for an end on a
+leaf).  There are two tile sources:
 
 - the atlas ball: each group keeps a leaf atlas per multicurve, the leaves
   meeting a hyperbolic ball about the disk centre, found by one search and
-  grown on demand; segments inside the ball are answered from it;
-- the segment walk: a segment past the atlas's reach is searched on its own;
-- the tree path: the tiles that a segment from a point x0 to its image g.x0
-  meets are the path of the tiling's adjacency tree (the Cayley tree of
-  F(A, B)) from the tile of x0 to its g-image, so no search is needed beyond
-  the tiles near x0.
+  grown on demand; segments inside the ball are answered from it, and an
+  end off the open disk raises OutsideModelError;
+- the tree path: a segment meets the tiles on the tree path between the
+  tiles of its ends.  It answers segments past the atlas, and each [x0,
+  g.x0], whose far tile is the g-image of the near one (OutsideModelError
+  when g.x0 rounds onto the rim).
+
+Both find tiles by one search about a point (``_tiles_within``), which
+raises EnumerationBudgetError past MAX_NODES tiles (as deep in a cusp) and
+GeometryError for a side pairing that is not finite (as next to the rim).
 """
 
 from __future__ import annotations
@@ -56,12 +62,8 @@ EPS_FRICKE = 1e-9
 # A leaf whose pairing with a segment endpoint is below this passes through it.
 EPS_ENDPOINT = 1e-9
 
-# Leaf searches: the budget of tiles tested, and the rounding slack of the
-# test whether a tile meets a segment, relative to the terms of its side
-# pairings; those grow as 1 / sqrt(1 - |z|^2) at an endpoint z, and a slack
-# of 1e-12 let a search run past its budget for an endpoint 2e-12 from the rim.
+# The budget of tiles that one tile search tests.
 MAX_NODES = 400_000
-EPS_CLIP = 1e-14
 
 # Leaf atlases grow in steps of this hyperbolic radius about the disk centre,
 # up to the limit (Klein radius tanh 2.5 = 0.987).
@@ -93,7 +95,7 @@ class EndpointOnLeafError(GeometryError):
 
 
 class EnumerationBudgetError(GeometryError):
-    """Leaf enumeration hit its node budget before completing.
+    """A tile search, of the atlas ball or about an end of a tree path, tested more than MAX_NODES tiles.
 
     The message and the attributes give the tiles tested, the shell of the
     search reached and the region searched.
@@ -332,9 +334,10 @@ class PuncturedTorusGroup:
     normals of its fundamental quadrilateral (``tile_sides``).  A word's Lorentz image is the adjoint
     of its SL(2) product, the one evaluation of a word that leaf normals,
     bent holonomies and translations all read.  The group also keeps one
-    leaf atlas per multicurve and the tiles near each point asked about
-    (``tiles_near``).  Each memo holds only what was asked of this group,
-    never a failed query, and lives as long as the group.
+    leaf atlas per multicurve and the tiles near the start of each tree path
+    (``tiles_near``), but not near its far end, which is often fresh.  Each
+    memo holds only what was asked of this group, never a failed query, and
+    lives as long as the group.
     """
 
     trace_point: TeichPoint
@@ -425,12 +428,12 @@ class PuncturedTorusGroup:
     def tiles_near(self, x: np.ndarray) -> tuple[str, ...]:
         """The words of the tiles w.Q within EPS_ENDPOINT of the disk point x, the tile that holds it first.
 
-        One tile search of the segment [x, x]; it does not depend on a multicurve.
+        One tile search about x, of radius 0, with its errors; it does not depend on a multicurve.
         """
         key = x.tobytes()
         tiles = self._near_tiles.get(key)
         if tiles is None:
-            tiles = self._near_tiles[key] = tuple(_tiles_near_segment(self, x, x, 0.0))
+            tiles = self._near_tiles[key] = tuple(_tiles_within(self, x, 0.0))
         return tiles
 
     def translation_length(self, word: str) -> float:
@@ -595,46 +598,40 @@ def _first_word(prefix: str, root: str) -> str:
             best = head
 
 
-def _tiles_near_segment(group: PuncturedTorusGroup, x: np.ndarray, y: np.ndarray, radius: float) -> list[str]:
-    """The words of the tiles w.Q that meet [x, y] or B(x, radius), or pass near y, the root tile first.
+# Pairings that overflow are refused below, by name, instead of warned about.
+@np.errstate(over="ignore", invalid="ignore")
+def _tiles_within(group: PuncturedTorusGroup, x: np.ndarray, radius: float) -> list[str]:
+    """The words of the tiles w.Q within distance radius + EPS_ENDPOINT of the disk point x, the root tile first.
 
-    Searches the tiles breadth first, shell by shell and never stepping
-    back, from a tile near x.  A tile is kept when it meets [x, y] (up to a
-    rounding slack), lies within distance radius + EPS_ENDPOINT of x or
-    within sinh-distance EPS_ENDPOINT of y: exact tests, as a point outside
-    an ideal polygon violates one side only.  The kept tiles form a subtree
-    of the side-adjacency tree, so the search is complete; MAX_NODES bounds
-    the tiles it tests.
+    From Q, a descent crosses the side x violates most until x is within
+    reach of the tile, the root; from there the search goes shell by shell,
+    never stepping back.  A tile is kept when each side pairs with the lift
+    of x to at least -sinh(radius + EPS_ENDPOINT), an exact test, as a point
+    outside an ideal polygon lies beyond one side only: the kept tiles form
+    a subtree of the adjacency tree.  Raises EnumerationBudgetError past
+    MAX_NODES tiles, and GeometryError as soon as a pairing is not finite.
     """
     sides = group.tile_sides()
     gens = group.letter_images()
-    duals = disk_lift(np.stack([x, y])) @ J3
-    size = EPS_CLIP * np.abs(duals)
-    reach = np.array([[-math.sinh(radius + EPS_ENDPOINT)], [-math.sinh(EPS_ENDPOINT)]])
+    dual = disk_lift(x) @ J3
+    reach = -math.sinh(radius + EPS_ENDPOINT)
+    point = f"the disk point {tuple(x.tolist())}"
+    region = f"atlas radius {radius}" if radius else f"tiles near {point}"
 
-    def meets(mats: np.ndarray) -> np.ndarray:
-        # The half-planes beyond the sides are disjoint, so a segment misses
-        # a tile exactly when both ends lie beyond one side.
-        normals = mats @ sides
-        at = duals @ normals
-        missed = (at + size @ np.abs(normals) < 0.0).all(axis=1).any(axis=1)
-        return ~missed | (at >= reach).all(axis=2).any(axis=1)
+    def pairings(mats: np.ndarray, nodes: int, depth: int) -> np.ndarray:
+        at = dual @ (mats @ sides)
+        if not np.isfinite(at).all():
+            raise GeometryError(f"side pairings of {point} are not finite after {nodes} nodes at depth {depth}")
+        return at
 
-    def budget_error(nodes: int, depth: int) -> EnumerationBudgetError:
-        cosh_len = max(1.0, float(-(duals[0] @ J3 @ duals[1])))
-        region = f"atlas radius {radius}" if radius else f"segment length {math.acosh(cosh_len):.3f}"
-        return EnumerationBudgetError(nodes, depth, region)
-
-    # The root: from Q, cross the side x violates most until x is within
-    # reach of the tile, which then passes ``meets``.
     word, mat, nodes = "", _IDENTITY3, 0
     while True:
         nodes += 1
         if nodes > MAX_NODES:
-            raise budget_error(nodes, 0)
-        at_x = (duals @ (mat @ sides))[0]
-        j = int(np.argmin(at_x))
-        if at_x[j] >= reach[0, 0]:
+            raise EnumerationBudgetError(nodes, 0, region)
+        at = pairings(mat, nodes, 0)
+        j = int(np.argmin(at))
+        if at[j] >= reach:
             break
         word = _join(word, GENERATOR_LETTERS[j])
         mat = mat @ gens[j]
@@ -650,13 +647,21 @@ def _tiles_near_segment(group: PuncturedTorusGroup, x: np.ndarray, y: np.ndarray
         # Checked before the shell's product, so a search over budget never
         # forms or tests the shell that crosses it.
         if nodes > MAX_NODES:
-            raise budget_error(nodes, depth)
+            raise EnumerationBudgetError(nodes, depth, region)
         mats = (mats[np.newaxis] @ gens[:, np.newaxis])[allowed]
-        kept = np.nonzero(meets(mats))[0]
+        kept = np.nonzero((pairings(mats, nodes, depth) >= reach).all(axis=1))[0]
         words = [_join(words[i], GENERATOR_LETTERS[j]) for i, j in zip(parent[kept].tolist(), last[kept].tolist())]
         tiles = tiles + words
         mats, last = mats[kept], last[kept]
     return tiles
+
+
+def _tree_path(start: str, end: str) -> list[str]:
+    """The tiles on the adjacency-tree path from start.Q to end.Q: the prefixes of each down to their common one."""
+    common = 0
+    while common < min(len(start), len(end)) and start[common] == end[common]:
+        common += 1
+    return [start[:k] for k in range(len(start), common, -1)] + [end[:k] for k in range(common, len(end) + 1)]
 
 
 def _tile_leaves(group: PuncturedTorusGroup, mc: WeightedMulticurve, tiles) -> Leaves:
@@ -677,11 +682,6 @@ def _tile_leaves(group: PuncturedTorusGroup, mc: WeightedMulticurve, tiles) -> L
     order = sorted({_first_word(head, root) for head in heads}, key=_walk_order)
     axis = group.axis(root).normal
     return np.array([group.lorentz(first) @ axis for first in order]).reshape(-1, 3), order
-
-
-def _walk_segment(group: PuncturedTorusGroup, mc: WeightedMulticurve, x: np.ndarray, y: np.ndarray) -> Leaves:
-    """The leaves through the tiles that meet [x, y] or pass near an endpoint, found by a search of their own."""
-    return _tile_leaves(group, mc, _tiles_near_segment(group, x, y, 0.0))
 
 
 class LeafAtlas:
@@ -712,8 +712,7 @@ class LeafAtlas:
             radius = math.ceil(needed / ATLAS_STEP) * ATLAS_STEP
             # A leaf within EPS_ENDPOINT of an endpoint on the rim still counts.
             bound = math.sinh(radius + EPS_ENDPOINT)
-            origin = np.zeros(2)
-            normals, words = _tile_leaves(group, self.multicurve, _tiles_near_segment(group, origin, origin, radius))
+            normals, words = _tile_leaves(group, self.multicurve, _tiles_within(group, np.zeros(2), radius))
             # Only the leaves that meet the ball: fewer rows for every sign test the atlas answers.
             near = np.abs(normals[:, 0]) <= bound
             self.leaves = normals[near], [word for word, kept in zip(words, near.tolist()) if kept]
@@ -727,15 +726,19 @@ def segment_crossings(group: PuncturedTorusGroup, mc: WeightedMulticurve, x: np.
     In increasing order of crossing parameter, each leaf comes as its normal
     as found, its side (+1.0 when that normal points away from x, else -1.0),
     its parameter and its conjugator word.  Segments inside the group's leaf
-    atlas for ``mc`` are answered from it, growing it when needed; segments
-    beyond its reach are searched on their own.  Raises EndpointOnLeafError
-    when an endpoint is within tolerance of a leaf, and
-    EnumerationBudgetError when a search tests more than MAX_NODES tiles.
+    atlas for ``mc`` are answered from it, growing it when needed; past its
+    reach, from the tiles near x (``tiles_near``) and near y, and the tree
+    path between them.  Raises OutsideModelError when an endpoint is off the
+    open disk, EndpointOnLeafError when one is within tolerance of a leaf,
+    and, past the atlas, the errors of the tile searches about x and y.
     """
     x = np.asarray(x, dtype=float).reshape(2)
     y = np.asarray(y, dtype=float).reshape(2)
     leaves = group.atlas(mc).covering(group, x, y)
-    return _crossings(leaves if leaves is not None else _walk_segment(group, mc, x, y), x, y)
+    if leaves is None:
+        near, far = group.tiles_near(x), _tiles_within(group, y, 0.0)
+        leaves = _tile_leaves(group, mc, {*near, *far, *_tree_path(near[0], far[0])})
+    return _crossings(leaves, x, y)
 
 
 def holonomy_segment_crossings(
@@ -746,14 +749,13 @@ def holonomy_segment_crossings(
     The arrays are those of :func:`segment_crossings`, read off the tiling's
     adjacency tree, with no tile search beyond the group's tiles near x0
     (``tiles_near``).  For g the reduced word and w.Q the tile holding x0,
-    g.x0 lies in u.Q, u the reduced word of g w, and a side of the tiling
-    separates the two ends exactly when it lies on the tree path from w to
-    u.  So the segment meets the tiles of that path, the prefixes of w and
-    of u down to their common prefix.  To those come the tiles within
+    g.x0 lies in u.Q, u the reduced word of g w, so the segment meets the
+    tiles of the tree path from w to u.  To those come the tiles within
     EPS_ENDPOINT of x0, so that a leaf through x0 is refused, and with it
     one through g.x0, the image of a leaf through x0.  Raises
-    OutsideModelError when word . x0 rounds onto the rim or past it, and
-    EndpointOnLeafError when an endpoint is within tolerance of a leaf.
+    OutsideModelError when word . x0 rounds onto the rim or past it,
+    EndpointOnLeafError when an endpoint is within tolerance of a leaf, and
+    the errors of ``tiles_near`` for x0.
     """
     if word:
         _check_word(word)
@@ -763,12 +765,7 @@ def holonomy_segment_crossings(
     if not u * u + v * v < 1.0:
         raise OutsideModelError("disk point must satisfy |z| < 1")
     near = group.tiles_near(x0)
-    start, end = near[0], _join(reduced, near[0])
-    common = 0
-    while common < min(len(start), len(end)) and start[common] == end[common]:
-        common += 1
-    path = [start[:k] for k in range(common, len(start))] + [end[:k] for k in range(common, len(end) + 1)]
-    return _crossings(_tile_leaves(group, mc, {*near, *path}), x0, far)
+    return _crossings(_tile_leaves(group, mc, {*near, *_tree_path(near[0], _join(reduced, near[0]))}), x0, far)
 
 
 def _crossings(leaves: Leaves, x: np.ndarray, y: np.ndarray) -> Crossings:

@@ -12,6 +12,7 @@ from test_fuchsian import (
     SIMPLE_CURVES,
     _all_reduced_words,
     _coset_key,
+    _walk_segment,
     base_points,
     disk_points,
     extreme_trace_points,
@@ -32,11 +33,13 @@ from halfpipe.bending import (
 from halfpipe.fuchsian import (
     ATLAS_RADIUS_LIMIT,
     EndpointOnLeafError,
+    EnumerationBudgetError,
     TeichPoint,
     WeightedMulticurve,
     build_punctured_torus,
     free_reduce,
     holonomy_segment_crossings,
+    _crossings,
     leaves_crossing,
     segment_crossings,
 )
@@ -695,3 +698,48 @@ def test_rim_crossings_of_a_holonomy_segment_are_those_of_an_mpmath_sign_test(po
         assert sides.tolist() == [float(side) for _, _, side in crossed]
         ctx = BendingContext(group, mc, x0, HP, 1.0, 1.0)
         assert _relative_gap(bent_translation(ctx, "aB"), [-c for c in total]) <= 1e-12
+
+
+# Segments past the leaf atlas at extreme trace points, with ends 1e-4 to
+# 1e-10 from the rim, and the number of leaves that cross each.  The
+# reference walk, which answered such segments before the tree path, finds 6
+# of the 13 and 20 of the 30 leaves of the first two, and runs out of its
+# tile budget on the last two.
+PAST_THE_ATLAS = (
+    ((20.0, 3.0), "AAB", (0.08277720587943248, 0.9965680764866648), (-0.8696579654961039, -0.4935995757204694), 13),
+    ((3.0, 40.0), "ABB", (-0.94562826641733, 0.3252493883085715), (-0.6921810204448379, -0.7217239306224705), 30),
+    ((3.0, 40.0), "ABB", (0.9996906332884891, 0.024872354976435772), (0.8904330176305124, 0.454987065312839), 12),
+    ((12.0, 17.0), "ABBB", (-0.9999912084461806, -0.004178799742820616), (0.9316024248827796, -0.36347887147726293), 16),
+)
+
+
+@pytest.mark.parametrize("xy, curve, x, y, count", PAST_THE_ATLAS)
+def test_crossings_past_the_atlas_are_those_of_an_mpmath_sign_test(xy, curve, x, y, count):
+    # The float generators and end points are the exact inputs.  Every leaf
+    # returned crosses, on its side; every leaf that only the reference walk
+    # returns does not.
+    group = build_punctured_torus(TeichPoint.from_xy(*xy))
+    mc = WeightedMulticurve.single(curve)
+    x, y = np.array(x), np.array(y)
+    _, sides, _, words = segment_crossings(group, mc, x, y)
+    try:
+        walked = _crossings(_walk_segment(group, mc, x, y), x, y)[3]
+    except EnumerationBudgetError:
+        walked = []
+    with mpmath.workdps(REFERENCE_DIGITS):
+        letters = {letter: mpmath.matrix(group.sl2(letter).tolist()) for letter in "ABab"}
+        normal = _mp_axis_normal(_mp_sl2(letters, mc.components[0].root))
+        ends = [mpmath.matrix([1, float(u), float(v)]) for u, v in (x, y)]
+        form = mpmath.diag([-1, 1, 1])
+
+        def pairings(word):
+            leaf = _mp_adjoint(_mp_sl2(letters, word)) * normal
+            return [(leaf.T * form * end)[0] for end in ends]
+
+        for word, side in zip(words, sides.tolist()):
+            f0, f1 = pairings(word)
+            assert f0 * f1 < 0 and side == float(mpmath.sign(-f0)), word
+        for word in set(walked) - set(words):
+            f0, f1 = pairings(word)
+            assert f0 * f1 > 0, word
+    assert len(words) == count

@@ -209,6 +209,15 @@ def test_non_finite_config_numbers_exit_2(tmp_path):
             assert _run(tmp_path, command, config, f"--tol={tol}")[0] == EXIT_CONFIG, (command, tol)
 
 
+@pytest.mark.filterwarnings("error")
+def test_export_surface_from_a_base_point_whose_tile_pairings_overflow_exits_3(tmp_path, capsys):
+    # It used to exit 0 with no leaf polylines and overflow warnings.
+    config = _write_config(tmp_path / "cfg.json", base_point=[0.9999999999999999, 0.0])
+    code, out = _run(tmp_path, "export-surface", config)
+    assert code == EXIT_NUMERICAL and not out.exists()
+    assert "side pairings of the disk point (0.9999999999999999, 0.0) are not finite" in capsys.readouterr().err
+
+
 def test_generators_config_equals_traces_config(tmp_path):
     group = build_punctured_torus(TeichPoint(3.0, 3.0, 3.0))
     by_traces = _write_config(tmp_path / "t.json", words=["A"])
@@ -652,7 +661,7 @@ BOOLEAN_FIELDS = (
     ("grid", {"grid": [0.1, -0.1, 0.01, True, 0.001, -0.001]}, ["transition"]),
     ("grid", {"grid": [0.2, True]}, ["double"]),
     ("grid", {"grid": [True]}, ["export-surface"]),
-    ("base_point", {"base_point": [False, 0.15]}, ["double", "export-surface"]),
+    ("base_point", {"base_point": [False, 0.15]}, ["transition", "double", "export-surface"]),
 )
 
 
@@ -724,7 +733,7 @@ FUZZ_FIELDS = {
 }
 # The fields each subcommand reads, besides the grid and 'multicurves.lambda'.
 FUZZ_READS = {
-    "transition": {"traces", "words"},
+    "transition": {"traces", "words", "base_point"},
     "kerckhoff": {"traces", "mu.word", "mu.weight"},
     "double": {"traces", "base_point"},
     "export-surface": {"traces", "base_point", "samples"},

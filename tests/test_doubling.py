@@ -361,7 +361,7 @@ def test_cone_angle_tables_make_no_leaf_query_and_no_tile_search(monkeypatch, tm
     def refused(*args):
         raise AssertionError("a cone-angle table made a leaf query or a tile search")
 
-    monkeypatch.setattr(fuchsian, "_tiles_near_segment", refused)
+    monkeypatch.setattr(fuchsian, "_tiles_within", refused)
     monkeypatch.setattr(fuchsian, "_crossings", refused)
     # Fresh groups, whose atlases and tile memos are empty.
     meridian_cone_angle(single, "A", 0.1)

@@ -13,8 +13,11 @@ from halfpipe.fuchsian import (
     ATLAS_RADIUS_LIMIT,
     BadTracesError,
     BadWordError,
+    EPS_ENDPOINT,
     EndpointOnLeafError,
     EnumerationBudgetError,
+    GENERATOR_LETTERS,
+    Leaves,
     MulticurveComponent,
     NoConvergenceError,
     NotHyperbolicError,
@@ -38,17 +41,29 @@ from halfpipe.fuchsian import (
     words_conjugate,
     _crossings,
     _cyclic_reduce,
+    _IDENTITY3,
     _fricke_gradient,
+    _join,
     _normal_form_generators,
     _polynomial_jet,
     _sl2_inverse,
     _tangent_basis,
-    _tiles_near_segment,
+    _tile_leaves,
+    _tiles_within,
     _trace_polynomial,
-    _walk_segment,
     _word_sl2,
 )
-from halfpipe.geometry import ADS, HP, HYP, J3, OutsideModelError, disk_lift, minkowski_dot, radial_project
+from halfpipe.geometry import (
+    ADS,
+    HP,
+    HYP,
+    J3,
+    GeometryError,
+    OutsideModelError,
+    disk_lift,
+    minkowski_dot,
+    radial_project,
+)
 from halfpipe.isometry import Isometry, axis_frames
 
 SYMMETRIC = TeichPoint(3.0, 3.0, 3.0)
@@ -499,8 +514,92 @@ def _disk_point(rng, radius):
     return radius * np.array([math.cos(angle), math.sin(angle)])
 
 
+# ---------------------------------------------------------------------------
+# The reference walk: a breadth-first search of the tiles that meet one
+# segment, which answered every segment past the atlas before the tree path
+# did.  It is kept as it was written, with its own rounding slack and the
+# library's MAX_NODES budget, as the reference that the atlas and the tree
+# path are compared against.
+# ---------------------------------------------------------------------------
+
+# The rounding slack of the test whether a tile meets a segment, relative to
+# the terms of its side pairings; those grow as 1 / sqrt(1 - |z|^2) at an
+# endpoint z, and a slack of 1e-12 let a search run past its budget for an
+# endpoint 2e-12 from the rim.
+EPS_CLIP = 1e-14
+
+
+def _tiles_near_segment(group: PuncturedTorusGroup, x: np.ndarray, y: np.ndarray, radius: float) -> list[str]:
+    """The words of the tiles w.Q that meet [x, y] or B(x, radius), or pass near y, the root tile first.
+
+    Searches the tiles breadth first, shell by shell and never stepping
+    back, from a tile near x.  A tile is kept when it meets [x, y] (up to a
+    rounding slack), lies within distance radius + EPS_ENDPOINT of x or
+    within sinh-distance EPS_ENDPOINT of y: exact tests, as a point outside
+    an ideal polygon violates one side only.  The kept tiles form a subtree
+    of the side-adjacency tree, so the search is complete; MAX_NODES bounds
+    the tiles it tests.
+    """
+    sides = group.tile_sides()
+    gens = group.letter_images()
+    duals = disk_lift(np.stack([x, y])) @ J3
+    size = EPS_CLIP * np.abs(duals)
+    reach = np.array([[-math.sinh(radius + EPS_ENDPOINT)], [-math.sinh(EPS_ENDPOINT)]])
+
+    def meets(mats: np.ndarray) -> np.ndarray:
+        # The half-planes beyond the sides are disjoint, so a segment misses
+        # a tile exactly when both ends lie beyond one side.
+        normals = mats @ sides
+        at = duals @ normals
+        missed = (at + size @ np.abs(normals) < 0.0).all(axis=1).any(axis=1)
+        return ~missed | (at >= reach).all(axis=2).any(axis=1)
+
+    def budget_error(nodes: int, depth: int) -> EnumerationBudgetError:
+        cosh_len = max(1.0, float(-(duals[0] @ J3 @ duals[1])))
+        region = f"atlas radius {radius}" if radius else f"segment length {math.acosh(cosh_len):.3f}"
+        return EnumerationBudgetError(nodes, depth, region)
+
+    # The root: from Q, cross the side x violates most until x is within
+    # reach of the tile, which then passes ``meets``.
+    word, mat, nodes = "", _IDENTITY3, 0
+    while True:
+        nodes += 1
+        if nodes > fuchsian.MAX_NODES:
+            raise budget_error(nodes, 0)
+        at_x = (duals @ (mat @ sides))[0]
+        j = int(np.argmin(at_x))
+        if at_x[j] >= reach[0, 0]:
+            break
+        word = _join(word, GENERATOR_LETTERS[j])
+        mat = mat @ gens[j]
+    # backtrack[j]: the letter that generator j cancels (A and a, B and b).
+    backtrack = ((np.arange(4) + 2) % 4)[:, np.newaxis]
+    tiles = words = [word]
+    mats, last, depth = mat[np.newaxis], np.array([-1]), 0
+    while words:
+        allowed = last != backtrack
+        last, parent = np.nonzero(allowed)
+        depth += 1
+        nodes += len(last)
+        # Checked before the shell's product, so a search over budget never
+        # forms or tests the shell that crosses it.
+        if nodes > fuchsian.MAX_NODES:
+            raise budget_error(nodes, depth)
+        mats = (mats[np.newaxis] @ gens[:, np.newaxis])[allowed]
+        kept = np.nonzero(meets(mats))[0]
+        words = [_join(words[i], GENERATOR_LETTERS[j]) for i, j in zip(parent[kept].tolist(), last[kept].tolist())]
+        tiles = tiles + words
+        mats, last = mats[kept], last[kept]
+    return tiles
+
+
+def _walk_segment(group: PuncturedTorusGroup, mc: WeightedMulticurve, x: np.ndarray, y: np.ndarray) -> Leaves:
+    """The leaves through the tiles that meet [x, y] or pass near an endpoint, found by a search of their own."""
+    return _tile_leaves(group, mc, _tiles_near_segment(group, x, y, 0.0))
+
+
 def _assert_walk_agrees(group, mc, x, y):
-    """The atlas answer for [x, y] is the answer of a search of the segment alone."""
+    """The answer for [x, y], from the atlas or the tree path, is that of the reference walk."""
     normals, sides, parameters, words = segment_crossings(group, mc, x, y)
     searched = _crossings(_walk_segment(group, mc, x, y), x, y)
     assert words == searched[3]
@@ -510,7 +609,7 @@ def _assert_walk_agrees(group, mc, x, y):
 
 
 @pytest.mark.parametrize("name", sorted(ATLAS_POINTS))
-def test_atlas_matches_segment_walk(name):
+def test_atlas_matches_the_reference_walk(name):
     rng = np.random.default_rng(sorted(ATLAS_POINTS).index(name))
     for mc in ATLAS_MULTICURVES:
         group = build_punctured_torus(ATLAS_POINTS[name])
@@ -522,10 +621,10 @@ def test_atlas_matches_segment_walk(name):
         assert group.atlas(mc).radius == ATLAS_RADIUS_LIMIT
 
 
-def test_atlas_freezes_at_the_walk_budget_and_falls_back_to_segment_walks():
+def test_atlas_freezes_at_its_radius_limit_and_falls_back_to_the_tree_path():
     # The atlas grows in steps up to ATLAS_RADIUS_LIMIT and stops there;
-    # segments reaching past it are searched on their own.  At this point
-    # the atlas used to run out of its word-walk budget at radius 2.0.
+    # segments reaching past it are answered from the tree path.  At this
+    # point the atlas used to run out of its word-walk budget at radius 2.0.
     group = build_punctured_torus(ATLAS_POINTS["xy(3,40)"])
     mc = WeightedMulticurve.single("ABB")
     atlas = group.atlas(mc)
@@ -581,37 +680,66 @@ def test_segment_endpoints_off_the_open_disk_are_refused():
 
 def test_enumeration_budget_error_reports_its_numbers(monkeypatch):
     group = build_punctured_torus(SYMMETRIC)
-    mc = WeightedMulticurve.single("A")
-    x, y = np.array([-0.5, 0.2]), np.array([0.6, -0.3])
-    origin = np.zeros(2)
-    length = math.acosh(-float(minkowski_dot(disk_lift(x), disk_lift(y))))
-    cases = (((x, y), 0.0, f"segment length {length:.3f}"), ((origin, origin), 2.0, "atlas radius 2.0"))
+    region = "atlas radius 2.0"
     monkeypatch.setattr(fuchsian, "MAX_NODES", 3)
-    for ends, radius, region in cases:
-        with pytest.raises(EnumerationBudgetError) as info:
-            _tiles_near_segment(group, *ends, radius)
-        err = info.value
-        assert err.nodes > 3 and err.depth >= 1 and err.region == region
-        assert f"after {err.nodes} nodes at depth {err.depth} ({region})" in str(err)
+    with pytest.raises(EnumerationBudgetError) as info:
+        _tiles_within(group, np.zeros(2), 2.0)
+    err = info.value
+    assert err.nodes > 3 and err.depth >= 1 and err.region == region
+    assert f"after {err.nodes} nodes at depth {err.depth} ({region})" in str(err)
 
 
-def test_leaf_search_over_budget_stops_before_the_shell_that_crosses_it():
+@pytest.mark.filterwarnings("error")
+def test_side_pairings_that_are_not_finite_are_refused_at_once():
+    # 1.1e-16 from the rim, the tiles about the point overflow a few hundred
+    # tiles into the descent.  Searched with the segment, the walk kept no
+    # tile there and found no crossing, where 1e-15 from the rim it finds three.
+    group = build_punctured_torus(SYMMETRIC)
+    mc = WeightedMulticurve.single("A")
+    rim, inside = np.array([0.9999999999999999, 0.0]), np.array([0.1, 0.2])
+    named = r"side pairings of the disk point \(0.9999999999999999, 0.0\) are not finite after \d+ nodes at depth 0"
+    for ends in ((rim, inside), (inside, rim)):
+        with pytest.raises(GeometryError, match=named) as info:
+            segment_crossings(group, mc, *ends)
+        assert type(info.value) is GeometryError
+    assert len(segment_crossings(group, mc, np.array([1.0 - 1e-15, 0.0]), inside)[3]) == 3
+
+
+def test_leaf_search_over_budget_stops_before_the_shell_that_crosses_it(monkeypatch):
     # A point of the trace_points box where the segment from (0.11, 0.07) to
-    # its image under BBaa needs more than MAX_NODES tiles.  Forming and
-    # testing the shell that crosses the budget peaked at 92 MB of traced
-    # allocations; checking the budget first peaks at 59 MB.
+    # its image under BBaa, 1e-14 from the rim, took the reference walk past
+    # MAX_NODES tiles.  The tree path answers it as the holonomy query does.
     group = build_punctured_torus(TeichPoint.from_xy(7.9017, 7.9017))
+    mc = WeightedMulticurve.single("A")
     x = np.array([0.11, 0.07])
     y = radial_project(group.lorentz("BBaa") @ disk_lift(x))
-    tracemalloc.start()
-    try:
-        with pytest.raises(EnumerationBudgetError) as info:
-            leaves_crossing(group, WeightedMulticurve.single("A"), x, y)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert info.value.nodes > fuchsian.MAX_NODES
-    assert peak < 75e6, f"traced peak {peak / 1e6:.1f} MB"
+    found = segment_crossings(group, mc, x, y)
+    assert found[3] == ["B", "BB"]
+    _assert_same_arrays(found, fuchsian.holonomy_segment_crossings(group, mc, x, "BBaa"))
+    with pytest.raises(EnumerationBudgetError):
+        _walk_segment(group, mc, x, y)
+
+    # A ball search checks the budget before it forms and tests the shell
+    # that would cross it: it tests no more tiles than the budget.
+    monkeypatch.setattr(fuchsian, "MAX_NODES", 20_000)
+    monkeypatch.setattr(_CountingSides, "tested", 0)
+    object.__setattr__(group, "_sides", group.tile_sides().view(_CountingSides))
+    with pytest.raises(EnumerationBudgetError) as info:
+        _tiles_within(group, np.zeros(2), 12.0)
+    assert 0 < _CountingSides.tested <= 20_000 < info.value.nodes
+
+
+class _CountingSides(np.ndarray):
+    """Tile side normals that count the tiles tested: one per 3x3 tile matrix in each product taken with them."""
+
+    tested = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        result = getattr(ufunc, method)(*(np.asarray(a) for a in inputs), **kwargs)
+        if ufunc is np.matmul:
+            _CountingSides.tested += math.prod(result.shape[:-2])
+        return result
+
 
 def test_tile_sides_are_paired_by_the_generators():
     for point in (SYMMETRIC, TeichPoint.from_xy(3.0, 40.0), TeichPoint.from_xy(20.0, 3.0)):

@@ -31,6 +31,9 @@ The runs, all in one process:
 - ``double`` and ``export-surface`` at two extreme trace points, ABB at
   from_xy(3, 40) and 0.5 AAB at from_xy(20, 3), where leaf atlases reach
   far into thin parts of the surface;
+- ``export-surface`` from the base point (0.99999, 0) on the three
+  RIM_SURFACES, where every leaf query leaves the leaf atlas and is answered
+  from the tiling's tree path;
 - ``double`` on the three CONE_CONFIGS, where a cone-angle table read
   through segments from the basepoint once exited 3: λ = A at (3,3,3) from
   the base point (0.99999, 0), next to the rim; Ab at from_xy(3, 4) from
@@ -44,8 +47,12 @@ The runs, all in one process:
   tells a slope of -2e-300 from 0;
 - all four subcommands on two multicurves that are not one simple closed
   curve, 0.7 AABB and A + 0.5 B (two entries), which exit 2;
-- on the first small configuration, all four subcommands with ``--seed=-3``
-  and ``export-surface`` with 10**12 samples, which exit 2;
+- on the first small configuration, all four subcommands with ``--seed=-3``,
+  ``export-surface`` with 10**12 samples and ``transition`` at each of the
+  BAD_BASE_POINTS, which exit 2;
+- ``export-surface`` of λ = A at (3,3,3) from the base point
+  (0.9999999999999999, 0), where the side pairings of the tiles about the
+  base point overflow (exit 3);
 - the four ``small/test-cli`` runs again, as ``rewrite/test-cli``, each into
   an out directory that already holds 4 KB of filler under every file name
   the first run wrote, so that the reports overwrite existing files; their
@@ -118,6 +125,15 @@ CONE_CONFIGS = {
         None,
     ),
 }
+
+# name -> (from_xy(x, y), lambda) of the export-surface runs from the base point (0.99999, 0), past the leaf atlas.
+RIM_SURFACES = {
+    "A@(3,3,3)": ((3.0, 3.0), ("A", 1.0)),
+    "0.5AAB@xy(20,3)": ((20.0, 3.0), ("AAB", 0.5)),
+    "ABB@xy(3,40)": ((3.0, 40.0), ("ABB", 1.0)),
+}
+# Base points that the config check refuses.
+BAD_BASE_POINTS = ("nonsense", [5.0, 5.0])
 
 # name -> (from_xy(x, y), lambda) of the runs on curve words that are not cyclically reduced.
 CONJUGATE_CURVES = {
@@ -195,6 +211,10 @@ def runs(workloads, teich_point):
     for name, (traces, lam, base, grid) in CONE_CONFIGS.items():
         cfg = dict(_config(traces, **{"lambda": [lam]}), base_point=base)
         yield f"cone/{name}/double", "double", cfg, () if grid is None else (f"--grid={grid}",)
+    for name, ((x, y), lam) in RIM_SURFACES.items():
+        traces = teich_point.from_xy(x, y).as_array().tolist()
+        cfg = dict(_config(traces, **{"lambda": [lam]}), base_point=[0.99999, 0.0])
+        yield f"rim/{name}/export-surface", "export-surface", cfg, ()
     for name, ((x, y), lam) in CONJUGATE_CURVES.items():
         cfg = dict(_config(teich_point.from_xy(x, y).as_array().tolist(), **{"lambda": [lam]}), words=["A", "B", "AB"])
         for command in ("transition", "double"):
@@ -210,6 +230,11 @@ def runs(workloads, teich_point):
     for command in SUBCOMMANDS:
         yield f"refused/seed=-3/{command}", command, small_cfgs["test-cli"], ("--seed=-3",)
     yield "refused/samples=10**12/export-surface", "export-surface", dict(small_cfgs["test-cli"], samples=10**12), ()
+    for base in BAD_BASE_POINTS:
+        cfg = dict(small_cfgs["test-cli"], base_point=base)
+        yield f"refused/base_point={json.dumps(base)}/transition", "transition", cfg, ()
+    cfg = dict(_config((3.0, 3.0, 3.0), **{"lambda": [("A", 1.0)]}), base_point=[0.9999999999999999, 0.0])
+    yield "refused/overflow/export-surface", "export-surface", cfg, ()
     for command in SUBCOMMANDS:
         yield f"{REWRITE}test-cli/{command}", command, small_cfgs["test-cli"], ()
 
