@@ -70,9 +70,11 @@ class BendingContext:
 
     The basepoint must be off every leaf; the effective bending angle about a
     crossed leaf of weight ``a`` is ``sign * scale * a``.  Contexts are
-    immutable.  Crossing data lives in the group's leaf atlas for the
-    multicurve, so every context over one group and multicurve shares it,
-    whatever its tag, sign or scale.
+    immutable.  Crossing data lives in the group: segments inside its leaf
+    atlas for the multicurve are answered from the atlas, and holonomies and
+    longer segments from the tiling's tree path and the group's tiles near
+    the basepoint (``tiles_near``).  So every context over one group and
+    multicurve shares it, whatever its tag, sign or scale.
 
     Parameters
     ----------
@@ -99,6 +101,10 @@ class BendingContext:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "base_point", _base_point(self.base_point))
+        if not isinstance(self.group, PuncturedTorusGroup):
+            raise GeometryError(f"group must be a PuncturedTorusGroup, not {self.group!r}")
+        if not isinstance(self.multicurve, WeightedMulticurve):
+            raise GeometryError(f"multicurve must be a WeightedMulticurve, not {self.multicurve!r}")
         if not isinstance(self.tag, Geometry):
             raise GeometryError(f"tag must be a Geometry, not {self.tag!r}")
         if self.sign not in (1.0, -1.0):
@@ -235,12 +241,14 @@ def psi_lambda(ctx: BendingContext, z: np.ndarray) -> float:
     The sum of ``-(sign * scale * weight) * <eta, (1, z)>`` over the leaves
     crossed by the segment from the basepoint, with each leaf normal eta
     oriented away from the basepoint.  Piecewise affine; concave, nonpositive
-    and vanishing on the basepoint's face when the sign is positive.
+    and vanishing on the basepoint's face when the sign is positive.  The
+    height is continuous across a leaf, so a point on a leaf takes the
+    crossings of the basepoint side, as :func:`bending_map` does.
     """
     if ctx.tag is not HP:
         raise TagMismatchError("the bent-surface height function lives in the half-pipe model")
     z = np.asarray(z, dtype=float).reshape(2)
-    normals, sides, _, _ = segment_crossings(ctx.group, ctx.multicurve, ctx.base_point, z)
+    normals, sides, _, _ = _crossings_to(ctx, z)
     z1, z2 = z.tolist()
     coefficient = ctx.sign * ctx.scale * float(ctx.multicurve.components[0].weight)
     total = 0.0

@@ -27,9 +27,10 @@ the two ends differ in sign; it raises EndpointOnLeafError for an end on a
 leaf).  There are two tile sources:
 
 - the atlas ball: each group keeps a leaf atlas per multicurve, the leaves
-  meeting a hyperbolic ball about the disk centre, found by one search and
-  grown on demand; segments inside the ball are answered from it, and an
-  end off the open disk raises OutsideModelError;
+  meeting the hyperbolic ball B(o, ATLAS_RADIUS) about the disk centre o,
+  found by one search on first use and never changed; segments inside the
+  ball are answered from it, and an end off the open disk raises
+  OutsideModelError;
 - the tree path: a segment meets the tiles on the tree path between the
   tiles of its ends.  It answers segments past the atlas, and each [x0,
   g.x0], whose far tile is the g-image of the near one (OutsideModelError
@@ -65,10 +66,9 @@ EPS_ENDPOINT = 1e-9
 # The budget of tiles that one tile search tests.
 MAX_NODES = 400_000
 
-# Leaf atlases grow in steps of this hyperbolic radius about the disk centre,
-# up to the limit (Klein radius tanh 2.5 = 0.987).
-ATLAS_STEP = 0.5
-ATLAS_RADIUS_LIMIT = 2.5
+# The hyperbolic radius of the ball about the disk centre that a leaf atlas
+# covers (Klein radius tanh 2.5 = 0.987).
+ATLAS_RADIUS = 2.5
 
 # The Kerckhoff search keeps every trace in (2, KERCKHOFF_TRACE_MAX] and
 # takes at most KERCKHOFF_MAX_STEPS Newton steps.
@@ -334,10 +334,11 @@ class PuncturedTorusGroup:
     normals of its fundamental quadrilateral (``tile_sides``).  A word's Lorentz image is the adjoint
     of its SL(2) product, the one evaluation of a word that leaf normals,
     bent holonomies and translations all read.  The group also keeps one
-    leaf atlas per multicurve and the tiles near the start of each tree path
-    (``tiles_near``), but not near its far end, which is often fresh.  Each
-    memo holds only what was asked of this group, never a failed query, and
-    lives as long as the group.
+    leaf atlas per multicurve (``atlas``), built once, at ATLAS_RADIUS, the
+    first time a segment inside its ball is asked for, and the tiles near
+    the start of each tree path (``tiles_near``), but not near its far end,
+    which is often fresh.  Each memo holds only what was asked of this
+    group, never a failed query, and lives as long as the group.
     """
 
     trace_point: TeichPoint
@@ -443,12 +444,23 @@ class PuncturedTorusGroup:
         (c00, _), (_, c11) = self._cusp.tolist()
         return c00 + c11
 
-    def atlas(self, mc: "WeightedMulticurve") -> "LeafAtlas":
-        """The leaf atlas of a multicurve, shared by every caller of this group."""
-        atlas = self._atlases.get(mc)
-        if atlas is None:
-            atlas = self._atlases[mc] = LeafAtlas(mc)
-        return atlas
+    def atlas(self, mc: "WeightedMulticurve") -> "Leaves":
+        """The normals and conjugator words of the leaves of a multicurve that meet B(o, ATLAS_RADIUS).
+
+        o is the disk centre and the radius is hyperbolic.  One tile search
+        about o finds them on first use; every caller of this group shares
+        them after that.
+        """
+        leaves = self._atlases.get(mc)
+        if leaves is None:
+            normals, words = _tile_leaves(self, mc, _tiles_within(self, np.zeros(2), ATLAS_RADIUS))
+            # Only the leaves that meet the ball, fewer rows for every sign test the atlas
+            # answers; a leaf within EPS_ENDPOINT of an endpoint on the ball's rim still counts.
+            near = np.abs(normals[:, 0]) <= math.sinh(ATLAS_RADIUS + EPS_ENDPOINT)
+            normals = normals[near]
+            normals.flags.writeable = False
+            leaves = self._atlases[mc] = normals, [word for word, kept in zip(words, near.tolist()) if kept]
+        return leaves
 
 
 def build_punctured_torus(tp: TeichPoint) -> PuncturedTorusGroup:
@@ -684,58 +696,27 @@ def _tile_leaves(group: PuncturedTorusGroup, mc: WeightedMulticurve, tiles) -> L
     return np.array([group.lorentz(first) @ axis for first in order]).reshape(-1, 3), order
 
 
-class LeafAtlas:
-    """The leaves of one multicurve's preimage that meet the ball B(o, radius).
-
-    o is the disk centre and the radius is hyperbolic.  The atlas starts
-    empty and is rebuilt by one leaf search about o whenever a query reaches
-    past its radius, at that query's distance rounded up to ATLAS_STEP, up
-    to ATLAS_RADIUS_LIMIT.  ``leaves`` holds their normals and conjugator
-    words.
-    """
-
-    def __init__(self, multicurve: WeightedMulticurve):
-        self.multicurve = multicurve
-        self.radius = -math.inf
-        self.leaves: Leaves = (np.zeros((0, 3)), [])
-
-    def covering(self, group: PuncturedTorusGroup, x: np.ndarray, y: np.ndarray) -> Leaves | None:
-        """The atlas leaves when its ball holds both endpoints, else None.
-
-        The ball is convex, so every leaf crossing [x, y] meets it.
-        """
-        squares = [u * u + v * v for u, v in (x.tolist(), y.tolist())]
-        if not (squares[0] < 1.0 and squares[1] < 1.0):  # written so that a NaN endpoint fails too
-            raise OutsideModelError("disk point must satisfy |z| < 1")
-        needed = math.acosh(1.0 / math.sqrt(1.0 - max(squares)))
-        if self.radius < needed <= ATLAS_RADIUS_LIMIT:
-            radius = math.ceil(needed / ATLAS_STEP) * ATLAS_STEP
-            # A leaf within EPS_ENDPOINT of an endpoint on the rim still counts.
-            bound = math.sinh(radius + EPS_ENDPOINT)
-            normals, words = _tile_leaves(group, self.multicurve, _tiles_within(group, np.zeros(2), radius))
-            # Only the leaves that meet the ball: fewer rows for every sign test the atlas answers.
-            near = np.abs(normals[:, 0]) <= bound
-            self.leaves = normals[near], [word for word, kept in zip(words, near.tolist()) if kept]
-            self.radius = radius
-        return self.leaves if needed <= self.radius else None
-
-
 def segment_crossings(group: PuncturedTorusGroup, mc: WeightedMulticurve, x: np.ndarray, y: np.ndarray) -> Crossings:
     """The leaves of the lifted multicurve crossing the open segment (x, y), as arrays.
 
     In increasing order of crossing parameter, each leaf comes as its normal
     as found, its side (+1.0 when that normal points away from x, else -1.0),
-    its parameter and its conjugator word.  Segments inside the group's leaf
-    atlas for ``mc`` are answered from it, growing it when needed; past its
-    reach, from the tiles near x (``tiles_near``) and near y, and the tree
+    its parameter and its conjugator word.  A segment whose ends lie in the
+    ball of the group's leaf atlas for ``mc`` is answered from it, as the
+    ball is convex and so meets every leaf crossing the segment; past the
+    ball, from the tiles near x (``tiles_near``) and near y, and the tree
     path between them.  Raises OutsideModelError when an endpoint is off the
     open disk, EndpointOnLeafError when one is within tolerance of a leaf,
-    and, past the atlas, the errors of the tile searches about x and y.
+    and the errors of the tile searches.
     """
     x = np.asarray(x, dtype=float).reshape(2)
     y = np.asarray(y, dtype=float).reshape(2)
-    leaves = group.atlas(mc).covering(group, x, y)
-    if leaves is None:
+    squares = [u * u + v * v for u, v in (x.tolist(), y.tolist())]
+    if not (squares[0] < 1.0 and squares[1] < 1.0):  # written so that a NaN endpoint fails too
+        raise OutsideModelError("disk point must satisfy |z| < 1")
+    if math.acosh(1.0 / math.sqrt(1.0 - max(squares))) <= ATLAS_RADIUS:
+        leaves = group.atlas(mc)
+    else:
         near, far = group.tiles_near(x), _tiles_within(group, y, 0.0)
         leaves = _tile_leaves(group, mc, {*near, *far, *_tree_path(near[0], far[0])})
     return _crossings(leaves, x, y)
@@ -773,7 +754,7 @@ def _crossings(leaves: Leaves, x: np.ndarray, y: np.ndarray) -> Crossings:
     normals, words = leaves
     # Affine pairings are sign- and root-compatible with the lifted ones;
     # the lift rescaling only matters for the endpoint-distance tolerance.
-    # |z|^2 as float products of the coordinates, as LeafAtlas.covering reads it.
+    # |z|^2 as float products of the coordinates, as segment_crossings reads it.
     (x1, x2), (y1, y2) = x.tolist(), y.tolist()
     duals = np.array([[[-1.0, x1, x2]], [[-1.0, y1, y2]]])  # J3 (1, x) and J3 (1, y)
     scale0 = 1.0 / math.sqrt(1.0 - (x1 * x1 + x2 * x2))

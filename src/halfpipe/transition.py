@@ -157,14 +157,21 @@ def richardson_limit(samples, order: float = 1.0) -> np.ndarray:
     cancel the leading error term of the given order p:
     (|t2|^p m(t1) - |t1|^p m(t2)) / (|t2|^p - |t1|^p).  The default p = 1
     handles generic families; pass the fitted order when it is known to be
-    higher (rescaled families are often even in t).
+    higher (rescaled families are often even in t).  Raises GeometryError
+    for an order that is not positive and finite, and when the two samples
+    of smallest |t| weigh the same, as the two sides of a signed grid do.
     """
     pairs = sorted(((float(t), np.asarray(m, dtype=float)) for t, m in samples), key=lambda p: abs(p[0]))
     if len(pairs) < 2:
         raise InsufficientGridError("Richardson extrapolation needs at least two samples")
-    if order <= 0.0:
-        raise GeometryError("the error order must be positive")
+    # Written so that a NaN order fails too.
+    if not (order > 0.0 and math.isfinite(order)):
+        raise GeometryError(f"the error order must be positive and finite; got {order!r}")
     (t1, m1), (t2, m2) = pairs[0], pairs[1]
+    if abs(t1) ** order == abs(t2) ** order:
+        raise GeometryError(
+            f"the two samples of smallest |t|, {abs(t1)!r} and {abs(t2)!r}, have equal weights |t|^{order!r}"
+        )
     return _richardson_step(t1, m1, t2, m2, order)
 
 

@@ -31,7 +31,6 @@ from halfpipe.bending import (
     support_plane_at,
 )
 from halfpipe.fuchsian import (
-    ATLAS_RADIUS_LIMIT,
     EndpointOnLeafError,
     EnumerationBudgetError,
     TeichPoint,
@@ -56,6 +55,7 @@ from halfpipe.geometry import (
     embed_h2_point,
     klein_hp,
     minkowski_dot,
+    radial_project,
 )
 from halfpipe.isometry import Isometry, classify_isometry, group_residual, hp_to_minkowski
 
@@ -125,6 +125,18 @@ def test_context_refuses_a_tag_that_is_not_a_geometry():
     for tag in ("HP", None, 0, 1, HP.value):
         with pytest.raises(GeometryError, match="Geometry"):
             BendingContext(group=group, multicurve=mc, base_point=BASE, tag=tag)
+
+
+def test_context_refuses_a_group_or_multicurve_of_another_type():
+    # Both used to construct and fail at the first query, with an AttributeError.
+    group = build_punctured_torus(SYMMETRIC)
+    mc = WeightedMulticurve.single("A")
+    for other in (SYMMETRIC, None, "A"):
+        with pytest.raises(GeometryError, match="PuncturedTorusGroup"):
+            BendingContext(group=other, multicurve=mc, base_point=BASE, tag=HP)
+    for other in ("A", None, mc.components[0], group):
+        with pytest.raises(GeometryError, match="WeightedMulticurve"):
+            BendingContext(group=group, multicurve=other, base_point=BASE, tag=HP)
 
 
 def test_cocycle_trivial_cases():
@@ -255,20 +267,16 @@ def test_bent_holonomy_is_a_homomorphism_at_random_points(point, mc, tag, scale,
 )
 def test_bent_holonomy_does_not_depend_on_the_groups_query_history(point, mc, tag, scale, word, angle):
     # A segment from x0 to Klein radius 0.98 (distance 2.3 from the centre)
-    # regrows the group's atlas unless it already reaches ATLAS_RADIUS_LIMIT.
-    # The prefixes of the word, the shortest segments, are the likeliest to
-    # be answered from the smaller atlas before and from the larger after.
+    # fills the group's leaf atlas and its memo of the tiles near x0; the
+    # holonomies of the word's prefixes read neither differently after it.
     group = build_punctured_torus(point)
     rho = bent_holonomy(BendingContext(group, mc, BASE, tag, 1.0, scale))
     prefixes = [word[:k] for k in range(1, len(word) + 1)]
     try:
         before = [rho(prefix).matrix for prefix in prefixes]
-        radius = group.atlas(mc).radius
-        assume(radius < ATLAS_RADIUS_LIMIT)
         leaves_crossing(group, mc, BASE, 0.98 * np.array([math.cos(angle), math.sin(angle)]))
     except EndpointOnLeafError:
         assume(False)
-    assert group.atlas(mc).radius > radius
     fresh = bent_holonomy(BendingContext(build_punctured_torus(point), mc, BASE, tag, 1.0, scale))
     for prefix, matrix in zip(prefixes, before):
         assert np.array_equal(rho(prefix).matrix, matrix), prefix
@@ -362,6 +370,25 @@ def test_hp_bent_surface_is_graph_of_height_function():
         chart, height = klein_hp(bending_map(ctx, z))
         assert np.max(np.abs(chart - z)) < TOL_GRAPH
         assert abs(height - psi_lambda(ctx, z)) < TOL_GRAPH
+
+
+def test_height_function_on_a_leaf_is_the_graph_height_of_the_bending_map():
+    # The origin lies on the axis of A at (3,3,3), and the point of the axis
+    # of AAB closest to the origin on a leaf of AAB at from_xy(6, 3.5).  The
+    # height used to refuse both, where bending_map develops them.
+    group = build_punctured_torus(TeichPoint.from_xy(6.0, 3.5))
+    on_aab = radial_project(group.axis("AAB").closest_point_to_origin())
+    aab = BendingContext(group, WeightedMulticurve.single("AAB", 0.5), BASE, HP, 1.0, 0.3)
+    for ctx, z in ((_context(HP, scale=0.3), np.zeros(2)), (aab, on_aab)):
+        with pytest.raises(EndpointOnLeafError):
+            segment_crossings(ctx.group, ctx.multicurve, BASE, z)
+        chart, height = klein_hp(bending_map(ctx, z))
+        assert np.max(np.abs(chart - z)) < TOL_GRAPH
+        assert abs(height - psi_lambda(ctx, z)) < TOL_GRAPH
+        # Continuous across the leaf: the heights 1e-7 to either side differ by less than 1e-7.
+        leaf = ctx.group.axis(ctx.multicurve.components[0].root).normal[1:]
+        for step in (1e-7, -1e-7):
+            assert abs(psi_lambda(ctx, z + step * leaf / np.linalg.norm(leaf)) - psi_lambda(ctx, z)) < 1e-7
 
 
 def test_height_function_values():

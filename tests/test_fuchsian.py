@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from halfpipe import fuchsian
 from halfpipe.fuchsian import (
-    ATLAS_RADIUS_LIMIT,
+    ATLAS_RADIUS,
     BadTracesError,
     BadWordError,
     EPS_ENDPOINT,
@@ -598,6 +598,15 @@ def _walk_segment(group: PuncturedTorusGroup, mc: WeightedMulticurve, x: np.ndar
     return _tile_leaves(group, mc, _tiles_near_segment(group, x, y, 0.0))
 
 
+def _record_leaf_queries(monkeypatch) -> tuple[list, list]:
+    """Lists that fill, as the library runs, with the radius of each tile search and the leaves of each sign test."""
+    searches, answered = [], []
+    search, crossings = fuchsian._tiles_within, fuchsian._crossings
+    monkeypatch.setattr(fuchsian, "_tiles_within", lambda g, x, radius: searches.append(radius) or search(g, x, radius))
+    monkeypatch.setattr(fuchsian, "_crossings", lambda leaves, x, y: answered.append(leaves) or crossings(leaves, x, y))
+    return searches, answered
+
+
 def _assert_walk_agrees(group, mc, x, y):
     """The answer for [x, y], from the atlas or the tree path, is that of the reference walk."""
     normals, sides, parameters, words = segment_crossings(group, mc, x, y)
@@ -613,37 +622,36 @@ def test_atlas_matches_the_reference_walk(name):
     rng = np.random.default_rng(sorted(ATLAS_POINTS).index(name))
     for mc in ATLAS_MULTICURVES:
         group = build_punctured_torus(ATLAS_POINTS[name])
-        # The first segment reaches the rim, so the atlas grows to its limit.
+        # Every end lies within Klein radius 0.97, inside the atlas ball.
         radii = [0.97, 0.97] + list(0.97 * np.sqrt(rng.uniform(size=10)))
         points = [_disk_point(rng, r) for r in radii]
         for x, y in zip(points[::2], points[1::2]):
             _assert_walk_agrees(group, mc, x, y)
-        assert group.atlas(mc).radius == ATLAS_RADIUS_LIMIT
 
 
-def test_atlas_freezes_at_its_radius_limit_and_falls_back_to_the_tree_path():
-    # The atlas grows in steps up to ATLAS_RADIUS_LIMIT and stops there;
-    # segments reaching past it are answered from the tree path.  At this
-    # point the atlas used to run out of its word-walk budget at radius 2.0.
+def test_atlas_is_built_once_at_its_radius_and_the_tree_path_answers_past_it(monkeypatch):
+    # The first segment inside B(o, ATLAS_RADIUS) builds the atlas by one
+    # search about the centre, later ones inside it read the same leaves,
+    # and a segment reaching past it takes the tree path.  At this point the
+    # atlas used to run out of its word-walk budget at radius 2.0.
     group = build_punctured_torus(ATLAS_POINTS["xy(3,40)"])
     mc = WeightedMulticurve.single("ABB")
-    atlas = group.atlas(mc)
+    searches, answered = _record_leaf_queries(monkeypatch)
     rng = np.random.default_rng(3)
     near = (_disk_point(rng, 0.8), _disk_point(rng, 0.9))
     far = (_disk_point(rng, 0.95), _disk_point(rng, 0.6))
     edge = (_disk_point(rng, 0.985), _disk_point(rng, 0.4))
     rim = (_disk_point(rng, 0.995), _disk_point(rng, 0.5))
     _assert_walk_agrees(group, mc, *near)
-    assert atlas.radius == 1.5
-    _assert_walk_agrees(group, mc, *far)
-    assert atlas.radius == 2.0
-    _assert_walk_agrees(group, mc, *edge)
-    assert atlas.radius == ATLAS_RADIUS_LIMIT
+    assert searches == [ATLAS_RADIUS]
+    for ends in (far, edge):
+        _assert_walk_agrees(group, mc, *ends)
+    atlas = group.atlas(mc)
+    assert len(answered) == 3 and all(leaves is atlas for leaves in answered) and searches == [ATLAS_RADIUS]
     _assert_walk_agrees(group, mc, *rim)
-    assert atlas.radius == ATLAS_RADIUS_LIMIT
-    assert atlas.covering(group, *far) is atlas.leaves
-    assert atlas.covering(group, *rim) is None
+    assert answered[-1] is not atlas and searches == [ATLAS_RADIUS, 0.0, 0.0]
     _assert_walk_agrees(group, mc, *near)
+    assert answered[-1] is atlas and len(searches) == 3
 
 
 @pytest.mark.parametrize(
@@ -651,20 +659,18 @@ def test_atlas_freezes_at_its_radius_limit_and_falls_back_to_the_tree_path():
     [("xy(20,3)", WeightedMulticurve.single("AAB", 0.5)), ("xy(3,40)", WeightedMulticurve.single("ABB"))],
     ids=("0.5AAB@xy(20,3)", "ABB@xy(3,40)"),
 )
-def test_atlas_first_grown_past_the_walk_budget_keeps_the_largest_radius_that_builds(name, mc):
+def test_atlas_builds_and_answers_where_the_old_word_walk_ran_out_of_budget(monkeypatch, name, mc):
     # Of the test grid, these points need the most tiles for the atlas ball
-    # at the radius limit (about a hundred tested), and the old word walk ran
-    # out of budget there: a first query at |z| = 0.97 now grows the atlas
-    # straight to the limit.
+    # (about a hundred tested), and the old word walk ran out of budget there.
     group = build_punctured_torus(ATLAS_POINTS[name])
-    atlas = group.atlas(mc)
+    _, answered = _record_leaf_queries(monkeypatch)
     rng = np.random.default_rng(4)
     _assert_walk_agrees(group, mc, _disk_point(rng, 0.97), _disk_point(rng, 0.3))
-    assert atlas.radius == ATLAS_RADIUS_LIMIT
+    atlas = group.atlas(mc)
     for _ in range(4):
         x, y = (_disk_point(rng, 0.97 * math.sqrt(rng.uniform())) for _ in range(2))
-        assert atlas.covering(group, x, y) is atlas.leaves
         _assert_walk_agrees(group, mc, x, y)
+    assert len(answered) == 5 and all(leaves is atlas for leaves in answered)
 
 
 def test_segment_endpoints_off_the_open_disk_are_refused():
@@ -825,6 +831,26 @@ extreme_trace_points = (
 any_reduced_words = st.lists(st.sampled_from("ABab"), max_size=12).map("".join).map(free_reduce)
 
 
+@given(point=extreme_trace_points, mc=st.sampled_from(ATLAS_MULTICURVES))
+def test_atlas_builds_within_a_tenth_of_the_tile_budget(point, mc):
+    # The atlas ball is searched at its one radius whatever the query, so
+    # that radius stands only while the search keeps far from MAX_NODES.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fuchsian, "MAX_NODES", fuchsian.MAX_NODES // 10)
+        normals, words = build_punctured_torus(point).atlas(mc)
+    assert normals.shape == (len(words), 3)
+
+
+def test_the_largest_atlas_ball_is_searched_within_a_tenth_of_the_tile_budget(monkeypatch):
+    # from_xy(2.000001, 4000.0015) has the shortest curve A for which the
+    # group still builds, and the largest atlas ball found.  Its search takes
+    # 0.07 s, but naming the leaves of its 1,600-letter tiles takes seconds,
+    # so the search alone is checked here.
+    group = build_punctured_torus(TeichPoint.from_xy(2.000001, 4000.0015))
+    monkeypatch.setattr(fuchsian, "MAX_NODES", fuchsian.MAX_NODES // 10)
+    assert len(_tiles_within(group, np.zeros(2), ATLAS_RADIUS)) == 3189
+
+
 def _adjoint_by_basis(g):
     """The adjoint image of g, one basis element and one column at a time, as sl2_to_so12 used to form it."""
     inverse = np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]])
@@ -938,7 +964,8 @@ def test_side_times_the_conjugated_axis_normal_is_the_leaf_normal(point, mc, x, 
         pushed = side * (group.lorentz(crossing.conjugator_word) @ axis)
         assert np.max(np.abs(crossing.leaf.normal - pushed)) <= 1e-9 * np.max(np.abs(pushed))
         assert float(minkowski_dot(crossing.leaf.normal, disk_lift(x))) < 0.0
-    assert group.atlas(mc).covering(group, x, y) is not None
+    # Both ends lie within Klein radius 0.9, so the atlas answers.
+    assert set(words) <= set(group.atlas(mc)[1])
     _assert_whole_word_normals(group, mc, found)
     _assert_whole_word_normals(group, mc, _crossings(_walk_segment(group, mc, x, y), x, y))
     try:

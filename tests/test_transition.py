@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -143,6 +144,16 @@ def test_richardson_limit_with_known_order():
         richardson_limit(samples[:1])
     with pytest.raises(GeometryError):
         richardson_limit(samples, order=0.0)
+    # A NaN or infinite order used to return NaN, and equal |t| (the two
+    # sides of a signed grid) -inf, with a RuntimeWarning each.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for order in (math.nan, math.inf):
+            with pytest.raises(GeometryError, match=f"got {order}"):
+                richardson_limit(samples, order=order)
+        for grid, smallest in (((1e-1, -1e-1), "0.1"), (DEFAULT_GRID, "0.0001")):
+            with pytest.raises(GeometryError, match=rf"\|t\|, {smallest} and {smallest},"):
+                richardson_limit([(t, m + t * t * k) for t in grid], order=2.0)
 
 
 def test_projective_normalization_branches():

@@ -29,7 +29,8 @@ The runs, all in one process:
   no grid (argparse exits 2, recorded as the run's exit code), and
   ``export-surface --grid=0.1,7``, which exports one value only (exit 2);
 - ``double`` and ``export-surface`` at two extreme trace points, ABB at
-  from_xy(3, 40) and 0.5 AAB at from_xy(20, 3), where leaf atlases reach
+  from_xy(3, 40) and 0.5 AAB at from_xy(20, 3), where the leaf atlas, built
+  once at the hyperbolic radius ATLAS_RADIUS about the disk centre, reaches
   far into thin parts of the surface;
 - ``export-surface`` from the base point (0.99999, 0) on the three
   RIM_SURFACES, where every leaf query leaves the leaf atlas and is answered
