@@ -70,11 +70,9 @@ class BendingContext:
 
     The basepoint must be off every leaf; the effective bending angle about a
     crossed leaf of weight ``a`` is ``sign * scale * a``.  Contexts are
-    immutable.  Crossing data lives in the group: segments inside its leaf
-    atlas for the multicurve are answered from the atlas, and holonomies and
-    longer segments from the tiling's tree path and the group's tiles near
-    the basepoint (``tiles_near``).  So every context over one group and
-    multicurve shares it, whatever its tag, sign or scale.
+    immutable.  Crossing data lives in the group's leaf layer, keyed by the
+    curve's root, so every context over one group and curve shares it,
+    whatever its weight, tag, sign or scale.
 
     Parameters
     ----------
@@ -135,9 +133,8 @@ def _bracketed_product(
     stays on the scale of the answer.
     """
     tags, scales = zip(*slices)
-    curve = multicurve.components[0]
-    weight = float(curve.weight)
-    phi, phi_inverse = group.axis_frame(curve.root)
+    weight = float(multicurve.weight)
+    phi, phi_inverse = group.axis_frame(multicurve.root)
     _, sides, _, words = crossings
     out = identity_stack(len(tags))
     previous = ""
@@ -207,7 +204,7 @@ def bent_translation(ctx: BendingContext, word: str) -> np.ndarray:
     total = np.zeros(3)
     for side, normal in zip(sides.tolist(), normals):
         total += side * normal
-    return -(ctx.sign * ctx.scale * float(ctx.multicurve.components[0].weight)) * total
+    return -(ctx.sign * ctx.scale * float(ctx.multicurve.weight)) * total
 
 
 def bent_holonomy(ctx: BendingContext) -> BentHolonomy:
@@ -250,7 +247,7 @@ def psi_lambda(ctx: BendingContext, z: np.ndarray) -> float:
     z = np.asarray(z, dtype=float).reshape(2)
     normals, sides, _, _ = _crossings_to(ctx, z)
     z1, z2 = z.tolist()
-    coefficient = ctx.sign * ctx.scale * float(ctx.multicurve.components[0].weight)
+    coefficient = ctx.sign * ctx.scale * float(ctx.multicurve.weight)
     total = 0.0
     for side, (n0, n1, n2) in zip(sides.tolist(), normals.tolist()):
         # The unit normal, oriented and divided by its Minkowski norm as SpacelikeGeodesicH2 does.

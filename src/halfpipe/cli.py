@@ -39,9 +39,9 @@ from .fuchsian import (
     build_punctured_torus,
     filling_advisory,
     kerckhoff_point,
-    leaves_crossing,
+    segment_crossings,
 )
-from .geometry import ADS, HP, HYP, Geometry, GeometryError
+from .geometry import ADS, HP, HYP, Geometry, GeometryError, SpacelikeGeodesicH2
 from .transition import (
     DEFAULT_BASE_POINT,
     DEFAULT_GRID,
@@ -153,6 +153,8 @@ def _group_from_config(cfg: dict) -> PuncturedTorusGroup:
         a, b = (np.asarray(g, dtype=float).reshape(2, 2) for g in gens)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"field 'generators' must hold two 2x2 matrices: {exc}") from exc
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ConfigError(f"field 'generators' must hold finite numbers; got {[a.tolist(), b.tolist()]}")
     dets = np.linalg.det(np.stack((a, b)))
     # Written so that a NaN determinant fails too.
     if not np.all(np.abs(dets - 1.0) <= 1e-9):
@@ -278,13 +280,12 @@ def _check_cone_grid(grid: tuple[float, ...], lam: WeightedMulticurve) -> None:
     """Refuse a cone-angle grid that holds a nonpositive value or a hyperbolic bending angle t * weight of pi or more."""
     if any(t <= 0.0 for t in grid):
         raise ConfigError(f"field 'grid': cone-angle grid values must be positive; got {list(grid)}")
-    weight = lam.components[0].weight
     for t in grid:
         # The product the cone-angle table refuses, so the two checks agree to the bit.
-        if t * weight >= math.pi:
+        if t * lam.weight >= math.pi:
             raise ConfigError(
-                f"field 'grid': value {t!r} times the weight {weight!r} of 'multicurves.lambda' is "
-                f"{t * weight!r}, a hyperbolic bending angle of pi or more"
+                f"field 'grid': value {t!r} times the weight {lam.weight!r} of 'multicurves.lambda' is "
+                f"{t * lam.weight!r}, a hyperbolic bending angle of pi or more"
             )
 
 
@@ -367,13 +368,12 @@ def cmd_double(args) -> int:
     hp_tol = args.tol if args.tol is not None else 1e-6
     _base_point_from(cfg)  # validated, though the table does not depend on a basepoint
 
-    curve = lam.components[0]
     slices = [(tag, t) for tag in (HYP, ADS, HP) for t in grid]
     table = meridian_cone_angles(group, lam, slices)
     hyp, ads, hp = (table[i : i + len(grid)] for i in range(0, len(table), len(grid)))
     # The doubled metrics close up affinely: slope -2 * weight on each side,
     # checked relative to 2 * weight, so that tiny weights are checked too.
-    two_weight = 2.0 * curve.weight
+    two_weight = 2.0 * lam.weight
     slope_gaps = []
     if len(grid) >= 2:
         # A grid this small is refused as too small for the slope fit (exit 3).
@@ -389,13 +389,13 @@ def cmd_double(args) -> int:
             mean = sum(angles) / len(angles)
             slope = sum(d * (angle - mean) for d, angle in zip(offsets, angles)) / spread / top
             slope_gaps.append(abs(slope + two_weight) / two_weight)
-    hp_gap = max(abs(angle + 2.0 * curve.weight * t) for t, angle in zip(grid, hp))
+    hp_gap = max(abs(angle + 2.0 * lam.weight * t) for t, angle in zip(grid, hp))
 
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["geometry", "word", "weight", "t", "cone_angle"])
     for (tag, t), angle in zip(slices, table):
-        writer.writerow([tag.name.lower(), curve.word, repr(float(curve.weight)), repr(float(t)), repr(angle)])
+        writer.writerow([tag.name.lower(), lam.word, repr(float(lam.weight)), repr(float(t)), repr(angle)])
 
     _write_report(Path(args.out), "cone_angles.csv", buffer.getvalue())
     # Written so that a NaN gap fails.
@@ -450,23 +450,24 @@ def cmd_export_surface(args) -> int:
     rng = np.random.default_rng(args.seed)
     disk_points = _sample_disk(rng, samples)
     vertices = []
-    seen_leaves = {}
+    normals = {}  # conjugator word -> leaf normal pointing away from the basepoint, on every segment from it
     for z in disk_points:
         vertex = bending_map(ctx, z).affine_chart()
         _check_region(ctx.tag, vertex, tol)
         vertices.append([float(c) for c in vertex])
-        for crossing in leaves_crossing(group, lam, ctx.base_point, z):
-            key = tuple(np.round(crossing.leaf.normal, 9))
-            seen_leaves.setdefault(key, crossing.leaf)
+        crossed, sides, _, words = segment_crossings(group, lam, ctx.base_point, z)
+        for normal, side, word in zip(crossed, sides.tolist(), words):
+            normals.setdefault(word, side * normal)
+    leaves = sorted(map(SpacelikeGeodesicH2, normals.values()), key=lambda leaf: tuple(np.round(leaf.normal, 9)))
     doc = {
         "schema_version": SCHEMA_VERSION,
         "seed": args.seed,
         "vertices": vertices,
-        "polylines": [_leaf_polyline(ctx, leaf, tol) for _, leaf in sorted(seen_leaves.items())],
+        "polylines": [_leaf_polyline(ctx, leaf, tol) for leaf in leaves],
         "metadata": {
             "geometry": ctx.tag.name.lower(),
             "t": t,
-            "multicurve": [{"word": c.word, "weight": c.weight} for c in lam.components],
+            "multicurve": [{"word": lam.word, "weight": lam.weight}],
             "chart": "x0=1",
         },
     }

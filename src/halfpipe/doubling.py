@@ -201,22 +201,24 @@ def meridian_cone_angles(
     basepoint enters.  r(P0) is diag(1, 1, 1, -1) in every model, and the
     covector of C(near, far) . P0 is row 3 of C(far, near), so the table is
     one stacked product, slice by slice that of one context.  No slices, a
-    non-finite scale and a hyperbolic |theta| >= pi raise GeometryError.
+    slice tag that is not a Geometry, a non-finite scale and a hyperbolic
+    |theta| >= pi raise GeometryError.
     """
     if not slices:
         raise GeometryError("slices is empty: a cone-angle table needs at least one (geometry, scale) slice")
     tags, scales = zip(*slices)
-    curve = multicurve.components[0]
-    weight = curve.weight
+    weight, root = multicurve.weight, multicurve.root
     for tag, s in slices:
+        if not isinstance(tag, Geometry):
+            raise GeometryError(f"slice tag must be a Geometry, not {tag!r}")
         if not math.isfinite(s):
             raise GeometryError(f"scale {s!r} is not finite")
         if tag is HYP and abs(s * weight) >= math.pi:
             raise GeometryError(f"hyperbolic bending angle {s * weight!r} must stay below pi")
     # The one crossing of the segment from the far face to the near face, at its midpoint.
-    crossing = (group.axis(curve.root).normal[np.newaxis], np.array([-1.0]), np.array([0.5]), [""])
+    crossing = (group.axis(root).normal[np.newaxis], np.array([-1.0]), np.array([0.5]), [""])
     far_to_near = _bracketed_product(group, multicurve, crossing, "", slices)
-    phi, phi_inverse = group.axis_frame(curve.root)
+    phi, phi_inverse = group.axis_frame(root)
     covectors = _unit_rows(far_to_near[:, 3])
     by_tag = {tag: [j for j, other in enumerate(tags) if other is tag] for tag in dict.fromkeys(tags)}
     meridians = np.empty((len(tags), 4, 4))
@@ -241,9 +243,8 @@ def meridian_cone_angle(ctx: BendingContext, word: str, t: float | None = None) 
     model and sign * scale, with ``t`` in place of the scale when given.  A
     word other than the multicurve's curve raises GeometryError.
     """
-    curve = ctx.multicurve.components[0]
-    if word != curve.word:
-        raise GeometryError(f"{word!r} is not the curve {curve.word!r} of the multicurve")
+    if word != ctx.multicurve.word:
+        raise GeometryError(f"{word!r} is not the curve {ctx.multicurve.word!r} of the multicurve")
     scale = ctx.scale if t is None else t
     return meridian_cone_angles(ctx.group, ctx.multicurve, ((ctx.tag, ctx.sign * scale),))[0]
 

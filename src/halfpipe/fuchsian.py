@@ -7,11 +7,11 @@ commutator [A, B] being parabolic of trace -2, i.e. a cusp).  Holonomies act
 on H2 through the adjoint representation SL(2, R) -> SO0(1, 2) on trace-free
 2x2 matrices with the Minkowski norm -det.
 
-A weighted multicurve is one non-peripheral simple closed curve with a
-positive weight: two distinct simple closed curves on this surface meet, so
-a measured multicurve has a single component.  Its preimage in H2 is a
-disjoint union of complete geodesics (leaves).  The translates w.Q of an
-ideal quadrilateral Q with sides paired by A and B (Jorgensen, "On pairs of
+Two distinct simple closed curves on this surface meet, so a measured
+multicurve is one weighted curve (``WeightedMulticurve``).  Its preimage in
+H2, the leaves, are the lifts of the axis of the curve's cyclic reduction r
+(its root): they depend on r alone.  The translates w.Q of an ideal
+quadrilateral Q with sides paired by A and B (Jorgensen, "On pairs of
 once-punctured tori"), one per reduced word w, tile the disk; tiles whose
 words differ by one letter on the right share a side.  The sides are
 disjoint geodesics, so a side separates two points exactly when it lies on
@@ -26,7 +26,7 @@ word v), then one sign test (``_crossings``, the leaves whose pairings with
 the two ends differ in sign; it raises EndpointOnLeafError for an end on a
 leaf).  There are two tile sources:
 
-- the atlas ball: each group keeps a leaf atlas per multicurve, the leaves
+- the atlas ball: each group keeps a leaf atlas per curve root, the leaves
   meeting the hyperbolic ball B(o, ATLAS_RADIUS) about the disk centre o,
   found by one search on first use and never changed; segments inside the
   ball are answered from it, and an end off the open disk raises
@@ -331,14 +331,13 @@ class PuncturedTorusGroup:
     (phi, phi^-1, one pair for every model) when first asked for them and
     returns the same object after that; the arrays are read-only.  So are
     the stacked images of the four letters (``letter_images``) and the side
-    normals of its fundamental quadrilateral (``tile_sides``).  A word's Lorentz image is the adjoint
-    of its SL(2) product, the one evaluation of a word that leaf normals,
-    bent holonomies and translations all read.  The group also keeps one
-    leaf atlas per multicurve (``atlas``), built once, at ATLAS_RADIUS, the
-    first time a segment inside its ball is asked for, and the tiles near
-    the start of each tree path (``tiles_near``), but not near its far end,
-    which is often fresh.  Each memo holds only what was asked of this
-    group, never a failed query, and lives as long as the group.
+    normals of its fundamental quadrilateral (``tile_sides``).  A word's
+    Lorentz image is the adjoint of its SL(2) product, the one evaluation of
+    a word that leaf normals, bent holonomies and translations all read.
+    The group also keeps one leaf atlas per curve root (``atlas``) and the
+    tiles near the start of each tree path (``tiles_near``), but not near
+    its far end, which is often fresh.  Each memo holds only what was asked
+    of this group, never a failed query, and lives as long as the group.
     """
 
     trace_point: TeichPoint
@@ -444,22 +443,22 @@ class PuncturedTorusGroup:
         (c00, _), (_, c11) = self._cusp.tolist()
         return c00 + c11
 
-    def atlas(self, mc: "WeightedMulticurve") -> "Leaves":
-        """The normals and conjugator words of the leaves of a multicurve that meet B(o, ATLAS_RADIUS).
+    def atlas(self, root: str) -> "Leaves":
+        """The normals and conjugator words of the leaves of a curve root that meet B(o, ATLAS_RADIUS).
 
         o is the disk centre and the radius is hyperbolic.  One tile search
-        about o finds them on first use; every caller of this group shares
-        them after that.
+        about o finds them on first use; every multicurve of that root, of
+        any weight or conjugate word, shares them after that.
         """
-        leaves = self._atlases.get(mc)
+        leaves = self._atlases.get(root)
         if leaves is None:
-            normals, words = _tile_leaves(self, mc, _tiles_within(self, np.zeros(2), ATLAS_RADIUS))
+            normals, words = _tile_leaves(self, root, _tiles_within(self, np.zeros(2), ATLAS_RADIUS))
             # Only the leaves that meet the ball, fewer rows for every sign test the atlas
             # answers; a leaf within EPS_ENDPOINT of an endpoint on the ball's rim still counts.
             near = np.abs(normals[:, 0]) <= math.sinh(ATLAS_RADIUS + EPS_ENDPOINT)
             normals = normals[near]
             normals.flags.writeable = False
-            leaves = self._atlases[mc] = normals, [word for word, kept in zip(words, near.tolist()) if kept]
+            leaves = self._atlases[root] = normals, [word for word, kept in zip(words, near.tolist()) if kept]
         return leaves
 
 
@@ -477,8 +476,8 @@ def build_punctured_torus(tp: TeichPoint) -> PuncturedTorusGroup:
 
 
 @dataclass(frozen=True)
-class MulticurveComponent:
-    """A weighted simple closed curve, as a freely reduced word.
+class WeightedMulticurve:
+    """A measured multicurve: one simple closed curve, as a freely reduced word, with a positive weight.
 
     Simple closed curves are the primitive conjugacy classes, one for each
     primitive homology class (p, q) (Osborne-Zieschang): that of
@@ -486,11 +485,11 @@ class MulticurveComponent:
     that cross themselves.  ``word`` stays as given, for reports; ``root``
     is its cyclic reduction r, for a word h . r . h^-1.  Both bend along
     the same lines, and every leaf is named and framed by the axis of r,
-    which lies nearer the disk centre than the axis of h . r . h^-1.
+    which lies nearer the disk centre; the leaf layer is keyed by r.
     """
 
     word: str
-    weight: float
+    weight: float = 1.0
     root: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -506,33 +505,23 @@ class MulticurveComponent:
             raise BadWordError("component weights must be positive and finite")
         object.__setattr__(self, "root", _cyclic_reduce(self.word))
 
-
-@dataclass(frozen=True)
-class WeightedMulticurve:
-    """Exactly one weighted simple closed curve: distinct simple closed curves of
-    slopes (p, q) and (r, s) meet |ps - qr| >= 1 times, so disjoint ones are isotopic."""
-
-    components: tuple[MulticurveComponent, ...]
-
-    def __post_init__(self) -> None:
-        comps = tuple(self.components)
-        if len(comps) != 1:
-            raise BadWordError(f"a multicurve is one weighted simple closed curve; got {len(comps)} components")
-        object.__setattr__(self, "components", comps)
-
     @classmethod
     def single(cls, word: str, weight: float = 1.0) -> "WeightedMulticurve":
-        return cls((MulticurveComponent(word, weight),))
+        return cls(word, weight)
+
+    @property
+    def components(self) -> tuple["WeightedMulticurve"]:
+        """``(self,)``.  Only ``perfbench/`` reads it; ROADMAP item 4's change to the benchmark removes it."""
+        return (self,)
 
 
 def multicurve_length(point_or_group: TeichPoint | PuncturedTorusGroup, mc: WeightedMulticurve) -> float:
     """Weighted geodesic length of the multicurve."""
     group = point_or_group if isinstance(point_or_group, PuncturedTorusGroup) else build_punctured_torus(point_or_group)
-    comp = mc.components[0]
-    length = group.translation_length(comp.word)
+    length = group.translation_length(mc.word)
     if length == 0.0:
-        raise NotHyperbolicError(f"component {comp.word!r} is not hyperbolic at this point")
-    return comp.weight * length
+        raise NotHyperbolicError(f"curve {mc.word!r} is not hyperbolic at this point")
+    return mc.weight * length
 
 
 def filling_advisory(lam: WeightedMulticurve, mu: WeightedMulticurve) -> str | None:
@@ -541,7 +530,7 @@ def filling_advisory(lam: WeightedMulticurve, mu: WeightedMulticurve) -> str | N
     Simple closed curves of slopes (p, q) and (r, s) meet |ps - qr| times,
     so the pair fills exactly when that intersection number is positive.
     """
-    (p, q), (r, s) = (word_homology(mc.components[0].word) for mc in (lam, mu))
+    (p, q), (r, s) = (word_homology(mc.word) for mc in (lam, mu))
     if p * s - q * r == 0:
         return f"the curves of slopes ({p}, {q}) and ({r}, {s}) do not fill: their intersection number |ps - qr| is 0"
     return None
@@ -554,11 +543,9 @@ def filling_advisory(lam: WeightedMulticurve, mu: WeightedMulticurve) -> str | N
 
 @dataclass(frozen=True)
 class LeafCrossing:
-    """One leaf of the lifted multicurve crossing an oriented disk segment.
+    """One leaf crossing an oriented disk segment, its left normal pointing away from the segment start.
 
-    The leaf is oriented so that its left normal points away from the segment
-    start; the parameter locates the crossing along the segment in (0, 1).
-    ``component_index`` is always 0, the index of the multicurve's one curve.
+    The parameter locates the crossing in (0, 1); ``component_index`` is always 0.
     """
 
     leaf: SpacelikeGeodesicH2
@@ -676,10 +663,10 @@ def _tree_path(start: str, end: str) -> list[str]:
     return [start[:k] for k in range(len(start), common, -1)] + [end[:k] for k in range(common, len(end) + 1)]
 
 
-def _tile_leaves(group: PuncturedTorusGroup, mc: WeightedMulticurve, tiles) -> Leaves:
-    """Every lift of the curve through the given tiles, as normals and conjugator words in walk order.
+def _tile_leaves(group: PuncturedTorusGroup, root: str, tiles) -> Leaves:
+    """Every lift of the axis of a curve root through the given tiles, as normals and conjugator words in walk order.
 
-    For the curve's cyclically reduced root r, the lifts through a tile w.Q
+    For the cyclically reduced root r of a curve, the lifts through a tile w.Q
     are w . (r_1 ... r_k)^-1 . axis(r), 0 <= k < |r|, as the axis of r
     crosses the tiles r^n . r_1 ... r_k . Q.  Each is named by its first
     word v in walk order (v . axis(r) is the lift), found once per distinct
@@ -688,7 +675,6 @@ def _tile_leaves(group: PuncturedTorusGroup, mc: WeightedMulticurve, tiles) -> L
     r.  The name depends on the leaf alone, not on the tile it was reached
     from.
     """
-    root = mc.components[0].root
     offsets = [invert_word(root[:k]) for k in range(len(root))]
     heads = {_join(tile, offset) for tile in tiles for offset in offsets}
     order = sorted({_first_word(head, root) for head in heads}, key=_walk_order)
@@ -702,7 +688,7 @@ def segment_crossings(group: PuncturedTorusGroup, mc: WeightedMulticurve, x: np.
     In increasing order of crossing parameter, each leaf comes as its normal
     as found, its side (+1.0 when that normal points away from x, else -1.0),
     its parameter and its conjugator word.  A segment whose ends lie in the
-    ball of the group's leaf atlas for ``mc`` is answered from it, as the
+    ball of the group's leaf atlas of ``mc.root`` is answered from it, as the
     ball is convex and so meets every leaf crossing the segment; past the
     ball, from the tiles near x (``tiles_near``) and near y, and the tree
     path between them.  Raises OutsideModelError when an endpoint is off the
@@ -715,10 +701,10 @@ def segment_crossings(group: PuncturedTorusGroup, mc: WeightedMulticurve, x: np.
     if not (squares[0] < 1.0 and squares[1] < 1.0):  # written so that a NaN endpoint fails too
         raise OutsideModelError("disk point must satisfy |z| < 1")
     if math.acosh(1.0 / math.sqrt(1.0 - max(squares))) <= ATLAS_RADIUS:
-        leaves = group.atlas(mc)
+        leaves = group.atlas(mc.root)
     else:
         near, far = group.tiles_near(x), _tiles_within(group, y, 0.0)
-        leaves = _tile_leaves(group, mc, {*near, *far, *_tree_path(near[0], far[0])})
+        leaves = _tile_leaves(group, mc.root, {*near, *far, *_tree_path(near[0], far[0])})
     return _crossings(leaves, x, y)
 
 
@@ -746,7 +732,7 @@ def holonomy_segment_crossings(
     if not u * u + v * v < 1.0:
         raise OutsideModelError("disk point must satisfy |z| < 1")
     near = group.tiles_near(x0)
-    return _crossings(_tile_leaves(group, mc, {*near, *_tree_path(near[0], _join(reduced, near[0]))}), x0, far)
+    return _crossings(_tile_leaves(group, mc.root, {*near, *_tree_path(near[0], _join(reduced, near[0]))}), x0, far)
 
 
 def _crossings(leaves: Leaves, x: np.ndarray, y: np.ndarray) -> Crossings:
@@ -776,15 +762,10 @@ def _crossings(leaves: Leaves, x: np.ndarray, y: np.ndarray) -> Crossings:
 def leaves_crossing(
     group: PuncturedTorusGroup, mc: WeightedMulticurve, x: np.ndarray, y: np.ndarray
 ) -> list[LeafCrossing]:
-    """All leaves of the lifted multicurve crossing the open segment (x, y), as :func:`segment_crossings` finds them.
-
-    In increasing order of crossing parameter, each leaf oriented with its
-    left normal pointing away from x.
-    """
+    """The crossings of (x, y) from :func:`segment_crossings`, as LeafCrossing objects; only ``perfbench/`` calls it."""
     normals, sides, parameters, words = segment_crossings(group, mc, x, y)
-    weight = float(mc.components[0].weight)
     return [
-        LeafCrossing(SpacelikeGeodesicH2(side * normal), weight, parameter, word)
+        LeafCrossing(SpacelikeGeodesicH2(side * normal), float(mc.weight), parameter, word)
         for normal, side, parameter, word in zip(normals, sides.tolist(), parameters.tolist(), words)
     ]
 
@@ -923,23 +904,26 @@ def _reduced_model(terms: list[tuple[float, Polynomial]], p: np.ndarray):
 
     The objective is the sum of w * 2 arccosh(|tr|/2) over the (weight w,
     trace polynomial) terms.  Returns it with a tangent basis, the reduced
-    gradient and the reduced Lagrangian Hessian at p; (inf, None, None,
-    None) where p leaves the domain (2, KERCKHOFF_TRACE_MAX]^3 or a trace is
-    not hyperbolic.
+    gradient, the reduced Lagrangian Hessian and the gradient's norm at p;
+    (inf, None, None, None, inf) where p leaves (2, KERCKHOFF_TRACE_MAX]^3,
+    a trace is not hyperbolic or a value overflows, as for a long curve.
     """
     point = p.tolist()
     if not (min(point) > 2.0 and max(point) <= KERCKHOFF_TRACE_MAX):
-        return math.inf, None, None, None
+        return math.inf, None, None, None, math.inf
     # The sums of the weighted jets, element by element in Python floats;
     # the products that numpy hands to BLAS stay numpy calls.
     total, grad, hess = 0.0, [0.0, 0.0, 0.0], [[0.0, 0.0, 0.0]] * 3
     for weight, poly in terms:
         trace, d_trace, dd_trace = _polynomial_jet(poly, p)
         if not abs(trace) / 2.0 > 1.0 + 1e-12:
-            return math.inf, None, None, None
+            return math.inf, None, None, None, math.inf
         room = trace * trace - 4.0
         first = 2.0 * math.copysign(1.0, trace) / math.sqrt(room)
-        second = -2.0 * abs(trace) / room**1.5
+        try:
+            second = -2.0 * abs(trace) / room**1.5
+        except OverflowError:
+            return math.inf, None, None, None, math.inf
         total += weight * 2.0 * math.acosh(abs(trace) / 2.0)
         d = d_trace.tolist()
         scale = weight * first
@@ -954,9 +938,16 @@ def _reduced_model(terms: list[tuple[float, Polynomial]], p: np.ndarray):
     lagrange = float(grad @ normal) / square
     hess = np.array([[h - lagrange * f for h, f in zip(row, f_row)] for row, f_row in zip(hess, _fricke_hessian(point))])
     basis = _tangent_basis(normal, square)
-    return total, basis, basis.T @ grad, basis.T @ hess @ basis
+    grad, hess = basis.T @ grad, basis.T @ hess @ basis
+    # |v| as np.linalg.norm takes it: the square root of the dot product v @ v.
+    norm = math.sqrt(float(grad @ grad))
+    if not (math.isfinite(total) and math.isfinite(norm) and np.isfinite(hess).all()):
+        return math.inf, None, None, None, math.inf
+    return total, basis, grad, hess, norm
 
 
+# Values that overflow are refused by _reduced_model, by name, instead of warned about.
+@np.errstate(over="ignore", invalid="ignore")
 def kerckhoff_point(
     lam: WeightedMulticurve,
     mu: WeightedMulticurve,
@@ -966,7 +957,7 @@ def kerckhoff_point(
 ) -> KerckhoffResult:
     """Minimize the combined multicurve length over the trace variety.
 
-    Each component's trace is a polynomial in (x, y, z), so the objective
+    Each curve's trace is a polynomial in (x, y, z), so the objective
     sum of w * 2 arccosh(|tr|/2) has exact gradient and Hessian.  From
     ``init``, a damped Newton iteration works in the tangent plane of the
     trace variety: the step solves the reduced Lagrangian Hessian with its
@@ -980,19 +971,21 @@ def kerckhoff_point(
     Returns the minimizer with its projected gradient norm, the condition
     number of the reduced Hessian there (a flatness diagnostic; the minimizer
     is unique in theory but may sit in a numerically flat valley), and the
-    filling advisory.  Raises NoConvergenceError when the start is
-    outside the domain or a component is not hyperbolic there (reported with
-    an infinite gradient norm after 0 steps), or when the final projected
-    gradient is not below ``gradient_tol``, as for a pair with no minimum.
+    filling advisory.  Raises NoConvergenceError when the start is outside
+    the domain or a curve is not hyperbolic or overflows there (reported
+    with an infinite gradient norm after 0 steps), or when the final
+    projected gradient is not below ``gradient_tol``, as for a pair with no
+    minimum.
     """
-    terms = [(comp.weight, _trace_polynomial(comp.word)) for comp in (*lam.components, *mu.components)]
+    try:
+        terms = [(mc.weight, _trace_polynomial(mc.word)) for mc in (lam, mu)]
+    except OverflowError:  # an integer coefficient past the float range, as from about 1,500 letters on
+        raise NoConvergenceError(math.inf, gradient_tol, 0) from None
     p = init.as_array()
-    objective, basis, grad, hess = _reduced_model(terms, p)
-    if not math.isfinite(objective):
-        raise NoConvergenceError(math.inf, gradient_tol, 0)
+    objective, basis, grad, hess, grad_norm = _reduced_model(terms, p)
     steps = 0
-    # |v| as np.linalg.norm takes it: the square root of the dot product v @ v.
-    while steps < KERCKHOFF_MAX_STEPS and math.sqrt(float(grad @ grad)) > 1e-4 * gradient_tol:
+    # A start off the domain has an infinite gradient norm and takes no step.
+    while steps < KERCKHOFF_MAX_STEPS and math.inf > grad_norm > 1e-4 * gradient_tol:
         eigvals, eigvecs = np.linalg.eigh(hess)
         sizes = [abs(e) for e in eigvals.tolist()]
         floor = 1e-8 * max(1.0, max(sizes))
@@ -1013,9 +1006,8 @@ def kerckhoff_point(
         else:
             break
         p = trial
-        objective, basis, grad, hess = found
+        objective, basis, grad, hess, grad_norm = found
         steps += 1
-    grad_norm = math.sqrt(float(grad @ grad))
     if not grad_norm < gradient_tol:
         raise NoConvergenceError(grad_norm, gradient_tol, steps)
     eigs = np.abs(np.linalg.eigvalsh(hess))

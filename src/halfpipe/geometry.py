@@ -153,7 +153,11 @@ class ProjectivePoint:
 
     def __post_init__(self) -> None:
         v = np.array(self.vec, dtype=float).reshape(4)
-        if np.linalg.norm(v) < EPS_MEMBERSHIP:
+        # In Python floats, which overflow to inf without a warning (as a long curve's developed points do).
+        square = sum(c * c for c in v.tolist())
+        if not square < math.inf:
+            raise GeometryError(f"projective point {v.tolist()} is not finite, or its squared norm overflows")
+        if math.sqrt(square) < EPS_MEMBERSHIP:
             raise ZeroVectorError("projective point needs a nonzero representative")
         v.flags.writeable = False
         object.__setattr__(self, "vec", v)

@@ -146,7 +146,9 @@ def holonomy_family(
     ctx = signed_context(group, multicurve, base_point, sign, ts[0])
     slices = [(geometry_of(t), sign * t) for t in ts]
     crossings = holonomy_segment_crossings(group, multicurve, ctx.base_point, word)
-    stack = _bracketed_product(group, multicurve, crossings, word, slices)
+    # The steps of a long curve's leaf words overflow; extrapolate_limit refuses that, naming the t.
+    with np.errstate(over="ignore", invalid="ignore"):
+        stack = _bracketed_product(group, multicurve, crossings, word, slices)
     return TransitionFamily(word=word, grid=ts, matrices=rescale_conjugate(np.array(ts), stack))
 
 

@@ -134,7 +134,7 @@ def test_context_refuses_a_group_or_multicurve_of_another_type():
     for other in (SYMMETRIC, None, "A"):
         with pytest.raises(GeometryError, match="PuncturedTorusGroup"):
             BendingContext(group=other, multicurve=mc, base_point=BASE, tag=HP)
-    for other in ("A", None, mc.components[0], group):
+    for other in ("A", None, ("A", 1.0), group):
         with pytest.raises(GeometryError, match="WeightedMulticurve"):
             BendingContext(group=group, multicurve=other, base_point=BASE, tag=HP)
 
@@ -305,7 +305,7 @@ CONJUGATE_CURVES = (
 @pytest.mark.parametrize("word, root, traces", CONJUGATE_CURVES)
 def test_a_curve_word_bends_as_its_cyclic_reduction_bit_for_bit(word, root, traces):
     # Both bend along the same lines, and leaves are named and framed by the axis of the root.
-    assert WeightedMulticurve.single(word).components[0].root == root
+    assert WeightedMulticurve.single(word).root == root
     group = build_punctured_torus(traces)
     contexts = [
         BendingContext(group, WeightedMulticurve.single(curve, 0.7), BASE, tag, 1.0, 0.1)
@@ -386,7 +386,7 @@ def test_height_function_on_a_leaf_is_the_graph_height_of_the_bending_map():
         assert np.max(np.abs(chart - z)) < TOL_GRAPH
         assert abs(height - psi_lambda(ctx, z)) < TOL_GRAPH
         # Continuous across the leaf: the heights 1e-7 to either side differ by less than 1e-7.
-        leaf = ctx.group.axis(ctx.multicurve.components[0].root).normal[1:]
+        leaf = ctx.group.axis(ctx.multicurve.root).normal[1:]
         for step in (1e-7, -1e-7):
             assert abs(psi_lambda(ctx, z + step * leaf / np.linalg.norm(leaf)) - psi_lambda(ctx, z)) < 1e-7
 
@@ -427,7 +427,7 @@ def test_height_function_values():
 )
 def test_height_function_is_the_sum_over_the_crossings_bit_for_bit(point, curve, weight, sign, scale, base, z):
     # The sum as it was written over the oriented unit leaves of leaves_crossing.
-    mc = WeightedMulticurve.single(curve.components[0].word, weight)
+    mc = WeightedMulticurve.single(curve.word, weight)
     ctx = BendingContext(build_punctured_torus(point), mc, base, HP, sign, scale)
     try:
         height = psi_lambda(ctx, z)
@@ -597,7 +597,7 @@ def _reference_translation(ctx, word):
     float Lorentz images L(word_i) and float axis normal taken as exact: what
     the inputs of :func:`bent_translation` lose before it rounds anything.
     """
-    group, curve = ctx.group, ctx.multicurve.components[0]
+    group, curve = ctx.group, ctx.multicurve
     _, sides, _, words = holonomy_segment_crossings(group, ctx.multicurve, ctx.base_point, word)
     with mpmath.workdps(REFERENCE_DIGITS):
         letters = {letter: mpmath.matrix(group.sl2(letter).tolist()) for letter in "ABab"}
@@ -681,7 +681,7 @@ def test_bent_translation_sums_the_whole_word_leaf_normals_bit_for_bit(point, cu
         found = bent_translation(ctx, word)
     except (EndpointOnLeafError, OutsideModelError):
         assume(False)
-    group, root = ctx.group, ctx.multicurve.components[0].root
+    group, root = ctx.group, ctx.multicurve.root
     _, sides, _, words = holonomy_segment_crossings(group, ctx.multicurve, base, word)
     axis = group.axis(root).normal
     total = np.zeros(3)
@@ -704,7 +704,7 @@ def test_rim_crossings_of_a_holonomy_segment_are_those_of_an_mpmath_sign_test(po
     # named by a word of up to six letters is tested at REFERENCE_DIGITS.
     group = build_punctured_torus(point)
     mc = WeightedMulticurve.single("Abaa")
-    root = mc.components[0].root
+    root = mc.root
     x0 = radius * np.array([0.6, 0.8])
     _, sides, _, words = holonomy_segment_crossings(group, mc, x0, "aB")
     with mpmath.workdps(REFERENCE_DIGITS):
@@ -755,7 +755,7 @@ def test_crossings_past_the_atlas_are_those_of_an_mpmath_sign_test(xy, curve, x,
         walked = []
     with mpmath.workdps(REFERENCE_DIGITS):
         letters = {letter: mpmath.matrix(group.sl2(letter).tolist()) for letter in "ABab"}
-        normal = _mp_axis_normal(_mp_sl2(letters, mc.components[0].root))
+        normal = _mp_axis_normal(_mp_sl2(letters, mc.root))
         ends = [mpmath.matrix([1, float(u), float(v)]) for u, v in (x, y)]
         form = mpmath.diag([-1, 1, 1])
 

@@ -704,6 +704,52 @@ def test_grid_values_too_small_for_the_rescaling_or_the_slope_fit_exit_3(tmp_pat
     assert out == "" and named in err and "Traceback" not in err
 
 
+KERCKHOFF_STOPPED = "projected gradient norm inf after 0 steps"
+
+
+@pytest.mark.parametrize(
+    "command, word, weight, named",
+    [
+        # The trace polynomial of A B^240 rounds to 0 at (3,3,3); from 250
+        # letters on, room**1.5 overflowed with a traceback (exit 1); past
+        # about 1,500 a coefficient does not fit in a float.
+        ("kerckhoff", "A" + "B" * 240, 1.0, KERCKHOFF_STOPPED),
+        ("kerckhoff", "A" + "B" * 260, 1.0, KERCKHOFF_STOPPED),
+        ("kerckhoff", "A" + "B" * 1500, 1.0, KERCKHOFF_STOPPED),
+        # These three exited 3 after numpy's overflow warnings.
+        ("kerckhoff", "A", 1e300, KERCKHOFF_STOPPED),
+        ("transition", "A" + "B" * 300, 1.0, "the rescaled holonomy of 'A' is not finite at t = [-0.0001, 0.0001"),
+        ("export-surface", "A" + "B" * 300, 1.0, "its squared norm overflows"),
+    ],
+    ids=("kerckhoff:AB^240", "kerckhoff:AB^260", "kerckhoff:AB^1500", "kerckhoff:1e300A", "transition:AB^300",
+         "export-surface:AB^300"),
+)
+@pytest.mark.filterwarnings("error")
+def test_long_curves_and_huge_weights_exit_3_with_their_numbers_and_no_warning(
+    tmp_path, capfd, command, word, weight, named
+):
+    lam = {"lambda": [{"word": word, "weight": weight}], "mu": [{"word": "B", "weight": 1.0}]}
+    config = _write_config(tmp_path / "cfg.json", multicurves=lam)
+    code, out = _run(tmp_path, command, config)
+    assert code == EXIT_NUMERICAL and not out.exists()
+    stdout, err = capfd.readouterr()
+    assert stdout == "" and named in err and "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("error")
+def test_non_finite_generators_are_refused_before_their_determinant(tmp_path, capsys):
+    # numpy's det warned about the NaN before the config error.
+    config = tmp_path / "cfg.json"
+    cfg = json.loads(_write_config(config).read_text())
+    del cfg["traces"]
+    for bad in (math.nan, math.inf):
+        cfg["generators"] = [[[bad, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]]
+        config.write_text(json.dumps(cfg))
+        for command in ("transition", "kerckhoff", "double", "export-surface"):
+            assert _run(tmp_path, command, config)[0] == EXIT_CONFIG, (command, bad)
+            assert "field 'generators' must hold finite numbers" in capsys.readouterr().err
+
+
 # Config fields for the CLI fuzz test: for each, a strategy of values the CLI
 # accepts and one of values it must refuse.  None leaves the field out.
 FUZZ_FIELDS = {

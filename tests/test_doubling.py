@@ -217,6 +217,10 @@ def test_meridian_validation():
         meridian_cone_angle(ctx, "A", 4.0)
     with pytest.raises(GeometryError, match="slices is empty"):
         meridian_cone_angles(ctx.group, ctx.multicurve, [])
+    # A tag that is not a Geometry failed in the rotations, with an AttributeError.
+    for tag in ("HP", None, 0):
+        with pytest.raises(GeometryError, match="slice tag must be a Geometry"):
+            meridian_cone_angles(ctx.group, ctx.multicurve, [(HP, 0.1), (tag, 0.1)])
 
 
 def _double_config(path, traces=(3.0, 3.0, 3.0), word="A", weight=1.0, base_point=None):
@@ -339,7 +343,7 @@ def test_a_segment_inside_the_collar_crosses_the_roots_axis_alone(point, word):
     # the root, half as long each way, meets that leaf only.
     group = build_punctured_torus(point)
     multicurve = WeightedMulticurve.single(word)
-    root = multicurve.components[0].root
+    root = multicurve.root
     leaf = group.axis(root)
     half = 0.5 * math.asinh(1.0 / math.sinh(group.translation_length(root) / 2.0))
     anchor = leaf.closest_point_to_origin()

@@ -18,7 +18,6 @@ from halfpipe.fuchsian import (
     EnumerationBudgetError,
     GENERATOR_LETTERS,
     Leaves,
-    MulticurveComponent,
     NoConvergenceError,
     NotHyperbolicError,
     PuncturedTorusGroup,
@@ -82,7 +81,7 @@ def _random_word(rng, length):
 
 def _exhaustive_crossing_keys(group, mc, x, y, depth):
     lorentz = {ch: group.lorentz(ch) for ch in "ABab"}
-    axes = [group.axis(c.word).normal for c in mc.components]
+    axes = [group.axis(mc.word).normal]
     nodes = [("", np.eye(3))]
     frontier = [("", np.eye(3))]
     for _ in range(depth):
@@ -287,15 +286,11 @@ def test_multicurve_validation():
             WeightedMulticurve.single("A", weight=bad)
     with pytest.raises(BadWordError):
         WeightedMulticurve.single("Aa")
-    # A multicurve is one curve: two components are refused, whether they
-    # cross (A and B) or are the same curve (AB and BA, AB and ba).
-    for first, second in (("A", "B"), ("AB", "BA"), ("AB", "ba")):
-        with pytest.raises(BadWordError):
-            WeightedMulticurve((MulticurveComponent(first, 1.0), MulticurveComponent(second, 0.5)))
     with pytest.raises(BadWordError):
-        WeightedMulticurve(())
-    mc = WeightedMulticurve((MulticurveComponent("aBA", 0.5),))
-    assert mc == WeightedMulticurve.single("aBA", 0.5)
+        WeightedMulticurve("")
+    mc = WeightedMulticurve("aBA", 0.5)
+    assert mc == WeightedMulticurve.single("aBA", 0.5) and (mc.word, mc.weight, mc.root) == ("aBA", 0.5, "B")
+    assert WeightedMulticurve("A").weight == 1.0
 
 
 def _all_reduced_words(length):
@@ -595,7 +590,7 @@ def _tiles_near_segment(group: PuncturedTorusGroup, x: np.ndarray, y: np.ndarray
 
 def _walk_segment(group: PuncturedTorusGroup, mc: WeightedMulticurve, x: np.ndarray, y: np.ndarray) -> Leaves:
     """The leaves through the tiles that meet [x, y] or pass near an endpoint, found by a search of their own."""
-    return _tile_leaves(group, mc, _tiles_near_segment(group, x, y, 0.0))
+    return _tile_leaves(group, mc.root, _tiles_near_segment(group, x, y, 0.0))
 
 
 def _record_leaf_queries(monkeypatch) -> tuple[list, list]:
@@ -646,12 +641,29 @@ def test_atlas_is_built_once_at_its_radius_and_the_tree_path_answers_past_it(mon
     assert searches == [ATLAS_RADIUS]
     for ends in (far, edge):
         _assert_walk_agrees(group, mc, *ends)
-    atlas = group.atlas(mc)
+    atlas = group.atlas(mc.root)
     assert len(answered) == 3 and all(leaves is atlas for leaves in answered) and searches == [ATLAS_RADIUS]
     _assert_walk_agrees(group, mc, *rim)
     assert answered[-1] is not atlas and searches == [ATLAS_RADIUS, 0.0, 0.0]
     _assert_walk_agrees(group, mc, *near)
     assert answered[-1] is atlas and len(searches) == 3
+
+
+def test_every_weight_and_conjugate_word_of_a_curve_shares_one_atlas(monkeypatch):
+    # 1 A, 0.5 A and 1 bAB have the root A: one ball search serves all
+    # three, where an atlas per multicurve searched the ball three times.
+    group = build_punctured_torus(SYMMETRIC)
+    searches, answered = _record_leaf_queries(monkeypatch)
+    x, y = np.array([0.8, 0.513]), np.array([-0.832, -0.459])
+    curves = (WeightedMulticurve("A"), WeightedMulticurve("A", 0.5), WeightedMulticurve("bAB"))
+    found = [segment_crossings(group, mc, x, y) for mc in curves]
+    assert searches == [ATLAS_RADIUS]
+    assert len(answered) == 3 and all(leaves is group.atlas("A") for leaves in answered)
+    normals, sides, parameters, words = found[0]
+    assert words == ["B", "", "b"]
+    for other in found[1:]:
+        assert other[3] == words and parameters.tolist() == other[2].tolist()
+        assert np.array_equal(other[0], normals) and np.array_equal(other[1], sides)
 
 
 @pytest.mark.parametrize(
@@ -666,7 +678,7 @@ def test_atlas_builds_and_answers_where_the_old_word_walk_ran_out_of_budget(monk
     _, answered = _record_leaf_queries(monkeypatch)
     rng = np.random.default_rng(4)
     _assert_walk_agrees(group, mc, _disk_point(rng, 0.97), _disk_point(rng, 0.3))
-    atlas = group.atlas(mc)
+    atlas = group.atlas(mc.root)
     for _ in range(4):
         x, y = (_disk_point(rng, 0.97 * math.sqrt(rng.uniform())) for _ in range(2))
         _assert_walk_agrees(group, mc, x, y)
@@ -782,9 +794,9 @@ def _coset_key(word, root):
 
 
 def _brute_force_crossings(group, mc, x, y, length):
-    """(component, parameter) of the leaves w . axis crossing (x, y) with |w| <= length, sorted.
+    """(0, parameter) of the leaves w . axis crossing (x, y) with |w| <= length, sorted.
 
-    The components are cyclically reduced.  A leaf is kept once, from the
+    The curve word is cyclically reduced.  A leaf is kept once, from the
     shortest of its words, which has the most accurate normal.
     """
     gens = np.stack([group.lorentz(ch) for ch in "ABab"])
@@ -797,11 +809,10 @@ def _brute_force_crossings(group, mc, x, y, length):
     mats = np.concatenate(mats)
     u0, u1 = J3 @ np.concatenate(([1.0], x)), J3 @ np.concatenate(([1.0], y))
     found = {}
-    for idx, comp in enumerate(mc.components):
-        normals = mats @ group.axis(comp.word).normal
-        f0, f1 = normals @ u0, normals @ u1
-        for i in np.nonzero(f0 * f1 < 0.0)[0]:
-            found.setdefault((idx, _coset_key(words[i], comp.word)), float(f0[i] / (f0[i] - f1[i])))
+    normals = mats @ group.axis(mc.word).normal
+    f0, f1 = normals @ u0, normals @ u1
+    for i in np.nonzero(f0 * f1 < 0.0)[0]:
+        found.setdefault((0, _coset_key(words[i], mc.word)), float(f0[i] / (f0[i] - f1[i])))
     return sorted((idx, t) for (idx, _), t in found.items())
 
 
@@ -837,7 +848,7 @@ def test_atlas_builds_within_a_tenth_of_the_tile_budget(point, mc):
     # that radius stands only while the search keeps far from MAX_NODES.
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fuchsian, "MAX_NODES", fuchsian.MAX_NODES // 10)
-        normals, words = build_punctured_torus(point).atlas(mc)
+        normals, words = build_punctured_torus(point).atlas(mc.root)
     assert normals.shape == (len(words), 3)
 
 
@@ -938,7 +949,7 @@ def test_leaf_search_is_equivariant(point, mc, x, y, mover):
 def _assert_whole_word_normals(group, mc, crossings):
     """Each crossing's normal is the group's image of its whole conjugator word applied to the root's axis normal."""
     normals, _, _, words = crossings
-    axis = group.axis(mc.components[0].root).normal
+    axis = group.axis(mc.root).normal
     for normal, word in zip(normals, words):
         assert normal.tobytes() == (group.lorentz(word) @ axis).tobytes(), word
 
@@ -959,13 +970,13 @@ def test_side_times_the_conjugated_axis_normal_is_the_leaf_normal(point, mc, x, 
     found = segment_crossings(group, mc, x, y)
     _, sides, _, words = found
     assert [c.conjugator_word for c in crossings] == words
-    axis = group.axis(mc.components[0].root).normal
+    axis = group.axis(mc.root).normal
     for crossing, side in zip(crossings, sides):
         pushed = side * (group.lorentz(crossing.conjugator_word) @ axis)
         assert np.max(np.abs(crossing.leaf.normal - pushed)) <= 1e-9 * np.max(np.abs(pushed))
         assert float(minkowski_dot(crossing.leaf.normal, disk_lift(x))) < 0.0
     # Both ends lie within Klein radius 0.9, so the atlas answers.
-    assert set(words) <= set(group.atlas(mc)[1])
+    assert set(words) <= set(group.atlas(mc.root)[1])
     _assert_whole_word_normals(group, mc, found)
     _assert_whole_word_normals(group, mc, _crossings(_walk_segment(group, mc, x, y), x, y))
     try:
@@ -977,7 +988,7 @@ def test_side_times_the_conjugated_axis_normal_is_the_leaf_normal(point, mc, x, 
 
 def _is_simple_curve(word):
     try:
-        MulticurveComponent(word, 1.0)
+        WeightedMulticurve(word)
     except BadWordError:
         return False
     return True

@@ -219,14 +219,14 @@ def test_family_contexts_share_one_atlas_and_one_crossing_query(monkeypatch):
     contexts = [transition.signed_context(group, lam, base, 1.0, t) for t in fam.grid]
     for t, ctx, matrix in zip(fam.grid, contexts, fam.matrices):
         assert np.array_equal(matrix, rescale_conjugate(t, bent_holonomy(ctx)("AB")))
-    atlas = group.atlas(lam)
+    atlas = group.atlas(lam.root)
     ctx = contexts[0]
     derived = (
         bending.BendingContext(group, lam, base, ctx.tag, ctx.sign, 0.5),
         bending.BendingContext(group, lam, base, HP, ctx.sign, ctx.scale),
         bending.BendingContext(group, lam, base, ADS, ctx.sign, 2.0),
     )
-    assert all(c.group.atlas(c.multicurve) is atlas for c in (*contexts, *derived))
+    assert all(c.group.atlas(c.multicurve.root) is atlas for c in (*contexts, *derived))
 
 
 # 3 to 5 values of |t| per side, in shuffled order.  One hyperbolic value is

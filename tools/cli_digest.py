@@ -54,6 +54,10 @@ The runs, all in one process:
 - ``export-surface`` of λ = A at (3,3,3) from the base point
   (0.9999999999999999, 0), where the side pairings of the tiles about the
   base point overflow (exit 3);
+- all four subcommands on LONG_CURVE, λ = A·B^300 with μ = B at (3,3,3),
+  whose trace polynomial and leaf-word products overflow: ``kerckhoff``,
+  ``transition`` and ``export-surface`` exit 3, and ``double``, which
+  reads only the axis of the curve, exits 0;
 - the four ``small/test-cli`` runs again, as ``rewrite/test-cli``, each into
   an out directory that already holds 4 KB of filler under every file name
   the first run wrote, so that the reports overwrite existing files; their
@@ -133,6 +137,8 @@ RIM_SURFACES = {
     "0.5AAB@xy(20,3)": ((20.0, 3.0), ("AAB", 0.5)),
     "ABB@xy(3,40)": ((3.0, 40.0), ("ABB", 1.0)),
 }
+# A simple closed curve long enough to overflow the Kerckhoff model and the bent products.
+LONG_CURVE = "A" + "B" * 300
 # Base points that the config check refuses.
 BAD_BASE_POINTS = ("nonsense", [5.0, 5.0])
 
@@ -236,6 +242,9 @@ def runs(workloads, teich_point):
         yield f"refused/base_point={json.dumps(base)}/transition", "transition", cfg, ()
     cfg = dict(_config((3.0, 3.0, 3.0), **{"lambda": [("A", 1.0)]}), base_point=[0.9999999999999999, 0.0])
     yield "refused/overflow/export-surface", "export-surface", cfg, ()
+    cfg = _config((3.0, 3.0, 3.0), **{"lambda": [(LONG_CURVE, 1.0)], "mu": [("B", 1.0)]})
+    for command in SUBCOMMANDS:
+        yield f"long/AB^300/{command}", command, cfg, ()
     for command in SUBCOMMANDS:
         yield f"{REWRITE}test-cli/{command}", command, small_cfgs["test-cli"], ()
 
