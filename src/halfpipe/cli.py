@@ -32,6 +32,7 @@ import numpy as np
 from .bending import BendingContext, bending_map
 from .doubling import meridian_cone_angles
 from .fuchsian import (
+    KERCKHOFF_GRADIENT_TOL,
     BadTracesError,
     PuncturedTorusGroup,
     TeichPoint,
@@ -57,6 +58,8 @@ EXIT_NUMERICAL = 3
 EXIT_THRESHOLD = 4
 
 EPS_GEOM = 1e-10
+EPS_SLOPE = 1e-8
+EPS_HP_GAP = 1e-6
 DEFAULT_CONE_GRID = (0.2, 0.1, 0.05, 0.01)
 DEFAULT_SAMPLES = 200
 # Largest sample count export-surface accepts (20,000 took 4.8 s and wrote
@@ -110,8 +113,8 @@ class ConfigError(Exception):
 
 def _load_config(path: str) -> dict:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         cfg = json.loads(text)
@@ -119,19 +122,25 @@ def _load_config(path: str) -> dict:
         raise ConfigError(
             f"config parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except (RecursionError, ValueError) as exc:  # nesting too deep to parse, or an integer past Python's digit limit
+        raise ConfigError(f"config parse error: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     return cfg
 
 
 def _numbers(field: str, value):
-    """``value``, refused when it is or holds a JSON boolean, which Python would read as the number 0 or 1."""
-
-    def holds_boolean(item) -> bool:
-        return isinstance(item, bool) or (isinstance(item, list) and any(map(holds_boolean, item)))
-
-    if holds_boolean(value):
-        raise ConfigError(f"field '{field}' must hold numbers, not booleans; got {json.dumps(value)}")
+    """``value``, refused when it is or holds a JSON boolean, which Python would read as the number 0 or 1, or an
+    integer too large for a float; walked with a stack, so that no nesting json.loads accepts exhausts the call stack."""
+    items = [value]
+    while items:
+        item = items.pop()
+        if isinstance(item, list):
+            items.extend(item)
+        elif isinstance(item, bool):
+            raise ConfigError(f"field '{field}' must hold numbers, not booleans; got {json.dumps(value)}")
+        elif isinstance(item, int) and abs(item) > sys.float_info.max:
+            raise ConfigError(f"field '{field}' holds an integer of {len(str(abs(item)))} digits, too large for a float")
     return value
 
 
@@ -343,7 +352,7 @@ def cmd_kerckhoff(args) -> int:
     if advisory is not None:
         # Such a pair has no length minimum, so the search would only run out of steps.
         raise ConfigError(f"fields 'multicurves.lambda' and 'multicurves.mu': {advisory}")
-    tol = args.tol if args.tol is not None else 1e-7
+    tol = args.tol if args.tol is not None else KERCKHOFF_GRADIENT_TOL
     result = kerckhoff_point(lam, mu, group.trace_point, gradient_tol=tol)
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -364,8 +373,8 @@ def cmd_double(args) -> int:
     lam = _multicurve_from_config(cfg, "lambda")
     grid = _grid_from(args, cfg, DEFAULT_CONE_GRID)
     _check_cone_grid(grid, lam)
-    slope_tol = args.tol if args.tol is not None else 1e-8
-    hp_tol = args.tol if args.tol is not None else 1e-6
+    slope_tol = args.tol if args.tol is not None else EPS_SLOPE
+    hp_tol = args.tol if args.tol is not None else EPS_HP_GAP
     _base_point_from(cfg)  # validated, though the table does not depend on a basepoint
 
     slices = [(tag, t) for tag in (HYP, ADS, HP) for t in grid]
@@ -504,8 +513,9 @@ def build_parser() -> argparse.ArgumentParser:
     }
     tol_help = {
         "transition": f"threshold on each word's two-sided gap (default {EPS_LIMIT:g})",
-        "kerckhoff": "gradient-norm tolerance of the search (default 1e-07)",
-        "double": "threshold on both the relative slope gap (default 1e-08) and the half-pipe gap (default 1e-06)",
+        "kerckhoff": f"gradient-norm tolerance of the search (default {KERCKHOFF_GRADIENT_TOL:g})",
+        "double": f"threshold on both the relative slope gap (default {EPS_SLOPE:g}) and the half-pipe gap "
+        f"(default {EPS_HP_GAP:g})",
         "export-surface": f"slack of the chart-region check of each exported vertex (default {EPS_GEOM:g})",
     }
     for name, (handler, help_text) in handlers.items():

@@ -70,10 +70,11 @@ MAX_NODES = 400_000
 # covers (Klein radius tanh 2.5 = 0.987).
 ATLAS_RADIUS = 2.5
 
-# The Kerckhoff search keeps every trace in (2, KERCKHOFF_TRACE_MAX] and
-# takes at most KERCKHOFF_MAX_STEPS Newton steps.
+# The Kerckhoff search keeps every trace in (2, KERCKHOFF_TRACE_MAX], takes at most KERCKHOFF_MAX_STEPS
+# Newton steps, and by default reports a projected gradient norm below KERCKHOFF_GRADIENT_TOL.
 KERCKHOFF_TRACE_MAX = 80.0
 KERCKHOFF_MAX_STEPS = 50
+KERCKHOFF_GRADIENT_TOL = 1e-7
 
 GENERATOR_LETTERS = "ABab"
 
@@ -824,86 +825,50 @@ def _tangent_basis(gradient: np.ndarray, square: float) -> np.ndarray:
     return np.array([[u0, n1 * u2 - n2 * u1], [u1, n2 * u0 - n0 * u2], [u2, n0 * u1 - n1 * u0]])
 
 
-# Monomials x^i y^j z^k as exponent triples.
-_ONE, _X, _Y, _Z, _XY = (0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)
+def _trace_jet(homology: tuple[int, int], point) -> tuple[float, list[float], list[list[float]]]:
+    """Value, gradient and Hessian in (x, y, z) of the trace of the simple closed curve of a homology class.
 
-# Right multiplication of c0 I + c1 A + c2 B + c3 AB by A and by B, from
-# A^2 = xA - I, B^2 = yB - I and BA = yA + xB + (z - xy)I - AB.  A term
-# (target, source, coefficient, monomial) adds coefficient * monomial *
-# c[source] to the target coefficient.
-_LETTER_PRODUCTS = {
-    "A": (
-        (0, 1, -1, _ONE), (0, 2, 1, _Z), (0, 2, -1, _XY), (0, 3, -1, _Y),
-        (1, 0, 1, _ONE), (1, 1, 1, _X), (1, 2, 1, _Y), (1, 3, 1, _Z),
-        (2, 2, 1, _X), (2, 3, 1, _ONE),
-        (3, 2, -1, _ONE),
-    ),
-    "B": (
-        (0, 2, -1, _ONE),
-        (1, 3, -1, _ONE),
-        (2, 0, 1, _ONE), (2, 2, 1, _Y),
-        (3, 1, 1, _ONE), (3, 3, 1, _Y),
-    ),
-}
-# a = xI - A and b = yI - B.
-_LETTER_PRODUCTS.update(
-    {
-        inverse: tuple((t, t, 1, monomial) for t in range(4))
-        + tuple((t, s, -c, m) for t, s, c, m in _LETTER_PRODUCTS[letter])
-        for letter, inverse, monomial in (("A", "a", _X), ("B", "b", _Y))
-    }
-)
-# tr I = 2, tr A = x, tr B = y, tr AB = z, as (source, coefficient, monomial).
-_TRACE_TERMS = ((0, 2, _ONE), (1, 1, _X), (2, 1, _Y), (3, 1, _Z))
-
-Polynomial = tuple[np.ndarray, np.ndarray]
-
-
-def _add_term(out: dict, poly: dict, coefficient: int, monomial: tuple[int, int, int]) -> None:
-    i, j, k = monomial
-    for (a, b, c), value in poly.items():
-        key = (a + i, b + j, c + k)
-        out[key] = out.get(key, 0) + coefficient * value
-
-
-def _trace_polynomial(word: str) -> Polynomial:
-    """The trace of a word's SL(2) image as a polynomial in (x, y, z).
-
-    The image is carried as c0 I + c1 A + c2 B + c3 AB with integer
-    polynomial coefficients, one letter at a time.  Returns the exponents
-    (one row per monomial) and the coefficients.
+    Traces of simple closed curves satisfy the Markoff edge relation on the
+    Farey tree, tr(L + R) = tr L tr R - tr(L - R) (Bowditch, "Markoff
+    triples and quasifuchsian groups", 1998).  The Stern-Brocot descent to
+    (|p|, |q|) from A, B and AB forms one product minus one term per step,
+    in Python floats, with its derivatives by the product rule.  For p and q
+    of opposite signs, B^-1 replaces B, and tr AB^-1 = xy - z replaces z.
     """
-    coeffs: list[dict] = [{_ONE: 1}, {}, {}, {}]
-    for letter in _check_word(word):
-        product: list[dict] = [{}, {}, {}, {}]
-        for target, source, coefficient, monomial in _LETTER_PRODUCTS[letter]:
-            _add_term(product[target], coeffs[source], coefficient, monomial)
-        coeffs = product
-    trace: dict = {}
-    for source, coefficient, monomial in _TRACE_TERMS:
-        _add_term(trace, coeffs[source], coefficient, monomial)
-    terms = [(key, value) for key, value in trace.items() if value != 0]
-    exponents = np.array([key for key, _ in terms], dtype=float).reshape(-1, 3)
-    return exponents, np.array([value for _, value in terms], dtype=float)
+    p, q = abs(homology[0]), abs(homology[1])
+    x, y, z = point
+    zero = [[0.0] * 3] * 3
+    left, right = (x, [1.0, 0.0, 0.0], zero), (y, [0.0, 1.0, 0.0], zero)
+    if p == 0 or q == 0:
+        return left if q == 0 else right
+    if homology[0] * homology[1] > 0:
+        middle = (z, [0.0, 0.0, 1.0], zero)
+    else:
+        middle = (x * y - z, [y, x, -1.0], [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    while (p, q) != (1, 1):
+        # middle = left + right; the class lies under left + middle below its slope, else under middle + right.
+        if q < p:
+            f, g, h, right, p = left, middle, right, middle, p - q
+        else:
+            f, g, h, left, q = middle, right, left, middle, q - p
+        (fv, fd, fdd), (gv, gd, gdd), (hv, hd, hdd) = f, g, h
+        middle = (
+            fv * gv - hv,
+            [fv * gi + gv * fi - hi for fi, gi, hi in zip(fd, gd, hd)],
+            [
+                [fv * gij + gv * fij + fi * gj + gi * fj - hij for fij, gij, hij, fj, gj in zip(f_row, g_row, h_row, fd, gd)]
+                for f_row, g_row, h_row, fi, gi in zip(fdd, gdd, hdd, fd, gd)
+            ],
+        )
+    return middle
 
 
-def _polynomial_jet(poly: Polynomial, p: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Value, gradient and Hessian of a polynomial at p (all coordinates nonzero)."""
-    exponents, coefficients = poly
-    terms = coefficients * np.multiply.reduce(p**exponents, axis=1)
-    first = exponents * terms[:, None]
-    grad = first.sum(axis=0) / p
-    hess = (exponents.T @ first) / (p[:, None] * p)
-    # The diagonal of a fresh C-ordered 3x3 array, as a view: np.diag's subtraction, without its zeros.
-    hess.reshape(9)[::4] -= grad / p
-    return float(terms.sum()), grad, hess
-
-
-def _reduced_model(terms: list[tuple[float, Polynomial]], p: np.ndarray):
+def _reduced_model(terms: list[tuple[float, tuple[int, int]]], p: np.ndarray):
     """The Kerckhoff objective's local model at p on the trace variety.
 
     The objective is the sum of w * 2 arccosh(|tr|/2) over the (weight w,
-    trace polynomial) terms.  Returns it with a tangent basis, the reduced
+    homology class) terms, each trace read from the Farey recursion of
+    :func:`_trace_jet`.  Returns it with a tangent basis, the reduced
     gradient, the reduced Lagrangian Hessian and the gradient's norm at p;
     (inf, None, None, None, inf) where p leaves (2, KERCKHOFF_TRACE_MAX]^3,
     a trace is not hyperbolic or a value overflows, as for a long curve.
@@ -914,8 +879,8 @@ def _reduced_model(terms: list[tuple[float, Polynomial]], p: np.ndarray):
     # The sums of the weighted jets, element by element in Python floats;
     # the products that numpy hands to BLAS stay numpy calls.
     total, grad, hess = 0.0, [0.0, 0.0, 0.0], [[0.0, 0.0, 0.0]] * 3
-    for weight, poly in terms:
-        trace, d_trace, dd_trace = _polynomial_jet(poly, p)
+    for weight, homology in terms:
+        trace, d, dd_trace = _trace_jet(homology, point)
         if not abs(trace) / 2.0 > 1.0 + 1e-12:
             return math.inf, None, None, None, math.inf
         room = trace * trace - 4.0
@@ -925,12 +890,11 @@ def _reduced_model(terms: list[tuple[float, Polynomial]], p: np.ndarray):
         except OverflowError:
             return math.inf, None, None, None, math.inf
         total += weight * 2.0 * math.acosh(abs(trace) / 2.0)
-        d = d_trace.tolist()
         scale = weight * first
         grad = [g + scale * di for g, di in zip(grad, d)]
         hess = [
             [h + weight * (first * dd + second * (di * dj)) for h, dd, dj in zip(row, dd_row, d)]
-            for row, dd_row, di in zip(hess, dd_trace.tolist(), d)
+            for row, dd_row, di in zip(hess, dd_trace, d)
         ]
     normal = _fricke_gradient(point)
     square = float(normal @ normal)
@@ -953,12 +917,13 @@ def kerckhoff_point(
     mu: WeightedMulticurve,
     init: TeichPoint,
     *,
-    gradient_tol: float = 1e-7,
+    gradient_tol: float = KERCKHOFF_GRADIENT_TOL,
 ) -> KerckhoffResult:
     """Minimize the combined multicurve length over the trace variety.
 
-    Each curve's trace is a polynomial in (x, y, z), so the objective
-    sum of w * 2 arccosh(|tr|/2) has exact gradient and Hessian.  From
+    Each curve's trace and its derivatives in (x, y, z) are read from the
+    Markoff edge relation on the Farey tree (Bowditch 1998, :func:`_trace_jet`),
+    so the objective sum of w * 2 arccosh(|tr|/2) has exact derivatives.  From
     ``init``, a damped Newton iteration works in the tangent plane of the
     trace variety: the step solves the reduced Lagrangian Hessian with its
     eigenvalues replaced by their absolute values (floored), an Armijo
@@ -977,10 +942,7 @@ def kerckhoff_point(
     projected gradient is not below ``gradient_tol``, as for a pair with no
     minimum.
     """
-    try:
-        terms = [(mc.weight, _trace_polynomial(mc.word)) for mc in (lam, mu)]
-    except OverflowError:  # an integer coefficient past the float range, as from about 1,500 letters on
-        raise NoConvergenceError(math.inf, gradient_tol, 0) from None
+    terms = [(mc.weight, word_homology(mc.word)) for mc in (lam, mu)]
     p = init.as_array()
     objective, basis, grad, hess, grad_norm = _reduced_model(terms, p)
     steps = 0

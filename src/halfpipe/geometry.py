@@ -99,19 +99,13 @@ def minkowski_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray | float:
     return -u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] + u[..., 2] * v[..., 2]
 
 
-def form_dot(tag: Geometry, x: np.ndarray, y: np.ndarray) -> np.ndarray | float:
-    """Bilinear form of q_s on 4-vectors; broadcasts."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    out = -x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1] + x[..., 2] * y[..., 2]
-    if tag.s:
-        out = out + tag.s * x[..., 3] * y[..., 3]
-    return out
-
-
 def form_eval(tag: Geometry, x: np.ndarray) -> np.ndarray | float:
     """q_s(x) for 4-vectors; broadcasts."""
-    return form_dot(tag, x, x)
+    x = np.asarray(x, dtype=float)
+    out = -x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1] + x[..., 2] * x[..., 2]
+    if tag.s:
+        out = out + tag.s * x[..., 3] * x[..., 3]
+    return out
 
 
 def _unit(v: np.ndarray) -> np.ndarray:

@@ -683,6 +683,73 @@ def test_json_booleans_in_number_fields_exit_2(tmp_path, capsys, command, field,
     assert f"field '{field}' must hold numbers, not booleans; got {json.dumps(value)}" in capsys.readouterr().err
 
 
+# Every numeric config field, holding a 401-digit integer that no float can
+# hold, and the subcommands that read it; float() of it raised OverflowError.
+HUGE = 10**400
+HUGE_INTEGER_FIELDS = (
+    ("traces", {"traces": [HUGE, 3.0, 3.0]}, sorted(FIRST_REPORTS)),
+    ("generators", {"traces": None, "generators": [[[HUGE, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]]},
+     sorted(FIRST_REPORTS)),
+    ("multicurves.lambda.weight", {"multicurves": {"lambda": [{"word": "A", "weight": HUGE}], "mu": [{"word": "B"}]}},
+     sorted(FIRST_REPORTS)),
+    ("grid", {"grid": [0.1, HUGE]}, ["double", "export-surface", "transition"]),
+    ("base_point", {"base_point": [HUGE, 0.0]}, ["double", "export-surface", "transition"]),
+)
+
+
+@pytest.mark.parametrize(
+    "command, field, overrides",
+    [
+        pytest.param(command, field, overrides, id=f"{command}-{field}")
+        for field, overrides, commands in HUGE_INTEGER_FIELDS
+        for command in commands
+    ],
+)
+def test_integers_too_large_for_a_float_exit_2(tmp_path, capsys, command, field, overrides):
+    config = _write_config(tmp_path / "cfg.json", **overrides)
+    config.write_text(json.dumps({key: value for key, value in json.loads(config.read_text()).items() if value is not None}))
+    code, out = _run(tmp_path, command, config)
+    assert code == EXIT_CONFIG and not out.exists()
+    assert f"field '{field}' holds an integer of 401 digits, too large for a float" in capsys.readouterr().err
+
+
+def _nested(value, depth):
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+# Configs that the loader cannot decode, or that nest deeper than a
+# recursive walk of the fields could follow, with the start of their
+# messages; each ended in a traceback.
+UNDECODABLE_CONFIGS = {
+    "0xFF byte": (b'{"traces": [3.0, 3.0, 3.0]\xff}', "cannot read config"),
+    "nested 1,000 deep": (b"[" * 1000 + b"]" * 1000, "config parse error: maximum recursion depth exceeded"),
+    "integer of 5,000 digits": (
+        b'{"traces": [1' + b"0" * 5000 + b", 3.0, 3.0]}",
+        "config parse error: Exceeds the limit (4300 digits)",
+    ),
+    "traces nested 496 deep": (
+        json.dumps({"traces": _nested(3.0, 496)}).encode(),
+        "field 'traces' must be a list of three numbers",
+    ),
+    "boolean nested 496 deep": (
+        json.dumps({"traces": _nested(True, 496)}).encode(),
+        "field 'traces' must hold numbers, not booleans",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(FIRST_REPORTS))
+@pytest.mark.parametrize("data, message", UNDECODABLE_CONFIGS.values(), ids=UNDECODABLE_CONFIGS.keys())
+def test_configs_that_cannot_be_decoded_exit_2(tmp_path, capsys, command, data, message):
+    config = tmp_path / "cfg.json"
+    config.write_bytes(data)
+    code, out = _run(tmp_path, command, config)
+    assert code == EXIT_CONFIG and not out.exists()
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+
 @pytest.mark.parametrize(
     "command, grid, named",
     [
@@ -710,10 +777,11 @@ KERCKHOFF_STOPPED = "projected gradient norm inf after 0 steps"
 @pytest.mark.parametrize(
     "command, word, weight, named",
     [
-        # The trace polynomial of A B^240 rounds to 0 at (3,3,3); from 250
-        # letters on, room**1.5 overflowed with a traceback (exit 1); past
-        # about 1,500 a coefficient does not fit in a float.
-        ("kerckhoff", "A" + "B" * 240, 1.0, KERCKHOFF_STOPPED),
+        # A B^240 has a trace of about 1e100 at (3,3,3), and the search stops
+        # short of the tolerance.  From 250 letters on, room**1.5 overflows
+        # (this once ended in a traceback, exit 1), and from about 740 on
+        # the trace itself does.
+        ("kerckhoff", "A" + "B" * 240, 1.0, "projected gradient norm 9.424e-02 after 29 steps"),
         ("kerckhoff", "A" + "B" * 260, 1.0, KERCKHOFF_STOPPED),
         ("kerckhoff", "A" + "B" * 1500, 1.0, KERCKHOFF_STOPPED),
         # These three exited 3 after numpy's overflow warnings.

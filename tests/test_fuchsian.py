@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -44,12 +45,11 @@ from halfpipe.fuchsian import (
     _fricke_gradient,
     _join,
     _normal_form_generators,
-    _polynomial_jet,
     _sl2_inverse,
     _tangent_basis,
     _tile_leaves,
     _tiles_within,
-    _trace_polynomial,
+    _trace_jet,
     _word_sl2,
 )
 from halfpipe.geometry import (
@@ -357,15 +357,26 @@ def test_multicurve_lengths():
     )
 
 
+# The homology classes (p, q) of simple closed curves with |p| + |q| <= 6, in all four sign patterns.
+SHORT_CLASSES = [(p, q) for p in range(-6, 7) for q in range(-6, 7) if math.gcd(p, q) == 1 and abs(p) + abs(q) <= 6]
+
+
 @given(
     x=st.floats(3.0, 12.0),
     y=st.floats(3.0, 12.0),
-    letters=st.lists(st.sampled_from("ABab"), min_size=1, max_size=4).map(free_reduce).filter(bool),
+    homology=st.sampled_from(SHORT_CLASSES),
+    conjugator=st.lists(st.sampled_from("ABab"), max_size=2).map("".join).map(free_reduce),
+    inverted=st.booleans(),
 )
-def test_trace_polynomials_match_the_matrix_traces(x, y, letters):
+def test_trace_jets_match_the_matrix_traces(x, y, homology, conjugator, inverted):
+    word = christoffel(*homology)
+    if inverted:
+        word = invert_word(word)
+    letters = free_reduce(conjugator + word + invert_word(conjugator))
     point = TeichPoint.from_xy(x, y)
     p = point.as_array()
-    value, grad, hess = _polynomial_jet(_trace_polynomial(letters), p)
+    value, grad, hess = _trace_jet(word_homology(letters), p.tolist())
+    grad, hess = np.array(grad), np.array(hess)
     expected = float(np.trace(build_punctured_torus(point).sl2(letters)))
     assert value == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
@@ -400,6 +411,40 @@ def test_trace_polynomials_match_the_matrix_traces(x, y, letters):
         ]
     )
     np.testing.assert_allclose(frame.T @ hess @ frame, second, rtol=1e-6, atol=atol)
+
+
+def _mp_trace_of_ab_power(traces, n):
+    """tr(A B^n) in mpmath, from generators in the normal form of _normal_form_generators with traces (x, y, z)."""
+    x, y, z = traces
+    lam = (x + mpmath.sqrt(x * x - 4)) / 2
+    p = (z - y / lam) / (lam - 1 / lam)
+    s = y - p
+    r = mpmath.sqrt(abs(p * s - 1))
+    gen_a = mpmath.matrix([[lam, 0], [0, 1 / lam]])
+    gen_b = mpmath.matrix([[p, r if p * s >= 1 else -r], [r, s]])
+    product = gen_a * gen_b**n
+    return product[0, 0] + product[1, 1]
+
+
+@pytest.mark.parametrize("n", [80, 100, 150, 200])
+@pytest.mark.parametrize("point", [SYMMETRIC, TeichPoint.from_xy(4.0, 5.0)], ids=("(3,3,3)", "xy(4,5)"))
+def test_long_curve_trace_jets_keep_their_digits(point, n):
+    # The trace polynomial expanded letter by letter cancelled to 4.2e-9
+    # relative at n = 80 and to the wrong sign at n = 200; each Farey step
+    # subtracts a term far smaller than its product.
+    value, grad, _ = _trace_jet((1, n), point.as_array().tolist())
+    with mpmath.workdps(50):
+        traces = [mpmath.mpf(c) for c in point.as_array().tolist()]
+        reference = _mp_trace_of_ab_power(traces, n)
+        step = mpmath.mpf("1e-20")
+        reference_grad = [
+            (_mp_trace_of_ab_power(traces[:i] + [c + step] + traces[i + 1 :], n)
+             - _mp_trace_of_ab_power(traces[:i] + [c - step] + traces[i + 1 :], n)) / (2 * step)
+            for i, c in enumerate(traces)
+        ]
+        assert float(abs(value - reference) / abs(reference)) < 1e-12
+        size = max(abs(g) for g in reference_grad)
+        assert float(max(abs(g - ref) for g, ref in zip(grad, reference_grad)) / size) < 1e-12
 
 
 def test_length_function_is_smooth_along_variety_paths():
@@ -1143,21 +1188,13 @@ def _numpy_tangent_basis(p):
     return np.column_stack([t1, np.cross(n, t1)])
 
 
-def _numpy_polynomial_jet(poly, p):
-    exponents, coefficients = poly
-    terms = coefficients * np.prod(p**exponents, axis=1)
-    first = exponents * terms[:, None]
-    grad = first.sum(axis=0) / p
-    hess = (exponents.T @ first) / np.outer(p, p) - np.diag(grad / p)
-    return float(terms.sum()), grad, hess
-
-
 def _numpy_reduced_model(terms, p):
     if not (min(p) > 2.0 and max(p) <= fuchsian.KERCKHOFF_TRACE_MAX):
         return math.inf, None, None, None
     total, grad, hess = 0.0, np.zeros(3), np.zeros((3, 3))
-    for weight, poly in terms:
-        trace, d_trace, dd_trace = _numpy_polynomial_jet(poly, p)
+    for weight, homology in terms:
+        trace, d_trace, dd_trace = _trace_jet(homology, p.tolist())
+        d_trace, dd_trace = np.array(d_trace), np.array(dd_trace)
         if not abs(trace) / 2.0 > 1.0 + 1e-12:
             return math.inf, None, None, None
         room = trace * trace - 4.0
@@ -1195,22 +1232,13 @@ def test_variety_projection_and_tangent_basis_equal_their_numpy_forms_bit_for_bi
     assert _same_bits(_tangent_basis(gradient, float(gradient @ gradient)), _numpy_tangent_basis(p))
 
 
-@given(p=trial_points, word=st.lists(st.sampled_from("ABab"), min_size=1, max_size=5).map("".join))
-def test_polynomial_jets_equal_their_numpy_form_bit_for_bit(p, word):
-    poly = _trace_polynomial(word)
-    value, grad, hess = _polynomial_jet(poly, p)
-    expected = _numpy_polynomial_jet(poly, p)
-    assert value.hex() == expected[0].hex()
-    assert _same_bits(grad, expected[1]) and _same_bits(hess, expected[2])
-
-
 @given(
     p=trial_points,
     curves=st.tuples(st.sampled_from(SIMPLE_CURVES), st.sampled_from(SIMPLE_CURVES)),
     weights=st.tuples(st.floats(0.1, 3.0), st.floats(0.1, 3.0)),
 )
 def test_kerckhoff_local_model_equals_its_numpy_form_bit_for_bit(p, curves, weights):
-    terms = [(weight, _trace_polynomial(word)) for weight, word in zip(weights, curves)]
+    terms = [(weight, word_homology(word)) for weight, word in zip(weights, curves)]
     found, expected = fuchsian._reduced_model(terms, p), _numpy_reduced_model(terms, p)
     assert found[0] == expected[0] or math.isinf(found[0]) and math.isinf(expected[0])
     if math.isfinite(expected[0]):

@@ -55,9 +55,16 @@ The runs, all in one process:
   (0.9999999999999999, 0), where the side pairings of the tiles about the
   base point overflow (exit 3);
 - all four subcommands on LONG_CURVE, λ = A·B^300 with μ = B at (3,3,3),
-  whose trace polynomial and leaf-word products overflow: ``kerckhoff``,
+  whose trace (about 1e125) is finite but whose Kerckhoff model overflows
+  at room**1.5, and whose leaf-word products overflow: ``kerckhoff``,
   ``transition`` and ``export-surface`` exit 3, and ``double``, which
   reads only the axis of the curve, exits 0;
+- all four subcommands on each config of HUGE_INTEGERS, which puts the
+  integer 10**400, too large for a float, in one numeric field, and on each
+  of UNDECODABLE_CONFIGS: a 0xFF byte, brackets nested 1,000 deep, an
+  integer past Python's 4,300-digit limit, and ``traces`` nested deeper
+  than a recursive walk of the field could follow; each exits 2, except
+  ``kerckhoff`` with a huge grid or base point, which it does not read;
 - the four ``small/test-cli`` runs again, as ``rewrite/test-cli``, each into
   an out directory that already holds 4 KB of filler under every file name
   the first run wrote, so that the reports overwrite existing files; their
@@ -141,6 +148,23 @@ RIM_SURFACES = {
 LONG_CURVE = "A" + "B" * 300
 # Base points that the config check refuses.
 BAD_BASE_POINTS = ("nonsense", [5.0, 5.0])
+# field -> the overrides of the first small configuration that put 10**400 in that field.
+HUGE_INTEGERS = {
+    "traces": {"traces": [10**400, 3.0, 3.0]},
+    "weight": {"multicurves": {"lambda": [{"word": "A", "weight": 10**400}], "mu": [{"word": "B", "weight": 1.0}]}},
+    "grid": {"grid": [0.1, 10**400]},
+    "base_point": {"base_point": [10**400, 0.0]},
+    "generators": {"traces": None, "generators": [[[10**400, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]]},
+}
+# name -> the raw bytes of a config file.
+UNDECODABLE_CONFIGS = {
+    "0xFF": b'{"traces": [3.0, 3.0, 3.0]\xff}',
+    "nested-1000": b"[" * 1000 + b"]" * 1000,
+    "digits-5000": b'{"traces": [1' + b"0" * 5000 + b", 3.0, 3.0]}",
+    # Deep enough that a recursive walk of the field, two frames a level, runs out of call stack in this
+    # process, and shallow enough for json.loads.
+    "traces-nested-600": b'{"traces": ' + b"[" * 600 + b"3.0" + b"]" * 600 + b"}",
+}
 
 # name -> (from_xy(x, y), lambda) of the runs on curve words that are not cyclically reduced.
 CONJUGATE_CURVES = {
@@ -166,7 +190,8 @@ def _config(traces, **multicurves) -> dict:
 def runs(workloads, teich_point):
     """(label, subcommand, config, extra arguments) of every run, in order.
 
-    A config without ``traces`` takes the traces that the preceding
+    A config is a dict, or the raw bytes of a config file.  A dict without
+    ``traces`` or ``generators`` takes the traces that the preceding
     ``kerckhoff`` run reported, and the run is skipped when that run failed.
     """
     for name, tp, word, weight in workloads.TRANSITION_CONFIGS:
@@ -245,6 +270,13 @@ def runs(workloads, teich_point):
     cfg = _config((3.0, 3.0, 3.0), **{"lambda": [(LONG_CURVE, 1.0)], "mu": [("B", 1.0)]})
     for command in SUBCOMMANDS:
         yield f"long/AB^300/{command}", command, cfg, ()
+    for field, overrides in HUGE_INTEGERS.items():
+        cfg = {key: value for key, value in dict(small_cfgs["test-cli"], **overrides).items() if value is not None}
+        for command in SUBCOMMANDS:
+            yield f"refused/{field}=10**400/{command}", command, cfg, ()
+    for name, data in UNDECODABLE_CONFIGS.items():
+        for command in SUBCOMMANDS:
+            yield f"refused/undecodable-{name}/{command}", command, data, ()
     for command in SUBCOMMANDS:
         yield f"{REWRITE}test-cli/{command}", command, small_cfgs["test-cli"], ()
 
@@ -265,7 +297,7 @@ def main() -> int:
     written: dict[str, list[str]] = {}
     with tempfile.TemporaryDirectory() as tmp:
         for index, (label, command, cfg, extra) in enumerate(runs(workloads, TeichPoint)):
-            if "traces" not in cfg:
+            if isinstance(cfg, dict) and "traces" not in cfg and "generators" not in cfg:
                 if last_traces is None:
                     continue
                 cfg = dict(cfg, traces=last_traces)
@@ -273,7 +305,7 @@ def main() -> int:
             config = run_dir / "config.json"
             out = run_dir / "out"
             run_dir.mkdir()
-            config.write_text(json.dumps(cfg))
+            config.write_bytes(cfg if isinstance(cfg, bytes) else json.dumps(cfg).encode())
             if label.startswith(REWRITE):
                 out.mkdir()
                 for name in written["small/" + label.removeprefix(REWRITE)]:
