@@ -39,6 +39,7 @@ from halfpipe.geometry import (
     Plane,
     ProjectivePoint,
     TagMismatchError,
+    disk_lift,
     embed_h2_point,
 )
 from halfpipe.isometry import (
@@ -221,14 +222,34 @@ def _crossings_to(ctx: BendingContext, x: np.ndarray) -> Crossings:
         return segment_crossings(ctx.group, ctx.multicurve, ctx.base_point, inner)
 
 
+def _height(ctx: BendingContext, z: np.ndarray) -> float:
+    """The height of the bent half-pipe surface over the disk point z, as :func:`psi_lambda` defines it."""
+    normals, sides, _, _ = _crossings_to(ctx, z)
+    z1, z2 = z.tolist()
+    coefficient = ctx.sign * ctx.scale * float(ctx.multicurve.weight)
+    total = 0.0
+    for side, (n0, n1, n2) in zip(sides.tolist(), normals.tolist()):
+        # The unit normal, oriented and divided by its Minkowski norm as SpacelikeGeodesicH2 does.
+        n0, n1, n2 = side * n0, side * n1, side * n2
+        norm = math.sqrt(-n0 * n0 + n1 * n1 + n2 * n2)
+        total -= coefficient * (-(n0 / norm) + (n1 / norm) * z1 + (n2 / norm) * z2)
+    return total
+
+
 def bending_map(ctx: BendingContext, x: np.ndarray) -> ProjectivePoint:
     """Develop the disk point x onto the bent surface.
 
     Applies the bending cocycle from the basepoint to the canonical embedding
     of x in {x3 = 0}.  A point on a leaf is developed with the cocycle of the
-    basepoint side, which is one of the two one-sided limits.
+    basepoint side, which is one of the two one-sided limits.  In the
+    half-pipe model the cocycle is a Minkowski translation, so x develops
+    onto the graph of the height :func:`psi_lambda`, with no 4x4 product.
     """
     x = np.asarray(x, dtype=float).reshape(2)
+    if ctx.tag is HP:
+        height = _height(ctx, x)  # first, as its crossings refuse a point off the open disk, NaN too
+        x0, x1, x2 = disk_lift(x).tolist()
+        return ProjectivePoint((x0, x1, x2, height * x0), HP)
     return _context_product(ctx, _crossings_to(ctx, x), "").apply(embed_h2_point(ctx.tag, x))
 
 
@@ -240,21 +261,11 @@ def psi_lambda(ctx: BendingContext, z: np.ndarray) -> float:
     oriented away from the basepoint.  Piecewise affine; concave, nonpositive
     and vanishing on the basepoint's face when the sign is positive.  The
     height is continuous across a leaf, so a point on a leaf takes the
-    crossings of the basepoint side, as :func:`bending_map` does.
+    crossings of the basepoint side.  :func:`bending_map` develops its graph.
     """
     if ctx.tag is not HP:
         raise TagMismatchError("the bent-surface height function lives in the half-pipe model")
-    z = np.asarray(z, dtype=float).reshape(2)
-    normals, sides, _, _ = _crossings_to(ctx, z)
-    z1, z2 = z.tolist()
-    coefficient = ctx.sign * ctx.scale * float(ctx.multicurve.weight)
-    total = 0.0
-    for side, (n0, n1, n2) in zip(sides.tolist(), normals.tolist()):
-        # The unit normal, oriented and divided by its Minkowski norm as SpacelikeGeodesicH2 does.
-        n0, n1, n2 = side * n0, side * n1, side * n2
-        norm = math.sqrt(-n0 * n0 + n1 * n1 + n2 * n2)
-        total -= coefficient * (-(n0 / norm) + (n1 / norm) * z1 + (n2 / norm) * z2)
-    return total
+    return _height(ctx, np.asarray(z, dtype=float).reshape(2))
 
 
 def support_plane_at(ctx: BendingContext, x: np.ndarray) -> Plane:

@@ -22,9 +22,9 @@ meeting a ball are connected: crossing queries are complete by construction.
 Every leaf query is one pipeline: a tile source, then one leaf namer
 (``_tile_leaves``, the lifts v . axis(r) through those tiles in walk order,
 each with the normal L(v) . n from the group's Lorentz image of the whole
-word v), then one sign test (``_crossings``, the leaves whose pairings with
-the two ends differ in sign; it raises EndpointOnLeafError for an end on a
-leaf).  There are two tile sources:
+word v), then one sign test (``_crossings``, in Python floats, the leaves whose
+pairings with the two ends differ in sign; it raises EndpointOnLeafError for
+an end on a leaf).  There are two tile sources:
 
 - the atlas ball: each group keeps a leaf atlas per curve root, the leaves
   meeting the hyperbolic ball B(o, ATLAS_RADIUS) about the disk centre o,
@@ -576,26 +576,23 @@ def _join(u: str, v: str) -> str:
 def _first_word(prefix: str, root: str) -> str:
     """The first in walk order of the reduced words prefix . root^j, j an integer.
 
-    root is cyclically reduced, so only the powers of root or of its
-    inverse, whichever cancels the last letter of the prefix, can beat
-    j = 0.  The prefix is reduced.
+    root is cyclically reduced, so only the powers s^j of root or of its
+    inverse, whichever cancels the last letter of the reduced prefix, can
+    beat j = 0.  prefix . s^j cancels min(m, j |s|) letters, m the common start
+    of prefix^-1 and s s s ...: the shortest are j = m // |s| and j + 1.
     """
-    best = prefix
-    if prefix[-1:] == root[0].swapcase():
-        step = root
-    elif prefix[-1:] == root[-1]:
-        step = invert_word(root)
-    else:
-        return best
-    head = prefix
-    while True:
-        # |prefix . step^j| falls and then rises by |step| per step.
-        longer = _join(head, step)
-        if len(longer) > len(head):
-            return best
-        head = longer
-        if _walk_order(head) < _walk_order(best):
-            best = head
+    step = root if prefix[-1:] == root[0].swapcase() else root[::-1].swapcase()
+    if prefix[-1:] != step[0].swapcase():
+        return prefix
+    inverse, n = prefix[::-1].swapcase(), len(step)
+    powers = step * (len(prefix) // n + 1)
+    # m by bisection, each probe one comparison of string slices.
+    low, high = 0, len(prefix)
+    while low < high:
+        middle = (low + high + 1) // 2
+        low, high = (middle, high) if inverse[:middle] == powers[:middle] else (low, middle - 1)
+    k = low // n
+    return min(prefix[: len(prefix) - k * n], prefix[: len(prefix) - low] + powers[low : (k + 1) * n], key=_walk_order)
 
 
 # Pairings that overflow are refused below, by name, instead of warned about.
@@ -743,21 +740,21 @@ def _crossings(leaves: Leaves, x: np.ndarray, y: np.ndarray) -> Crossings:
     # the lift rescaling only matters for the endpoint-distance tolerance.
     # |z|^2 as float products of the coordinates, as segment_crossings reads it.
     (x1, x2), (y1, y2) = x.tolist(), y.tolist()
-    duals = np.array([[[-1.0, x1, x2]], [[-1.0, y1, y2]]])  # J3 (1, x) and J3 (1, y)
     scale0 = 1.0 / math.sqrt(1.0 - (x1 * x1 + x2 * x2))
     scale1 = 1.0 / math.sqrt(1.0 - (y1 * y1 + y2 * y2))
-    # Summed column by column: a matrix-vector product rounds by stack height.
-    products = duals * normals
-    f0, f1 = products[..., 0] + products[..., 1] + products[..., 2]
-    on_leaf = (np.abs(f0) * scale0 < EPS_ENDPOINT) | (np.abs(f1) * scale1 < EPS_ENDPOINT)
-    # Array methods: numpy's module-level wrappers cost more than a segment's few crossings.
-    if on_leaf.any():
-        raise EndpointOnLeafError("segment endpoint lies on a leaf; nudge the basepoint")
-    hit = (f0 * f1 < 0.0).nonzero()[0]
-    parameters = f0[hit] / (f0[hit] - f1[hit])
-    order = parameters.argsort(kind="stable")
-    hit = hit[order]
-    return normals[hit], np.copysign(1.0, -f0[hit]), parameters[order], [words[i] for i in hit.tolist()]
+    # In Python floats, a leaf at a time: a segment meets a few leaves, too few to pay for
+    # numpy's per-call cost, and Python floats overflow to inf and NaN without a warning.
+    hits = []
+    for i, (n0, n1, n2) in enumerate(normals.tolist()):
+        f0 = -n0 + x1 * n1 + x2 * n2
+        f1 = -n0 + y1 * n1 + y2 * n2
+        if abs(f0) * scale0 < EPS_ENDPOINT or abs(f1) * scale1 < EPS_ENDPOINT:
+            raise EndpointOnLeafError("segment endpoint lies on a leaf; nudge the basepoint")
+        if f0 * f1 < 0.0:
+            hits.append((f0 / (f0 - f1), i, math.copysign(1.0, -f0)))
+    hits.sort(key=lambda hit: (hit[0] != hit[0], hit[0]))  # stable, a NaN parameter last, as numpy sorts
+    parameters, rows, sides = zip(*hits) if hits else ((), (), ())
+    return normals[list(rows)], np.array(sides, dtype=float), np.array(parameters, dtype=float), [words[i] for i in rows]
 
 
 def leaves_crossing(

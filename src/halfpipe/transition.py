@@ -41,12 +41,16 @@ class InsufficientGridError(GeometryError):
     """Too few grid values: a family needs one, extrapolation three on each side."""
 
 
-def normalized_projective(m: np.ndarray) -> np.ndarray:
+# A norm that overflows is refused below, by its t, instead of warned about.
+@np.errstate(over="ignore")
+def normalized_projective(m: np.ndarray, ts: list[float] | None = None) -> np.ndarray:
     """Scale a matrix to a canonical representative of its projective class.
 
     Divides by the bottom-right entry when it carries weight; otherwise
     Frobenius-normalizes (the sign ambiguity left by that branch is handled
     by :func:`projective_distance`), a (k, 4, 4) stack matrix by matrix.
+    Raises GeometryError for the zero matrix and for a Frobenius norm that is
+    not finite, naming its matrix's value in ``ts``, one per matrix, if given.
     """
     m = np.asarray(m, dtype=float)
     scale = np.abs(m).max(axis=(-2, -1))
@@ -59,6 +63,9 @@ def normalized_projective(m: np.ndarray) -> np.ndarray:
         for i in np.ndindex(divisor.shape):
             if weak[i]:
                 divisor[i] = np.linalg.norm(m[i])
+        if not np.isfinite(divisor).all():
+            where = "" if ts is None else f" at t = {[ts[i] for i in np.flatnonzero(~np.isfinite(divisor))]}"
+            raise GeometryError(f"the Frobenius norm of the matrix{where} is not finite")
     return m / divisor[..., None, None]
 
 
@@ -234,7 +241,7 @@ def extrapolate_limit(family: TransitionFamily) -> ConvergenceReport:
         bad = [t for t, ok in zip(grid, finite) if not ok]
         raise GeometryError(f"the rescaled holonomy of {family.word!r} is not finite at t = {bad}")
     grid, matrices = np.array(grid)[order], matrices[order]
-    normalized = normalized_projective(matrices)
+    normalized = normalized_projective(matrices, grid.tolist())
     limits, orders, residuals = {}, {}, []
     for positive, rows in ((True, slice(split, None)), (False, slice(split))):
         ts, side = grid[rows], normalized[rows]

@@ -372,6 +372,47 @@ def test_hp_bent_surface_is_graph_of_height_function():
         assert abs(height - psi_lambda(ctx, z)) < TOL_GRAPH
 
 
+@pytest.mark.parametrize(
+    "xy, word, weight",
+    [((3.0, 40.0), "ABB", 1.0), ((20.0, 3.0), "AAB", 0.5)],
+    ids=("ABB@xy(3,40)", "0.5AAB@xy(20,3)"),
+)
+def test_hp_development_keeps_its_digits_at_extreme_trace_points(xy, word, weight):
+    # A 60-digit height over the same crossings, from the float normals taken
+    # as exact.  At these draws the product of 4x4 rotations through axis
+    # frames, whose factors have condition |L(step)|^2, left the vertical
+    # line over z by up to 2.1e-3 (ABB) and 3.7e-9 (AAB), and missed the
+    # height by 1.6e-3 and 4.3e-10; the height sum is within 6e-16.
+    group = build_punctured_torus(TeichPoint.from_xy(*xy))
+    ctx = BendingContext(group, WeightedMulticurve.single(word, weight), BASE, HP, 1.0, 1.0)
+    rng = np.random.default_rng(61)
+    with mpmath.workdps(60):
+        for z in _disk_points(rng, 100, radius=0.95):
+            vec = bending_map(ctx, z).vec
+            normals, sides, _, _ = segment_crossings(group, ctx.multicurve, BASE, z)
+            height = mpmath.mpf(0)
+            for side, normal in zip(sides.tolist(), normals.tolist()):
+                n0, n1, n2 = (side * mpmath.mpf(c) for c in normal)
+                height -= weight * (-n0 + n1 * z[0] + n2 * z[1]) / mpmath.sqrt(-n0 * n0 + n1 * n1 + n2 * n2)
+            assert np.max(np.abs(vec[1:3] / vec[0] - z)) <= 1e-15
+            assert abs(mpmath.mpf(vec[3]) / vec[0] - height) <= 1e-10
+
+
+@pytest.mark.parametrize("traces, word, weight", [(SYMMETRIC, "A", 1.0), (TeichPoint.from_xy(4.0, 5.0), "AB", 0.8)])
+def test_hp_development_is_the_bending_cocycle_applied_to_the_embedded_point(traces, word, weight):
+    # bending_map in the half-pipe model is formed from the height alone, so
+    # the graph checks pass by construction; this witness keeps it the
+    # cocycle's image of the embedded point.
+    group = build_punctured_torus(traces)
+    rng = np.random.default_rng(67)
+    for sign, scale in ((1.0, 1.0), (-1.0, 0.3)):
+        ctx = BendingContext(group, WeightedMulticurve.single(word, weight), BASE, HP, sign, scale)
+        for z in _disk_points(rng, 60, radius=0.95):
+            developed = bending_map(ctx, z).vec
+            image = bending_cocycle(ctx, BASE, z).apply(embed_h2_point(HP, z)).vec
+            assert np.max(np.abs(developed - image)) < 1e-12
+
+
 def test_height_function_on_a_leaf_is_the_graph_height_of_the_bending_map():
     # The origin lies on the axis of A at (3,3,3), and the point of the axis
     # of AAB closest to the origin on a leaf of AAB at from_xy(6, 3.5).  The

@@ -804,6 +804,22 @@ def test_long_curves_and_huge_weights_exit_3_with_their_numbers_and_no_warning(
     assert stdout == "" and named in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("power", (40, 42, 60))
+@pytest.mark.filterwarnings("error")
+def test_a_transition_whose_frobenius_norms_overflow_exits_3_naming_its_t(tmp_path, capfd, power):
+    # The rescaled holonomies of B for A^40 B at (3,3,3) have finite entries
+    # of 4e166 to 3e173 and a weak (3,3) entry, so each is divided by its
+    # Frobenius norm, which overflows.  That divided every sample to the zero
+    # matrix with numpy's warning, and the run exited 0 with gap 0.0.
+    lam = {"lambda": [{"word": "A" * power + "B", "weight": 1.0}]}
+    config = _write_config(tmp_path / "cfg.json", multicurves=lam, words=["B"])
+    code, out = _run(tmp_path, "transition", config)
+    assert code == EXIT_NUMERICAL and not out.exists()
+    stdout, err = capfd.readouterr()
+    named = "the Frobenius norm of the matrix at t = [-0.0001, -0.001, -0.01, -0.1, 0.0001, 0.001, 0.01, 0.1]"
+    assert stdout == "" and named in err and "Traceback" not in err
+
+
 @pytest.mark.filterwarnings("error")
 def test_non_finite_generators_are_refused_before_their_determinant(tmp_path, capsys):
     # numpy's det warned about the NaN before the config error.

@@ -899,12 +899,50 @@ def test_atlas_builds_within_a_tenth_of_the_tile_budget(point, mc):
 
 def test_the_largest_atlas_ball_is_searched_within_a_tenth_of_the_tile_budget(monkeypatch):
     # from_xy(2.000001, 4000.0015) has the shortest curve A for which the
-    # group still builds, and the largest atlas ball found.  Its search takes
-    # 0.07 s, but naming the leaves of its 1,600-letter tiles takes seconds,
-    # so the search alone is checked here.
+    # group still builds, and the largest atlas ball found: 3,189 tiles, of
+    # up to 1,594 letters, hold its one leaf.  Naming the leaves once walked
+    # the powers of the root one join at a time and took seconds; it takes
+    # about 0.1 s, as long as the search.
     group = build_punctured_torus(TeichPoint.from_xy(2.000001, 4000.0015))
     monkeypatch.setattr(fuchsian, "MAX_NODES", fuchsian.MAX_NODES // 10)
-    assert len(_tiles_within(group, np.zeros(2), ATLAS_RADIUS)) == 3189
+    tiles = _tiles_within(group, np.zeros(2), ATLAS_RADIUS)
+    assert len(tiles) == 3189 and max(map(len, tiles)) == 1594
+    assert group.atlas("A")[1] == [""]
+
+
+def _first_word_by_powers(prefix, root):
+    """_first_word as it was written: prefix . root^j one join at a time, while the word does not grow."""
+    best = prefix
+    if prefix[-1:] == root[0].swapcase():
+        step = root
+    elif prefix[-1:] == root[-1]:
+        step = invert_word(root)
+    else:
+        return best
+    head = prefix
+    while True:
+        longer = _join(head, step)
+        if len(longer) > len(head):
+            return best
+        head = longer
+        if fuchsian._walk_order(head) < fuchsian._walk_order(best):
+            best = head
+
+
+@given(
+    root=any_reduced_words.map(_cyclic_reduce).filter(bool),
+    u=any_reduced_words,
+    copies=st.integers(0, 5),
+    part=st.integers(0, 12),
+    inverted=st.booleans(),
+)
+def test_first_word_equals_the_walk_over_the_powers_of_the_root(root, u, copies, part, inverted):
+    # Prefixes that end in whole and partial copies of root or of its
+    # inverse, which the next powers cancel.
+    step = invert_word(root) if inverted else root
+    tail = (invert_word(step) * (copies + 1))[: copies * len(step) + min(part, len(step))]
+    prefix = free_reduce(u + tail)
+    assert fuchsian._first_word(prefix, root) == _first_word_by_powers(prefix, root)
 
 
 def _adjoint_by_basis(g):
@@ -989,6 +1027,84 @@ def test_leaf_search_is_equivariant(point, mc, x, y, mover):
         pushed = image @ old.leaf.normal
         gap = new.leaf.normal / np.max(np.abs(new.leaf.normal)) - pushed / np.max(np.abs(pushed))
         assert np.max(np.abs(gap)) < 1e-9
+
+
+def _numpy_crossings(leaves, x, y):
+    """_crossings as it was written, in stacked numpy products, as the reference of the float sign test."""
+    normals, words = leaves
+    (x1, x2), (y1, y2) = x.tolist(), y.tolist()
+    duals = np.array([[[-1.0, x1, x2]], [[-1.0, y1, y2]]])
+    scale0 = 1.0 / math.sqrt(1.0 - (x1 * x1 + x2 * x2))
+    scale1 = 1.0 / math.sqrt(1.0 - (y1 * y1 + y2 * y2))
+    products = duals * normals
+    f0, f1 = products[..., 0] + products[..., 1] + products[..., 2]
+    on_leaf = (np.abs(f0) * scale0 < EPS_ENDPOINT) | (np.abs(f1) * scale1 < EPS_ENDPOINT)
+    if on_leaf.any():
+        raise EndpointOnLeafError("segment endpoint lies on a leaf; nudge the basepoint")
+    hit = (f0 * f1 < 0.0).nonzero()[0]
+    parameters = f0[hit] / (f0[hit] - f1[hit])
+    order = parameters.argsort(kind="stable")
+    hit = hit[order]
+    return normals[hit], np.copysign(1.0, -f0[hit]), parameters[order], [words[i] for i in hit.tolist()]
+
+
+normal_entries = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.sampled_from([0.0, -0.0, 1e300, -1e300, math.inf, -math.inf, math.nan]),
+)
+
+
+@given(
+    normals=st.lists(st.tuples(normal_entries, normal_entries, normal_entries), max_size=10),
+    repeats=st.lists(st.tuples(st.integers(0, 9), st.sampled_from([1.0, 2.0, -0.5])), max_size=4),
+    x=disk_points,
+    y=disk_points,
+)
+def test_float_sign_test_equals_its_numpy_form_bit_for_bit(normals, repeats, x, y):
+    # Empty leaf sets, leaves repeated at powers of two (equal parameters,
+    # kept in leaf order), leaves through an end, and pairings that
+    # overflow to inf or NaN, whose parameters numpy sorts last.
+    rows = list(normals) + [tuple(factor * c for c in normals[i]) for i, factor in repeats if i < len(normals)]
+    leaves = (np.array(rows, dtype=float).reshape(-1, 3), [f"w{i}" for i in range(len(rows))])
+    with np.errstate(all="ignore"):
+        try:
+            expected = _numpy_crossings(leaves, x, y)
+        except EndpointOnLeafError:
+            with pytest.raises(EndpointOnLeafError, match="segment endpoint lies on a leaf"):
+                _crossings(leaves, x, y)
+            return
+    found = _crossings(leaves, x, y)
+    assert found[3] == expected[3]
+    for array, want in zip(found[:3], expected[:3]):
+        assert array.shape == want.shape and array.dtype == want.dtype and array.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(ATLAS_POINTS))
+def test_float_sign_test_on_atlas_leaves_equals_its_numpy_form_bit_for_bit(name):
+    # Real leaf sets, with an end pulled onto a leaf for every fifth segment.
+    rng = np.random.default_rng(sorted(ATLAS_POINTS).index(name) + 100)
+    group = build_punctured_torus(ATLAS_POINTS[name])
+    refused = 0
+    for mc in ATLAS_MULTICURVES:
+        leaves = group.atlas(mc.root)
+        for k in range(20):
+            x, y = (_disk_point(rng, 0.97 * math.sqrt(rng.uniform())) for _ in range(2))
+            if k % 5 == 0 and len(leaves[1]):
+                # The point of a leaf nearest the centre lies on it.
+                normal = leaves[0][int(rng.integers(len(leaves[1])))]
+                y = normal[0] * normal[1:] / (normal[1:] @ normal[1:])
+            try:
+                expected = _numpy_crossings(leaves, x, y)
+            except EndpointOnLeafError:
+                refused += 1
+                with pytest.raises(EndpointOnLeafError):
+                    _crossings(leaves, x, y)
+                continue
+            found = _crossings(leaves, x, y)
+            assert found[3] == expected[3]
+            for array, want in zip(found[:3], expected[:3]):
+                assert array.tobytes() == want.tobytes()
+    assert refused >= 16
 
 
 def _assert_whole_word_normals(group, mc, crossings):

@@ -167,6 +167,14 @@ def test_projective_normalization_branches():
     assert np.allclose(np.linalg.norm(normalized_projective(vertical)), 1.0)
     with pytest.raises(GeometryError):
         normalized_projective(np.zeros((4, 4)))
+    # A finite matrix whose Frobenius norm overflows is refused, by its t when given, with no warning.
+    huge = np.stack([vertical, 1e200 * vertical, m])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GeometryError, match=r"the Frobenius norm of the matrix is not finite"):
+            normalized_projective(huge[1])
+        with pytest.raises(GeometryError, match=r"the Frobenius norm of the matrix at t = \[0.02\] is not"):
+            normalized_projective(huge, [0.01, 0.02, 0.03])
 
 
 def test_rotation_families_transit_to_half_pipe_rotations():

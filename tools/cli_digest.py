@@ -28,10 +28,11 @@ The runs, all in one process:
 - on the first small configuration, ``kerckhoff --grid=0.1``, which takes
   no grid (argparse exits 2, recorded as the run's exit code), and
   ``export-surface --grid=0.1,7``, which exports one value only (exit 2);
-- ``double`` and ``export-surface`` at two extreme trace points, ABB at
-  from_xy(3, 40) and 0.5 AAB at from_xy(20, 3), where the leaf atlas, built
-  once at the hyperbolic radius ATLAS_RADIUS about the disk centre, reaches
-  far into thin parts of the surface;
+- ``double``, ``export-surface`` and ``export-surface --grid=0`` at two
+  extreme trace points, ABB at from_xy(3, 40) and 0.5 AAB at from_xy(20, 3),
+  where the leaf atlas, built once at the hyperbolic radius ATLAS_RADIUS
+  about the disk centre, reaches far into thin parts of the surface; at
+  ``--grid=0`` the surface is half-pipe and bent by |t| = 0, so flat;
 - ``export-surface`` from the base point (0.99999, 0) on the three
   RIM_SURFACES, where every leaf query leaves the leaf atlas and is answered
   from the tiling's tree path;
@@ -59,6 +60,9 @@ The runs, all in one process:
   at room**1.5, and whose leaf-word products overflow: ``kerckhoff``,
   ``transition`` and ``export-surface`` exit 3, and ``double``, which
   reads only the axis of the curve, exits 0;
+- ``transition`` on OVERFLOWING_CURVE, λ = A^40·B at (3,3,3) with the word
+  B, whose rescaled holonomies are finite but whose Frobenius norms
+  overflow (exit 3);
 - all four subcommands on each config of HUGE_INTEGERS, which puts the
   integer 10**400, too large for a float, in one numeric field, and on each
   of UNDECODABLE_CONFIGS: a 0xFF byte, brackets nested 1,000 deep, an
@@ -146,6 +150,8 @@ RIM_SURFACES = {
 }
 # A simple closed curve long enough to overflow the Kerckhoff model and the bent products.
 LONG_CURVE = "A" + "B" * 300
+# A curve whose rescaled holonomies of B are finite but have Frobenius norms that overflow.
+OVERFLOWING_CURVE = "A" * 40 + "B"
 # Base points that the config check refuses.
 BAD_BASE_POINTS = ("nonsense", [5.0, 5.0])
 # field -> the overrides of the first small configuration that put 10**400 in that field.
@@ -240,6 +246,7 @@ def runs(workloads, teich_point):
         cfg = _config(teich_point.from_xy(x, y).as_array().tolist(), **{"lambda": [lam]})
         for command in ("double", "export-surface"):
             yield f"edge/{name}/{command}", command, cfg, ()
+        yield f"edge/{name}/export-surface@0", "export-surface", cfg, ("--grid=0",)
     for name, (traces, lam, base, grid) in CONE_CONFIGS.items():
         cfg = dict(_config(traces, **{"lambda": [lam]}), base_point=base)
         yield f"cone/{name}/double", "double", cfg, () if grid is None else (f"--grid={grid}",)
@@ -270,6 +277,8 @@ def runs(workloads, teich_point):
     cfg = _config((3.0, 3.0, 3.0), **{"lambda": [(LONG_CURVE, 1.0)], "mu": [("B", 1.0)]})
     for command in SUBCOMMANDS:
         yield f"long/AB^300/{command}", command, cfg, ()
+    cfg = dict(_config((3.0, 3.0, 3.0), **{"lambda": [(OVERFLOWING_CURVE, 1.0)]}), words=["B"])
+    yield "long/A^40B/transition", "transition", cfg, ()
     for field, overrides in HUGE_INTEGERS.items():
         cfg = {key: value for key, value in dict(small_cfgs["test-cli"], **overrides).items() if value is not None}
         for command in SUBCOMMANDS:
