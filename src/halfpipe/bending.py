@@ -44,10 +44,10 @@ from halfpipe.geometry import (
 )
 from halfpipe.isometry import (
     Isometry,
-    embed_h2,
     embed_h2_isometry,
     identity_stack,
-    standard_rotations,
+    model_matrix,
+    rotation_pairs,
 )
 
 # Inward pullback (as a fraction of the chord) used to evaluate a bending
@@ -114,49 +114,48 @@ class BendingContext:
 
 def _bracketed_product(
     group: PuncturedTorusGroup, multicurve: WeightedMulticurve, crossings: Crossings, closing_word: str,
-    slices: Sequence[tuple[Geometry, float]],
+    slices: Sequence[tuple[Geometry, float, float]],
 ) -> np.ndarray:
     """The (k, 4, 4) stack of cocycles along a segment times the unbent holonomy of closing_word.
 
     ``crossings`` are the segment's leaf crossings from :func:`segment_crossings`,
-    the same in every model and scale; slice j is (tag, sign * scale) of one
-    context.  Each leaf turns by its side times the slice's angle.  Steps are
-    formed once per crossing, and a crossing whose angle is zero in every
-    slice is skipped.  The axis frames (phi, phi^-1) of the curve's root,
-    memoised by the group, are the same in every model and serve all slices.
+    the same in every model and scale.  Slice j is (tag, sign * scale, lam) of
+    one context conjugated by diag(1, 1, 1, 1/lam), lam = 1 for a context and
+    |t| for a family member; each leaf turns by its side times its angle.
 
-    Rotations about far leaves have matrix entries of size exp(2 distance),
-    so multiplying them directly squanders precision on cancellations.  Each
-    factor is a group conjugate of a rotation about the curve's axis, so the
-    product telescopes into base-axis rotations joined by the holonomies of
-    the relative conjugator words; every factor stays moderate when the
-    closing word matches the far end of the segment, and the rounding error
-    stays on the scale of the answer.
+    Over R[mu] (:mod:`halfpipe.isometry`) the leaf v . axis(r) of the root r
+    turns by g_v R g_v^-1, R = a + mu b the turn about axis(r) and g_v the
+    SL(2) image of v.  Telescoped, the product is turns about axis(r) joined
+    by the SL(2) images of the relative conjugator words, moderate when the
+    closing word matches the far end of the segment, held in the regular
+    representation [[a, mu^2 b], [b, a]] and mapped to 4x4 once.
     """
-    tags, scales = zip(*slices)
-    weight = float(multicurve.weight)
-    phi, phi_inverse = group.axis_frame(multicurve.root)
     _, sides, _, words = crossings
-    out = identity_stack(len(tags))
-    previous = ""
-    for side, word in zip(sides.tolist(), words):
-        angles = [side * (scale * weight) for scale in scales]
-        if not any(angles):
-            continue
+    angles = [(tag, scale * float(multicurve.weight), lam) for tag, scale, lam in slices]
+    out = identity_stack(len(angles))
+    # A product that turns about no leaf has b = 0, which every mu^2 maps alike.
+    mu2, previous = np.zeros(len(angles)), ""
+    crossed = list(zip(sides.tolist(), words)) if any(angle for _, angle, _ in angles) else []
+    if crossed:
+        a, b, mu2 = rotation_pairs(angles, group.axis(multicurve.root).normal)
+        # The regular representations [[a, side mu^2 b], [side b, a]] of the turns on sides +1 and -1.
+        even, odd = np.zeros((2, len(angles), 4, 4))
+        even[:, :2, :2] = even[:, 2:, 2:] = a
+        odd[:, 2:, :2], odd[:, :2, 2:] = b, mu2[:, np.newaxis, np.newaxis] * b
+        turns = {1.0: even + odd, -1.0: even - odd}
+    for side, word in [*crossed, (0.0, closing_word)]:
         step = free_reduce(invert_word(previous) + word)
-        if step:
-            out = out @ embed_h2(group.lorentz(step))
-        out = out @ ((phi_inverse @ standard_rotations(tags, angles)) @ phi)
+        if step:  # times [[g, 0], [0, g]] for the step's SL(2) image g
+            out = (out.reshape(-1, 4, 2, 2) @ group.sl2(step)).reshape(-1, 4, 4)
+        if side:
+            out = out @ turns[side]
         previous = word
-    closing = free_reduce(invert_word(previous) + closing_word)
-    if closing:
-        out = out @ embed_h2(group.lorentz(closing))
-    return out
+    return model_matrix(out[:, :2, :2], out[:, 2:, :2], mu2)
 
 
 def _context_product(ctx: BendingContext, crossings: Crossings, closing_word: str) -> Isometry:
     """The bracketed product of the context's own slice, as an isometry."""
-    slices = ((ctx.tag, ctx.sign * ctx.scale),)
+    slices = ((ctx.tag, ctx.sign * ctx.scale, 1.0),)
     return Isometry(_bracketed_product(ctx.group, ctx.multicurve, crossings, closing_word, slices)[0], ctx.tag)
 
 

@@ -369,7 +369,7 @@ def cmd_kerckhoff(args) -> int:
 
 def cmd_double(args) -> int:
     cfg = _load_config(args.config)
-    group = _group_from_config(cfg)
+    _group_from_config(cfg)  # validated, though the table does not depend on the traces
     lam = _multicurve_from_config(cfg, "lambda")
     grid = _grid_from(args, cfg, DEFAULT_CONE_GRID)
     _check_cone_grid(grid, lam)
@@ -378,7 +378,7 @@ def cmd_double(args) -> int:
     _base_point_from(cfg)  # validated, though the table does not depend on a basepoint
 
     slices = [(tag, t) for tag in (HYP, ADS, HP) for t in grid]
-    table = meridian_cone_angles(group, lam, slices)
+    table = meridian_cone_angles(lam, slices)
     hyp, ads, hp = (table[i : i + len(grid)] for i in range(0, len(table), len(grid)))
     # The doubled metrics close up affinely: slope -2 * weight on each side,
     # checked relative to 2 * weight, so that tiny weights are checked too.

@@ -21,11 +21,9 @@ and doubles the core across the two surfaces.  A double has two faces, one
 per boundary surface, so it extends the representation to words in the
 surface generators and one face token, e1 (with its inverse E1).  The module
 also computes meridian cone angles from adjacent support-plane reflections,
-read as the rotation about the axis of the curve's root in that axis's own
-frame (a whole table of models and scales as one stacked computation).  The
-collar lemma keeps every other lift of the curve away from that axis, so the
-table queries no leaf.  It also checks that doubled cusp stabilizers are
-rank-2 abelian.
+read as the rotation about a leaf in the leaf's own frame (a whole table of
+models and scales as one stacked computation), which needs no group, and
+checks that doubled cusp stabilizers are rank-2 abelian.
 """
 
 from __future__ import annotations
@@ -37,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from halfpipe.bending import BendingContext, BentHolonomy, _bracketed_product, bent_holonomy, bent_translation
-from halfpipe.fuchsian import PuncturedTorusGroup, WeightedMulticurve
+from halfpipe.bending import BendingContext, BentHolonomy, bent_holonomy, bent_translation
+from halfpipe.fuchsian import WeightedMulticurve
 from halfpipe.geometry import HP, HYP, Geometry, GeometryError, Plane, TagMismatchError, _unit_rows
 from halfpipe.isometry import (
     Isometry,
@@ -47,6 +45,8 @@ from halfpipe.isometry import (
     minkowski_to_hp,
     reflection,
     reflection_stack,
+    model_matrix,
+    rotation_pairs,
     standard_rotation_angles,
 )
 
@@ -174,40 +174,36 @@ def double_convex_core_pair(upper: BendingContext, lower: BendingContext) -> Dou
     return DoubledHolonomy(rho=bent_holonomy(upper), reflections=(mirror, Isometry(carried, HP)))
 
 
-def meridian_cone_angles(
-    group: PuncturedTorusGroup, multicurve: WeightedMulticurve, slices: Sequence[tuple[Geometry, float]]
-) -> list[float]:
+def meridian_cone_angles(multicurve: WeightedMulticurve, slices: Sequence[tuple[Geometry, float]]) -> list[float]:
     """Cone angles of the meridian around the bending line of the multicurve's curve, one per slice.
 
     Doubling turns each bending leaf into a cone axis whose meridian is the
     product of the reflections in the two support planes beside the leaf.
-    Slice j is (tag, sign * scale) of a context over the group and
-    multicurve; entry j of the returned list of k floats is its cone angle,
-    2*(pi - theta) in the hyperbolic model and -2*theta in the others, for
-    theta = sign * scale * weight.  A hyperbolic angle is read mod 2*pi and
-    returned as the representative nearest 2*(pi - theta), which is 2*pi
-    plus the read-out in [-pi, pi) whenever |theta| <= pi/2.
+    Slice j is (tag, sign * scale) of a context over the multicurve; entry j
+    of the returned list of k floats is its cone angle, 2*(pi - theta) in
+    the hyperbolic model and -2*theta in the others, for theta = sign *
+    scale * weight.  A hyperbolic angle is read mod 2*pi and returned as the
+    representative nearest 2*(pi - theta), which is 2*pi plus the read-out
+    in [-pi, pi) whenever |theta| <= pi/2.
 
-    The angle is read in the leaf's own frame, that of the axis of the
-    curve's cyclically reduced root r, with no leaf query.  The lifts of a
-    simple closed geodesic of length l are disjoint, and each has an
-    embedded collar of half-width arcsinh(1 / sinh(l / 2)) (Keen, "Collars
-    on Riemann surfaces", 1974).  So a segment across the axis of r, from a
-    far face on the side its normal points into to a near face on the
-    other, shorter than that half-width each way, crosses that one leaf,
-    named by the word "" with side -1, and C(far, near) is one rotation
-    about it.  With P0 = {x3 = 0} the near face's plane and phi the axis
-    frame, the meridian is phi . r(P0) . r(C(near, far) . P0) . phi^-1: no
-    basepoint enters.  r(P0) is diag(1, 1, 1, -1) in every model, and the
-    covector of C(near, far) . P0 is row 3 of C(far, near), so the table is
-    one stacked product, slice by slice that of one context.  No slices, a
-    slice tag that is not a Geometry, a non-finite scale and a hyperbolic
-    |theta| >= pi raise GeometryError.
+    The angle is read in the leaf's own frame, where it is the axis {x2 = x3
+    = 0} with normal e2.  The lifts of a simple closed geodesic of length l
+    are disjoint, each with an embedded collar of half-width arcsinh(1 /
+    sinh(l / 2)) (Keen, "Collars on Riemann surfaces", 1974).  So a segment
+    across the leaf, from a far face on the side e2 points into to a near
+    face on the other, shorter than that half-width each way, crosses that
+    one leaf, and C(far, near) is the rotation about it by -theta.  With P0 =
+    {x3 = 0} the near face's plane, the meridian is r(P0) . r(C(near, far) .
+    P0): no group and no basepoint enter.  r(P0) is diag(1, 1, 1, -1) in
+    every model, and the covector of C(near, far) . P0 is row 3 of C(far,
+    near), so the table is one stacked computation, slice by slice that of
+    one context.  No slices, a slice tag that is not a Geometry, a non-finite
+    scale and a hyperbolic |theta| >= pi raise GeometryError.
     """
     if not slices:
         raise GeometryError("slices is empty: a cone-angle table needs at least one (geometry, scale) slice")
     tags, scales = zip(*slices)
-    weight, root = multicurve.weight, multicurve.root
+    weight = multicurve.weight
     for tag, s in slices:
         if not isinstance(tag, Geometry):
             raise GeometryError(f"slice tag must be a Geometry, not {tag!r}")
@@ -215,10 +211,7 @@ def meridian_cone_angles(
             raise GeometryError(f"scale {s!r} is not finite")
         if tag is HYP and abs(s * weight) >= math.pi:
             raise GeometryError(f"hyperbolic bending angle {s * weight!r} must stay below pi")
-    # The one crossing of the segment from the far face to the near face, at its midpoint.
-    crossing = (group.axis(root).normal[np.newaxis], np.array([-1.0]), np.array([0.5]), [""])
-    far_to_near = _bracketed_product(group, multicurve, crossing, "", slices)
-    phi, phi_inverse = group.axis_frame(root)
+    far_to_near = model_matrix(*rotation_pairs([(tag, -(s * weight), 1.0) for tag, s in slices], (0.0, 0.0, 1.0)))
     covectors = _unit_rows(far_to_near[:, 3])
     by_tag = {tag: [j for j, other in enumerate(tags) if other is tag] for tag in dict.fromkeys(tags)}
     meridians = np.empty((len(tags), 4, 4))
@@ -226,10 +219,9 @@ def meridian_cone_angles(
         meridians[rows] = reflection_stack(tag, covectors[rows])
     # Times r(P0) on the left, which negates row 3 exactly.
     meridians[:, 3] *= -1.0
-    blocks = (phi @ meridians) @ phi_inverse
     angles = [0.0] * len(tags)
     for tag, rows in by_tag.items():
-        for j, angle in zip(rows, standard_rotation_angles(blocks[rows], tag)):
+        for j, angle in zip(rows, standard_rotation_angles(meridians[rows], tag)):
             angles[j] = angle
             if tag is HYP:
                 angles[j] += math.tau * round((2.0 * (math.pi - scales[j] * weight) - angles[j]) / math.tau)
@@ -246,7 +238,7 @@ def meridian_cone_angle(ctx: BendingContext, word: str, t: float | None = None) 
     if word != ctx.multicurve.word:
         raise GeometryError(f"{word!r} is not the curve {ctx.multicurve.word!r} of the multicurve")
     scale = ctx.scale if t is None else t
-    return meridian_cone_angles(ctx.group, ctx.multicurve, ((ctx.tag, ctx.sign * scale),))[0]
+    return meridian_cone_angles(ctx.multicurve, ((ctx.tag, ctx.sign * scale),))[0]
 
 
 def _parabolic_fixed_direction(g: Isometry) -> np.ndarray:

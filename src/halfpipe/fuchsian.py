@@ -56,7 +56,7 @@ from halfpipe.geometry import (
     disk_lift,
     radial_project,
 )
-from halfpipe.isometry import axis_frames
+from halfpipe.isometry import adjugate, sl2_to_so12, traceless_coords
 
 # |x^2 + y^2 + z^2 - xyz| accepted as "on the relation variety".
 EPS_FRICKE = 1e-9
@@ -127,8 +127,12 @@ class NoConvergenceError(GeometryError):
 
 
 # ---------------------------------------------------------------------------
-# Words in the free group on A, B.
+# Words in the free group on A, B, and their images in SL(2, R).
 # ---------------------------------------------------------------------------
+
+_IDENTITY2, _IDENTITY3 = np.eye(2), np.eye(3)
+_IDENTITY2.flags.writeable = _IDENTITY3.flags.writeable = False
+_IDENTITY_ROWS = _IDENTITY3.tolist()
 
 
 def _check_word(word: str) -> str:
@@ -187,27 +191,6 @@ def christoffel(p: int, q: int) -> str:
     return "".join(b if (i * abs(q)) // n > ((i - 1) * abs(q)) // n else a for i in range(1, n + 1))
 
 
-# ---------------------------------------------------------------------------
-# SL(2, R) and its adjoint action on Minkowski R^{1,2}.
-# ---------------------------------------------------------------------------
-
-_SL2_BASIS = np.array([[[0.0, -1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [1.0, 0.0]]])
-_ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
-_IDENTITY2, _IDENTITY3 = np.eye(2), np.eye(3)
-_IDENTITY2.flags.writeable = _IDENTITY3.flags.writeable = False
-_IDENTITY_ROWS = _IDENTITY3.tolist()
-
-
-def _traceless_coords(m: np.ndarray) -> np.ndarray:
-    """Coordinates of trace-free 2x2 matrices (the last two axes of m), along a new first axis."""
-    return np.array([(m[..., 1, 0] - m[..., 0, 1]) / 2.0, m[..., 0, 0], (m[..., 1, 0] + m[..., 0, 1]) / 2.0])
-
-
-def _sl2_inverse(g: np.ndarray) -> np.ndarray:
-    """The inverse of a determinant-one 2x2 matrix (its adjugate, [[d, -b], [-c, a]]); broadcasts."""
-    return np.multiply(np.swapaxes(g[..., ::-1, ::-1], -1, -2), _ADJUGATE_SIGNS, order="C")
-
-
 def _word_sl2(gens: dict[str, np.ndarray], word: str) -> np.ndarray:
     """Left-to-right product of a word over A, B, a, b given the images of all four letters."""
     out = _IDENTITY2
@@ -215,25 +198,6 @@ def _word_sl2(gens: dict[str, np.ndarray], word: str) -> np.ndarray:
         out = out @ gens[ch]
     # The shared identity is read-only; the empty word gets a copy of its own.
     return out if word else _IDENTITY2.copy()
-
-
-def sl2_to_so12(g: np.ndarray) -> np.ndarray:
-    """Adjoint image of g in SO0(1,2), acting on trace-free matrices; broadcasts.
-
-    Coordinates are chosen so that -det of a trace-free matrix is the
-    Minkowski norm; the map is a 2-to-1 homomorphism with sl2_to_so12(-g) =
-    sl2_to_so12(g).  A stack of matrices takes the same 2x2 products as each
-    matrix alone.  Column j holds the coordinates of g E_j g^-1, E_j the
-    basis matrix j, in the order of :func:`_traceless_coords`.
-    """
-    g = np.asarray(g, dtype=float)
-    conjugates = (g[..., np.newaxis, :, :] @ _SL2_BASIS) @ _sl2_inverse(g)[..., np.newaxis, :, :]
-    c00, c01, c10 = conjugates[..., 0, 0], conjugates[..., 0, 1], conjugates[..., 1, 0]
-    out = np.empty(g.shape[:-2] + (3, 3))
-    out[..., 0, :] = (c10 - c01) / 2.0
-    out[..., 1, :] = c00
-    out[..., 2, :] = (c10 + c01) / 2.0
-    return out
 
 
 def translation_length_sl2(g: np.ndarray) -> float:
@@ -252,7 +216,7 @@ def axis_of_sl2(g: np.ndarray) -> SpacelikeGeodesicH2:
     tr = float(np.trace(g))
     if abs(tr) <= 2.0 + 1e-9:
         raise NotHyperbolicError(f"axis needs |trace| > 2; got {tr:.6f}")
-    eta = _traceless_coords(g - (tr / 2.0) * np.eye(2))
+    eta = traceless_coords(g - (tr / 2.0) * np.eye(2))
     return SpacelikeGeodesicH2(eta * math.copysign(1.0, tr))
 
 
@@ -328,13 +292,13 @@ class PuncturedTorusGroup:
     shared hyperbolic plane.  The commutator word is the cusp.
 
     A group forms the cusp's SL(2) image once, for the cusp check and the
-    tile sides.  It computes a word's Lorentz image, axis and axis frames
-    (phi, phi^-1, one pair for every model) when first asked for them and
-    returns the same object after that; the arrays are read-only.  So are
-    the stacked images of the four letters (``letter_images``) and the side
-    normals of its fundamental quadrilateral (``tile_sides``).  A word's
-    Lorentz image is the adjoint of its SL(2) product, the one evaluation of
-    a word that leaf normals, bent holonomies and translations all read.
+    tile sides.  It computes a word's Lorentz image and axis when first
+    asked for them and returns the same object after that; the arrays are
+    read-only.  So are the stacked images of the four letters
+    (``letter_images``) and the side normals of its fundamental
+    quadrilateral (``tile_sides``).  A word's Lorentz image is the adjoint
+    of its SL(2) product: leaf normals and translations read the one, bent
+    holonomies the other.
     The group also keeps one leaf atlas per curve root (``atlas``) and the
     tiles near the start of each tree path (``tiles_near``), but not near
     its far end, which is often fresh.  Each memo holds only what was asked
@@ -348,13 +312,12 @@ class PuncturedTorusGroup:
     def __post_init__(self) -> None:
         tp = self.trace_point
         gen_a, gen_b = _normal_form_generators(tp.x, tp.y, tp.z)
-        gens = {"A": gen_a, "B": gen_b, "a": _sl2_inverse(gen_a), "b": _sl2_inverse(gen_b)}
+        gens = {"A": gen_a, "B": gen_b, "a": adjugate(gen_a), "b": adjugate(gen_b)}
         object.__setattr__(self, "_sl2_gens", gens)
         object.__setattr__(self, "_cusp", _word_sl2(gens, self.CUSP_WORD))
         object.__setattr__(self, "_atlases", {})
         object.__setattr__(self, "_lorentz", {})
         object.__setattr__(self, "_axes", {})
-        object.__setattr__(self, "_frames", {})
         object.__setattr__(self, "_letters", None)
         object.__setattr__(self, "_sides", None)
         object.__setattr__(self, "_near_tiles", {})
@@ -387,13 +350,6 @@ class PuncturedTorusGroup:
         if axis is None:
             axis = self._axes[word] = axis_of_sl2(self.sl2(word))
         return axis
-
-    def axis_frame(self, word: str) -> tuple[np.ndarray, np.ndarray]:
-        """The frames (phi, phi^-1) of the axis of a word, from :func:`halfpipe.isometry.axis_frames`, in every model."""
-        frame = self._frames.get(word)
-        if frame is None:
-            frame = self._frames[word] = axis_frames(self.axis(word))
-        return frame
 
     def tile_sides(self) -> np.ndarray:
         """Inward unit normals, as columns, of the sides of the ideal quadrilateral Q.
@@ -485,7 +441,7 @@ class WeightedMulticurve:
     ``christoffel(p, q)``.  This refuses the cusp, proper powers and curves
     that cross themselves.  ``word`` stays as given, for reports; ``root``
     is its cyclic reduction r, for a word h . r . h^-1.  Both bend along
-    the same lines, and every leaf is named and framed by the axis of r,
+    the same lines, each named and turned as an image of the axis of r,
     which lies nearer the disk centre; the leaf layer is keyed by r.
     """
 

@@ -7,19 +7,19 @@ bilinear form diag(-1,1,1,s); half-pipe isometries are block lower-triangular
      [w, eps]],       A in O(1,2) preserving x0 > 0,  eps = +-1,
 
 equivalently pairs (A, v) acting on Minkowski R^{1,2} by y -> A y + v, with
-w = (J3 v)^T A and eps = +1 for the orientation-preserving ones.  The
-degeneration from the curved models to the half-pipe model is implemented by
-conjugating with the fiber rescaling diag(1, 1, 1, 1/|t|) and letting
-t -> 0.
+w = (J3 v)^T A and eps = +1 for the orientation-preserving ones.
 
-Rotations about geodesics of the shared hyperbolic plane H2 = {x3 = 0} are
-the basic building blocks of bending; their standard forms about the axis
-{x2 = x3 = 0} (oriented toward increasing x1, left normal e2) act on the
-(x2, x3) coordinates as
+All three are one algebra (Danciger, "A geometric transition from hyperbolic
+to anti de Sitter geometry", Geom. Topol. 17, 2013): over R[mu], mu^2 = -s,
+the point x is P + mu x3 J, P = [[x0 - x2, x1], [x1, x0 + x2]], J = [[0, -1],
+[1, 0]], and a + mu b acts by H -> (a + mu b) H (a + mu b)^dagger, mu^dagger =
+-mu (:func:`model_matrix`).  The fiber rescaling diag(1, 1, 1, 1/lam) is mu ->
+lam mu.  Bending's rotation by a about the geodesic of H2 = {x3 = 0} with
+unit normal n is c + mu s X, X the trace-free matrix of n (X^2 = 1):
 
-    hyperbolic       [[cos a,  sin a], [-sin a, cos a]]
-    anti-de Sitter   [[cosh a, sinh a], [sinh a, cosh a]]
-    half-pipe        [[1, 0], [-a, 1]].
+    hyperbolic       (c, s) = (cos a/2, sin a/2),      mu^2 = -1
+    anti-de Sitter   (c, s) = (cosh a/2, -sinh a/2),   mu^2 = +1
+    half-pipe        (c, s) = (1, a/2),                mu^2 = 0.
 """
 
 from __future__ import annotations
@@ -57,6 +57,9 @@ _IDENTITY.flags.writeable = False
 # The entries of a 4x4 matrix outside its transversal (x2, x3) block.
 _OFF_TRANSVERSAL = np.ones((4, 4), dtype=bool)
 _OFF_TRANSVERSAL[2:, 2:] = False
+# The trace-free basis E0, E1, E2, with x0 E0 + x1 E1 + x2 E2 of -det <x, x>, and the adjugate's signs.
+_SL2_BASIS = np.array([[[0.0, -1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [1.0, 0.0]]])
+_ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 class InvalidIsometryError(GeometryError):
@@ -177,60 +180,109 @@ def embed_h2_isometry(tag: Geometry, a: np.ndarray) -> Isometry:
     return Isometry(embed_h2(a), tag)
 
 
-def axis_frames(axis: SpacelikeGeodesicH2) -> tuple[np.ndarray, np.ndarray]:
-    """The frame phi carrying an oriented geodesic of H2 to the standard axis, and phi^-1, in every model.
-
-    phi = block-diag(T, 1) for the SO0(1,2) matrix T mapping the geodesic's
-    closest-to-origin point, travel direction and left normal onto (1,0,0),
-    (0,1,0) and (0,0,1), so the oriented axis lands on {x2 = x3 = 0} traveled
-    toward increasing x1.  phi^-1 = block-diag(F, 1) for the frame F of those
-    vectors, and T is its form-inverse J3 F^T J3.  Both are read-only.
-    """
-    p = axis.closest_point_to_origin()
-    v = axis.tangent_at(p)
-    frame = np.column_stack((p, v, axis.normal))
-    phi, phi_inverse = embed_h2(J3 @ frame.T @ J3), embed_h2(frame)
-    phi.flags.writeable = phi_inverse.flags.writeable = False
-    return phi, phi_inverse
-
-
 def identity_stack(k: int) -> np.ndarray:
     """k copies of the 4x4 identity matrix, as one array of shape (k, 4, 4)."""
     return _IDENTITY.repeat(k, axis=0)
 
 
-def standard_rotations(tags: Sequence[Geometry], angles: Sequence[float]) -> np.ndarray:
-    """The stack of rotations about {x2 = x3 = 0}, slice j by ``angles[j]`` in the model ``tags[j]``.
+# ---------------------------------------------------------------------------
+# SL(2, R) and SL(2, R[mu]).
+# ---------------------------------------------------------------------------
 
-    Hyperbolic angles are taken mod 2*pi into [-pi, pi).
+
+def traceless_coords(m: np.ndarray) -> np.ndarray:
+    """Coordinates of trace-free 2x2 matrices (the last two axes of m), along a new first axis."""
+    return np.array([(m[..., 1, 0] - m[..., 0, 1]) / 2.0, m[..., 0, 0], (m[..., 1, 0] + m[..., 0, 1]) / 2.0])
+
+
+def adjugate(g: np.ndarray) -> np.ndarray:
+    """[[d, -b], [-c, a]] for each 2x2 matrix [[a, b], [c, d]], the inverse of a determinant-one one; broadcasts."""
+    return np.multiply(np.swapaxes(g[..., ::-1, ::-1], -1, -2), _ADJUGATE_SIGNS, order="C")
+
+
+def sl2_to_so12(g: np.ndarray) -> np.ndarray:
+    """Adjoint image of g in SO0(1,2), acting on trace-free matrices; broadcasts.
+
+    Coordinates are chosen so that -det of a trace-free matrix is the
+    Minkowski norm; the map is a 2-to-1 homomorphism with sl2_to_so12(-g) =
+    sl2_to_so12(g).  A stack of matrices takes the same 2x2 products as each
+    matrix alone.  Column j holds the coordinates of g E_j adj(g), E_j the
+    basis matrix j, in the order of :func:`traceless_coords`.
     """
-    out = identity_stack(len(tags))
-    for j, (tag, angle) in enumerate(zip(tags, angles)):
-        if tag is HYP:
-            angle = math.remainder(angle, 2.0 * math.pi)
-            angle = -math.pi if angle == math.pi else angle
-            c, s = math.cos(angle), math.sin(angle)
-            out[j, 2, 2], out[j, 2, 3], out[j, 3, 2], out[j, 3, 3] = c, s, -s, c
-        elif tag is ADS:
-            try:
-                c, s = math.cosh(angle), math.sinh(angle)
-            except OverflowError as exc:
-                raise RotationOverflowError(f"anti-de Sitter rotation by {angle!r} overflows") from exc
-            out[j, 2, 2], out[j, 2, 3], out[j, 3, 2], out[j, 3, 3] = c, s, s, c
-        else:
-            out[j, 3, 2] = -angle
+    g = np.asarray(g, dtype=float)
+    conjugates = (g[..., np.newaxis, :, :] @ _SL2_BASIS) @ adjugate(g)[..., np.newaxis, :, :]
+    c00, c01, c10 = conjugates[..., 0, 0], conjugates[..., 0, 1], conjugates[..., 1, 0]
+    out = np.empty(g.shape[:-2] + (3, 3))
+    out[..., 0, :] = (c10 - c01) / 2.0
+    out[..., 1, :] = c00
+    out[..., 2, :] = (c10 + c01) / 2.0
     return out
 
 
-def rotation(tag: Geometry, axis: SpacelikeGeodesicH2, angle: float) -> Isometry:
-    """Rotation of the given angle about an oriented geodesic of H2.
+def model_matrix(a: np.ndarray, b: np.ndarray, mu2: float | np.ndarray) -> np.ndarray:
+    """The 4x4 matrices of a + mu b in SL(2, R[mu]), mu^2 = mu2, on the model of the module docstring, for a stack.
 
-    Transport the axis to standard position by phi, apply the standard
-    rotation, transport back by phi^-1 (:func:`axis_frames`).  Hyperbolic
-    angles are taken mod 2*pi into [-pi, pi).
+    Its blocks are sl2_to_so12(a) - mu2 sl2_to_so12(b), row 3 -2 J3 times the
+    coordinates of adj(a) b, column 3 -2 mu2 times those of b adj(a), and the
+    corner 1 - 2 mu2 det b (det(a + mu b) = 1 solved for det a; det a - mu2
+    det b cancels).  All but sl2_to_so12(a) and the 1 are read off the
+    products of entries by _B_FORMS: a real a maps as sl2_to_so12 bit for bit.
     """
-    phi, phi_inverse = axis_frames(axis)
-    return Isometry((phi_inverse @ standard_rotations((tag,), (angle,))[0]) @ phi, tag)
+    shape = a.shape[:-2]
+    products = np.concatenate((a, b), axis=-2).reshape(shape + (8, 1)) * b.reshape(shape + (1, 4))
+    products = products.reshape(shape + (32,))
+    weighted = np.concatenate((products[..., :16], np.asarray(mu2, dtype=float)[..., np.newaxis] * products), axis=-1)
+    out = (weighted @ _B_FORMS).reshape(shape + (4, 4))
+    out[..., :3, :3] += sl2_to_so12(a)
+    out[..., 3, 3] += 1.0
+    return out
+
+
+def _b_forms() -> np.ndarray:
+    """Row 4 p + q of bands 0-2: the coefficients of a_p b_q, mu2 a_p b_q, mu2 b_p b_q (values at unit matrices)."""
+    units = np.eye(4).reshape(4, 2, 2)
+    table = np.zeros((3, 4, 4, 4, 4))
+    for p, x in enumerate(units):
+        for q, y in enumerate(units):
+            table[0, p, q, 3, :3] = -2.0 * (J3 @ traceless_coords(adjugate(x) @ y))
+            table[1, p, q, :3, 3] = -2.0 * traceless_coords(y @ adjugate(x))
+            table[2, p, q, :3, :3] = -traceless_coords((x @ _SL2_BASIS) @ adjugate(y))
+            table[2, p, q, 3, 3] = -2.0 * (x[0, 0] * y[1, 1] - x[0, 1] * y[1, 0])
+    return table.reshape(48, 16)
+
+
+_B_FORMS = _b_forms()
+
+
+def rotation_pairs(slices: Sequence[tuple[Geometry, float, float]], normal: Sequence[float]) -> tuple[np.ndarray, ...]:
+    """Rotations a + mu b = c + mu s X about the geodesic of unit normal n, as arrays (a, b, mu2).
+
+    One entry per slice (tag, angle, lam), conjugated by diag(1, 1, 1, 1/lam):
+    (c, s / lam) and mu2 = -s lam^2 from the module docstring's table.  Raises
+    RotationOverflowError for an anti-de Sitter angle whose cosh overflows.
+    """
+    out = []
+    for tag, angle, lam in slices:
+        half = angle / 2.0
+        if tag is HYP:
+            out.append((math.cos(half), math.sin(half) / lam, -lam * lam))
+        elif tag is ADS:
+            try:
+                math.cosh(angle)
+            except OverflowError as exc:
+                raise RotationOverflowError(f"anti-de Sitter rotation by {angle!r} overflows") from exc
+            out.append((math.cosh(half), -math.sinh(half) / lam, lam * lam))
+        else:
+            out.append((1.0, half / lam, 0.0))
+    c, s, mu2 = np.array(out).reshape(-1, 3).T
+    n0, n1, n2 = np.asarray(normal, dtype=float).tolist()
+    x = np.array([[n1, n2 - n0], [n2 + n0, -n1]])
+    return c[:, np.newaxis, np.newaxis] * np.eye(2), s[:, np.newaxis, np.newaxis] * x, mu2
+
+
+def rotation(tag: Geometry, axis: SpacelikeGeodesicH2, angle: float) -> Isometry:
+    """Rotation of the given angle about an oriented geodesic of H2 (its left normal n), from :func:`rotation_pairs`."""
+    return Isometry(model_matrix(*rotation_pairs(((tag, angle, 1.0),), axis.normal))[0], tag)
 
 
 def standard_rotation_angles(stack: np.ndarray, tag: Geometry) -> list[float]:
@@ -331,7 +383,7 @@ def rescale_conjugate(t: float | np.ndarray, g: Isometry | np.ndarray) -> np.nda
     m = g.matrix if isinstance(g, Isometry) else g
     scale = np.abs(np.asarray(t, dtype=float))[..., None]
     out = np.array(m, dtype=float)
-    # Row 3 overflows at |t| near the float minimum; extrapolate_limit refuses that, naming the t.
+    # Row 3 overflows to inf at |t| near the float minimum, which the result shows.
     with np.errstate(over="ignore"):
         out[..., 3, :] /= scale
     out[..., :, 3] *= scale

@@ -21,7 +21,6 @@ import numpy as np
 from halfpipe.bending import BendingContext, _bracketed_product, _crossings_to, bending_map, bent_holonomy
 from halfpipe.fuchsian import PuncturedTorusGroup, WeightedMulticurve, holonomy_segment_crossings
 from halfpipe.geometry import ADS, HP, HYP, Geometry, GeometryError, embed_h2_vector
-from halfpipe.isometry import rescale_conjugate
 
 # Default geometric basepoint for fixed-base families; off the axis leaves of
 # the short punctured-torus curves.
@@ -122,9 +121,9 @@ def _checked_grid(grid) -> tuple[float, ...]:
 class TransitionFamily:
     """Rescaled holonomy matrices of one word over a signed t-grid.
 
-    Entry i is rescale_conjugate(t_i, rho_{t_i}(word)) where rho_t bends by
-    |t| times the weights, in the hyperbolic model for t_i > 0 and the
-    anti-de Sitter model for t_i < 0, stacked in grid order, sorted by |t|.
+    Entry i is rho_{t_i}(word) conjugated by diag(1, 1, 1, 1/|t_i|), where rho_t
+    bends by |t| times the weights, in the hyperbolic model for t > 0 and the
+    anti-de Sitter model for t < 0, stacked in grid order, sorted by |t|.
     """
 
     word: str
@@ -144,19 +143,21 @@ def holonomy_family(
 
     For each grid value t the word's bent holonomy is computed with weights
     scaled by |t| (hyperbolic for t > 0, anti-de Sitter for t < 0) and
-    conjugated by the rescaling diag(1,1,1,1/|t|).  The leaf crossings of
-    [x0, word . x0] do not depend on t: they are queried once, and the grid
-    is one stacked product, slice by slice that of ``signed_context`` at t.
+    conjugated by diag(1,1,1,1/|t|), as one product over R[mu], mu^2 =
+    -sign(t) t^2, whose turns are rescaled (a t whose square underflows gives
+    the half-pipe matrix).  The leaf crossings of [x0, word . x0] are queried
+    once, and the grid is one stacked product, slice by slice that of
+    ``signed_context`` at t.
     """
     ts = _checked_grid(grid)
     # The context checks the basepoint and the sign.
     ctx = signed_context(group, multicurve, base_point, sign, ts[0])
-    slices = [(geometry_of(t), sign * t) for t in ts]
+    slices = [(geometry_of(t), sign * t, abs(t)) for t in ts]
     crossings = holonomy_segment_crossings(group, multicurve, ctx.base_point, word)
     # The steps of a long curve's leaf words overflow; extrapolate_limit refuses that, naming the t.
     with np.errstate(over="ignore", invalid="ignore"):
-        stack = _bracketed_product(group, multicurve, crossings, word, slices)
-    return TransitionFamily(word=word, grid=ts, matrices=rescale_conjugate(np.array(ts), stack))
+        matrices = _bracketed_product(group, multicurve, crossings, word, slices)
+    return TransitionFamily(word=word, grid=ts, matrices=matrices)
 
 
 def richardson_limit(samples, order: float = 1.0) -> np.ndarray:
@@ -318,13 +319,11 @@ def pleated_surface_convergence(
     """
     ts = _checked_grid(grid)
     hp_ctx = BendingContext(group=group, multicurve=multicurve, base_point=base_point, tag=HP, sign=sign, scale=1.0)
-    slices = [(geometry_of(t), sign * t) for t in ts]
-    inverse_scales = np.array([1.0 / abs(t) for t in ts])
+    slices = [(geometry_of(t), sign * t, abs(t)) for t in ts]
     maxima = np.zeros(len(ts))
     for z in samples:
         z = np.asarray(z, dtype=float).reshape(2)
         vecs = _bracketed_product(group, multicurve, _crossings_to(hp_ctx, z), "", slices) @ embed_h2_vector(z)
-        vecs[:, 3] *= inverse_scales
         gaps = np.max(np.abs(vecs[:, 1:] / vecs[:, :1] - bending_map(hp_ctx, z).affine_chart()), axis=1)
         maxima = np.maximum(maxima, gaps)
     def side_order(positive: bool) -> float:

@@ -216,11 +216,11 @@ def test_meridian_validation():
     with pytest.raises(GeometryError):
         meridian_cone_angle(ctx, "A", 4.0)
     with pytest.raises(GeometryError, match="slices is empty"):
-        meridian_cone_angles(ctx.group, ctx.multicurve, [])
+        meridian_cone_angles(ctx.multicurve, [])
     # A tag that is not a Geometry failed in the rotations, with an AttributeError.
     for tag in ("HP", None, 0):
         with pytest.raises(GeometryError, match="slice tag must be a Geometry"):
-            meridian_cone_angles(ctx.group, ctx.multicurve, [(HP, 0.1), (tag, 0.1)])
+            meridian_cone_angles(ctx.multicurve, [(HP, 0.1), (tag, 0.1)])
 
 
 def _double_config(path, traces=(3.0, 3.0, 3.0), word="A", weight=1.0, base_point=None):
@@ -272,7 +272,7 @@ def test_stacked_cone_angle_table_equals_one_slice_cells_bit_for_bit(point, word
     cells = [(tag, f * math.pi / weight) for tag in (HYP, ADS, HP) for f in fractions]
     cells = data.draw(st.permutations(cells))
     one_slice = [meridian_cone_angle(BendingContext(group, multicurve, base, tag, sign), word, t) for tag, t in cells]
-    table = meridian_cone_angles(group, multicurve, [(tag, sign * t) for tag, t in cells])
+    table = meridian_cone_angles(multicurve, [(tag, sign * t) for tag, t in cells])
     for (tag, t), angle, cell in zip(cells, table, one_slice):
         assert angle.hex() == cell.hex(), (tag, t)
         theta = sign * t * weight
@@ -306,7 +306,7 @@ def test_every_cone_angle_table_cell_is_its_exact_angle(point, word, weight, bas
     group = build_punctured_torus(point)
     multicurve = WeightedMulticurve.single(word, weight)
     slices = [(tag, t) for tag in (HYP, ADS, HP) for t in CONE_GRID]
-    table = meridian_cone_angles(group, multicurve, slices)
+    table = meridian_cone_angles(multicurve, slices)
     for (tag, t), angle in zip(slices, table):
         exact = 2.0 * (math.pi - t * weight) if tag is HYP else -2.0 * t * weight
         assert abs(angle - exact) <= 1e-12, (tag, t, angle, exact)
@@ -369,7 +369,7 @@ def test_cone_angle_tables_make_no_leaf_query_and_no_tile_search(monkeypatch, tm
     monkeypatch.setattr(fuchsian, "_crossings", refused)
     # Fresh groups, whose atlases and tile memos are empty.
     meridian_cone_angle(single, "A", 0.1)
-    assert len(meridian_cone_angles(ctx.group, ctx.multicurve, slices)) == len(slices)
+    assert len(meridian_cone_angles(ctx.multicurve, slices)) == len(slices)
     assert cli.main(["double", "--config", config, "--out", str(tmp_path)]) == cli.EXIT_OK
 
 

@@ -35,7 +35,6 @@ from halfpipe.fuchsian import (
     leaves_crossing,
     multicurve_length,
     segment_crossings,
-    sl2_to_so12,
     translation_length_sl2,
     word_homology,
     words_conjugate,
@@ -45,7 +44,6 @@ from halfpipe.fuchsian import (
     _fricke_gradient,
     _join,
     _normal_form_generators,
-    _sl2_inverse,
     _tangent_basis,
     _tile_leaves,
     _tiles_within,
@@ -53,9 +51,6 @@ from halfpipe.fuchsian import (
     _word_sl2,
 )
 from halfpipe.geometry import (
-    ADS,
-    HP,
-    HYP,
     J3,
     GeometryError,
     OutsideModelError,
@@ -63,7 +58,7 @@ from halfpipe.geometry import (
     minkowski_dot,
     radial_project,
 )
-from halfpipe.isometry import Isometry, axis_frames
+from halfpipe.isometry import adjugate, sl2_to_so12
 
 SYMMETRIC = TeichPoint(3.0, 3.0, 3.0)
 GOLDEN = (3.0 + math.sqrt(5.0)) / 2.0
@@ -126,11 +121,6 @@ def test_word_images_are_memoised_read_only():
         axis = group.axis(word)
         assert np.array_equal(axis.normal, axis_of_sl2(group.sl2(word)).normal)
         assert group.axis(word) is axis
-        frame = group.axis_frame(word)
-        phi, phi_inverse = frame
-        assert all(np.array_equal(a, b) for a, b in zip(frame, axis_frames(axis)))
-        assert group.axis_frame(word) is frame
-        assert not phi.flags.writeable and not phi_inverse.flags.writeable
     other = build_punctured_torus(TeichPoint.from_xy(4.0, 5.0))
     assert other.lorentz("AB") is not group.lorentz("AB")
 
@@ -382,7 +372,7 @@ def test_trace_jets_match_the_matrix_traces(x, y, homology, conjugator, inverted
 
     def trace_at(q):
         gen_a, gen_b = _normal_form_generators(*q)
-        gens = {"A": gen_a, "B": gen_b, "a": _sl2_inverse(gen_a), "b": _sl2_inverse(gen_b)}
+        gens = {"A": gen_a, "B": gen_b, "a": adjugate(gen_a), "b": adjugate(gen_b)}
         return float(np.trace(_word_sl2(gens, letters)))
 
     gradient = _fricke_gradient(p)
@@ -1362,8 +1352,8 @@ def test_kerckhoff_local_model_equals_its_numpy_form_bit_for_bit(p, curves, weig
         assert all(_same_bits(a, b) for a, b in zip(found[1:], expected[1:]))
 
 
-@given(point=extreme_trace_points, curve=st.sampled_from(SIMPLE_CURVES))
-def test_group_set_up_equals_its_numpy_form_bit_for_bit(point, curve):
+@given(point=extreme_trace_points)
+def test_group_set_up_equals_its_numpy_form_bit_for_bit(point):
     group = build_punctured_torus(point)
     cusp = group.sl2(PuncturedTorusGroup.CUSP_WORD)
     assert group.cusp_trace() == float(np.trace(cusp))
@@ -1382,11 +1372,3 @@ def test_group_set_up_equals_its_numpy_form_bit_for_bit(point, curve):
         p0, p1, p2 = facing
         columns.append(n * math.copysign(1.0 / math.sqrt(n1 * n1 + n2 * n2 - n0 * n0), n1 * p1 + n2 * p2 - n0 * p0))
     assert _same_bits(group.tile_sides(), np.array(columns).T)
-    # axis_frame's one phi^-1 is the group inverse of phi in every model: bit for
-    # bit in the curved ones, and up to the sign of the zeros of row 3 in HP.
-    phi, phi_inverse = group.axis_frame(curve)
-    for tag in (HYP, ADS):
-        assert _same_bits(phi_inverse, Isometry(phi, tag).inverse().matrix)
-    assert np.array_equal(phi_inverse, Isometry(phi, HP).inverse().matrix)
-    size = float(np.max(np.abs(phi)))
-    assert np.max(np.abs(phi_inverse @ phi - np.eye(4))) <= 1e-14 * size * size

@@ -28,21 +28,24 @@ from halfpipe.isometry import (
     MinkowskiIsometry,
     NotRotationAboutAxisError,
     RotationOverflowError,
-    axis_frames,
+    adjugate,
     boost_from_origin,
     boost_to_origin,
     classify_isometry,
+    embed_h2,
     embed_h2_isometry,
     group_residual,
     h2_rotation,
     hp_to_minkowski,
     minkowski_to_hp,
+    model_matrix,
     reflection,
     reflection_stack,
     rescale_conjugate,
     rotation,
+    rotation_pairs,
+    sl2_to_so12,
     standard_rotation_angles,
-    standard_rotations,
 )
 
 STANDARD_AXIS = SpacelikeGeodesicH2(np.array([0.0, 0.0, 1.0]))
@@ -52,7 +55,29 @@ EPS_GROUP = 1e-11
 
 
 def _standard_rotation(tag, angle):
-    return standard_rotations((tag,), (angle,))[0]
+    """The rotation about STANDARD_AXIS as a 4x4 block on (x2, x3), hyperbolic angles taken mod 2*pi."""
+    out = np.eye(4)
+    if tag is HYP:
+        c, s = math.cos(math.remainder(angle, 2.0 * math.pi)), math.sin(math.remainder(angle, 2.0 * math.pi))
+        out[2:, 2:] = [[c, s], [-s, c]]
+    elif tag is ADS:
+        c, s = math.cosh(angle), math.sinh(angle)
+        out[2:, 2:] = [[c, s], [s, c]]
+    else:
+        out[3, 2] = -angle
+    return out
+
+
+def _axis_frames(axis):
+    """The frame phi = block-diag(T, 1) carrying an oriented geodesic to STANDARD_AXIS, and phi^-1.
+
+    T maps the geodesic's closest-to-origin point, travel direction and left
+    normal onto (1,0,0), (0,1,0) and (0,0,1); phi^-1 = block-diag(F, 1) for
+    the frame F of those vectors, and T = J3 F^T J3.
+    """
+    p = axis.closest_point_to_origin()
+    frame = np.column_stack((p, axis.tangent_at(p), axis.normal))
+    return embed_h2(J3 @ frame.T @ J3), embed_h2(frame)
 
 
 def _hp_point(z, h):
@@ -111,19 +136,34 @@ def test_standard_rotation_half_pipe_is_vertical_shear():
 
 
 def test_standard_rotation_anti_de_sitter_block():
-    g = _standard_rotation(ADS, 0.4)
+    g = rotation(ADS, STANDARD_AXIS, 0.4).matrix
     c, s = math.cosh(0.4), math.sinh(0.4)
     assert np.allclose(g[2:, 2:], [[c, s], [s, c]], atol=1e-15)
     assert np.allclose(g[:2, :2], np.eye(2), atol=1e-15)
     with pytest.raises(RotationOverflowError, match="1000.0"):
-        _standard_rotation(ADS, 1000.0)
+        rotation(ADS, STANDARD_AXIS, 1000.0)
+    # Refused at exactly the angles whose cosh overflows: the largest finite one is kept, finite.
+    low, high = 700.0, 720.0
+    while math.nextafter(low, high) < high:
+        middle = (low + high) / 2.0
+        middle = middle if low < middle < high else math.nextafter(low, high)
+        try:
+            math.cosh(middle)
+            low = middle
+        except OverflowError:
+            high = middle
+    for angle in (low, -low):
+        assert np.isfinite(rotation(ADS, STANDARD_AXIS, angle).matrix).all()
+    for angle in (high, -high):
+        with pytest.raises(RotationOverflowError):
+            rotation(ADS, STANDARD_AXIS, angle)
 
 
 def test_axis_frames_carry_the_axis_to_the_standard_axis():
     rng = np.random.default_rng(7)
     for _ in range(20):
         axis = _random_axis(rng)
-        phi, phi_inverse = axis_frames(axis)
+        phi, phi_inverse = _axis_frames(axis)
         a = phi[:3, :3]
         assert np.allclose(a.T @ J3 @ a, J3, atol=1e-12)
         assert np.linalg.det(a) > 0
@@ -132,8 +172,51 @@ def test_axis_frames_carry_the_axis_to_the_standard_axis():
         for frame in (phi, phi_inverse):
             assert np.array_equal(frame[3], [0.0, 0.0, 0.0, 1.0]) and np.array_equal(frame[:3, 3], [0.0, 0.0, 0.0])
         assert np.allclose(phi_inverse @ phi, np.eye(4), atol=1e-12)
-    for frame in axis_frames(STANDARD_AXIS):
+    for frame in _axis_frames(STANDARD_AXIS):
         assert np.allclose(frame, np.eye(4), atol=1e-15)
+
+
+def _random_sl2(rng):
+    a = rng.normal(size=(2, 2))
+    det = float(np.linalg.det(a))
+    return (a if det > 0 else a[:, ::-1]) / math.sqrt(abs(det))
+
+
+def _random_rmu(rng, tag, lam):
+    """A real SL(2) matrix times a rotation about a random axis, as the pair (a, b) of a + mu b, and mu^2."""
+    (a,), (b,), (mu2,) = rotation_pairs(((tag, rng.uniform(-1.5, 1.5), lam),), _random_axis(rng).normal)
+    g = _random_sl2(rng)
+    return g @ a, g @ b, mu2
+
+
+def test_model_matrix_of_a_real_matrix_is_its_adjoint_image():
+    rng = np.random.default_rng(43)
+    for mu2 in (-1.0, 1.0, 0.0, -1e-4):
+        for _ in range(5):
+            a = _random_sl2(rng)
+            assert np.array_equal(model_matrix(a, np.zeros((2, 2)), mu2), embed_h2(sl2_to_so12(a)))
+    assert np.array_equal(adjugate(np.array([[2.0, 3.0], [5.0, 7.0]])), [[7.0, -3.0], [-5.0, 2.0]])
+
+
+@pytest.mark.parametrize("tag, lam", ((HYP, 1.0), (ADS, 1.0), (HP, 1.0), (HYP, 0.1), (ADS, 0.1)))
+def test_model_matrix_is_a_homomorphism_into_the_group_of_its_form(tag, lam):
+    # (a + mu b)(c + mu d) = (ac + mu^2 bd) + mu (ad + bc), and a + mu b preserves
+    # det(P + mu x3 J) = x0^2 - x1^2 - x2^2 + mu^2 x3^2.
+    rng = np.random.default_rng(47)
+    for _ in range(10):
+        (a, b, mu2), (c, d, _) = _random_rmu(rng, tag, lam), _random_rmu(rng, tag, lam)
+        form = np.diag([-1.0, 1.0, 1.0, -mu2])
+        m, n = model_matrix(a, b, mu2), model_matrix(c, d, mu2)
+        product = model_matrix(a @ c + mu2 * (b @ d), a @ d + b @ c, mu2)
+        assert np.max(np.abs(product - m @ n)) <= 1e-13 * np.max(np.abs(product))
+        if mu2:
+            assert np.max(np.abs(m.T @ form @ m - form)) <= 1e-13 * np.max(np.abs(m)) ** 2
+        else:
+            assert group_residual(m, HP) <= 1e-13 * np.max(np.abs(m)) ** 2
+        # Rescaling the fiber by 1/lam is dividing b by lam and multiplying mu^2 by lam^2.
+        for scale in (0.5, 1e-3):
+            rescaled = model_matrix(a, b / scale, mu2 * scale * scale)
+            assert np.max(np.abs(rescaled - rescale_conjugate(scale, m))) <= 1e-13 * np.max(np.abs(rescaled))
 
 
 def test_rotation_fixes_axis_pointwise():
@@ -147,21 +230,21 @@ def test_rotation_fixes_axis_pointwise():
             assert np.allclose(g.matrix @ vec, vec, atol=1e-12)
 
 
-def test_rotation_is_the_frame_rotation_bit_for_bit():
-    # (angle, the angle in [-pi, pi) that a hyperbolic rotation turns by)
-    angles = (
-        (math.pi, -math.pi), (-math.pi, -math.pi), (0.0, 0.0), (0.4, 0.4), (-2.5, -2.5), (7.0, 7.0 - 2.0 * math.pi)
-    )
+def test_rotation_is_the_frame_rotation_to_rounding():
+    # The standard rotation carried to the axis by its frame, for angles at and past pi.
+    angles = (math.pi, -math.pi, 0.0, 0.4, -2.5, 7.0, 30.0)
     rng = np.random.default_rng(17)
-    for _ in range(5):
+    for _ in range(20):
         axis = _random_axis(rng)
-        frame, _ = axis_frames(axis)
+        frame, _ = _axis_frames(axis)
         for tag in TAGS:
             phi = Isometry(frame, tag)
-            for angle, hyperbolic in angles:
-                turn = hyperbolic if tag is HYP else angle
-                expected = (phi.inverse() @ Isometry(_standard_rotation(tag, turn), tag) @ phi).matrix
-                assert np.array_equal(rotation(tag, axis, angle).matrix, expected), (tag, angle)
+            for angle in angles:
+                if tag is ADS and abs(angle) > 3.0:
+                    continue
+                expected = (phi.inverse() @ Isometry(_standard_rotation(tag, angle), tag) @ phi).matrix
+                found = rotation(tag, axis, angle).matrix
+                assert np.max(np.abs(found - expected)) <= 1e-13 * np.max(np.abs(expected)), (tag, angle)
 
 
 def test_rotation_angle_roundtrip():
@@ -171,7 +254,7 @@ def test_rotation_angle_roundtrip():
             axis = _random_axis(rng)
             angle = rng.uniform(-1.4, 1.4)
             g = rotation(tag, axis, angle)
-            phi, phi_inverse = axis_frames(axis)
+            phi, phi_inverse = _axis_frames(axis)
             pulled_back = (phi @ g.matrix @ phi_inverse)[np.newaxis]
             assert standard_rotation_angles(pulled_back, tag) == pytest.approx([angle], abs=1e-10)
             standard = _standard_rotation(tag, angle)[np.newaxis]
@@ -294,10 +377,10 @@ def test_rescale_conjugate_fixes_h2_block():
 
 def test_rescaled_rotations_converge_to_half_pipe_rotation():
     theta = 0.9
-    target = _standard_rotation(HP, theta)
+    target = rotation(HP, STANDARD_AXIS, theta).matrix
     for t in (1e-3, 1e-4):
-        hyp = rescale_conjugate(t, _standard_rotation(HYP, t * theta))
-        ads = rescale_conjugate(-t, _standard_rotation(ADS, -t * theta))
+        hyp = rescale_conjugate(t, rotation(HYP, STANDARD_AXIS, t * theta))
+        ads = rescale_conjugate(-t, rotation(ADS, STANDARD_AXIS, -t * theta))
         assert np.max(np.abs(hyp - target)) < theta * t
         assert np.max(np.abs(ads - target)) < theta * t
 
@@ -382,7 +465,7 @@ def test_boost_round_trip():
 
 
 def test_group_residual_flags_wrong_tag():
-    g = _standard_rotation(HYP, 0.3)
+    g = rotation(HYP, STANDARD_AXIS, 0.3).matrix
     assert group_residual(g, HYP) < 1e-15
     assert group_residual(g, ADS) > 1e-2
     assert group_residual(g, HP) > 1e-2
@@ -473,7 +556,7 @@ near_rotations = st.tuples(
 def test_rotation_read_out_of_a_stack_equals_its_numpy_form_matrix_by_matrix_bit_for_bit(tag, draws):
     off = np.ones((4, 4), dtype=bool)
     off[2:, 2:] = False
-    stack = standard_rotations([tag] * len(draws), [angle for angle, *_ in draws])
+    stack = model_matrix(*rotation_pairs([(tag, angle, 1.0) for angle, *_ in draws], STANDARD_AXIS.normal))
     for m, (_, block_scale, block_noise, off_scale, off_noise) in zip(stack, draws):
         m[2:, 2:] += block_scale * np.reshape(block_noise, (2, 2))
         m[off] += off_scale * np.array(off_noise)

@@ -4,6 +4,7 @@ import json
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -12,7 +13,13 @@ from test_fuchsian import ATLAS_MULTICURVES, reduced_words, trace_points
 
 from halfpipe import bending, transition
 from halfpipe.bending import bent_holonomy
-from halfpipe.fuchsian import EndpointOnLeafError, TeichPoint, WeightedMulticurve, build_punctured_torus
+from halfpipe.fuchsian import (
+    EndpointOnLeafError,
+    TeichPoint,
+    WeightedMulticurve,
+    build_punctured_torus,
+    holonomy_segment_crossings,
+)
 from halfpipe.geometry import (
     ADS,
     HP,
@@ -224,9 +231,9 @@ def test_family_contexts_share_one_atlas_and_one_crossing_query(monkeypatch):
     monkeypatch.setattr(transition, "holonomy_segment_crossings", lambda *args: queries.append(args) or query(*args))
     fam = holonomy_family(group, lam, 1.0, "AB")
     assert len(queries) == 1
+    for t, matrix in zip(fam.grid, fam.matrices):
+        _assert_family_member(group, lam, 1.0, "AB", t, matrix)
     contexts = [transition.signed_context(group, lam, base, 1.0, t) for t in fam.grid]
-    for t, ctx, matrix in zip(fam.grid, contexts, fam.matrices):
-        assert np.array_equal(matrix, rescale_conjugate(t, bent_holonomy(ctx)("AB")))
     atlas = group.atlas(lam.root)
     ctx = contexts[0]
     derived = (
@@ -235,6 +242,22 @@ def test_family_contexts_share_one_atlas_and_one_crossing_query(monkeypatch):
         bending.BendingContext(group, lam, base, ADS, ctx.sign, 2.0),
     )
     assert all(c.group.atlas(c.multicurve.root) is atlas for c in (*contexts, *derived))
+
+
+def _assert_family_member(group, mc, sign, word, t, matrix):
+    """A family member is its one-value family bit for bit, and its context's holonomy rescaled afterwards to rounding.
+
+    The gate is relative to the largest entry, and loose enough for the
+    anti-de Sitter side at |t| of 2 to 4, where the entries grow as cosh of
+    the angles.  At from_xy(5, 6), ABB and AAAA, t = -3, they reach 1.5e11;
+    the family is 3.9e-13 from the 60-digit oracle below there, the rescaled
+    context's product 1.3e-12.
+    """
+    alone = holonomy_family(group, mc, sign, word, grid=(t,)).matrices[0]
+    assert matrix.tobytes() == alone.tobytes(), t
+    ctx = transition.signed_context(group, mc, np.array(transition.DEFAULT_BASE_POINT), sign, t)
+    rescaled = rescale_conjugate(t, bent_holonomy(ctx)(word))
+    assert np.max(np.abs(matrix - rescaled)) <= 1e-11 * np.max(np.abs(matrix)), t
 
 
 # 3 to 5 values of |t| per side, in shuffled order.  One hyperbolic value is
@@ -261,8 +284,7 @@ def test_stacked_family_equals_the_per_context_products(point, mc, word, sign, g
         assume(False)
     assert sorted(fam.grid) == sorted(grid)
     for t, matrix in zip(fam.grid, fam.matrices):
-        ctx = transition.signed_context(group, mc, base, sign, t)
-        assert np.array_equal(matrix, rescale_conjugate(t, bent_holonomy(ctx)(word))), t
+        _assert_family_member(group, mc, sign, word, t, matrix)
 
 
 def test_negative_bending_sign_also_transits():
@@ -332,3 +354,109 @@ def test_reflection_limit_tilted_family_reproduces_translation_form():
     assert all(b < 0.1 * a for a, b in zip(residuals, residuals[1:]))
     limit = richardson_limit(samples, order=2.0)
     assert np.max(np.abs(limit - target)) < TOL_LAW
+
+
+# ---------------------------------------------------------------------------
+# A 60-digit oracle of transition families over R[mu].
+# ---------------------------------------------------------------------------
+
+ORACLE_DIGITS = 60
+
+
+def _mp_times(x, y, mu2):
+    """(a + mu b)(c + mu d) for pairs of mpmath 2x2 matrices."""
+    (a, b), (c, d) = x, y
+    return a * c + mu2 * (b * d), a * d + b * c
+
+
+def _mp_model_matrix(pair, mu2):
+    """The 4x4 matrix of H -> A H A^dagger on the points P(x0, x1, x2) + mu x3 J, read off point by point."""
+    a, b = pair
+    dagger = (a.T, -b.T)
+    zero = mpmath.zeros(2)
+    basis = [
+        (mpmath.matrix([[1, 0], [0, 1]]), zero),
+        (mpmath.matrix([[0, 1], [1, 0]]), zero),
+        (mpmath.matrix([[-1, 0], [0, 1]]), zero),
+        (zero, mpmath.matrix([[0, -1], [1, 0]])),
+    ]
+    out = mpmath.matrix(4, 4)
+    for j, point in enumerate(basis):
+        h, k = _mp_times(_mp_times(pair, point, mu2), dagger, mu2)
+        column = ((h[0, 0] + h[1, 1]) / 2, h[0, 1], (h[1, 1] - h[0, 0]) / 2, k[1, 0])
+        for i, value in enumerate(column):
+            out[i, j] = value
+    return out
+
+
+def _oracle_family(group, mc, sign, word, grid):
+    """tau rho_t(word) tau^-1 for each t, a 0 for the half-pipe holonomy at full weights, in mpmath.
+
+    The inputs taken as exact are the group's float SL(2) letters, the float
+    unit normal of the axis of the curve's root (normalized again in
+    mpmath) and the crossings found in floats.  Each leaf's rotation is
+    formed whole, g_v (c + mu s X) g_v^-1, and the product is not telescoped.
+    """
+    _, sides, _, words = holonomy_segment_crossings(group, mc, np.array(transition.DEFAULT_BASE_POINT), word)
+    with mpmath.workdps(ORACLE_DIGITS):
+        letters = {letter: mpmath.matrix(group.sl2(letter).tolist()) for letter in "ABab"}
+
+        def sl2(w):
+            out = mpmath.eye(2)
+            for letter in w:
+                out = out * letters[letter]
+            return out
+
+        n0, n1, n2 = (mpmath.mpf(c) for c in group.axis(mc.root).normal.tolist())
+        norm = mpmath.sqrt(-n0 * n0 + n1 * n1 + n2 * n2)
+        x = mpmath.matrix([[n1, n2 - n0], [n2 + n0, -n1]]) / norm
+        out = []
+        for t in grid:
+            t = mpmath.mpf(t)
+            lam = abs(t) if t else mpmath.mpf(1)
+            theta = mpmath.mpf(sign) * (t if t else 1) * mpmath.mpf(float(mc.weight))
+            if t > 0:
+                c, s, mu2 = mpmath.cos(theta / 2), mpmath.sin(theta / 2) / lam, -lam * lam
+            elif t < 0:
+                c, s, mu2 = mpmath.cosh(theta / 2), -mpmath.sinh(theta / 2) / lam, lam * lam
+            else:
+                c, s, mu2 = mpmath.mpf(1), theta / 2, mpmath.mpf(0)
+            product = (mpmath.eye(2), mpmath.zeros(2))
+            for side, conjugator in zip(sides.tolist(), words):
+                g, g_inverse = sl2(conjugator), sl2(conjugator[::-1].swapcase())
+                turn = (g * (c * mpmath.eye(2)) * g_inverse, g * (side * s * x) * g_inverse)
+                product = _mp_times(product, turn, mu2)
+            product = _mp_times(product, (sl2(word), mpmath.zeros(2)), mu2)
+            out.append(_mp_model_matrix(product, mu2))
+        return out
+
+
+def _relative_to_oracle(found, reference):
+    size = max(abs(reference[i, j]) for i in range(4) for j in range(4))
+    return float(max(abs(mpmath.mpf(float(found[i, j])) - reference[i, j]) for i in range(4) for j in range(4)) / size)
+
+
+ORACLE_CASES = (
+    (SYMMETRIC, WeightedMulticurve.single("A"), ("A", "B", "a", "AB", "Ab", "BA", "aB", "ABA", "BAb", "bAB", "abAB")),
+    (
+        TeichPoint.from_xy(4.0, 5.0),
+        WeightedMulticurve.single("AB", 0.8),
+        ("A", "B", "AB", "bbbb", "BBBB", "bbAb", "abAB"),
+    ),
+    # The two points where the families of the previous form missed EPS_LIMIT.
+    (TeichPoint.from_xy(20.0, 3.0), WeightedMulticurve.single("AAB", 0.5), ("AAb",)),
+    (TeichPoint.from_xy(3.0, 40.0), WeightedMulticurve.single("ABB"), ("abAB",)),
+)
+
+
+@pytest.mark.parametrize(
+    "point, mc, words", ORACLE_CASES, ids=("A@(3,3,3)", "0.8AB@xy(4,5)", "AAb@xy(20,3)", "abAB@xy(3,40)")
+)
+def test_families_and_half_pipe_holonomies_match_a_60_digit_oracle(point, mc, words):
+    group = build_punctured_torus(point)
+    for word in words:
+        fam = holonomy_family(group, mc, 1.0, word)
+        reference = _oracle_family(group, mc, 1.0, word, (*fam.grid, 0.0))
+        for t, matrix, exact in zip(fam.grid, fam.matrices, reference):
+            assert _relative_to_oracle(matrix, exact) <= 1e-12, (word, t)
+        assert _relative_to_oracle(direct_hp_matrix(group, mc, 1.0, word), reference[-1]) <= 1e-12, word

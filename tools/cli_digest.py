@@ -23,8 +23,10 @@ The runs, all in one process:
 - ``transition`` on the first small configuration for each of the words of
   NON_REDUCED_WORDS, which are not freely reduced;
 - on the first small configuration, the runs of TINY_GRIDS, whose grid
-  values are so small that the rescaled holonomies or the cone-angle slope
-  fit overflow (exit 3);
+  values are so small that t^2 underflows to 0, so that every transition
+  sample is the half-pipe holonomy and the gaps read 0 (exit 0), or that
+  the norm of the cone-angle slope fit's column of t values underflows
+  (exit 3);
 - on the first small configuration, ``kerckhoff --grid=0.1``, which takes
   no grid (argparse exits 2, recorded as the run's exit code), and
   ``export-surface --grid=0.1,7``, which exports one value only (exit 2);
@@ -57,12 +59,20 @@ The runs, all in one process:
   base point overflow (exit 3);
 - all four subcommands on LONG_CURVE, λ = A·B^300 with μ = B at (3,3,3),
   whose trace (about 1e125) is finite but whose Kerckhoff model overflows
-  at room**1.5, and whose leaf-word products overflow: ``kerckhoff``,
-  ``transition`` and ``export-surface`` exit 3, and ``double``, which
-  reads only the axis of the curve, exits 0;
-- ``transition`` on OVERFLOWING_CURVE, λ = A^40·B at (3,3,3) with the word
-  B, whose rescaled holonomies are finite but whose Frobenius norms
-  overflow (exit 3);
+  at room**1.5 (``kerckhoff`` exits 3), and whose leaf normals, Lorentz
+  images of conjugator words of up to 150 letters, have lost every digit:
+  ``transition`` meets a holonomy that is not finite and ``export-surface``
+  a developed point off the hyperbolic ball (exit 3 each), and ``double``,
+  which reads only the weight of the curve, exits 0;
+- ``transition`` on MANY_LEAVES_CURVE, λ = A^40·B at (3,3,3) with the word
+  B, whose holonomy segment crosses leaves named by long words: the
+  rescaled holonomies are finite, and the gap they give misses EPS_LIMIT
+  (exit 4);
+- ``transition`` on each of HARD_TRANSITIONS, whose two-sided gaps are
+  within EPS_LIMIT only when the products are rescaled factor by factor,
+  over R[mu]: the two extreme trace points with the words that missed it,
+  and the curves A^n·B and A·B^10 at (3,3,3), which cross many leaves
+  (exit 0);
 - all four subcommands on each config of HUGE_INTEGERS, which puts the
   integer 10**400, too large for a float, in one numeric field, and on each
   of UNDECODABLE_CONFIGS: a 0xFF byte, brackets nested 1,000 deep, an
@@ -150,8 +160,15 @@ RIM_SURFACES = {
 }
 # A simple closed curve long enough to overflow the Kerckhoff model and the bent products.
 LONG_CURVE = "A" + "B" * 300
-# A curve whose rescaled holonomies of B are finite but have Frobenius norms that overflow.
-OVERFLOWING_CURVE = "A" * 40 + "B"
+# A curve whose holonomy segment for B crosses leaves named by long words.
+MANY_LEAVES_CURVE = "A" * 40 + "B"
+# name -> (from_xy(x, y), or None for (3,3,3), lambda, word) of transition runs with small two-sided gaps.
+HARD_TRANSITIONS = {
+    "0.5AAB@xy(20,3)": ((20.0, 3.0), ("AAB", 0.5), "AAb"),
+    "ABB@xy(3,40)": ((3.0, 40.0), ("ABB", 1.0), "abAB"),
+    **{f"A^{n}B": (None, ("A" * n + "B", 1.0), "B") for n in (5, 7, 10, 20)},
+    "AB^10": (None, ("A" + "B" * 10, 1.0), "A"),
+}
 # Base points that the config check refuses.
 BAD_BASE_POINTS = ("nonsense", [5.0, 5.0])
 # field -> the overrides of the first small configuration that put 10**400 in that field.
@@ -277,8 +294,11 @@ def runs(workloads, teich_point):
     cfg = _config((3.0, 3.0, 3.0), **{"lambda": [(LONG_CURVE, 1.0)], "mu": [("B", 1.0)]})
     for command in SUBCOMMANDS:
         yield f"long/AB^300/{command}", command, cfg, ()
-    cfg = dict(_config((3.0, 3.0, 3.0), **{"lambda": [(OVERFLOWING_CURVE, 1.0)]}), words=["B"])
+    cfg = dict(_config((3.0, 3.0, 3.0), **{"lambda": [(MANY_LEAVES_CURVE, 1.0)]}), words=["B"])
     yield "long/A^40B/transition", "transition", cfg, ()
+    for name, (xy, lam, word) in HARD_TRANSITIONS.items():
+        traces = (3.0, 3.0, 3.0) if xy is None else teich_point.from_xy(*xy).as_array().tolist()
+        yield f"hard/{name}/transition", "transition", dict(_config(traces, **{"lambda": [lam]}), words=[word]), ()
     for field, overrides in HUGE_INTEGERS.items():
         cfg = {key: value for key, value in dict(small_cfgs["test-cli"], **overrides).items() if value is not None}
         for command in SUBCOMMANDS:
