@@ -222,36 +222,26 @@ def sl2_to_so12(g: np.ndarray) -> np.ndarray:
 def model_matrix(a: np.ndarray, b: np.ndarray, mu2: float | np.ndarray) -> np.ndarray:
     """The 4x4 matrices of a + mu b in SL(2, R[mu]), mu^2 = mu2, on the model of the module docstring, for a stack.
 
-    Its blocks are sl2_to_so12(a) - mu2 sl2_to_so12(b), row 3 -2 J3 times the
+    The block is sl2_to_so12(a) - mu2 sl2_to_so12(b), row 3 is -2 J3 times the
     coordinates of adj(a) b, column 3 -2 mu2 times those of b adj(a), and the
-    corner 1 - 2 mu2 det b (det(a + mu b) = 1 solved for det a; det a - mu2
-    det b cancels).  All but sl2_to_so12(a) and the 1 are read off the
-    products of entries by _B_FORMS: a real a maps as sl2_to_so12 bit for bit.
+    corner is 1 - 2 mu2 det b (det(a + mu b) = 1 solved for det a; det a -
+    mu2 det b cancels).  A real a (b = 0) maps as sl2_to_so12 bit for bit.
     """
-    shape = a.shape[:-2]
-    products = np.concatenate((a, b), axis=-2).reshape(shape + (8, 1)) * b.reshape(shape + (1, 4))
-    products = products.reshape(shape + (32,))
-    weighted = np.concatenate((products[..., :16], np.asarray(mu2, dtype=float)[..., np.newaxis] * products), axis=-1)
-    out = (weighted @ _B_FORMS).reshape(shape + (4, 4))
-    out[..., :3, :3] += sl2_to_so12(a)
-    out[..., 3, 3] += 1.0
+    mu2 = np.asarray(mu2, dtype=float)
+    blocks = sl2_to_so12(np.stack((a, b)))
+    adj = adjugate(a)
+    ab, ba = adj @ b, b @ adj
+    out = np.empty(a.shape[:-2] + (4, 4))
+    out[..., :3, :3] = blocks[0] - mu2[..., np.newaxis, np.newaxis] * blocks[1]
+    # Row 3 and column 3 from the traceless_coords of adj(a) b and b adj(a), times 2 written out.
+    out[..., 3, 0] = ab[..., 1, 0] - ab[..., 0, 1]
+    out[..., 3, 1] = -2.0 * ab[..., 0, 0]
+    out[..., 3, 2] = -(ab[..., 1, 0] + ab[..., 0, 1])
+    out[..., 0, 3] = -mu2 * (ba[..., 1, 0] - ba[..., 0, 1])
+    out[..., 1, 3] = -2.0 * mu2 * ba[..., 0, 0]
+    out[..., 2, 3] = -mu2 * (ba[..., 1, 0] + ba[..., 0, 1])
+    out[..., 3, 3] = 1.0 - 2.0 * mu2 * (b[..., 0, 0] * b[..., 1, 1] - b[..., 0, 1] * b[..., 1, 0])
     return out
-
-
-def _b_forms() -> np.ndarray:
-    """Row 4 p + q of bands 0-2: the coefficients of a_p b_q, mu2 a_p b_q, mu2 b_p b_q (values at unit matrices)."""
-    units = np.eye(4).reshape(4, 2, 2)
-    table = np.zeros((3, 4, 4, 4, 4))
-    for p, x in enumerate(units):
-        for q, y in enumerate(units):
-            table[0, p, q, 3, :3] = -2.0 * (J3 @ traceless_coords(adjugate(x) @ y))
-            table[1, p, q, :3, 3] = -2.0 * traceless_coords(y @ adjugate(x))
-            table[2, p, q, :3, :3] = -traceless_coords((x @ _SL2_BASIS) @ adjugate(y))
-            table[2, p, q, 3, 3] = -2.0 * (x[0, 0] * y[1, 1] - x[0, 1] * y[1, 0])
-    return table.reshape(48, 16)
-
-
-_B_FORMS = _b_forms()
 
 
 def rotation_pairs(slices: Sequence[tuple[Geometry, float, float]], normal: Sequence[float]) -> tuple[np.ndarray, ...]:

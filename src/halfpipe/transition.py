@@ -14,6 +14,7 @@ uniform convergence of the rescaled bent surfaces to the half-pipe surface.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,7 +107,7 @@ def signed_context(
     )
 
 
-def _checked_grid(grid) -> tuple[float, ...]:
+def _checked_grid(grid, weight: float) -> tuple[float, ...]:
     ts = tuple(float(t) for t in grid)
     if not ts:
         raise InsufficientGridError("grid is empty: a family needs at least one nonzero t")
@@ -114,7 +115,12 @@ def _checked_grid(grid) -> tuple[float, ...]:
         raise GeometryError("grid values must be nonzero")
     if len(set(ts)) != len(ts):
         raise GeometryError("grid values must be distinct")
-    return tuple(sorted(ts, key=lambda t: (abs(t), t)))
+    ts = tuple(sorted(ts, key=lambda t: (abs(t), t)))
+    # A subnormal angle has lost digits, which its turn, rescaled by 1/|t|, would carry.
+    lossy = [t for t in ts if abs(t * weight) < sys.float_info.min]
+    if lossy:
+        raise GeometryError(f"the bending angle |t| * {weight!r} is subnormal at t = {lossy}")
+    return ts
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,12 +150,12 @@ def holonomy_family(
     For each grid value t the word's bent holonomy is computed with weights
     scaled by |t| (hyperbolic for t > 0, anti-de Sitter for t < 0) and
     conjugated by diag(1,1,1,1/|t|), as one product over R[mu], mu^2 =
-    -sign(t) t^2, whose turns are rescaled (a t whose square underflows gives
-    the half-pipe matrix).  The leaf crossings of [x0, word . x0] are queried
-    once, and the grid is one stacked product, slice by slice that of
-    ``signed_context`` at t.
+    -sign(t) t^2, whose turns are rescaled: a t whose square underflows gives
+    the half-pipe matrix, and one whose angle t * weight is subnormal is
+    refused.  The leaf crossings of [x0, word . x0] are queried once, and the
+    grid is one stacked product, slice by slice that of ``signed_context`` at t.
     """
-    ts = _checked_grid(grid)
+    ts = _checked_grid(grid, float(multicurve.weight))
     # The context checks the basepoint and the sign.
     ctx = signed_context(group, multicurve, base_point, sign, ts[0])
     slices = [(geometry_of(t), sign * t, abs(t)) for t in ts]
@@ -317,7 +323,7 @@ def pleated_surface_convergence(
     point's leaf crossings are found once, and its grid is one stacked
     product.  Reports the per-t maxima and the log-log order on each side.
     """
-    ts = _checked_grid(grid)
+    ts = _checked_grid(grid, float(multicurve.weight))
     hp_ctx = BendingContext(group=group, multicurve=multicurve, base_point=base_point, tag=HP, sign=sign, scale=1.0)
     slices = [(geometry_of(t), sign * t, abs(t)) for t in ts]
     maxima = np.zeros(len(ts))

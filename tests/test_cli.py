@@ -750,18 +750,34 @@ def test_configs_that_cannot_be_decoded_exit_2(tmp_path, capsys, command, data, 
     assert capsys.readouterr().err.startswith(f"config error: {message}")
 
 
+SUBNORMAL_GRIDS = ("5e-309,-5e-309,6e-309,-6e-309,7e-309,-7e-309", "5e-320,-5e-320,6e-320,-6e-320,7e-320,-7e-320")
+
+
 @pytest.mark.parametrize(
-    "command, grid, named",
+    "command, grid, weight, named",
     [
-        ("double", "1e-170,2e-170", "grid [1e-170, 2e-170]"),
-        ("double", "1e-300,2e-300", "grid [1e-300, 2e-300]"),
-        ("double", "1e-320,1e-310", "grid [1e-320, 1e-310]"),
+        ("transition", SUBNORMAL_GRIDS[0], 1.0, "|t| * 1.0 is subnormal at t = [-5e-309, 5e-309, -6e-309"),
+        ("transition", SUBNORMAL_GRIDS[1], 1.0, "|t| * 1.0 is subnormal at t = [-5e-320, 5e-320, -6e-320"),
+        ("transition", SUBNORMAL_GRIDS[1], 0.3, "|t| * 0.3 is subnormal at t = [-5e-320, 5e-320, -6e-320"),
+        (
+            "transition", "1e-300,-1e-300,2e-300,-2e-300,3e-300,-3e-300", 1e-10,
+            "|t| * 1e-10 is subnormal at t = [-1e-300",
+        ),
+        ("double", "1e-170,2e-170", 1.0, "grid [1e-170, 2e-170]"),
+        ("double", "1e-300,2e-300", 1.0, "grid [1e-300, 2e-300]"),
+        ("double", "1e-320,1e-310", 1.0, "grid [1e-320, 1e-310]"),
     ],
 )
 @pytest.mark.filterwarnings("error")
-def test_grid_values_too_small_for_the_slope_fit_exit_3(tmp_path, capfd, command, grid, named):
-    # The slope fit's column of t values has a norm that underflows to 0.
-    config = _write_config(tmp_path / "cfg.json")
+def test_grid_values_too_small_for_the_rescaling_or_the_slope_fit_exit_3(
+    tmp_path, capfd, command, grid, weight, named
+):
+    # A subnormal angle t * weight has lost digits, which the rescaled turn,
+    # divided by |t|, would carry: at weight 0.3 and t = 5e-320 each sample
+    # was the half-pipe holonomy to only 5e-5, and the two sides agreed.  The
+    # slope fit's column of t values has a norm that underflows to 0.
+    lam = {"lambda": [{"word": "A", "weight": weight}], "mu": [{"word": "B", "weight": 1.0}]}
+    config = _write_config(tmp_path / "cfg.json", multicurves=lam)
     code, _ = _run(tmp_path, command, config, f"--grid={grid}")
     assert code == EXIT_NUMERICAL
     out, err = capfd.readouterr()
@@ -769,13 +785,15 @@ def test_grid_values_too_small_for_the_slope_fit_exit_3(tmp_path, capfd, command
 
 
 @pytest.mark.parametrize(
-    "grid", ("5e-309,-5e-309,6e-309,-6e-309,7e-309,-7e-309", "5e-320,-5e-320,6e-320,-6e-320,7e-320,-7e-320")
+    "grid", ("1e-170,-1e-170,2e-170,-2e-170,3e-170,-3e-170", "1e-300,-1e-300,2e-300,-2e-300,3e-300,-3e-300")
 )
+@pytest.mark.parametrize("weight", (1.0, 0.3))
 @pytest.mark.filterwarnings("error")
-def test_transition_grids_whose_squares_underflow_give_the_half_pipe_matrix(tmp_path, capfd, grid):
-    # mu^2 = -sign(t) t^2 underflows to 0, so every sample is the half-pipe
-    # holonomy.  Dividing row 3 by |t| after the product overflowed here.
-    config = _write_config(tmp_path / "cfg.json")
+def test_transition_grids_whose_squares_underflow_give_the_half_pipe_matrix(tmp_path, capfd, grid, weight):
+    # mu^2 = -sign(t) t^2 underflows to 0, and the angle t * weight keeps its
+    # digits, so every sample is the half-pipe holonomy at any weight.
+    lam = {"lambda": [{"word": "A", "weight": weight}]}
+    config = _write_config(tmp_path / "cfg.json", multicurves=lam)
     code, out = _run(tmp_path, "transition", config, f"--grid={grid}")
     assert code == EXIT_OK
     summary = json.loads((out / "transition_summary.json").read_text())

@@ -240,8 +240,6 @@ def test_rotation_is_the_frame_rotation_to_rounding():
         for tag in TAGS:
             phi = Isometry(frame, tag)
             for angle in angles:
-                if tag is ADS and abs(angle) > 3.0:
-                    continue
                 expected = (phi.inverse() @ Isometry(_standard_rotation(tag, angle), tag) @ phi).matrix
                 found = rotation(tag, axis, angle).matrix
                 assert np.max(np.abs(found - expected)) <= 1e-13 * np.max(np.abs(expected)), (tag, angle)

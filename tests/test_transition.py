@@ -105,6 +105,24 @@ def test_an_empty_grid_is_refused_as_insufficient():
         pleated_surface_convergence(_group(), _lamination(), 1.0, [(0.1, 0.2)], grid=())
 
 
+@pytest.mark.parametrize("weight", (1.0, 0.3))
+def test_tiny_grid_values_give_the_half_pipe_matrix_and_subnormal_angles_are_refused(weight):
+    # At |t| = 1e-300 the square underflows and t * weight keeps its digits:
+    # each member is the half-pipe holonomy.  At t = 5e-320 and weight 0.3,
+    # t * weight keeps about 13 bits, which would put the members 5e-5 off it.
+    group, lam = _group(), WeightedMulticurve.single("A", weight)
+    tiny = (1e-300, -1e-300, 2e-300, -2e-300, 3e-300, -3e-300)
+    for word in ("B", "AB", "bAbb"):
+        hp = direct_hp_matrix(group, lam, 1.0, word)
+        family = holonomy_family(group, lam, 1.0, word, grid=tiny)
+        assert np.max(np.abs(family.matrices - hp)) <= 1e-15 * np.max(np.abs(hp))
+    named = r"is subnormal at t = \[-5e-320, 5e-320, -6e-320, 6e-320\]"
+    with pytest.raises(GeometryError, match=named):
+        holonomy_family(group, lam, 1.0, "B", grid=(5e-320, -5e-320, 6e-320, -6e-320, 1e-3, -1e-3))
+    with pytest.raises(GeometryError, match=named):
+        pleated_surface_convergence(group, lam, 1.0, [(0.1, 0.2)], grid=(5e-320, -5e-320, 6e-320, -6e-320, 1e-3))
+
+
 def test_extrapolate_needs_three_points_per_side():
     fam = holonomy_family(
         _group(), _lamination(), 1.0, "B", grid=(1e-1, 1e-2, 1e-3, -1e-1, -1e-2)

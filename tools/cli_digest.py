@@ -23,10 +23,10 @@ The runs, all in one process:
 - ``transition`` on the first small configuration for each of the words of
   NON_REDUCED_WORDS, which are not freely reduced;
 - on the first small configuration, the runs of TINY_GRIDS, whose grid
-  values are so small that t^2 underflows to 0, so that every transition
-  sample is the half-pipe holonomy and the gaps read 0 (exit 0), or that
-  the norm of the cone-angle slope fit's column of t values underflows
-  (exit 3);
+  values are so small that the bending angle t * weight is subnormal, which
+  ``transition`` refuses, naming the t, as its turns rescaled by 1/|t|
+  would carry the lost digits, or that the norm of the cone-angle slope
+  fit's column of t values underflows (exit 3 each);
 - on the first small configuration, ``kerckhoff --grid=0.1``, which takes
   no grid (argparse exits 2, recorded as the run's exit code), and
   ``export-surface --grid=0.1,7``, which exports one value only (exit 2);
