@@ -194,9 +194,9 @@ def bent_translation(ctx: BendingContext, word: str) -> np.ndarray:
     where n_i is the leaf normal that :func:`holonomy_segment_crossings`
     returns, the group's image of the whole conjugator word applied to the
     unit normal of the axis of the curve's root.  In exact arithmetic this
-    is the translation of ``hp_to_minkowski(bent_holonomy(ctx)(word))``;
-    here it is formed from those normals alone, with no axis frame and no
-    4x4 matrix.
+    is the translation A J3 w of the matrix [[A, 0], [w, 1]] of
+    ``bent_holonomy(ctx)(word)``; here it is formed from those normals
+    alone, with no axis frame and no 4x4 matrix.
     """
     if ctx.tag is not HP:
         raise TagMismatchError("bent holonomies are Minkowski affine maps in the half-pipe model")

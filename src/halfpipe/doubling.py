@@ -37,12 +37,10 @@ import numpy as np
 
 from halfpipe.bending import BendingContext, BentHolonomy, bent_holonomy, bent_translation
 from halfpipe.fuchsian import WeightedMulticurve
-from halfpipe.geometry import HP, HYP, Geometry, GeometryError, Plane, TagMismatchError, _unit_rows
+from halfpipe.geometry import HP, HYP, J3, Geometry, GeometryError, Plane, TagMismatchError, _unit_rows
 from halfpipe.isometry import (
     Isometry,
-    MinkowskiIsometry,
     classify_isometry,
-    minkowski_to_hp,
     reflection,
     reflection_stack,
     model_matrix,
@@ -129,12 +127,13 @@ def pair_aligner(upper: BendingContext, lower: BendingContext) -> Isometry:
     are read off the crossings of [x0, w . x0] by
     :func:`halfpipe.bending.bent_translation`, and the aligner is the
     translation u with (Id - L(w)) u = v_upper(w) - v_lower(w) for w = A
-    and B, solved by least squares.  A solution exists precisely when the
-    difference of the two bending cocycles is a coboundary, which happens
-    at the critical point of the combined length.  The pair is refused when
-    the least-squares residual exceeds EPS_ALIGNMENT, and so is any pair
-    but a positively bent upper and a negatively bent lower half-pipe
-    context over one group and one basepoint.
+    and B, solved by least squares, as the matrix [[Id, 0], [(J3 u)^T, 1]].
+    A solution exists precisely when the difference of the two bending
+    cocycles is a coboundary, which happens at the critical point of the
+    combined length.  The pair is refused when the least-squares residual
+    exceeds EPS_ALIGNMENT, and so is any pair but a positively bent upper
+    and a negatively bent lower half-pipe context over one group and one
+    basepoint.
     """
     _check_surface_pair(upper, lower)
     rows, rhs = [], []
@@ -148,7 +147,9 @@ def pair_aligner(upper: BendingContext, lower: BendingContext) -> Isometry:
         raise NoConjugatingTranslationError(
             f"no conjugating translation: generator residual {residual:.3e}"
         )
-    return minkowski_to_hp(MinkowskiIsometry(np.eye(3), u))
+    out = np.eye(4)
+    out[3, :3] = J3 @ u
+    return Isometry(out, HP)
 
 
 def double_convex_core_pair(upper: BendingContext, lower: BendingContext) -> DoubledHolonomy:
@@ -199,6 +200,12 @@ def meridian_cone_angles(multicurve: WeightedMulticurve, slices: Sequence[tuple[
     near), so the table is one stacked computation, slice by slice that of
     one context.  No slices, a slice tag that is not a Geometry, a non-finite
     scale and a hyperbolic |theta| >= pi raise GeometryError.
+
+    The closed form above is what criterion 09, the slope gates of the
+    ``double`` command and the benchmark's ``double`` checks compare the
+    table with.  The 4x4 round trip (a rotation, two reflections and an
+    angle read back) is kept as the independent computation they check;
+    returning the closed form itself would test the formula against itself.
     """
     if not slices:
         raise GeometryError("slices is empty: a cone-angle table needs at least one (geometry, scale) slice")

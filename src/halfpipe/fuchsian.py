@@ -58,8 +58,10 @@ from halfpipe.geometry import (
 )
 from halfpipe.isometry import adjugate, sl2_to_so12, traceless_coords
 
-# |x^2 + y^2 + z^2 - xyz| accepted as "on the relation variety".
+# |x^2 + y^2 + z^2 - xyz| accepted as "on the relation variety": at most EPS_FRICKE while the terms
+# x^2 + y^2 + z^2 + |xyz| stay below about 5.6e5, and EPS_FRICKE_RELATIVE times the terms past them.
 EPS_FRICKE = 1e-9
+EPS_FRICKE_RELATIVE = 16.0 * 2.0**-53
 # A leaf whose pairing with a segment endpoint is below this passes through it.
 EPS_ENDPOINT = 1e-9
 
@@ -231,23 +233,32 @@ def fricke_defect(x: float, y: float, z: float) -> float:
 
 @dataclass(frozen=True)
 class TeichPoint:
-    """Trace coordinates (x, y, z), all > 2, on the Fricke variety."""
+    """Trace coordinates (x, y, z), all > 2, on the Fricke variety.
+
+    The float defect x^2 + y^2 + z^2 - xyz may reach max(EPS_FRICKE,
+    EPS_FRICKE_RELATIVE * T), T = x^2 + y^2 + z^2 + |xyz|, EPS_FRICKE_RELATIVE
+    = 16u, u = 2^-53.  At z = z*(1 + d), |d| <= u, the root z* of the relation
+    rounded, the exact defect is d z*(2 z* - xy) + O(u^2), at most 2u T;
+    rounding the terms (xyz twice, the others once) adds at most 2u T and the
+    three sums 3u T, as no partial sum exceeds T: 7u T in all, under half the
+    bound.  Non-finite traces, and a defect or T that overflow, are refused.
+    """
 
     x: float
     y: float
     z: float
 
     def __post_init__(self) -> None:
-        if not all(math.isfinite(v) for v in (self.x, self.y, self.z)):
-            raise BadTracesError("trace coordinates must be finite")
-        if min(self.x, self.y, self.z) <= 2.0:
-            raise BadTracesError("trace coordinates must all exceed 2")
-        defect = fricke_defect(self.x, self.y, self.z)
-        # Written so that a defect that overflows to NaN fails too.
-        if not abs(defect) <= EPS_FRICKE:
-            raise BadTracesError(
-                f"trace relation violated at traces ({self.x!r}, {self.y!r}, {self.z!r}) (defect {defect:.3e})"
-            )
+        x, y, z = self.x, self.y, self.z
+        if not all(math.isfinite(v) for v in (x, y, z)):
+            raise BadTracesError(f"trace coordinates must be finite: ({x!r}, {y!r}, {z!r})")
+        if min(x, y, z) <= 2.0:
+            raise BadTracesError(f"trace coordinates must all exceed 2: ({x!r}, {y!r}, {z!r})")
+        defect = fricke_defect(x, y, z)
+        bound = max(EPS_FRICKE, EPS_FRICKE_RELATIVE * (x * x + y * y + z * z + abs(x * y * z)))
+        # Written so that a defect that overflows to NaN, or terms that overflow to inf, fail too.
+        if not abs(defect) <= bound < math.inf:
+            raise BadTracesError(f"trace relation violated at traces ({x!r}, {y!r}, {z!r}) (defect {defect:.3e})")
 
     @classmethod
     def from_xy(cls, x: float, y: float, branch: str = "minus") -> "TeichPoint":
@@ -278,7 +289,7 @@ def _normal_form_generators(x: float, y: float, z: float) -> tuple[np.ndarray, n
         r = math.sqrt(1.0 - ps)
         q = -r
     if r == 0.0:
-        raise BadTracesError("generators are reducible; traces do not give a cusped torus")
+        raise BadTracesError(f"generators are reducible; traces do not give a cusped torus: ({x!r}, {y!r}, {z!r})")
     gen_b = np.array([[p, q], [r, s]])
     return gen_a, gen_b
 
@@ -422,8 +433,9 @@ class PuncturedTorusGroup:
 def build_punctured_torus(tp: TeichPoint) -> PuncturedTorusGroup:
     """The normal-form group at a trace point (cusp trace -2 guaranteed)."""
     group = PuncturedTorusGroup(tp)
-    if abs(group.cusp_trace() + 2.0) > 1e-9:
-        raise BadTracesError("constructed group fails the cusp trace check")
+    trace = group.cusp_trace()
+    if abs(trace + 2.0) > 1e-9:
+        raise BadTracesError(f"constructed group fails the cusp trace check: cusp trace {trace!r}, not -2")
     return group
 
 
@@ -684,7 +696,7 @@ def holonomy_segment_crossings(
     far = radial_project(group.lorentz(reduced) @ disk_lift(x0))
     u, v = far.tolist()
     if not u * u + v * v < 1.0:
-        raise OutsideModelError("disk point must satisfy |z| < 1")
+        raise OutsideModelError(f"disk point must satisfy |z| < 1: {word!r} . x0 has |z|^2 = {u * u + v * v!r}")
     near = group.tiles_near(x0)
     return _crossings(_tile_leaves(group, mc.root, {*near, *_tree_path(near[0], _join(reduced, near[0]))}), x0, far)
 
@@ -705,7 +717,11 @@ def _crossings(leaves: Leaves, x: np.ndarray, y: np.ndarray) -> Crossings:
         f0 = -n0 + x1 * n1 + x2 * n2
         f1 = -n0 + y1 * n1 + y2 * n2
         if abs(f0) * scale0 < EPS_ENDPOINT or abs(f1) * scale1 < EPS_ENDPOINT:
-            raise EndpointOnLeafError("segment endpoint lies on a leaf; nudge the basepoint")
+            end, pairing = (x, f0 * scale0) if abs(f0) * scale0 < EPS_ENDPOINT else (y, f1 * scale1)
+            raise EndpointOnLeafError(
+                "segment endpoint lies on a leaf; nudge the basepoint: "
+                f"endpoint {end.tolist()} on the leaf of {words[i]!r}, scaled pairing {pairing:.3e}"
+            )
         if f0 * f1 < 0.0:
             hits.append((f0 / (f0 - f1), i, math.copysign(1.0, -f0)))
     hits.sort(key=lambda hit: (hit[0] != hit[0], hit[0]))  # stable, a NaN parameter last, as numpy sorts

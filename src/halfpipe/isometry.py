@@ -6,8 +6,9 @@ bilinear form diag(-1,1,1,s); half-pipe isometries are block lower-triangular
     [[A, 0],
      [w, eps]],       A in O(1,2) preserving x0 > 0,  eps = +-1,
 
-equivalently pairs (A, v) acting on Minkowski R^{1,2} by y -> A y + v, with
-w = (J3 v)^T A and eps = +1 for the orientation-preserving ones.
+the one form of a half-pipe isometry in this library.  With eps = +1 it acts
+on the dual affine planes of Minkowski R^{1,2} as the affine map y -> A y + v,
+whose translation is v = A J3 w (so w = (J3 v)^T A).
 
 All three are one algebra (Danciger, "A geometric transition from hyperbolic
 to anti de Sitter geometry", Geom. Topol. 17, 2013): over R[mu], mu^2 = -s,
@@ -47,8 +48,6 @@ from halfpipe.geometry import (
     minkowski_dot,
 )
 
-# Residual below which a matrix is accepted as a group element.
-EPS_GROUP_MEMBER = 1e-8
 # Largest block-structure defect of a rotation about a given axis.
 EPS_ROTATION = 1e-8
 
@@ -60,10 +59,6 @@ _OFF_TRANSVERSAL[2:, 2:] = False
 # The trace-free basis E0, E1, E2, with x0 E0 + x1 E1 + x2 E2 of -det <x, x>, and the adjugate's signs.
 _SL2_BASIS = np.array([[[0.0, -1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [1.0, 0.0]]])
 _ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
-
-
-class InvalidIsometryError(GeometryError):
-    """A matrix fails the defining relations of the isometry group."""
 
 
 class NotRotationAboutAxisError(GeometryError):
@@ -381,93 +376,37 @@ def rescale_conjugate(t: float | np.ndarray, g: Isometry | np.ndarray) -> np.nda
 
 
 # ---------------------------------------------------------------------------
-# The Minkowski model of half-pipe isometries.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MinkowskiIsometry:
-    """An affine isometry y -> A y + v of Minkowski R^{1,2}, A in O0(1,2): the validated
-    form of a half-pipe isometry, which composes and inverts as a 4x4 :class:`Isometry`."""
-
-    linear: np.ndarray
-    translation: np.ndarray
-
-    def __post_init__(self) -> None:
-        a = np.array(self.linear, dtype=float).reshape(3, 3)
-        v = np.array(self.translation, dtype=float).reshape(3)
-        if float(np.max(np.abs(a.T @ J3 @ a - J3))) > EPS_GROUP_MEMBER or a[0, 0] <= 0:
-            raise InvalidIsometryError("linear part must preserve the Minkowski form and time orientation")
-        a.flags.writeable = False
-        v.flags.writeable = False
-        object.__setattr__(self, "linear", a)
-        object.__setattr__(self, "translation", v)
-
-
-def minkowski_to_hp(iso: MinkowskiIsometry) -> Isometry:
-    """The half-pipe isometry [[A, 0], [(J3 v)^T A, 1]] matching the duality.
-
-    Under the duality between half-pipe points and affine Minkowski planes,
-    this element acts on dual planes exactly as (A, v) acts on R^{1,2}.
-    """
-    out = np.eye(4)
-    out[:3, :3] = iso.linear
-    out[3, :3] = (J3 @ iso.translation) @ iso.linear
-    return Isometry(out, HP)
-
-
-def hp_to_minkowski(g: Isometry) -> MinkowskiIsometry:
-    """Inverse of :func:`minkowski_to_hp` (orientation-preserving input)."""
-    if g.geometry is not HP:
-        raise TagMismatchError("expected a half-pipe isometry")
-    m = g.matrix
-    if m[3, 3] < 0:
-        raise InvalidIsometryError("fiber-reversing half-pipe isometries have no affine Minkowski form")
-    a, w = m[:3, :3], m[3, :3]
-    return MinkowskiIsometry(a, a @ (J3 @ w))
-
-
-# ---------------------------------------------------------------------------
 # Classification.
 # ---------------------------------------------------------------------------
-
-
-def _classify_linear_so12(a: np.ndarray, parabolic_tol: float) -> str:
-    tr = float(np.trace(a))
-    if float(np.max(np.abs(a - np.eye(3)))) < parabolic_tol:
-        return "other"
-    if abs(tr - 3.0) <= parabolic_tol:
-        return "parabolic"
-    return "elliptic" if tr < 3.0 else "hyperbolic"
 
 
 def classify_isometry(g: Isometry, parabolic_tol: float = 1e-7) -> str:
     """Coarse dynamical type: 'elliptic', 'parabolic', 'hyperbolic' or 'other'.
 
-    Half-pipe elements classify through their linear part (trace against 3 in
-    O0(1,2)), with pure translations sub-classified by the causal type of the
-    translation vector (spacelike translations are the half-pipe rotations).
-    Curved-model elements use the cubed-nilpotency test ||(m - Id)^3|| for
-    parabolics -- stable where eigensolvers are not -- then the spectral
-    radius to split hyperbolic from elliptic.  Identities and
-    orientation/fiber-reversing elements report 'other'.
+    Half-pipe elements classify through their linear part A (trace against 3
+    in O0(1,2)), with pure translations sub-classified by the causal type of
+    the translation v = A J3 w, read off the matrix with no group check
+    (spacelike translations are the half-pipe rotations).  Curved-model
+    elements use the cubed-nilpotency test ||(m - Id)^3|| for parabolics --
+    stable where eigensolvers are not -- then the spectral radius to split
+    hyperbolic from elliptic.  Identities and orientation/fiber-reversing
+    elements report 'other'.
     """
     m = g.matrix
     if g.geometry is HP:
+        a = m[:3, :3]
         if m[3, 3] < 0:
             return "other"
-        kind = _classify_linear_so12(m[:3, :3], parabolic_tol)
-        if kind != "other":
-            return kind
-        v = hp_to_minkowski(g).translation
+        if not float(np.max(np.abs(a - np.eye(3)))) < parabolic_tol:
+            tr = float(np.trace(a))
+            if abs(tr - 3.0) <= parabolic_tol:
+                return "parabolic"
+            return "elliptic" if tr < 3.0 else "hyperbolic"
+        v = a @ (J3 @ m[3, :3])
         qv = float(minkowski_dot(v, v))
-        if float(np.max(np.abs(v))) < parabolic_tol:
+        if float(np.max(np.abs(v))) < parabolic_tol or qv < -parabolic_tol:
             return "other"
-        if qv > parabolic_tol:
-            return "elliptic"
-        if qv < -parabolic_tol:
-            return "other"
-        return "parabolic"
+        return "elliptic" if qv > parabolic_tol else "parabolic"
     if float(np.linalg.det(m)) < 0:
         return "other"
     delta = m - np.eye(4)

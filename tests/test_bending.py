@@ -19,6 +19,7 @@ from test_fuchsian import (
     reduced_words,
     trace_points,
 )
+from test_isometry import _translation
 
 from halfpipe.bending import (
     BendingContext,
@@ -57,7 +58,7 @@ from halfpipe.geometry import (
     minkowski_dot,
     radial_project,
 )
-from halfpipe.isometry import Isometry, classify_isometry, group_residual, hp_to_minkowski
+from halfpipe.isometry import Isometry, classify_isometry, group_residual
 
 SYMMETRIC = TeichPoint(3.0, 3.0, 3.0)
 KERCKHOFF = TeichPoint(2.0 * math.sqrt(2.0), 2.0 * math.sqrt(2.0), 4.0)
@@ -731,9 +732,9 @@ def test_bent_translation_is_that_of_the_4x4_bent_holonomy(point, curve, weight,
     except (EndpointOnLeafError, OutsideModelError):
         assume(False)
     # The 4x4 translation loses up to a few times the group residual of its
-    # linear block, and hp_to_minkowski refuses one that is off by 1e-8.
+    # linear block.
     assume(group_residual(holonomy.matrix, HP) <= 1e-10)
-    through_4x4 = hp_to_minkowski(holonomy).translation
+    through_4x4 = _translation(holonomy.matrix)
     assert np.max(np.abs(through_4x4 - found)) <= 1e-9 * np.max(np.abs(found))
 
 

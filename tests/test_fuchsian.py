@@ -15,6 +15,8 @@ from halfpipe.fuchsian import (
     BadTracesError,
     BadWordError,
     EPS_ENDPOINT,
+    EPS_FRICKE,
+    EPS_FRICKE_RELATIVE,
     EndpointOnLeafError,
     EnumerationBudgetError,
     GENERATOR_LETTERS,
@@ -200,6 +202,66 @@ def test_trace_point_validation():
     assert point.z == pytest.approx(3.0)
     assert TeichPoint.from_xy(3.0, 3.0, branch="plus").z == pytest.approx(6.0)
     assert abs(fricke_defect(point.x, point.y, point.z)) < 1e-12
+
+
+# Traces x, y log-uniform in 2.1..1e6 with real roots z of the trace relation.
+log_uniform_traces = st.floats(math.log(2.1), math.log(1e6)).map(math.exp)
+FRICKE_DIGITS = 50
+
+
+def _rounded_root(x, y, branch):
+    """The root z of x^2 + y^2 + z^2 = xyz on the branch's side, to FRICKE_DIGITS digits, rounded to a float."""
+    with mpmath.workdps(FRICKE_DIGITS):
+        x, y = mpmath.mpf(x), mpmath.mpf(y)
+        root = mpmath.sqrt(x * x * y * y - 4 * (x * x + y * y))
+        return float((x * y - root) / 2 if branch == "minus" else (x * y + root) / 2)
+
+
+def _fricke_gate(x, y, z):
+    return max(EPS_FRICKE, EPS_FRICKE_RELATIVE * (x * x + y * y + z * z + abs(x * y * z)))
+
+
+@given(x=log_uniform_traces, y=log_uniform_traces, branch=st.sampled_from(("minus", "plus")))
+def test_trace_points_rounded_onto_the_variety_are_accepted(x, y, branch):
+    assume((x * x - 4.0) * (y * y - 4.0) > 16.0)
+    z = _rounded_root(x, y, branch)
+    assume(z > 2.0)
+    assert TeichPoint(x, y, z).z == z
+
+
+@given(x=log_uniform_traces, y=log_uniform_traces, branch=st.sampled_from(("minus", "plus")))
+def test_trace_points_moved_off_the_variety_are_refused(x, y, branch):
+    assume((x * x - 4.0) * (y * y - 4.0) > 16.0)
+    z = _rounded_root(x, y, branch) * (1.0 + 1e-6)
+    assume(z > 2.0)
+    if abs(fricke_defect(x, y, z)) > 100.0 * _fricke_gate(x, y, z):
+        with pytest.raises(BadTracesError, match="trace relation violated"):
+            TeichPoint(x, y, z)
+
+
+def test_fricke_check_is_relative_to_the_terms():
+    # from_xy's z is off the rounded root by an ulp: defect 1.86e-9 on terms of 2.1e7.
+    point = TeichPoint.from_xy(3.0, 3000.0)
+    assert abs(fricke_defect(point.x, point.y, point.z)) > EPS_FRICKE
+    # Below terms of about 5.6e5 the gate is EPS_FRICKE.
+    assert _fricke_gate(3.0, 3.0, 3.0) == EPS_FRICKE
+    assert EPS_FRICKE_RELATIVE * 5.6e5 < EPS_FRICKE < EPS_FRICKE_RELATIVE * 5.7e5
+
+
+def test_trace_errors_carry_the_traces():
+    with pytest.raises(BadTracesError, match=r"trace coordinates must be finite: \(nan, 3.0, inf\)"):
+        TeichPoint(math.nan, 3.0, math.inf)
+    with pytest.raises(BadTracesError, match=r"trace coordinates must all exceed 2: \(2.0, 3.0, 3.0\)"):
+        TeichPoint(2.0, 3.0, 3.0)
+    with pytest.raises(BadTracesError, match=r"generators are reducible; .*: \(3.0, 2.0, 3.0\)"):
+        _normal_form_generators(3.0, 2.0, 3.0)
+
+
+def test_cusp_trace_error_carries_the_cusp_trace():
+    # The rounded root at (3, 3000) is on the variety to the last bit, yet its group misses the cusp trace.
+    point = TeichPoint(3.0, 3000.0, _rounded_root(3.0, 3000.0, "minus"))
+    with pytest.raises(BadTracesError, match=r"fails the cusp trace check: cusp trace -2\.0000000010"):
+        build_punctured_torus(point)
 
 
 def test_from_xy_refuses_an_unknown_branch():
@@ -1067,6 +1129,23 @@ def test_float_sign_test_equals_its_numpy_form_bit_for_bit(normals, repeats, x, 
     assert found[3] == expected[3]
     for array, want in zip(found[:3], expected[:3]):
         assert array.shape == want.shape and array.dtype == want.dtype and array.tobytes() == want.tobytes()
+
+
+def test_endpoint_on_leaf_error_carries_the_endpoint_leaf_and_pairing():
+    # The leaf {x1 = 0} of the word "bAB" passes through the second endpoint.
+    leaves = (np.array([[2.0, 0.0, 1.0], [0.0, 1.0, 0.0]]), ["A", "bAB"])
+    with pytest.raises(
+        EndpointOnLeafError,
+        match=r"segment endpoint lies on a leaf; .*endpoint \[0.0, -0.5\] on the leaf of 'bAB', scaled pairing 0.000e\+00",
+    ):
+        _crossings(leaves, np.array([0.3, 0.2]), np.array([0.0, -0.5]))
+
+
+def test_holonomy_image_off_the_disk_error_carries_the_word_and_its_norm():
+    with pytest.raises(OutsideModelError, match=r"\|z\| < 1: 'A{20}' \. x0 has \|z\|\^2 = 1\.0"):
+        fuchsian.holonomy_segment_crossings(
+            build_punctured_torus(SYMMETRIC), WeightedMulticurve.single("B"), np.array([0.11, 0.07]), "A" * 20
+        )
 
 
 @pytest.mark.parametrize("name", sorted(ATLAS_POINTS))

@@ -25,7 +25,6 @@ from halfpipe.geometry import (
 from halfpipe.isometry import (
     EPS_ROTATION,
     Isometry,
-    MinkowskiIsometry,
     NotRotationAboutAxisError,
     RotationOverflowError,
     adjugate,
@@ -36,8 +35,6 @@ from halfpipe.isometry import (
     embed_h2_isometry,
     group_residual,
     h2_rotation,
-    hp_to_minkowski,
-    minkowski_to_hp,
     model_matrix,
     reflection,
     reflection_stack,
@@ -52,6 +49,13 @@ STANDARD_AXIS = SpacelikeGeodesicH2(np.array([0.0, 0.0, 1.0]))
 TAGS = (HYP, ADS, HP)
 # Residual target for invariance checks on composed words.
 EPS_GROUP = 1e-11
+# Gate of the half-pipe semidirect-product checks, in units of the product of
+# the largest entries of the factors that each checked identity multiplies:
+# 128 unit roundoffs (the worst of 30,000 random draws was 26).
+EPS_SEMIDIRECT = 128.0 * 2.0**-53
+# The hyperbolic distance from the origin at which a boost's largest entry,
+# cosh r, reaches 1e6.
+FAR_BOOST = math.acosh(1e6)
 
 
 def _standard_rotation(tag, angle):
@@ -78,6 +82,30 @@ def _axis_frames(axis):
     p = axis.closest_point_to_origin()
     frame = np.column_stack((p, axis.tangent_at(p), axis.normal))
     return embed_h2(J3 @ frame.T @ J3), embed_h2(frame)
+
+
+def _hp(a, v):
+    """The half-pipe isometry [[A, 0], [(J3 v)^T A, 1]] of the affine map y -> A y + v of Minkowski space."""
+    out = np.eye(4)
+    out[:3, :3] = a
+    out[3, :3] = (J3 @ v) @ a
+    return Isometry(out, HP)
+
+
+def _translation(m):
+    """The translation v = A J3 w of the half-pipe matrix m = [[A, 0], [w, 1]]."""
+    return m[:3, :3] @ (J3 @ m[3, :3])
+
+
+def _h2_linear(r, theta, phi):
+    """The SO0(1,2) matrix of a rotation by phi about the origin, then the boost by r in the direction theta."""
+    u = np.array([math.cosh(r), math.sinh(r) * math.cos(theta), math.sinh(r) * math.sin(theta)])
+    return boost_from_origin(u) @ h2_rotation(phi)
+
+
+def _largest(*matrices):
+    """The product of the largest absolute entries of the matrices."""
+    return math.prod(float(np.max(np.abs(m))) for m in matrices)
 
 
 def _hp_point(z, h):
@@ -110,7 +138,7 @@ def _random_h2_linear(rng, scale=0.3):
 
 def _random_isometry(tag, rng):
     if tag is HP:
-        return minkowski_to_hp(MinkowskiIsometry(_random_h2_linear(rng), rng.normal(size=3)))
+        return _hp(_random_h2_linear(rng), rng.normal(size=3))
     g = rotation(tag, _random_axis(rng), rng.uniform(-1.0, 1.0))
     return embed_h2_isometry(tag, _random_h2_linear(rng)) @ g
 
@@ -383,27 +411,33 @@ def test_rescaled_rotations_converge_to_half_pipe_rotation():
         assert np.max(np.abs(ads - target)) < theta * t
 
 
-def test_minkowski_semidirect_product_matches_matrices():
+h2_linears = st.builds(
+    _h2_linear, st.floats(0.0, FAR_BOOST), st.floats(0.0, 2.0 * math.pi), st.floats(0.0, 2.0 * math.pi)
+)
+translations = arrays(float, 3, elements=st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3) | st.just(0.0))
+
+
+@given(a1=h2_linears, v1=translations, a2=h2_linears, v2=translations)
+def test_minkowski_semidirect_product_matches_matrices(a1, v1, a2, v2):
     # Half-pipe matrices compose and invert as the affine maps y -> A y + v:
     # (A1, v1)(A2, v2) = (A1 A2, v1 + A1 v2) and (A, v)^-1 = (A^-1, -A^-1 v).
-    rng = np.random.default_rng(41)
-    for _ in range(6):
-        (a1, v1), (a2, v2) = ((_random_h2_linear(rng), rng.normal(size=3)) for _ in range(2))
-        m1 = MinkowskiIsometry(a1, v1)
-        lhs = minkowski_to_hp(MinkowskiIsometry(a1 @ a2, v1 + a1 @ v2)).matrix
-        rhs = (minkowski_to_hp(m1) @ minkowski_to_hp(MinkowskiIsometry(a2, v2))).matrix
-        assert np.allclose(lhs, rhs, atol=1e-12)
-        back = hp_to_minkowski(minkowski_to_hp(m1))
-        assert np.allclose(back.linear, m1.linear, atol=1e-12)
-        assert np.allclose(back.translation, m1.translation, atol=1e-12)
-        inv = hp_to_minkowski(minkowski_to_hp(m1).inverse())
-        a_inv = J3 @ a1.T @ J3
-        assert np.allclose(inv.linear @ a1, np.eye(3), atol=1e-12)
-        assert np.allclose(inv.translation, -(a_inv @ v1), atol=1e-12)
+    # Linear parts reach entries of 1e6, where A^T J3 A = J3 holds in floats
+    # only to about 1e-4; each identity below uses it, so each gate is relative
+    # to the largest entries of the factors that the identity multiplies.
+    g1, g2 = _hp(a1, v1), _hp(a2, v2)
+    lhs = _hp(a1 @ a2, v1 + a1 @ v2).matrix
+    rhs = (g1 @ g2).matrix
+    assert np.max(np.abs(lhs - rhs)) <= EPS_SEMIDIRECT * _largest(a1, a1, a2, [1.0, *v1, *v2])
+    assert np.array_equal(g1.matrix[:3, :3], a1)
+    assert np.max(np.abs(_translation(g1.matrix) - v1)) <= EPS_SEMIDIRECT * _largest(a1, a1, v1)
+    inv = g1.inverse().matrix
+    a_inv = J3 @ a1.T @ J3
+    assert np.max(np.abs(inv[:3, :3] @ a1 - np.eye(3))) <= EPS_SEMIDIRECT * _largest(a1, a1)
+    assert np.max(np.abs(_translation(inv) + a_inv @ v1)) <= EPS_SEMIDIRECT * _largest(a1, a1, a1, v1)
 
 
 def test_vertical_translation_in_klein_chart():
-    g = minkowski_to_hp(MinkowskiIsometry(np.eye(3), np.array([1.0, 0.0, 0.0])))
+    g = _hp(np.eye(3), np.array([1.0, 0.0, 0.0]))
     z, h = klein_hp(g.apply(_hp_point(np.zeros(2), 0.0)))
     assert np.allclose(z, 0.0)
     assert h == pytest.approx(-1.0)
@@ -415,7 +449,7 @@ def test_hp_rotation_is_spacelike_minkowski_translation():
         axis = _random_axis(rng)
         theta = rng.uniform(-1.2, 1.2)
         g = rotation(HP, axis, theta)
-        expected = minkowski_to_hp(MinkowskiIsometry(np.eye(3), -theta * axis.normal))
+        expected = _hp(np.eye(3), -theta * axis.normal)
         assert np.allclose(g.matrix, expected.matrix, atol=1e-12)
 
 
@@ -442,14 +476,25 @@ def test_classify_half_pipe_elements():
     rng = np.random.default_rng(59)
     axis = _random_axis(rng)
     assert classify_isometry(rotation(HP, axis, 0.6)) == "elliptic"
-    assert classify_isometry(minkowski_to_hp(MinkowskiIsometry(_so12_parabolic(0.5), np.zeros(3)))) == "parabolic"
+    assert classify_isometry(_hp(_so12_parabolic(0.5), np.zeros(3))) == "parabolic"
     hyp_linear = boost_from_origin(np.array([math.cosh(1.0), 0.0, math.sinh(1.0)]))
-    assert classify_isometry(minkowski_to_hp(MinkowskiIsometry(hyp_linear, np.zeros(3)))) == "hyperbolic"
-    null_translation = minkowski_to_hp(MinkowskiIsometry(np.eye(3), np.array([1.0, 1.0, 0.0])))
+    assert classify_isometry(_hp(hyp_linear, np.zeros(3))) == "hyperbolic"
+    null_translation = _hp(np.eye(3), np.array([1.0, 1.0, 0.0]))
     assert classify_isometry(null_translation) == "parabolic"
-    timelike_translation = minkowski_to_hp(MinkowskiIsometry(np.eye(3), np.array([1.0, 0.0, 0.0])))
+    timelike_translation = _hp(np.eye(3), np.array([1.0, 0.0, 0.0]))
     assert classify_isometry(timelike_translation) == "other"
     assert classify_isometry(Isometry(np.eye(4), HP)) == "other"
+
+
+def test_classify_reads_the_translation_of_a_half_pipe_element_off_the_group():
+    # The linear part is within parabolic_tol of Id but 8e-8 off O(1,2); its
+    # translation A J3 w = (5e-8, 1 + 4e-8, 0) is spacelike, a rotation.
+    m = np.eye(4)
+    m[0, 1] = m[1, 0] = 5e-8
+    m[1, 1] = 1.0 + 4e-8
+    m[3, :3] = (0.0, 1.0, 0.0)
+    assert group_residual(m, HP) > 1e-8
+    assert classify_isometry(Isometry(m, HP)) == "elliptic"
 
 
 def test_boost_round_trip():

@@ -68,6 +68,13 @@ The runs, all in one process:
   B, whose holonomy segment crosses leaves named by long words: the
   rescaled holonomies are finite, and the gap they give misses EPS_LIMIT
   (exit 4);
+- all four subcommands at the FRICKE_TRACES (3, 3000, z), whose terms
+  x^2 + y^2 + z^2 + |xyz| reach 2.1e7: with z the root of the trace
+  relation rounded to a float (Fricke defect 0), each exits 2 at the cusp
+  trace check; with the z of ``TeichPoint.from_xy(3, 3000)`` (defect
+  1.86e-9, within the Fricke check's rounding bound) the group builds,
+  ``kerckhoff`` exits 3 (its start lies past KERCKHOFF_TRACE_MAX) and the
+  other three exit 0;
 - ``transition`` on each of HARD_TRANSITIONS, whose two-sided gaps are
   within EPS_LIMIT only when the products are rescaled factor by factor,
   over R[mu]: the two extreme trace points with the words that missed it,
@@ -162,6 +169,9 @@ RIM_SURFACES = {
 LONG_CURVE = "A" + "B" * 300
 # A curve whose holonomy segment for B crosses leaves named by long words.
 MANY_LEAVES_CURVE = "A" * 40 + "B"
+# name -> traces (3, 3000, z): z the 50-digit root (x y - sqrt(x^2 y^2 - 4 (x^2 + y^2))) / 2 of the trace
+# relation rounded, and z as TeichPoint.from_xy(3, 3000) computes it.
+FRICKE_TRACES = {"exact-z": (3.0, 3000.0, 1145.8993753913703), "from_xy": (3.0, 3000.0, 1145.89937539137)}
 # name -> (from_xy(x, y), or None for (3,3,3), lambda, word) of transition runs with small two-sided gaps.
 HARD_TRANSITIONS = {
     "0.5AAB@xy(20,3)": ((20.0, 3.0), ("AAB", 0.5), "AAb"),
@@ -296,6 +306,10 @@ def runs(workloads, teich_point):
         yield f"long/AB^300/{command}", command, cfg, ()
     cfg = dict(_config((3.0, 3.0, 3.0), **{"lambda": [(MANY_LEAVES_CURVE, 1.0)]}), words=["B"])
     yield "long/A^40B/transition", "transition", cfg, ()
+    for name, traces in FRICKE_TRACES.items():
+        cfg = dict(small_cfgs["test-cli"], traces=list(traces))
+        for command in SUBCOMMANDS:
+            yield f"fricke/{name}/{command}", command, cfg, ()
     for name, (xy, lam, word) in HARD_TRANSITIONS.items():
         traces = (3.0, 3.0, 3.0) if xy is None else teich_point.from_xy(*xy).as_array().tolist()
         yield f"hard/{name}/transition", "transition", dict(_config(traces, **{"lambda": [lam]}), words=[word]), ()
