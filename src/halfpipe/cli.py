@@ -4,7 +4,11 @@ Subcommands drive the library modules and write JSON/CSV files whose bytes
 depend only on the config, the grid, and the seed.  Exit codes: 0 success,
 2 config error (an output path that cannot be written included, and a
 grid or curve pair that the config alone rules out), 3 numerical-budget
-error, 4 acceptance-threshold failure.
+error, 4 acceptance-threshold failure.  Each of the four JSON documents (a
+word's transition report, the transition summary, the Kerckhoff report and
+the surface scene) is one dict literal in its subcommand, and
+``test_each_json_document_has_its_fields_and_the_library_values`` in
+tests/test_cli.py pins their fields and value types.
 
 Every report is written by ``_write_report``, which rewrites an existing file
 in place and then cuts it to length instead of truncating it to zero first.
@@ -42,7 +46,7 @@ from .fuchsian import (
     kerckhoff_point,
     segment_crossings,
 )
-from .geometry import ADS, HP, HYP, Geometry, GeometryError, SpacelikeGeodesicH2
+from .geometry import ADS, HP, HYP, Geometry, GeometryError, SpacelikeGeodesicH2, form_eval
 from .transition import (
     DEFAULT_BASE_POINT,
     DEFAULT_GRID,
@@ -67,44 +71,6 @@ DEFAULT_SAMPLES = 200
 MAX_SAMPLES = 1_000_000
 POLYLINE_POINTS = 24
 SCHEMA_VERSION = 1
-
-# field name -> type accepted by each output document; versioned with the repo
-_SCHEMAS = {
-    "transition_report": {
-        "schema_version": int,
-        "seed": int,
-        "word": str,
-        "grid": list,
-        "residuals": list,
-        "order_pos": (float, type(None)),
-        "order_neg": (float, type(None)),
-        "two_sided_gap": float,
-    },
-    "transition_summary": {
-        "schema_version": int,
-        "seed": int,
-        "grid": list,
-        "words": list,
-        "gaps": list,
-        "tolerance": float,
-    },
-    "kerckhoff_report": {
-        "schema_version": int,
-        "seed": int,
-        "traces": list,
-        "objective": float,
-        "gradient_norm": float,
-        "hessian_condition": float,
-        "advisory": (str, type(None)),
-    },
-    "scene_export": {
-        "schema_version": int,
-        "seed": int,
-        "vertices": list,
-        "polylines": list,
-        "metadata": dict,
-    },
-}
 
 
 class ConfigError(Exception):
@@ -235,18 +201,6 @@ def _finite_or_none(value: float) -> float | None:
     return float(value) if math.isfinite(value) else None
 
 
-def _validate_document(doc: dict, schema_name: str) -> None:
-    schema = _SCHEMAS[schema_name]
-    for field, kind in schema.items():
-        if field not in doc:
-            raise GeometryError(f"output misses schema field '{field}' ({schema_name})")
-        if not isinstance(doc[field], kind):
-            raise GeometryError(
-                f"output field '{field}' has type {type(doc[field]).__name__}, "
-                f"violating schema {schema_name} v{SCHEMA_VERSION}"
-            )
-
-
 def _write_report(outdir: Path, name: str, text: str) -> Path:
     """Write ``text`` to outdir/name, creating the directory and file as needed.
 
@@ -298,8 +252,7 @@ def _check_cone_grid(grid: tuple[float, ...], lam: WeightedMulticurve) -> None:
             )
 
 
-def _write_json(outdir: Path, name: str, doc: dict, schema_name: str) -> Path:
-    _validate_document(doc, schema_name)
+def _write_json(outdir: Path, name: str, doc: dict) -> Path:
     return _write_report(outdir, name, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
@@ -323,14 +276,19 @@ def cmd_transition(args) -> int:
     for index, word in enumerate(words):
         family = holonomy_family(group, lam, 1.0, word, grid=grid)
         report = extrapolate_limit(family)
-        doc = {"schema_version": SCHEMA_VERSION, "seed": args.seed}
-        doc.update(report.to_json_dict())
-        # converged-to-rounding sides report an infinite order; JSON has no
-        # Infinity literal, so those become null
-        doc["order_pos"] = _finite_or_none(doc["order_pos"])
-        doc["order_neg"] = _finite_or_none(doc["order_neg"])
-        _write_json(outdir, f"transition_{index:02d}_{word}.json", doc, "transition_report")
-        gaps.append(float(report.two_sided_gap))
+        doc = {
+            "schema_version": SCHEMA_VERSION,
+            "seed": args.seed,
+            "word": report.word,
+            "grid": list(report.grid),
+            "residuals": list(report.residuals),
+            # JSON has no Infinity literal, so the infinite order of a side converged to rounding is null.
+            "order_pos": _finite_or_none(report.order_positive),
+            "order_neg": _finite_or_none(report.order_negative),
+            "two_sided_gap": report.two_sided_gap,
+        }
+        _write_json(outdir, f"transition_{index:02d}_{word}.json", doc)
+        gaps.append(report.two_sided_gap)
     summary = {
         "schema_version": SCHEMA_VERSION,
         "seed": args.seed,
@@ -339,7 +297,7 @@ def cmd_transition(args) -> int:
         "gaps": gaps,
         "tolerance": tol,
     }
-    _write_json(outdir, "transition_summary.json", summary, "transition_summary")
+    _write_json(outdir, "transition_summary.json", summary)
     return EXIT_OK if all(g < tol for g in gaps) else EXIT_THRESHOLD
 
 
@@ -363,7 +321,7 @@ def cmd_kerckhoff(args) -> int:
         "hessian_condition": float(result.hessian_condition),
         "advisory": result.advisory,
     }
-    _write_json(Path(args.out), "kerckhoff.json", doc, "kerckhoff_report")
+    _write_json(Path(args.out), "kerckhoff.json", doc)
     return EXIT_OK
 
 
@@ -413,15 +371,7 @@ def cmd_double(args) -> int:
 
 
 def _check_region(tag: Geometry, vertex: np.ndarray, tol: float) -> None:
-    x, y, h = (float(c) for c in vertex)
-    disk = x * x + y * y
-    if tag is HYP:
-        inside = disk + h * h < 1.0 + tol
-    elif tag is ADS:
-        inside = disk - h * h < 1.0 + tol
-    else:
-        inside = disk < 1.0 + tol
-    if not inside:
+    if not form_eval(tag, (1.0, *vertex)) < tol:
         raise GeometryError(f"exported vertex {vertex} leaves the {tag.name} chart region")
 
 
@@ -480,7 +430,7 @@ def cmd_export_surface(args) -> int:
             "chart": "x0=1",
         },
     }
-    _write_json(Path(args.out), "scene.json", doc, "scene_export")
+    _write_json(Path(args.out), "scene.json", doc)
     return EXIT_OK
 
 

@@ -262,14 +262,16 @@ class TeichPoint:
 
     @classmethod
     def from_xy(cls, x: float, y: float, branch: str = "minus") -> "TeichPoint":
-        """Solve the trace relation for z; 'minus'/'plus' pick the two roots."""
+        """Solve the trace relation for z; 'minus'/'plus' pick the roots (xy -+ sqrt(disc)) / 2."""
         if branch not in ("minus", "plus"):
             raise BadTracesError(f"branch must be 'minus' or 'plus', not {branch!r}")
         disc = x * x * y * y - 4.0 * (x * x + y * y)
-        if disc < 0.0:
-            raise BadTracesError("no real trace relation solution for these (x, y)")
-        root = math.sqrt(disc)
-        z = (x * y - root) / 2.0 if branch == "minus" else (x * y + root) / 2.0
+        # Written so that NaN fails too; past this, xy + sqrt(disc) exceeds 4.
+        if not (x > 2.0 and y > 2.0 and disc >= 0.0):
+            raise BadTracesError(f"no trace point over ({x!r}, {y!r}): x, y > 2 and x^2 y^2 >= 4 (x^2 + y^2) are needed")
+        far = x * y + math.sqrt(disc)
+        # The roots multiply to x^2 + y^2, so the minus one is found as a quotient, with no cancellation.
+        z = 2.0 * (x * x + y * y) / far if branch == "minus" else far / 2.0
         return cls(x, y, z)
 
     def as_array(self) -> np.ndarray:
@@ -283,13 +285,12 @@ def _normal_form_generators(x: float, y: float, z: float) -> tuple[np.ndarray, n
     p = (z - y / lam) / (lam - 1.0 / lam)
     s = y - p
     ps = p * s
-    if ps >= 1.0:
-        q = r = math.sqrt(ps - 1.0)
-    else:
-        r = math.sqrt(1.0 - ps)
-        q = -r
-    if r == 0.0:
-        raise BadTracesError(f"generators are reducible; traces do not give a cusped torus: ({x!r}, {y!r}, {z!r})")
+    # On the trace variety qr = ps - 1 = 4 / (x^2 - 4) > 0, as tr[A, B] = -2, so ps <= 1 comes of rounding alone.
+    if not ps > 1.0:
+        raise BadTracesError(
+            f"generators are reducible; traces do not give a cusped torus: ({x!r}, {y!r}, {z!r}), ps - 1 = {ps - 1.0:.3e}"
+        )
+    q = r = math.sqrt(ps - 1.0)
     gen_b = np.array([[p, q], [r, s]])
     return gen_a, gen_b
 

@@ -51,6 +51,9 @@ from halfpipe.geometry import (
 # Largest block-structure defect of a rotation about a given axis.
 EPS_ROTATION = 1e-8
 
+# Scale below which classify_isometry reads a defect or a trace gap as zero.
+EPS_PARABOLIC = 1e-7
+
 _IDENTITY = np.eye(4)[np.newaxis]
 _IDENTITY.flags.writeable = False
 # The entries of a 4x4 matrix outside its transversal (x2, x3) block.
@@ -380,7 +383,7 @@ def rescale_conjugate(t: float | np.ndarray, g: Isometry | np.ndarray) -> np.nda
 # ---------------------------------------------------------------------------
 
 
-def classify_isometry(g: Isometry, parabolic_tol: float = 1e-7) -> str:
+def classify_isometry(g: Isometry) -> str:
     """Coarse dynamical type: 'elliptic', 'parabolic', 'hyperbolic' or 'other'.
 
     Half-pipe elements classify through their linear part A (trace against 3
@@ -397,22 +400,22 @@ def classify_isometry(g: Isometry, parabolic_tol: float = 1e-7) -> str:
         a = m[:3, :3]
         if m[3, 3] < 0:
             return "other"
-        if not float(np.max(np.abs(a - np.eye(3)))) < parabolic_tol:
+        if not float(np.max(np.abs(a - np.eye(3)))) < EPS_PARABOLIC:
             tr = float(np.trace(a))
-            if abs(tr - 3.0) <= parabolic_tol:
+            if abs(tr - 3.0) <= EPS_PARABOLIC:
                 return "parabolic"
             return "elliptic" if tr < 3.0 else "hyperbolic"
         v = a @ (J3 @ m[3, :3])
         qv = float(minkowski_dot(v, v))
-        if float(np.max(np.abs(v))) < parabolic_tol or qv < -parabolic_tol:
+        if float(np.max(np.abs(v))) < EPS_PARABOLIC or qv < -EPS_PARABOLIC:
             return "other"
-        return "elliptic" if qv > parabolic_tol else "parabolic"
+        return "elliptic" if qv > EPS_PARABOLIC else "parabolic"
     if float(np.linalg.det(m)) < 0:
         return "other"
     delta = m - np.eye(4)
-    if float(np.max(np.abs(delta))) < parabolic_tol:
+    if float(np.max(np.abs(delta))) < EPS_PARABOLIC:
         return "other"
-    if float(np.max(np.abs(delta @ delta @ delta))) < parabolic_tol:
+    if float(np.max(np.abs(delta @ delta @ delta))) < EPS_PARABOLIC:
         return "parabolic"
     radius = float(np.max(np.abs(np.linalg.eigvals(m))))
-    return "hyperbolic" if radius > 1.0 + parabolic_tol else "elliptic"
+    return "hyperbolic" if radius > 1.0 + EPS_PARABOLIC else "elliptic"

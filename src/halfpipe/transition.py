@@ -223,16 +223,6 @@ class ConvergenceReport:
     order_negative: float
     two_sided_gap: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "word": self.word,
-            "grid": list(self.grid),
-            "residuals": list(self.residuals),
-            "order_pos": self.order_positive,
-            "order_neg": self.order_negative,
-            "two_sided_gap": self.two_sided_gap,
-        }
-
 
 def extrapolate_limit(family: TransitionFamily) -> ConvergenceReport:
     """Measured-order Neville limits per side with order and gap diagnostics."""

@@ -440,7 +440,7 @@ def test_criterion_11_cusp_behavior(capsys):
                 group=group, multicurve=_lamination(), base_point=BASE,
                 tag=tag, sign=1.0, scale=scale,
             )
-            kind = classify_isometry(bent_holonomy(ctx)("ABab"), parabolic_tol=1e-7)
+            kind = classify_isometry(bent_holonomy(ctx)("ABab"))
             parabolic = parabolic and kind == "parabolic"
 
     kerckhoff = build_punctured_torus(

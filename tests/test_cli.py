@@ -28,7 +28,7 @@ from halfpipe.doubling import double_convex_core_pair, meridian_cone_angles
 from halfpipe.fuchsian import TeichPoint, WeightedMulticurve, build_punctured_torus, filling_advisory
 from halfpipe.geometry import HP, HYP, GeometryError
 from halfpipe.isometry import Isometry
-from halfpipe.transition import EPS_LIMIT
+from halfpipe.transition import EPS_LIMIT, extrapolate_limit, holonomy_family
 
 TOL_READBACK = 1e-9
 # the first report each subcommand writes, on the config of _write_config
@@ -73,6 +73,89 @@ def test_transition_writes_report_per_word(tmp_path):
         assert report["word"] == word
         assert report["two_sided_gap"] < 1e-6
         assert report["order_pos"] is None or report["order_pos"] > 0.9
+
+
+# The fields of each JSON document the CLI writes, with the JSON types of their values.
+JSON_DOCUMENTS = {
+    "transition_report": {
+        "schema_version": int,
+        "seed": int,
+        "word": str,
+        "grid": list,
+        "residuals": list,
+        "order_pos": (float, type(None)),
+        "order_neg": (float, type(None)),
+        "two_sided_gap": float,
+    },
+    "transition_summary": {
+        "schema_version": int,
+        "seed": int,
+        "grid": list,
+        "words": list,
+        "gaps": list,
+        "tolerance": float,
+    },
+    "kerckhoff_report": {
+        "schema_version": int,
+        "seed": int,
+        "traces": list,
+        "objective": float,
+        "gradient_norm": float,
+        "hessian_condition": float,
+        "advisory": (str, type(None)),
+    },
+    "scene_export": {
+        "schema_version": int,
+        "seed": int,
+        "vertices": list,
+        "polylines": list,
+        "metadata": dict,
+    },
+}
+
+
+def test_each_json_document_has_its_fields_and_the_library_values(tmp_path):
+    words = ["A", "B", "ab"]
+    config = _write_config(tmp_path / "cfg.json", words=words)
+    documents = {}
+    for command in FIRST_REPORTS:
+        code, out = _run(tmp_path / command, command, config)
+        assert code == EXIT_OK, command
+        documents |= {path.name: json.loads(path.read_text()) for path in out.glob("*.json")}
+    kinds = {
+        "transition_summary.json": "transition_summary",
+        "kerckhoff.json": "kerckhoff_report",
+        "scene.json": "scene_export",
+    }
+    kinds |= {f"transition_{index:02d}_{word}.json": "transition_report" for index, word in enumerate(words)}
+    assert set(documents) == set(kinds)
+    for name, doc in documents.items():
+        fields = JSON_DOCUMENTS[kinds[name]]
+        assert set(doc) == set(fields), name
+        for field, kind in fields.items():
+            assert isinstance(doc[field], kind), (name, field, doc[field])
+
+    group = build_punctured_torus(TeichPoint(3.0, 3.0, 3.0))
+    lam = WeightedMulticurve.single("A", 1.0)
+    gaps, nulls = [], 0
+    for index, word in enumerate(words):
+        doc = documents[f"transition_{index:02d}_{word}.json"]
+        report = extrapolate_limit(holonomy_family(group, lam, 1.0, word))
+        assert doc["word"] == report.word == word
+        assert doc["grid"] == list(report.grid)
+        assert doc["residuals"] == list(report.residuals)
+        assert doc["two_sided_gap"] == report.two_sided_gap
+        for field, order in (("order_pos", report.order_positive), ("order_neg", report.order_negative)):
+            # JSON has no Infinity literal: an order is null exactly when it is infinite.
+            assert (doc[field] is None) == math.isinf(order), (word, field)
+            nulls += doc[field] is None
+            if doc[field] is not None:
+                assert doc[field] == order, (word, field)
+        gaps.append(report.two_sided_gap)
+    assert documents["transition_summary.json"]["gaps"] == gaps
+    # The family of A, the bending curve itself, is exact to rounding, so both its orders are infinite;
+    # those of B and ab are finite.
+    assert nulls == 2
 
 
 def test_transition_empty_word_list_passes(tmp_path):
@@ -851,6 +934,36 @@ def test_a_transition_on_a_long_curve_exits_4_with_its_gap_and_no_warning(tmp_pa
     assert EPS_LIMIT < gap < math.inf
     stdout, err = capfd.readouterr()
     assert stdout == "" and err == ""
+
+
+# name -> (the config, or the overrides of the config of _write_config, and the error it exits 2 with).
+REFUSED_CONFIGS = {
+    "root-is-a-list": ([3.0, 3.0, 3.0], "config root must be a JSON object"),
+    "generators-of-the-wrong-shape": (
+        {"generators": [[1, 2, 3]]},
+        "field 'generators' must hold two 2x2 matrices: cannot reshape array of size 3 into shape (2,2)",
+    ),
+    "generators-whose-traces-fail": (
+        {"generators": [[[1, 0], [0, 1]], [[1, 0], [0, 1]]]},
+        "field 'generators': trace coordinates must all exceed 2: (2.0, 2.0, 2.0)",
+    ),
+    "empty-grid": ({"grid": []}, "grid must not be empty"),
+}
+
+
+@pytest.mark.parametrize("command", ("transition", "double"))
+@pytest.mark.parametrize("cfg, message", REFUSED_CONFIGS.values(), ids=REFUSED_CONFIGS.keys())
+def test_refused_configs_exit_2_with_their_message(tmp_path, capsys, command, cfg, message):
+    config = tmp_path / "cfg.json"
+    if isinstance(cfg, dict):
+        cfg = json.loads(_write_config(config, **cfg).read_text())
+        if "generators" in cfg:
+            del cfg["traces"]
+    config.write_text(json.dumps(cfg))
+    code, out = _run(tmp_path, command, config)
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("error")

@@ -195,6 +195,9 @@ def test_trace_point_validation():
             TeichPoint(bad, bad, bad)
         with pytest.raises(BadTracesError):
             TeichPoint.from_xy(bad, 3.0)
+    # At (0, 0) the quotient for the minus root would divide by xy + sqrt(disc) = 0.
+    with pytest.raises(BadTracesError, match=r"no trace point over \(0.0, 0.0\)"):
+        TeichPoint.from_xy(0.0, 0.0)
     # Finite traces whose trace relation overflows to NaN.
     with pytest.raises(BadTracesError, match="1e"):
         TeichPoint(1e200, 1e200, 1e200)
@@ -239,9 +242,25 @@ def test_trace_points_moved_off_the_variety_are_refused(x, y, branch):
             TeichPoint(x, y, z)
 
 
+@given(x=log_uniform_traces, y=log_uniform_traces)
+def test_from_xy_takes_the_minus_root_to_rounding(x, y):
+    # The float discriminant is off by a few u x^2 y^2, which moves z by about u xy / sqrt(disc) relative;
+    # the worst of 200,000 draws was 2.02u (1 + xy / sqrt(disc)).  The cancelling form (xy - sqrt(disc)) / 2
+    # loses up to 2.7e-5 relative here, past the Fricke gate at most of these draws.
+    assume((x * x - 4.0) * (y * y - 4.0) > 16.0)
+    z = TeichPoint.from_xy(x, y).z
+    with mpmath.workdps(FRICKE_DIGITS):
+        x, y = mpmath.mpf(x), mpmath.mpf(y)
+        root = mpmath.sqrt(x * x * y * y - 4 * (x * x + y * y))
+        exact = (x * y - root) / 2
+        assert abs(z - exact) <= 8 * 2.0**-53 * (1 + x * y / root) * exact
+
+
 def test_fricke_check_is_relative_to_the_terms():
-    # from_xy's z is off the rounded root by an ulp: defect 1.86e-9 on terms of 2.1e7.
-    point = TeichPoint.from_xy(3.0, 3000.0)
+    root = _rounded_root(3.0, 3000.0, "minus")
+    assert TeichPoint.from_xy(3.0, 3000.0).z == root
+    # One ulp below the rounded root: defect 1.86e-9 on terms of 2.1e7.
+    point = TeichPoint(3.0, 3000.0, math.nextafter(root, 0.0))
     assert abs(fricke_defect(point.x, point.y, point.z)) > EPS_FRICKE
     # Below terms of about 5.6e5 the gate is EPS_FRICKE.
     assert _fricke_gate(3.0, 3.0, 3.0) == EPS_FRICKE
@@ -255,6 +274,14 @@ def test_trace_errors_carry_the_traces():
         TeichPoint(2.0, 3.0, 3.0)
     with pytest.raises(BadTracesError, match=r"generators are reducible; .*: \(3.0, 2.0, 3.0\)"):
         _normal_form_generators(3.0, 2.0, 3.0)
+
+
+def test_rounding_that_leaves_ps_at_most_1_is_refused_with_it():
+    # On the variety ps - 1 = 4 / (x^2 - 4), here 1.8e-9; it computes as -3.4e-5, and the group of
+    # q = -r = -sqrt(1 - ps) would have cusp trace 75647.3.
+    point = TeichPoint.from_xy(47142.68083613981, 388276.28952950606, "plus")
+    with pytest.raises(BadTracesError, match=r"generators are reducible; .*, ps - 1 = -3\.404e-05"):
+        build_punctured_torus(point)
 
 
 def test_cusp_trace_error_carries_the_cusp_trace():

@@ -487,7 +487,7 @@ def test_classify_half_pipe_elements():
 
 
 def test_classify_reads_the_translation_of_a_half_pipe_element_off_the_group():
-    # The linear part is within parabolic_tol of Id but 8e-8 off O(1,2); its
+    # The linear part is within EPS_PARABOLIC of Id but 8e-8 off O(1,2); its
     # translation A J3 w = (5e-8, 1 + 4e-8, 0) is spacelike, a rotation.
     m = np.eye(4)
     m[0, 1] = m[1, 0] = 5e-8

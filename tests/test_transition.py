@@ -1,6 +1,5 @@
 """Tests for rescaled holonomy families and their half-pipe limits."""
 
-import json
 import math
 import warnings
 
@@ -311,16 +310,6 @@ def test_negative_bending_sign_also_transits():
     direct = direct_hp_matrix(group, lam, -1.0, "B")
     assert rep.two_sided_gap < TOL_TWO_SIDED
     assert projective_distance(rep.limit, direct) < TOL_TWO_SIDED
-
-
-def test_report_json_round_trip():
-    rep = extrapolate_limit(holonomy_family(_group(), _lamination(), 1.0, "ab"))
-    payload = rep.to_json_dict()
-    assert set(payload) == {"word", "grid", "residuals", "order_pos", "order_neg", "two_sided_gap"}
-    assert payload["word"] == "ab"
-    assert payload["grid"] == list(rep.grid)
-    decoded = json.loads(json.dumps(payload))
-    assert decoded["two_sided_gap"] == rep.two_sided_gap
 
 
 def test_pleated_surface_chart_residuals_shrink_linearly():

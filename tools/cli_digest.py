@@ -70,9 +70,10 @@ The runs, all in one process:
   (exit 4);
 - all four subcommands at the FRICKE_TRACES (3, 3000, z), whose terms
   x^2 + y^2 + z^2 + |xyz| reach 2.1e7: with z the root of the trace
-  relation rounded to a float (Fricke defect 0), each exits 2 at the cusp
-  trace check; with the z of ``TeichPoint.from_xy(3, 3000)`` (defect
-  1.86e-9, within the Fricke check's rounding bound) the group builds,
+  relation rounded to a float (Fricke defect 0), as ``TeichPoint.from_xy(3,
+  3000)`` computes it, each exits 2 at the cusp trace check; with z one ulp
+  below it (defect 1.86e-9, within the Fricke check's rounding bound), as
+  the cancelling root (xy - sqrt(disc)) / 2 gives it, the group builds,
   ``kerckhoff`` exits 3 (its start lies past KERCKHOFF_TRACE_MAX) and the
   other three exit 0;
 - ``transition`` on each of HARD_TRANSITIONS, whose two-sided gaps are
@@ -170,7 +171,8 @@ LONG_CURVE = "A" + "B" * 300
 # A curve whose holonomy segment for B crosses leaves named by long words.
 MANY_LEAVES_CURVE = "A" * 40 + "B"
 # name -> traces (3, 3000, z): z the 50-digit root (x y - sqrt(x^2 y^2 - 4 (x^2 + y^2))) / 2 of the trace
-# relation rounded, and z as TeichPoint.from_xy(3, 3000) computes it.
+# relation rounded, which TeichPoint.from_xy(3, 3000) returns, and z one ulp below it, as that formula
+# evaluated in floats gives it.
 FRICKE_TRACES = {"exact-z": (3.0, 3000.0, 1145.8993753913703), "from_xy": (3.0, 3000.0, 1145.89937539137)}
 # name -> (from_xy(x, y), or None for (3,3,3), lambda, word) of transition runs with small two-sided gaps.
 HARD_TRANSITIONS = {
