@@ -72,9 +72,7 @@ MAX_NODES = 400_000
 # covers (Klein radius tanh 2.5 = 0.987).
 ATLAS_RADIUS = 2.5
 
-# The Kerckhoff search keeps every trace in (2, KERCKHOFF_TRACE_MAX], takes at most KERCKHOFF_MAX_STEPS
-# Newton steps, and by default reports a projected gradient norm below KERCKHOFF_GRADIENT_TOL.
-KERCKHOFF_TRACE_MAX = 80.0
+# The Kerckhoff search's step budget and default tolerance of the projected gradient norm.
 KERCKHOFF_MAX_STEPS = 50
 KERCKHOFF_GRADIENT_TOL = 1e-7
 
@@ -231,6 +229,10 @@ def fricke_defect(x: float, y: float, z: float) -> float:
     return x * x + y * y + z * z - x * y * z
 
 
+def _fricke_bound(x: float, y: float, z: float) -> float:
+    return max(EPS_FRICKE, EPS_FRICKE_RELATIVE * (x * x + y * y + z * z + abs(x * y * z)))
+
+
 @dataclass(frozen=True)
 class TeichPoint:
     """Trace coordinates (x, y, z), all > 2, on the Fricke variety.
@@ -254,8 +256,7 @@ class TeichPoint:
             raise BadTracesError(f"trace coordinates must be finite: ({x!r}, {y!r}, {z!r})")
         if min(x, y, z) <= 2.0:
             raise BadTracesError(f"trace coordinates must all exceed 2: ({x!r}, {y!r}, {z!r})")
-        defect = fricke_defect(x, y, z)
-        bound = max(EPS_FRICKE, EPS_FRICKE_RELATIVE * (x * x + y * y + z * z + abs(x * y * z)))
+        defect, bound = fricke_defect(x, y, z), _fricke_bound(x, y, z)
         # Written so that a defect that overflows to NaN, or terms that overflow to inf, fail too.
         if not abs(defect) <= bound < math.inf:
             raise BadTracesError(f"trace relation violated at traces ({x!r}, {y!r}, {z!r}) (defect {defect:.3e})")
@@ -432,10 +433,10 @@ class PuncturedTorusGroup:
 
 
 def build_punctured_torus(tp: TeichPoint) -> PuncturedTorusGroup:
-    """The normal-form group at a trace point (cusp trace -2 guaranteed)."""
+    """The normal-form group at a trace point; its cusp trace + 2, a Fricke defect, is held to the Fricke bound."""
     group = PuncturedTorusGroup(tp)
     trace = group.cusp_trace()
-    if abs(trace + 2.0) > 1e-9:
+    if not abs(trace + 2.0) <= _fricke_bound(tp.x, tp.y, tp.z):
         raise BadTracesError(f"constructed group fails the cusp trace check: cusp trace {trace!r}, not -2")
     return group
 
@@ -756,17 +757,17 @@ class KerckhoffResult:
 
 
 def _project_to_variety(p) -> np.ndarray:
-    """Newton steps along the Fricke gradient from p until |fricke_defect| < 1e-13 (at most 60)."""
+    """(S / yz, S / zx, S / xy), S = x^2 + y^2 + z^2, on the trace variety for p = (x, y, z) > 0; other p as given.
+
+    Its coordinates multiply to S^3 / (xyz)^2, as their squares sum, and it
+    fixes the variety, where S = xyz (the lambda-length form of the traces:
+    Penner, "The decorated Teichmueller space of punctured surfaces", 1987).
+    """
     x, y, z = (float(c) for c in p)
-    for _ in range(60):
-        defect = fricke_defect(x, y, z)
-        if abs(defect) < 1e-13:
-            break
-        grad = _fricke_gradient((x, y, z))
-        square = float(grad @ grad)
-        g0, g1, g2 = grad.tolist()
-        x, y, z = x - defect * g0 / square, y - defect * g1 / square, z - defect * g2 / square
-    return np.array((x, y, z))
+    if not (x > 0.0 and y > 0.0 and z > 0.0):
+        return np.array((x, y, z))
+    s = x * x + y * y + z * z
+    return np.array((s / (y * z), s / (z * x), s / (x * y)))
 
 
 def _fricke_gradient(p) -> np.ndarray:
@@ -840,11 +841,11 @@ def _reduced_model(terms: list[tuple[float, tuple[int, int]]], p: np.ndarray):
     homology class) terms, each trace read from the Farey recursion of
     :func:`_trace_jet`.  Returns it with a tangent basis, the reduced
     gradient, the reduced Lagrangian Hessian and the gradient's norm at p;
-    (inf, None, None, None, inf) where p leaves (2, KERCKHOFF_TRACE_MAX]^3,
-    a trace is not hyperbolic or a value overflows, as for a long curve.
+    (inf, None, None, None, inf) where a coordinate of p is NaN or not above
+    2, a trace is not hyperbolic or a value overflows, as for a long curve.
     """
     point = p.tolist()
-    if not (min(point) > 2.0 and max(point) <= KERCKHOFF_TRACE_MAX):
+    if not all(c > 2.0 for c in point):
         return math.inf, None, None, None, math.inf
     # The sums of the weighted jets, element by element in Python floats;
     # the products that numpy hands to BLAS stay numpy calls.
@@ -897,26 +898,24 @@ def kerckhoff_point(
     ``init``, a damped Newton iteration works in the tangent plane of the
     trace variety: the step solves the reduced Lagrangian Hessian with its
     eigenvalues replaced by their absolute values (floored), an Armijo
-    backtracking search shortens it, and each trial point is projected back
-    onto the variety.  Trial points with a trace outside (2, 80] are
-    shortened too, so the iteration never leaves that domain.  It stops once
-    the projected gradient is below 1e-4 * ``gradient_tol``, when no
-    shortened step lowers the objective, or after KERCKHOFF_MAX_STEPS steps.
+    backtracking search shortens it, and :func:`_project_to_variety` puts
+    each trial point back on the variety.  Trial points with a trace not
+    above 2 are shortened too, so the iteration never leaves that domain.
+    It stops once the projected gradient is below 1e-4 * ``gradient_tol``,
+    when no shortened step lowers the objective, or after KERCKHOFF_MAX_STEPS steps.
 
     Returns the minimizer with its projected gradient norm, the condition
     number of the reduced Hessian there (a flatness diagnostic; the minimizer
     is unique in theory but may sit in a numerically flat valley), and the
-    filling advisory.  Raises NoConvergenceError when the start is outside
-    the domain or a curve is not hyperbolic or overflows there (reported
-    with an infinite gradient norm after 0 steps), or when the final
-    projected gradient is not below ``gradient_tol``, as for a pair with no
-    minimum.
+    filling advisory.  Raises NoConvergenceError when a curve is not
+    hyperbolic or overflows at the start (reported with an infinite gradient
+    norm after 0 steps), or when the final projected gradient is not below
+    ``gradient_tol``, as for a pair with no minimum.
     """
     terms = [(mc.weight, word_homology(mc.word)) for mc in (lam, mu)]
     p = init.as_array()
     objective, basis, grad, hess, grad_norm = _reduced_model(terms, p)
     steps = 0
-    # A start off the domain has an infinite gradient norm and takes no step.
     while steps < KERCKHOFF_MAX_STEPS and math.inf > grad_norm > 1e-4 * gradient_tol:
         eigvals, eigvecs = np.linalg.eigh(hess)
         sizes = [abs(e) for e in eigvals.tolist()]

@@ -332,6 +332,17 @@ def test_kerckhoff_report(tmp_path):
     assert report["seed"] == 0
 
 
+def test_kerckhoff_reports_a_minimum_with_large_traces(tmp_path):
+    # The minimiser of (A B^5, B) at (3,3,3) is (116, 2 sqrt 2, 48.08), where the fifth power of the
+    # Dehn twist about B carries the minimiser of (A, B).
+    lam = {"lambda": [{"word": "A" + "B" * 5, "weight": 1.0}], "mu": [{"word": "B", "weight": 1.0}]}
+    code, out = _run(tmp_path, "kerckhoff", _write_config(tmp_path / "cfg.json", multicurves=lam))
+    assert code == EXIT_OK
+    report = json.loads((out / "kerckhoff.json").read_text())
+    assert report["traces"][0] == pytest.approx(116.0, rel=1e-6)
+    assert report["objective"] == pytest.approx(4.0 * math.acosh(math.sqrt(2.0)), rel=1e-9)
+
+
 def test_kerckhoff_report_ignores_blas_threads_and_cli_loads_no_scipy(tmp_path):
     traces = TeichPoint.from_xy(6.0, 3.5).as_array().tolist()
     config = _write_config(
@@ -894,7 +905,7 @@ KERCKHOFF_STOPPED = "projected gradient norm inf after 0 steps"
         # short of the tolerance.  From 250 letters on, room**1.5 overflows
         # (this once ended in a traceback, exit 1), and from about 740 on
         # the trace itself does.
-        ("kerckhoff", "A" + "B" * 240, 1.0, "projected gradient norm 9.424e-02 after 29 steps"),
+        ("kerckhoff", "A" + "B" * 240, 1.0, "projected gradient norm 6.677e-06 after 50 steps"),
         ("kerckhoff", "A" + "B" * 260, 1.0, KERCKHOFF_STOPPED),
         ("kerckhoff", "A" + "B" * 1500, 1.0, KERCKHOFF_STOPPED),
         # These three exited 3 after numpy's overflow warnings.  The leaf

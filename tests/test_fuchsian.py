@@ -46,6 +46,7 @@ from halfpipe.fuchsian import (
     _fricke_gradient,
     _join,
     _normal_form_generators,
+    _project_to_variety,
     _tangent_basis,
     _tile_leaves,
     _tiles_within,
@@ -146,9 +147,10 @@ def test_no_convergence_error_reports_its_numbers(monkeypatch):
         err = info.value
         assert err.tolerance == 1e-7 and err.gradient_norm > 1e-7 and 0 < err.steps <= 50
         assert f"{err.gradient_norm:.3e}" in str(err) and f"after {err.steps} steps" in str(err)
-    # A start outside the domain (here y = 100) is refused before any step.
+    # A start where a curve's model overflows (A B^300 has a trace of about 1e125 here) is refused
+    # before any step.
     with pytest.raises(NoConvergenceError) as info:
-        kerckhoff_point(WeightedMulticurve.single("A"), WeightedMulticurve.single("B"), TeichPoint.from_xy(3.0, 100.0))
+        kerckhoff_point(WeightedMulticurve.single("A" + "B" * 300), WeightedMulticurve.single("B"), SYMMETRIC)
     assert info.value.steps == 0 and "after 0 steps" in str(info.value)
     # A pair with no minimum fails from every start.
     for start in (TeichPoint.from_xy(4.0, 5.0), TeichPoint.from_xy(6.0, 3.5)):
@@ -284,11 +286,31 @@ def test_rounding_that_leaves_ps_at_most_1_is_refused_with_it():
         build_punctured_torus(point)
 
 
-def test_cusp_trace_error_carries_the_cusp_trace():
-    # The rounded root at (3, 3000) is on the variety to the last bit, yet its group misses the cusp trace.
+def test_cusp_trace_error_carries_the_cusp_trace(monkeypatch):
+    for trace, shown in ((-2.0 - 1e-6, r"-2\.000001"), (math.nan, "nan")):
+        monkeypatch.setattr(PuncturedTorusGroup, "cusp_trace", lambda self, trace=trace: trace)
+        with pytest.raises(BadTracesError, match=rf"fails the cusp trace check: cusp trace {shown}"):
+            build_punctured_torus(SYMMETRIC)
+
+
+def test_cusp_trace_is_held_to_the_fricke_bound():
+    # The rounded root at (3, 3000) is on the variety to the last bit.  Its group misses the cusp
+    # trace by more than EPS_FRICKE, and by far less than the bound of terms of 2.1e7.
     point = TeichPoint(3.0, 3000.0, _rounded_root(3.0, 3000.0, "minus"))
-    with pytest.raises(BadTracesError, match=r"fails the cusp trace check: cusp trace -2\.0000000010"):
-        build_punctured_torus(point)
+    miss = abs(build_punctured_torus(point).cusp_trace() + 2.0)
+    assert EPS_FRICKE < miss <= _fricke_gate(point.x, point.y, point.z)
+
+
+# Traces x, y log-uniform in 2.1..1e3: from about 1e4 on the plus branch, ps - 1 = 4 / (x^2 - 4) can
+# round to 0 or below and the generators are refused as reducible (ROADMAP item 4, stage 2).
+buildable_traces = st.floats(math.log(2.1), math.log(1e3)).map(math.exp)
+
+
+@given(x=buildable_traces, y=buildable_traces, branch=st.sampled_from(("minus", "plus")))
+def test_groups_build_at_from_xy_points(x, y, branch):
+    assume((x * x - 4.0) * (y * y - 4.0) > 16.0)
+    point = TeichPoint.from_xy(x, y, branch)
+    assert abs(build_punctured_torus(point).cusp_trace() + 2.0) <= _fricke_gate(point.x, point.y, point.z)
 
 
 def test_from_xy_refuses_an_unknown_branch():
@@ -1344,6 +1366,21 @@ def test_kerckhoff_point_symmetric_pair():
     assert result.hessian_condition < 1e3
 
 
+@pytest.mark.parametrize("n", range(1, 10))
+def test_kerckhoff_point_of_a_twisted_pair_lies_on_the_twist_orbit(n):
+    # The Dehn twist about B carries (A, B) to (A B, B) and leaves the objective unchanged, so the
+    # minimiser of (A B^n, B) is the n-th twist image of (2 sqrt 2, 2 sqrt 2, 4), whose x is s_n,
+    # s_{k+1} = 2 sqrt 2 s_k - s_{k-1}.
+    orbit = [2.0 * math.sqrt(2.0), 4.0]
+    while len(orbit) <= n:
+        orbit.append(2.0 * math.sqrt(2.0) * orbit[-1] - orbit[-2])
+    result = kerckhoff_point(WeightedMulticurve.single("A" + "B" * n), WeightedMulticurve.single("B"), SYMMETRIC)
+    assert result.objective == pytest.approx(4.0 * math.acosh(math.sqrt(2.0)), rel=1e-9)
+    # At n = 9 the valley is flat (Hessian condition 3.6e4), and x is 8.1e-5 off relative.
+    assert result.point.x == pytest.approx(orbit[n], rel=1e-3)
+    assert result.gradient_norm < 1e-7
+
+
 def test_kerckhoff_point_from_asymmetric_seed_and_scaling():
     lam, mu = WeightedMulticurve.single("A"), WeightedMulticurve.single("B")
     seeded = kerckhoff_point(lam, mu, TeichPoint.from_xy(3.6, 2.9))
@@ -1354,8 +1391,6 @@ def test_kerckhoff_point_from_asymmetric_seed_and_scaling():
 
 
 def test_kerckhoff_minimizer_is_locally_minimal():
-    from halfpipe.fuchsian import _project_to_variety, _tangent_basis
-
     lam, mu = WeightedMulticurve.single("A"), WeightedMulticurve.single("B")
     result = kerckhoff_point(lam, mu, SYMMETRIC)
     p = result.point.as_array()
@@ -1380,17 +1415,6 @@ def _numpy_fricke_gradient(p):
     return np.array([2.0 * x - y * z, 2.0 * y - x * z, 2.0 * z - x * y])
 
 
-def _numpy_project_to_variety(p):
-    p = np.array(p, dtype=float)
-    for _ in range(60):
-        defect = fricke_defect(*p)
-        if abs(defect) < 1e-13:
-            break
-        grad = _numpy_fricke_gradient(p)
-        p -= defect * grad / float(grad @ grad)
-    return p
-
-
 def _numpy_tangent_basis(p):
     n = _numpy_fricke_gradient(p)
     n = n / np.linalg.norm(n)
@@ -1401,7 +1425,7 @@ def _numpy_tangent_basis(p):
 
 
 def _numpy_reduced_model(terms, p):
-    if not (min(p) > 2.0 and max(p) <= fuchsian.KERCKHOFF_TRACE_MAX):
+    if not np.all(p > 2.0):
         return math.inf, None, None, None
     total, grad, hess = 0.0, np.zeros(3), np.zeros((3, 3))
     for weight, homology in terms:
@@ -1437,11 +1461,37 @@ trial_points = st.one_of(
 
 
 @given(p=trial_points)
-def test_variety_projection_and_tangent_basis_equal_their_numpy_forms_bit_for_bit(p):
-    assert _same_bits(fuchsian._project_to_variety(p), _numpy_project_to_variety(p))
+def test_tangent_basis_equals_its_numpy_form_bit_for_bit(p):
     gradient = _fricke_gradient(p)
     assert _same_bits(gradient, _numpy_fricke_gradient(p))
     assert _same_bits(_tangent_basis(gradient, float(gradient @ gradient)), _numpy_tangent_basis(p))
+
+
+log_uniform_positives = st.floats(math.log(1e-3), math.log(1e6)).map(math.exp)
+UNIT = 2.0**-53
+
+
+@given(p=st.tuples(log_uniform_positives, log_uniform_positives, log_uniform_positives))
+def test_variety_projection_lands_on_the_variety_and_stays(p):
+    image = _project_to_variety(p)
+    # Each image coordinate is S / (a product of the other two) >= 2.  It rounds to about 2 when one
+    # coordinate of p is tiny next to the other two, and TeichPoint refuses a trace of 2.
+    assert min(image) >= 2.0 - 8.0 * UNIT
+    if min(image) > 2.0:
+        TeichPoint(*image)
+    assert np.all(np.abs(_project_to_variety(image) - image) <= 16.0 * UNIT * image)
+
+
+@given(x=log_uniform_traces, y=log_uniform_traces, branch=st.sampled_from(("minus", "plus")))
+def test_variety_projection_fixes_trace_points(x, y, branch):
+    assume((x * x - 4.0) * (y * y - 4.0) > 16.0)
+    point = TeichPoint.from_xy(x, y, branch).as_array()
+    assert np.all(np.abs(_project_to_variety(point) - point) <= 16.0 * UNIT * point)
+
+
+def test_variety_projection_returns_a_point_with_a_coordinate_not_above_0_as_it_is():
+    for p in ((0.0, 3.0, 3.0), (3.0, -1.0, 4.0), (3.0, math.nan, 3.0)):
+        assert _same_bits(_project_to_variety(p), np.array(p))
 
 
 @given(

@@ -69,13 +69,17 @@ The runs, all in one process:
   rescaled holonomies are finite, and the gap they give misses EPS_LIMIT
   (exit 4);
 - all four subcommands at the FRICKE_TRACES (3, 3000, z), whose terms
-  x^2 + y^2 + z^2 + |xyz| reach 2.1e7: with z the root of the trace
+  x^2 + y^2 + z^2 + |xyz| reach 2.1e7, with z the root of the trace
   relation rounded to a float (Fricke defect 0), as ``TeichPoint.from_xy(3,
-  3000)`` computes it, each exits 2 at the cusp trace check; with z one ulp
-  below it (defect 1.86e-9, within the Fricke check's rounding bound), as
-  the cancelling root (xy - sqrt(disc)) / 2 gives it, the group builds,
-  ``kerckhoff`` exits 3 (its start lies past KERCKHOFF_TRACE_MAX) and the
-  other three exit 0;
+  3000)`` computes it, and with z one ulp below it (defect 1.86e-9), as
+  the cancelling root (xy - sqrt(disc)) / 2 gives it: both defects, and
+  the groups' cusp traces, which miss -2 by about 1e-9, are within the
+  Fricke check's rounding bound, and each run exits 0;
+- ``kerckhoff`` on each of the TWISTED_CURVES A·B^n with μ = B at (3,3,3),
+  whose minimisers lie on the orbit of the (A, B) minimiser under the
+  Dehn twist about B, with x from 116 (n = 5) to 9512 (n = 10), each
+  followed by ``double`` as above; n = 10 exits 3, short of the gradient
+  tolerance;
 - ``transition`` on each of HARD_TRANSITIONS, whose two-sided gaps are
   within EPS_LIMIT only when the products are rescaled factor by factor,
   over R[mu]: the two extreme trace points with the words that missed it,
@@ -172,8 +176,10 @@ LONG_CURVE = "A" + "B" * 300
 MANY_LEAVES_CURVE = "A" * 40 + "B"
 # name -> traces (3, 3000, z): z the 50-digit root (x y - sqrt(x^2 y^2 - 4 (x^2 + y^2))) / 2 of the trace
 # relation rounded, which TeichPoint.from_xy(3, 3000) returns, and z one ulp below it, as that formula
-# evaluated in floats gives it.
+# evaluated in floats gives it.  Both pass the Fricke check and build, so every run on them exits 0.
 FRICKE_TRACES = {"exact-z": (3.0, 3000.0, 1145.8993753913703), "from_xy": (3.0, 3000.0, 1145.89937539137)}
+# name -> the curve A B^n, n = 5..10, of the runs whose Kerckhoff points with B lie far out on the twist orbit.
+TWISTED_CURVES = {f"AB^{n}": "A" + "B" * n for n in range(5, 11)}
 # name -> (from_xy(x, y), or None for (3,3,3), lambda, word) of transition runs with small two-sided gaps.
 HARD_TRANSITIONS = {
     "0.5AAB@xy(20,3)": ((20.0, 3.0), ("AAB", 0.5), "AAb"),
@@ -312,6 +318,10 @@ def runs(workloads, teich_point):
         cfg = dict(small_cfgs["test-cli"], traces=list(traces))
         for command in SUBCOMMANDS:
             yield f"fricke/{name}/{command}", command, cfg, ()
+    for name, word in TWISTED_CURVES.items():
+        cfg = _config((3.0, 3.0, 3.0), **{"lambda": [(word, 1.0)], "mu": [("B", 1.0)]})
+        yield f"twist/{name}/kerckhoff", "kerckhoff", cfg, ()
+        yield f"twist/{name}/double", "double", {"multicurves": {"lambda": cfg["multicurves"]["lambda"]}}, ()
     for name, (xy, lam, word) in HARD_TRANSITIONS.items():
         traces = (3.0, 3.0, 3.0) if xy is None else teich_point.from_xy(*xy).as_array().tolist()
         yield f"hard/{name}/transition", "transition", dict(_config(traces, **{"lambda": [lam]}), words=[word]), ()
