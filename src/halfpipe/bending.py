@@ -39,7 +39,6 @@ from halfpipe.geometry import (
     Plane,
     ProjectivePoint,
     TagMismatchError,
-    disk_lift,
     embed_h2_point,
 )
 from halfpipe.isometry import (
@@ -135,7 +134,7 @@ def _bracketed_product(
     out = identity_stack(len(angles))
     # A product that turns about no leaf has b = 0, which every mu^2 maps alike.
     mu2, previous = np.zeros(len(angles)), ""
-    crossed = list(zip(sides.tolist(), words)) if any(angle for _, angle, _ in angles) else []
+    crossed = list(zip(sides, words)) if any(angle for _, angle, _ in angles) else []
     if crossed:
         a, b, mu2 = rotation_pairs(angles, group.axis(multicurve.root).normal)
         # The regular representations [[a, side mu^2 b], [side b, a]] of the turns on sides +1 and -1.
@@ -191,20 +190,20 @@ def bent_translation(ctx: BendingContext, word: str) -> np.ndarray:
     A half-pipe rotation by theta about the leaf of unit normal m is the
     translation by -theta * m, so the bent holonomy (L(w), v(w)) has
     v(w) = -theta * sum_i side_i * n_i over the crossings of [x0, word . x0],
-    where n_i is the leaf normal that :func:`holonomy_segment_crossings`
+    where n_i is the leaf normal row that :func:`holonomy_segment_crossings`
     returns, the group's image of the whole conjugator word applied to the
     unit normal of the axis of the curve's root.  In exact arithmetic this
     is the translation A J3 w of the matrix [[A, 0], [w, 1]] of
-    ``bent_holonomy(ctx)(word)``; here it is formed from those normals
-    alone, with no axis frame and no 4x4 matrix.
+    ``bent_holonomy(ctx)(word)``; here it is summed from those rows alone,
+    in Python floats in crossing order, with no 4x4 matrix.
     """
     if ctx.tag is not HP:
         raise TagMismatchError("bent holonomies are Minkowski affine maps in the half-pipe model")
-    normals, sides, _, _ = holonomy_segment_crossings(ctx.group, ctx.multicurve, ctx.base_point, word)
-    total = np.zeros(3)
-    for side, normal in zip(sides.tolist(), normals):
-        total += side * normal
-    return -(ctx.sign * ctx.scale * float(ctx.multicurve.weight)) * total
+    rows, sides, _, _ = holonomy_segment_crossings(ctx.group, ctx.multicurve, ctx.base_point, word)
+    t0 = t1 = t2 = 0.0
+    for side, (n0, n1, n2) in zip(sides, rows):
+        t0, t1, t2 = t0 + side * n0, t1 + side * n1, t2 + side * n2
+    return -(ctx.sign * ctx.scale * float(ctx.multicurve.weight)) * np.array((t0, t1, t2))
 
 
 def bent_holonomy(ctx: BendingContext) -> BentHolonomy:
@@ -223,11 +222,11 @@ def _crossings_to(ctx: BendingContext, x: np.ndarray) -> Crossings:
 
 def _height(ctx: BendingContext, z: np.ndarray) -> float:
     """The height of the bent half-pipe surface over the disk point z, as :func:`psi_lambda` defines it."""
-    normals, sides, _, _ = _crossings_to(ctx, z)
+    rows, sides, _, _ = _crossings_to(ctx, z)
     z1, z2 = z.tolist()
     coefficient = ctx.sign * ctx.scale * float(ctx.multicurve.weight)
     total = 0.0
-    for side, (n0, n1, n2) in zip(sides.tolist(), normals.tolist()):
+    for side, (n0, n1, n2) in zip(sides, rows):
         # The unit normal, oriented and divided by its Minkowski norm as SpacelikeGeodesicH2 does.
         n0, n1, n2 = side * n0, side * n1, side * n2
         norm = math.sqrt(-n0 * n0 + n1 * n1 + n2 * n2)
@@ -247,8 +246,9 @@ def bending_map(ctx: BendingContext, x: np.ndarray) -> ProjectivePoint:
     x = np.asarray(x, dtype=float).reshape(2)
     if ctx.tag is HP:
         height = _height(ctx, x)  # first, as its crossings refuse a point off the open disk, NaN too
-        x0, x1, x2 = disk_lift(x).tolist()
-        return ProjectivePoint((x0, x1, x2, height * x0), HP)
+        x1, x2 = x.tolist()  # lifted to (1, x) / sqrt(1 - |x|^2) with disk_lift's sum and quotients
+        root = math.sqrt(1.0 - (x1 * x1 + x2 * x2))
+        return ProjectivePoint((1.0 / root, x1 / root, x2 / root, height * (1.0 / root)), HP)
     return _context_product(ctx, _crossings_to(ctx, x), "").apply(embed_h2_point(ctx.tag, x))
 
 

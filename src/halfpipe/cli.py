@@ -414,9 +414,9 @@ def cmd_export_surface(args) -> int:
         vertex = bending_map(ctx, z).affine_chart()
         _check_region(ctx.tag, vertex, tol)
         vertices.append([float(c) for c in vertex])
-        crossed, sides, _, words = segment_crossings(group, lam, ctx.base_point, z)
-        for normal, side, word in zip(crossed, sides.tolist(), words):
-            normals.setdefault(word, side * normal)
+        rows, sides, _, words = segment_crossings(group, lam, ctx.base_point, z)
+        for (n0, n1, n2), side, word in zip(rows, sides, words):
+            normals.setdefault(word, (side * n0, side * n1, side * n2))
     leaves = sorted(map(SpacelikeGeodesicH2, normals.values()), key=lambda leaf: tuple(np.round(leaf.normal, 9)))
     doc = {
         "schema_version": SCHEMA_VERSION,

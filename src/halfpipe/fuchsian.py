@@ -22,9 +22,10 @@ meeting a ball are connected: crossing queries are complete by construction.
 Every leaf query is one pipeline: a tile source, then one leaf namer
 (``_tile_leaves``, the lifts v . axis(r) through those tiles in walk order,
 each with the normal L(v) . n from the group's Lorentz image of the whole
-word v), then one sign test (``_crossings``, in Python floats, the leaves whose
-pairings with the two ends differ in sign; it raises EndpointOnLeafError for
-an end on a leaf).  There are two tile sources:
+word v), then one sign test (``_crossings``, the leaves whose pairings with
+the two ends differ in sign; it raises EndpointOnLeafError for an end on a
+leaf).  Leaf normals pass between the steps, and on to the bending layer, as
+rows (n0, n1, n2) of Python floats, not arrays.  There are two tile sources:
 
 - the atlas ball: each group keeps a leaf atlas per curve root, the leaves
   meeting the hyperbolic ball B(o, ATLAS_RADIUS) about the disk centre o,
@@ -312,10 +313,11 @@ class PuncturedTorusGroup:
     quadrilateral (``tile_sides``).  A word's Lorentz image is the adjoint
     of its SL(2) product: leaf normals and translations read the one, bent
     holonomies the other.
-    The group also keeps one leaf atlas per curve root (``atlas``) and the
-    tiles near the start of each tree path (``tiles_near``), but not near
-    its far end, which is often fresh.  Each memo holds only what was asked
-    of this group, never a failed query, and lives as long as the group.
+    The group also keeps one leaf atlas per curve root (``atlas``, a tuple
+    of float rows and one of words) and the tiles near the start of each
+    tree path (``tiles_near``), but not near its far end, which is often
+    fresh.  Each memo holds only what was asked of this group, never a
+    failed query, and lives as long as the group.
     """
 
     trace_point: TeichPoint
@@ -414,7 +416,7 @@ class PuncturedTorusGroup:
         return c00 + c11
 
     def atlas(self, root: str) -> "Leaves":
-        """The normals and conjugator words of the leaves of a curve root that meet B(o, ATLAS_RADIUS).
+        """The normal rows and conjugator words of the leaves of a curve root that meet B(o, ATLAS_RADIUS).
 
         o is the disk centre and the radius is hyperbolic.  One tile search
         about o finds them on first use; every multicurve of that root, of
@@ -422,13 +424,12 @@ class PuncturedTorusGroup:
         """
         leaves = self._atlases.get(root)
         if leaves is None:
-            normals, words = _tile_leaves(self, root, _tiles_within(self, np.zeros(2), ATLAS_RADIUS))
             # Only the leaves that meet the ball, fewer rows for every sign test the atlas
             # answers; a leaf within EPS_ENDPOINT of an endpoint on the ball's rim still counts.
-            near = np.abs(normals[:, 0]) <= math.sinh(ATLAS_RADIUS + EPS_ENDPOINT)
-            normals = normals[near]
-            normals.flags.writeable = False
-            leaves = self._atlases[root] = normals, [word for word, kept in zip(words, near.tolist()) if kept]
+            reach = math.sinh(ATLAS_RADIUS + EPS_ENDPOINT)
+            found = zip(*_tile_leaves(self, root, _tiles_within(self, np.zeros(2), ATLAS_RADIUS)))
+            kept = [(row, word) for row, word in found if abs(row[0]) <= reach]
+            leaves = self._atlases[root] = tuple(row for row, _ in kept), tuple(word for _, word in kept)
         return leaves
 
 
@@ -526,9 +527,9 @@ class LeafCrossing:
     component_index: int = 0
 
 
-Leaves = tuple[np.ndarray, list[str]]
-# The crossings of a segment: leaf normals, sides, parameters and conjugator words.
-Crossings = tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]
+# Leaves: normal rows (n0, n1, n2) of Python floats and words; Crossings: lists of rows, sides, parameters and words.
+Leaves = tuple[tuple[tuple[float, float, float], ...], tuple[str, ...]]
+Crossings = tuple[list[tuple[float, float, float]], list[float], list[float], list[str]]
 
 def _walk_order(word: str) -> tuple[int, str]:
     """Shortest first, then by the reversed word in the letter order A, B, a, b (that of ASCII)."""
@@ -632,7 +633,7 @@ def _tree_path(start: str, end: str) -> list[str]:
 
 
 def _tile_leaves(group: PuncturedTorusGroup, root: str, tiles) -> Leaves:
-    """Every lift of the axis of a curve root through the given tiles, as normals and conjugator words in walk order.
+    """Every lift of the axis of a curve root through the given tiles, as normal rows and conjugator words in walk order.
 
     For the cyclically reduced root r of a curve, the lifts through a tile w.Q
     are w . (r_1 ... r_k)^-1 . axis(r), 0 <= k < |r|, as the axis of r
@@ -647,21 +648,21 @@ def _tile_leaves(group: PuncturedTorusGroup, root: str, tiles) -> Leaves:
     heads = {_join(tile, offset) for tile in tiles for offset in offsets}
     order = sorted({_first_word(head, root) for head in heads}, key=_walk_order)
     axis = group.axis(root).normal
-    return np.array([group.lorentz(first) @ axis for first in order]).reshape(-1, 3), order
+    return tuple(tuple((group.lorentz(first) @ axis).tolist()) for first in order), tuple(order)
 
 
 def segment_crossings(group: PuncturedTorusGroup, mc: WeightedMulticurve, x: np.ndarray, y: np.ndarray) -> Crossings:
-    """The leaves of the lifted multicurve crossing the open segment (x, y), as arrays.
+    """The leaves of the lifted multicurve crossing the open segment (x, y), as lists of Python floats and words.
 
     In increasing order of crossing parameter, each leaf comes as its normal
-    as found, its side (+1.0 when that normal points away from x, else -1.0),
-    its parameter and its conjugator word.  A segment whose ends lie in the
-    ball of the group's leaf atlas of ``mc.root`` is answered from it, as the
-    ball is convex and so meets every leaf crossing the segment; past the
-    ball, from the tiles near x (``tiles_near``) and near y, and the tree
-    path between them.  Raises OutsideModelError when an endpoint is off the
-    open disk, EndpointOnLeafError when one is within tolerance of a leaf,
-    and the errors of the tile searches.
+    row as found, its side (+1.0 when that normal points away from x, else
+    -1.0), its parameter and its conjugator word.  A segment whose ends lie in
+    the ball of the group's leaf atlas of ``mc.root`` is answered from it, as
+    the ball is convex and so meets every leaf crossing the segment; past the
+    ball, from the tiles near x (``tiles_near``) and near y, and the tree path
+    between them.  Raises OutsideModelError when an endpoint is off the open
+    disk, EndpointOnLeafError when one is within tolerance of a leaf, and the
+    errors of the tile searches.
     """
     x = np.asarray(x, dtype=float).reshape(2)
     y = np.asarray(y, dtype=float).reshape(2)
@@ -679,9 +680,9 @@ def segment_crossings(group: PuncturedTorusGroup, mc: WeightedMulticurve, x: np.
 def holonomy_segment_crossings(
     group: PuncturedTorusGroup, mc: WeightedMulticurve, x0: np.ndarray, word: str
 ) -> Crossings:
-    """The leaves of the lifted multicurve crossing the open segment (x0, word . x0), as arrays.
+    """The leaves of the lifted multicurve crossing the open segment (x0, word . x0).
 
-    The arrays are those of :func:`segment_crossings`, read off the tiling's
+    The lists are those of :func:`segment_crossings`, read off the tiling's
     adjacency tree, with no tile search beyond the group's tiles near x0
     (``tiles_near``).  For g the reduced word and w.Q the tile holding x0,
     g.x0 lies in u.Q, u the reduced word of g w, so the segment meets the
@@ -704,8 +705,8 @@ def holonomy_segment_crossings(
 
 
 def _crossings(leaves: Leaves, x: np.ndarray, y: np.ndarray) -> Crossings:
-    """The crossings of (x, y) among the given leaves, by the sign test, in stable order of parameter."""
-    normals, words = leaves
+    """The crossings of (x, y) among the given leaves, by the sign test, in stable order of parameter, as lists."""
+    rows, words = leaves
     # Affine pairings are sign- and root-compatible with the lifted ones;
     # the lift rescaling only matters for the endpoint-distance tolerance.
     # |z|^2 as float products of the coordinates, as segment_crossings reads it.
@@ -715,7 +716,7 @@ def _crossings(leaves: Leaves, x: np.ndarray, y: np.ndarray) -> Crossings:
     # In Python floats, a leaf at a time: a segment meets a few leaves, too few to pay for
     # numpy's per-call cost, and Python floats overflow to inf and NaN without a warning.
     hits = []
-    for i, (n0, n1, n2) in enumerate(normals.tolist()):
+    for i, (n0, n1, n2) in enumerate(rows):
         f0 = -n0 + x1 * n1 + x2 * n2
         f1 = -n0 + y1 * n1 + y2 * n2
         if abs(f0) * scale0 < EPS_ENDPOINT or abs(f1) * scale1 < EPS_ENDPOINT:
@@ -727,18 +728,17 @@ def _crossings(leaves: Leaves, x: np.ndarray, y: np.ndarray) -> Crossings:
         if f0 * f1 < 0.0:
             hits.append((f0 / (f0 - f1), i, math.copysign(1.0, -f0)))
     hits.sort(key=lambda hit: (hit[0] != hit[0], hit[0]))  # stable, a NaN parameter last, as numpy sorts
-    parameters, rows, sides = zip(*hits) if hits else ((), (), ())
-    return normals[list(rows)], np.array(sides, dtype=float), np.array(parameters, dtype=float), [words[i] for i in rows]
+    parameters, order, sides = zip(*hits) if hits else ((), (), ())
+    return [rows[i] for i in order], list(sides), list(parameters), [words[i] for i in order]
 
 
 def leaves_crossing(
     group: PuncturedTorusGroup, mc: WeightedMulticurve, x: np.ndarray, y: np.ndarray
 ) -> list[LeafCrossing]:
     """The crossings of (x, y) from :func:`segment_crossings`, as LeafCrossing objects; only ``perfbench/`` calls it."""
-    normals, sides, parameters, words = segment_crossings(group, mc, x, y)
     return [
-        LeafCrossing(SpacelikeGeodesicH2(side * normal), float(mc.weight), parameter, word)
-        for normal, side, parameter, word in zip(normals, sides.tolist(), parameters.tolist(), words)
+        LeafCrossing(SpacelikeGeodesicH2((side * n0, side * n1, side * n2)), float(mc.weight), parameter, word)
+        for (n0, n1, n2), side, parameter, word in zip(*segment_crossings(group, mc, x, y))
     ]
 
 

@@ -91,11 +91,11 @@ def signed_context(
     sign: float,
     t: float,
 ) -> BendingContext:
-    """The context bending by |t| times the weights in the model of t.
+    """The context bending by |t| times the weights in the model of t; at t = 0, the half-pipe limit.
 
     Angles are signed t * a: the anti-de Sitter side (t < 0) bends the other
     way, which is what makes its rescaled limit agree with the hyperbolic
-    side's.
+    side's.  That limit, the context at t = 0, bends at full weights.
     """
     return BendingContext(
         group=group,
@@ -103,7 +103,7 @@ def signed_context(
         base_point=base_point,
         tag=geometry_of(t),
         sign=-sign if t < 0 else sign,
-        scale=abs(t),
+        scale=abs(t) or 1.0,
     )
 
 

@@ -21,7 +21,9 @@ from test_fuchsian import (
 )
 from test_isometry import _translation
 
+from halfpipe import bending, fuchsian, transition
 from halfpipe.bending import (
+    PULLBACK,
     BendingContext,
     bending_cocycle,
     bending_map,
@@ -32,13 +34,17 @@ from halfpipe.bending import (
     support_plane_at,
 )
 from halfpipe.fuchsian import (
+    ATLAS_RADIUS,
+    EPS_ENDPOINT,
     EndpointOnLeafError,
     EnumerationBudgetError,
+    LeafCrossing,
     TeichPoint,
     WeightedMulticurve,
     build_punctured_torus,
     free_reduce,
     holonomy_segment_crossings,
+    invert_word,
     _crossings,
     leaves_crossing,
     segment_crossings,
@@ -51,6 +57,7 @@ from halfpipe.geometry import (
     OutsideModelError,
     Plane,
     ProjectivePoint,
+    SpacelikeGeodesicH2,
     TagMismatchError,
     disk_lift,
     embed_h2_point,
@@ -422,7 +429,7 @@ def test_hp_development_keeps_its_digits_at_extreme_trace_points(xy, word, weigh
             vec = bending_map(ctx, z).vec
             normals, sides, _, _ = segment_crossings(group, ctx.multicurve, BASE, z)
             height = mpmath.mpf(0)
-            for side, normal in zip(sides.tolist(), normals.tolist()):
+            for side, normal in zip(sides, normals):
                 n0, n1, n2 = (side * mpmath.mpf(c) for c in normal)
                 height -= weight * (-n0 + n1 * z[0] + n2 * z[1]) / mpmath.sqrt(-n0 * n0 + n1 * n1 + n2 * n2)
             assert np.max(np.abs(vec[1:3] / vec[0] - z)) <= 1e-15
@@ -676,7 +683,7 @@ def _reference_translation(ctx, word):
         normal = _mp_axis_normal(_mp_sl2(letters, curve.root))
         float_normal = mpmath.matrix(group.axis(curve.root).normal.tolist())
         total, from_floats = mpmath.matrix(3, 1), mpmath.matrix(3, 1)
-        for side, conjugator in zip(sides.tolist(), words):
+        for side, conjugator in zip(sides, words):
             total += side * (_mp_adjoint(_mp_sl2(letters, conjugator)) * normal)
             from_floats += side * (mpmath.matrix(group.lorentz(conjugator).tolist()) * float_normal)
         theta = -mpmath.mpf(ctx.sign) * mpmath.mpf(ctx.scale) * mpmath.mpf(float(curve.weight))
@@ -757,9 +764,25 @@ def test_bent_translation_sums_the_whole_word_leaf_normals_bit_for_bit(point, cu
     _, sides, _, words = holonomy_segment_crossings(group, ctx.multicurve, base, word)
     axis = group.axis(root).normal
     total = np.zeros(3)
-    for side, conjugator in zip(sides.tolist(), words):
+    for side, conjugator in zip(sides, words):
         total += side * (group.lorentz(conjugator) @ axis)
     assert found.tobytes() == (-(sign * scale * weight) * total).tobytes()
+
+
+def test_both_translations_keep_their_digits_past_a_long_telescoped_step():
+    # bbAb and the word B at from_xy(10.97, 53.47), from (0.67, 0): the
+    # segment crosses 15 leaves, and one telescoped step of the bracketed
+    # product, aBBB, has Lorentz entries of about 1e12.  When the product ran
+    # through axis frames the translation read from the 4x4 bent holonomy was
+    # 3.7e10 relative off the 50-digit reference.  Over R[mu] it is 1.1e-8 off,
+    # and the sum of the leaf rows 2.5e-10, about what the float images lose.
+    group = build_punctured_torus(TeichPoint.from_xy(10.97, 53.47))
+    ctx = BendingContext(group, WeightedMulticurve("bbAb"), np.array([0.67, 0.0]), HP, 1.0, 1.0)
+    assert len(holonomy_segment_crossings(group, ctx.multicurve, ctx.base_point, "B")[3]) == 15
+    reference, _ = _reference_translation(ctx, "B")
+    with mpmath.workdps(REFERENCE_DIGITS):
+        assert _relative_gap(bent_translation(ctx, "B"), reference) <= 1e-6
+        assert _relative_gap(_translation(bent_holonomy(ctx)("B").matrix), reference) <= 1e-6
 
 
 # Basepoints where [x0, aB . x0] ends within 1e-8 of the rim at traces near 37:
@@ -794,7 +817,7 @@ def test_rim_crossings_of_a_holonomy_segment_are_those_of_an_mpmath_sign_test(po
                 total += mpmath.sign(-f0) * leaf
         crossed.sort()
         assert [_coset_key(word, root) for word in words] == [key for _, key, _ in crossed]
-        assert sides.tolist() == [float(side) for _, _, side in crossed]
+        assert sides == [float(side) for _, _, side in crossed]
         ctx = BendingContext(group, mc, x0, HP, 1.0, 1.0)
         assert _relative_gap(bent_translation(ctx, "aB"), [-c for c in total]) <= 1e-12
 
@@ -835,10 +858,188 @@ def test_crossings_past_the_atlas_are_those_of_an_mpmath_sign_test(xy, curve, x,
             leaf = _mp_adjoint(_mp_sl2(letters, word)) * normal
             return [(leaf.T * form * end)[0] for end in ends]
 
-        for word, side in zip(words, sides.tolist()):
+        for word, side in zip(words, sides):
             f0, f1 = pairings(word)
             assert f0 * f1 < 0 and side == float(mpmath.sign(-f0)), word
         for word in set(walked) - set(words):
             f0, f1 = pairings(word)
             assert f0 * f1 > 0, word
     assert len(words) == count
+
+
+# ---------------------------------------------------------------------------
+# The leaf layer as it was written with arrays: leaves as a (k, 3) array of
+# normals, crossings as arrays of normals, sides and parameters.  It is the
+# reference of the float rows that the library passes instead, which must
+# give every result bit for bit.  The tile searches, the tree path and the
+# bracketed product, which the rows did not change, are the library's own.
+# ---------------------------------------------------------------------------
+
+
+def _array_tile_leaves(group, root, tiles):
+    offsets = [invert_word(root[:k]) for k in range(len(root))]
+    heads = {fuchsian._join(tile, offset) for tile in tiles for offset in offsets}
+    order = sorted({fuchsian._first_word(head, root) for head in heads}, key=fuchsian._walk_order)
+    axis = group.axis(root).normal
+    return np.array([group.lorentz(first) @ axis for first in order]).reshape(-1, 3), order
+
+
+def _array_atlas(group, root):
+    normals, words = _array_tile_leaves(group, root, fuchsian._tiles_within(group, np.zeros(2), ATLAS_RADIUS))
+    near = np.abs(normals[:, 0]) <= math.sinh(ATLAS_RADIUS + EPS_ENDPOINT)
+    return normals[near], [word for word, kept in zip(words, near.tolist()) if kept]
+
+
+def _array_crossings(leaves, x, y):
+    normals, words = leaves
+    (x1, x2), (y1, y2) = x.tolist(), y.tolist()
+    scale0 = 1.0 / math.sqrt(1.0 - (x1 * x1 + x2 * x2))
+    scale1 = 1.0 / math.sqrt(1.0 - (y1 * y1 + y2 * y2))
+    hits = []
+    for i, (n0, n1, n2) in enumerate(normals.tolist()):
+        f0 = -n0 + x1 * n1 + x2 * n2
+        f1 = -n0 + y1 * n1 + y2 * n2
+        if abs(f0) * scale0 < EPS_ENDPOINT or abs(f1) * scale1 < EPS_ENDPOINT:
+            end, pairing = (x, f0 * scale0) if abs(f0) * scale0 < EPS_ENDPOINT else (y, f1 * scale1)
+            raise EndpointOnLeafError(
+                "segment endpoint lies on a leaf; nudge the basepoint: "
+                f"endpoint {end.tolist()} on the leaf of {words[i]!r}, scaled pairing {pairing:.3e}"
+            )
+        if f0 * f1 < 0.0:
+            hits.append((f0 / (f0 - f1), i, math.copysign(1.0, -f0)))
+    hits.sort(key=lambda hit: (hit[0] != hit[0], hit[0]))
+    parameters, rows, sides = zip(*hits) if hits else ((), (), ())
+    return normals[list(rows)], np.array(sides, dtype=float), np.array(parameters, dtype=float), [words[i] for i in rows]
+
+
+def _array_segment_crossings(group, mc, x, y):
+    x = np.asarray(x, dtype=float).reshape(2)
+    y = np.asarray(y, dtype=float).reshape(2)
+    squares = [u * u + v * v for u, v in (x.tolist(), y.tolist())]
+    if not (squares[0] < 1.0 and squares[1] < 1.0):
+        raise OutsideModelError("disk point must satisfy |z| < 1")
+    if math.acosh(1.0 / math.sqrt(1.0 - max(squares))) <= ATLAS_RADIUS:
+        leaves = _array_atlas(group, mc.root)
+    else:
+        near, far = group.tiles_near(x), fuchsian._tiles_within(group, y, 0.0)
+        leaves = _array_tile_leaves(group, mc.root, {*near, *far, *fuchsian._tree_path(near[0], far[0])})
+    return _array_crossings(leaves, x, y)
+
+
+def _array_holonomy_crossings(group, mc, x0, word):
+    reduced = free_reduce(word)
+    far = radial_project(group.lorentz(reduced) @ disk_lift(x0))
+    u, v = far.tolist()
+    if not u * u + v * v < 1.0:
+        raise OutsideModelError(f"disk point must satisfy |z| < 1: {word!r} . x0 has |z|^2 = {u * u + v * v!r}")
+    near = group.tiles_near(x0)
+    tiles = {*near, *fuchsian._tree_path(near[0], fuchsian._join(reduced, near[0]))}
+    return _array_crossings(_array_tile_leaves(group, mc.root, tiles), x0, far)
+
+
+def _array_crossings_to(ctx, x):
+    try:
+        return _array_segment_crossings(ctx.group, ctx.multicurve, ctx.base_point, x)
+    except EndpointOnLeafError:
+        inner = ctx.base_point + (1.0 - PULLBACK) * (x - ctx.base_point)
+        return _array_segment_crossings(ctx.group, ctx.multicurve, ctx.base_point, inner)
+
+
+def _array_height(ctx, z):
+    normals, sides, _, _ = _array_crossings_to(ctx, z)
+    z1, z2 = z.tolist()
+    coefficient = ctx.sign * ctx.scale * float(ctx.multicurve.weight)
+    total = 0.0
+    for side, (n0, n1, n2) in zip(sides.tolist(), normals.tolist()):
+        n0, n1, n2 = side * n0, side * n1, side * n2
+        norm = math.sqrt(-n0 * n0 + n1 * n1 + n2 * n2)
+        total -= coefficient * (-(n0 / norm) + (n1 / norm) * z1 + (n2 / norm) * z2)
+    return total
+
+
+def _array_bending_map(ctx, x):
+    x = np.asarray(x, dtype=float).reshape(2)
+    if ctx.tag is HP:
+        height = _array_height(ctx, x)
+        x0, x1, x2 = disk_lift(x).tolist()
+        return ProjectivePoint((x0, x1, x2, height * x0), HP)
+    normals, sides, parameters, words = _array_crossings_to(ctx, x)
+    # The bracketed product read the sides as sides.tolist().
+    crossings = normals, sides.tolist(), parameters, words
+    return bending._context_product(ctx, crossings, "").apply(embed_h2_point(ctx.tag, x))
+
+
+def _array_bent_translation(ctx, word):
+    normals, sides, _, _ = _array_holonomy_crossings(ctx.group, ctx.multicurve, ctx.base_point, word)
+    total = np.zeros(3)
+    for side, normal in zip(sides.tolist(), normals):
+        total += side * normal
+    return -(ctx.sign * ctx.scale * float(ctx.multicurve.weight)) * total
+
+
+def _array_holonomy_family(group, mc, sign, word, grid):
+    ts = transition._checked_grid(grid, float(mc.weight))
+    slices = [(transition.geometry_of(t), sign * t, abs(t)) for t in ts]
+    normals, sides, parameters, words = _array_holonomy_crossings(group, mc, np.array(transition.DEFAULT_BASE_POINT), word)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bending._bracketed_product(group, mc, (normals, sides.tolist(), parameters, words), word, slices)
+
+
+def _array_leaves_crossing(group, mc, x, y):
+    normals, sides, parameters, words = _array_segment_crossings(group, mc, x, y)
+    return [
+        LeafCrossing(SpacelikeGeodesicH2(side * normal), float(mc.weight), parameter, word)
+        for normal, side, parameter, word in zip(normals, sides.tolist(), parameters.tolist(), words)
+    ]
+
+
+def _bits(query):
+    """The bytes of a query's result, or the type and message of the GeometryError it raises."""
+    try:
+        found = query()
+    except GeometryError as exc:
+        return type(exc), str(exc)
+    if isinstance(found, list):
+        return [(c.leaf.normal.tobytes(), repr(c.weight), repr(c.parameter), c.conjugator_word) for c in found]
+    return np.asarray(getattr(found, "vec", found), dtype=float).tobytes()
+
+
+# Klein radii from the centre to 1e-9 from the rim: past tanh(ATLAS_RADIUS) = 0.987 segments take the tree path.
+query_radii = st.one_of(st.floats(0.0, 0.999), st.sampled_from((0.99, 0.999, 0.9999, 1.0 - 1e-6, 1.0 - 1e-9)))
+FAMILY_GRID = (0.3, 0.1, 0.03, -0.3, -0.1, -0.03)
+
+
+@given(
+    point=extreme_trace_points,
+    mc=st.sampled_from(ATLAS_MULTICURVES),
+    base=base_points,
+    radius=query_radii,
+    angle=st.floats(0.0, 2.0 * math.pi),
+    on_leaf=st.booleans(),
+    word=reduced_words,
+)
+@settings(max_examples=100)
+@example(point=SYMMETRIC, mc=ATLAS_MULTICURVES[0], base=BASE, radius=0.9, angle=0.3, on_leaf=True, word="AB")
+@example(
+    point=TeichPoint.from_xy(3.0, 40.0), mc=ATLAS_MULTICURVES[3], base=BASE, radius=1.0 - 1e-6, angle=2.0, on_leaf=False,
+    word="aB",
+)
+@example(
+    point=TeichPoint.from_xy(20.0, 3.0), mc=ATLAS_MULTICURVES[2], base=BASE, radius=0.999, angle=4.0, on_leaf=True, word="B"
+)
+def test_float_rows_give_the_array_form_results_bit_for_bit(point, mc, base, radius, angle, on_leaf, word):
+    group = build_punctured_torus(point)
+    z = radius * np.array([math.cos(angle), math.sin(angle)])
+    crossed = _bits(lambda: _array_segment_crossings(group, mc, base, z)[2])
+    if on_leaf and isinstance(crossed, bytes) and crossed:
+        # A point of the first leaf crossed: the height and the development take the pullback.
+        z = base + np.frombuffer(crossed)[0] * (z - base)
+    hp = BendingContext(group, mc, base, HP)
+    assert _bits(lambda: psi_lambda(hp, z)) == _bits(lambda: _array_height(hp, z))
+    for tag, sign, scale in ((HP, 1.0, 1.0), (HP, -1.0, 0.7), (HYP, 1.0, 0.3), (ADS, -1.0, 0.3)):
+        ctx = BendingContext(group, mc, base, tag, sign, scale)
+        assert _bits(lambda: bending_map(ctx, z)) == _bits(lambda: _array_bending_map(ctx, z)), tag
+    assert _bits(lambda: leaves_crossing(group, mc, base, z)) == _bits(lambda: _array_leaves_crossing(group, mc, base, z))
+    assert _bits(lambda: bent_translation(hp, word)) == _bits(lambda: _array_bent_translation(hp, word))
+    family = _bits(lambda: transition.holonomy_family(group, mc, 1.0, word, grid=FAMILY_GRID).matrices)
+    assert family == _bits(lambda: _array_holonomy_family(group, mc, 1.0, word, FAMILY_GRID))

@@ -10,6 +10,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,11 +25,12 @@ from halfpipe.cli import (
     MAX_SAMPLES,
     main,
 )
+from halfpipe.bending import BendingContext, psi_lambda
 from halfpipe.doubling import double_convex_core_pair, meridian_cone_angles
 from halfpipe.fuchsian import TeichPoint, WeightedMulticurve, build_punctured_torus, filling_advisory
 from halfpipe.geometry import HP, HYP, GeometryError
 from halfpipe.isometry import Isometry
-from halfpipe.transition import EPS_LIMIT, extrapolate_limit, holonomy_family
+from halfpipe.transition import DEFAULT_BASE_POINT, EPS_LIMIT, extrapolate_limit, holonomy_family
 
 TOL_READBACK = 1e-9
 # the first report each subcommand writes, on the config of _write_config
@@ -592,14 +594,21 @@ def test_kerckhoff_refuses_a_pair_that_does_not_fill(tmp_path, capsys, lam, mu, 
     assert f"slopes {slopes}" in err and "|ps - qr| is 0" in err
 
 
-def test_export_surface_flat_at_zero(tmp_path):
+def test_export_surface_at_zero_is_the_graph_of_psi_lambda_at_full_weight(tmp_path):
+    # t = 0 is the half-pipe limit of the rescaled surfaces.  It once bent by
+    # |t| = 0 and exported the flat disk.
     config = _write_config(tmp_path / "cfg.json")
     code, out = _run(tmp_path, "export-surface", config, "--grid", "0")
     assert code == EXIT_OK
     scene = json.loads((out / "scene.json").read_text())
     assert scene["metadata"]["geometry"] == "half_pipe"
-    assert all(v[2] == 0.0 for v in scene["vertices"])
-    assert all(p[2] == 0.0 for line in scene["polylines"] for p in line)
+    ctx = BendingContext(build_punctured_torus(TeichPoint(3.0, 3.0, 3.0)), WeightedMulticurve("A"), DEFAULT_BASE_POINT, HP)
+    samples = cli._sample_disk(np.random.default_rng(0), len(scene["vertices"]))
+    heights = [psi_lambda(ctx, z) for z in samples]
+    assert all(abs(v[2] - height) <= 1e-12 for v, height in zip(scene["vertices"], heights))
+    assert min(heights) < -0.01
+    # The leaf polylines lie on the same graph.
+    assert all(abs(p[2] - psi_lambda(ctx, p[:2])) <= 1e-12 for line in scene["polylines"] for p in line)
 
 
 def test_export_surface_negative_t_uses_ads_chart(tmp_path):

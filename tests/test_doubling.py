@@ -353,7 +353,7 @@ def test_a_segment_inside_the_collar_crosses_the_roots_axis_alone(point, word):
     except EndpointOnLeafError:
         # A collar too thin for the endpoints' Klein coordinates to resolve them off the leaf.
         assume(False)
-    assert words == [""] and sides.tolist() == [-1.0]
+    assert words == [""] and sides == [-1.0]
 
 
 def test_cone_angle_tables_make_no_leaf_query_and_no_tile_search(monkeypatch, tmp_path):

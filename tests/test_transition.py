@@ -429,7 +429,7 @@ def _oracle_family(group, mc, sign, word, grid):
             else:
                 c, s, mu2 = mpmath.mpf(1), theta / 2, mpmath.mpf(0)
             product = (mpmath.eye(2), mpmath.zeros(2))
-            for side, conjugator in zip(sides.tolist(), words):
+            for side, conjugator in zip(sides, words):
                 g, g_inverse = sl2(conjugator), sl2(conjugator[::-1].swapcase())
                 turn = (g * (c * mpmath.eye(2)) * g_inverse, g * (side * s * x) * g_inverse)
                 product = _mp_times(product, turn, mu2)

@@ -34,7 +34,7 @@ The runs, all in one process:
   extreme trace points, ABB at from_xy(3, 40) and 0.5 AAB at from_xy(20, 3),
   where the leaf atlas, built once at the hyperbolic radius ATLAS_RADIUS
   about the disk centre, reaches far into thin parts of the surface; at
-  ``--grid=0`` the surface is half-pipe and bent by |t| = 0, so flat;
+  ``--grid=0`` the surface is the half-pipe limit, bent at full weights;
 - ``export-surface`` from the base point (0.99999, 0) on the three
   RIM_SURFACES, where every leaf query leaves the leaf atlas and is answered
   from the tiling's tree path;
