@@ -53,6 +53,7 @@ from .transition import (
     EPS_LIMIT,
     extrapolate_limit,
     holonomy_family,
+    least_squares_slope,
     signed_context,
 )
 
@@ -191,6 +192,8 @@ def _words_from(cfg: dict) -> tuple[str, ...]:
     words = cfg.get("words", ["A", "B", "AB"])
     if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
         raise ConfigError("field 'words' must be a list of strings")
+    if not words:
+        raise ConfigError("field 'words' is empty: a transition report needs at least one word")
     for word in words:
         if not word or not set(word) <= set("ABab"):
             raise ConfigError(f"field 'words': {word!r} is not a nonempty word over A, B, a, b")
@@ -346,16 +349,8 @@ def cmd_double(args) -> int:
         # A grid this small is refused as too small for the slope fit (exit 3).
         if not any(t * t for t in grid):
             raise GeometryError(f"the cone-angle slope fit fails on the grid {list(grid)}: all squares underflow to 0")
-        # The least-squares slope, centred, on t / max|t| so that no square under- or overflows.
-        top = max(abs(t) for t in grid)
-        scaled = [t / top for t in grid]
-        middle = sum(scaled) / len(scaled)
-        offsets = [s - middle for s in scaled]
-        spread = sum(d * d for d in offsets)
         for angles in (hyp, ads):
-            mean = sum(angles) / len(angles)
-            slope = sum(d * (angle - mean) for d, angle in zip(offsets, angles)) / spread / top
-            slope_gaps.append(abs(slope + two_weight) / two_weight)
+            slope_gaps.append(abs(least_squares_slope(grid, angles) + two_weight) / two_weight)
     hp_gap = max(abs(angle + 2.0 * lam.weight * t) for t, angle in zip(grid, hp))
 
     buffer = io.StringIO()

@@ -192,15 +192,6 @@ def christoffel(p: int, q: int) -> str:
     return "".join(b if (i * abs(q)) // n > ((i - 1) * abs(q)) // n else a for i in range(1, n + 1))
 
 
-def _word_sl2(gens: dict[str, np.ndarray], word: str) -> np.ndarray:
-    """Left-to-right product of a word over A, B, a, b given the images of all four letters."""
-    out = _IDENTITY2
-    for ch in word:
-        out = out @ gens[ch]
-    # The shared identity is read-only; the empty word gets a copy of its own.
-    return out if word else _IDENTITY2.copy()
-
-
 def translation_length_sl2(g: np.ndarray) -> float:
     """2 arccosh(|tr|/2) for hyperbolic elements, 0 otherwise."""
     half = abs(float(np.trace(g))) / 2.0
@@ -306,11 +297,11 @@ class PuncturedTorusGroup:
     shared hyperbolic plane.  The commutator word is the cusp.
 
     A group forms the cusp's SL(2) image once, for the cusp check and the
-    tile sides.  It computes a word's Lorentz image and axis when first
-    asked for them and returns the same object after that; the arrays are
-    read-only.  So are the stacked images of the four letters
-    (``letter_images``) and the side normals of its fundamental
-    quadrilateral (``tile_sides``).  A word's Lorentz image is the adjoint
+    tile sides.  It computes a word's SL(2) product (with those of its
+    prefixes), Lorentz image and axis when first asked for them and returns
+    the same object after that; the arrays are read-only.  So are the
+    stacked images of the four letters (``letter_images``) and the side
+    normals of its fundamental quadrilateral (``tile_sides``).  A word's Lorentz image is the adjoint
     of its SL(2) product: leaf normals and translations read the one, bent
     holonomies the other.
     The group also keeps one leaf atlas per curve root (``atlas``, a tuple
@@ -329,7 +320,8 @@ class PuncturedTorusGroup:
         gen_a, gen_b = _normal_form_generators(tp.x, tp.y, tp.z)
         gens = {"A": gen_a, "B": gen_b, "a": adjugate(gen_a), "b": adjugate(gen_b)}
         object.__setattr__(self, "_sl2_gens", gens)
-        object.__setattr__(self, "_cusp", _word_sl2(gens, self.CUSP_WORD))
+        object.__setattr__(self, "_sl2", {"": _IDENTITY2})
+        object.__setattr__(self, "_cusp", self.sl2(self.CUSP_WORD))
         object.__setattr__(self, "_atlases", {})
         object.__setattr__(self, "_lorentz", {})
         object.__setattr__(self, "_axes", {})
@@ -338,9 +330,27 @@ class PuncturedTorusGroup:
         object.__setattr__(self, "_near_tiles", {})
 
     def sl2(self, word: str) -> np.ndarray:
-        if word:
+        """The word's SL(2) product, left to right from the identity; read-only and memoised with every prefix.
+
+        A new word extends its longest memoised prefix one letter at a time,
+        the products a walk from the identity takes, so the bits do not
+        depend on which words were asked for before.
+        """
+        image = self._sl2.get(word)
+        if image is None:
             _check_word(word)
-        return _word_sl2(self._sl2_gens, word)
+            memo = self._sl2
+            # The memoised prefixes of a word are those up to some length: bisect for it.
+            low, high = 0, len(word) - 1
+            while low < high:
+                middle = (low + high + 1) // 2
+                low, high = (middle, high) if word[:middle] in memo else (low, middle - 1)
+            image = memo[word[:low]]
+            for k in range(low + 1, len(word) + 1):
+                image = image @ self._sl2_gens[word[k - 1]]
+                image.flags.writeable = False
+                memo[word[:k]] = image
+        return image
 
     def lorentz(self, word: str) -> np.ndarray:
         image = self._lorentz.get(word)
@@ -566,6 +576,10 @@ def _first_word(prefix: str, root: str) -> str:
     return min(prefix[: len(prefix) - k * n], prefix[: len(prefix) - low] + powers[low : (k + 1) * n], key=_walk_order)
 
 
+# _BACKTRACK[j]: the letter that generator j cancels (A and a, B and b).
+_BACKTRACK = ((np.arange(4) + 2) % 4)[:, np.newaxis]
+
+
 # Pairings that overflow are refused below, by name, instead of warned about.
 @np.errstate(over="ignore", invalid="ignore")
 def _tiles_within(group: PuncturedTorusGroup, x: np.ndarray, radius: float) -> list[str]:
@@ -603,12 +617,10 @@ def _tiles_within(group: PuncturedTorusGroup, x: np.ndarray, radius: float) -> l
             break
         word = _join(word, GENERATOR_LETTERS[j])
         mat = mat @ gens[j]
-    # backtrack[j]: the letter that generator j cancels (A and a, B and b).
-    backtrack = ((np.arange(4) + 2) % 4)[:, np.newaxis]
     tiles = words = [word]
     mats, last, depth = mat[np.newaxis], np.array([-1]), 0
     while words:
-        allowed = last != backtrack
+        allowed = last != _BACKTRACK
         last, parent = np.nonzero(allowed)
         depth += 1
         nodes += len(last)

@@ -55,7 +55,8 @@ EPS_ROTATION = 1e-8
 EPS_PARABOLIC = 1e-7
 
 _IDENTITY = np.eye(4)[np.newaxis]
-_IDENTITY.flags.writeable = False
+_IDENTITY2 = np.eye(2)
+_IDENTITY.flags.writeable = _IDENTITY2.flags.writeable = False
 # The entries of a 4x4 matrix outside its transversal (x2, x3) block.
 _OFF_TRANSVERSAL = np.ones((4, 4), dtype=bool)
 _OFF_TRANSVERSAL[2:, 2:] = False
@@ -226,7 +227,7 @@ def model_matrix(a: np.ndarray, b: np.ndarray, mu2: float | np.ndarray) -> np.nd
     mu2 det b cancels).  A real a (b = 0) maps as sl2_to_so12 bit for bit.
     """
     mu2 = np.asarray(mu2, dtype=float)
-    blocks = sl2_to_so12(np.stack((a, b)))
+    blocks = sl2_to_so12(np.array((a, b)))
     adj = adjugate(a)
     ab, ba = adj @ b, b @ adj
     out = np.empty(a.shape[:-2] + (4, 4))
@@ -265,7 +266,7 @@ def rotation_pairs(slices: Sequence[tuple[Geometry, float, float]], normal: Sequ
     c, s, mu2 = np.array(out).reshape(-1, 3).T
     n0, n1, n2 = np.asarray(normal, dtype=float).tolist()
     x = np.array([[n1, n2 - n0], [n2 + n0, -n1]])
-    return c[:, np.newaxis, np.newaxis] * np.eye(2), s[:, np.newaxis, np.newaxis] * x, mu2
+    return c[:, np.newaxis, np.newaxis] * _IDENTITY2, s[:, np.newaxis, np.newaxis] * x, mu2
 
 
 def rotation(tag: Geometry, axis: SpacelikeGeodesicH2, angle: float) -> Isometry:

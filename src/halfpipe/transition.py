@@ -6,9 +6,11 @@ diag(1, 1, 1, 1/|t|) blows the collapse back up, and the rescaled families
 converge to half-pipe data.  This module builds those families over a fixed
 Fuchsian base (hyperbolic for t > 0, anti-de Sitter for t < 0), one stacked
 product per grid, extrapolates their limits by Neville's scheme in |t|^p with
-the leading order p read off the samples nearest 0, fits empirical convergence
-orders, and packages the diagnostics for reporting, together with the
-uniform convergence of the rescaled bent surfaces to the half-pipe surface.
+the leading order p read off the samples nearest 0, both sides in one pass,
+fits empirical convergence orders as closed-form least-squares slopes of
+log residual against log |t|, and packages the diagnostics for reporting,
+together with the uniform convergence of the rescaled bent surfaces to the
+half-pipe surface.
 """
 
 from __future__ import annotations
@@ -41,8 +43,6 @@ class InsufficientGridError(GeometryError):
     """Too few grid values: a family needs one, extrapolation three on each side."""
 
 
-# A norm that overflows is refused below, by its t, instead of warned about.
-@np.errstate(over="ignore")
 def normalized_projective(m: np.ndarray, ts: list[float] | None = None) -> np.ndarray:
     """Scale a matrix to a canonical representative of its projective class.
 
@@ -60,9 +60,11 @@ def normalized_projective(m: np.ndarray, ts: list[float] | None = None) -> np.nd
     # Written so that a NaN divisor counts as weak too.
     weak = ~(np.abs(divisor) > 1e-8 * scale)
     if weak.any():
-        for i in np.ndindex(divisor.shape):
-            if weak[i]:
-                divisor[i] = np.linalg.norm(m[i])
+        # A norm that overflows is refused below, by its t, instead of warned about.
+        with np.errstate(over="ignore"):
+            for i in np.ndindex(divisor.shape):
+                if weak[i]:
+                    divisor[i] = np.linalg.norm(m[i])
         if not np.isfinite(divisor).all():
             where = "" if ts is None else f" at t = {[ts[i] for i in np.flatnonzero(~np.isfinite(divisor))]}"
             raise GeometryError(f"the Frobenius norm of the matrix{where} is not finite")
@@ -184,25 +186,48 @@ def richardson_limit(samples, order: float = 1.0) -> np.ndarray:
     if not (order > 0.0 and math.isfinite(order)):
         raise GeometryError(f"the error order must be positive and finite; got {order!r}")
     (t1, m1), (t2, m2) = pairs[0], pairs[1]
-    if abs(t1) ** order == abs(t2) ** order:
+    w1, w2 = abs(t1) ** order, abs(t2) ** order
+    if w1 == w2:
         raise GeometryError(
             f"the two samples of smallest |t|, {abs(t1)!r} and {abs(t2)!r}, have equal weights |t|^{order!r}"
         )
-    return _richardson_step(t1, m1, t2, m2, order)
+    return _richardson_step(w1, m1, w2, m2)
 
 
-def _richardson_step(t1: float, m1: np.ndarray, t2: float, m2: np.ndarray, order: float) -> np.ndarray:
-    """(|t2|^p m1 - |t1|^p m2) / (|t2|^p - |t1|^p) for the order p: exact for m(t) = m0 + |t|^p m1."""
-    w1, w2 = abs(t1) ** order, abs(t2) ** order
+def _richardson_step(w1, m1: np.ndarray, w2, m2: np.ndarray) -> np.ndarray:
+    """(w2 m1 - w1 m2) / (w2 - w1) for the weights w = |t|^p: exact for m(t) = m0 + |t|^p m1; broadcasts."""
     return (w2 * m1 - w1 * m2) / (w2 - w1)
 
 
-def _fit_order(ts: np.ndarray, residuals: np.ndarray) -> float:
-    live = residuals > EPS_RESIDUAL_FLOOR
-    if np.count_nonzero(live) < 2:
+def least_squares_slope(xs, ys) -> float:
+    """The least-squares slope of ys against xs, in closed form in Python floats.
+
+    Centred on x / max|x|, so that no square under- or overflows: the sum of
+    d (y - mean y) over the sum of d^2, divided by max|x|, d the offsets of
+    x / max|x| from their mean.
+    """
+    top = max(abs(x) for x in xs)
+    scaled = [x / top for x in xs]
+    middle = sum(scaled) / len(scaled)
+    offsets = [s - middle for s in scaled]
+    mean = sum(ys) / len(ys)
+    return sum(d * (y - mean) for d, y in zip(offsets, ys)) / sum(d * d for d in offsets) / top
+
+
+def _fit_order(ts, residuals) -> float:
+    """The convergence order: the least-squares slope of log residual against log |t| over the live residuals.
+
+    A residual is live above EPS_RESIDUAL_FLOOR.  The order is infinite when
+    fewer than two are live (a family converged to rounding), and NaN when a
+    residual is not finite, which no floor can make converged.
+    """
+    if not all(math.isfinite(r) for r in residuals):
+        return math.nan
+    live = [(math.log(abs(t)), math.log(r)) for t, r in zip(ts, residuals) if r > EPS_RESIDUAL_FLOOR]
+    if len(live) < 2:
         return math.inf
-    slope = np.polyfit(np.log(ts[live]), np.log(residuals[live]), 1)[0]
-    return float(slope)
+    xs, ys = zip(*live)
+    return least_squares_slope(xs, ys)
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,9 +235,10 @@ class ConvergenceReport:
     """Extrapolated limit of a transition family with residual diagnostics.
 
     The residuals measure each grid matrix against its own side's Richardson
-    limit in the projective metric; orders are log-log slopes of residual
-    against |t| (infinite for families converged to rounding).  The headline
-    limit averages the two one-sided limits after projective normalization.
+    limit in the projective metric; orders are closed-form least-squares
+    slopes of log residual against log |t| (infinite for families converged
+    to rounding).  The headline limit averages the two one-sided limits after
+    projective normalization.
     """
 
     word: str
@@ -225,9 +251,19 @@ class ConvergenceReport:
 
 
 def extrapolate_limit(family: TransitionFamily) -> ConvergenceReport:
-    """Measured-order Neville limits per side with order and gap diagnostics."""
+    """Measured-order Neville limits of both sides in one pass, with order and gap diagnostics.
+
+    Each side's first three samples (those of smallest |t| in a family's
+    sorted grid) give its leading order p, from the ratio of consecutive
+    differences (each dominated by its larger-|t| member), and Neville's
+    scheme in |t|^p, exact for the terms of orders 0, p and 2p; a side whose
+    differences are converged to rounding takes its first sample.  Each step
+    is element-wise, so running it once over both sides, each with its own
+    weights, gives each side's limit bit for bit.  Orders are closed-form
+    log-log slopes (:func:`_fit_order`).
+    """
     grid = [float(t) for t in family.grid]
-    # One stack with the t <= 0 side first, each side in grid order, so that each side is a view of it.
+    # One stack with the t <= 0 side first, each side in grid order.
     order = sorted(range(len(grid)), key=lambda i: grid[i] > 0)
     split = sum(not t > 0 for t in grid)
     if min(split, len(grid) - split) < 3:
@@ -237,37 +273,40 @@ def extrapolate_limit(family: TransitionFamily) -> ConvergenceReport:
     if not all(finite):
         bad = [t for t, ok in zip(grid, finite) if not ok]
         raise GeometryError(f"the rescaled holonomy of {family.word!r} is not finite at t = {bad}")
-    grid, matrices = np.array(grid)[order], matrices[order]
-    normalized = normalized_projective(matrices, grid.tolist())
-    limits, orders, residuals = {}, {}, []
-    for positive, rows in ((True, slice(split, None)), (False, slice(split))):
-        ts, side = grid[rows], normalized[rows]
-        # The three samples of smallest |t|: the leading order p from the ratio
-        # of consecutive differences (each dominated by its larger-|t| member),
-        # then Neville's scheme in |t|^p, exact for the terms of orders 0, p and 2p.
-        (t1, t2, t3), (m1, m2, m3) = ts[:3].tolist(), matrices[rows][:3]
-        d1, d2 = _projective_gap(side[:2], side[1:3]).tolist()
-        if min(d1, d2) <= EPS_RESIDUAL_FLOOR:
-            limit = m1
-        else:
-            p = max(1, round(math.log(d2 / d1) / math.log(abs(t3) / abs(t2))))
-            near, far = _richardson_step(t1, m1, t2, m2, p), _richardson_step(t2, m2, t3, m3, p)
-            limit = _richardson_step(t1, near, t3, far, p)
-        limits[positive] = normalized_projective(limit)
-        res = _projective_gap(side, limits[positive])
-        orders[positive] = _fit_order(np.abs(ts), res)
-        residuals.extend(zip(ts.tolist(), res.tolist()))
-    residuals.sort(key=lambda pair: (abs(pair[0]), pair[0]))
-    a, b = limits[True], limits[False]
+    grid, matrices = [grid[i] for i in order], matrices[order]
+    normalized = normalized_projective(matrices, grid)
+    # Rows of each side's first three samples, the t <= 0 side first.
+    heads = np.array(((0, 1, 2), (split, split + 1, split + 2)))
+    firsts = normalized[heads]
+    steps = _projective_gap(firsts[:, :2], firsts[:, 1:]).tolist()
+    limits = matrices[heads[:, 0]]
+    live, weights = [], []
+    for side, ((d1, d2), row) in enumerate(zip(steps, heads.tolist())):
+        if min(d1, d2) > EPS_RESIDUAL_FLOOR:
+            t1, t2, t3 = (abs(grid[i]) for i in row)
+            p = max(1, round(math.log(d2 / d1) / math.log(t3 / t2)))
+            live.append(side)
+            weights.append((t1**p, t2**p, t3**p))
+    if live:
+        w1, w2, w3 = np.array(weights).T[:, :, np.newaxis, np.newaxis]
+        m1, m2, m3 = matrices[heads[live]].transpose(1, 0, 2, 3)
+        near, far = _richardson_step(w1, m1, w2, m2), _richardson_step(w2, m2, w3, m3)
+        limits[live] = _richardson_step(w1, near, w3, far)
+    limits = normalized_projective(limits)
+    residuals = _projective_gap(normalized, np.repeat(limits, (split, len(grid) - split), axis=0)).tolist()
+    order_negative = _fit_order(grid[:split], residuals[:split])
+    order_positive = _fit_order(grid[split:], residuals[split:])
+    pairs = sorted(zip(grid, residuals), key=lambda pair: (abs(pair[0]), pair[0]))
+    b, a = limits
     if float(np.sum(a * b)) < 0.0:
         b = -b
     return ConvergenceReport(
         word=family.word,
-        grid=tuple(t for t, _ in residuals),
-        residuals=tuple(r for _, r in residuals),
+        grid=tuple(t for t, _ in pairs),
+        residuals=tuple(r for _, r in pairs),
         limit=0.5 * (a + b),
-        order_positive=orders[True],
-        order_negative=orders[False],
+        order_positive=order_positive,
+        order_negative=order_negative,
         two_sided_gap=float(_projective_gap(a, b)),
     )
 
@@ -323,8 +362,8 @@ def pleated_surface_convergence(
         gaps = np.max(np.abs(vecs[:, 1:] / vecs[:, :1] - bending_map(hp_ctx, z).affine_chart()), axis=1)
         maxima = np.maximum(maxima, gaps)
     def side_order(positive: bool) -> float:
-        side = (np.array(ts) > 0) == positive
-        return _fit_order(np.abs(np.array(ts)[side]), maxima[side]) if np.count_nonzero(side) >= 2 else math.nan
+        side = [(t, r) for t, r in zip(ts, maxima.tolist()) if (t > 0) == positive]
+        return _fit_order(*zip(*side)) if len(side) >= 2 else math.nan
     return PleatedConvergenceReport(
         grid=ts,
         max_residuals=tuple(maxima.tolist()),

@@ -160,12 +160,13 @@ def test_each_json_document_has_its_fields_and_the_library_values(tmp_path):
     assert nulls == 2
 
 
-def test_transition_empty_word_list_passes(tmp_path):
+def test_transition_refuses_an_empty_word_list(tmp_path, capsys):
+    # An empty list would check nothing and pass with "gaps": [].
     config = _write_config(tmp_path / "cfg.json", words=[])
     code, out = _run(tmp_path, "transition", config)
-    assert code == EXIT_OK
-    summary = json.loads((out / "transition_summary.json").read_text())
-    assert summary["gaps"] == []
+    assert code == EXIT_CONFIG
+    assert "field 'words' is empty" in capsys.readouterr().err
+    assert not (out / "transition_summary.json").exists()
 
 
 def test_transition_threshold_exit(tmp_path):
@@ -463,6 +464,39 @@ def test_double_slope_gate_is_relative_to_twice_the_weight(tmp_path, monkeypatch
 
     monkeypatch.setattr(cli, "meridian_cone_angles", skewed)
     assert _run(tmp_path, "double", config, "--grid=1e300,2e300")[0] == EXIT_THRESHOLD
+
+
+def _inline_cone_slope(grid, angles):
+    """The cone-angle slope as cmd_double wrote it out before it called least_squares_slope."""
+    top = max(abs(t) for t in grid)
+    scaled = [t / top for t in grid]
+    middle = sum(scaled) / len(scaled)
+    offsets = [s - middle for s in scaled]
+    spread = sum(d * d for d in offsets)
+    mean = sum(angles) / len(angles)
+    return sum(d * (angle - mean) for d, angle in zip(offsets, angles)) / spread / top
+
+
+@pytest.mark.parametrize(
+    "weight, grid",
+    ((1.0, None), (0.8, "0.3,0.15,0.02"), (1.3, "0.01,0.2,0.05,0.013,0.4"), (1e-300, "1e300,2e300")),
+)
+def test_double_slopes_through_the_helper_equal_the_inline_formula(tmp_path, monkeypatch, weight, grid):
+    calls = []
+
+    def spy(xs, ys):
+        calls.append((tuple(xs), tuple(ys), cli_slope(xs, ys)))
+        return calls[-1][2]
+
+    cli_slope = cli.least_squares_slope
+    monkeypatch.setattr(cli, "least_squares_slope", spy)
+    config = _write_config(tmp_path / "cfg.json", multicurves={"lambda": [{"word": "AB", "weight": weight}]})
+    code, _ = _run(tmp_path, "double", config, *(() if grid is None else (f"--grid={grid}",)))
+    assert code == EXIT_OK
+    expected_grid = cli.DEFAULT_CONE_GRID if grid is None else tuple(map(float, grid.split(",")))
+    assert len(calls) == 2 and all(xs == expected_grid for xs, _, _ in calls)
+    for xs, angles, slope in calls:
+        assert repr(slope) == repr(_inline_cone_slope(xs, angles))
 
 
 def test_double_with_a_hyperbolic_bending_angle_of_pi_or_more_exits_2(tmp_path):
@@ -1015,8 +1049,8 @@ FUZZ_FIELDS = {
         st.sampled_from(["abc", [0.1], [0.1, 0.2, 0.3], [False, 0.1], [math.nan, 0.0], [math.inf, 0.0], [0.9, 0.9]]),
     ),
     "words": (
-        st.one_of(st.none(), st.lists(st.text("ABab", min_size=1, max_size=3), max_size=2)),
-        st.sampled_from(["A", [""], ["AX"], [5]]),
+        st.one_of(st.none(), st.lists(st.text("ABab", min_size=1, max_size=3), min_size=1, max_size=2)),
+        st.sampled_from(["A", [], [""], ["AX"], [5]]),
     ),
     # Never left out: the default is DEFAULT_SAMPLES, too many for a fuzz case.
     "samples": (st.sampled_from([1, 3]), st.sampled_from([0, -1, 1.5, True, "3", 10**12])),

@@ -51,7 +51,6 @@ from halfpipe.fuchsian import (
     _tile_leaves,
     _tiles_within,
     _trace_jet,
-    _word_sl2,
 )
 from halfpipe.geometry import (
     J3,
@@ -65,6 +64,14 @@ from halfpipe.isometry import adjugate, sl2_to_so12
 
 SYMMETRIC = TeichPoint(3.0, 3.0, 3.0)
 GOLDEN = (3.0 + math.sqrt(5.0)) / 2.0
+
+
+def _letter_by_letter(gens, word):
+    """The SL(2) product of a word over the letter images gens, left to right from the identity."""
+    out = np.eye(2)
+    for ch in word:
+        out = out @ gens[ch]
+    return out
 
 
 def _random_word(rng, length):
@@ -484,7 +491,7 @@ def test_trace_jets_match_the_matrix_traces(x, y, homology, conjugator, inverted
     def trace_at(q):
         gen_a, gen_b = _normal_form_generators(*q)
         gens = {"A": gen_a, "B": gen_b, "a": adjugate(gen_a), "b": adjugate(gen_b)}
-        return float(np.trace(_word_sl2(gens, letters)))
+        return float(np.trace(_letter_by_letter(gens, letters)))
 
     gradient = _fricke_gradient(p)
     normal = gradient / np.linalg.norm(gradient)
@@ -1009,6 +1016,38 @@ def test_the_largest_atlas_ball_is_searched_within_a_tenth_of_the_tile_budget(mo
     tiles = _tiles_within(group, np.zeros(2), ATLAS_RADIUS)
     assert len(tiles) == 3189 and max(map(len, tiles)) == 1594
     assert group.atlas("A")[1] == ("",)
+
+
+def test_atlas_rows_of_long_words_equal_the_letter_by_letter_products():
+    # At from_xy(2.000001, 4000.0015) the atlas of B names 3,189 leaves by
+    # words of up to 1,594 letters; sl2 extends the longest memoised prefix
+    # of each, which must give the bits of the product from the identity.
+    group = build_punctured_torus(TeichPoint.from_xy(2.000001, 4000.0015))
+    gens = group._sl2_gens
+    rows, words = group.atlas("B")
+    assert len(words) == 3189 and max(map(len, words)) == 1594
+    normal = axis_of_sl2(_letter_by_letter(gens, "B")).normal
+    longest = max(range(len(words)), key=lambda i: len(words[i]))
+    for i in np.random.default_rng(37).choice(len(words), size=50, replace=False).tolist() + [longest]:
+        expected = sl2_to_so12(_letter_by_letter(gens, words[i])) @ normal
+        assert np.array(rows[i]).tobytes() == expected.tobytes(), words[i]
+        assert group.sl2(words[i]).tobytes() == _letter_by_letter(gens, words[i]).tobytes()
+        assert not group.sl2(words[i]).flags.writeable
+
+
+def test_sl2_products_do_not_depend_on_the_words_asked_before():
+    rng = np.random.default_rng(38)
+    words = [_random_word(rng, int(n)) for n in rng.integers(1, 40, size=60)]
+    words += [w[: len(w) // 2] for w in words[:20]] + [w + "A" for w in words[:10]]
+    shared = build_punctured_torus(SYMMETRIC)
+    gens = shared._sl2_gens
+    for word in words:
+        assert shared.sl2(word).tobytes() == _letter_by_letter(gens, word).tobytes(), word
+        assert shared.sl2(word) is shared.sl2(word)
+    assert shared.sl2("").tobytes() == np.eye(2).tobytes() and not shared.sl2("").flags.writeable
+    with pytest.raises(BadWordError):
+        shared.sl2("AxB")
+    assert not any("x" in word for word in shared._sl2)
 
 
 def _first_word_by_powers(prefix, root):

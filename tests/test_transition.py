@@ -1,5 +1,6 @@
 """Tests for rescaled holonomy families and their half-pipe limits."""
 
+import itertools
 import math
 import warnings
 
@@ -30,11 +31,15 @@ from halfpipe.geometry import (
 from halfpipe.isometry import reflection, rescale_conjugate, rotation
 from halfpipe.transition import (
     DEFAULT_GRID,
+    EPS_RESIDUAL_FLOOR,
     InsufficientGridError,
     TransitionFamily,
+    _fit_order,
+    _projective_gap,
     direct_hp_matrix,
     extrapolate_limit,
     holonomy_family,
+    least_squares_slope,
     normalized_projective,
     pleated_surface_convergence,
     projective_distance,
@@ -178,6 +183,116 @@ def test_richardson_limit_with_known_order():
         for grid, smallest in (((1e-1, -1e-1), "0.1"), (DEFAULT_GRID, "0.0001")):
             with pytest.raises(GeometryError, match=rf"\|t\|, {smallest} and {smallest},"):
                 richardson_limit([(t, m + t * t * k) for t in grid], order=2.0)
+
+
+# 2 to 8 values spread out: consecutive ones at least 0.2 apart, in shuffled order.
+spread_xs = st.tuples(st.floats(-30.0, 5.0), st.lists(st.floats(0.2, 3.0), min_size=1, max_size=7)).flatmap(
+    lambda pair: st.permutations(list(itertools.accumulate(pair[1], initial=pair[0])))
+)
+
+
+@given(
+    xs=spread_xs,
+    slope=st.floats(0.5, 4.0) | st.floats(-4.0, -0.5),
+    intercept=st.floats(-40.0, 40.0),
+    noise=st.lists(st.floats(-0.1, 0.1), min_size=8, max_size=8),
+)
+def test_least_squares_slope_matches_polyfit(xs, slope, intercept, noise):
+    ys = [slope * x + intercept + e for x, e in zip(xs, noise)]
+    assert least_squares_slope(xs, ys) == pytest.approx(float(np.polyfit(xs, ys, 1)[0]), rel=1e-13, abs=0.0)
+
+
+def test_fit_order_is_infinite_below_the_floor_and_nan_for_a_residual_that_is_not_finite():
+    ts = (1e-4, 1e-3, 1e-2, 1e-1)
+    assert _fit_order(ts, (1e-8, 1e-7, 1e-6, 1e-5)) == pytest.approx(1.0, rel=1e-13)
+    assert _fit_order([-t for t in ts], (1e-8, 1e-7, 1e-6, 1e-5)) == pytest.approx(1.0, rel=1e-13)
+    floor = EPS_RESIDUAL_FLOOR
+    for residuals in ((0.0, 0.0, 0.0, 0.0), (floor, floor, floor, 1e-5), (0.0, 1e-20, 1e-16, 1e-3)):
+        assert _fit_order(ts, residuals) == math.inf, residuals
+    # A NaN residual used to be read as converged, and left a finite order
+    # or an infinite one; an infinite one gave NaN.
+    for residuals in (
+        (math.nan, 1e-7, 1e-6, 1e-5),
+        (math.nan, 0.0, 0.0, 1e-5),
+        (math.nan, math.nan, math.nan, math.nan),
+        (math.inf, 1e-7, 1e-6, 1e-5),
+        (1e-8, 1e-7, 1e-6, -math.inf),
+    ):
+        assert math.isnan(_fit_order(ts, residuals)), residuals
+
+
+def _per_side_limits(family):
+    """The limit, residuals and two-sided gap of extrapolate_limit as its loop over the sides computed them."""
+    grid = [float(t) for t in family.grid]
+    order = sorted(range(len(grid)), key=lambda i: grid[i] > 0)
+    split = sum(not t > 0 for t in grid)
+    matrices = np.asarray(family.matrices, dtype=float)
+    grid, matrices = np.array(grid)[order], matrices[order]
+    normalized = normalized_projective(matrices, grid.tolist())
+
+    def step(t1, m1, t2, m2, p):
+        w1, w2 = abs(t1) ** p, abs(t2) ** p
+        return (w2 * m1 - w1 * m2) / (w2 - w1)
+
+    limits, residuals = {}, []
+    for positive, rows in ((True, slice(split, None)), (False, slice(split))):
+        ts, side = grid[rows], normalized[rows]
+        (t1, t2, t3), (m1, m2, m3) = ts[:3].tolist(), matrices[rows][:3]
+        d1, d2 = _projective_gap(side[:2], side[1:3]).tolist()
+        if min(d1, d2) <= EPS_RESIDUAL_FLOOR:
+            limit = m1
+        else:
+            p = max(1, round(math.log(d2 / d1) / math.log(abs(t3) / abs(t2))))
+            limit = step(t1, step(t1, m1, t2, m2, p), t3, step(t2, m2, t3, m3, p), p)
+        limits[positive] = normalized_projective(limit)
+        residuals.extend(zip(ts.tolist(), _projective_gap(side, limits[positive]).tolist()))
+    residuals.sort(key=lambda pair: (abs(pair[0]), pair[0]))
+    a, b = limits[True], limits[False]
+    if float(np.sum(a * b)) < 0.0:
+        b = -b
+    return 0.5 * (a + b), tuple(r for _, r in residuals), float(_projective_gap(a, b))
+
+
+def _assert_one_pass_equals_the_per_side_loop(family):
+    report = extrapolate_limit(family)
+    limit, residuals, gap = _per_side_limits(family)
+    assert report.limit.tobytes() == limit.tobytes()
+    assert repr(report.residuals) == repr(residuals)
+    assert repr(report.two_sided_gap) == repr(gap)
+
+
+@pytest.mark.parametrize(
+    "point, mc, words",
+    (
+        (SYMMETRIC, WeightedMulticurve.single("A"), ("A", "B", "AB", "bAbb")),
+        (TeichPoint.from_xy(20.0, 3.0), WeightedMulticurve.single("AAB", 0.5), ("AAb", "B", "abAB")),
+        (TeichPoint.from_xy(3.0, 40.0), WeightedMulticurve.single("ABB"), ("abAB", "A", "Ab")),
+    ),
+    ids=("A@(3,3,3)", "0.5AAB@xy(20,3)", "ABB@xy(3,40)"),
+)
+def test_one_neville_pass_equals_the_loop_over_the_sides_bit_for_bit(point, mc, words):
+    group = build_punctured_torus(point)
+    rng = np.random.default_rng(41)
+    grids = [DEFAULT_GRID]
+    for _ in range(4):
+        sides = [sign * rng.uniform(1e-4, 0.3, size=int(rng.integers(3, 6))) for sign in (1.0, -1.0)]
+        grids.append(tuple(rng.permutation(np.concatenate(sides)).tolist()))
+    for word in words:
+        for grid in grids:
+            family = holonomy_family(group, mc, 1.0, word, grid=grid)
+            _assert_one_pass_equals_the_per_side_loop(family)
+            # The family's own grid unsorted: each side reads its first three samples in grid order.
+            shuffle = rng.permutation(len(family.grid))
+            _assert_one_pass_equals_the_per_side_loop(
+                TransitionFamily(word, tuple(family.grid[i] for i in shuffle), family.matrices[shuffle])
+            )
+    # One side converged to rounding, which takes its first sample, and one that is not.
+    m, n = _hp_shaped(rng), rng.normal(size=(4, 4))
+    grid = tuple(sorted(DEFAULT_GRID, key=lambda t: (abs(t), t)))
+    for scale in (1e-13, 1.0):
+        _assert_one_pass_equals_the_per_side_loop(
+            TransitionFamily("w", grid, np.array([m + t * (1e-13 if t > 0 else scale) * n for t in grid]))
+        )
 
 
 def test_projective_normalization_branches():

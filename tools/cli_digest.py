@@ -52,8 +52,9 @@ The runs, all in one process:
 - all four subcommands on two multicurves that are not one simple closed
   curve, 0.7 AABB and A + 0.5 B (two entries), which exit 2;
 - on the first small configuration, all four subcommands with ``--seed=-3``,
-  ``export-surface`` with 10**12 samples and ``transition`` at each of the
-  BAD_BASE_POINTS, which exit 2;
+  ``export-surface`` with 10**12 samples, ``transition`` at each of the
+  BAD_BASE_POINTS and ``transition`` on the empty word list ``"words": []``
+  (a run that would check nothing); each exits 2;
 - ``export-surface`` of λ = A at (3,3,3) from the base point
   (0.9999999999999999, 0), where the side pairings of the tiles about the
   base point overflow (exit 3);
@@ -307,6 +308,7 @@ def runs(workloads, teich_point):
     for base in BAD_BASE_POINTS:
         cfg = dict(small_cfgs["test-cli"], base_point=base)
         yield f"refused/base_point={json.dumps(base)}/transition", "transition", cfg, ()
+    yield "refused/words=[]/transition", "transition", dict(small_cfgs["test-cli"], words=[]), ()
     cfg = dict(_config((3.0, 3.0, 3.0), **{"lambda": [("A", 1.0)]}), base_point=[0.9999999999999999, 0.0])
     yield "refused/overflow/export-surface", "export-surface", cfg, ()
     cfg = _config((3.0, 3.0, 3.0), **{"lambda": [(LONG_CURVE, 1.0)], "mu": [("B", 1.0)]})
