@@ -35,10 +35,10 @@ from halfpipe.geometry import (
     HP,
     Geometry,
     GeometryError,
-    OutsideModelError,
     Plane,
     ProjectivePoint,
     TagMismatchError,
+    disk_point,
     embed_h2_point,
 )
 from halfpipe.isometry import (
@@ -52,16 +52,6 @@ from halfpipe.isometry import (
 # Inward pullback (as a fraction of the chord) used to evaluate a bending
 # cocycle at a point lying on a leaf from the basepoint side.
 PULLBACK = 1e-6
-
-
-def _base_point(base_point) -> np.ndarray:
-    """A basepoint as a read-only array of shape (2,); OutsideModelError unless it lies in the open disk."""
-    z = np.array(base_point, dtype=float).reshape(2)
-    # Written so that a NaN basepoint fails too.
-    if not float(z @ z) < 1.0:
-        raise OutsideModelError("the basepoint must lie in the open disk")
-    z.flags.writeable = False
-    return z
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,7 +71,7 @@ class BendingContext:
     multicurve : WeightedMulticurve
         The bending locus with its weights.
     base_point : array of shape (2,)
-        Disk coordinates of the basepoint x0.
+        Disk coordinates of the basepoint x0, in the open disk; stored read-only.
     tag : Geometry
         Which of the three models the bending lives in.
     sign : float
@@ -98,7 +88,10 @@ class BendingContext:
     scale: float = 1.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "base_point", _base_point(self.base_point))
+        base_point = np.array(self.base_point, dtype=float).reshape(2)
+        disk_point(base_point, "the basepoint")
+        base_point.flags.writeable = False
+        object.__setattr__(self, "base_point", base_point)
         if not isinstance(self.group, PuncturedTorusGroup):
             raise GeometryError(f"group must be a PuncturedTorusGroup, not {self.group!r}")
         if not isinstance(self.multicurve, WeightedMulticurve):
@@ -246,8 +239,7 @@ def bending_map(ctx: BendingContext, x: np.ndarray) -> ProjectivePoint:
     x = np.asarray(x, dtype=float).reshape(2)
     if ctx.tag is HP:
         height = _height(ctx, x)  # first, as its crossings refuse a point off the open disk, NaN too
-        x1, x2 = x.tolist()  # lifted to (1, x) / sqrt(1 - |x|^2) with disk_lift's sum and quotients
-        root = math.sqrt(1.0 - (x1 * x1 + x2 * x2))
+        x1, x2, root = disk_point(x)  # lifted to (1, x) / sqrt(1 - |x|^2) with disk_lift's sum and quotients
         return ProjectivePoint((1.0 / root, x1 / root, x2 / root, height * (1.0 / root)), HP)
     return _context_product(ctx, _crossings_to(ctx, x), "").apply(embed_h2_point(ctx.tag, x))
 

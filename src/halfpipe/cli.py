@@ -37,7 +37,6 @@ from .bending import BendingContext, bending_map
 from .doubling import meridian_cone_angles
 from .fuchsian import (
     KERCKHOFF_GRADIENT_TOL,
-    BadTracesError,
     PuncturedTorusGroup,
     TeichPoint,
     WeightedMulticurve,
@@ -46,7 +45,7 @@ from .fuchsian import (
     kerckhoff_point,
     segment_crossings,
 )
-from .geometry import ADS, HP, HYP, Geometry, GeometryError, SpacelikeGeodesicH2, form_eval
+from .geometry import ADS, HP, HYP, Geometry, GeometryError, SpacelikeGeodesicH2, disk_point, form_eval
 from .transition import (
     DEFAULT_BASE_POINT,
     DEFAULT_GRID,
@@ -116,30 +115,28 @@ def _group_from_config(cfg: dict) -> PuncturedTorusGroup:
     has_gens = "generators" in cfg
     if has_traces == has_gens:
         raise ConfigError("config needs exactly one of the fields 'traces' or 'generators'")
+    field = "traces" if has_traces else "generators"
     if has_traces:
         traces = _numbers("traces", cfg["traces"])
         if not (isinstance(traces, list) and len(traces) == 3):
             raise ConfigError("field 'traces' must be a list of three numbers")
+    else:
+        gens = _numbers("generators", cfg["generators"])
         try:
-            return build_punctured_torus(TeichPoint(*map(float, traces)))
+            a, b = (np.asarray(g, dtype=float).reshape(2, 2) for g in gens)
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"field 'traces': {exc}") from exc
-    gens = _numbers("generators", cfg["generators"])
+            raise ConfigError(f"field 'generators' must hold two 2x2 matrices: {exc}") from exc
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise ConfigError(f"field 'generators' must hold finite numbers; got {[a.tolist(), b.tolist()]}")
+        dets = np.linalg.det(np.stack((a, b)))
+        # Written so that a NaN determinant fails too.
+        if not np.all(np.abs(dets - 1.0) <= 1e-9):
+            raise ConfigError(f"field 'generators' must have determinant 1; got {dets.tolist()}")
+        traces = (float(np.trace(a)), float(np.trace(b)), float(np.trace(a @ b)))
     try:
-        a, b = (np.asarray(g, dtype=float).reshape(2, 2) for g in gens)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"field 'generators' must hold two 2x2 matrices: {exc}") from exc
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ConfigError(f"field 'generators' must hold finite numbers; got {[a.tolist(), b.tolist()]}")
-    dets = np.linalg.det(np.stack((a, b)))
-    # Written so that a NaN determinant fails too.
-    if not np.all(np.abs(dets - 1.0) <= 1e-9):
-        raise ConfigError(f"field 'generators' must have determinant 1; got {dets.tolist()}")
-    traces = (float(np.trace(a)), float(np.trace(b)), float(np.trace(a @ b)))
-    try:
-        return build_punctured_torus(TeichPoint(*traces))
-    except BadTracesError as exc:
-        raise ConfigError(f"field 'generators': {exc}") from exc
+        return build_punctured_torus(TeichPoint(*map(float, traces)))
+    except (TypeError, ValueError) as exc:  # BadTracesError is a ValueError
+        raise ConfigError(f"field '{field}': {exc}") from exc
 
 
 def _multicurve_from_config(cfg: dict, key: str) -> WeightedMulticurve:
@@ -181,10 +178,9 @@ def _grid_from(args, cfg: dict, default) -> tuple[float, ...]:
 def _base_point_from(cfg: dict) -> np.ndarray:
     try:
         base = np.asarray(_numbers("base_point", cfg.get("base_point", DEFAULT_BASE_POINT)), dtype=float).reshape(2)
+        disk_point(base)  # its OutsideModelError is a ValueError
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"field 'base_point' must hold two numbers: {exc}") from exc
-    if not float(base @ base) < 1.0:
-        raise ConfigError("field 'base_point' must be a finite point of the open unit disk")
+        raise ConfigError(f"field 'base_point' must hold two numbers of the open unit disk: {exc}") from exc
     return base
 
 
@@ -260,14 +256,11 @@ def _write_json(outdir: Path, name: str, doc: dict) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands.
+# Subcommands, each given the arguments, the config, its group and lambda, which main reads in that order.
 # ---------------------------------------------------------------------------
 
 
-def cmd_transition(args) -> int:
-    cfg = _load_config(args.config)
-    group = _group_from_config(cfg)
-    lam = _multicurve_from_config(cfg, "lambda")
+def cmd_transition(args, cfg: dict, group: PuncturedTorusGroup, lam: WeightedMulticurve) -> int:
     grid = _grid_from(args, cfg, DEFAULT_GRID)
     _check_transition_grid(grid)
     words = _words_from(cfg)
@@ -304,10 +297,7 @@ def cmd_transition(args) -> int:
     return EXIT_OK if all(g < tol for g in gaps) else EXIT_THRESHOLD
 
 
-def cmd_kerckhoff(args) -> int:
-    cfg = _load_config(args.config)
-    group = _group_from_config(cfg)
-    lam = _multicurve_from_config(cfg, "lambda")
+def cmd_kerckhoff(args, cfg: dict, group: PuncturedTorusGroup, lam: WeightedMulticurve) -> int:
     mu = _multicurve_from_config(cfg, "mu")
     advisory = filling_advisory(lam, mu)
     if advisory is not None:
@@ -328,10 +318,8 @@ def cmd_kerckhoff(args) -> int:
     return EXIT_OK
 
 
-def cmd_double(args) -> int:
-    cfg = _load_config(args.config)
-    _group_from_config(cfg)  # validated, though the table does not depend on the traces
-    lam = _multicurve_from_config(cfg, "lambda")
+def cmd_double(args, cfg: dict, group: PuncturedTorusGroup, lam: WeightedMulticurve) -> int:
+    # The group is validated, though the table does not depend on the traces.
     grid = _grid_from(args, cfg, DEFAULT_CONE_GRID)
     _check_cone_grid(grid, lam)
     slope_tol = args.tol if args.tol is not None else EPS_SLOPE
@@ -387,10 +375,7 @@ def _leaf_polyline(ctx: BendingContext, leaf, tol: float) -> list:
     return points
 
 
-def cmd_export_surface(args) -> int:
-    cfg = _load_config(args.config)
-    group = _group_from_config(cfg)
-    lam = _multicurve_from_config(cfg, "lambda")
+def cmd_export_surface(args, cfg: dict, group: PuncturedTorusGroup, lam: WeightedMulticurve) -> int:
     grid = _grid_from(args, cfg, (0.1,))
     if len(grid) != 1:
         raise ConfigError(f"export-surface takes one grid value; got {list(grid)}")
@@ -483,7 +468,8 @@ def main(argv=None) -> int:
             raise ConfigError(f"--tol must be a finite positive number; got {args.tol!r}")
         if args.seed < 0:
             raise ConfigError(f"--seed must be a non-negative integer; got {args.seed}")
-        return args.handler(args)
+        cfg = _load_config(args.config)
+        return args.handler(args, cfg, _group_from_config(cfg), _multicurve_from_config(cfg, "lambda"))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -198,8 +198,9 @@ def meridian_cone_angles(multicurve: WeightedMulticurve, slices: Sequence[tuple[
     P0): no group and no basepoint enter.  r(P0) is diag(1, 1, 1, -1) in
     every model, and the covector of C(near, far) . P0 is row 3 of C(far,
     near), so the table is one stacked computation, slice by slice that of
-    one context.  No slices, a slice tag that is not a Geometry, a non-finite
-    scale and a hyperbolic |theta| >= pi raise GeometryError.
+    one context.  No slices, a slice tag that is not a Geometry, a theta that
+    is not finite (:func:`rotation_pairs`) and a hyperbolic |theta| >= pi
+    raise GeometryError.
 
     The closed form above is what criterion 09, the slope gates of the
     ``double`` command and the benchmark's ``double`` checks compare the
@@ -214,8 +215,6 @@ def meridian_cone_angles(multicurve: WeightedMulticurve, slices: Sequence[tuple[
     for tag, s in slices:
         if not isinstance(tag, Geometry):
             raise GeometryError(f"slice tag must be a Geometry, not {tag!r}")
-        if not math.isfinite(s):
-            raise GeometryError(f"scale {s!r} is not finite")
         if tag is HYP and abs(s * weight) >= math.pi:
             raise GeometryError(f"hyperbolic bending angle {s * weight!r} must stay below pi")
     far_to_near = model_matrix(*rotation_pairs([(tag, -(s * weight), 1.0) for tag, s in slices], (0.0, 0.0, 1.0)))

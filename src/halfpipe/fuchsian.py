@@ -52,9 +52,9 @@ import numpy as np
 from halfpipe.geometry import (
     J3,
     GeometryError,
-    OutsideModelError,
     SpacelikeGeodesicH2,
     disk_lift,
+    disk_point,
     radial_project,
 )
 from halfpipe.isometry import adjugate, sl2_to_so12, traceless_coords
@@ -133,7 +133,6 @@ class NoConvergenceError(GeometryError):
 
 _IDENTITY2, _IDENTITY3 = np.eye(2), np.eye(3)
 _IDENTITY2.flags.writeable = _IDENTITY3.flags.writeable = False
-_IDENTITY_ROWS = _IDENTITY3.tolist()
 
 
 def _check_word(word: str) -> str:
@@ -296,12 +295,14 @@ class PuncturedTorusGroup:
     SL2 matrices, and through the adjoint to Lorentz matrices acting on the
     shared hyperbolic plane.  The commutator word is the cusp.
 
-    A group forms the cusp's SL(2) image once, for the cusp check and the
-    tile sides.  It computes a word's SL(2) product (with those of its
-    prefixes), Lorentz image and axis when first asked for them and returns
-    the same object after that; the arrays are read-only.  So are the
-    stacked images of the four letters (``letter_images``) and the side
-    normals of its fundamental quadrilateral (``tile_sides``).  A word's Lorentz image is the adjoint
+    A group forms the cusp's SL(2) image once, for the tile sides and the
+    cusp check, which refuses the traces (BadTracesError) unless the cusp
+    trace + 2, a Fricke defect, is within the Fricke bound.  It computes a
+    word's SL(2) product (with those of its prefixes), Lorentz image and
+    axis when first asked for them and returns the same object after that;
+    the arrays are read-only.  So are the stacked Lorentz images of the four
+    letters (``letter_images``) and the side normals of its fundamental
+    quadrilateral (``tile_sides``).  A word's Lorentz image is the adjoint
     of its SL(2) product: leaf normals and translations read the one, bent
     holonomies the other.
     The group also keeps one leaf atlas per curve root (``atlas``, a tuple
@@ -322,6 +323,9 @@ class PuncturedTorusGroup:
         object.__setattr__(self, "_sl2_gens", gens)
         object.__setattr__(self, "_sl2", {"": _IDENTITY2})
         object.__setattr__(self, "_cusp", self.sl2(self.CUSP_WORD))
+        trace = self.cusp_trace()
+        if not abs(trace + 2.0) <= _fricke_bound(tp.x, tp.y, tp.z):
+            raise BadTracesError(f"constructed group fails the cusp trace check: cusp trace {trace!r}, not -2")
         object.__setattr__(self, "_atlases", {})
         object.__setattr__(self, "_lorentz", {})
         object.__setattr__(self, "_axes", {})
@@ -361,13 +365,11 @@ class PuncturedTorusGroup:
         return image
 
     def letter_images(self) -> np.ndarray:
-        """The Lorentz images of A, B, a and b, stacked in that order, from one stacked adjoint."""
+        """The Lorentz images of A, B, a and b (``lorentz``), stacked in that order."""
         if self._letters is None:
-            images = sl2_to_so12(np.stack([self.sl2(ch) for ch in GENERATOR_LETTERS]))
+            images = np.stack([self.lorentz(ch) for ch in GENERATOR_LETTERS])
             images.flags.writeable = False
             object.__setattr__(self, "_letters", images)
-            for ch, image in zip(GENERATOR_LETTERS, images):
-                self._lorentz.setdefault(ch, image)
         return self._letters
 
     def axis(self, word: str) -> SpacelikeGeodesicH2:
@@ -444,12 +446,8 @@ class PuncturedTorusGroup:
 
 
 def build_punctured_torus(tp: TeichPoint) -> PuncturedTorusGroup:
-    """The normal-form group at a trace point; its cusp trace + 2, a Fricke defect, is held to the Fricke bound."""
-    group = PuncturedTorusGroup(tp)
-    trace = group.cusp_trace()
-    if not abs(trace + 2.0) <= _fricke_bound(tp.x, tp.y, tp.z):
-        raise BadTracesError(f"constructed group fails the cusp trace check: cusp trace {trace!r}, not -2")
-    return group
+    """The normal-form group at a trace point, ``PuncturedTorusGroup(tp)`` with its cusp trace check."""
+    return PuncturedTorusGroup(tp)
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +491,7 @@ class WeightedMulticurve:
 
     @property
     def components(self) -> tuple["WeightedMulticurve"]:
-        """``(self,)``.  Only ``perfbench/`` reads it; ROADMAP item 4's change to the benchmark removes it."""
+        """``(self,)``.  Only ``perfbench/`` reads it; ROADMAP item 2's change to the benchmark removes it."""
         return (self,)
 
 
@@ -678,10 +676,8 @@ def segment_crossings(group: PuncturedTorusGroup, mc: WeightedMulticurve, x: np.
     """
     x = np.asarray(x, dtype=float).reshape(2)
     y = np.asarray(y, dtype=float).reshape(2)
-    squares = [u * u + v * v for u, v in (x.tolist(), y.tolist())]
-    if not (squares[0] < 1.0 and squares[1] < 1.0):  # written so that a NaN endpoint fails too
-        raise OutsideModelError("disk point must satisfy |z| < 1")
-    if math.acosh(1.0 / math.sqrt(1.0 - max(squares))) <= ATLAS_RADIUS:
+    # The end farther from the disk centre has the smaller root sqrt(1 - |z|^2).
+    if math.acosh(1.0 / min(disk_point(x)[2], disk_point(y)[2])) <= ATLAS_RADIUS:
         leaves = group.atlas(mc.root)
     else:
         near, far = group.tiles_near(x), _tiles_within(group, y, 0.0)
@@ -709,9 +705,7 @@ def holonomy_segment_crossings(
         _check_word(word)
     reduced = free_reduce(word)
     far = radial_project(group.lorentz(reduced) @ disk_lift(x0))
-    u, v = far.tolist()
-    if not u * u + v * v < 1.0:
-        raise OutsideModelError(f"disk point must satisfy |z| < 1: {word!r} . x0 has |z|^2 = {u * u + v * v!r}")
+    disk_point(far, f"{word!r} . x0")
     near = group.tiles_near(x0)
     return _crossings(_tile_leaves(group, mc.root, {*near, *_tree_path(near[0], _join(reduced, near[0]))}), x0, far)
 
@@ -721,10 +715,8 @@ def _crossings(leaves: Leaves, x: np.ndarray, y: np.ndarray) -> Crossings:
     rows, words = leaves
     # Affine pairings are sign- and root-compatible with the lifted ones;
     # the lift rescaling only matters for the endpoint-distance tolerance.
-    # |z|^2 as float products of the coordinates, as segment_crossings reads it.
-    (x1, x2), (y1, y2) = x.tolist(), y.tolist()
-    scale0 = 1.0 / math.sqrt(1.0 - (x1 * x1 + x2 * x2))
-    scale1 = 1.0 / math.sqrt(1.0 - (y1 * y1 + y2 * y2))
+    (x1, x2, root0), (y1, y2, root1) = disk_point(x), disk_point(y)
+    scale0, scale1 = 1.0 / root0, 1.0 / root1
     # In Python floats, a leaf at a time: a segment meets a few leaves, too few to pay for
     # numpy's per-call cost, and Python floats overflow to inf and NaN without a warning.
     hits = []
@@ -800,8 +792,7 @@ def _tangent_basis(gradient: np.ndarray, square: float) -> np.ndarray:
     norm = math.sqrt(square)
     normal = n0, n1, n2 = tuple(g / norm for g in gradient.tolist())
     k = min(range(3), key=lambda i: abs(normal[i]))
-    along = float(_IDENTITY3[k] @ np.array(normal))
-    t1 = np.array([e - along * c for e, c in zip(_IDENTITY_ROWS[k], normal)])
+    t1 = np.array([float(i == k) - normal[k] * c for i, c in enumerate(normal)])
     length = math.sqrt(float(t1 @ t1))
     u0, u1, u2 = (c / length for c in t1.tolist())
     # n x t1, written out: the products and differences np.cross takes, at a fraction of its set-up.
@@ -922,8 +913,11 @@ def kerckhoff_point(
     filling advisory.  Raises NoConvergenceError when a curve is not
     hyperbolic or overflows at the start (reported with an infinite gradient
     norm after 0 steps), or when the final projected gradient is not below
-    ``gradient_tol``, as for a pair with no minimum.
+    ``gradient_tol``, as for a pair with no minimum, and GeometryError at
+    once for a ``gradient_tol`` that is not finite and positive.
     """
+    if not 0.0 < gradient_tol < math.inf:  # written so that NaN fails too
+        raise GeometryError(f"the gradient tolerance must be finite and positive; got {gradient_tol!r}")
     terms = [(mc.weight, word_homology(mc.word)) for mc in (lam, mu)]
     p = init.as_array()
     objective, basis, grad, hess, grad_norm = _reduced_model(terms, p)

@@ -216,19 +216,28 @@ class Plane:
 # ---------------------------------------------------------------------------
 
 
+def disk_point(z: np.ndarray, name: str | None = None) -> tuple[float, float, float]:
+    """(z1, z2, sqrt(1 - |z|^2)) of a Klein disk point, a float array of shape (2,), in Python floats.
+
+    |z|^2 is the float sum z1 * z1 + z2 * z2.  Raises OutsideModelError,
+    naming the point (or ``name``) and |z|^2, for |z| >= 1 or a NaN coordinate.
+    """
+    z1, z2 = z.tolist()
+    r2 = z1 * z1 + z2 * z2
+    if not r2 < 1.0:  # written so that NaN fails too
+        raise OutsideModelError(f"disk point must satisfy |z| < 1: {name or [z1, z2]} has |z|^2 = {r2!r}")
+    return z1, z2, math.sqrt(1.0 - r2)
+
+
 def disk_lift(z: np.ndarray) -> np.ndarray:
     """Hyperboloid lift (1, z)/sqrt(1-|z|^2) of a Klein disk point; broadcasts."""
     z = np.asarray(z, dtype=float)
     if z.shape == (2,):
         # One point, in floats: the same sum and quotients as the stacked form.
-        z1, z2 = z.tolist()
-        r2 = z1 * z1 + z2 * z2
-        if r2 >= 1.0:
-            raise OutsideModelError("disk point must satisfy |z| < 1")
-        root = math.sqrt(1.0 - r2)
+        z1, z2, root = disk_point(z)
         return np.array((1.0 / root, z1 / root, z2 / root))
     r2 = np.sum(z * z, axis=-1)
-    if np.any(r2 >= 1.0):
+    if not np.all(r2 < 1.0):  # written so that NaN fails too
         raise OutsideModelError("disk point must satisfy |z| < 1")
     w = np.concatenate((np.ones(z.shape[:-1] + (1,)), z), axis=-1)
     return w / np.sqrt(1.0 - r2)[..., None]

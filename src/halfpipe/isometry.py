@@ -138,27 +138,19 @@ class Isometry:
 # ---------------------------------------------------------------------------
 
 
-def boost_to_origin(u: np.ndarray) -> np.ndarray:
-    """The SO0(1,2) matrix taking a unit timelike u (u0 > 0) to (1,0,0).
+def boost_from_origin(u: np.ndarray) -> np.ndarray:
+    """The symmetric SO0(1,2) matrix taking (1,0,0) to a unit timelike u (u0 > 0); deterministic in u.
 
-    Inverse of the symmetric boost e0 -> u; deterministic in u.
+    Its inverse, taking u to (1,0,0), is J3 B^T J3.
     """
     u = np.asarray(u, dtype=float).reshape(3)
-    b = -u[1:]
+    b = u[1:]
     out = np.eye(3)
     out[0, 0] = u[0]
     out[0, 1:] = b
     out[1:, 0] = b
     out[1:, 1:] += np.outer(b, b) / (1.0 + u[0])
     return out
-
-
-def boost_from_origin(u: np.ndarray) -> np.ndarray:
-    """The SO0(1,2) matrix taking (1,0,0) to a unit timelike u (u0 > 0)."""
-    flipped = boost_to_origin(u)
-    flipped[0, 1:] *= -1.0
-    flipped[1:, 0] *= -1.0
-    return flipped
 
 
 def h2_rotation(angle: float) -> np.ndarray:
@@ -248,10 +240,13 @@ def rotation_pairs(slices: Sequence[tuple[Geometry, float, float]], normal: Sequ
 
     One entry per slice (tag, angle, lam), conjugated by diag(1, 1, 1, 1/lam):
     (c, s / lam) and mu2 = -s lam^2 from the module docstring's table.  Raises
-    RotationOverflowError for an anti-de Sitter angle whose cosh overflows.
+    GeometryError for an angle that is not finite, and RotationOverflowError
+    for an anti-de Sitter angle whose cosh overflows.
     """
     out = []
     for tag, angle, lam in slices:
+        if not math.isfinite(angle):
+            raise GeometryError(f"rotation angle {angle!r} is not finite")
         half = angle / 2.0
         if tag is HYP:
             out.append((math.cos(half), math.sin(half) / lam, -lam * lam))

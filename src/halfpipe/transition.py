@@ -113,6 +113,8 @@ def _checked_grid(grid, weight: float) -> tuple[float, ...]:
     ts = tuple(float(t) for t in grid)
     if not ts:
         raise InsufficientGridError("grid is empty: a family needs at least one nonzero t")
+    if not all(math.isfinite(t) for t in ts):
+        raise GeometryError(f"grid values must be finite; got {list(ts)}")
     if any(t == 0.0 for t in ts):
         raise GeometryError("grid values must be nonzero")
     if len(set(ts)) != len(ts):
@@ -176,12 +178,15 @@ def richardson_limit(samples, order: float = 1.0) -> np.ndarray:
     (|t2|^p m(t1) - |t1|^p m(t2)) / (|t2|^p - |t1|^p).  The default p = 1
     handles generic families; pass the fitted order when it is known to be
     higher (rescaled families are often even in t).  Raises GeometryError
-    for an order that is not positive and finite, and when the two samples
-    of smallest |t| weigh the same, as the two sides of a signed grid do.
+    for a t or an order that is not finite, an order that is not positive,
+    and when the two samples of smallest |t| weigh the same, as the two sides
+    of a signed grid do.
     """
     pairs = sorted(((float(t), np.asarray(m, dtype=float)) for t, m in samples), key=lambda p: abs(p[0]))
     if len(pairs) < 2:
         raise InsufficientGridError("Richardson extrapolation needs at least two samples")
+    if not all(math.isfinite(t) for t, _ in pairs):
+        raise GeometryError(f"sample parameters must be finite; got t = {[t for t, _ in pairs]}")
     # Written so that a NaN order fails too.
     if not (order > 0.0 and math.isfinite(order)):
         raise GeometryError(f"the error order must be positive and finite; got {order!r}")
@@ -204,8 +209,11 @@ def least_squares_slope(xs, ys) -> float:
 
     Centred on x / max|x|, so that no square under- or overflows: the sum of
     d (y - mean y) over the sum of d^2, divided by max|x|, d the offsets of
-    x / max|x| from their mean.
+    x / max|x| from their mean.  Raises GeometryError for fewer than two
+    distinct x, which fix no slope.
     """
+    if len(set(xs)) < 2:
+        raise GeometryError(f"a least-squares slope needs at least two distinct x; got {list(xs)}")
     top = max(abs(x) for x in xs)
     scaled = [x / top for x in xs]
     middle = sum(scaled) / len(scaled)
@@ -319,11 +327,7 @@ def direct_hp_matrix(
     base_point=DEFAULT_BASE_POINT,
 ) -> np.ndarray:
     """The word's holonomy in the half-pipe model at full weights."""
-    base = np.asarray(base_point, dtype=float).reshape(2)
-    ctx = BendingContext(
-        group=group, multicurve=multicurve, base_point=base, tag=HP, sign=sign, scale=1.0
-    )
-    return bent_holonomy(ctx)(word).matrix
+    return bent_holonomy(signed_context(group, multicurve, base_point, sign, 0.0))(word).matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -353,7 +357,7 @@ def pleated_surface_convergence(
     product.  Reports the per-t maxima and the log-log order on each side.
     """
     ts = _checked_grid(grid, float(multicurve.weight))
-    hp_ctx = BendingContext(group=group, multicurve=multicurve, base_point=base_point, tag=HP, sign=sign, scale=1.0)
+    hp_ctx = signed_context(group, multicurve, base_point, sign, 0.0)
     slices = [(geometry_of(t), sign * t, abs(t)) for t in ts]
     maxima = np.zeros(len(ts))
     for z in samples:

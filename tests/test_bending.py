@@ -127,6 +127,27 @@ def test_context_validation():
     assert not _context(HP, scale=0.3).base_point.flags.writeable
 
 
+@pytest.mark.parametrize("point", [(math.nan, 0.0), (0.0, math.nan), (1.0, 0.0), (0.8, 0.8)])
+@pytest.mark.parametrize(
+    "entry",
+    ["disk_lift", "stacked disk_lift", "segment_crossings", "segment_crossings from", "holonomy_segment_crossings",
+     "psi_lambda", "bending_map"],
+)
+def test_each_disk_entry_point_refuses_nan_and_the_rim(entry, point):
+    ctx, z = _context(HP), np.array(point)
+    calls = {
+        "disk_lift": lambda: disk_lift(z),
+        "stacked disk_lift": lambda: disk_lift(np.stack([BASE, z])),
+        "segment_crossings": lambda: segment_crossings(ctx.group, ctx.multicurve, BASE, z),
+        "segment_crossings from": lambda: segment_crossings(ctx.group, ctx.multicurve, z, BASE),
+        "holonomy_segment_crossings": lambda: holonomy_segment_crossings(ctx.group, ctx.multicurve, z, "B"),
+        "psi_lambda": lambda: psi_lambda(ctx, z),
+        "bending_map": lambda: bending_map(ctx, z),
+    }
+    with pytest.raises(OutsideModelError, match=r"\|z\| < 1"):
+        calls[entry]()
+
+
 def test_context_refuses_a_tag_that_is_not_a_geometry():
     group = build_punctured_torus(SYMMETRIC)
     mc = WeightedMulticurve.single("A")

@@ -223,6 +223,15 @@ def test_meridian_validation():
             meridian_cone_angles(ctx.multicurve, [(HP, 0.1), (tag, 0.1)])
 
 
+@pytest.mark.parametrize("scale", [math.inf, -math.inf, math.nan])
+def test_meridian_cone_angles_refuse_a_scale_that_is_not_finite(scale):
+    for tag in (HYP, ADS, HP):
+        with pytest.raises(GeometryError):
+            meridian_cone_angles(WeightedMulticurve.single("A"), [(HP, 0.1), (tag, scale)])
+    with pytest.raises(GeometryError, match="rotation angle -inf is not finite"):
+        meridian_cone_angles(WeightedMulticurve.single("A", 1e300), [(ADS, 1e10)])
+
+
 def _double_config(path, traces=(3.0, 3.0, 3.0), word="A", weight=1.0, base_point=None):
     cfg = {"traces": list(traces), "multicurves": {"lambda": [{"word": word, "weight": weight}]}}
     if base_point is not None:

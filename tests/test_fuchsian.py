@@ -166,6 +166,13 @@ def test_no_convergence_error_reports_its_numbers(monkeypatch):
         assert info.value.gradient_norm > 1e-7 and 0 < info.value.steps <= 50
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0, 0.0])
+def test_kerckhoff_point_refuses_a_gradient_tolerance_that_is_not_finite_and_positive(tol):
+    lam, mu = WeightedMulticurve.single("A"), WeightedMulticurve.single("B")
+    with pytest.raises(GeometryError, match=r"gradient tolerance must be finite and positive; got"):
+        kerckhoff_point(lam, mu, SYMMETRIC, gradient_tol=tol)
+
+
 def test_adjoint_representation_is_a_lorentz_homomorphism():
     rng = np.random.default_rng(5)
     group = build_punctured_torus(SYMMETRIC)
@@ -298,6 +305,19 @@ def test_cusp_trace_error_carries_the_cusp_trace(monkeypatch):
         monkeypatch.setattr(PuncturedTorusGroup, "cusp_trace", lambda self, trace=trace: trace)
         with pytest.raises(BadTracesError, match=rf"fails the cusp trace check: cusp trace {shown}"):
             build_punctured_torus(SYMMETRIC)
+
+
+def test_the_class_constructor_refuses_the_points_build_punctured_torus_refuses(monkeypatch):
+    reducible = TeichPoint.from_xy(47142.68083613981, 388276.28952950606, "plus")
+    for build in (PuncturedTorusGroup, build_punctured_torus):
+        with pytest.raises(BadTracesError, match=r"generators are reducible; .*, ps - 1 = -3\.404e-05"):
+            build(reducible)
+        assert build(SYMMETRIC).cusp_trace() == build_punctured_torus(SYMMETRIC).cusp_trace()
+    for trace, shown in ((-2.0 - 1e-6, r"-2\.000001"), (math.nan, "nan")):
+        monkeypatch.setattr(PuncturedTorusGroup, "cusp_trace", lambda self, trace=trace: trace)
+        for build in (PuncturedTorusGroup, build_punctured_torus):
+            with pytest.raises(BadTracesError, match=rf"fails the cusp trace check: cusp trace {shown}"):
+                build(SYMMETRIC)
 
 
 def test_cusp_trace_is_held_to_the_fricke_bound():
@@ -1100,10 +1120,14 @@ def test_stacked_letter_images_equal_each_letters_adjoint_bit_for_bit(point, wor
     group = build_punctured_torus(point)
     images = group.letter_images()
     assert images.shape == (4, 3, 3) and not images.flags.writeable
+    # A group whose letters' Lorentz images are asked for before the stack.
+    lorentz_first = build_punctured_torus(point)
     for image, letter in zip(images, "ABab"):
         g = group.sl2(letter)
         assert image.tobytes() == sl2_to_so12(g).tobytes() == _adjoint_by_basis(g).tobytes(), letter
         assert group.lorentz(letter).tobytes() == image.tobytes(), letter
+        assert np.array_equal(lorentz_first.lorentz(letter), image), letter
+    assert np.array_equal(lorentz_first.letter_images(), images)
     g = group.sl2(word)
     assert sl2_to_so12(g).tobytes() == _adjoint_by_basis(g).tobytes()
 

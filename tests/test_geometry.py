@@ -22,6 +22,7 @@ from halfpipe.geometry import (
     ZeroVectorError,
     classify_point,
     disk_lift,
+    disk_point,
     embed_h2_vector,
     form_eval,
     klein_hp,
@@ -227,6 +228,26 @@ def test_one_point_lift_equals_the_stacked_form_bit_for_bit(z):
     assert disk_lift(z).tobytes() == _numpy_disk_lift(z).tobytes()
     assert disk_lift(z).tobytes() == disk_lift(z[np.newaxis])[0].tobytes()
     assert disk_lift(np.stack([z, z[::-1]])).tobytes() == _numpy_disk_lift(np.stack([z, z[::-1]])).tobytes()
+
+
+def test_disk_point_gives_python_floats_and_names_a_point_off_the_disk():
+    z1, z2, root = disk_point(np.array([0.3, -0.4]))
+    assert (z1, z2, root) == (0.3, -0.4, math.sqrt(1.0 - (0.3 * 0.3 + -0.4 * -0.4)))
+    assert {type(c) for c in (z1, z2, root)} == {float}
+    with pytest.raises(OutsideModelError, match=r"\|z\| < 1: \[0\.0, 1\.5\] has \|z\|\^2 = 2\.25"):
+        disk_point(np.array([0.0, 1.5]))
+    with pytest.raises(OutsideModelError, match=r"\|z\| < 1: the far end has \|z\|\^2 = nan"):
+        disk_point(np.array([math.nan, 0.0]), "the far end")
+
+
+# Coordinates of points of the open disk, |z|^2 <= 0.98, with zeros of both signs among them.
+disk_coordinates = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5]), st.floats(-0.7, 0.7))
+
+
+@given(x=st.tuples(disk_coordinates, disk_coordinates), y=st.tuples(disk_coordinates, disk_coordinates))
+def test_the_smaller_disk_root_is_that_of_the_larger_square_bit_for_bit(x, y):
+    squares = [u * u + v * v for u, v in (x, y)]
+    assert min(disk_point(np.array(x))[2], disk_point(np.array(y))[2]) == math.sqrt(1.0 - max(squares))
 
 
 @given(rows=arrays(np.float64, st.tuples(st.integers(1, 5), st.just(4)), elements=coordinates))

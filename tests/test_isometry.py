@@ -15,6 +15,7 @@ from halfpipe.geometry import (
     HYP,
     J3,
     DegeneratePlaneError,
+    GeometryError,
     NotSpacelikeError,
     Plane,
     ProjectivePoint,
@@ -29,7 +30,6 @@ from halfpipe.isometry import (
     RotationOverflowError,
     adjugate,
     boost_from_origin,
-    boost_to_origin,
     classify_isometry,
     embed_h2,
     embed_h2_isometry,
@@ -502,9 +502,39 @@ def test_boost_round_trip():
     for _ in range(10):
         u = np.concatenate(([0.0], rng.normal(size=2)))
         u[0] = math.sqrt(1.0 + u[1] ** 2 + u[2] ** 2)
-        assert np.allclose(boost_to_origin(u) @ u, [1.0, 0.0, 0.0], atol=1e-12)
-        assert np.allclose(boost_from_origin(u) @ np.array([1.0, 0.0, 0.0]), u, atol=1e-12)
-        assert np.allclose(boost_from_origin(u) @ boost_to_origin(u), np.eye(3), atol=1e-12)
+        boost = boost_from_origin(u)
+        inverse = J3 @ boost.T @ J3
+        assert np.allclose(inverse @ u, [1.0, 0.0, 0.0], atol=1e-12)
+        assert np.allclose(boost @ np.array([1.0, 0.0, 0.0]), u, atol=1e-12)
+        assert np.allclose(boost @ inverse, np.eye(3), atol=1e-12)
+
+
+def _boost_by_inverting_signs(u):
+    """boost_from_origin as it was once formed: the boost taking u to (1,0,0), with row 0 and column 0 negated."""
+    u = np.asarray(u, dtype=float).reshape(3)
+    b = -u[1:]
+    out = np.eye(3)
+    out[0, 0] = u[0]
+    out[0, 1:] = b
+    out[1:, 0] = b
+    out[1:, 1:] += np.outer(b, b) / (1.0 + u[0])
+    out[0, 1:] *= -1.0
+    out[1:, 0] *= -1.0
+    return out
+
+
+@given(u1=st.floats(-1e3, 1e3), u2=st.floats(-1e3, 1e3))
+def test_boost_from_origin_equals_the_sign_flipped_inverse_boost_bit_for_bit(u1, u2):
+    for v1, v2 in ((u1, u2), (0.0, -0.0), (-0.0, u2)):
+        u = np.array([math.sqrt(1.0 + v1 * v1 + v2 * v2), v1, v2])
+        assert boost_from_origin(u).tobytes() == _boost_by_inverting_signs(u).tobytes()
+
+
+@pytest.mark.parametrize("tag", TAGS)
+@pytest.mark.parametrize("angle", [math.inf, -math.inf, math.nan])
+def test_rotation_refuses_an_angle_that_is_not_finite(tag, angle):
+    with pytest.raises(GeometryError, match="not finite"):
+        rotation(tag, STANDARD_AXIS, angle)
 
 
 def test_group_residual_flags_wrong_tag():

@@ -102,6 +102,17 @@ def test_grid_validation_rejects_zero_and_duplicates():
         holonomy_family(_group(), _lamination(), 1.0, "B", grid=(1e-2, 1e-2, -1e-2))
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("build", ["holonomy_family", "pleated_surface_convergence"])
+def test_grid_values_that_are_not_finite_are_refused_by_name(build, bad):
+    grid = (bad, 0.1, 0.01, -0.1, -0.01, -0.001)
+    with pytest.raises(GeometryError, match=rf"grid values must be finite; got \[{bad!r}, 0\.1, "):
+        if build == "holonomy_family":
+            holonomy_family(_group(), _lamination(), 1.0, "B", grid=grid)
+        else:
+            pleated_surface_convergence(_group(), _lamination(), 1.0, [(0.1, 0.2)], grid=grid)
+
+
 def test_an_empty_grid_is_refused_as_insufficient():
     with pytest.raises(InsufficientGridError, match="grid is empty"):
         holonomy_family(_group(), _lamination(), 1.0, "B", grid=[])
@@ -183,6 +194,19 @@ def test_richardson_limit_with_known_order():
         for grid, smallest in (((1e-1, -1e-1), "0.1"), (DEFAULT_GRID, "0.0001")):
             with pytest.raises(GeometryError, match=rf"\|t\|, {smallest} and {smallest},"):
                 richardson_limit([(t, m + t * t * k) for t in grid], order=2.0)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_richardson_limit_refuses_a_parameter_that_is_not_finite(bad):
+    m = np.eye(4)
+    with pytest.raises(GeometryError, match=r"sample parameters must be finite"):
+        richardson_limit([(bad, m), (0.1, 2.0 * m)], order=2.0)
+
+
+@pytest.mark.parametrize("xs", [(1.0,), (2.0, 2.0), (0.0, 0.0, 0.0)])
+def test_least_squares_slope_needs_two_distinct_x(xs):
+    with pytest.raises(GeometryError, match=r"at least two distinct x"):
+        least_squares_slope(xs, [1.0] * len(xs))
 
 
 # 2 to 8 values spread out: consecutive ones at least 0.2 apart, in shuffled order.

@@ -19,7 +19,7 @@ The runs, all in one process:
   values of TRANSITION_GRIDS, which reach the per-value branches of the
   stacked holonomy product: an uneven, unsorted grid, hyperbolic angles
   past pi, an anti-de Sitter rotation that overflows (exit 3), and too few
-  values per side (exit 3);
+  values per side (exit 2, a grid the config alone rules out);
 - ``transition`` on the first small configuration for each of the words of
   NON_REDUCED_WORDS, which are not freely reduced;
 - on the first small configuration, the runs of TINY_GRIDS, whose grid

@@ -9,8 +9,9 @@ One process runs, under ``sys.setprofile``:
 It then prints every function and method defined in ``src/halfpipe``, nested
 ones included, that none of them entered, one ``path:first-last  name`` line
 each (the span counts decorators), and last the number of those functions
-and of their lines.  Progress and the outcome of each stage go to stderr.  It
-takes no options:
+and of their lines, with the line count of ``src/halfpipe/*.py`` as ``wc -l``
+gives it.  Progress and the outcome of each stage go to stderr.  It takes no
+options:
 
     python3 tools/unreached.py
 """
@@ -104,7 +105,9 @@ def main() -> int:
                 print(f"{path.relative_to(HERE)}:{first}-{last}  {name}")
                 count += 1
                 lines += last - first + 1
-    print(f"{count} functions, {lines} lines not entered")
+    # Newlines, as wc -l counts them.
+    total = sum(path.read_bytes().count(b"\n") for path in SRC.glob("*.py"))
+    print(f"{count} functions, {lines} lines not entered; src/halfpipe has {total} lines")
     return 0
 
 
