@@ -32,6 +32,7 @@ from halfpipe.fuchsian import (
     segment_crossings,
 )
 from halfpipe.geometry import (
+    ADS,
     HP,
     Geometry,
     GeometryError,
@@ -47,11 +48,16 @@ from halfpipe.isometry import (
     identity_stack,
     model_matrix,
     rotation_pairs,
+    split_model_matrix,
 )
 
 # Inward pullback (as a fraction of the chord) used to evaluate a bending
 # cocycle at a point lying on a leaf from the basepoint side.
 PULLBACK = 1e-6
+
+# From this anti-de Sitter angle, 2 asinh(1), a turn is held as its factors a +- m b in SL(2, R) x SL(2, R): their
+# difference, of size sinh(angle / 2), reaches 1, while products of a and m b cancel more the larger the angles.
+SPLIT_ANGLE = 2.0 * math.asinh(1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,7 +126,11 @@ def _bracketed_product(
     SL(2) image of v.  Telescoped, the product is turns about axis(r) joined
     by the SL(2) images of the relative conjugator words, moderate when the
     closing word matches the far end of the segment, held in the regular
-    representation [[a, mu^2 b], [b, a]] and mapped to 4x4 once.
+    representation [[a, mu^2 b], [b, a]] and mapped to 4x4 once.  A slice
+    whose turns are anti-de Sitter ones by SPLIT_ANGLE or more is held as
+    diag(a + m b, a - m b), m^2 = mu^2, instead, and mapped by
+    :func:`~halfpipe.isometry.split_model_matrix`: there a and m b grow
+    alike and nearly cancel, which their factors in SL(2, R) x SL(2, R) do not.
     """
     _, sides, _, words = crossings
     angles = [(tag, scale * float(multicurve.weight), lam) for tag, scale, lam in slices]
@@ -128,12 +138,18 @@ def _bracketed_product(
     # A product that turns about no leaf has b = 0, which every mu^2 maps alike.
     mu2, previous = np.zeros(len(angles)), ""
     crossed = list(zip(sides, words)) if any(angle for _, angle, _ in angles) else []
+    split = [tag is ADS and abs(angle) >= SPLIT_ANGLE for tag, angle, _ in angles] if crossed else []
     if crossed:
         a, b, mu2 = rotation_pairs(angles, group.axis(multicurve.root).normal)
-        # The regular representations [[a, side mu^2 b], [side b, a]] of the turns on sides +1 and -1.
+        # The regular representations [[a, side mu^2 b], [side b, a]] of the turns on sides +1 and -1,
+        # or diag(a + side m b, a - side m b) for the split slices.
         even, odd = np.zeros((2, len(angles), 4, 4))
         even[:, :2, :2] = even[:, 2:, 2:] = a
         odd[:, 2:, :2], odd[:, :2, 2:] = b, mu2[:, np.newaxis, np.newaxis] * b
+        if any(split):
+            mb = np.sqrt(mu2[split])[:, np.newaxis, np.newaxis] * b[split]
+            odd[split] = 0.0
+            odd[split, :2, :2], odd[split, 2:, 2:] = mb, -mb
         turns = {1.0: even + odd, -1.0: even - odd}
     for side, word in [*crossed, (0.0, closing_word)]:
         step = free_reduce(invert_word(previous) + word)
@@ -142,7 +158,10 @@ def _bracketed_product(
         if side:
             out = out @ turns[side]
         previous = word
-    return model_matrix(out[:, :2, :2], out[:, 2:, :2], mu2)
+    matrices = model_matrix(out[:, :2, :2], out[:, 2:, :2], mu2)
+    if any(split):
+        matrices[split] = split_model_matrix(out[split, :2, :2], out[split, 2:, 2:], mu2[split])
+    return matrices
 
 
 def _context_product(ctx: BendingContext, crossings: Crossings, closing_word: str) -> Isometry:

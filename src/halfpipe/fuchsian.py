@@ -49,15 +49,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from halfpipe.geometry import (
-    J3,
-    GeometryError,
-    SpacelikeGeodesicH2,
-    disk_lift,
-    disk_point,
-    radial_project,
-)
-from halfpipe.isometry import adjugate, sl2_to_so12, traceless_coords
+from halfpipe.geometry import GeometryError, SpacelikeGeodesicH2, disk_point
+from halfpipe.isometry import adjoint_rows
 
 # |x^2 + y^2 + z^2 - xyz| accepted as "on the relation variety": at most EPS_FRICKE while the terms
 # x^2 + y^2 + z^2 + |xyz| stay below about 5.6e5, and EPS_FRICKE_RELATIVE times the terms past them.
@@ -131,8 +124,9 @@ class NoConvergenceError(GeometryError):
 # Words in the free group on A, B, and their images in SL(2, R).
 # ---------------------------------------------------------------------------
 
-_IDENTITY2, _IDENTITY3 = np.eye(2), np.eye(3)
-_IDENTITY2.flags.writeable = _IDENTITY3.flags.writeable = False
+# A 2x2 matrix [[a, b], [c, d]] is held as its entries (a, b, c, d), a 3x3 one as its rows, in Python floats.
+SL2 = tuple[float, float, float, float]
+Rows = tuple[tuple[float, float, float], tuple[float, float, float], tuple[float, float, float]]
 
 
 def _check_word(word: str) -> str:
@@ -191,24 +185,26 @@ def christoffel(p: int, q: int) -> str:
     return "".join(b if (i * abs(q)) // n > ((i - 1) * abs(q)) // n else a for i in range(1, n + 1))
 
 
-def translation_length_sl2(g: np.ndarray) -> float:
-    """2 arccosh(|tr|/2) for hyperbolic elements, 0 otherwise."""
-    half = abs(float(np.trace(g))) / 2.0
+def translation_length_sl2(g) -> float:
+    """2 arccosh(|tr|/2) for hyperbolic elements, 0 otherwise; g is a 2x2 matrix, an array or rows ((a, b), (c, d))."""
+    (a, _), (_, d) = g
+    half = abs(a + d) / 2.0
     return 2.0 * math.acosh(half) if half > 1.0 else 0.0
 
 
-def axis_of_sl2(g: np.ndarray) -> SpacelikeGeodesicH2:
-    """The oriented axis of a hyperbolic element, repelling to attracting.
+def axis_of_sl2(g) -> SpacelikeGeodesicH2:
+    """The oriented axis of a hyperbolic 2x2 matrix (as for :func:`translation_length_sl2`), repelling to attracting.
 
-    The normal is the suitably scaled trace-free part of g; the left-normal
-    convention makes the attracting ideal endpoint the forward one.
+    The normal is the trace-free part of g, in the coordinates of
+    :func:`~halfpipe.isometry.adjoint_rows`, signed by the trace; the
+    left-normal convention makes the attracting ideal endpoint the forward one.
     """
-    g = np.asarray(g, dtype=float)
-    tr = float(np.trace(g))
+    (a, b), (c, d) = g
+    tr = a + d
     if abs(tr) <= 2.0 + 1e-9:
         raise NotHyperbolicError(f"axis needs |trace| > 2; got {tr:.6f}")
-    eta = traceless_coords(g - (tr / 2.0) * np.eye(2))
-    return SpacelikeGeodesicH2(eta * math.copysign(1.0, tr))
+    sign = math.copysign(1.0, tr)
+    return SpacelikeGeodesicH2(((c - b) / 2.0 * sign, (a - tr / 2.0) * sign, (c + b) / 2.0 * sign))
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +266,10 @@ class TeichPoint:
         return np.array([self.x, self.y, self.z])
 
 
-def _normal_form_generators(x: float, y: float, z: float) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic SL2 pair with traces (x, y, z): A diagonal, B[1,0] > 0."""
+def _normal_form_generators(x: float, y: float, z: float) -> tuple[SL2, SL2]:
+    """Deterministic SL2 pair with traces (x, y, z), as entries (a, b, c, d): A diagonal, B's c > 0."""
     lam = (x + math.sqrt(x * x - 4.0)) / 2.0
-    gen_a = np.diag([lam, 1.0 / lam])
+    gen_a = (lam, 0.0, 0.0, 1.0 / lam)
     p = (z - y / lam) / (lam - 1.0 / lam)
     s = y - p
     ps = p * s
@@ -283,8 +279,7 @@ def _normal_form_generators(x: float, y: float, z: float) -> tuple[np.ndarray, n
             f"generators are reducible; traces do not give a cusped torus: ({x!r}, {y!r}, {z!r}), ps - 1 = {ps - 1.0:.3e}"
         )
     q = r = math.sqrt(ps - 1.0)
-    gen_b = np.array([[p, q], [r, s]])
-    return gen_a, gen_b
+    return gen_a, (p, q, r, s)
 
 
 @dataclass(frozen=True)
@@ -295,16 +290,15 @@ class PuncturedTorusGroup:
     SL2 matrices, and through the adjoint to Lorentz matrices acting on the
     shared hyperbolic plane.  The commutator word is the cusp.
 
-    A group forms the cusp's SL(2) image once, for the tile sides and the
+    The group works in Python floats: a word's SL(2) product is its entries
+    (a, b, c, d) (``entries``) and its Lorentz image the rows of their
+    adjoint (``rows``, :func:`~halfpipe.isometry.adjoint_rows`), each
+    computed when first asked for and memoised, with the word's axis.
+    ``sl2`` and ``lorentz`` build read-only arrays of them on each call.  The
+    group forms the cusp's entries once, for the tile sides (``tile_sides``,
+    the side normals of its fundamental quadrilateral as float rows) and the
     cusp check, which refuses the traces (BadTracesError) unless the cusp
-    trace + 2, a Fricke defect, is within the Fricke bound.  It computes a
-    word's SL(2) product (with those of its prefixes), Lorentz image and
-    axis when first asked for them and returns the same object after that;
-    the arrays are read-only.  So are the stacked Lorentz images of the four
-    letters (``letter_images``) and the side normals of its fundamental
-    quadrilateral (``tile_sides``).  A word's Lorentz image is the adjoint
-    of its SL(2) product: leaf normals and translations read the one, bent
-    holonomies the other.
+    trace + 2, a Fricke defect, is within the Fricke bound.
     The group also keeps one leaf atlas per curve root (``atlas``, a tuple
     of float rows and one of words) and the tiles near the start of each
     tree path (``tiles_near``), but not near its far end, which is often
@@ -319,26 +313,26 @@ class PuncturedTorusGroup:
     def __post_init__(self) -> None:
         tp = self.trace_point
         gen_a, gen_b = _normal_form_generators(tp.x, tp.y, tp.z)
-        gens = {"A": gen_a, "B": gen_b, "a": adjugate(gen_a), "b": adjugate(gen_b)}
-        object.__setattr__(self, "_sl2_gens", gens)
-        object.__setattr__(self, "_sl2", {"": _IDENTITY2})
-        object.__setattr__(self, "_cusp", self.sl2(self.CUSP_WORD))
+        (a, b, c, d), (p, q, r, s) = gen_a, gen_b
+        # The inverse of a determinant-one (a, b, c, d) is its adjugate (d, -b, -c, a).
+        object.__setattr__(self, "_sl2_gens", {"A": gen_a, "B": gen_b, "a": (d, -b, -c, a), "b": (s, -q, -r, p)})
+        object.__setattr__(self, "_sl2", {"": (1.0, 0.0, 0.0, 1.0)})
+        object.__setattr__(self, "_cusp", self.entries(self.CUSP_WORD))
         trace = self.cusp_trace()
         if not abs(trace + 2.0) <= _fricke_bound(tp.x, tp.y, tp.z):
             raise BadTracesError(f"constructed group fails the cusp trace check: cusp trace {trace!r}, not -2")
         object.__setattr__(self, "_atlases", {})
         object.__setattr__(self, "_lorentz", {})
         object.__setattr__(self, "_axes", {})
-        object.__setattr__(self, "_letters", None)
         object.__setattr__(self, "_sides", None)
         object.__setattr__(self, "_near_tiles", {})
 
-    def sl2(self, word: str) -> np.ndarray:
-        """The word's SL(2) product, left to right from the identity; read-only and memoised with every prefix.
+    def entries(self, word: str) -> SL2:
+        """The word's SL(2) product (a, b, c, d), left to right from the identity; memoised with every prefix.
 
         A new word extends its longest memoised prefix one letter at a time,
-        the products a walk from the identity takes, so the bits do not
-        depend on which words were asked for before.
+        one 2x2 product in floats each, the products a walk from the identity
+        takes, so the bits do not depend on which words were asked for before.
         """
         image = self._sl2.get(word)
         if image is None:
@@ -351,66 +345,69 @@ class PuncturedTorusGroup:
                 low, high = (middle, high) if word[:middle] in memo else (low, middle - 1)
             image = memo[word[:low]]
             for k in range(low + 1, len(word) + 1):
-                image = image @ self._sl2_gens[word[k - 1]]
-                image.flags.writeable = False
-                memo[word[:k]] = image
+                (a, b, c, d), (e, f, g, h) = image, self._sl2_gens[word[k - 1]]
+                image = memo[word[:k]] = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
         return image
+
+    def sl2(self, word: str) -> np.ndarray:
+        """The word's SL(2) product (``entries``) as a read-only 2x2 array."""
+        a, b, c, d = self.entries(word)
+        image = np.array(((a, b), (c, d)))
+        image.flags.writeable = False
+        return image
+
+    def rows(self, word: str) -> Rows:
+        """The rows of the word's Lorentz image, the adjoint of its SL(2) product; memoised."""
+        rows = self._lorentz.get(word)
+        if rows is None:
+            rows = self._lorentz[word] = adjoint_rows(*self.entries(word))
+        return rows
 
     def lorentz(self, word: str) -> np.ndarray:
-        image = self._lorentz.get(word)
-        if image is None:
-            image = sl2_to_so12(self.sl2(word))
-            image.flags.writeable = False
-            self._lorentz[word] = image
+        """The word's Lorentz image (``rows``) as a read-only 3x3 array."""
+        image = np.array(self.rows(word))
+        image.flags.writeable = False
         return image
-
-    def letter_images(self) -> np.ndarray:
-        """The Lorentz images of A, B, a and b (``lorentz``), stacked in that order."""
-        if self._letters is None:
-            images = np.stack([self.lorentz(ch) for ch in GENERATOR_LETTERS])
-            images.flags.writeable = False
-            object.__setattr__(self, "_letters", images)
-        return self._letters
 
     def axis(self, word: str) -> SpacelikeGeodesicH2:
         axis = self._axes.get(word)
         if axis is None:
-            axis = self._axes[word] = axis_of_sl2(self.sl2(word))
+            a, b, c, d = self.entries(word)
+            axis = self._axes[word] = axis_of_sl2(((a, b), (c, d)))
         return axis
 
-    def tile_sides(self) -> np.ndarray:
-        """Inward unit normals, as columns, of the sides of the ideal quadrilateral Q.
+    def tile_sides(self) -> tuple[tuple[float, float, float], ...]:
+        """Inward unit normals, as float rows, of the sides of the ideal quadrilateral Q.
 
         Q has the vertices p, a.p, ba.p and Aba.p, p the cusp's fixed point.
-        Column g (in the order A, B, a, b) is the side Q shares with g.Q.
+        Normal g (in the order A, B, a, b) is that of the side Q shares with g.Q.
         """
         if self._sides is None:
             # The cusp fixes the column space of its matrix plus the identity (rank
             # one); a vector v there maps to the null vector of v (v2, -v1).  The
             # column with the largest absolute sum is v; adding 0.0 writes -0.0 as +0.0.
-            (c00, c01), (c10, c11) = self._cusp.tolist()
+            c00, c01, c10, c11 = self._cusp
             shifted = ((c00 + 1.0, c10 + 0.0), (c01 + 0.0, c11 + 1.0))
             sizes = [abs(top) + abs(bottom) for top, bottom in shifted]
-            v = np.array(shifted[sizes.index(max(sizes))])
+            u, w = shifted[sizes.index(max(sizes))]
             vertices = []
             for word in ("", "a", "ba", "Aba"):
-                v1, v2 = (self.sl2(word) @ v).tolist()
+                a, b, c, d = self.entries(word)
+                v1, v2 = a * u + b * w, c * u + d * w
                 vertices.append(((v1 * v1 + v2 * v2) / 2.0, v1 * v2, (v2 * v2 - v1 * v1) / 2.0))
-            columns = []
+            sides = []
             for j in range(4):
                 # J3 (u x w) for the ends u, w, made unit and facing the other vertices.
                 (u0, u1, u2), (w0, w1, w2) = vertices[j - 1], vertices[j]
                 n0, n1, n2 = u2 * w1 - u1 * w2, u2 * w0 - u0 * w2, u0 * w1 - u1 * w0
                 p0, p1, p2 = (a + b for a, b in zip(vertices[(j + 1) % 4], vertices[(j + 2) % 4]))
                 scale = math.copysign(1.0 / math.sqrt(n1 * n1 + n2 * n2 - n0 * n0), n1 * p1 + n2 * p2 - n0 * p0)
-                columns.append((n0 * scale, n1 * scale, n2 * scale))
-            sides = np.array(columns).T
-            sides.flags.writeable = False
-            object.__setattr__(self, "_sides", sides)
+                sides.append((n0 * scale, n1 * scale, n2 * scale))
+            object.__setattr__(self, "_sides", tuple(sides))
         return self._sides
 
     def tiles_near(self, x: np.ndarray) -> tuple[str, ...]:
-        """The words of the tiles w.Q within EPS_ENDPOINT of the disk point x, the tile that holds it first.
+        """The words of the tiles w.Q within EPS_ENDPOINT of the disk point x (an array), the tile that holds it first.
 
         One tile search about x, of radius 0, with its errors; it does not depend on a multicurve.
         """
@@ -421,11 +418,12 @@ class PuncturedTorusGroup:
         return tiles
 
     def translation_length(self, word: str) -> float:
-        return translation_length_sl2(self.sl2(word))
+        a, b, c, d = self.entries(word)
+        return translation_length_sl2(((a, b), (c, d)))
 
     def cusp_trace(self) -> float:
-        (c00, _), (_, c11) = self._cusp.tolist()
-        return c00 + c11
+        a, _, _, d = self._cusp
+        return a + d
 
     def atlas(self, root: str) -> "Leaves":
         """The normal rows and conjugator words of the leaves of a curve root that meet B(o, ATLAS_RADIUS).
@@ -574,63 +572,77 @@ def _first_word(prefix: str, root: str) -> str:
     return min(prefix[: len(prefix) - k * n], prefix[: len(prefix) - low] + powers[low : (k + 1) * n], key=_walk_order)
 
 
-# _BACKTRACK[j]: the letter that generator j cancels (A and a, B and b).
-_BACKTRACK = ((np.arange(4) + 2) % 4)[:, np.newaxis]
+def _compose(m: Rows, g: Rows) -> Rows:
+    """The 3x3 product m g of two matrices held as rows, in Python floats."""
+    (g00, g01, g02), (g10, g11, g12), (g20, g21, g22) = g
+    return tuple(
+        (a * g00 + b * g10 + c * g20, a * g01 + b * g11 + c * g21, a * g02 + b * g12 + c * g22) for a, b, c in m
+    )
 
 
-# Pairings that overflow are refused below, by name, instead of warned about.
-@np.errstate(over="ignore", invalid="ignore")
 def _tiles_within(group: PuncturedTorusGroup, x: np.ndarray, radius: float) -> list[str]:
     """The words of the tiles w.Q within distance radius + EPS_ENDPOINT of the disk point x, the root tile first.
 
     From Q, a descent crosses the side x violates most until x is within
     reach of the tile, the root; from there the search goes shell by shell,
-    never stepping back.  A tile is kept when each side pairs with the lift
-    of x to at least -sinh(radius + EPS_ENDPOINT), an exact test, as a point
-    outside an ideal polygon lies beyond one side only: the kept tiles form
-    a subtree of the adjacency tree.  Raises EnumerationBudgetError past
-    MAX_NODES tiles, and GeometryError as soon as a pairing is not finite.
+    never stepping back, and each shell letter by letter.  A tile is kept
+    when each side pairs with the lift of x to at least -sinh(radius +
+    EPS_ENDPOINT), an exact test, as a point outside an ideal polygon lies
+    beyond one side only: the kept tiles form a subtree of the adjacency
+    tree.  In Python floats: a tile's matrix is its parent's times the
+    letter's Lorentz rows (``_compose``), and the pairings are d . (M S), d
+    the lift of x times J3 and S the side normals, side by side.  Raises
+    EnumerationBudgetError past MAX_NODES tiles, counted before a shell is
+    formed, and GeometryError as soon as a pairing is not finite.
     """
     sides = group.tile_sides()
-    gens = group.letter_images()
-    dual = disk_lift(x) @ J3
+    letters = [group.rows(ch) for ch in GENERATOR_LETTERS]
+    x1, x2, root = disk_point(x)
+    d0, d1, d2 = -(1.0 / root), x1 / root, x2 / root
     reach = -math.sinh(radius + EPS_ENDPOINT)
-    point = f"the disk point {tuple(x.tolist())}"
+    point = f"the disk point {(x1, x2)}"
     region = f"atlas radius {radius}" if radius else f"tiles near {point}"
 
-    def pairings(mats: np.ndarray, nodes: int, depth: int) -> np.ndarray:
-        at = dual @ (mats @ sides)
-        if not np.isfinite(at).all():
+    def pairings(mat: Rows, nodes: int, depth: int) -> list[float]:
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = mat
+        at = [
+            d0 * (a0 * n0 + a1 * n1 + a2 * n2) + d1 * (b0 * n0 + b1 * n1 + b2 * n2) + d2 * (c0 * n0 + c1 * n1 + c2 * n2)
+            for n0, n1, n2 in sides
+        ]
+        if not all(map(math.isfinite, at)):
             raise GeometryError(f"side pairings of {point} are not finite after {nodes} nodes at depth {depth}")
         return at
 
-    word, mat, nodes = "", _IDENTITY3, 0
+    word, mat, nodes = "", group.rows(""), 0
     while True:
         nodes += 1
         if nodes > MAX_NODES:
             raise EnumerationBudgetError(nodes, 0, region)
         at = pairings(mat, nodes, 0)
-        j = int(np.argmin(at))
+        j = min(range(4), key=at.__getitem__)
         if at[j] >= reach:
             break
         word = _join(word, GENERATOR_LETTERS[j])
-        mat = mat @ gens[j]
-    tiles = words = [word]
-    mats, last, depth = mat[np.newaxis], np.array([-1]), 0
-    while words:
-        allowed = last != _BACKTRACK
-        last, parent = np.nonzero(allowed)
+        mat = _compose(mat, letters[j])
+    tiles, shell, depth = [word], [(word, mat, -1)], 0
+    while shell:
         depth += 1
-        nodes += len(last)
-        # Checked before the shell's product, so a search over budget never
+        # Every letter but the one that steps back to the parent, -1 for the root.
+        nodes += 4 if depth == 1 else 3 * len(shell)
+        # Checked before the shell's products, so a search over budget never
         # forms or tests the shell that crosses it.
         if nodes > MAX_NODES:
             raise EnumerationBudgetError(nodes, depth, region)
-        mats = (mats[np.newaxis] @ gens[:, np.newaxis])[allowed]
-        kept = np.nonzero((pairings(mats, nodes, depth) >= reach).all(axis=1))[0]
-        words = [_join(words[i], GENERATOR_LETTERS[j]) for i, j in zip(parent[kept].tolist(), last[kept].tolist())]
-        tiles = tiles + words
-        mats, last = mats[kept], last[kept]
+        kept = []
+        for j, letter in enumerate(letters):
+            back = (j + 2) % 4
+            for parent, mat, last in shell:
+                if last != back:
+                    child = _compose(mat, letter)
+                    if all(a >= reach for a in pairings(child, nodes, depth)):
+                        kept.append((_join(parent, GENERATOR_LETTERS[j]), child, j))
+        tiles += [child_word for child_word, _, _ in kept]
+        shell = kept
     return tiles
 
 
@@ -651,14 +663,15 @@ def _tile_leaves(group: PuncturedTorusGroup, root: str, tiles) -> Leaves:
     word v in walk order (v . axis(r) is the lift), found once per distinct
     word before any product; its normal is L(v) . n, the group's Lorentz
     image of the whole word v applied to the unit normal n of the axis of
-    r.  The name depends on the leaf alone, not on the tile it was reached
-    from.
+    r, all of them in one stacked numpy product.  The name depends on the
+    leaf alone, not on the tile it was reached from.
     """
     offsets = [invert_word(root[:k]) for k in range(len(root))]
     heads = {_join(tile, offset) for tile in tiles for offset in offsets}
     order = sorted({_first_word(head, root) for head in heads}, key=_walk_order)
-    axis = group.axis(root).normal
-    return tuple(tuple((group.lorentz(first) @ axis).tolist()) for first in order), tuple(order)
+    # numpy's products keep digits that dot products in Python floats lose to cancellation for long words.
+    normals = np.array([group.rows(first) for first in order]) @ group.axis(root).normal
+    return tuple(map(tuple, normals.tolist())), tuple(order)
 
 
 def segment_crossings(group: PuncturedTorusGroup, mc: WeightedMulticurve, x: np.ndarray, y: np.ndarray) -> Crossings:
@@ -685,6 +698,17 @@ def segment_crossings(group: PuncturedTorusGroup, mc: WeightedMulticurve, x: np.
     return _crossings(leaves, x, y)
 
 
+def image_point(group: PuncturedTorusGroup, word: str, x: np.ndarray) -> np.ndarray:
+    """The point word . x of the Klein disk or off it, from the word's Lorentz rows and the lift of x, in Python floats.
+
+    A lift's image whose first coordinate rounds to 0 or below gives (NaN, NaN).
+    """
+    x1, x2, root = disk_point(x)
+    lift = 1.0 / root, x1 / root, x2 / root
+    u0, u1, u2 = (a * lift[0] + b * lift[1] + c * lift[2] for a, b, c in group.rows(word))
+    return np.array((u1 / u0, u2 / u0) if u0 > 0.0 else (math.nan, math.nan))
+
+
 def holonomy_segment_crossings(
     group: PuncturedTorusGroup, mc: WeightedMulticurve, x0: np.ndarray, word: str
 ) -> Crossings:
@@ -696,15 +720,16 @@ def holonomy_segment_crossings(
     g.x0 lies in u.Q, u the reduced word of g w, so the segment meets the
     tiles of the tree path from w to u.  To those come the tiles within
     EPS_ENDPOINT of x0, so that a leaf through x0 is refused, and with it
-    one through g.x0, the image of a leaf through x0.  Raises
-    OutsideModelError when word . x0 rounds onto the rim or past it,
-    EndpointOnLeafError when an endpoint is within tolerance of a leaf, and
-    the errors of ``tiles_near`` for x0.
+    one through g.x0 (``image_point``), the image of a leaf through x0.
+    x0 is any two numbers.  Raises OutsideModelError when word . x0 rounds
+    onto the rim or past it, EndpointOnLeafError when an endpoint is within
+    tolerance of a leaf, and the errors of ``tiles_near`` for x0.
     """
+    x0 = np.asarray(x0, dtype=float).reshape(2)
     if word:
         _check_word(word)
     reduced = free_reduce(word)
-    far = radial_project(group.lorentz(reduced) @ disk_lift(x0))
+    far = image_point(group, reduced, x0)
     disk_point(far, f"{word!r} . x0")
     near = group.tiles_near(x0)
     return _crossings(_tile_leaves(group, mc.root, {*near, *_tree_path(near[0], _join(reduced, near[0]))}), x0, far)

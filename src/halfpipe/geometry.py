@@ -243,12 +243,6 @@ def disk_lift(z: np.ndarray) -> np.ndarray:
     return w / np.sqrt(1.0 - r2)[..., None]
 
 
-def radial_project(x: np.ndarray) -> np.ndarray:
-    """Klein disk coordinates (x1/x0, x2/x0) of a hyperboloid point."""
-    x = np.asarray(x, dtype=float)
-    return x[..., 1:] / x[..., :1]
-
-
 def embed_h2_vector(z: np.ndarray) -> np.ndarray:
     """4-vector (disk_lift(z), 0) of a disk point on the surface {x3 = 0}."""
     z = np.asarray(z, dtype=float)

@@ -21,6 +21,9 @@ unit normal n is c + mu s X, X the trace-free matrix of n (X^2 = 1):
     hyperbolic       (c, s) = (cos a/2, sin a/2),      mu^2 = -1
     anti-de Sitter   (c, s) = (cosh a/2, -sinh a/2),   mu^2 = +1
     half-pipe        (c, s) = (1, a/2),                mu^2 = 0.
+
+For mu^2 = m^2 > 0, a + mu b is also the pair a +- m b in SL(2, R) x SL(2, R)
+(:func:`split_model_matrix`).
 """
 
 from __future__ import annotations
@@ -60,8 +63,7 @@ _IDENTITY.flags.writeable = _IDENTITY2.flags.writeable = False
 # The entries of a 4x4 matrix outside its transversal (x2, x3) block.
 _OFF_TRANSVERSAL = np.ones((4, 4), dtype=bool)
 _OFF_TRANSVERSAL[2:, 2:] = False
-# The trace-free basis E0, E1, E2, with x0 E0 + x1 E1 + x2 E2 of -det <x, x>, and the adjugate's signs.
-_SL2_BASIS = np.array([[[0.0, -1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [1.0, 0.0]]])
+# The signs that take a 2x2 matrix, its diagonal and its off-diagonal swapped, to its adjugate.
 _ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
@@ -181,33 +183,50 @@ def identity_stack(k: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def traceless_coords(m: np.ndarray) -> np.ndarray:
-    """Coordinates of trace-free 2x2 matrices (the last two axes of m), along a new first axis."""
-    return np.array([(m[..., 1, 0] - m[..., 0, 1]) / 2.0, m[..., 0, 0], (m[..., 1, 0] + m[..., 0, 1]) / 2.0])
-
-
 def adjugate(g: np.ndarray) -> np.ndarray:
     """[[d, -b], [-c, a]] for each 2x2 matrix [[a, b], [c, d]], the inverse of a determinant-one one; broadcasts."""
     return np.multiply(np.swapaxes(g[..., ::-1, ::-1], -1, -2), _ADJUGATE_SIGNS, order="C")
 
 
+def adjoint_rows(a, b, c, d):
+    """The rows of the adjoint image in SO0(1,2) of [[a, b], [c, d]] in SL(2, R), elementwise: floats or arrays alike.
+
+    Column j holds the coordinates of g E_j adj(g), for the trace-free basis
+    E0 = [[0, -1], [1, 0]], E1 = [[1, 0], [0, -1]], E2 = [[0, 1], [1, 0]], in
+    which x0 E0 + x1 E1 + x2 E2 has -det equal to the Minkowski norm of x.
+    Squares are products, as x * x overflows to inf where x ** 2 raises.
+    Elementwise numpy rounds as Python floats do, so arrays of entries map as
+    each matrix alone, bit for bit.
+    """
+    aa, bb, cc, dd = a * a, b * b, c * c, d * d
+    return (
+        ((aa + bb + cc + dd) / 2.0, a * b + c * d, (bb + dd - aa - cc) / 2.0),
+        (a * c + b * d, a * d + b * c, b * d - a * c),
+        ((cc + dd - aa - bb) / 2.0, c * d - a * b, (aa + dd - bb - cc) / 2.0),
+    )
+
+
+def adjoint_polar(g, h):
+    """(B(g, h) + B(h, g)) / 2 for entries g and h, B(g, h) the map X -> g X adj(h): the polar form of adjoint_rows."""
+    (a, b, c, d), (e, f, k, m) = g, h
+    ae, bf, ck, dm, ak, ce, bm, df = a * e, b * f, c * k, d * m, a * k, c * e, b * m, d * f
+    return (
+        ((ae + bf + ck + dm) / 2.0, (a * f + b * e + c * m + d * k) / 2.0, (bf + dm - ae - ck) / 2.0),
+        ((ak + ce + bm + df) / 2.0, (a * m + d * e + b * k + c * f) / 2.0, (bm + df - ak - ce) / 2.0),
+        ((ck + dm - ae - bf) / 2.0, (c * m + d * k - a * f - b * e) / 2.0, (ae + dm - bf - ck) / 2.0),
+    )
+
+
 def sl2_to_so12(g: np.ndarray) -> np.ndarray:
     """Adjoint image of g in SO0(1,2), acting on trace-free matrices; broadcasts.
 
-    Coordinates are chosen so that -det of a trace-free matrix is the
-    Minkowski norm; the map is a 2-to-1 homomorphism with sl2_to_so12(-g) =
-    sl2_to_so12(g).  A stack of matrices takes the same 2x2 products as each
-    matrix alone.  Column j holds the coordinates of g E_j adj(g), E_j the
-    basis matrix j, in the order of :func:`traceless_coords`.
+    The map is a 2-to-1 homomorphism with sl2_to_so12(-g) = sl2_to_so12(g),
+    :func:`adjoint_rows` on the stacked entries of g: each matrix of a stack
+    maps as its entries do in Python floats, bit for bit.
     """
     g = np.asarray(g, dtype=float)
-    conjugates = (g[..., np.newaxis, :, :] @ _SL2_BASIS) @ adjugate(g)[..., np.newaxis, :, :]
-    c00, c01, c10 = conjugates[..., 0, 0], conjugates[..., 0, 1], conjugates[..., 1, 0]
-    out = np.empty(g.shape[:-2] + (3, 3))
-    out[..., 0, :] = (c10 - c01) / 2.0
-    out[..., 1, :] = c00
-    out[..., 2, :] = (c10 + c01) / 2.0
-    return out
+    a, b, c, d = g.reshape(-1, 4).T
+    return np.array(adjoint_rows(a, b, c, d)).transpose(2, 0, 1).reshape(g.shape[:-2] + (3, 3))
 
 
 def model_matrix(a: np.ndarray, b: np.ndarray, mu2: float | np.ndarray) -> np.ndarray:
@@ -221,17 +240,37 @@ def model_matrix(a: np.ndarray, b: np.ndarray, mu2: float | np.ndarray) -> np.nd
     mu2 = np.asarray(mu2, dtype=float)
     blocks = sl2_to_so12(np.array((a, b)))
     adj = adjugate(a)
-    ab, ba = adj @ b, b @ adj
     out = np.empty(a.shape[:-2] + (4, 4))
     out[..., :3, :3] = blocks[0] - mu2[..., np.newaxis, np.newaxis] * blocks[1]
-    # Row 3 and column 3 from the traceless_coords of adj(a) b and b adj(a), times 2 written out.
+    out[..., 3, 3] = 1.0 - 2.0 * mu2 * (b[..., 0, 0] * b[..., 1, 1] - b[..., 0, 1] * b[..., 1, 0])
+    return _fiber_entries(out, adj @ b, b @ adj, mu2)
+
+
+def split_model_matrix(p: np.ndarray, q: np.ndarray, mu2: np.ndarray) -> np.ndarray:
+    """model_matrix of a + mu b, mu^2 = m^2 > 0, for a stack, from its factors p = a + m b and q = a - m b.
+
+    The block is adjoint_polar(p, q), adj(a) b is (adj(q) p - adj(p) q) / 4m,
+    b adj(a) is (p adj(q) - q adj(p)) / 4m and the corner is tr(adj(p) q) / 2.
+    Nothing cancels where p and q differ in size, as after turns by large
+    anti-de Sitter angles, where a and m b nearly cancel.
+    """
+    adj_p, adj_q, m = adjugate(p), adjugate(q), np.sqrt(mu2)[..., np.newaxis, np.newaxis]
+    out = np.empty(p.shape[:-2] + (4, 4))
+    block = np.array(adjoint_polar(p.reshape(-1, 4).T, q.reshape(-1, 4).T))
+    out[..., :3, :3] = block.transpose(2, 0, 1).reshape(p.shape[:-2] + (3, 3))
+    corner = adj_p @ q
+    out[..., 3, 3] = (corner[..., 0, 0] + corner[..., 1, 1]) / 2.0
+    return _fiber_entries(out, (adj_q @ p - adj_p @ q) / (4.0 * m), (p @ adj_q - q @ adj_p) / (4.0 * m), mu2)
+
+
+def _fiber_entries(out: np.ndarray, ab: np.ndarray, ba: np.ndarray, mu2: np.ndarray) -> np.ndarray:
+    """Row 3 and column 3 of out from the trace-free coordinates of adj(a) b and b adj(a), times 2 written out."""
     out[..., 3, 0] = ab[..., 1, 0] - ab[..., 0, 1]
     out[..., 3, 1] = -2.0 * ab[..., 0, 0]
     out[..., 3, 2] = -(ab[..., 1, 0] + ab[..., 0, 1])
     out[..., 0, 3] = -mu2 * (ba[..., 1, 0] - ba[..., 0, 1])
     out[..., 1, 3] = -2.0 * mu2 * ba[..., 0, 0]
     out[..., 2, 3] = -mu2 * (ba[..., 1, 0] + ba[..., 0, 1])
-    out[..., 3, 3] = 1.0 - 2.0 * mu2 * (b[..., 0, 0] * b[..., 1, 1] - b[..., 0, 1] * b[..., 1, 0])
     return out
 
 

@@ -63,7 +63,6 @@ from halfpipe.geometry import (
     embed_h2_point,
     klein_hp,
     minkowski_dot,
-    radial_project,
 )
 from halfpipe.isometry import Isometry, classify_isometry, group_residual
 
@@ -477,7 +476,8 @@ def test_height_function_on_a_leaf_is_the_graph_height_of_the_bending_map():
     # of AAB closest to the origin on a leaf of AAB at from_xy(6, 3.5).  The
     # height used to refuse both, where bending_map develops them.
     group = build_punctured_torus(TeichPoint.from_xy(6.0, 3.5))
-    on_aab = radial_project(group.axis("AAB").closest_point_to_origin())
+    anchor = group.axis("AAB").closest_point_to_origin()
+    on_aab = anchor[1:] / anchor[0]
     aab = BendingContext(group, WeightedMulticurve.single("AAB", 0.5), BASE, HP, 1.0, 0.3)
     for ctx, z in ((_context(HP, scale=0.3), np.zeros(2)), (aab, on_aab)):
         with pytest.raises(EndpointOnLeafError):
@@ -949,7 +949,7 @@ def _array_segment_crossings(group, mc, x, y):
 
 def _array_holonomy_crossings(group, mc, x0, word):
     reduced = free_reduce(word)
-    far = radial_project(group.lorentz(reduced) @ disk_lift(x0))
+    far = fuchsian.image_point(group, reduced, x0)
     u, v = far.tolist()
     if not u * u + v * v < 1.0:
         raise OutsideModelError(f"disk point must satisfy |z| < 1: {word!r} . x0 has |z|^2 = {u * u + v * v!r}")

@@ -28,6 +28,8 @@ from halfpipe.isometry import (
     Isometry,
     NotRotationAboutAxisError,
     RotationOverflowError,
+    adjoint_polar,
+    adjoint_rows,
     adjugate,
     boost_from_origin,
     classify_isometry,
@@ -42,6 +44,7 @@ from halfpipe.isometry import (
     rotation,
     rotation_pairs,
     sl2_to_so12,
+    split_model_matrix,
     standard_rotation_angles,
 )
 
@@ -215,6 +218,38 @@ def _random_rmu(rng, tag, lam):
     (a,), (b,), (mu2,) = rotation_pairs(((tag, rng.uniform(-1.5, 1.5), lam),), _random_axis(rng).normal)
     g = _random_sl2(rng)
     return g @ a, g @ b, mu2
+
+
+@given(
+    stack=arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(1, 4), st.just(2), st.just(2)), elements=st.floats(-1e150, 1e150))
+)
+def test_stacked_adjoint_images_equal_each_matrix_alone_bit_for_bit(stack):
+    # Any entries, determinant one or not: the map is elementwise arithmetic on them.
+    found = sl2_to_so12(stack)
+    assert found.shape == stack.shape[:-2] + (3, 3)
+    for index in np.ndindex(*stack.shape[:-2]):
+        (a, b), (c, d) = stack[index].tolist()
+        alone = sl2_to_so12(stack[index])
+        assert found[index].tobytes() == alone.tobytes() == np.array(adjoint_rows(a, b, c, d)).tobytes()
+
+
+def test_split_model_matrix_is_the_model_matrix_of_its_factors():
+    rng = np.random.default_rng(44)
+    basis = [np.array(e) for e in ([[0.0, -1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [1.0, 0.0]])]
+    for _ in range(20):
+        g, h = _random_sl2(rng), _random_sl2(rng)
+        # The polar form is the symmetrised g E_j adj(h) in the coordinates of sl2_to_so12, and its diagonal the adjoint.
+        columns = [(g @ e @ adjugate(h) + h @ e @ adjugate(g)) / 2.0 for e in basis]
+        expected = np.array([[(c[1, 0] - c[0, 1]) / 2.0, c[0, 0], (c[1, 0] + c[0, 1]) / 2.0] for c in columns]).T
+        assert np.allclose(adjoint_polar(g.ravel(), h.ravel()), expected, rtol=0.0, atol=1e-13)
+        assert np.allclose(adjoint_polar(g.ravel(), g.ravel()), sl2_to_so12(g), rtol=0.0, atol=1e-13)
+        mu2 = np.array([rng.uniform(0.01, 100.0)])
+        m = math.sqrt(mu2[0])
+        found = split_model_matrix(g[np.newaxis], h[np.newaxis], mu2)
+        expected = model_matrix(((g + h) / 2.0)[np.newaxis], ((g - h) / (2.0 * m))[np.newaxis], mu2)
+        assert np.max(np.abs(found - expected)) <= 1e-12 * np.max(np.abs(expected))
+        # At mu^2 = 1 the matrix is an anti-de Sitter isometry.
+        assert group_residual(split_model_matrix(g[np.newaxis], h[np.newaxis], np.ones(1))[0], ADS) < 1e-12
 
 
 def test_model_matrix_of_a_real_matrix_is_its_adjoint_image():

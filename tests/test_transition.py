@@ -443,6 +443,24 @@ def test_stacked_family_equals_the_per_context_products(point, mc, word, sign, g
         _assert_family_member(group, mc, sign, word, t, matrix)
 
 
+@pytest.mark.parametrize(
+    "xy, word, sign, t",
+    [((5.649388068915812, 6.0354087868896675), "aaBa", -1.0, -3.4161335493285048), ((3.0, 5.0), "BBBB", 1.0, -3.0)],
+)
+def test_large_anti_de_sitter_turns_keep_their_digits(xy, word, sign, t):
+    # Two draws of the stacked-family test with ABB, where the products of a
+    # and m b, of size 5e7, cancelled to factors of size 1e3: the family and
+    # the rescaled context were 1.4e-11 and 1.2e-11 apart and 3.6e-12 to
+    # 8.8e-12 from the oracle.  Held as their factors, they are within 1e-14 of it.
+    group, mc = build_punctured_torus(TeichPoint.from_xy(*xy)), WeightedMulticurve.single("ABB")
+    matrix = holonomy_family(group, mc, sign, word, grid=(t,)).matrices[0]
+    ctx = transition.signed_context(group, mc, np.array(transition.DEFAULT_BASE_POINT), sign, t)
+    rescaled = rescale_conjugate(t, bent_holonomy(ctx)(word))
+    (exact,) = _oracle_family(group, mc, sign, word, (t,))
+    assert _relative_to_oracle(matrix, exact) <= 1e-14
+    assert _relative_to_oracle(rescaled, exact) <= 1e-14
+
+
 def test_negative_bending_sign_also_transits():
     group, lam = _group(), _lamination()
     rep = extrapolate_limit(holonomy_family(group, lam, -1.0, "B"))

@@ -107,6 +107,12 @@ combinations come from this checkout's perfbench, the program from
     python3 tools/cli_digest.py --repo . > new.txt
     python3 tools/cli_digest.py --repo /path/to/other/checkout > old.txt
     diff old.txt new.txt
+
+With ``--keep DIR`` (a directory that does not exist yet) the run tree
+stays in DIR: one directory per run, numbered in run order, with its
+``config.json``, its ``out`` files and a ``run.txt`` that holds the run's
+label and exit code.  ``tools/digest_drift.py`` compares two such trees
+number by number.
 """
 
 from __future__ import annotations
@@ -341,6 +347,7 @@ def runs(workloads, teich_point):
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repo", default=str(HERE), help="checkout whose src/halfpipe is run")
+    parser.add_argument("--keep", metavar="DIR", help="keep the run tree in DIR, which must not exist yet")
     args = parser.parse_args()
     sys.path[:0] = [str(Path(args.repo).resolve() / "src"), str(HERE / "perfbench")]
     from halfpipe import cli
@@ -352,7 +359,9 @@ def main() -> int:
     by_command: dict[str, list[str]] = {name: [] for name in SUBCOMMANDS}
     last_traces = None
     written: dict[str, list[str]] = {}
-    with tempfile.TemporaryDirectory() as tmp:
+    if args.keep:
+        Path(args.keep).mkdir(parents=True)
+    with contextlib.nullcontext(args.keep) if args.keep else tempfile.TemporaryDirectory() as tmp:
         for index, (label, command, cfg, extra) in enumerate(runs(workloads, TeichPoint)):
             if isinstance(cfg, dict) and "traces" not in cfg and "generators" not in cfg:
                 if last_traces is None:
@@ -379,6 +388,7 @@ def main() -> int:
                 # A report that does not parse shows in its hash line instead.
                 with contextlib.suppress(ValueError):
                     last_traces = json.loads((out / "kerckhoff.json").read_text())["traces"]
+            (run_dir / "run.txt").write_text(f"{label}\n{code}\n")
             paths = sorted(out.iterdir()) if out.exists() else []
             written[label] = [path.name for path in paths]
             run_lines = [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {label}/{path.name}" for path in paths]
