@@ -26,6 +26,7 @@ from halfpipe.fuchsian import (
     EndpointOnLeafError,
     PuncturedTorusGroup,
     WeightedMulticurve,
+    _segment_crossings,
     free_reduce,
     holonomy_segment_crossings,
     invert_word,
@@ -34,13 +35,14 @@ from halfpipe.fuchsian import (
 from halfpipe.geometry import (
     ADS,
     HP,
+    DiskPoint,
     Geometry,
     GeometryError,
     Plane,
     ProjectivePoint,
     TagMismatchError,
     disk_point,
-    embed_h2_point,
+    embed_h2_vector,
 )
 from halfpipe.isometry import (
     Isometry,
@@ -68,7 +70,8 @@ class BendingContext:
     crossed leaf of weight ``a`` is ``sign * scale * a``.  Contexts are
     immutable.  Crossing data lives in the group's leaf layer, keyed by the
     curve's root, so every context over one group and curve shares it,
-    whatever its weight, tag, sign or scale.
+    whatever its weight, tag, sign or scale.  The basepoint is checked here,
+    once; its triple from ``disk_point`` goes to the leaf layer as it is.
 
     Parameters
     ----------
@@ -95,7 +98,7 @@ class BendingContext:
 
     def __post_init__(self) -> None:
         base_point = np.array(self.base_point, dtype=float).reshape(2)
-        disk_point(base_point, "the basepoint")
+        object.__setattr__(self, "_base", disk_point(base_point, "the basepoint"))
         base_point.flags.writeable = False
         object.__setattr__(self, "base_point", base_point)
         if not isinstance(self.group, PuncturedTorusGroup):
@@ -136,7 +139,7 @@ def _bracketed_product(
     angles = [(tag, scale * float(multicurve.weight), lam) for tag, scale, lam in slices]
     out = identity_stack(len(angles))
     # A product that turns about no leaf has b = 0, which every mu^2 maps alike.
-    mu2, previous = np.zeros(len(angles)), ""
+    mu2 = np.zeros(len(angles))
     crossed = list(zip(sides, words)) if any(angle for _, angle, _ in angles) else []
     split = [tag is ADS and abs(angle) >= SPLIT_ANGLE for tag, angle, _ in angles] if crossed else []
     if crossed:
@@ -151,13 +154,14 @@ def _bracketed_product(
             odd[split] = 0.0
             odd[split, :2, :2], odd[split, 2:, 2:] = mb, -mb
         turns = {1.0: even + odd, -1.0: even - odd}
-    for side, word in [*crossed, (0.0, closing_word)]:
-        step = free_reduce(invert_word(previous) + word)
-        if step:  # times [[g, 0], [0, g]] for the step's SL(2) image g
-            out = (out.reshape(-1, 4, 2, 2) @ group.sl2(step)).reshape(-1, 4, 4)
+    legs = [*crossed, (0.0, closing_word)]
+    steps = [free_reduce(invert_word(u) + v) for (_, u), (_, v) in zip([(0.0, ""), *legs], legs)]
+    # The steps' SL(2) images g, formed in one array; an empty step is skipped, so an overflow never meets 0 * inf.
+    for (side, _), step, g in zip(legs, steps, np.array([group.entries(s) for s in steps]).reshape(-1, 2, 2)):
+        if step:  # times [[g, 0], [0, g]]
+            out = (out.reshape(-1, 4, 2, 2) @ g).reshape(-1, 4, 4)
         if side:
             out = out @ turns[side]
-        previous = word
     matrices = model_matrix(out[:, :2, :2], out[:, 2:, :2], mu2)
     if any(split):
         matrices[split] = split_model_matrix(out[split, :2, :2], out[split, 2:, 2:], mu2[split])
@@ -193,7 +197,7 @@ class BentHolonomy:
 
     def __call__(self, word: str) -> Isometry:
         ctx = self.context
-        return _context_product(ctx, holonomy_segment_crossings(ctx.group, ctx.multicurve, ctx.base_point, word), word)
+        return _context_product(ctx, holonomy_segment_crossings(ctx.group, ctx.multicurve, ctx._base, word), word)
 
 
 def bent_translation(ctx: BendingContext, word: str) -> np.ndarray:
@@ -211,7 +215,7 @@ def bent_translation(ctx: BendingContext, word: str) -> np.ndarray:
     """
     if ctx.tag is not HP:
         raise TagMismatchError("bent holonomies are Minkowski affine maps in the half-pipe model")
-    rows, sides, _, _ = holonomy_segment_crossings(ctx.group, ctx.multicurve, ctx.base_point, word)
+    rows, sides, _, _ = holonomy_segment_crossings(ctx.group, ctx.multicurve, ctx._base, word)
     t0 = t1 = t2 = 0.0
     for side, (n0, n1, n2) in zip(sides, rows):
         t0, t1, t2 = t0 + side * n0, t1 + side * n1, t2 + side * n2
@@ -223,19 +227,20 @@ def bent_holonomy(ctx: BendingContext) -> BentHolonomy:
     return BentHolonomy(ctx)
 
 
-def _crossings_to(ctx: BendingContext, x: np.ndarray) -> Crossings:
-    """The leaves crossed by [x0, x], evaluating on-leaf points as the limit from the x0 side."""
+def _crossings_to(ctx: BendingContext, x) -> tuple[DiskPoint, Crossings]:
+    """x checked once, as its triple p, and the leaves crossed by [x0, x], from the x0 side for a point on a leaf."""
+    p = disk_point(x)
     try:
-        return segment_crossings(ctx.group, ctx.multicurve, ctx.base_point, x)
+        return p, _segment_crossings(ctx.group, ctx.multicurve, ctx._base, p)
     except EndpointOnLeafError:
-        inner = ctx.base_point + (1.0 - PULLBACK) * (x - ctx.base_point)
-        return segment_crossings(ctx.group, ctx.multicurve, ctx.base_point, inner)
+        inner = ctx.base_point + (1.0 - PULLBACK) * (np.array(p[:2]) - ctx.base_point)
+        return p, _segment_crossings(ctx.group, ctx.multicurve, ctx._base, disk_point(inner))
 
 
-def _height(ctx: BendingContext, z: np.ndarray) -> float:
-    """The height of the bent half-pipe surface over the disk point z, as :func:`psi_lambda` defines it."""
-    rows, sides, _, _ = _crossings_to(ctx, z)
-    z1, z2 = z.tolist()
+def _height(ctx: BendingContext, p: DiskPoint, crossings: Crossings) -> float:
+    """The height of the bent half-pipe surface over the disk point p, from the crossings of [x0, p]."""
+    rows, sides, _, _ = crossings
+    z1, z2, _ = p
     coefficient = ctx.sign * ctx.scale * float(ctx.multicurve.weight)
     total = 0.0
     for side, (n0, n1, n2) in zip(sides, rows):
@@ -246,6 +251,15 @@ def _height(ctx: BendingContext, z: np.ndarray) -> float:
     return total
 
 
+def _develop(ctx: BendingContext, p: DiskPoint, crossings: Crossings) -> ProjectivePoint:
+    """The disk point p developed onto the bent surface by the crossings of [x0, p], as :func:`bending_map` does."""
+    lift = embed_h2_vector(p)
+    if ctx.tag is HP:
+        lift[3] = _height(ctx, p, crossings) * lift[0]
+        return ProjectivePoint(lift, HP)
+    return _context_product(ctx, crossings, "").apply(ProjectivePoint(lift, ctx.tag))
+
+
 def bending_map(ctx: BendingContext, x: np.ndarray) -> ProjectivePoint:
     """Develop the disk point x onto the bent surface.
 
@@ -254,13 +268,9 @@ def bending_map(ctx: BendingContext, x: np.ndarray) -> ProjectivePoint:
     basepoint side, which is one of the two one-sided limits.  In the
     half-pipe model the cocycle is a Minkowski translation, so x develops
     onto the graph of the height :func:`psi_lambda`, with no 4x4 product.
+    x is any two numbers, checked once, here; its crossings are found once.
     """
-    x = np.asarray(x, dtype=float).reshape(2)
-    if ctx.tag is HP:
-        height = _height(ctx, x)  # first, as its crossings refuse a point off the open disk, NaN too
-        x1, x2, root = disk_point(x)  # lifted to (1, x) / sqrt(1 - |x|^2) with disk_lift's sum and quotients
-        return ProjectivePoint((1.0 / root, x1 / root, x2 / root, height * (1.0 / root)), HP)
-    return _context_product(ctx, _crossings_to(ctx, x), "").apply(embed_h2_point(ctx.tag, x))
+    return _develop(ctx, *_crossings_to(ctx, x))
 
 
 def psi_lambda(ctx: BendingContext, z: np.ndarray) -> float:
@@ -272,10 +282,11 @@ def psi_lambda(ctx: BendingContext, z: np.ndarray) -> float:
     and vanishing on the basepoint's face when the sign is positive.  The
     height is continuous across a leaf, so a point on a leaf takes the
     crossings of the basepoint side.  :func:`bending_map` develops its graph.
+    z is any two numbers, checked once, here.
     """
     if ctx.tag is not HP:
         raise TagMismatchError("the bent-surface height function lives in the half-pipe model")
-    return _height(ctx, np.asarray(z, dtype=float).reshape(2))
+    return _height(ctx, *_crossings_to(ctx, z))
 
 
 def support_plane_at(ctx: BendingContext, x: np.ndarray) -> Plane:
@@ -285,5 +296,4 @@ def support_plane_at(ctx: BendingContext, x: np.ndarray) -> Plane:
     bent surface touches it along x's face and stays on one side of it.
     Raises EndpointOnLeafError when x lies on a leaf (two faces meet there).
     """
-    x = np.asarray(x, dtype=float).reshape(2)
     return bending_cocycle(ctx, ctx.base_point, x).apply_plane(Plane.base_plane(ctx.tag))

@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bending import BendingContext, bending_map
+from .bending import BendingContext, _crossings_to, _develop
 from .doubling import meridian_cone_angles
 from .fuchsian import (
     KERCKHOFF_GRADIENT_TOL,
@@ -43,9 +43,8 @@ from .fuchsian import (
     build_punctured_torus,
     filling_advisory,
     kerckhoff_point,
-    segment_crossings,
 )
-from .geometry import ADS, HP, HYP, Geometry, GeometryError, SpacelikeGeodesicH2, disk_point, form_eval
+from .geometry import ADS, HP, HYP, GeometryError, SpacelikeGeodesicH2, disk_point, form_eval
 from .transition import (
     DEFAULT_BASE_POINT,
     DEFAULT_GRID,
@@ -353,9 +352,12 @@ def cmd_double(args, cfg: dict, group: PuncturedTorusGroup, lam: WeightedMulticu
     return EXIT_OK if passed else EXIT_THRESHOLD
 
 
-def _check_region(tag: Geometry, vertex: np.ndarray, tol: float) -> None:
-    if not form_eval(tag, (1.0, *vertex)) < tol:
-        raise GeometryError(f"exported vertex {vertex} leaves the {tag.name} chart region")
+def _vertex(ctx: BendingContext, p, crossings, tol: float) -> list[float]:
+    """The chart point of the disk point p developed by its crossings, refused off the chart region of the model."""
+    vertex = _develop(ctx, p, crossings).affine_chart()
+    if not form_eval(ctx.tag, (1.0, *vertex)) < tol:
+        raise GeometryError(f"exported vertex {vertex} leaves the {ctx.tag.name} chart region")
+    return [float(c) for c in vertex]
 
 
 def _sample_disk(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -366,13 +368,8 @@ def _sample_disk(rng: np.random.Generator, count: int) -> np.ndarray:
 
 def _leaf_polyline(ctx: BendingContext, leaf, tol: float) -> list:
     start, end = leaf.ideal_endpoints_klein()
-    points = []
-    for u in np.linspace(0.02, 0.98, POLYLINE_POINTS):
-        z = (1.0 - u) * start + u * end
-        vertex = bending_map(ctx, z).affine_chart()
-        _check_region(ctx.tag, vertex, tol)
-        points.append([float(c) for c in vertex])
-    return points
+    steps = np.linspace(0.02, 0.98, POLYLINE_POINTS)
+    return [_vertex(ctx, *_crossings_to(ctx, (1.0 - u) * start + u * end), tol) for u in steps]
 
 
 def cmd_export_surface(args, cfg: dict, group: PuncturedTorusGroup, lam: WeightedMulticurve) -> int:
@@ -391,11 +388,10 @@ def cmd_export_surface(args, cfg: dict, group: PuncturedTorusGroup, lam: Weighte
     vertices = []
     normals = {}  # conjugator word -> leaf normal pointing away from the basepoint, on every segment from it
     for z in disk_points:
-        vertex = bending_map(ctx, z).affine_chart()
-        _check_region(ctx.tag, vertex, tol)
-        vertices.append([float(c) for c in vertex])
-        rows, sides, _, words = segment_crossings(group, lam, ctx.base_point, z)
-        for (n0, n1, n2), side, word in zip(rows, sides, words):
+        # One crossing query develops the sample and names its leaves; a sample on a leaf takes the basepoint side.
+        p, crossings = _crossings_to(ctx, z)
+        vertices.append(_vertex(ctx, p, crossings, tol))
+        for (n0, n1, n2), side, word in zip(crossings[0], crossings[1], crossings[3]):
             normals.setdefault(word, (side * n0, side * n1, side * n2))
     leaves = sorted(map(SpacelikeGeodesicH2, normals.values()), key=lambda leaf: tuple(np.round(leaf.normal, 9)))
     doc = {

@@ -25,17 +25,19 @@ each with the normal L(v) . n from the group's Lorentz image of the whole
 word v), then one sign test (``_crossings``, the leaves whose pairings with
 the two ends differ in sign; it raises EndpointOnLeafError for an end on a
 leaf).  Leaf normals pass between the steps, and on to the bending layer, as
-rows (n0, n1, n2) of Python floats, not arrays.  There are two tile sources:
+rows (n0, n1, n2) of Python floats, not arrays.  A disk point is checked
+once, by ``geometry.disk_point``, where it enters (``segment_crossings``, the
+bending layer's queries and contexts), and passes inward as the triple (z1,
+z2, sqrt(1 - |z|^2)) it returns.  There are two tile sources:
 
 - the atlas ball: each group keeps a leaf atlas per curve root, the leaves
   meeting the hyperbolic ball B(o, ATLAS_RADIUS) about the disk centre o,
   found by one search on first use and never changed; segments inside the
-  ball are answered from it, and an end off the open disk raises
-  OutsideModelError;
+  ball are answered from it;
 - the tree path: a segment meets the tiles on the tree path between the
   tiles of its ends.  It answers segments past the atlas, and each [x0,
-  g.x0], whose far tile is the g-image of the near one (OutsideModelError
-  when g.x0 rounds onto the rim).
+  g.x0], whose far tile is the g-image of the near one (g.x0 is checked
+  once formed: OutsideModelError when it rounds onto the rim).
 
 Both find tiles by one search about a point (``_tiles_within``), which
 raises EnumerationBudgetError past MAX_NODES tiles (as deep in a cusp) and
@@ -49,7 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from halfpipe.geometry import GeometryError, SpacelikeGeodesicH2, disk_point
+from halfpipe.geometry import DiskPoint, GeometryError, SpacelikeGeodesicH2, disk_point
 from halfpipe.isometry import adjoint_rows
 
 # |x^2 + y^2 + z^2 - xyz| accepted as "on the relation variety": at most EPS_FRICKE while the terms
@@ -294,7 +296,7 @@ class PuncturedTorusGroup:
     (a, b, c, d) (``entries``) and its Lorentz image the rows of their
     adjoint (``rows``, :func:`~halfpipe.isometry.adjoint_rows`), each
     computed when first asked for and memoised, with the word's axis.
-    ``sl2`` and ``lorentz`` build read-only arrays of them on each call.  The
+    ``lorentz`` builds a read-only array of the rows on each call.  The
     group forms the cusp's entries once, for the tile sides (``tile_sides``,
     the side normals of its fundamental quadrilateral as float rows) and the
     cusp check, which refuses the traces (BadTracesError) unless the cusp
@@ -349,13 +351,6 @@ class PuncturedTorusGroup:
                 image = memo[word[:k]] = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
         return image
 
-    def sl2(self, word: str) -> np.ndarray:
-        """The word's SL(2) product (``entries``) as a read-only 2x2 array."""
-        a, b, c, d = self.entries(word)
-        image = np.array(((a, b), (c, d)))
-        image.flags.writeable = False
-        return image
-
     def rows(self, word: str) -> Rows:
         """The rows of the word's Lorentz image, the adjoint of its SL(2) product; memoised."""
         rows = self._lorentz.get(word)
@@ -406,15 +401,14 @@ class PuncturedTorusGroup:
             object.__setattr__(self, "_sides", tuple(sides))
         return self._sides
 
-    def tiles_near(self, x: np.ndarray) -> tuple[str, ...]:
-        """The words of the tiles w.Q within EPS_ENDPOINT of the disk point x (an array), the tile that holds it first.
+    def tiles_near(self, p: DiskPoint) -> tuple[str, ...]:
+        """The words of the tiles w.Q within EPS_ENDPOINT of the checked disk point p, the tile that holds it first.
 
-        One tile search about x, of radius 0, with its errors; it does not depend on a multicurve.
+        One tile search about p, of radius 0, with its errors, memoised by (z1, z2) of p = (z1, z2, root).
         """
-        key = x.tobytes()
-        tiles = self._near_tiles.get(key)
+        tiles = self._near_tiles.get(p[:2])
         if tiles is None:
-            tiles = self._near_tiles[key] = tuple(_tiles_within(self, x, 0.0))
+            tiles = self._near_tiles[p[:2]] = tuple(_tiles_within(self, p, 0.0))
         return tiles
 
     def translation_length(self, word: str) -> float:
@@ -437,7 +431,7 @@ class PuncturedTorusGroup:
             # Only the leaves that meet the ball, fewer rows for every sign test the atlas
             # answers; a leaf within EPS_ENDPOINT of an endpoint on the ball's rim still counts.
             reach = math.sinh(ATLAS_RADIUS + EPS_ENDPOINT)
-            found = zip(*_tile_leaves(self, root, _tiles_within(self, np.zeros(2), ATLAS_RADIUS)))
+            found = zip(*_tile_leaves(self, root, _tiles_within(self, (0.0, 0.0, 1.0), ATLAS_RADIUS)))
             kept = [(row, word) for row, word in found if abs(row[0]) <= reach]
             leaves = self._atlases[root] = tuple(row for row, _ in kept), tuple(word for _, word in kept)
         return leaves
@@ -580,8 +574,8 @@ def _compose(m: Rows, g: Rows) -> Rows:
     )
 
 
-def _tiles_within(group: PuncturedTorusGroup, x: np.ndarray, radius: float) -> list[str]:
-    """The words of the tiles w.Q within distance radius + EPS_ENDPOINT of the disk point x, the root tile first.
+def _tiles_within(group: PuncturedTorusGroup, x: DiskPoint, radius: float) -> list[str]:
+    """The words of the tiles w.Q within distance radius + EPS_ENDPOINT of a checked disk point x, the root tile first.
 
     From Q, a descent crosses the side x violates most until x is within
     reach of the tile, the root; from there the search goes shell by shell,
@@ -597,7 +591,7 @@ def _tiles_within(group: PuncturedTorusGroup, x: np.ndarray, radius: float) -> l
     """
     sides = group.tile_sides()
     letters = [group.rows(ch) for ch in GENERATOR_LETTERS]
-    x1, x2, root = disk_point(x)
+    x1, x2, root = x
     d0, d1, d2 = -(1.0 / root), x1 / root, x2 / root
     reach = -math.sinh(radius + EPS_ENDPOINT)
     point = f"the disk point {(x1, x2)}"
@@ -683,34 +677,38 @@ def segment_crossings(group: PuncturedTorusGroup, mc: WeightedMulticurve, x: np.
     the ball of the group's leaf atlas of ``mc.root`` is answered from it, as
     the ball is convex and so meets every leaf crossing the segment; past the
     ball, from the tiles near x (``tiles_near``) and near y, and the tree path
-    between them.  Raises OutsideModelError when an endpoint is off the open
-    disk, EndpointOnLeafError when one is within tolerance of a leaf, and the
+    between them.  x and y are any two numbers each, checked here, once.
+    Raises OutsideModelError when an endpoint is off the open disk,
+    EndpointOnLeafError when one is within tolerance of a leaf, and the
     errors of the tile searches.
     """
-    x = np.asarray(x, dtype=float).reshape(2)
-    y = np.asarray(y, dtype=float).reshape(2)
+    return _segment_crossings(group, mc, disk_point(x), disk_point(y))
+
+
+def _segment_crossings(group: PuncturedTorusGroup, mc: WeightedMulticurve, p: DiskPoint, q: DiskPoint) -> Crossings:
+    """:func:`segment_crossings` of the checked ends p and q, triples (z1, z2, root)."""
     # The end farther from the disk centre has the smaller root sqrt(1 - |z|^2).
-    if math.acosh(1.0 / min(disk_point(x)[2], disk_point(y)[2])) <= ATLAS_RADIUS:
+    if math.acosh(1.0 / min(p[2], q[2])) <= ATLAS_RADIUS:
         leaves = group.atlas(mc.root)
     else:
-        near, far = group.tiles_near(x), _tiles_within(group, y, 0.0)
+        near, far = group.tiles_near(p), _tiles_within(group, q, 0.0)
         leaves = _tile_leaves(group, mc.root, {*near, *far, *_tree_path(near[0], far[0])})
-    return _crossings(leaves, x, y)
+    return _crossings(leaves, p, q)
 
 
-def image_point(group: PuncturedTorusGroup, word: str, x: np.ndarray) -> np.ndarray:
-    """The point word . x of the Klein disk or off it, from the word's Lorentz rows and the lift of x, in Python floats.
+def image_point(group: PuncturedTorusGroup, word: str, x: DiskPoint) -> np.ndarray:
+    """The point word . x, unchecked, of the checked disk point x, from the word's Lorentz rows and x's lift, in floats.
 
     A lift's image whose first coordinate rounds to 0 or below gives (NaN, NaN).
     """
-    x1, x2, root = disk_point(x)
+    x1, x2, root = x
     lift = 1.0 / root, x1 / root, x2 / root
     u0, u1, u2 = (a * lift[0] + b * lift[1] + c * lift[2] for a, b, c in group.rows(word))
     return np.array((u1 / u0, u2 / u0) if u0 > 0.0 else (math.nan, math.nan))
 
 
 def holonomy_segment_crossings(
-    group: PuncturedTorusGroup, mc: WeightedMulticurve, x0: np.ndarray, word: str
+    group: PuncturedTorusGroup, mc: WeightedMulticurve, p0: DiskPoint, word: str
 ) -> Crossings:
     """The leaves of the lifted multicurve crossing the open segment (x0, word . x0).
 
@@ -721,26 +719,25 @@ def holonomy_segment_crossings(
     tiles of the tree path from w to u.  To those come the tiles within
     EPS_ENDPOINT of x0, so that a leaf through x0 is refused, and with it
     one through g.x0 (``image_point``), the image of a leaf through x0.
-    x0 is any two numbers.  Raises OutsideModelError when word . x0 rounds
-    onto the rim or past it, EndpointOnLeafError when an endpoint is within
-    tolerance of a leaf, and the errors of ``tiles_near`` for x0.
+    x0 comes checked, as a context keeps it, and g.x0 is checked once formed.
+    Raises OutsideModelError when word . x0 rounds onto the rim or past it,
+    EndpointOnLeafError when an endpoint is within tolerance of a leaf, and
+    the errors of ``tiles_near`` for x0.
     """
-    x0 = np.asarray(x0, dtype=float).reshape(2)
     if word:
         _check_word(word)
     reduced = free_reduce(word)
-    far = image_point(group, reduced, x0)
-    disk_point(far, f"{word!r} . x0")
-    near = group.tiles_near(x0)
-    return _crossings(_tile_leaves(group, mc.root, {*near, *_tree_path(near[0], _join(reduced, near[0]))}), x0, far)
+    far = disk_point(image_point(group, reduced, p0), f"{word!r} . x0")
+    near = group.tiles_near(p0)
+    return _crossings(_tile_leaves(group, mc.root, {*near, *_tree_path(near[0], _join(reduced, near[0]))}), p0, far)
 
 
-def _crossings(leaves: Leaves, x: np.ndarray, y: np.ndarray) -> Crossings:
-    """The crossings of (x, y) among the given leaves, by the sign test, in stable order of parameter, as lists."""
+def _crossings(leaves: Leaves, p: DiskPoint, q: DiskPoint) -> Crossings:
+    """The crossings of (p, q), checked disk points, among the leaves, by the sign test, in order of parameter."""
     rows, words = leaves
     # Affine pairings are sign- and root-compatible with the lifted ones;
     # the lift rescaling only matters for the endpoint-distance tolerance.
-    (x1, x2, root0), (y1, y2, root1) = disk_point(x), disk_point(y)
+    (x1, x2, root0), (y1, y2, root1) = p, q
     scale0, scale1 = 1.0 / root0, 1.0 / root1
     # In Python floats, a leaf at a time: a segment meets a few leaves, too few to pay for
     # numpy's per-call cost, and Python floats overflow to inf and NaN without a warning.
@@ -749,10 +746,10 @@ def _crossings(leaves: Leaves, x: np.ndarray, y: np.ndarray) -> Crossings:
         f0 = -n0 + x1 * n1 + x2 * n2
         f1 = -n0 + y1 * n1 + y2 * n2
         if abs(f0) * scale0 < EPS_ENDPOINT or abs(f1) * scale1 < EPS_ENDPOINT:
-            end, pairing = (x, f0 * scale0) if abs(f0) * scale0 < EPS_ENDPOINT else (y, f1 * scale1)
+            end, pairing = (p, f0 * scale0) if abs(f0) * scale0 < EPS_ENDPOINT else (q, f1 * scale1)
             raise EndpointOnLeafError(
                 "segment endpoint lies on a leaf; nudge the basepoint: "
-                f"endpoint {end.tolist()} on the leaf of {words[i]!r}, scaled pairing {pairing:.3e}"
+                f"endpoint {list(end[:2])} on the leaf of {words[i]!r}, scaled pairing {pairing:.3e}"
             )
         if f0 * f1 < 0.0:
             hits.append((f0 / (f0 - f1), i, math.copysign(1.0, -f0)))

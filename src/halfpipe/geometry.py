@@ -216,13 +216,16 @@ class Plane:
 # ---------------------------------------------------------------------------
 
 
-def disk_point(z: np.ndarray, name: str | None = None) -> tuple[float, float, float]:
-    """(z1, z2, sqrt(1 - |z|^2)) of a Klein disk point, a float array of shape (2,), in Python floats.
+DiskPoint = tuple[float, float, float]  # (z1, z2, sqrt(1 - |z|^2)) of a checked Klein disk point
+
+
+def disk_point(z, name: str | None = None) -> DiskPoint:
+    """(z1, z2, sqrt(1 - |z|^2)) of a Klein disk point, any two numbers of shape (2,), in Python floats.
 
     |z|^2 is the float sum z1 * z1 + z2 * z2.  Raises OutsideModelError,
     naming the point (or ``name``) and |z|^2, for |z| >= 1 or a NaN coordinate.
     """
-    z1, z2 = z.tolist()
+    z1, z2 = np.asarray(z, dtype=float).reshape(2).tolist()
     r2 = z1 * z1 + z2 * z2
     if not r2 < 1.0:  # written so that NaN fails too
         raise OutsideModelError(f"disk point must satisfy |z| < 1: {name or [z1, z2]} has |z|^2 = {r2!r}")
@@ -234,8 +237,7 @@ def disk_lift(z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if z.shape == (2,):
         # One point, in floats: the same sum and quotients as the stacked form.
-        z1, z2, root = disk_point(z)
-        return np.array((1.0 / root, z1 / root, z2 / root))
+        return embed_h2_vector(disk_point(z))[:3]
     r2 = np.sum(z * z, axis=-1)
     if not np.all(r2 < 1.0):  # written so that NaN fails too
         raise OutsideModelError("disk point must satisfy |z| < 1")
@@ -243,15 +245,10 @@ def disk_lift(z: np.ndarray) -> np.ndarray:
     return w / np.sqrt(1.0 - r2)[..., None]
 
 
-def embed_h2_vector(z: np.ndarray) -> np.ndarray:
-    """4-vector (disk_lift(z), 0) of a disk point on the surface {x3 = 0}."""
-    z = np.asarray(z, dtype=float)
-    lift = disk_lift(z)
-    return np.concatenate((lift, np.zeros(lift.shape[:-1] + (1,))), axis=-1)
-
-
-def embed_h2_point(tag: Geometry, z: np.ndarray) -> ProjectivePoint:
-    return ProjectivePoint(embed_h2_vector(z), tag)
+def embed_h2_vector(p: DiskPoint) -> np.ndarray:
+    """The 4-vector (1, z1, z2, 0) / sqrt(1 - |z|^2) on {x3 = 0} of a disk point, from its triple p = disk_point(z)."""
+    z1, z2, root = p
+    return np.array((1.0 / root, z1 / root, z2 / root, 0.0))
 
 
 def klein_hp(point: ProjectivePoint) -> tuple[np.ndarray, float]:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from halfpipe.bending import BendingContext, _bracketed_product, _crossings_to, bending_map, bent_holonomy
+from halfpipe.bending import BendingContext, _bracketed_product, _crossings_to, _develop, bent_holonomy
 from halfpipe.fuchsian import PuncturedTorusGroup, WeightedMulticurve, holonomy_segment_crossings
 from halfpipe.geometry import ADS, HP, HYP, Geometry, GeometryError, embed_h2_vector
 
@@ -109,8 +109,9 @@ def signed_context(
     )
 
 
-def _checked_grid(grid, weight: float) -> tuple[float, ...]:
-    ts = tuple(float(t) for t in grid)
+def _signed_slices(grid, multicurve: WeightedMulticurve, sign: float) -> tuple[tuple[float, ...], list[tuple]]:
+    """The checked grid, sorted by |t|, and each t's slice of a rescaled product: (model of t, sign * t, |t|)."""
+    weight, ts = float(multicurve.weight), tuple(float(t) for t in grid)
     if not ts:
         raise InsufficientGridError("grid is empty: a family needs at least one nonzero t")
     if not all(math.isfinite(t) for t in ts):
@@ -124,7 +125,7 @@ def _checked_grid(grid, weight: float) -> tuple[float, ...]:
     lossy = [t for t in ts if abs(t * weight) < sys.float_info.min]
     if lossy:
         raise GeometryError(f"the bending angle |t| * {weight!r} is subnormal at t = {lossy}")
-    return ts
+    return ts, [(geometry_of(t), sign * t, abs(t)) for t in ts]
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,11 +160,10 @@ def holonomy_family(
     refused.  The leaf crossings of [x0, word . x0] are queried once, and the
     grid is one stacked product, slice by slice that of ``signed_context`` at t.
     """
-    ts = _checked_grid(grid, float(multicurve.weight))
+    ts, slices = _signed_slices(grid, multicurve, sign)
     # The context checks the basepoint and the sign.
     ctx = signed_context(group, multicurve, base_point, sign, ts[0])
-    slices = [(geometry_of(t), sign * t, abs(t)) for t in ts]
-    crossings = holonomy_segment_crossings(group, multicurve, ctx.base_point, word)
+    crossings = holonomy_segment_crossings(group, multicurve, ctx._base, word)
     # The steps of a long curve's leaf words overflow; extrapolate_limit refuses that, naming the t.
     with np.errstate(over="ignore", invalid="ignore"):
         matrices = _bracketed_product(group, multicurve, crossings, word, slices)
@@ -356,14 +356,13 @@ def pleated_surface_convergence(
     point's leaf crossings are found once, and its grid is one stacked
     product.  Reports the per-t maxima and the log-log order on each side.
     """
-    ts = _checked_grid(grid, float(multicurve.weight))
+    ts, slices = _signed_slices(grid, multicurve, sign)
     hp_ctx = signed_context(group, multicurve, base_point, sign, 0.0)
-    slices = [(geometry_of(t), sign * t, abs(t)) for t in ts]
     maxima = np.zeros(len(ts))
     for z in samples:
-        z = np.asarray(z, dtype=float).reshape(2)
-        vecs = _bracketed_product(group, multicurve, _crossings_to(hp_ctx, z), "", slices) @ embed_h2_vector(z)
-        gaps = np.max(np.abs(vecs[:, 1:] / vecs[:, :1] - bending_map(hp_ctx, z).affine_chart()), axis=1)
+        p, crossings = _crossings_to(hp_ctx, z)
+        vecs = _bracketed_product(group, multicurve, crossings, "", slices) @ embed_h2_vector(p)
+        gaps = np.max(np.abs(vecs[:, 1:] / vecs[:, :1] - _develop(hp_ctx, p, crossings).affine_chart()), axis=1)
         maxima = np.maximum(maxima, gaps)
     def side_order(positive: bool) -> float:
         side = [(t, r) for t, r in zip(ts, maxima.tolist()) if (t > 0) == positive]

@@ -12,6 +12,7 @@ from test_fuchsian import (
     SIMPLE_CURVES,
     _all_reduced_words,
     _coset_key,
+    _sl2,
     _walk_segment,
     base_points,
     disk_points,
@@ -60,7 +61,8 @@ from halfpipe.geometry import (
     SpacelikeGeodesicH2,
     TagMismatchError,
     disk_lift,
-    embed_h2_point,
+    disk_point,
+    embed_h2_vector,
     klein_hp,
     minkowski_dot,
 )
@@ -139,7 +141,7 @@ def test_each_disk_entry_point_refuses_nan_and_the_rim(entry, point):
         "stacked disk_lift": lambda: disk_lift(np.stack([BASE, z])),
         "segment_crossings": lambda: segment_crossings(ctx.group, ctx.multicurve, BASE, z),
         "segment_crossings from": lambda: segment_crossings(ctx.group, ctx.multicurve, z, BASE),
-        "holonomy_segment_crossings": lambda: holonomy_segment_crossings(ctx.group, ctx.multicurve, z, "B"),
+        "holonomy_segment_crossings": lambda: holonomy_segment_crossings(ctx.group, ctx.multicurve, disk_point(z), "B"),
         "psi_lambda": lambda: psi_lambda(ctx, z),
         "bending_map": lambda: bending_map(ctx, z),
     }
@@ -397,11 +399,11 @@ def test_bending_map_fixes_base_face():
     for tag in ALL_TAGS:
         ctx = _context(tag, scale=0.3)
         image = bending_map(ctx, near)
-        assert _same_line(image.vec, embed_h2_point(tag, near).vec, tol=1e-12)
+        assert _same_line(image.vec, embed_h2_vector(disk_point(near)), tol=1e-12)
         # a point on the central leaf develops with the basepoint-side cocycle
         on_leaf = np.array([0.0, 0.3])
         image = bending_map(ctx, on_leaf)
-        assert _same_line(image.vec, embed_h2_point(tag, on_leaf).vec, tol=1e-9)
+        assert _same_line(image.vec, embed_h2_vector(disk_point(on_leaf)), tol=1e-9)
 
 
 def test_bending_map_equivariance():
@@ -467,7 +469,7 @@ def test_hp_development_is_the_bending_cocycle_applied_to_the_embedded_point(tra
         ctx = BendingContext(group, WeightedMulticurve.single(word, weight), BASE, HP, sign, scale)
         for z in _disk_points(rng, 60, radius=0.95):
             developed = bending_map(ctx, z).vec
-            image = bending_cocycle(ctx, BASE, z).apply(embed_h2_point(HP, z)).vec
+            image = bending_cocycle(ctx, BASE, z).apply(ProjectivePoint(embed_h2_vector(disk_point(z)), HP)).vec
             assert np.max(np.abs(developed - image)) < 1e-12
 
 
@@ -698,9 +700,9 @@ def _reference_translation(ctx, word):
     the inputs of :func:`bent_translation` lose before it rounds anything.
     """
     group, curve = ctx.group, ctx.multicurve
-    _, sides, _, words = holonomy_segment_crossings(group, ctx.multicurve, ctx.base_point, word)
+    _, sides, _, words = holonomy_segment_crossings(group, ctx.multicurve, disk_point(ctx.base_point), word)
     with mpmath.workdps(REFERENCE_DIGITS):
-        letters = {letter: mpmath.matrix(group.sl2(letter).tolist()) for letter in "ABab"}
+        letters = {letter: mpmath.matrix(_sl2(group, letter).tolist()) for letter in "ABab"}
         normal = _mp_axis_normal(_mp_sl2(letters, curve.root))
         float_normal = mpmath.matrix(group.axis(curve.root).normal.tolist())
         total, from_floats = mpmath.matrix(3, 1), mpmath.matrix(3, 1)
@@ -782,7 +784,7 @@ def test_bent_translation_sums_the_whole_word_leaf_normals_bit_for_bit(point, cu
     except (EndpointOnLeafError, OutsideModelError):
         assume(False)
     group, root = ctx.group, ctx.multicurve.root
-    _, sides, _, words = holonomy_segment_crossings(group, ctx.multicurve, base, word)
+    _, sides, _, words = holonomy_segment_crossings(group, ctx.multicurve, disk_point(base), word)
     axis = group.axis(root).normal
     total = np.zeros(3)
     for side, conjugator in zip(sides, words):
@@ -799,7 +801,7 @@ def test_both_translations_keep_their_digits_past_a_long_telescoped_step():
     # and the sum of the leaf rows 2.5e-10, about what the float images lose.
     group = build_punctured_torus(TeichPoint.from_xy(10.97, 53.47))
     ctx = BendingContext(group, WeightedMulticurve("bbAb"), np.array([0.67, 0.0]), HP, 1.0, 1.0)
-    assert len(holonomy_segment_crossings(group, ctx.multicurve, ctx.base_point, "B")[3]) == 15
+    assert len(holonomy_segment_crossings(group, ctx.multicurve, disk_point(ctx.base_point), "B")[3]) == 15
     reference, _ = _reference_translation(ctx, "B")
     with mpmath.workdps(REFERENCE_DIGITS):
         assert _relative_gap(bent_translation(ctx, "B"), reference) <= 1e-6
@@ -822,9 +824,9 @@ def test_rim_crossings_of_a_holonomy_segment_are_those_of_an_mpmath_sign_test(po
     mc = WeightedMulticurve.single("Abaa")
     root = mc.root
     x0 = radius * np.array([0.6, 0.8])
-    _, sides, _, words = holonomy_segment_crossings(group, mc, x0, "aB")
+    _, sides, _, words = holonomy_segment_crossings(group, mc, disk_point(x0), "aB")
     with mpmath.workdps(REFERENCE_DIGITS):
-        letters = {letter: mpmath.matrix(group.sl2(letter).tolist()) for letter in "ABab"}
+        letters = {letter: mpmath.matrix(_sl2(group, letter).tolist()) for letter in "ABab"}
         normal = _mp_axis_normal(_mp_sl2(letters, root))
         near = mpmath.matrix([1, float(x0[0]), float(x0[1])])
         far = _mp_adjoint(_mp_sl2(letters, "aB")) * near
@@ -866,11 +868,11 @@ def test_crossings_past_the_atlas_are_those_of_an_mpmath_sign_test(xy, curve, x,
     x, y = np.array(x), np.array(y)
     _, sides, _, words = segment_crossings(group, mc, x, y)
     try:
-        walked = _crossings(_walk_segment(group, mc, x, y), x, y)[3]
+        walked = _crossings(_walk_segment(group, mc, x, y), disk_point(x), disk_point(y))[3]
     except EnumerationBudgetError:
         walked = []
     with mpmath.workdps(REFERENCE_DIGITS):
-        letters = {letter: mpmath.matrix(group.sl2(letter).tolist()) for letter in "ABab"}
+        letters = {letter: mpmath.matrix(_sl2(group, letter).tolist()) for letter in "ABab"}
         normal = _mp_axis_normal(_mp_sl2(letters, mc.root))
         ends = [mpmath.matrix([1, float(u), float(v)]) for u, v in (x, y)]
         form = mpmath.diag([-1, 1, 1])
@@ -906,7 +908,8 @@ def _array_tile_leaves(group, root, tiles):
 
 
 def _array_atlas(group, root):
-    normals, words = _array_tile_leaves(group, root, fuchsian._tiles_within(group, np.zeros(2), ATLAS_RADIUS))
+    tiles = fuchsian._tiles_within(group, disk_point(np.zeros(2)), ATLAS_RADIUS)
+    normals, words = _array_tile_leaves(group, root, tiles)
     near = np.abs(normals[:, 0]) <= math.sinh(ATLAS_RADIUS + EPS_ENDPOINT)
     return normals[near], [word for word, kept in zip(words, near.tolist()) if kept]
 
@@ -942,18 +945,18 @@ def _array_segment_crossings(group, mc, x, y):
     if math.acosh(1.0 / math.sqrt(1.0 - max(squares))) <= ATLAS_RADIUS:
         leaves = _array_atlas(group, mc.root)
     else:
-        near, far = group.tiles_near(x), fuchsian._tiles_within(group, y, 0.0)
+        near, far = group.tiles_near(disk_point(x)), fuchsian._tiles_within(group, disk_point(y), 0.0)
         leaves = _array_tile_leaves(group, mc.root, {*near, *far, *fuchsian._tree_path(near[0], far[0])})
     return _array_crossings(leaves, x, y)
 
 
 def _array_holonomy_crossings(group, mc, x0, word):
     reduced = free_reduce(word)
-    far = fuchsian.image_point(group, reduced, x0)
+    far = fuchsian.image_point(group, reduced, disk_point(x0))
     u, v = far.tolist()
     if not u * u + v * v < 1.0:
         raise OutsideModelError(f"disk point must satisfy |z| < 1: {word!r} . x0 has |z|^2 = {u * u + v * v!r}")
-    near = group.tiles_near(x0)
+    near = group.tiles_near(disk_point(x0))
     tiles = {*near, *fuchsian._tree_path(near[0], fuchsian._join(reduced, near[0]))}
     return _array_crossings(_array_tile_leaves(group, mc.root, tiles), x0, far)
 
@@ -987,7 +990,7 @@ def _array_bending_map(ctx, x):
     normals, sides, parameters, words = _array_crossings_to(ctx, x)
     # The bracketed product read the sides as sides.tolist().
     crossings = normals, sides.tolist(), parameters, words
-    return bending._context_product(ctx, crossings, "").apply(embed_h2_point(ctx.tag, x))
+    return bending._context_product(ctx, crossings, "").apply(ProjectivePoint(np.append(disk_lift(x), 0.0), ctx.tag))
 
 
 def _array_bent_translation(ctx, word):
@@ -999,8 +1002,7 @@ def _array_bent_translation(ctx, word):
 
 
 def _array_holonomy_family(group, mc, sign, word, grid):
-    ts = transition._checked_grid(grid, float(mc.weight))
-    slices = [(transition.geometry_of(t), sign * t, abs(t)) for t in ts]
+    _, slices = transition._signed_slices(grid, mc, sign)
     normals, sides, parameters, words = _array_holonomy_crossings(group, mc, np.array(transition.DEFAULT_BASE_POINT), word)
     with np.errstate(over="ignore", invalid="ignore"):
         return bending._bracketed_product(group, mc, (normals, sides.tolist(), parameters, words), word, slices)

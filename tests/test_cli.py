@@ -15,8 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_doubling import _kerckhoff_pair
+from test_fuchsian import _sl2
 
-from halfpipe import cli
+from halfpipe import bending, cli, fuchsian, geometry, transition
 from halfpipe.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -25,12 +26,12 @@ from halfpipe.cli import (
     MAX_SAMPLES,
     main,
 )
-from halfpipe.bending import BendingContext, psi_lambda
+from halfpipe.bending import BendingContext, bending_map, bent_holonomy, bent_translation, psi_lambda
 from halfpipe.doubling import double_convex_core_pair, meridian_cone_angles
-from halfpipe.fuchsian import TeichPoint, WeightedMulticurve, build_punctured_torus, filling_advisory
+from halfpipe.fuchsian import TeichPoint, WeightedMulticurve, build_punctured_torus, filling_advisory, segment_crossings
 from halfpipe.geometry import HP, HYP, GeometryError
 from halfpipe.isometry import Isometry
-from halfpipe.transition import DEFAULT_BASE_POINT, EPS_LIMIT, extrapolate_limit, holonomy_family
+from halfpipe.transition import DEFAULT_BASE_POINT, EPS_LIMIT, extrapolate_limit, holonomy_family, signed_context
 
 TOL_READBACK = 1e-9
 # the first report each subcommand writes, on the config of _write_config
@@ -310,7 +311,7 @@ def test_generators_config_equals_traces_config(tmp_path):
     by_gens = tmp_path / "g.json"
     cfg = json.loads(by_traces.read_text())
     del cfg["traces"]
-    cfg["generators"] = [group.sl2("A").tolist(), group.sl2("B").tolist()]
+    cfg["generators"] = [_sl2(group, "A").tolist(), _sl2(group, "B").tolist()]
     by_gens.write_text(json.dumps(cfg))
 
     code_t, out_t = _run(tmp_path / "rt", "transition", by_traces)
@@ -540,6 +541,63 @@ def test_export_surface_vertices_and_lines(tmp_path):
         assert x * x + y * y + h * h < 1.0 + 1e-10
     heights = [abs(v[2]) for v in scene["vertices"]]
     assert max(heights) > 1e-4  # the bent surface leaves the equatorial plane
+
+
+def test_each_point_entering_a_query_is_checked_once_and_crossed_once(tmp_path, monkeypatch):
+    # geometry.disk_point checks a point where it enters a query or is formed
+    # (a far end w . x0), and a context's basepoint once, as the context is
+    # built; fuchsian._crossings, the sign test, runs once per segment query.
+    # Each query runs cold, then warm.
+    checks, queries = [], []
+    check, sign_test = geometry.disk_point, fuchsian._crossings
+    for module in (geometry, fuchsian, bending, transition, cli):
+        if hasattr(module, "disk_point"):
+            monkeypatch.setattr(module, "disk_point", lambda *args: checks.append(args) or check(*args))
+    monkeypatch.setattr(fuchsian, "_crossings", lambda *args: queries.append(args) or sign_test(*args))
+    group, lam = build_punctured_torus(TeichPoint(3.0, 3.0, 3.0)), WeightedMulticurve.single("A")
+    hp = BendingContext(group, lam, DEFAULT_BASE_POINT, HP)
+    hyp = BendingContext(group, lam, DEFAULT_BASE_POINT, HYP, 1.0, 0.1)
+    assert len(checks) == 2 and not queries
+    base, z = np.array(DEFAULT_BASE_POINT), np.array([0.3, -0.2])
+    points_and_query = [
+        (1, lambda: psi_lambda(hp, z)),
+        (1, lambda: bending_map(hp, z)),
+        (1, lambda: bending_map(hyp, z)),
+        (1, lambda: bent_translation(hp, "AB")),  # the far end
+        (1, lambda: bent_holonomy(hyp)("AB")),
+        (2, lambda: segment_crossings(group, lam, base, z)),
+        (2, lambda: holonomy_family(group, lam, 1.0, "AB")),  # the basepoint of its context and the far end
+    ]
+    for points, query in points_and_query * 2:
+        checks.clear(), queries.clear()
+        query()
+        assert (len(checks), len(queries)) == (points, 1)
+
+    # export-surface at (3,3,3), lambda = A, 10 samples: one crossing query develops each sample and names
+    # its leaves, a sign test each; each of the 24 points of the one leaf polyline lies on its leaf, so its
+    # sign test is refused and the point pulled back, two each.  Once two per sample too: 68 in all.
+    checks.clear(), queries.clear()
+    code, out = _run(tmp_path, "export-surface", _write_config(tmp_path / "cfg.json", samples=10))
+    scene = json.loads((out / "scene.json").read_text())
+    assert code == EXIT_OK and len(scene["vertices"]) == 10 and list(map(len, scene["polylines"])) == [24]
+    assert len(queries) == 10 + 2 * 24
+    # Each point and each pullback once, and the basepoint as the config is read and as the context is built.
+    assert len(checks) == 10 + 2 * 24 + 2
+
+
+@pytest.mark.parametrize("t", ["0", "0.1"])
+def test_export_surface_develops_a_sample_on_a_leaf_from_the_basepoint_side(tmp_path, monkeypatch, t):
+    # At (3,3,3) the axis of A runs through the disk centre.  A sample there
+    # takes the crossings of the basepoint side, for its vertex and its
+    # leaves, as the polyline points do; it was once refused with exit 3.
+    sample = cli._sample_disk
+    monkeypatch.setattr(cli, "_sample_disk", lambda rng, count: np.vstack((np.zeros((1, 2)), sample(rng, count - 1))))
+    code, out = _run(tmp_path, "export-surface", _write_config(tmp_path / "cfg.json", samples=10), "--grid", t)
+    assert code == EXIT_OK
+    group, lam = build_punctured_torus(TeichPoint(3.0, 3.0, 3.0)), WeightedMulticurve.single("A")
+    ctx = signed_context(group, lam, np.array(DEFAULT_BASE_POINT), 1.0, float(t))
+    vertex = json.loads((out / "scene.json").read_text())["vertices"][0]
+    assert vertex == bending_map(ctx, np.zeros(2)).affine_chart().tolist()
 
 
 def test_export_surface_refuses_a_grid_of_more_than_one_value(tmp_path, capsys):
@@ -782,7 +840,7 @@ BOOLEAN_FIELDS = (
     ("traces", {"traces": [3.0, True, 3.0]}, sorted(FIRST_REPORTS)),
     (
         "generators",
-        {"traces": None, "generators": [_GENERATORS.sl2("A").tolist(), [[True, 0.0], [0.0, 1.0]]]},
+        {"traces": None, "generators": [_sl2(_GENERATORS, "A").tolist(), [[True, 0.0], [0.0, 1.0]]]},
         sorted(FIRST_REPORTS),
     ),
     (

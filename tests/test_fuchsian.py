@@ -56,6 +56,7 @@ from halfpipe.geometry import (
     GeometryError,
     OutsideModelError,
     disk_lift,
+    disk_point,
     minkowski_dot,
 )
 from halfpipe.isometry import sl2_to_so12
@@ -129,20 +130,24 @@ def _crossing_keys(crossings):
     return keys
 
 
+def _sl2(group: PuncturedTorusGroup, word: str) -> np.ndarray:
+    """The word's SL(2) product, the group's entries (a, b, c, d), as a 2x2 array."""
+    a, b, c, d = group.entries(word)
+    return np.array(((a, b), (c, d)))
+
+
 def test_word_images_are_memoised_read_only():
     group = build_punctured_torus(TeichPoint.from_xy(4.0, 5.0))
     for word in ("A", "b", "AB", "aBBA", "ABab"):
         image = group.lorentz(word)
-        assert image.tobytes() == sl2_to_so12(group.sl2(word)).tobytes() == np.array(group.rows(word)).tobytes()
+        assert image.tobytes() == sl2_to_so12(_sl2(group, word)).tobytes() == np.array(group.rows(word)).tobytes()
         assert group.rows(word) is group.rows(word)
-        assert group.sl2(word).tobytes() == np.array(group.entries(word)).tobytes()
         assert group.entries(word) is group.entries(word)
-        for array in (image, group.sl2(word)):
-            with pytest.raises(ValueError):
-                array[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            image[0, 0] = 0.0
     for word in ("A", "AB", "AAB"):
         axis = group.axis(word)
-        assert np.array_equal(axis.normal, axis_of_sl2(group.sl2(word)).normal)
+        assert np.array_equal(axis.normal, axis_of_sl2(_sl2(group, word)).normal)
         assert group.axis(word) is axis
     other = build_punctured_torus(TeichPoint.from_xy(4.0, 5.0))
     assert other.rows("AB") is not group.rows("AB")
@@ -194,7 +199,7 @@ def test_adjoint_representation_is_a_lorentz_homomorphism():
         assert np.max(np.abs(image.T @ J3 @ image - J3)) < 1e-11
     for _ in range(10):
         w1, w2 = _random_word(rng, 6), _random_word(rng, 6)
-        g1, g2 = group.sl2(w1), group.sl2(w2)
+        g1, g2 = _sl2(group, w1), _sl2(group, w2)
         lhs = sl2_to_so12(g1 @ g2)
         rhs = sl2_to_so12(g1) @ sl2_to_so12(g2)
         scale = max(1.0, float(np.max(np.abs(lhs))))
@@ -204,9 +209,9 @@ def test_adjoint_representation_is_a_lorentz_homomorphism():
 
 def test_normal_form_at_symmetric_point():
     group = build_punctured_torus(SYMMETRIC)
-    gen_a = group.sl2("A")
+    gen_a = _sl2(group, "A")
     assert np.allclose(gen_a, np.diag([GOLDEN, 1.0 / GOLDEN]), atol=1e-12)
-    gen_b = group.sl2("B")
+    gen_b = _sl2(group, "B")
     assert gen_b[1, 0] > 0
     assert np.trace(gen_b) == pytest.approx(3.0, abs=1e-12)
     assert np.trace(gen_a @ gen_b) == pytest.approx(3.0, abs=1e-12)
@@ -385,24 +390,24 @@ def test_axis_of_diagonal_boost():
 
 def test_axis_orientation_and_equivariance():
     group = build_punctured_torus(SYMMETRIC)
-    g = group.sl2("AB")
+    g = _sl2(group, "AB")
     axis = axis_of_sl2(g)
     assert np.allclose(axis_of_sl2(np.linalg.inv(g)).normal, -axis.normal, atol=1e-10)
-    h = group.sl2("BBa")
+    h = _sl2(group, "BBa")
     conjugated = axis_of_sl2(h @ g @ np.linalg.inv(h))
     assert np.allclose(conjugated.normal, sl2_to_so12(h) @ axis.normal, atol=1e-9)
     with pytest.raises(NotHyperbolicError):
-        axis_of_sl2(group.sl2(PuncturedTorusGroup.CUSP_WORD))
+        axis_of_sl2(_sl2(group, PuncturedTorusGroup.CUSP_WORD))
 
 
 def test_translation_lengths():
     assert translation_length_sl2(np.diag([2.0, 0.5])) == pytest.approx(2.0 * math.log(2.0), abs=1e-12)
     assert translation_length_sl2(np.array([[1.0, 1.0], [0.0, 1.0]])) == 0.0
     group = build_punctured_torus(SYMMETRIC)
-    g = group.sl2("AB")
+    g = _sl2(group, "AB")
     rng = np.random.default_rng(15)
     for _ in range(20):
-        h = group.sl2(_random_word(rng, 4))
+        h = _sl2(group, _random_word(rng, 4))
         conjugate = h @ g @ np.linalg.inv(h)
         assert translation_length_sl2(conjugate) == pytest.approx(translation_length_sl2(g), abs=1e-10)
 
@@ -465,7 +470,7 @@ def test_simple_curves_are_the_signed_christoffel_classes():
             accepted = False
         else:
             accepted = True
-        if abs(float(np.trace(group.sl2(word)))) < 2.0 + 1e-9:
+        if abs(float(np.trace(_sl2(group, word)))) < 2.0 + 1e-9:
             assert not accepted, word
             continue
         core = _cyclic_reduce(word)
@@ -518,7 +523,7 @@ def test_trace_jets_match_the_matrix_traces(x, y, homology, conjugator, inverted
     p = point.as_array()
     value, grad, hess = _trace_jet(word_homology(letters), p.tolist())
     grad, hess = np.array(grad), np.array(hess)
-    expected = float(np.trace(build_punctured_torus(point).sl2(letters)))
+    expected = float(np.trace(_sl2(build_punctured_torus(point), letters)))
     assert value == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     def trace_at(q):
@@ -779,6 +784,11 @@ def _walk_segment(group: PuncturedTorusGroup, mc: WeightedMulticurve, x: np.ndar
     return _tile_leaves(group, mc.root, _tiles_near_segment(group, x, y, 0.0))
 
 
+def _crossings_of(leaves: Leaves, x: np.ndarray, y: np.ndarray):
+    """The library's sign test of the segment (x, y) among the leaves, its ends checked as a query checks them."""
+    return _crossings(leaves, disk_point(x), disk_point(y))
+
+
 def _record_leaf_queries(monkeypatch) -> tuple[list, list]:
     """Lists that fill, as the library runs, with the radius of each tile search and the leaves of each sign test."""
     searches, answered = [], []
@@ -791,7 +801,7 @@ def _record_leaf_queries(monkeypatch) -> tuple[list, list]:
 def _assert_walk_agrees(group, mc, x, y):
     """The answer for [x, y], from the atlas or the tree path, is that of the reference walk."""
     normals, sides, parameters, words = segment_crossings(group, mc, x, y)
-    searched = _crossings(_walk_segment(group, mc, x, y), x, y)
+    searched = _crossings_of(_walk_segment(group, mc, x, y), x, y)
     assert words == searched[3]
     assert np.array_equal(normals, searched[0])
     assert np.array_equal(sides, searched[1])
@@ -887,7 +897,7 @@ def test_enumeration_budget_error_reports_its_numbers(monkeypatch):
     region = "atlas radius 2.0"
     monkeypatch.setattr(fuchsian, "MAX_NODES", 3)
     with pytest.raises(EnumerationBudgetError) as info:
-        _tiles_within(group, np.zeros(2), 2.0)
+        _tiles_within(group, disk_point(np.zeros(2)), 2.0)
     err = info.value
     assert err.nodes > 3 and err.depth >= 1 and err.region == region
     assert f"after {err.nodes} nodes at depth {err.depth} ({region})" in str(err)
@@ -916,10 +926,10 @@ def test_leaf_search_over_budget_stops_before_the_shell_that_crosses_it(monkeypa
     group = build_punctured_torus(TeichPoint.from_xy(7.9017, 7.9017))
     mc = WeightedMulticurve.single("A")
     x = np.array([0.11, 0.07])
-    y = fuchsian.image_point(group, "BBaa", x)
+    y = fuchsian.image_point(group, "BBaa", disk_point(x))
     found = segment_crossings(group, mc, x, y)
     assert found[3] == ["B", "BB"]
-    _assert_same_arrays(found, fuchsian.holonomy_segment_crossings(group, mc, x, "BBaa"))
+    _assert_same_arrays(found, fuchsian.holonomy_segment_crossings(group, mc, disk_point(x), "BBaa"))
     with pytest.raises(EnumerationBudgetError):
         _walk_segment(group, mc, x, y)
 
@@ -929,7 +939,7 @@ def test_leaf_search_over_budget_stops_before_the_shell_that_crosses_it(monkeypa
     formed, compose = [], fuchsian._compose
     monkeypatch.setattr(fuchsian, "_compose", lambda m, g: formed.append(m) or compose(m, g))
     with pytest.raises(EnumerationBudgetError) as info:
-        _tiles_within(group, np.zeros(2), 12.0)
+        _tiles_within(group, disk_point(np.zeros(2)), 12.0)
     assert 0 < len(formed) <= 20_000 < info.value.nodes
 
 
@@ -1034,7 +1044,7 @@ def test_the_largest_atlas_ball_is_searched_within_a_tenth_of_the_tile_budget(mo
     # about 0.1 s, as long as the search.
     group = build_punctured_torus(TeichPoint.from_xy(2.000001, 4000.0015))
     monkeypatch.setattr(fuchsian, "MAX_NODES", fuchsian.MAX_NODES // 10)
-    tiles = _tiles_within(group, np.zeros(2), ATLAS_RADIUS)
+    tiles = _tiles_within(group, disk_point(np.zeros(2)), ATLAS_RADIUS)
     assert len(tiles) == 3189 and max(map(len, tiles)) == 1594
     assert group.atlas("A")[1] == ("",)
 
@@ -1053,8 +1063,7 @@ def test_atlas_rows_of_long_words_equal_the_letter_by_letter_products():
         # One matrix alone, as each slice of the library's stacked product.
         expected = sl2_to_so12(_letter_by_letter(gens, words[i])) @ normal
         assert np.array(rows[i]).tobytes() == expected.tobytes(), words[i]
-        assert group.sl2(words[i]).tobytes() == _letter_by_letter(gens, words[i]).tobytes()
-        assert not group.sl2(words[i]).flags.writeable
+        assert _sl2(group, words[i]).tobytes() == _letter_by_letter(gens, words[i]).tobytes()
 
 
 def test_sl2_products_do_not_depend_on_the_words_asked_before():
@@ -1064,11 +1073,11 @@ def test_sl2_products_do_not_depend_on_the_words_asked_before():
     shared = build_punctured_torus(SYMMETRIC)
     gens = shared._sl2_gens
     for word in words:
-        assert shared.sl2(word).tobytes() == _letter_by_letter(gens, word).tobytes(), word
+        assert _sl2(shared, word).tobytes() == _letter_by_letter(gens, word).tobytes(), word
         assert shared.entries(word) is shared.entries(word)
-    assert shared.sl2("").tobytes() == np.eye(2).tobytes() and not shared.sl2("").flags.writeable
+    assert _sl2(shared, "").tobytes() == np.eye(2).tobytes()
     with pytest.raises(BadWordError):
-        shared.sl2("AxB")
+        shared.entries("AxB")
     assert not any("x" in word for word in shared._sl2)
 
 
@@ -1122,13 +1131,13 @@ def _adjoint_in_floats(g):
 @given(point=extreme_trace_points, word=reduced_words)
 def test_stacked_letter_images_equal_each_letters_adjoint_bit_for_bit(point, word):
     group = build_punctured_torus(point)
-    images = sl2_to_so12(np.stack([group.sl2(letter) for letter in "ABab"]))
+    images = sl2_to_so12(np.stack([_sl2(group, letter) for letter in "ABab"]))
     assert images.shape == (4, 3, 3)
     for image, letter in zip(images, "ABab"):
-        g = group.sl2(letter)
+        g = _sl2(group, letter)
         assert image.tobytes() == sl2_to_so12(g).tobytes() == _adjoint_in_floats(g).tobytes(), letter
         assert group.lorentz(letter).tobytes() == image.tobytes(), letter
-    g = group.sl2(word)
+    g = _sl2(group, word)
     assert sl2_to_so12(g).tobytes() == _adjoint_in_floats(g).tobytes() == group.lorentz(word).tobytes()
 
 
@@ -1176,7 +1185,7 @@ def test_lorentz_images_are_within_a_few_ulps_of_a_50_digit_reference():
             x, y = rng.uniform(3.0, 60.0, size=2).tolist()
             group = build_punctured_torus(TeichPoint.from_xy(x, y))
             word = _random_word(rng, int(rng.integers(1, 14)))
-            letters = {ch: mpmath.matrix(group.sl2(ch).tolist()) for ch in "ABab"}
+            letters = {ch: mpmath.matrix(_sl2(group, ch).tolist()) for ch in "ABab"}
             g = mpmath.eye(2)
             for ch in word:
                 g = g * letters[ch]
@@ -1196,7 +1205,7 @@ def test_leaf_search_finds_every_crossing_of_a_brute_force_enumeration(point, mc
         assume(False)
     expected = _brute_force_crossings(group, mc, x, y, 7)
     _assert_same_crossings([c.parameter for c in crossings], expected)
-    _assert_same_crossings(_crossings(_walk_segment(group, mc, x, y), x, y)[2], expected)
+    _assert_same_crossings(_crossings_of(_walk_segment(group, mc, x, y), x, y)[2], expected)
 
 
 @given(
@@ -1277,9 +1286,9 @@ def test_float_sign_test_equals_its_numpy_form_bit_for_bit(normals, repeats, x, 
             expected = _numpy_crossings(leaves, x, y)
         except EndpointOnLeafError:
             with pytest.raises(EndpointOnLeafError, match="segment endpoint lies on a leaf"):
-                _crossings(leaves, x, y)
+                _crossings_of(leaves, x, y)
             return
-    found = _crossings(leaves, x, y)
+    found = _crossings_of(leaves, x, y)
     assert found[3] == expected[3]
     for array, want in zip(_as_arrays(found), expected[:3]):
         assert array.shape == want.shape and array.dtype == want.dtype and array.tobytes() == want.tobytes()
@@ -1292,13 +1301,13 @@ def test_endpoint_on_leaf_error_carries_the_endpoint_leaf_and_pairing():
         EndpointOnLeafError,
         match=r"segment endpoint lies on a leaf; .*endpoint \[0.0, -0.5\] on the leaf of 'bAB', scaled pairing 0.000e\+00",
     ):
-        _crossings(leaves, np.array([0.3, 0.2]), np.array([0.0, -0.5]))
+        _crossings_of(leaves, np.array([0.3, 0.2]), np.array([0.0, -0.5]))
 
 
 def test_holonomy_image_off_the_disk_error_carries_the_word_and_its_norm():
     with pytest.raises(OutsideModelError, match=r"\|z\| < 1: 'A{20}' \. x0 has \|z\|\^2 = 1\.0"):
         fuchsian.holonomy_segment_crossings(
-            build_punctured_torus(SYMMETRIC), WeightedMulticurve.single("B"), np.array([0.11, 0.07]), "A" * 20
+            build_punctured_torus(SYMMETRIC), WeightedMulticurve.single("B"), disk_point([0.11, 0.07]), "A" * 20
         )
 
 
@@ -1321,9 +1330,9 @@ def test_float_sign_test_on_atlas_leaves_equals_its_numpy_form_bit_for_bit(name)
             except EndpointOnLeafError:
                 refused += 1
                 with pytest.raises(EndpointOnLeafError):
-                    _crossings(leaves, x, y)
+                    _crossings_of(leaves, x, y)
                 continue
-            found = _crossings(leaves, x, y)
+            found = _crossings_of(leaves, x, y)
             assert found[3] == expected[3]
             for array, want in zip(_as_arrays(found), expected[:3]):
                 assert array.tobytes() == want.tobytes()
@@ -1362,9 +1371,9 @@ def test_side_times_the_conjugated_axis_normal_is_the_leaf_normal(point, mc, x, 
     # Both ends lie within Klein radius 0.9, so the atlas answers.
     assert set(words) <= set(group.atlas(mc.root)[1])
     _assert_whole_word_normals(group, mc, found)
-    _assert_whole_word_normals(group, mc, _crossings(_walk_segment(group, mc, x, y), x, y))
+    _assert_whole_word_normals(group, mc, _crossings_of(_walk_segment(group, mc, x, y), x, y))
     try:
-        along_tree = fuchsian.holonomy_segment_crossings(group, mc, x, word)
+        along_tree = fuchsian.holonomy_segment_crossings(group, mc, disk_point(x), word)
     except (EndpointOnLeafError, OutsideModelError):
         return
     _assert_whole_word_normals(group, mc, along_tree)
@@ -1413,19 +1422,20 @@ def _assert_same_arrays(found, expected):
 def test_holonomy_crossings_from_the_tree_equal_a_search_of_the_segment(point, curve, x0, word):
     group = build_punctured_torus(point)
     mc = WeightedMulticurve.single(curve)
-    far = fuchsian.image_point(group, free_reduce(word), x0)
+    far = fuchsian.image_point(group, free_reduce(word), disk_point(x0))
 
     def searched():
         u, v = far.tolist()
         if not u * u + v * v < 1.0:
             raise OutsideModelError("g.x0 rounds onto the rim")
-        return _crossings(_walk_segment(group, mc, x0, far), x0, far)
+        return _crossings_of(_walk_segment(group, mc, x0, far), x0, far)
 
     try:
         expected = _crossings_or_error(searched)
     except EnumerationBudgetError:
         assume(False)
-    _assert_same_arrays(_crossings_or_error(lambda: fuchsian.holonomy_segment_crossings(group, mc, x0, word)), expected)
+    found = _crossings_or_error(lambda: fuchsian.holonomy_segment_crossings(group, mc, disk_point(x0), word))
+    _assert_same_arrays(found, expected)
 
 
 @pytest.mark.parametrize(
@@ -1441,19 +1451,18 @@ def test_holonomy_crossings_from_a_far_basepoint_equal_a_search_of_the_segment(n
     mc = WeightedMulticurve.single(curve)
     for angle in np.linspace(0.3, 2.0 * math.pi + 0.3, 7, endpoint=False):
         x0 = 0.9 * np.array([math.cos(angle), math.sin(angle)])
-        tile = group.tiles_near(x0)[0]
+        tile = group.tiles_near(disk_point(x0))[0]
         for word in sorted({invert_word(tile[:k]) for k in (1, 2, 3)}):
-            far = fuchsian.image_point(group, word, x0)
-            expected = _crossings_or_error(lambda: _crossings(_walk_segment(group, mc, x0, far), x0, far))
-            _assert_same_arrays(
-                _crossings_or_error(lambda: fuchsian.holonomy_segment_crossings(group, mc, x0, word)), expected
-            )
+            far = fuchsian.image_point(group, word, disk_point(x0))
+            expected = _crossings_or_error(lambda: _crossings_of(_walk_segment(group, mc, x0, far), x0, far))
+            found = _crossings_or_error(lambda: fuchsian.holonomy_segment_crossings(group, mc, disk_point(x0), word))
+            _assert_same_arrays(found, expected)
 
 
 def test_holonomy_crossings_take_the_basepoint_as_any_two_numbers():
     group, mc = build_punctured_torus(SYMMETRIC), WeightedMulticurve.single("A")
-    found = [fuchsian.holonomy_segment_crossings(group, mc, x0, "B") for x0 in ((0.11, 0.07), [0.11, 0.07])]
-    expected = fuchsian.holonomy_segment_crossings(group, mc, np.array([0.11, 0.07]), "B")
+    found = [fuchsian.holonomy_segment_crossings(group, mc, disk_point(x0), "B") for x0 in ((0.11, 0.07), [0.11, 0.07])]
+    expected = fuchsian.holonomy_segment_crossings(group, mc, disk_point(np.array([0.11, 0.07])), "B")
     assert found == [expected, expected] and expected[3] == ["B"]
 
 
@@ -1463,8 +1472,9 @@ def test_a_word_crosses_the_leaves_of_its_free_reduction():
         group = build_punctured_torus(point)
         mc = WeightedMulticurve.single(curve)
         for word in ("AaBBB", "BbAAb", "AaB", "bAaB", "abBA"):
-            found = fuchsian.holonomy_segment_crossings(group, mc, x0, word)
-            _assert_same_arrays(found, fuchsian.holonomy_segment_crossings(group, mc, x0, free_reduce(word)))
+            found = fuchsian.holonomy_segment_crossings(group, mc, disk_point(x0), word)
+            reduced = fuchsian.holonomy_segment_crossings(group, mc, disk_point(x0), free_reduce(word))
+            _assert_same_arrays(found, reduced)
 
 
 def test_kerckhoff_point_symmetric_pair():
@@ -1623,14 +1633,14 @@ def test_kerckhoff_local_model_equals_its_numpy_form_bit_for_bit(p, curves, weig
 @given(point=extreme_trace_points)
 def test_group_set_up_equals_its_numpy_form_bit_for_bit(point):
     group = build_punctured_torus(point)
-    cusp = group.sl2(PuncturedTorusGroup.CUSP_WORD)
+    cusp = _sl2(group, PuncturedTorusGroup.CUSP_WORD)
     assert group.cusp_trace() == float(np.trace(cusp))
     # tile_sides, with the cusp's fixed vector taken as numpy took it and moved in floats.
     shifted = cusp + np.eye(2)
     u, w = shifted[:, int(np.argmax(np.abs(shifted).sum(axis=0)))].tolist()
     vertices = []
     for word in ("", "a", "ba", "Aba"):
-        (a, b), (c, d) = group.sl2(word).tolist()
+        (a, b), (c, d) = _sl2(group, word).tolist()
         v1, v2 = a * u + b * w, c * u + d * w
         vertices.append(np.array([(v1 * v1 + v2 * v2) / 2.0, v1 * v2, (v2 * v2 - v1 * v1) / 2.0]))
     columns = []

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
-from test_fuchsian import ATLAS_MULTICURVES, reduced_words, trace_points
+from test_fuchsian import ATLAS_MULTICURVES, _sl2, reduced_words, trace_points
 
 from halfpipe import bending, transition
 from halfpipe.bending import bent_holonomy
@@ -27,6 +27,7 @@ from halfpipe.geometry import (
     GeometryError,
     Plane,
     SpacelikeGeodesicH2,
+    disk_point,
 )
 from halfpipe.isometry import reflection, rescale_conjugate, rotation
 from halfpipe.transition import (
@@ -561,9 +562,9 @@ def _oracle_family(group, mc, sign, word, grid):
     mpmath) and the crossings found in floats.  Each leaf's rotation is
     formed whole, g_v (c + mu s X) g_v^-1, and the product is not telescoped.
     """
-    _, sides, _, words = holonomy_segment_crossings(group, mc, np.array(transition.DEFAULT_BASE_POINT), word)
+    _, sides, _, words = holonomy_segment_crossings(group, mc, disk_point(transition.DEFAULT_BASE_POINT), word)
     with mpmath.workdps(ORACLE_DIGITS):
-        letters = {letter: mpmath.matrix(group.sl2(letter).tolist()) for letter in "ABab"}
+        letters = {letter: mpmath.matrix(_sl2(group, letter).tolist()) for letter in "ABab"}
 
         def sl2(w):
             out = mpmath.eye(2)

@@ -6,9 +6,12 @@ JSON and CSV files, paired in reading order, with the two numbers and the
 file they are in (a large change of a number at the rounding floor, such as
 a gap of 1e-14, shows as such); a run whose files differ in anything but
 their numbers (other text, a different count of numbers, a file written by
-one side only) says so instead.  Every
+one side only, a file that does not parse) says so instead.  Every
 change of exit code gets a line of its own, and the last line counts the
-runs that differ and gives the largest relative change of all:
+runs that differ and gives the largest relative change of all.  It exits 0
+when every run has the same files and exit code on both sides, 1 when any
+run's files or exit code differ or a run is kept by one side only, and 2
+for a wrong number of arguments:
 
     python3 tools/cli_digest.py --repo OLD --keep old-runs > old.txt
     python3 tools/cli_digest.py --repo NEW --keep new-runs > new.txt
@@ -81,7 +84,10 @@ def run_drift(old: Path, new: Path) -> tuple[float, float, float, str] | str | N
             if a.read_bytes() != b.read_bytes():
                 return f"{name} differs and is not JSON or CSV"
             continue
-        (old_numbers, old_others), (new_numbers, new_others) = tokens(a), tokens(b)
+        try:
+            (old_numbers, old_others), (new_numbers, new_others) = tokens(a), tokens(b)
+        except ValueError:
+            return f"{name} differs and does not parse"
         if old_others != new_others or len(old_numbers) != len(new_numbers):
             return f"{name} differs in more than its numbers"
         for x, y in zip(old_numbers, new_numbers):
@@ -94,18 +100,21 @@ def main() -> int:
         print(__doc__, file=sys.stderr)
         return 2
     old_root, new_root = Path(sys.argv[1]), Path(sys.argv[2])
-    differing, largest = 0, 0.0
+    differing, largest, changed = 0, 0.0, False
     for run in sorted({p.name for p in old_root.iterdir()} | {p.name for p in new_root.iterdir()}):
         old, new = old_root / run, new_root / run
         if not (old / "run.txt").is_file() or not (new / "run.txt").is_file():
             print(f"run {run} kept by one side only")
+            changed = True
             continue
         (label, old_code), (new_label, new_code) = ((p / "run.txt").read_text().split("\n")[:2] for p in (old, new))
         if label != new_label:
             print(f"run {run} is {label} on one side and {new_label} on the other")
+            changed = True
             continue
         if old_code != new_code:
             print(f"exit {old_code} -> {new_code}  {label}")
+            changed = True
         drift = run_drift(old, new)
         if drift is None:
             continue
@@ -118,7 +127,7 @@ def main() -> int:
             largest = max(largest, change)
             print(f"{change:.3e}  ({x!r} -> {y!r})  {label}/{name}")
     print(f"{differing} runs differ; largest relative change {largest:.3e}")
-    return 0
+    return 1 if changed or differing else 0
 
 
 if __name__ == "__main__":
