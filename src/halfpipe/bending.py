@@ -26,7 +26,6 @@ from halfpipe.fuchsian import (
     EndpointOnLeafError,
     PuncturedTorusGroup,
     WeightedMulticurve,
-    _segment_crossings,
     free_reduce,
     holonomy_segment_crossings,
     invert_word,
@@ -71,7 +70,7 @@ class BendingContext:
     immutable.  Crossing data lives in the group's leaf layer, keyed by the
     curve's root, so every context over one group and curve shares it,
     whatever its weight, tag, sign or scale.  The basepoint is checked here,
-    once; its triple from ``disk_point`` goes to the leaf layer as it is.
+    once; its DiskPoint from ``disk_point`` goes to the leaf layer unchecked.
 
     Parameters
     ----------
@@ -231,10 +230,10 @@ def _crossings_to(ctx: BendingContext, x) -> tuple[DiskPoint, Crossings]:
     """x checked once, as its triple p, and the leaves crossed by [x0, x], from the x0 side for a point on a leaf."""
     p = disk_point(x)
     try:
-        return p, _segment_crossings(ctx.group, ctx.multicurve, ctx._base, p)
+        return p, segment_crossings(ctx.group, ctx.multicurve, ctx._base, p)
     except EndpointOnLeafError:
         inner = ctx.base_point + (1.0 - PULLBACK) * (np.array(p[:2]) - ctx.base_point)
-        return p, _segment_crossings(ctx.group, ctx.multicurve, ctx._base, disk_point(inner))
+        return p, segment_crossings(ctx.group, ctx.multicurve, ctx._base, inner)
 
 
 def _height(ctx: BendingContext, p: DiskPoint, crossings: Crossings) -> float:

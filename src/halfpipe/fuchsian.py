@@ -26,9 +26,9 @@ word v), then one sign test (``_crossings``, the leaves whose pairings with
 the two ends differ in sign; it raises EndpointOnLeafError for an end on a
 leaf).  Leaf normals pass between the steps, and on to the bending layer, as
 rows (n0, n1, n2) of Python floats, not arrays.  A disk point is checked
-once, by ``geometry.disk_point``, where it enters (``segment_crossings``, the
-bending layer's queries and contexts), and passes inward as the triple (z1,
-z2, sqrt(1 - |z|^2)) it returns.  There are two tile sources:
+once, by ``geometry.disk_point``, where it enters a public function or a
+bending context, and passes inward as the DiskPoint (z1, z2, sqrt(1 - |z|^2))
+it returns, which public functions take unchecked.  There are two tile sources:
 
 - the atlas ball: each group keeps a leaf atlas per curve root, the leaves
   meeting the hyperbolic ball B(o, ATLAS_RADIUS) about the disk centre o,
@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from halfpipe.geometry import DiskPoint, GeometryError, SpacelikeGeodesicH2, disk_point
+from halfpipe.geometry import DiskPoint, GeometryError, SpacelikeGeodesicH2, as_disk_point, disk_point
 from halfpipe.isometry import adjoint_rows
 
 # |x^2 + y^2 + z^2 - xyz| accepted as "on the relation variety": at most EPS_FRICKE while the terms
@@ -401,11 +401,12 @@ class PuncturedTorusGroup:
             object.__setattr__(self, "_sides", tuple(sides))
         return self._sides
 
-    def tiles_near(self, p: DiskPoint) -> tuple[str, ...]:
-        """The words of the tiles w.Q within EPS_ENDPOINT of the checked disk point p, the tile that holds it first.
+    def tiles_near(self, x) -> tuple[str, ...]:
+        """The words of the tiles w.Q within EPS_ENDPOINT of the disk point x, the tile that holds it first.
 
-        One tile search about p, of radius 0, with its errors, memoised by (z1, z2) of p = (z1, z2, root).
+        One tile search about x, of radius 0, with its errors, memoised by (z1, z2) of ``as_disk_point(x)``.
         """
+        p = as_disk_point(x)
         tiles = self._near_tiles.get(p[:2])
         if tiles is None:
             tiles = self._near_tiles[p[:2]] = tuple(_tiles_within(self, p, 0.0))
@@ -668,7 +669,7 @@ def _tile_leaves(group: PuncturedTorusGroup, root: str, tiles) -> Leaves:
     return tuple(map(tuple, normals.tolist())), tuple(order)
 
 
-def segment_crossings(group: PuncturedTorusGroup, mc: WeightedMulticurve, x: np.ndarray, y: np.ndarray) -> Crossings:
+def segment_crossings(group: PuncturedTorusGroup, mc: WeightedMulticurve, x, y) -> Crossings:
     """The leaves of the lifted multicurve crossing the open segment (x, y), as lists of Python floats and words.
 
     In increasing order of crossing parameter, each leaf comes as its normal
@@ -677,16 +678,12 @@ def segment_crossings(group: PuncturedTorusGroup, mc: WeightedMulticurve, x: np.
     the ball of the group's leaf atlas of ``mc.root`` is answered from it, as
     the ball is convex and so meets every leaf crossing the segment; past the
     ball, from the tiles near x (``tiles_near``) and near y, and the tree path
-    between them.  x and y are any two numbers each, checked here, once.
-    Raises OutsideModelError when an endpoint is off the open disk,
+    between them.  x and y go through ``as_disk_point``.  Raises
+    OutsideModelError when an endpoint is off the open disk,
     EndpointOnLeafError when one is within tolerance of a leaf, and the
     errors of the tile searches.
     """
-    return _segment_crossings(group, mc, disk_point(x), disk_point(y))
-
-
-def _segment_crossings(group: PuncturedTorusGroup, mc: WeightedMulticurve, p: DiskPoint, q: DiskPoint) -> Crossings:
-    """:func:`segment_crossings` of the checked ends p and q, triples (z1, z2, root)."""
+    p, q = as_disk_point(x), as_disk_point(y)
     # The end farther from the disk centre has the smaller root sqrt(1 - |z|^2).
     if math.acosh(1.0 / min(p[2], q[2])) <= ATLAS_RADIUS:
         leaves = group.atlas(mc.root)
@@ -696,20 +693,18 @@ def _segment_crossings(group: PuncturedTorusGroup, mc: WeightedMulticurve, p: Di
     return _crossings(leaves, p, q)
 
 
-def image_point(group: PuncturedTorusGroup, word: str, x: DiskPoint) -> np.ndarray:
-    """The point word . x, unchecked, of the checked disk point x, from the word's Lorentz rows and x's lift, in floats.
+def image_point(group: PuncturedTorusGroup, word: str, x) -> np.ndarray:
+    """The point word . x of the Klein disk or off it, from the word's Lorentz rows and the lift of x, in Python floats.
 
-    A lift's image whose first coordinate rounds to 0 or below gives (NaN, NaN).
+    x goes through ``as_disk_point``.  A lift's image whose first coordinate rounds to 0 or below gives (NaN, NaN).
     """
-    x1, x2, root = x
+    x1, x2, root = as_disk_point(x)
     lift = 1.0 / root, x1 / root, x2 / root
     u0, u1, u2 = (a * lift[0] + b * lift[1] + c * lift[2] for a, b, c in group.rows(word))
     return np.array((u1 / u0, u2 / u0) if u0 > 0.0 else (math.nan, math.nan))
 
 
-def holonomy_segment_crossings(
-    group: PuncturedTorusGroup, mc: WeightedMulticurve, p0: DiskPoint, word: str
-) -> Crossings:
+def holonomy_segment_crossings(group: PuncturedTorusGroup, mc: WeightedMulticurve, x0, word: str) -> Crossings:
     """The leaves of the lifted multicurve crossing the open segment (x0, word . x0).
 
     The lists are those of :func:`segment_crossings`, read off the tiling's
@@ -719,13 +714,14 @@ def holonomy_segment_crossings(
     tiles of the tree path from w to u.  To those come the tiles within
     EPS_ENDPOINT of x0, so that a leaf through x0 is refused, and with it
     one through g.x0 (``image_point``), the image of a leaf through x0.
-    x0 comes checked, as a context keeps it, and g.x0 is checked once formed.
+    x0 goes through ``as_disk_point`` (a context hands in its DiskPoint); g.x0 is checked once formed.
     Raises OutsideModelError when word . x0 rounds onto the rim or past it,
     EndpointOnLeafError when an endpoint is within tolerance of a leaf, and
     the errors of ``tiles_near`` for x0.
     """
     if word:
         _check_word(word)
+    p0 = as_disk_point(x0)
     reduced = free_reduce(word)
     far = disk_point(image_point(group, reduced, p0), f"{word!r} . x0")
     near = group.tiles_near(p0)
@@ -758,9 +754,7 @@ def _crossings(leaves: Leaves, p: DiskPoint, q: DiskPoint) -> Crossings:
     return [rows[i] for i in order], list(sides), list(parameters), [words[i] for i in order]
 
 
-def leaves_crossing(
-    group: PuncturedTorusGroup, mc: WeightedMulticurve, x: np.ndarray, y: np.ndarray
-) -> list[LeafCrossing]:
+def leaves_crossing(group: PuncturedTorusGroup, mc: WeightedMulticurve, x, y) -> list[LeafCrossing]:
     """The crossings of (x, y) from :func:`segment_crossings`, as LeafCrossing objects; only ``perfbench/`` calls it."""
     return [
         LeafCrossing(SpacelikeGeodesicH2((side * n0, side * n1, side * n2)), float(mc.weight), parameter, word)

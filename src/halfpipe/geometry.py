@@ -216,11 +216,12 @@ class Plane:
 # ---------------------------------------------------------------------------
 
 
-DiskPoint = tuple[float, float, float]  # (z1, z2, sqrt(1 - |z|^2)) of a checked Klein disk point
+class DiskPoint(tuple):
+    """(z1, z2, sqrt(1 - |z|^2)) of a Klein disk point, made only by :func:`disk_point`; it is not checked again."""
 
 
 def disk_point(z, name: str | None = None) -> DiskPoint:
-    """(z1, z2, sqrt(1 - |z|^2)) of a Klein disk point, any two numbers of shape (2,), in Python floats.
+    """The DiskPoint (z1, z2, sqrt(1 - |z|^2)) of a Klein disk point, any two numbers of shape (2,), in Python floats.
 
     |z|^2 is the float sum z1 * z1 + z2 * z2.  Raises OutsideModelError,
     naming the point (or ``name``) and |z|^2, for |z| >= 1 or a NaN coordinate.
@@ -229,7 +230,12 @@ def disk_point(z, name: str | None = None) -> DiskPoint:
     r2 = z1 * z1 + z2 * z2
     if not r2 < 1.0:  # written so that NaN fails too
         raise OutsideModelError(f"disk point must satisfy |z| < 1: {name or [z1, z2]} has |z|^2 = {r2!r}")
-    return z1, z2, math.sqrt(1.0 - r2)
+    return DiskPoint((z1, z2, math.sqrt(1.0 - r2)))
+
+
+def as_disk_point(z) -> DiskPoint:
+    """z if it is a DiskPoint, else disk_point(z): a public function takes a point as either and checks it once."""
+    return z if isinstance(z, DiskPoint) else disk_point(z)
 
 
 def disk_lift(z: np.ndarray) -> np.ndarray:
@@ -237,7 +243,8 @@ def disk_lift(z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if z.shape == (2,):
         # One point, in floats: the same sum and quotients as the stacked form.
-        return embed_h2_vector(disk_point(z))[:3]
+        z1, z2, root = disk_point(z)
+        return np.array((1.0 / root, z1 / root, z2 / root))
     r2 = np.sum(z * z, axis=-1)
     if not np.all(r2 < 1.0):  # written so that NaN fails too
         raise OutsideModelError("disk point must satisfy |z| < 1")
@@ -245,9 +252,9 @@ def disk_lift(z: np.ndarray) -> np.ndarray:
     return w / np.sqrt(1.0 - r2)[..., None]
 
 
-def embed_h2_vector(p: DiskPoint) -> np.ndarray:
-    """The 4-vector (1, z1, z2, 0) / sqrt(1 - |z|^2) on {x3 = 0} of a disk point, from its triple p = disk_point(z)."""
-    z1, z2, root = p
+def embed_h2_vector(z) -> np.ndarray:
+    """The 4-vector (1, z1, z2, 0) / sqrt(1 - |z|^2) on {x3 = 0} of a disk point z, two numbers or a DiskPoint."""
+    z1, z2, root = as_disk_point(z)
     return np.array((1.0 / root, z1 / root, z2 / root, 0.0))
 
 

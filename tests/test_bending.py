@@ -131,17 +131,20 @@ def test_context_validation():
 @pytest.mark.parametrize("point", [(math.nan, 0.0), (0.0, math.nan), (1.0, 0.0), (0.8, 0.8)])
 @pytest.mark.parametrize(
     "entry",
-    ["disk_lift", "stacked disk_lift", "segment_crossings", "segment_crossings from", "holonomy_segment_crossings",
-     "psi_lambda", "bending_map"],
+    ["disk_lift", "stacked disk_lift", "embed_h2_vector", "segment_crossings", "segment_crossings from",
+     "holonomy_segment_crossings", "image_point", "tiles_near", "psi_lambda", "bending_map"],
 )
 def test_each_disk_entry_point_refuses_nan_and_the_rim(entry, point):
     ctx, z = _context(HP), np.array(point)
     calls = {
         "disk_lift": lambda: disk_lift(z),
         "stacked disk_lift": lambda: disk_lift(np.stack([BASE, z])),
+        "embed_h2_vector": lambda: embed_h2_vector(z),
         "segment_crossings": lambda: segment_crossings(ctx.group, ctx.multicurve, BASE, z),
         "segment_crossings from": lambda: segment_crossings(ctx.group, ctx.multicurve, z, BASE),
-        "holonomy_segment_crossings": lambda: holonomy_segment_crossings(ctx.group, ctx.multicurve, disk_point(z), "B"),
+        "holonomy_segment_crossings": lambda: holonomy_segment_crossings(ctx.group, ctx.multicurve, z, "B"),
+        "image_point": lambda: fuchsian.image_point(ctx.group, "B", z),
+        "tiles_near": lambda: ctx.group.tiles_near(z),
         "psi_lambda": lambda: psi_lambda(ctx, z),
         "bending_map": lambda: bending_map(ctx, z),
     }
@@ -399,11 +402,11 @@ def test_bending_map_fixes_base_face():
     for tag in ALL_TAGS:
         ctx = _context(tag, scale=0.3)
         image = bending_map(ctx, near)
-        assert _same_line(image.vec, embed_h2_vector(disk_point(near)), tol=1e-12)
+        assert _same_line(image.vec, embed_h2_vector(near), tol=1e-12)
         # a point on the central leaf develops with the basepoint-side cocycle
         on_leaf = np.array([0.0, 0.3])
         image = bending_map(ctx, on_leaf)
-        assert _same_line(image.vec, embed_h2_vector(disk_point(on_leaf)), tol=1e-9)
+        assert _same_line(image.vec, embed_h2_vector(on_leaf), tol=1e-9)
 
 
 def test_bending_map_equivariance():
@@ -469,7 +472,7 @@ def test_hp_development_is_the_bending_cocycle_applied_to_the_embedded_point(tra
         ctx = BendingContext(group, WeightedMulticurve.single(word, weight), BASE, HP, sign, scale)
         for z in _disk_points(rng, 60, radius=0.95):
             developed = bending_map(ctx, z).vec
-            image = bending_cocycle(ctx, BASE, z).apply(ProjectivePoint(embed_h2_vector(disk_point(z)), HP)).vec
+            image = bending_cocycle(ctx, BASE, z).apply(ProjectivePoint(embed_h2_vector(z), HP)).vec
             assert np.max(np.abs(developed - image)) < 1e-12
 
 
@@ -700,7 +703,7 @@ def _reference_translation(ctx, word):
     the inputs of :func:`bent_translation` lose before it rounds anything.
     """
     group, curve = ctx.group, ctx.multicurve
-    _, sides, _, words = holonomy_segment_crossings(group, ctx.multicurve, disk_point(ctx.base_point), word)
+    _, sides, _, words = holonomy_segment_crossings(group, ctx.multicurve, ctx.base_point, word)
     with mpmath.workdps(REFERENCE_DIGITS):
         letters = {letter: mpmath.matrix(_sl2(group, letter).tolist()) for letter in "ABab"}
         normal = _mp_axis_normal(_mp_sl2(letters, curve.root))
@@ -784,7 +787,7 @@ def test_bent_translation_sums_the_whole_word_leaf_normals_bit_for_bit(point, cu
     except (EndpointOnLeafError, OutsideModelError):
         assume(False)
     group, root = ctx.group, ctx.multicurve.root
-    _, sides, _, words = holonomy_segment_crossings(group, ctx.multicurve, disk_point(base), word)
+    _, sides, _, words = holonomy_segment_crossings(group, ctx.multicurve, base, word)
     axis = group.axis(root).normal
     total = np.zeros(3)
     for side, conjugator in zip(sides, words):
@@ -801,7 +804,7 @@ def test_both_translations_keep_their_digits_past_a_long_telescoped_step():
     # and the sum of the leaf rows 2.5e-10, about what the float images lose.
     group = build_punctured_torus(TeichPoint.from_xy(10.97, 53.47))
     ctx = BendingContext(group, WeightedMulticurve("bbAb"), np.array([0.67, 0.0]), HP, 1.0, 1.0)
-    assert len(holonomy_segment_crossings(group, ctx.multicurve, disk_point(ctx.base_point), "B")[3]) == 15
+    assert len(holonomy_segment_crossings(group, ctx.multicurve, ctx.base_point, "B")[3]) == 15
     reference, _ = _reference_translation(ctx, "B")
     with mpmath.workdps(REFERENCE_DIGITS):
         assert _relative_gap(bent_translation(ctx, "B"), reference) <= 1e-6
@@ -824,7 +827,7 @@ def test_rim_crossings_of_a_holonomy_segment_are_those_of_an_mpmath_sign_test(po
     mc = WeightedMulticurve.single("Abaa")
     root = mc.root
     x0 = radius * np.array([0.6, 0.8])
-    _, sides, _, words = holonomy_segment_crossings(group, mc, disk_point(x0), "aB")
+    _, sides, _, words = holonomy_segment_crossings(group, mc, x0, "aB")
     with mpmath.workdps(REFERENCE_DIGITS):
         letters = {letter: mpmath.matrix(_sl2(group, letter).tolist()) for letter in "ABab"}
         normal = _mp_axis_normal(_mp_sl2(letters, root))
@@ -945,18 +948,18 @@ def _array_segment_crossings(group, mc, x, y):
     if math.acosh(1.0 / math.sqrt(1.0 - max(squares))) <= ATLAS_RADIUS:
         leaves = _array_atlas(group, mc.root)
     else:
-        near, far = group.tiles_near(disk_point(x)), fuchsian._tiles_within(group, disk_point(y), 0.0)
+        near, far = group.tiles_near(x), fuchsian._tiles_within(group, disk_point(y), 0.0)
         leaves = _array_tile_leaves(group, mc.root, {*near, *far, *fuchsian._tree_path(near[0], far[0])})
     return _array_crossings(leaves, x, y)
 
 
 def _array_holonomy_crossings(group, mc, x0, word):
     reduced = free_reduce(word)
-    far = fuchsian.image_point(group, reduced, disk_point(x0))
+    far = fuchsian.image_point(group, reduced, x0)
     u, v = far.tolist()
     if not u * u + v * v < 1.0:
         raise OutsideModelError(f"disk point must satisfy |z| < 1: {word!r} . x0 has |z|^2 = {u * u + v * v!r}")
-    near = group.tiles_near(disk_point(x0))
+    near = group.tiles_near(x0)
     tiles = {*near, *fuchsian._tree_path(near[0], fuchsian._join(reduced, near[0]))}
     return _array_crossings(_array_tile_leaves(group, mc.root, tiles), x0, far)
 

@@ -28,7 +28,14 @@ from halfpipe.cli import (
 )
 from halfpipe.bending import BendingContext, bending_map, bent_holonomy, bent_translation, psi_lambda
 from halfpipe.doubling import double_convex_core_pair, meridian_cone_angles
-from halfpipe.fuchsian import TeichPoint, WeightedMulticurve, build_punctured_torus, filling_advisory, segment_crossings
+from halfpipe.fuchsian import (
+    TeichPoint,
+    WeightedMulticurve,
+    build_punctured_torus,
+    filling_advisory,
+    holonomy_segment_crossings,
+    segment_crossings,
+)
 from halfpipe.geometry import HP, HYP, GeometryError
 from halfpipe.isometry import Isometry
 from halfpipe.transition import DEFAULT_BASE_POINT, EPS_LIMIT, extrapolate_limit, holonomy_family, signed_context
@@ -566,6 +573,7 @@ def test_each_point_entering_a_query_is_checked_once_and_crossed_once(tmp_path, 
         (1, lambda: bent_translation(hp, "AB")),  # the far end
         (1, lambda: bent_holonomy(hyp)("AB")),
         (2, lambda: segment_crossings(group, lam, base, z)),
+        (2, lambda: holonomy_segment_crossings(group, lam, base, "AB")),  # the basepoint as it enters and the far end
         (2, lambda: holonomy_family(group, lam, 1.0, "AB")),  # the basepoint of its context and the far end
     ]
     for points, query in points_and_query * 2:
@@ -575,7 +583,8 @@ def test_each_point_entering_a_query_is_checked_once_and_crossed_once(tmp_path, 
 
     # export-surface at (3,3,3), lambda = A, 10 samples: one crossing query develops each sample and names
     # its leaves, a sign test each; each of the 24 points of the one leaf polyline lies on its leaf, so its
-    # sign test is refused and the point pulled back, two each.  Once two per sample too: 68 in all.
+    # sign test is refused and the point pulled back, two each: 58 in all (68 when a sample took a second query
+    # for its leaves).
     checks.clear(), queries.clear()
     code, out = _run(tmp_path, "export-surface", _write_config(tmp_path / "cfg.json", samples=10))
     scene = json.loads((out / "scene.json").read_text())

@@ -926,10 +926,10 @@ def test_leaf_search_over_budget_stops_before_the_shell_that_crosses_it(monkeypa
     group = build_punctured_torus(TeichPoint.from_xy(7.9017, 7.9017))
     mc = WeightedMulticurve.single("A")
     x = np.array([0.11, 0.07])
-    y = fuchsian.image_point(group, "BBaa", disk_point(x))
+    y = fuchsian.image_point(group, "BBaa", x)
     found = segment_crossings(group, mc, x, y)
     assert found[3] == ["B", "BB"]
-    _assert_same_arrays(found, fuchsian.holonomy_segment_crossings(group, mc, disk_point(x), "BBaa"))
+    _assert_same_arrays(found, fuchsian.holonomy_segment_crossings(group, mc, x, "BBaa"))
     with pytest.raises(EnumerationBudgetError):
         _walk_segment(group, mc, x, y)
 
@@ -1307,7 +1307,7 @@ def test_endpoint_on_leaf_error_carries_the_endpoint_leaf_and_pairing():
 def test_holonomy_image_off_the_disk_error_carries_the_word_and_its_norm():
     with pytest.raises(OutsideModelError, match=r"\|z\| < 1: 'A{20}' \. x0 has \|z\|\^2 = 1\.0"):
         fuchsian.holonomy_segment_crossings(
-            build_punctured_torus(SYMMETRIC), WeightedMulticurve.single("B"), disk_point([0.11, 0.07]), "A" * 20
+            build_punctured_torus(SYMMETRIC), WeightedMulticurve.single("B"), np.array([0.11, 0.07]), "A" * 20
         )
 
 
@@ -1373,7 +1373,7 @@ def test_side_times_the_conjugated_axis_normal_is_the_leaf_normal(point, mc, x, 
     _assert_whole_word_normals(group, mc, found)
     _assert_whole_word_normals(group, mc, _crossings_of(_walk_segment(group, mc, x, y), x, y))
     try:
-        along_tree = fuchsian.holonomy_segment_crossings(group, mc, disk_point(x), word)
+        along_tree = fuchsian.holonomy_segment_crossings(group, mc, x, word)
     except (EndpointOnLeafError, OutsideModelError):
         return
     _assert_whole_word_normals(group, mc, along_tree)
@@ -1422,7 +1422,7 @@ def _assert_same_arrays(found, expected):
 def test_holonomy_crossings_from_the_tree_equal_a_search_of_the_segment(point, curve, x0, word):
     group = build_punctured_torus(point)
     mc = WeightedMulticurve.single(curve)
-    far = fuchsian.image_point(group, free_reduce(word), disk_point(x0))
+    far = fuchsian.image_point(group, free_reduce(word), x0)
 
     def searched():
         u, v = far.tolist()
@@ -1434,8 +1434,7 @@ def test_holonomy_crossings_from_the_tree_equal_a_search_of_the_segment(point, c
         expected = _crossings_or_error(searched)
     except EnumerationBudgetError:
         assume(False)
-    found = _crossings_or_error(lambda: fuchsian.holonomy_segment_crossings(group, mc, disk_point(x0), word))
-    _assert_same_arrays(found, expected)
+    _assert_same_arrays(_crossings_or_error(lambda: fuchsian.holonomy_segment_crossings(group, mc, x0, word)), expected)
 
 
 @pytest.mark.parametrize(
@@ -1451,19 +1450,44 @@ def test_holonomy_crossings_from_a_far_basepoint_equal_a_search_of_the_segment(n
     mc = WeightedMulticurve.single(curve)
     for angle in np.linspace(0.3, 2.0 * math.pi + 0.3, 7, endpoint=False):
         x0 = 0.9 * np.array([math.cos(angle), math.sin(angle)])
-        tile = group.tiles_near(disk_point(x0))[0]
+        tile = group.tiles_near(x0)[0]
         for word in sorted({invert_word(tile[:k]) for k in (1, 2, 3)}):
-            far = fuchsian.image_point(group, word, disk_point(x0))
+            far = fuchsian.image_point(group, word, x0)
             expected = _crossings_or_error(lambda: _crossings_of(_walk_segment(group, mc, x0, far), x0, far))
-            found = _crossings_or_error(lambda: fuchsian.holonomy_segment_crossings(group, mc, disk_point(x0), word))
-            _assert_same_arrays(found, expected)
+            _assert_same_arrays(
+                _crossings_or_error(lambda: fuchsian.holonomy_segment_crossings(group, mc, x0, word)), expected
+            )
 
 
 def test_holonomy_crossings_take_the_basepoint_as_any_two_numbers():
     group, mc = build_punctured_torus(SYMMETRIC), WeightedMulticurve.single("A")
-    found = [fuchsian.holonomy_segment_crossings(group, mc, disk_point(x0), "B") for x0 in ((0.11, 0.07), [0.11, 0.07])]
-    expected = fuchsian.holonomy_segment_crossings(group, mc, disk_point(np.array([0.11, 0.07])), "B")
+    found = [fuchsian.holonomy_segment_crossings(group, mc, x0, "B") for x0 in ((0.11, 0.07), [0.11, 0.07])]
+    expected = fuchsian.holonomy_segment_crossings(group, mc, np.array([0.11, 0.07]), "B")
     assert found == [expected, expected] and expected[3] == ["B"]
+
+
+def test_a_point_from_disk_point_is_taken_as_it_is_and_a_bare_triple_is_refused():
+    # The public functions that take a point also take disk_point's DiskPoint, unchecked, with the same
+    # result; a plain triple is no checked point, even one off the disk, and is refused.
+    group, mc = build_punctured_torus(SYMMETRIC), WeightedMulticurve.single("A")
+    x0, y = (0.11, 0.07), (0.5, -0.3)
+    assert fuchsian.holonomy_segment_crossings(group, mc, disk_point(x0), "B") == fuchsian.holonomy_segment_crossings(
+        group, mc, x0, "B"
+    )
+    assert fuchsian.segment_crossings(group, mc, disk_point(x0), disk_point(y)) == fuchsian.segment_crossings(
+        group, mc, x0, y
+    )
+    assert fuchsian.image_point(group, "B", disk_point(x0)).tobytes() == fuchsian.image_point(group, "B", x0).tobytes()
+    assert group.tiles_near(disk_point(x0)) == group.tiles_near(x0)
+    for bare in ((0.11, 0.07, 0.99), (0.9, 0.9, 0.5)):
+        for call in (
+            lambda: fuchsian.holonomy_segment_crossings(group, mc, bare, "B"),
+            lambda: fuchsian.segment_crossings(group, mc, x0, bare),
+            lambda: fuchsian.image_point(group, "B", bare),
+            lambda: group.tiles_near(bare),
+        ):
+            with pytest.raises(ValueError):
+                call()
 
 
 def test_a_word_crosses_the_leaves_of_its_free_reduction():
@@ -1472,9 +1496,8 @@ def test_a_word_crosses_the_leaves_of_its_free_reduction():
         group = build_punctured_torus(point)
         mc = WeightedMulticurve.single(curve)
         for word in ("AaBBB", "BbAAb", "AaB", "bAaB", "abBA"):
-            found = fuchsian.holonomy_segment_crossings(group, mc, disk_point(x0), word)
-            reduced = fuchsian.holonomy_segment_crossings(group, mc, disk_point(x0), free_reduce(word))
-            _assert_same_arrays(found, reduced)
+            found = fuchsian.holonomy_segment_crossings(group, mc, x0, word)
+            _assert_same_arrays(found, fuchsian.holonomy_segment_crossings(group, mc, x0, free_reduce(word)))
 
 
 def test_kerckhoff_point_symmetric_pair():

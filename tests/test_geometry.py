@@ -151,7 +151,7 @@ def test_disk_lift_and_projection_roundtrip():
 
 
 def test_embed_h2_vector_lies_on_every_quadric():
-    v = embed_h2_vector(disk_point([0.3, -0.4]))
+    v = embed_h2_vector([0.3, -0.4])
     for tag in ALL_TAGS:
         assert form_eval(tag, v) == pytest.approx(-1.0, abs=1e-12)
 

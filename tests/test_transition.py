@@ -562,7 +562,7 @@ def _oracle_family(group, mc, sign, word, grid):
     mpmath) and the crossings found in floats.  Each leaf's rotation is
     formed whole, g_v (c + mu s X) g_v^-1, and the product is not telescoped.
     """
-    _, sides, _, words = holonomy_segment_crossings(group, mc, disk_point(transition.DEFAULT_BASE_POINT), word)
+    _, sides, _, words = holonomy_segment_crossings(group, mc, np.array(transition.DEFAULT_BASE_POINT), word)
     with mpmath.workdps(ORACLE_DIGITS):
         letters = {letter: mpmath.matrix(_sl2(group, letter).tolist()) for letter in "ABab"}
 
